@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import deform as df, quadric as qd, sjcore
+from . import deform as df, numerics, quadric as qd, sjcore
 from .errors import DriftExceeded, UNearZero
 from .numerics import diff1, rk4_step
 from .sjcore import sqrt_branch
@@ -243,8 +243,10 @@ def integrate_backlund(fg: df.FieldGrid, ctx: BacklundContext,
     # base_tol can be loosened to study how an initial orthogonality defect
     # propagates (it obeys a homogeneous linear equation along the flow)
     sjcore.check_orthogonal(R1_base, base_tol, "R1 base value")
-    trivial = fg.meta.get("soliton") == "zero"
-    omega = None if trivial else _omega_for_integration(fg)
+    if fg.meta.get("soliton") == "zero":
+        rhs_of_line = _trivial_seed_rhs(ctx)
+    else:
+        rhs_of_line = _general_seed_rhs(fg, ctx, _omega_for_integration(fg))
 
     def integrate(order_axes):
         R1 = np.zeros(fg.grid.shape + (n, n), dtype=complex)
@@ -255,21 +257,8 @@ def integrate_backlund(fg: df.FieldGrid, ctx: BacklundContext,
         def state_of(idx):
             return R1[idx].ravel()
 
-        if trivial:
-            I = np.eye(n, dtype=complex)
-            Z = np.zeros((n, n), dtype=complex)
-
-            def rhs_of_axis(axis):
-                def f(_t, y):
-                    return riccati_rhs_qwc(ctx, axis, I, Z,
-                                           y.reshape(n, n)).ravel()
-                return f
-
-            df._sweep_lines(fg.grid, R1_base.astype(complex).ravel(), store,
-                            rhs_of_axis, state_of, order=order_axes)
-        else:
-            _sweep_lines_interp(fg, ctx, omega, R1_base, store, state_of,
-                                order_axes)
+        numerics.rk4_sweep(fg.grid, R1_base.astype(complex).ravel(), store,
+                           state_of, rhs_of_line, order=order_axes)
         return R1
 
     R1_a = integrate(tuple(range(fg.grid.n)))
@@ -302,62 +291,42 @@ def _omega_for_integration(fg: df.FieldGrid) -> np.ndarray:
     return out
 
 
-def _sweep_lines_interp(fg, ctx, omega, R1_base, store, state_of, order_axes):
-    """Line sweeps with cubic interpolation of the seed fields at half-steps."""
-    grid = fg.grid
-    n = fg.n
-    hs = grid.h
+def _trivial_seed_rhs(ctx: BacklundContext):
+    """Line right-hand sides for a zero-soliton seed (R_0 = I, omega_0 = 0)."""
+    n = ctx.n
+    I = np.eye(n, dtype=complex)
+    Z = np.zeros((n, n), dtype=complex)
 
-    def run_line(axis, start_idx):
-        sl = list(start_idx)
+    def rhs_of_line(axis, _start):
+        def f(_t, y):
+            return riccati_rhs_qwc(ctx, axis, I, Z, y.reshape(n, n)).ravel()
+        return f
+    return rhs_of_line
+
+
+def _general_seed_rhs(fg: df.FieldGrid, ctx: BacklundContext, omega):
+    """Line right-hand sides that read the seed's R_0 and omega_0 at the node
+    of the RK4 stage and interpolate them cubically at half-steps."""
+    n = fg.n
+    hs = fg.grid.h
+
+    def rhs_of_line(axis, start):
+        sl = list(start)
         sl[axis] = slice(None)
         R0_line = fg.R[tuple(sl)]
         om_line = omega[tuple(sl) + (axis,)]
         h = hs[axis]
-        i0 = start_idx[axis]
-        npts = grid.shape[axis]
 
-        def step(i, direction, y):
-            def f(t, yy):
-                frac = i + direction * t / h
-                if abs(frac - round(frac)) < 1e-9:
-                    R0 = R0_line[int(round(frac))]
-                    om = om_line[int(round(frac))]
-                else:
-                    base = int(np.floor(frac))
-                    R0 = _line_interp_half(R0_line, base)
-                    om = _line_interp_half(om_line, base)
-                return riccati_rhs_qwc(ctx, axis, R0, om,
-                                       yy.reshape(n, n)).ravel()
-            return rk4_step(f, 0.0, y, direction * h)
-
-        y = state_of(start_idx)
-        for i in range(i0, npts - 1):
-            y = step(i, +1, y)
-            store(start_idx[:axis] + (i + 1,) + start_idx[axis + 1:], y)
-        y = state_of(start_idx)
-        for i in range(i0, 0, -1):
-            y = step(i, -1, y)
-            store(start_idx[:axis] + (i - 1,) + start_idx[axis + 1:], y)
-
-    base = grid.base
-    store(base, R1_base.astype(complex).ravel())
-    ax0 = order_axes[0]
-    run_line(ax0, base)
-    if grid.n >= 2:
-        ax1 = order_axes[1]
-        for i in range(grid.shape[ax0]):
-            idx = list(base)
-            idx[ax0] = i
-            run_line(ax1, tuple(idx))
-    if grid.n >= 3:
-        ax2 = order_axes[2]
-        for i in range(grid.shape[ax0]):
-            for j in range(grid.shape[ax1]):
-                idx = list(base)
-                idx[ax0] = i
-                idx[ax1] = j
-                run_line(ax2, tuple(idx))
+        def f(t, y):
+            half = round(2.0 * t / h)     # stage position in half-steps
+            if half % 2 == 0:
+                R0, om = R0_line[half // 2], om_line[half // 2]
+            else:
+                R0 = _line_interp_half(R0_line, half // 2)
+                om = _line_interp_half(om_line, half // 2)
+            return riccati_rhs_qwc(ctx, axis, R0, om, y.reshape(n, n)).ravel()
+        return f
+    return rhs_of_line
 
 
 def integrate_backlund_qc_line(q, z, V0_base, lam0_base, R1_base,
@@ -470,12 +439,6 @@ def qwc_transform_residuals(ctx: BacklundContext, V0, lam0, R0, R1, V1, lam1):
     }
 
 
-def _embed_batch(V, m):
-    out = np.zeros(V.shape[:-1] + (m,), dtype=complex)
-    out[..., : V.shape[-1]] = V
-    return out
-
-
 def algebraic_transform_qc(ctx: BacklundContext, V0, lam0, R0, R1,
                            tol_u: float = TOL_U):
     """(V_0, Lambda_0) -> (V_1, Lambda_1) for QC, batched over leading axes."""
@@ -491,12 +454,12 @@ def algebraic_transform_qc(ctx: BacklundContext, V0, lam0, R0, R1,
     R1l = np.einsum("...ij,...j->...i", R1, lam0)
     V1 = -sz * (R1l + aux.N(V0)) / U[..., None]
 
-    v0f = _embed_batch(V0, m)
+    v0f = qd.embed(V0, m)
     v02 = np.einsum("...j,...j->...", V0, V0)
     Xh0 = 2.0 * v0f + (v02 - 1.0)[..., None] * e
     # (I + e V1^T) R1 Lambda0 = embed(R1l) + (V1.R1l) e
-    t = _embed_batch(R1l, m) + np.einsum("...k,...k->...", V1,
-                                         R1l)[..., None] * e
+    t = qd.embed(R1l, m) + np.einsum("...k,...k->...", V1,
+                                     R1l)[..., None] * e
     inner = (sz * np.einsum("ij,...j->...i", ctx.q.A, Xh0)
              - np.einsum("ij,...j->...i", srz, t))
     escal = np.einsum("k,...k->...", e, inner)
@@ -514,8 +477,8 @@ def qc_transform_residuals(ctx: BacklundContext, V0, lam0, R0, R1, V1, lam1):
     srz = ctx.srp
     sz = ctx.sqrt_z
     e = qd.basis_vec(m - 1, m)
-    v0f = _embed_batch(V0, m)
-    v1f = _embed_batch(V1, m)
+    v0f = qd.embed(V0, m)
+    v1f = qd.embed(V1, m)
     v02 = np.einsum("...j,...j->...", V0, V0)
     v12 = np.einsum("...j,...j->...", V1, V1)
     Xh0 = 2.0 * v0f + (v02 - 1.0)[..., None] * e
@@ -567,7 +530,7 @@ def leaf_system_residual(fg1: df.FieldGrid, q, lm, order: int = 2) -> dict:
         m = q.dim
         e = qd.basis_vec(m - 1, m)
         v2 = np.einsum("...j,...j->...", fg1.V, fg1.V)
-        Vf = _embed_batch(fg1.V, m)
+        Vf = qd.embed(fg1.V, m)
         Xh = 2.0 * Vf + (v2 - 1.0)[..., None] * e
         AX = np.einsum("ij,...j->...i", q.A, Xh)
         escal = np.einsum("k,...k->...", e, AX)

@@ -91,15 +91,9 @@ class FieldGrid:
 
 # chart-level scalars ------------------------------------------------------------
 
-def _embed_field(V: np.ndarray, m: int) -> np.ndarray:
-    out = np.zeros(V.shape[:-1] + (m,), dtype=complex)
-    out[..., : V.shape[-1]] = V
-    return out
-
-
 def _stereographic_field(V: np.ndarray, m: int):
     v2 = np.einsum("...k,...k->...", V, V)
-    X = (2.0 * _embed_field(V, m)
+    X = (2.0 * qd.embed(V, m)
          + (v2 - 1.0)[..., None] * qd.basis_vec(m - 1, m)) / (v2 + 1.0)[..., None]
     return X, v2
 
@@ -222,11 +216,14 @@ def zero_soliton(q, lm, grid: GridSpec, V_base, lam_base,
     def state_of(idx):
         return np.concatenate([V[idx], lam[idx]])
 
-    _sweep_lines(grid, np.concatenate([V_base, lam_base]), store,
-                 model.rhs_vlam, state_of)
+    def rhs_of_line(axis, _start):
+        return model.rhs_vlam(axis)
+
+    numerics.rk4_sweep(grid, np.concatenate([V_base, lam_base]), store,
+                       state_of, rhs_of_line)
     primary = (V.copy(), lam.copy())
-    _sweep_lines(grid, np.concatenate([V_base, lam_base]), store,
-                 model.rhs_vlam, state_of, order=tuple(reversed(range(n))))
+    numerics.rk4_sweep(grid, np.concatenate([V_base, lam_base]), store,
+                       state_of, rhs_of_line, order=tuple(reversed(range(n))))
     sweep_gap = float(max(np.max(np.abs(V - primary[0])),
                           np.max(np.abs(lam - primary[1]))))
     V, lam = primary
@@ -238,49 +235,6 @@ def zero_soliton(q, lm, grid: GridSpec, V_base, lam_base,
     fg.meta["prime_integral_drift"] = float(np.max(prime_integral_residual(fg, q, lm)))
     fg.meta["sweep_mismatch"] = sweep_gap
     return fg
-
-
-def _sweep_lines(grid: GridSpec, state0, store, rhs_of_axis, state_of, order=None):
-    """Fill the grid by RK4 line sweeps: spine along order[0] through the base,
-    then order[1] lines from each spine node, then order[2] from each plane node."""
-    n = grid.n
-    order = tuple(range(n)) if order is None else tuple(order)
-    base = grid.base
-    hs = grid.h
-
-    def run_line(axis, start_idx):
-        h = hs[axis]
-        f = rhs_of_axis(axis)
-        i0 = start_idx[axis]
-        npts = grid.shape[axis]
-        yk = state_of(start_idx)
-        for i in range(i0 + 1, npts):
-            yk = numerics.rk4_step(f, 0.0, yk, h)
-            store(start_idx[:axis] + (i,) + start_idx[axis + 1:], yk)
-        yk = state_of(start_idx)
-        for i in range(i0 - 1, -1, -1):
-            yk = numerics.rk4_step(f, 0.0, yk, -h)
-            store(start_idx[:axis] + (i,) + start_idx[axis + 1:], yk)
-
-    store(base, state0)
-    ax0 = order[0]
-    run_line(ax0, base)
-    if n == 1:
-        return
-    ax1 = order[1]
-    for i in range(grid.shape[ax0]):
-        idx = list(base)
-        idx[ax0] = i
-        run_line(ax1, tuple(idx))
-    if n == 2:
-        return
-    ax2 = order[2]
-    for i in range(grid.shape[ax0]):
-        for j in range(grid.shape[ax1]):
-            idx = list(base)
-            idx[ax0] = i
-            idx[ax1] = j
-            run_line(ax2, tuple(idx))
 
 
 # residuals of the involutive systems ---------------------------------------------
@@ -325,7 +279,7 @@ def _curvature_source(fg: FieldGrid, q, lm) -> np.ndarray:
     if q.kind != qd.QC:
         return np.broadcast_to(lm.aprime_n(), fg.grid.shape + (n, n))
     m = q.dim
-    Ve = _embed_field(fg.V, m)
+    Ve = qd.embed(fg.V, m)
     I1n = np.eye(m, dtype=complex)
     I1n[m - 1, m - 1] = 0.0
     left = I1n + np.einsum("...i,j->...ij", Ve, qd.basis_vec(m - 1, m))
@@ -809,35 +763,15 @@ def quadrature_1form(grid: GridSpec, omega: np.ndarray, base_value,
 
 
 def _integrate_sweep(grid: GridSpec, omega, base_value, order):
+    """Cumulative line quadrature along the lines of the sweep in `order`."""
     hs = grid.h
-    base = grid.base
-    m = omega.shape[-1]
-    pos = np.zeros(grid.shape + (m,), dtype=complex)
-
-    def run_line(axis, through):
-        sl = list(through)
+    pos = np.zeros(grid.shape + (omega.shape[-1],), dtype=complex)
+    pos[grid.base] = np.asarray(base_value, dtype=complex)
+    for axis, start in numerics.sweep_lines(grid.shape, grid.base, order):
+        sl = list(start)
         sl[axis] = slice(None)
-        line = omega[tuple(sl) + (axis,)]
-        F = cumulative_line_integral(line, hs[axis])
-        pos[tuple(sl)] = pos[through] + F - F[through[axis]]
-
-    pos[base] = np.asarray(base_value, dtype=complex)
-    ax0 = order[0]
-    run_line(ax0, base)
-    if grid.n >= 2:
-        ax1 = order[1]
-        for i in range(grid.shape[ax0]):
-            idx = list(base)
-            idx[ax0] = i
-            run_line(ax1, tuple(idx))
-    if grid.n >= 3:
-        ax2 = order[2]
-        for i in range(grid.shape[ax0]):
-            for j in range(grid.shape[ax1]):
-                idx = list(base)
-                idx[ax0] = i
-                idx[ax1] = j
-                run_line(ax2, tuple(idx))
+        F = cumulative_line_integral(omega[tuple(sl) + (axis,)], hs[axis])
+        pos[tuple(sl)] = pos[start] + F - F[start[axis]]
     return pos
 
 
@@ -982,8 +916,8 @@ def seed_frame(q, lm, fg: FieldGrid, seed: int = 0,
     def state_of(idx):
         return model.pack(Vs[idx], Ls[idx], xs[idx], Xs[idx], Ns[idx])
 
-    _sweep_lines(fg.grid, model.pack(V0, lam0, x, X, N), store, model.rhs,
-                 state_of)
+    numerics.rk4_sweep(fg.grid, model.pack(V0, lam0, x, X, N), store, state_of,
+                       lambda axis, _start: model.rhs(axis))
     frame = AmbientFrame(xs, Xs, Ns, {"deformation": deformation})
     frame.meta["field_gap"] = float(max(np.max(np.abs(Vs - fg.V)),
                                         np.max(np.abs(Ls - fg.lam))))

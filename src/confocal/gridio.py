@@ -15,7 +15,6 @@ from pathlib import Path
 import numpy as np
 
 from . import deform as df
-from .sjcore import SJSpec
 
 
 def _fmt(x: float) -> str:
@@ -144,8 +143,3 @@ def save_lattice(dirpath, lattice, residual_rows=None):
     if residual_rows:
         save_residual_csv(dirpath / "residuals.csv",
                           ["square", "residual"], residual_rows)
-
-
-def blocks_from_json(blocks) -> SJSpec:
-    return SJSpec(tuple((complex(b["a"][0], b["a"][1]), int(b["p"]))
-                        for b in blocks))

@@ -1,7 +1,11 @@
-"""Shared numerical machinery: RK4 line stepping, finite-difference stencils
-on uniform grids, composite line quadrature, and log-log slope fits."""
+"""Shared numerical machinery: RK4 line stepping, the axis-ordered sweep
+traversal that every grid integration runs on (RK4 line sweeps and 1-form
+quadrature, over any number of axes), finite-difference stencils on uniform
+grids, composite line quadrature, and log-log slope fits."""
 
 from __future__ import annotations
+
+import itertools
 
 import numpy as np
 
@@ -24,6 +28,48 @@ def rk4_line(f, t0: float, y0, h: float, steps: int, callback=None):
         if callback is not None:
             callback(i + 1, t, y)
     return y
+
+
+# axis-ordered line sweeps over grids -----------------------------------------
+
+def sweep_lines(shape, base, order=None):
+    """Yield (axis, start) for every line of the sweep from node `base`.
+
+    The lines along order[d] start from every node of the slab filled by the
+    axes order[:d] (base coordinates on the others), in itertools.product
+    order, so each start node is written before its line is yielded.
+    """
+    order = tuple(range(len(shape))) if order is None else tuple(order)
+    for d, axis in enumerate(order):
+        swept = order[:d]
+        for coords in itertools.product(*(range(shape[a]) for a in swept)):
+            start = list(base)
+            for a, i in zip(swept, coords):
+                start[a] = i
+            yield axis, tuple(start)
+
+
+def rk4_sweep(grid, state0, store, state_of, rhs_of_line, order=None):
+    """Fill grid (shape, base, spacings h) from state0 by RK4 line sweeps.
+
+    Each line of sweep_lines is stepped both ways from its start node with
+    f = rhs_of_line(axis, start); the step from node i runs from t = i * h, so
+    f can locate its RK4 stages on the line.  store(idx, y) writes a node.
+    """
+    hs = grid.h
+    store(grid.base, state0)
+    for axis, start in sweep_lines(grid.shape, grid.base, order):
+        f = rhs_of_line(axis, start)
+        h = hs[axis]
+        i0 = start[axis]
+        y = state_of(start)
+        for i in range(i0, grid.shape[axis] - 1):
+            y = rk4_step(f, i * h, y, h)
+            store(start[:axis] + (i + 1,) + start[axis + 1:], y)
+        y = state_of(start)
+        for i in range(i0, 0, -1):
+            y = rk4_step(f, i * h, y, -h)
+            store(start[:axis] + (i - 1,) + start[axis + 1:], y)
 
 
 # finite differences along one axis of a grid field ---------------------------

@@ -119,12 +119,6 @@ def bpt_verify(fg_seed: df.FieldGrid, R1f, R2f, R3f,
     }
 
 
-def _superpose(seed, leaf_a, leaf_b, Da, Db):
-    """R_new with R_new seed^{-1} = (Da leaf_a - Db leaf_b)(Da ... ) pattern:
-    identical to bpt_compose with the (a, b) roles as (1, 2)."""
-    return bpt_compose(seed, leaf_a, leaf_b, Da, Db)
-
-
 def m3_r7(R0, R1, R2, R4, D1, D2, D3, z1, z2, z3):
     """Eighth Moebius-cube vertex by the three superposition routes.
 

@@ -37,10 +37,10 @@ QC, QWC, IQWC = "QC", "QWC", "IQWC"
 
 
 def embed(v: np.ndarray, m: int) -> np.ndarray:
-    """Zero-pad a chart vector into C^m."""
+    """Zero-pad the last axis into C^m, batched over leading axes."""
     v = np.asarray(v, dtype=complex)
-    out = np.zeros(m, dtype=complex)
-    out[: v.shape[0]] = v
+    out = np.zeros(v.shape[:-1] + (m,), dtype=complex)
+    out[..., : v.shape[-1]] = v
     return out
 
 
@@ -627,23 +627,3 @@ def ruling_direction(q: QuadricSpec, x0: np.ndarray, rng: np.random.Generator):
     if nw < 1e-12:
         return None
     return w / nw
-
-
-def polar_tangent(q: QuadricSpec, x0: np.ndarray, w0: np.ndarray,
-                  rng: np.random.Generator):
-    """A tangent direction what at x0 with w0^T A what = 0 (polar to w0)."""
-    n0 = q.A @ x0 + q.B
-    m = q.dim
-    for _ in range(32):
-        g1 = rng.standard_normal(m) + 1j * rng.standard_normal(m)
-        g2 = rng.standard_normal(m) + 1j * rng.standard_normal(m)
-        nn = n0 @ n0
-        if abs(nn) < 1e-12:
-            return None
-        s = g1 - (g1 @ n0) / nn * n0
-        t = g2 - (g2 @ n0) / nn * n0
-        what = (w0 @ (q.A @ s)) * t - (w0 @ (q.A @ t)) * s
-        nw = np.max(np.abs(what))
-        if nw > 1e-10:
-            return what / nw
-    return None

@@ -95,7 +95,8 @@ def _chart_batch(q, lm, V):
     N = V.shape[0]
     if q.kind == qd.QC:
         v2 = np.einsum("sj,sj->s", V, V)
-        X = (2.0 * _embed(V, m) + (v2 - 1.0)[:, None] * qd.basis_vec(m - 1, m))
+        X = (2.0 * qd.embed(V, m)
+             + (v2 - 1.0)[:, None] * qd.basis_vec(m - 1, m))
         X = X / (v2 + 1.0)[:, None]
         Ainv_sqrt = qd._inv_sqrt_sj(q.sj)
         x0 = np.einsum("ij,sj->si", Ainv_sqrt, X)
@@ -107,7 +108,7 @@ def _chart_batch(q, lm, V):
                                    dX / (v2 + 1.0)[:, None])
         return x0, T
     e = qd.basis_vec(m - 1, m)
-    Z = _embed(V, m) + 0.5 * np.einsum("sj,sj->s", V, V)[:, None] * e
+    Z = qd.embed(V, m) + 0.5 * np.einsum("sj,sj->s", V, V)[:, None] * e
     x0 = np.einsum("ij,sj->si", lm.L, Z)
     T = np.zeros((N, m, m - 1), dtype=complex)
     for k in range(m - 1):
@@ -115,12 +116,6 @@ def _chart_batch(q, lm, V):
                                qd.basis_vec(k, m))[None, :] \
             + V[:, k:k + 1] * np.einsum("ij,j->i", lm.L, e)[None, :]
     return x0, T
-
-
-def _embed(V, m):
-    out = np.zeros(V.shape[:-1] + (m,), dtype=complex)
-    out[..., : V.shape[-1]] = V
-    return out
 
 
 def _ruling_batch(q, x0, T, rng):
@@ -280,20 +275,23 @@ def default_soliton_data(q, lm, theta: float = 0.4, phi: float = 0.2):
 
     The base chart point is the origin unless H vanishes there (isotropic
     quadrics without center have H(0) = |B|^2 = 0), in which case a fixed
-    nearby point is used.
+    nearby point is used.  Lambda is sqrt(H0) [i cosh(theta), sinh(theta) u]
+    with u the real unit vector of R^{n-1} whose hyperspherical angles all
+    equal phi (u = [1] for n = 2, [cos phi, sin phi] for n = 3).
     """
     n = q.n
+    if n < 2:
+        raise ValueError("default_soliton_data needs n >= 2")
     v0 = np.zeros(n, dtype=complex)
     H0 = complex(df.h_field(q, lm, v0[None, :])[0])
     if abs(H0) < 1e-8:
         v0 = 0.35 * np.ones(n, dtype=complex) + 0.15j * np.arange(n)
         H0 = complex(df.h_field(q, lm, v0[None, :])[0])
-    if n == 2:
-        lam = np.array([1j * np.cosh(theta), np.sinh(theta)], dtype=complex)
-    else:
-        lam = np.array([1j * np.cosh(theta),
-                        np.sinh(theta) * np.cos(phi),
-                        np.sinh(theta) * np.sin(phi)], dtype=complex)
+    u = np.ones(n - 1)
+    for k in range(n - 2):
+        u[k] *= np.cos(phi)
+        u[k + 1:] *= np.sin(phi)
+    lam = np.concatenate([[1j * np.cosh(theta)], np.sinh(theta) * u])
     # the pattern squares (bilinearly) to -1, so scaling by sqrt(H0) puts the
     # base on the prime-integral quadric |Lambda|^2 = -H0
     lam = lam * sqrt_branch(H0)

@@ -59,6 +59,34 @@ class TestZeroSoliton:
         with pytest.raises(StepFailure):
             df.ZeroSolitonModel(q, lm)
 
+    def test_four_axes_fill_every_node(self):
+        # the sweep runs over all four axes: no node is left at its zero start
+        q = sc.standard_quadric(qd.QWC, n=4)
+        lm = sc.lmap_for(q)
+        grid = df.GridSpec(((0.0, 0.2, 6),) * 4)
+        v0, lam0 = sc.default_soliton_data(q, lm)
+        fg = df.zero_soliton(q, lm, grid, v0, lam0)
+        assert np.min(np.abs(fg.lam)) > 1e-3
+        assert np.max(np.abs(fg.V - oscillator_oracle(
+            df.ZeroSolitonModel(q, lm), grid, v0, lam0))) < 1e-8
+        assert fg.meta["prime_integral_drift"] < df.TOL_PI
+        assert fg.meta["sweep_mismatch"] < 1e-12
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_default_data_on_prime_integral(self, n):
+        q = sc.standard_quadric(qd.QWC, n=n)
+        lm = sc.lmap_for(q)
+        v0, lam0 = sc.default_soliton_data(q, lm)
+        H0 = df.h_field(q, lm, v0[None, :])[0]
+        assert lam0.shape == (n,)
+        assert abs(lam0 @ lam0 + H0) < 1e-12
+        assert np.min(np.abs(lam0)) > 1e-3
+
+    def test_default_data_needs_two_axes(self):
+        q = qd.qwc_quadric([(1.0, 1)])
+        with pytest.raises(ValueError):
+            sc.default_soliton_data(q, qd.build_lmap(q))
+
 
 class TestPetersonAdmissible:
     def test_diagonal_true(self, qwc2, lmap2):

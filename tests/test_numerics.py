@@ -3,9 +3,12 @@ analytic functions at its claimed order."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from confocal.deform import GridSpec
 from confocal.numerics import (correlation, cumulative_line_integral, diff1,
-                               fit_scale, loglog_slope, rk4_line, rk4_step)
+                               fit_scale, loglog_slope, rk4_line, rk4_step,
+                               rk4_sweep)
 
 
 class TestDiff1:
@@ -86,6 +89,46 @@ class TestRK4:
         a = rk4_step(f, 0.0, np.array([2.0]), 0.1)
         b = rk4_line(f, 0.0, np.array([2.0]), 0.1, 1)
         assert np.array_equal(a, b)
+
+
+@st.composite
+def sweep_cases(draw):
+    n = draw(st.integers(1, 4))
+    shape = tuple(draw(st.lists(st.integers(2, 5), min_size=n, max_size=n)))
+    base = tuple(draw(st.integers(0, s - 1)) for s in shape)
+    order = tuple(draw(st.permutations(range(n))))
+    return shape, base, order
+
+
+class TestSweep:
+    @given(sweep_cases())
+    @settings(max_examples=60, deadline=None)
+    def test_every_node_written_once_from_filled_starts(self, case):
+        shape, base, order = case
+        grid = GridSpec(tuple((0.0, 0.5 * s, s) for s in shape), base)
+        writes = np.zeros(shape, dtype=int)
+        vals = np.zeros(shape)
+
+        def store(idx, y):
+            writes[idx] += 1
+            vals[idx] = y[0]
+
+        def state_of(idx):
+            assert writes[idx] == 1     # a line starts from a filled node
+            return np.array([vals[idx]])
+
+        def rhs_of_line(axis, _start):
+            # y' = u^axis + 1, with the stage time t = position along the line
+            return lambda t, y: np.array([t + 1.0])
+
+        rk4_sweep(grid, np.array([0.0]), store, state_of, rhs_of_line, order)
+        assert np.all(writes == 1)
+        # RK4 is exact on the quadratic sum_a (u_a^2 - b_a^2)/2 + (u_a - b_a)
+        u = np.stack(np.meshgrid(*[grid.coords(a) for a in range(len(shape))],
+                                 indexing="ij"), axis=-1)
+        b = np.array([grid.coords(a)[i] for a, i in enumerate(base)])
+        exact = np.sum(0.5 * (u ** 2 - b ** 2) + (u - b), axis=-1)
+        assert np.max(np.abs(vals - exact)) < 1e-12
 
 
 class TestFits:
