@@ -421,7 +421,7 @@ def qwc_transform_residuals(ctx: BacklundContext, V0, lam0, R0, R1, V1, lam1):
     R0l = np.einsum("...ij,...j->...i", R0, lam1)
     c01 = np.einsum("ij,...j->...i", srp, V0) - V1 + ctx.ilc
     c10 = np.einsum("ij,...j->...i", srp, V1) - V0 + ctx.ilc
-    H1 = df.h_field(q, lm, V1)
+    H1 = qd.h_chart(q, lm, V1)
     endpoint = complex(qd.basis_vec(q.n, q.dim)
                        @ (lm.L_inv @ qd.translation(q, ctx.z)))
     quad = (np.einsum("...i,ij,...j->...", V1, srp, V0)
@@ -496,7 +496,7 @@ def qc_transform_residuals(ctx: BacklundContext, V0, lam0, R0, R1, V1, lam1):
             - proj_left(V1, sXh0) + (v02 + 1.0)[..., None] * V1)
     tc = (np.einsum("...i,...i->...", Xh0, sXh1)
           - (v02 + 1.0) * (v12 + 1.0))
-    H1 = df.h_field(ctx.q, None, V1)
+    H1 = qd.h_chart(ctx.q, None, V1)
     pi = (np.einsum("...j,...j->...", lam1, lam1) + H1 * (v12 + 1.0) ** 2)
     return {
         "rla_first": float(np.max(np.abs(rla1))),
@@ -612,17 +612,11 @@ def leaf_embed(q, lm, ctx: BacklundContext, fg0: df.FieldGrid,
     c10 = np.einsum("ij,...j->...i", srp, V1) - fg0.V + ctx.ilc
     c01 = np.einsum("ij,...j->...i", srp, fg0.V) - V1 + ctx.ilc
 
-    x0_chart = np.zeros(shape + (n + 1,), dtype=complex)
-    T0 = np.zeros(shape + (n + 1, n), dtype=complex)
-    T1 = np.zeros(shape + (n + 1, n), dtype=complex)
-    x01 = np.zeros(shape + (n + 1,), dtype=complex)
-    N0c = np.zeros(shape + (n + 1,), dtype=complex)
-    for idx in np.ndindex(*shape):
-        x0_chart[idx] = qd.chart_to_ambient(q, lm, fg0.V[idx])
-        T0[idx] = qd.chart_tangents(q, lm, fg0.V[idx])
-        T1[idx] = qd.chart_tangents(q, lm, V1[idx])
-        x01[idx] = qd.chart_to_ambient(q, lm, V1[idx])
-        N0c[idx], _ = qd.chart_normal_h(q, lm, fg0.V[idx])
+    x0_chart = qd.chart_to_ambient(q, lm, fg0.V)
+    T0 = qd.chart_tangents(q, lm, fg0.V)
+    T1 = qd.chart_tangents(q, lm, V1)
+    x01 = qd.chart_to_ambient(q, lm, V1)
+    N0c, _ = qd.chart_normal_h(q, lm, fg0.V)
     srz = qd.sqrt_rz(q, ctx.z)
     xz1 = np.einsum("ij,...j->...i", srz, x01) + qd.translation(q, ctx.z)
     dV1 = np.zeros(shape + (n, n), dtype=complex)       # [..., dir, comp]
@@ -680,10 +674,8 @@ def leaf_embed(q, lm, ctx: BacklundContext, fg0: df.FieldGrid,
     metric_scaling = float(np.max(np.abs((g01 - gz1) - dv1_gram)))
 
     if frame is None:
-        qz = np.zeros(shape, dtype=float)
-        for idx in np.ndindex(*shape):
-            qz[idx] = abs(qd.eval_confocal(q, ctx.z, x1[idx]))
-        on_confocal = float(np.max(qz))
+        on_confocal = max(abs(qd.eval_confocal(q, ctx.z, x))
+                          for x in x1.reshape(-1, n + 1))
         x1_vs_ivory = float(np.max(np.abs(x1 - xz1)))
     else:
         on_confocal = None
@@ -705,7 +697,7 @@ def _chart_normal_derivative_dot(q, lm, fg0, vec):
     for the base-quadric unit normal along V_0(u) ((I)QWC charts)."""
     n = fg0.n
     shape = fg0.grid.shape
-    H = df.h_field(q, lm, fg0.V)
+    H = qd.h_chart(q, lm, fg0.V)
     sqH = sqrt_branch(H)
     Lti = lm.L_inv.T
     mu = np.einsum("jk,...k->...j", lm.aprime_n(), fg0.V) + qd.chart_b(q, lm)
@@ -757,7 +749,7 @@ def ruling_facet_check(q, lm, ctx: BacklundContext, V0, V1, seed: int = 0,
     V1 = np.asarray(V1, dtype=complex).reshape(n)
     srp = ctx.srp_n()
     c01 = srp @ V0 - V1 + ctx.ilc
-    H0 = complex(df.h_field(q, lm, V0[None, :])[0])
+    H0 = complex(qd.h_chart(q, lm, V0[None, :])[0])
     denom = ctx.sqrt_z * sqrt_branch(H0)
     srz = qd.sqrt_rz(q, ctx.z)
     Rzinv = np.linalg.inv(qd.resolvent(q, ctx.z))
@@ -765,36 +757,19 @@ def ruling_facet_check(q, lm, ctx: BacklundContext, V0, V1, seed: int = 0,
     xz1 = srz @ qd.chart_to_ambient(q, lm, V1) + qd.translation(q, ctx.z)
     nh = Rzinv @ (q.A @ xz1 + q.B)
     c10 = ctx.srp_n() @ V1 - V0 + ctx.ilc
+    rows = [srow * 1j * c01 / denom for srow in (+1, -1)]
     out = []
-    for srow in (+1, -1):
-        row = srow * 1j * c01 / denom
-        unit = abs(row @ row - 1.0)
-        # the tangency identity makes the row unit up to the field drift;
-        # normalize exactly so M is orthogonal to machine precision
-        row = row / sqrt_branch(row @ row)
-        M = sjcore.orth_complete([row], n, seed=seed)
-        for s2 in (+1, -1):
-            coef = M[0] + s2 * 1j * M[1]
-            w = frame @ coef
-            bad = frame @ (M[0] + 0.5 * M[1])
-            rep = {
-                "row_sign": srow,
-                "pair_sign": s2,
-                "row_unit": float(unit),
-                "coefficient_isotropy": float(abs(coef @ coef)),
-                "ruling": float(abs(w @ (q.A @ (Rzinv @ w)))),
-                "tangency": float(abs(nh @ w)),
-                "negative_control": float(abs(bad @ (q.A @ (Rzinv @ bad)))),
-            }
-            if delta is not None:
-                Ra = np.eye(n, dtype=complex) if R0 is None else R0
-                Rb = np.eye(n, dtype=complex) if R1 is None else R1
-                dprime = (Rb @ np.diag(np.asarray(delta, dtype=complex))
-                          @ Ra.T @ c10) / ctx.sqrt_z
-                comp = M @ dprime
-                rep["facet_extra_components"] = float(
-                    np.max(np.abs(comp[2:])) if n > 2 else 0.0)
-            out.append(rep)
+    for M, w, rep in _facet_reports(q, Rzinv, frame, rows, seed):
+        rep["tangency"] = float(abs(nh @ w))
+        if delta is not None:
+            Ra = np.eye(n, dtype=complex) if R0 is None else R0
+            Rb = np.eye(n, dtype=complex) if R1 is None else R1
+            dprime = (Rb @ np.diag(np.asarray(delta, dtype=complex))
+                      @ Ra.T @ c10) / ctx.sqrt_z
+            comp = M @ dprime
+            rep["facet_extra_components"] = float(
+                np.max(np.abs(comp[2:])) if n > 2 else 0.0)
+        out.append(rep)
     return out
 
 
@@ -824,25 +799,35 @@ def ruling_facet_check_qc(q, ctx: BacklundContext, V0, V1, seed: int = 0):
     denom = 2.0 * ctx.sqrt_z * sqrt_branch(H0)
     Rzinv = np.linalg.inv(qd.resolvent(q, ctx.z))
     frame = srz @ qd.chart_tangents(q, None, V1)
-    out = []
-    for srow in (+1, -1):
-        row = srow * 1j * (v12 + 1.0) * vec / denom
+    rows = [srow * 1j * (v12 + 1.0) * vec / denom for srow in (+1, -1)]
+    return [rep for _, _, rep in _facet_reports(q, Rzinv, frame, rows, seed)]
+
+
+def _facet_reports(q, Rzinv, frame, rows, seed):
+    """Shared tail of the facet checks.  Each facet row (signs +1, -1) is made
+    exactly unit and completed to M in O_n(C); for both pair signs the cut
+    direction w = frame (M^T e_1 +- i M^T e_2) is tested against the ruling
+    condition w^T A R_z^{-1} w = 0 next to a non-isotropic negative control.
+    Yields (M, w, report) so callers can add their own entries."""
+    n = frame.shape[-1]
+    for srow, row in zip((+1, -1), rows):
         unit = abs(row @ row - 1.0)
+        # the tangency identity makes the row unit up to the field drift;
+        # normalize exactly so M is orthogonal to machine precision
         row = row / sqrt_branch(row @ row)
         M = sjcore.orth_complete([row], n, seed=seed)
         for s2 in (+1, -1):
             coef = M[0] + s2 * 1j * M[1]
             w = frame @ coef
             bad = frame @ (M[0] + 0.5 * M[1])
-            out.append({
+            yield M, w, {
                 "row_sign": srow,
                 "pair_sign": s2,
                 "row_unit": float(unit),
                 "coefficient_isotropy": float(abs(coef @ coef)),
                 "ruling": float(abs(w @ (q.A @ (Rzinv @ w)))),
                 "negative_control": float(abs(bad @ (q.A @ (Rzinv @ bad)))),
-            })
-    return out
+            }
 
 
 def asymptotic_directions(ff: df.FundamentalForms) -> float:

@@ -43,8 +43,14 @@ class GridSpec:
         if any(b <= a for a, b, _ in axes):
             raise ValueError("axis ranges must be increasing")
         base = self.base if self.base is not None else tuple(0 for _ in axes)
+        base = tuple(int(i) for i in base)
+        # negative indices would alias another node once refine() scales them
+        if len(base) != len(axes) or any(
+                not 0 <= i < s for i, (_, _, s) in zip(base, axes)):
+            raise ValueError(f"base {base} is not a node of the "
+                             f"{tuple(s for _, _, s in axes)} grid")
         object.__setattr__(self, "axes", axes)
-        object.__setattr__(self, "base", tuple(int(i) for i in base))
+        object.__setattr__(self, "base", base)
 
     @property
     def n(self) -> int:
@@ -91,28 +97,10 @@ class FieldGrid:
 
 # chart-level scalars ------------------------------------------------------------
 
-def _stereographic_field(V: np.ndarray, m: int):
-    v2 = np.einsum("...k,...k->...", V, V)
-    X = (2.0 * qd.embed(V, m)
-         + (v2 - 1.0)[..., None] * qd.basis_vec(m - 1, m)) / (v2 + 1.0)[..., None]
-    return X, v2
-
-
-def h_field(q, lm, V: np.ndarray) -> np.ndarray:
-    """H at every node of a V field (vectorized chart formula)."""
-    if q.kind == qd.QC:
-        X, _ = _stereographic_field(V, q.dim)
-        return np.einsum("...i,ij,...j->...", X, q.A, X)
-    An = lm.aprime_n()
-    bc = qd.chart_b(q, lm)
-    return (np.einsum("...j,jk,...k->...", V, An, V)
-            + 2.0 * np.einsum("...j,j->...", V, bc) + qd.b_norm2(q))
-
-
 def prime_integral_residual(fg: FieldGrid, q, lm) -> np.ndarray:
     """|Lambda|^2 + H (QWC/IQWC) resp. |Lambda|^2 + H (|V|^2+1)^2 (QC), per node."""
     lam2 = np.einsum("...j,...j->...", fg.lam, fg.lam)
-    H = h_field(q, lm, fg.V)
+    H = qd.h_chart(q, lm, fg.V)
     if q.kind == qd.QC:
         v2 = np.einsum("...j,...j->...", fg.V, fg.V)
         return np.abs(lam2 + H * (v2 + 1.0) ** 2)
@@ -221,19 +209,12 @@ def zero_soliton(q, lm, grid: GridSpec, V_base, lam_base,
 
     numerics.rk4_sweep(grid, np.concatenate([V_base, lam_base]), store,
                        state_of, rhs_of_line)
-    primary = (V.copy(), lam.copy())
-    numerics.rk4_sweep(grid, np.concatenate([V_base, lam_base]), store,
-                       state_of, rhs_of_line, order=tuple(reversed(range(n))))
-    sweep_gap = float(max(np.max(np.abs(V - primary[0])),
-                          np.max(np.abs(lam - primary[1]))))
-    V, lam = primary
 
     if not allow_degenerate and np.min(np.abs(lam)) < tol_deg:
         raise StepFailure("lambda collapsed below tol_deg during integration")
     R = np.broadcast_to(np.eye(n), shape + (n, n)).astype(complex).copy()
     fg = FieldGrid(grid, q.kind, V, lam, R, {"soliton": "zero"})
     fg.meta["prime_integral_drift"] = float(np.max(prime_integral_residual(fg, q, lm)))
-    fg.meta["sweep_mismatch"] = sweep_gap
     return fg
 
 
@@ -378,7 +359,8 @@ class FundamentalForms:
 def metric_field(fg: FieldGrid, q, lm) -> np.ndarray:
     """Pullback metric g_{jk} in the conjugate coordinates, per node."""
     if q.kind == qd.QC:
-        T = _qc_chart_gram(fg.V, q)
+        dx = qd.chart_tangents(q, None, fg.V)
+        T = np.einsum("...ij,...ik->...jk", dx, dx)
     else:
         n = fg.n
         Tfull = lm.L.T @ lm.L
@@ -390,22 +372,9 @@ def metric_field(fg: FieldGrid, q, lm) -> np.ndarray:
     return fg.lam[..., :, None] * RT * fg.lam[..., None, :]
 
 
-def _qc_chart_gram(V, q):
-    m = q.dim
-    n = m - 1
-    X, v2 = _stereographic_field(V, m)
-    e = qd.basis_vec(m - 1, m)
-    cols = np.zeros(V.shape[:-1] + (m, n), dtype=complex)
-    for k in range(n):
-        cols[..., :, k] = 2.0 * (qd.basis_vec(k, m) + V[..., k:k + 1] * (e - X))
-    cols = cols / (v2 + 1.0)[..., None, None]
-    Ainv = np.linalg.inv(q.A)
-    return np.einsum("...ij,ik,...kl->...jl", cols, Ainv, cols)
-
-
 def _derivative_fields(fg: FieldGrid, q, lm, mode: str, order: int):
     hs = fg.grid.h
-    H = h_field(q, lm, fg.V)
+    H = qd.h_chart(q, lm, fg.V)
     if mode == "exact":
         model = ZeroSolitonModel(q, lm)
         mu = fg.V * model.ap + model.bc
@@ -617,7 +586,6 @@ def forms_assemble(fg: FieldGrid, q, lm, seed: int = 0, mode: str = "auto",
         "cmp": float(np.max(cmp_res)),
         "ricci": ricci,
         "joined_orthogonality": float(np.max(np.abs(JO))),
-        "gamma_distinct": 0.0,
         "mode": mode,
     }
     vf = _chart_gradient_logsqH(fg, q, lm, H)
@@ -628,16 +596,10 @@ def forms_assemble(fg: FieldGrid, q, lm, seed: int = 0, mode: str = "auto",
 def _chart_gradient_logsqH(fg, q, lm, H):
     """d log sqrt(H) / d v^k (chart gradient, not the u-derivative)."""
     if q.kind == qd.QC:
-        m = q.dim
-        X, v2 = _stereographic_field(fg.V, m)
-        e = qd.basis_vec(m - 1, m)
-        AX = np.einsum("ij,...j->...i", q.A, X)
-        out = np.zeros(fg.V.shape, dtype=complex)
-        for k in range(fg.n):
-            dX = 2.0 * (qd.basis_vec(k, m) + fg.V[..., k:k + 1] * (e - X))
-            dX = dX / (v2 + 1.0)[..., None]
-            out[..., k] = np.einsum("...i,...i->...", dX, AX) / H
-        return out
+        # H = |A x|^2 on the quadric, so dH / dv^k = 2 (A x)^T A dx / dv^k
+        Ax = np.einsum("ij,...j->...i", q.A, qd.chart_to_ambient(q, None, fg.V))
+        AT = np.einsum("ij,...jk->...ik", q.A, qd.chart_tangents(q, None, fg.V))
+        return np.einsum("...i,...ik->...k", Ax, AT) / H[..., None]
     An = lm.aprime_n()
     bc = qd.chart_b(q, lm)
     mu = np.einsum("jk,...k->...j", An, fg.V) + bc

@@ -6,8 +6,8 @@ equilateral paraboloid for (I)QWC, stereographic chart for QC) with the
 linear map L that carries them onto the quadric.
 
 All pairings are bilinear (x^T y, no conjugation).  Ambient vectors live in
-C^{n+1}; chart vectors in C^n and are zero-padded when they meet ambient
-matrices.
+C^{n+1}, chart vectors in C^n.  The chart helpers take points batched over
+leading axes, (..., n), and are the one place the chart formulas live.
 """
 
 from __future__ import annotations
@@ -506,67 +506,92 @@ def sqrt_rprime(q: QuadricSpec, lm: LMap, z: complex) -> np.ndarray:
     return lm.L.T @ (q.A @ sqrt_rz(q, z)) @ lm.L + E
 
 
+def _dot(a: np.ndarray, b: np.ndarray):
+    """Bilinear a^T b over the last axis, batched over leading axes.
+
+    A stacked matmul rounds as the 1-D a @ b does, so a stack of points gives
+    the same bits as the points one by one; einsum does not."""
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
+
+
+def _apply(M: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """M v over the last axis of v, batched; rounds as the 1-D M @ v."""
+    return (M @ v[..., None])[..., 0]
+
+
 def h_chart(q: QuadricSpec, lm: LMap | None, V: np.ndarray):
-    """H at a chart point: V^T A' V + 2 V^T L^{-1}B + |B|^2 for (I)QWC,
-    X^T A X for QC.  Equals |A x + B|^2 at the chart image."""
+    """H at chart points V (..., n): V^T A' V + 2 V^T L^{-1}B + |B|^2 for
+    (I)QWC, X^T A X for QC.  Equals |A x + B|^2 at the chart image.
+
+    Unlike the maps, H is an einsum, with an einsum |V|^2 inside the
+    stereographic X: the grid residuals of deform and backlund reproduce bit
+    for bit from that rounding.  Its last bits can depend on the shape of the
+    stack, so each caller keeps one shape (a single point as V[None, :])."""
     V = np.asarray(V, dtype=complex)
     if q.kind == QC:
-        X = _stereographic(V, q.dim)
-        return complex(X @ (q.A @ X))
-    bc = chart_b(q, lm)
+        X = _stereographic(V, np.einsum("...k,...k->...", V, V), q.dim)
+        return np.einsum("...i,ij,...j->...", X, q.A, X)
     An = lm.aprime_n()
-    return complex(V @ (An @ V) + 2.0 * (V @ bc) + b_norm2(q))
+    bc = chart_b(q, lm)
+    return (np.einsum("...j,jk,...k->...", V, An, V)
+            + 2.0 * np.einsum("...j,j->...", V, bc) + b_norm2(q))
 
 
-def _stereographic(V: np.ndarray, m: int) -> np.ndarray:
-    v2 = complex(V @ V)
-    if abs(v2 + 1.0) < 1e-12:
+def _stereographic(V: np.ndarray, v2, m: int) -> np.ndarray:
+    """Stereographic image X of V (..., n) on the unit sphere of C^m.
+
+    v2 = V^T V comes from the caller: the maps round it as a dot product and
+    H as an einsum, and a different last bit of v2 moves every X."""
+    if np.any(np.abs(v2 + 1.0) < 1e-12):
         raise ChartSingularity("|V|^2 = -1 in the stereographic chart")
-    X = 2.0 * embed(V, m) + (v2 - 1.0) * basis_vec(m - 1, m)
-    return X / (v2 + 1.0)
+    X = 2.0 * embed(V, m) + (v2 - 1.0)[..., None] * basis_vec(m - 1, m)
+    return X / (v2 + 1.0)[..., None]
 
 
 def chart_to_ambient(q: QuadricSpec, lm: LMap | None, V: np.ndarray) -> np.ndarray:
-    """Chart point -> ambient point on Q_0.
+    """Chart points V (..., n) -> ambient points (..., n+1) on Q_0.
 
     (I)QWC: x = L (V + |V|^2/2 e);  QC: x = A^{-1/2} X with X the stereographic
     image of V on the unit sphere.
     """
     V = np.asarray(V, dtype=complex)
     m = q.dim
+    v2 = _dot(V, V)
     if q.kind == QC:
-        return _inv_sqrt_sj(q.sj) @ _stereographic(V, m)
-    Z = embed(V, m) + 0.5 * complex(V @ V) * basis_vec(m - 1, m)
-    return lm.L @ Z
+        return _apply(_inv_sqrt_sj(q.sj), _stereographic(V, v2, m))
+    Z = embed(V, m) + (0.5 * v2)[..., None] * basis_vec(m - 1, m)
+    return _apply(lm.L, Z)
 
 
 def chart_tangents(q: QuadricSpec, lm: LMap | None, V: np.ndarray) -> np.ndarray:
-    """Columns d x / d v^k, an (n+1) x n matrix."""
+    """Columns d x / d v^k at chart points V (..., n), shape (..., n+1, n).
+
+    Each column is its own matrix-vector product: one matrix product over all
+    columns rounds differently."""
     V = np.asarray(V, dtype=complex)
     m, n = q.dim, q.dim - 1
-    T = np.zeros((m, n), dtype=complex)
-    if q.kind == QC:
-        X = _stereographic(V, m)
-        v2 = complex(V @ V)
-        Ainv_sqrt = _inv_sqrt_sj(q.sj)
-        e = basis_vec(m - 1, m)
-        for k in range(n):
-            dX = 2.0 * (basis_vec(k, m) + V[k] * (e - X)) / (v2 + 1.0)
-            T[:, k] = Ainv_sqrt @ dX
-        return T
     e = basis_vec(m - 1, m)
-    for k in range(n):
-        T[:, k] = lm.L @ (basis_vec(k, m) + V[k] * e)
-    return T
+    rows = np.eye(n, m, dtype=complex)
+    if q.kind == QC:
+        v2 = _dot(V, V)
+        X = _stereographic(V, v2, m)
+        M = _inv_sqrt_sj(q.sj)
+        dX = 2.0 * (rows + V[..., :, None] * (e - X)[..., None, :])
+        cols = dX / (v2 + 1.0)[..., None, None]
+    else:
+        M = lm.L
+        cols = rows + V[..., :, None] * e
+    return np.swapaxes(_apply(M, cols), -1, -2)
 
 
 def chart_normal_h(q: QuadricSpec, lm: LMap | None, V: np.ndarray):
-    """Unit normal N0 (bilinear N0^T N0 = 1) and H at a chart point."""
+    """Unit normal N0 (..., n+1) (bilinear N0^T N0 = 1) and H (...) at chart
+    points V (..., n)."""
     H = h_chart(q, lm, V)
-    if abs(H) < TOL_ISO:
-        raise IsotropicNormal(f"|H| = {abs(H):.3e}")
+    if np.any(np.abs(H) < TOL_ISO):
+        raise IsotropicNormal(f"|H| = {np.min(np.abs(H)):.3e}")
     x = chart_to_ambient(q, lm, V)
-    N0 = (q.A @ x + q.B) / sqrt_branch(H)
+    N0 = (_apply(q.A, x) + q.B) / np.asarray(sqrt_branch(H))[..., None]
     return N0, H
 
 

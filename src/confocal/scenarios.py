@@ -89,35 +89,6 @@ def lmap_for(q, seed: int = 0):
 # Ivory identity suite (vectorized over samples)
 # -------------------------------------------------------------------------------------
 
-def _chart_batch(q, lm, V):
-    """Batched chart embedding, tangent pair, and normal data."""
-    m = q.dim
-    N = V.shape[0]
-    if q.kind == qd.QC:
-        v2 = np.einsum("sj,sj->s", V, V)
-        X = (2.0 * qd.embed(V, m)
-             + (v2 - 1.0)[:, None] * qd.basis_vec(m - 1, m))
-        X = X / (v2 + 1.0)[:, None]
-        Ainv_sqrt = qd._inv_sqrt_sj(q.sj)
-        x0 = np.einsum("ij,sj->si", Ainv_sqrt, X)
-        e = qd.basis_vec(m - 1, m)
-        T = np.zeros((N, m, m - 1), dtype=complex)
-        for k in range(m - 1):
-            dX = 2.0 * (qd.basis_vec(k, m) + V[:, k:k + 1] * (e - X))
-            T[:, :, k] = np.einsum("ij,sj->si", Ainv_sqrt,
-                                   dX / (v2 + 1.0)[:, None])
-        return x0, T
-    e = qd.basis_vec(m - 1, m)
-    Z = qd.embed(V, m) + 0.5 * np.einsum("sj,sj->s", V, V)[:, None] * e
-    x0 = np.einsum("ij,sj->si", lm.L, Z)
-    T = np.zeros((N, m, m - 1), dtype=complex)
-    for k in range(m - 1):
-        T[:, :, k] = np.einsum("ij,j->i", lm.L,
-                               qd.basis_vec(k, m))[None, :] \
-            + V[:, k:k + 1] * np.einsum("ij,j->i", lm.L, e)[None, :]
-    return x0, T
-
-
 def _ruling_batch(q, x0, T, rng):
     """One ruling direction per sample point from the tangent-plane quadratic;
     returns (w, ok mask)."""
@@ -182,8 +153,8 @@ def _ivory_batch(q, lm, per: int, seed: int) -> dict:
     Cz = qd.translation(q, z)
     Va = 0.6 * (rng.standard_normal((per, n)) + 1j * rng.standard_normal((per, n)))
     Vb = 0.6 * (rng.standard_normal((per, n)) + 1j * rng.standard_normal((per, n)))
-    xa, Ta = _chart_batch(q, lm, Va)
-    xb, Tb = _chart_batch(q, lm, Vb)
+    xa, Ta = qd.chart_to_ambient(q, lm, Va), qd.chart_tangents(q, lm, Va)
+    xb, Tb = qd.chart_to_ambient(q, lm, Vb), qd.chart_tangents(q, lm, Vb)
     xza = np.einsum("ij,sj->si", srz, xa) + Cz
     xzb = np.einsum("ij,sj->si", srz, xb) + Cz
     na = np.einsum("ij,sj->si", q.A, xa) + q.B
@@ -283,10 +254,10 @@ def default_soliton_data(q, lm, theta: float = 0.4, phi: float = 0.2):
     if n < 2:
         raise ValueError("default_soliton_data needs n >= 2")
     v0 = np.zeros(n, dtype=complex)
-    H0 = complex(df.h_field(q, lm, v0[None, :])[0])
+    H0 = complex(qd.h_chart(q, lm, v0[None, :])[0])
     if abs(H0) < 1e-8:
         v0 = 0.35 * np.ones(n, dtype=complex) + 0.15j * np.arange(n)
-        H0 = complex(df.h_field(q, lm, v0[None, :])[0])
+        H0 = complex(qd.h_chart(q, lm, v0[None, :])[0])
     u = np.ones(n - 1)
     for k in range(n - 2):
         u[k] *= np.cos(phi)
@@ -307,9 +278,7 @@ def soliton_pipeline(q, lm, grid, v_base, lam_base, seed: int) -> dict:
     sysres = df.residual_defqwc(fg, q, lm)
     ff = df.forms_assemble(fg, q, lm, seed=seed)
     frame0 = df.seed_frame(q, lm, fg, seed=seed, deformation=False)
-    chart = np.zeros(frame0.x.shape, dtype=complex)
-    for idx in np.ndindex(*grid.shape):
-        chart[idx] = qd.chart_to_ambient(q, lm, fg.V[idx])
+    chart = qd.chart_to_ambient(q, lm, fg.V)
     frame = df.seed_frame(q, lm, fg, seed=seed, deformation=True)
     checks_frame = df.frame_checks(frame, ff.g)
     return {
@@ -365,7 +334,7 @@ def random_state_batch(q, lm, count: int, seed: int):
     rng = np.random.default_rng(seed)
     n = q.n
     V = 0.5 * (rng.standard_normal((count, n)) + 1j * rng.standard_normal((count, n)))
-    H = df.h_field(q, lm, V)
+    H = qd.h_chart(q, lm, V)
     mu = rng.standard_normal((count, n)) + 1j * rng.standard_normal((count, n))
     if q.kind == qd.QC:
         v2 = np.einsum("sj,sj->s", V, V)

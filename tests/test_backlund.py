@@ -366,7 +366,7 @@ class TestIQWCPipeline:
         assert ok
         grid = df.GridSpec(((0.0, 0.4, 21), (0.0, 0.4, 21)))
         vb = np.array([0.35, 0.15 - 0.1j], dtype=complex)
-        H0 = complex(df.h_field(iqwc2, lm, vb[None, :])[0])
+        H0 = complex(qd.h_chart(iqwc2, lm, vb[None, :])[0])
         pat = np.array([1j * np.cosh(0.4), np.sinh(0.4)], dtype=complex)
         fg = df.zero_soliton(iqwc2, lm, grid, vb, pat * sqrt_branch(H0))
         assert fg.meta["prime_integral_drift"] < 1e-8

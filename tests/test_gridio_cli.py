@@ -105,6 +105,15 @@ class TestRunScenario:
                        str(tmp_path / "bad")])
         assert rc == 2
 
+    def test_grid_base_off_the_grid_exits_2(self, tmp_path):
+        cfgfile = tmp_path / "bad_base.json"
+        cfgfile.write_text(json.dumps({
+            "scenario": "deform-0soliton",
+            "grid": {"axes": [[0.0, 0.62, 8], [0.0, 0.62, 8]], "base": [9, 0]}}))
+        rc = cli.main(["run", "--config", str(cfgfile), "--out",
+                       str(tmp_path / "bad_base")])
+        assert rc == 2
+
     def test_module_error_recorded_not_crash(self, tmp_path):
         # a non-admissible quadric: peterson check recorded as failed,
         # dependent checks skipped

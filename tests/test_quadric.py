@@ -5,8 +5,9 @@ finite differences for normals)."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from confocal import quadric as qd
+from confocal import quadric as qd, scenarios as sc
 from confocal.errors import (ChartSingularity, DistinctZRequired,
                              IsotropicNormal, MultipleRoot,
                              NotRulingDirection, OffQuadric, SingularConfocal)
@@ -356,6 +357,69 @@ class TestCharts:
         lm = qd.build_lmap(parabola)
         with pytest.raises(IsotropicNormal):
             qd.chart_normal_h(parabola, lm, np.array([1.0j]))
+
+
+def chart_stack_strategy():
+    """(quadric, L map, V) with V a random (s, t, n) stack of chart points."""
+    def build(kind, n, s, t, seed):
+        q = sc.standard_quadric(kind, n=n)
+        rng = np.random.default_rng(seed)
+        V = 0.6 * (rng.standard_normal((s, t, n))
+                   + 1j * rng.standard_normal((s, t, n)))
+        return q, sc.lmap_for(q), V
+    return st.builds(build, st.sampled_from([qd.QC, qd.QWC, qd.IQWC]),
+                     st.integers(2, 4), st.integers(1, 4), st.integers(1, 5),
+                     st.integers(0, 2**31 - 1))
+
+
+class TestChartBatch:
+    """The chart helpers take (..., n) stacks and give each point what a
+    call on that point alone gives."""
+
+    @given(chart_stack_strategy())
+    @settings(max_examples=40, deadline=None)
+    def test_stack_matches_points(self, case):
+        q, lm, V = case
+        x = qd.chart_to_ambient(q, lm, V)
+        T = qd.chart_tangents(q, lm, V)
+        N0, H = qd.chart_normal_h(q, lm, V)
+        Hs = qd.h_chart(q, lm, V)
+        assert x.shape == V.shape[:-1] + (q.dim,)
+        assert T.shape == V.shape[:-1] + (q.dim, q.n)
+        assert N0.shape == x.shape and H.shape == Hs.shape == V.shape[:-1]
+        for idx in np.ndindex(*V.shape[:-1]):
+            assert np.array_equal(x[idx], qd.chart_to_ambient(q, lm, V[idx]))
+            assert np.array_equal(T[idx], qd.chart_tangents(q, lm, V[idx]))
+            h1 = qd.h_chart(q, lm, V[idx])
+            n1, h2 = qd.chart_normal_h(q, lm, V[idx])
+            assert abs(Hs[idx] - h1) <= 1e-13 * abs(h1)
+            assert abs(H[idx] - h2) <= 1e-13 * abs(h2)
+            assert np.max(np.abs(N0[idx] - n1)) <= 1e-13 * np.max(np.abs(n1))
+        assert np.max(np.abs(np.einsum("...i,...i->...", N0, N0) - 1.0)) < 1e-12
+
+    @given(chart_stack_strategy(), st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_one_singular_point_raises(self, case, data):
+        q, lm, V = case
+        idx = tuple(data.draw(st.integers(0, k - 1)) for k in V.shape[:-1])
+        V = V.copy()
+        if q.kind == qd.QC:
+            V[idx] = 0.0
+            V[idx][0] = 1j           # |V|^2 = -1: the pole of the chart
+            for helper in (qd.chart_to_ambient, qd.chart_tangents,
+                           qd.chart_normal_h):
+                with pytest.raises(ChartSingularity):
+                    helper(q, lm, V)
+            return
+        # H(t d) = a t^2 + b t + c vanishes at a root t along a direction d
+        d = V[idx] / np.max(np.abs(V[idx]))
+        a = d @ lm.aprime_n() @ d
+        b = 2.0 * d @ qd.chart_b(q, lm)
+        c = qd.b_norm2(q)
+        t = (-b + sqrt_branch(b * b - 4.0 * a * c)) / (2.0 * a)
+        V[idx] = t * d
+        with pytest.raises(IsotropicNormal):
+            qd.chart_normal_h(q, lm, V)
 
 
 class TestIvoryOnConfocalAllKinds:
