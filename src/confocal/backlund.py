@@ -42,14 +42,14 @@ class BacklundContext:
     srp: np.ndarray = field(repr=False)   # ambient sqrt(R'_z) ((I)QWC) / sqrt(R_z) (QC)
     ilc: np.ndarray = field(repr=False)   # I_{1,n} L^{-1} C(z), n-vector ((I)QWC)
     ilb: np.ndarray = field(repr=False)   # I_{1,n} L^{-1} B, n-vector ((I)QWC)
+    n: int = field(init=False)            # chart dimension, stored once
+
+    def __post_init__(self):
+        object.__setattr__(self, "n", self.q.n)
 
     @property
     def kind(self) -> str:
         return self.q.kind
-
-    @property
-    def n(self) -> int:
-        return self.q.n
 
     def srp_n(self) -> np.ndarray:
         return self.srp[: self.n, : self.n]
@@ -131,11 +131,13 @@ def qc_aux(ctx: BacklundContext) -> QCAux:
 
 def riccati_rhs_qwc(ctx: BacklundContext, k: int, R0: np.ndarray,
                     omega0_k: np.ndarray, R1: np.ndarray) -> np.ndarray:
-    """dR_1/du^k for -dR_1 = R_1 omega_0 + R_1 del R_0^T D R_1 - D R_0 del."""
+    """dR_1/du^k for -dR_1 = R_1 omega_0 + R_1 del R_0^T D R_1 - D R_0 del,
+    batched over leading axes (stacked matmul rounds as one node does)."""
     n = ctx.n
     Ek = np.zeros((n, n), dtype=complex)
     Ek[k, k] = 1.0
-    return -(R1 @ omega0_k + R1 @ Ek @ R0.T @ ctx.D @ R1 - ctx.D @ R0 @ Ek)
+    return -(R1 @ omega0_k + R1 @ Ek @ np.swapaxes(R0, -1, -2) @ ctx.D @ R1
+             - ctx.D @ R0 @ Ek)
 
 
 def riccati_rhs_qc(ctx: BacklundContext, k: int, V0, lam0, R0, omega0_k, R1,
@@ -200,18 +202,26 @@ def riccati_rhs_qc_expanded(ctx: BacklundContext, k: int, V0, lam0, R0,
 
 # Riccati integration over grids -------------------------------------------------------
 
-def _line_interp_half(vals: np.ndarray, i: int) -> np.ndarray:
-    """Cubic interpolation of per-node values at the midpoint i + 1/2."""
-    npts = vals.shape[0]
-    s = min(max(i - 1, 0), npts - 4)
-    t = (i + 0.5) - s
+def _lagrange_half_weights(t: float) -> np.ndarray:
+    """Weights of the cubic through nodes 0..3 evaluated at t."""
     xs = np.arange(4, dtype=float)
     w = np.ones(4)
     for a in range(4):
         for b in range(4):
             if a != b:
                 w[a] *= (t - xs[b]) / (xs[a] - xs[b])
-    return np.tensordot(w, vals[s:s + 4], axes=(0, 0))
+    return w
+
+
+# by the midpoint's place in its 4-node panel: first, interior, last interval
+_HALF_WEIGHTS = tuple(_lagrange_half_weights(t) for t in (0.5, 1.5, 2.5))
+
+
+def _line_interp_half(vals: np.ndarray, i: int) -> np.ndarray:
+    """Cubic interpolation of per-node matrices vals (npts, ..., r, c) at the
+    midpoint i + 1/2 along axis 0."""
+    s = min(max(i - 1, 0), vals.shape[0] - 4)
+    return numerics.panel_sum(_HALF_WEIGHTS[i - s], vals[s:s + 4], item_ndim=2)
 
 
 @dataclass
@@ -244,22 +254,14 @@ def integrate_backlund(fg: df.FieldGrid, ctx: BacklundContext,
     # propagates (it obeys a homogeneous linear equation along the flow)
     sjcore.check_orthogonal(R1_base, base_tol, "R1 base value")
     if fg.meta.get("soliton") == "zero":
-        rhs_of_line = _trivial_seed_rhs(ctx)
+        rhs_of_axis = _trivial_seed_rhs(ctx)
     else:
-        rhs_of_line = _general_seed_rhs(fg, ctx, _omega_for_integration(fg))
+        rhs_of_axis = _general_seed_rhs(fg, ctx, _omega_for_integration(fg))
 
     def integrate(order_axes):
-        R1 = np.zeros(fg.grid.shape + (n, n), dtype=complex)
-
-        def store(idx, y):
-            R1[idx] = y.reshape(n, n)
-
-        def state_of(idx):
-            return R1[idx].ravel()
-
-        numerics.rk4_sweep(fg.grid, R1_base.astype(complex).ravel(), store,
-                           state_of, rhs_of_line, order=order_axes)
-        return R1
+        R1 = numerics.rk4_sweep(fg.grid, R1_base.astype(complex).ravel(),
+                                rhs_of_axis, order=order_axes)
+        return R1.reshape(fg.grid.shape + (n, n))
 
     R1_a = integrate(tuple(range(fg.grid.n)))
     R1_b = integrate(tuple(reversed(range(fg.grid.n))))
@@ -297,11 +299,12 @@ def _trivial_seed_rhs(ctx: BacklundContext):
     I = np.eye(n, dtype=complex)
     Z = np.zeros((n, n), dtype=complex)
 
-    def rhs_of_line(axis, _start):
+    def rhs_of_axis(axis, _lines):
         def f(_t, y):
-            return riccati_rhs_qwc(ctx, axis, I, Z, y.reshape(n, n)).ravel()
+            R1 = y.reshape(y.shape[:-1] + (n, n))
+            return riccati_rhs_qwc(ctx, axis, I, Z, R1).reshape(y.shape)
         return f
-    return rhs_of_line
+    return rhs_of_axis
 
 
 def _general_seed_rhs(fg: df.FieldGrid, ctx: BacklundContext, omega):
@@ -310,23 +313,22 @@ def _general_seed_rhs(fg: df.FieldGrid, ctx: BacklundContext, omega):
     n = fg.n
     hs = fg.grid.h
 
-    def rhs_of_line(axis, start):
-        sl = list(start)
-        sl[axis] = slice(None)
-        R0_line = fg.R[tuple(sl)]
-        om_line = omega[tuple(sl) + (axis,)]
+    def rhs_of_axis(axis, lines):
+        R0_lines = lines(fg.R)
+        om_lines = lines(omega)[..., axis, :, :]
         h = hs[axis]
 
         def f(t, y):
             half = round(2.0 * t / h)     # stage position in half-steps
             if half % 2 == 0:
-                R0, om = R0_line[half // 2], om_line[half // 2]
+                R0, om = R0_lines[half // 2], om_lines[half // 2]
             else:
-                R0 = _line_interp_half(R0_line, half // 2)
-                om = _line_interp_half(om_line, half // 2)
-            return riccati_rhs_qwc(ctx, axis, R0, om, y.reshape(n, n)).ravel()
+                R0 = _line_interp_half(R0_lines, half // 2)
+                om = _line_interp_half(om_lines, half // 2)
+            R1 = y.reshape(y.shape[:-1] + (n, n))
+            return riccati_rhs_qwc(ctx, axis, R0, om, R1).reshape(y.shape)
         return f
-    return rhs_of_line
+    return rhs_of_axis
 
 
 def integrate_backlund_qc_line(q, z, V0_base, lam0_base, R1_base,
@@ -561,10 +563,7 @@ def riccati_field_residual(R_new: np.ndarray, fg_seed: df.FieldGrid,
     worst = 0.0
     for k in range(fg_seed.grid.n):
         dRk = diff1(R_new, axis=k, h=hs[k], order=order)
-        pred = np.zeros_like(dRk)
-        for idx in np.ndindex(*fg_seed.grid.shape):
-            pred[idx] = riccati_rhs_qwc(ctx, k, fg_seed.R[idx], om[idx][k],
-                                        R_new[idx])
+        pred = riccati_rhs_qwc(ctx, k, fg_seed.R, om[..., k, :, :], R_new)
         worst = max(worst, float(np.max(np.abs(dRk - pred))))
     return worst
 
@@ -582,14 +581,6 @@ class LeafEmbedding:
     xz1: np.ndarray           # (*shape, n+1) confocal image points
     joined: np.ndarray        # (*shape, n_dirs, n) joined second-form column
     residuals: dict
-
-
-def _diag_field(lam):
-    n = lam.shape[-1]
-    out = np.zeros(lam.shape + (n,), dtype=complex)
-    idx = np.arange(n)
-    out[..., idx, idx] = lam
-    return out
 
 
 def leaf_embed(q, lm, ctx: BacklundContext, fg0: df.FieldGrid,
@@ -632,7 +623,7 @@ def leaf_embed(q, lm, ctx: BacklundContext, fg0: df.FieldGrid,
     else:
         xs = frame.x
         jac_inv = np.linalg.inv(np.einsum("...ij,...jk->...ik", fg0.R,
-                                          _diag_field(fg0.lam)))
+                                          numerics.diag_stack(fg0.lam)))
         Tv = np.einsum("...mj,...jk->...mk", frame.X, jac_inv)
         Nmat = frame.N
 

@@ -22,7 +22,8 @@ from .errors import (
     PrimeIntegralViolation,
     StepFailure,
 )
-from .numerics import cumulative_line_integral, diff1
+from .numerics import (cumulative_line_integral, diag_stack, diff1, scalar_mul,
+                       stack_apply, stack_dot)
 from .sjcore import sqrt_branch
 
 TOL_PI = 1e-8
@@ -142,34 +143,38 @@ class ZeroSolitonModel:
         self.t_cross = T[self.n, : self.n]
         self.t_ee = T[self.n, self.n]
 
+    # the methods take stacks (..., n); scalar products go through
+    # scalar_mul so a stack rounds as its nodes one by one
+
     def mu(self, V):
         return self.ap * V + self.bc
 
     def H(self, V):
-        return (V @ (self.ap * V)) + 2.0 * (V @ self.bc) + self.b2
+        return stack_dot(V, self.ap * V) + 2.0 * stack_dot(V, self.bc) + self.b2
 
     def rhs_vlam(self, k: int):
+        """d(V, Lambda)/du^k on states (..., 2n)."""
         def f(_t, y):
-            V, lam = y[: self.n], y[self.n:]
+            V, lam = y[..., : self.n], y[..., self.n:]
             dy = np.zeros_like(y)
-            dy[k] = lam[k]
-            dy[self.n + k] = -(self.ap[k] * V[k] + self.bc[k])
+            dy[..., k] = lam[..., k]
+            dy[..., self.n + k] = -(scalar_mul(self.ap[k], V[..., k]) + self.bc[k])
             return dy
         return f
 
     def dlam(self, V):
-        """d lambda_j / d u^k as an (n, n) array [j, k] (diagonal)."""
-        out = np.zeros((self.n, self.n), dtype=complex)
-        np.fill_diagonal(out, -self.mu(V))
-        return out
+        """d lambda_j / d u^k as an (..., n, n) array [j, k] (diagonal)."""
+        return diag_stack(-self.mu(V))
 
     def dH(self, V, lam):
         return 2.0 * lam * self.mu(V)
 
     def metric(self, V, lam):
-        Q = (self.Tnn + np.outer(V, self.t_cross) + np.outer(self.t_cross, V)
-             + self.t_ee * np.outer(V, V))
-        return np.diag(lam) @ Q @ np.diag(lam)
+        Q = (self.Tnn + V[..., :, None] * self.t_cross
+             + self.t_cross[:, None] * V[..., None, :]
+             + self.t_ee * (V[..., :, None] * V[..., None, :]))
+        D = diag_stack(lam)
+        return D @ Q @ D
 
 
 def zero_soliton(q, lm, grid: GridSpec, V_base, lam_base,
@@ -193,26 +198,12 @@ def zero_soliton(q, lm, grid: GridSpec, V_base, lam_base,
     if np.min(np.abs(lam_base)) < tol_deg and not allow_degenerate:
         raise StepFailure("degenerate branch: some lambda_j ~ 0 at base")
 
-    shape = grid.shape
-    V = np.zeros(shape + (n,), dtype=complex)
-    lam = np.zeros(shape + (n,), dtype=complex)
-
-    def store(idx, y):
-        V[idx] = y[:n]
-        lam[idx] = y[n:]
-
-    def state_of(idx):
-        return np.concatenate([V[idx], lam[idx]])
-
-    def rhs_of_line(axis, _start):
-        return model.rhs_vlam(axis)
-
-    numerics.rk4_sweep(grid, np.concatenate([V_base, lam_base]), store,
-                       state_of, rhs_of_line)
-
+    y = numerics.rk4_sweep(grid, np.concatenate([V_base, lam_base]),
+                           lambda axis, _lines: model.rhs_vlam(axis))
+    V, lam = y[..., :n].copy(), y[..., n:].copy()
     if not allow_degenerate and np.min(np.abs(lam)) < tol_deg:
         raise StepFailure("lambda collapsed below tol_deg during integration")
-    R = np.broadcast_to(np.eye(n), shape + (n, n)).astype(complex).copy()
+    R = np.broadcast_to(np.eye(n), grid.shape + (n, n)).astype(complex).copy()
     fg = FieldGrid(grid, q.kind, V, lam, R, {"soliton": "zero"})
     fg.meta["prime_integral_drift"] = float(np.max(prime_integral_residual(fg, q, lm)))
     return fg
@@ -435,65 +426,84 @@ def _h0_and_gauge(fg: FieldGrid, q, H):
 
 
 def _complete_rows_with_derivs(r, dr, pool, iso_tol=1e-8):
-    """Bilinear Gram-Schmidt completion of the unit row r (directional
-    derivatives dr of shape (n_dirs, n)) against the fixed candidate pool.
-    Returns (S, dS) with S rows orthonormal, S[0] = r, dS of shape
-    (n_dirs, row, col)."""
+    """Bilinear Gram-Schmidt completion of unit rows r (..., n), with
+    directional derivatives dr (..., n_dirs, n), against the fixed candidate
+    pool, batched over leading axes.  Returns (S, dS) with S rows
+    orthonormal, S[..., 0, :] = r, dS of shape (..., n_dirs, row, col).  A
+    candidate that is near isotropic at some nodes but not at others sends
+    the stack node by node, so each node skips exactly its own candidates."""
     n = r.shape[-1]
+    lead = r.shape[:-1]
     rows = [np.asarray(r, dtype=complex)]
     drows = [np.asarray(dr, dtype=complex)]
     for gvec in pool:
         if len(rows) == n:
             break
-        w = gvec.astype(complex).copy()
+        w = np.broadcast_to(gvec.astype(complex), lead + (n,)).copy()
         dw = np.zeros_like(drows[0])
         for _pass in range(2):  # re-orthogonalize for machine-level defects
             for b, db in zip(rows, drows):
-                c = b @ w
-                dc = db @ w + dw @ b
-                dw = dw - dc[:, None] * b - c * db
-                w = w - c * b
-        n2 = w @ w
-        if abs(n2) < iso_tol:
+                c = stack_dot(b, w)
+                dc = stack_apply(db, w) + stack_apply(dw, b)
+                dw = dw - dc[..., :, None] * b[..., None, :] - c[..., None, None] * db
+                w = w - c[..., None] * b
+        n2 = stack_dot(w, w)
+        skip = np.abs(n2) < iso_tol
+        if np.all(skip):
             continue
-        dn2 = 2.0 * (dw @ w)
-        s = sqrt_branch(n2)
-        ds = dn2 / (2.0 * s)
-        drows.append(dw / s - np.outer(ds / (s * s), w))
-        rows.append(w / s)
+        if np.any(skip):
+            S = np.empty(lead + (n, n), dtype=complex)
+            dS = np.empty(dr.shape[:-1] + (n, n), dtype=complex)
+            for idx in np.ndindex(*lead):
+                S[idx], dS[idx] = _complete_rows_with_derivs(r[idx], dr[idx],
+                                                             pool, iso_tol)
+            return S, dS
+        dn2 = 2.0 * stack_apply(dw, w)
+        s = np.asarray(sqrt_branch(n2))
+        ds = dn2 / (2.0 * s)[..., None]
+        drows.append(dw / s[..., None, None]
+                     - (ds / scalar_mul(s, s)[..., None])[..., :, None]
+                     * w[..., None, :])
+        rows.append(w / s[..., None])
     if len(rows) < n:
         raise DegenerateLambda("could not complete the joined frame")
-    return np.array(rows), np.stack(drows, axis=1)
+    return np.stack(rows, axis=-2), np.stack(drows, axis=-2)
 
 
 def _cmp_solve(hj, dhj, gamma, pairs, n):
-    """Least-squares normal connection at one node; returns (nconn, residual)."""
-    out = np.zeros((n, n, n), dtype=complex)
-    res = 0.0
+    """Least-squares normal connection, batched over leading axes; returns
+    (nconn, residual per node).  np.linalg.lstsq takes no stacks, so the
+    solve itself runs node by node."""
+    lead = hj.shape[:-2]
+    out = np.zeros(lead + (n, n, n), dtype=complex)
+    res = np.zeros(lead)
     for k in range(n):
         rows, rhs = [], []
         for j in range(n):
             if j == k:
                 continue
-            c = (dhj[k, :, j] - gamma[j, j, k] * hj[:, j]
-                 + gamma[k, j, j] * hj[:, k])
+            c = (dhj[..., k, :, j] - gamma[..., j, j, k, None] * hj[..., :, j]
+                 + gamma[..., k, j, j, None] * hj[..., :, k])
             if pairs:
-                M = np.zeros((n, len(pairs)), dtype=complex)
+                M = np.zeros(lead + (n, len(pairs)), dtype=complex)
                 for col, (a, b) in enumerate(pairs):
-                    M[a, col] = hj[b, j]
-                    M[b, col] = -hj[a, j]
+                    M[..., a, col] = hj[..., b, j]
+                    M[..., b, col] = -hj[..., a, j]
                 rows.append(M)
             rhs.append(c)
-        cfull = np.concatenate(rhs)
+        cfull = np.concatenate(rhs, axis=-1)
         if pairs:
-            Mfull = np.vstack(rows)
-            sol, *_ = np.linalg.lstsq(Mfull, -cfull, rcond=None)
-            res = max(res, float(np.max(np.abs(Mfull @ sol + cfull))))
+            Mfull = np.concatenate(rows, axis=-2)
+            sol = np.empty(lead + (len(pairs),), dtype=complex)
+            for idx in np.ndindex(*lead):
+                sol[idx] = np.linalg.lstsq(Mfull[idx], -cfull[idx], rcond=None)[0]
+            res = np.maximum(res, np.max(np.abs(stack_apply(Mfull, sol) + cfull),
+                                         axis=-1))
             for col, (a, b) in enumerate(pairs):
-                out[k, a, b] = sol[col]
-                out[k, b, a] = -sol[col]
+                out[..., k, a, b] = sol[..., col]
+                out[..., k, b, a] = -sol[..., col]
         else:
-            res = max(res, float(np.max(np.abs(cfull))))
+            res = np.maximum(res, np.max(np.abs(cfull), axis=-1))
     return out, res
 
 
@@ -536,10 +546,7 @@ def forms_assemble(fg: FieldGrid, q, lm, seed: int = 0, mode: str = "auto",
 
     rng = np.random.default_rng(seed)
     pool = rng.standard_normal((n + 8, n)) + 1j * rng.standard_normal((n + 8, n))
-    S = np.zeros(shape + (n, n), dtype=complex)
-    dS = np.zeros(shape + (n, n, n), dtype=complex)
-    for idx in np.ndindex(*shape):
-        S[idx], dS[idx] = _complete_rows_with_derivs(r[idx], dr[idx], pool)
+    S, dS = _complete_rows_with_derivs(r, dr, pool)
 
     hj = S * gauge[..., None, :]
     dhj = np.zeros(shape + (n, n, n), dtype=complex)   # (*shape, k, comp, j)
@@ -549,11 +556,7 @@ def forms_assemble(fg: FieldGrid, q, lm, seed: int = 0, mode: str = "auto",
                                  + gauge[..., j, None] * dS[..., k, :, j])
 
     pairs = [(a, b) for a in range(1, n) for b in range(a + 1, n)]
-    nconn = np.zeros(shape + (n, n, n), dtype=complex)
-    cmp_res = np.zeros(shape, dtype=float)
-    for idx in np.ndindex(*shape):
-        nconn[idx], cmp_res[idx] = _cmp_solve(hj[idx], dhj[idx], gamma[idx],
-                                              pairs, n)
+    nconn, cmp_res = _cmp_solve(hj, dhj, gamma, pairs, n)
 
     if mode == "exact":
         dgam = _exact_dgamma(fg, q, lm, H)
@@ -725,15 +728,15 @@ def quadrature_1form(grid: GridSpec, omega: np.ndarray, base_value,
 
 
 def _integrate_sweep(grid: GridSpec, omega, base_value, order):
-    """Cumulative line quadrature along the lines of the sweep in `order`."""
-    hs = grid.h
+    """Cumulative line quadrature along the lines of the sweep in `order`,
+    every line of an axis at once."""
     pos = np.zeros(grid.shape + (omega.shape[-1],), dtype=complex)
     pos[grid.base] = np.asarray(base_value, dtype=complex)
-    for axis, start in numerics.sweep_lines(grid.shape, grid.base, order):
-        sl = list(start)
-        sl[axis] = slice(None)
-        F = cumulative_line_integral(omega[tuple(sl) + (axis,)], hs[axis])
-        pos[tuple(sl)] = pos[start] + F - F[start[axis]]
+    for axis, lines in numerics.sweep_slabs(grid.shape, grid.base, order):
+        F = cumulative_line_integral(lines(omega)[..., axis, :], grid.h[axis])
+        i0 = grid.base[axis]
+        slab = lines(pos)
+        slab[...] = slab[i0] + F - F[i0]
     return pos
 
 
@@ -768,68 +771,79 @@ class _SeedFrameModel:
                      + 1j * rng.standard_normal((self.n + 8, self.n)))
 
     def geometry(self, V, lam):
+        """Metric, inverse metric, Christoffel symbols, second-form rows and
+        normal connection at states (..., n)."""
         zs = self.zs
         n = self.n
+        lead = V.shape[:-1]
         H = zs.H(V)
-        sqH = sqrt_branch(H)
+        sqH = np.asarray(sqrt_branch(H))
         g = zs.metric(V, lam)
         ginv = np.linalg.inv(g)
         dlam = zs.dlam(V)
-        dloglam = dlam / lam[:, None]
-        dlogsH = zs.dH(V, lam) / (2.0 * H)
-        gamma = np.zeros((n, n, n), dtype=complex)
+        dloglam = dlam / lam[..., :, None]
+        dlogsH = zs.dH(V, lam) / (2.0 * H)[..., None]
+        gamma = np.zeros(lead + (n, n, n), dtype=complex)
         for j in range(n):
             for k in range(n):
                 if j == k:
                     continue
-                gamma[j, j, k] = dloglam[j, k]
-                gamma[j, k, j] = dloglam[j, k]
-                gamma[k, j, j] = (lam[j] / lam[k]) ** 2 * (dlogsH[k]
-                                                           - dloglam[j, k])
-            gamma[j, j, j] = dloglam[j, j] + dlogsH[j]
-        h0 = -(lam ** 2) / sqH
+                gamma[..., j, j, k] = dloglam[..., j, k]
+                gamma[..., j, k, j] = dloglam[..., j, k]
+                ratio = lam[..., j] / lam[..., k]
+                gamma[..., k, j, j] = scalar_mul(
+                    scalar_mul(ratio, ratio), dlogsH[..., k] - dloglam[..., j, k])
+            gamma[..., j, j, j] = dloglam[..., j, j] + dlogsH[..., j]
+        h0 = -(lam ** 2) / sqH[..., None]
         if not self.deformation:
-            return g, ginv, gamma, h0[None, :], np.zeros((n, 1, 1), dtype=complex)
-        r = -1j * lam / sqH
-        dr = ((dloglam - dlogsH[None, :]) * r[:, None]).T
+            return (g, ginv, gamma, h0[..., None, :],
+                    np.zeros(lead + (n, 1, 1), dtype=complex))
+        r = -1j * lam / sqH[..., None]
+        dr = np.swapaxes((dloglam - dlogsH[..., None, :]) * r[..., :, None], -1, -2)
         S, dS = _complete_rows_with_derivs(r, dr, self.pool)
-        hjn = S * lam[None, :]
-        dhj = np.zeros((n, n, n), dtype=complex)
+        hjn = S * lam[..., None, :]
+        dhj = np.zeros(lead + (n, n, n), dtype=complex)
         for k in range(n):
             for j in range(n):
-                dhj[k, :, j] = dlam[j, k] * S[:, j] + lam[j] * dS[k, :, j]
+                dhj[..., k, :, j] = (dlam[..., j, k, None] * S[..., :, j]
+                                     + lam[..., j, None] * dS[..., k, :, j])
         pairs = [(a, b) for a in range(1, n) for b in range(a + 1, n)]
         nconn, _ = _cmp_solve(hjn, dhj, gamma, pairs, n)
-        return g, ginv, gamma, hjn[1:, :], nconn[:, 1:, 1:]
+        return g, ginv, gamma, hjn[..., 1:, :], nconn[..., :, 1:, 1:]
 
     def pack(self, V, lam, x, X, N):
-        return np.concatenate([V, lam, x, X.ravel(), N.ravel()])
+        lead = V.shape[:-1]
+        return np.concatenate([V, lam, x, X.reshape(lead + (-1,)),
+                               N.reshape(lead + (-1,))], axis=-1)
 
     def unpack(self, y):
+        """(V, Lambda, x, X, N) views of states (..., size)."""
         n, m, p = self.n, self.m, self.p
+        lead = y.shape[:-1]
         o = 0
-        V = y[o:o + n]; o += n
-        lam = y[o:o + n]; o += n
-        x = y[o:o + m]; o += m
-        X = y[o:o + m * n].reshape(m, n); o += m * n
-        N = y[o:o + m * p].reshape(m, p)
+        V = y[..., o:o + n]; o += n
+        lam = y[..., o:o + n]; o += n
+        x = y[..., o:o + m]; o += m
+        X = y[..., o:o + m * n].reshape(lead + (m, n)); o += m * n
+        N = y[..., o:o + m * p].reshape(lead + (m, p))
         return V, lam, x, X, N
 
     def rhs(self, k: int):
+        """d(state)/du^k on states (..., size)."""
         zs = self.zs
 
         def f(_t, y):
             V, lam, x, X, N = self.unpack(y)
             g, ginv, gamma, hrows, nck = self.geometry(V, lam)
-            n = self.n
-            dV = np.zeros(n, dtype=complex)
-            dlam_line = np.zeros(n, dtype=complex)
-            dV[k] = lam[k]
-            dlam_line[k] = -(zs.ap[k] * V[k] + zs.bc[k])
-            dx = X[:, k]
-            dX = np.einsum("ml,lj->mj", X, gamma[:, :, k])
-            dX[:, k] = dX[:, k] + N @ hrows[:, k]
-            dN = -np.einsum("ml,l,a->ma", X, ginv[k, :], hrows[:, k]) + N @ nck[k]
+            dV = np.zeros_like(V)
+            dlam_line = np.zeros_like(V)
+            dV[..., k] = lam[..., k]
+            dlam_line[..., k] = -(scalar_mul(zs.ap[k], V[..., k]) + zs.bc[k])
+            dx = X[..., :, k]
+            dX = np.einsum("...ml,...lj->...mj", X, gamma[..., :, :, k])
+            dX[..., :, k] = dX[..., :, k] + stack_apply(N, hrows[..., :, k])
+            dN = (-np.einsum("...ml,...l,...a->...ma", X, ginv[..., k, :],
+                             hrows[..., :, k]) + N @ nck[..., k, :, :])
             return self.pack(dV, dlam_line, dx, dX, dN)
         return f
 
@@ -865,21 +879,9 @@ def seed_frame(q, lm, fg: FieldGrid, seed: int = 0,
     for a in range(1, p):
         N[n + a, a] = 1.0
 
-    shape = fg.grid.shape
-    xs = np.zeros(shape + (m,), dtype=complex)
-    Xs = np.zeros(shape + (m, n), dtype=complex)
-    Ns = np.zeros(shape + (m, p), dtype=complex)
-    Vs = np.zeros(shape + (n,), dtype=complex)
-    Ls = np.zeros(shape + (n,), dtype=complex)
-
-    def store(idx, y):
-        Vs[idx], Ls[idx], xs[idx], Xs[idx], Ns[idx] = model.unpack(y)
-
-    def state_of(idx):
-        return model.pack(Vs[idx], Ls[idx], xs[idx], Xs[idx], Ns[idx])
-
-    numerics.rk4_sweep(fg.grid, model.pack(V0, lam0, x, X, N), store, state_of,
-                       lambda axis, _start: model.rhs(axis))
+    y = numerics.rk4_sweep(fg.grid, model.pack(V0, lam0, x, X, N),
+                           lambda axis, _lines: model.rhs(axis))
+    Vs, Ls, xs, Xs, Ns = (a.copy() for a in model.unpack(y))
     frame = AmbientFrame(xs, Xs, Ns, {"deformation": deformation})
     frame.meta["field_gap"] = float(max(np.max(np.abs(Vs - fg.V)),
                                         np.max(np.abs(Ls - fg.lam))))

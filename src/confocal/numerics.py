@@ -1,11 +1,10 @@
 """Shared numerical machinery: RK4 line stepping, the axis-ordered sweep
-traversal that every grid integration runs on (RK4 line sweeps and 1-form
-quadrature, over any number of axes), finite-difference stencils on uniform
-grids, composite line quadrature, and log-log slope fits."""
+that every grid integration runs on (RK4 line sweeps and 1-form quadrature,
+over any number of axes, with all parallel lines of an axis advancing in
+lockstep), finite-difference stencils on uniform grids, composite line
+quadrature, and log-log slope fits."""
 
 from __future__ import annotations
-
-import itertools
 
 import numpy as np
 
@@ -30,46 +29,91 @@ def rk4_line(f, t0: float, y0, h: float, steps: int, callback=None):
     return y
 
 
+# node algebra on stacks that rounds as single nodes do ---------------------
+
+def stack_dot(a: np.ndarray, b: np.ndarray):
+    """Bilinear a^T b over the last axis, batched over leading axes.
+
+    A stacked matmul rounds as the 1-D a @ b does, so a stack of points gives
+    the same bits as the points one by one; einsum does not."""
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
+
+
+def stack_apply(M: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """M v over the last axis of v, batched; rounds as the 1-D M @ v."""
+    return (M @ v[..., None])[..., 0]
+
+
+def diag_stack(d: np.ndarray) -> np.ndarray:
+    """Diagonal matrices (..., n, n) from their diagonals (..., n)."""
+    n = d.shape[-1]
+    out = np.zeros(d.shape + (n,), dtype=complex)
+    idx = np.arange(n)
+    out[..., idx, idx] = d
+    return out
+
+
+def scalar_mul(a, b):
+    """Complex a * b, elementwise, rounded as numpy and Python scalars round
+    it: each real product on its own, no fused multiply-add.  The array
+    multiply may fuse, so a stack reproduces per-node scalar products only
+    through this."""
+    a = np.asarray(a, dtype=complex)
+    b = np.asarray(b, dtype=complex)
+    out = np.empty(np.broadcast_shapes(a.shape, b.shape), dtype=complex)
+    out.real = a.real * b.real - a.imag * b.imag
+    out.imag = a.real * b.imag + a.imag * b.real
+    return out
+
+
 # axis-ordered line sweeps over grids -----------------------------------------
 
-def sweep_lines(shape, base, order=None):
-    """Yield (axis, start) for every line of the sweep from node `base`.
+def sweep_slabs(shape, base, order=None):
+    """Yield (axis, lines) for each axis of the sweep from node `base`.
 
-    The lines along order[d] start from every node of the slab filled by the
-    axes order[:d] (base coordinates on the others), in itertools.product
-    order, so each start node is written before its line is yielded.
+    The sweep along order[d] runs every line that starts in the slab filled by
+    order[:d] (base coordinates on the other axes) at once.  lines(f) views
+    that part of a node field f (leading axes `shape`) with the current axis
+    first: (shape[axis], lines..., rest...), the line axes in grid order.
     """
     order = tuple(range(len(shape))) if order is None else tuple(order)
     for d, axis in enumerate(order):
-        swept = order[:d]
-        for coords in itertools.product(*(range(shape[a]) for a in swept)):
-            start = list(base)
-            for a, i in zip(swept, coords):
-                start[a] = i
-            yield axis, tuple(start)
+        live = order[:d + 1]
+        idx = tuple(slice(None) if a in live else i for a, i in enumerate(base))
+        pos = sum(1 for a in live if a < axis)
+
+        def lines(f, idx=idx, pos=pos):
+            return np.moveaxis(f[idx], pos, 0)
+        yield axis, lines
 
 
-def rk4_sweep(grid, state0, store, state_of, rhs_of_line, order=None):
-    """Fill grid (shape, base, spacings h) from state0 by RK4 line sweeps.
+def rk4_sweep(grid, state0, rhs_of_axis, order=None) -> np.ndarray:
+    """Fill a node field over grid (shape, base, spacings h) from state0 at
+    the base node by RK4 line sweeps, and return it.
 
-    Each line of sweep_lines is stepped both ways from its start node with
-    f = rhs_of_line(axis, start); the step from node i runs from t = i * h, so
-    f can locate its RK4 stages on the line.  store(idx, y) writes a node.
+    The lines of each axis advance in lockstep, both ways from the slab they
+    start in: f = rhs_of_axis(axis, lines) maps a stage time t and a state
+    stack (lines..., state...) to its derivative, where lines is the view of
+    sweep_slabs.  The step from node i runs from t = i * h, so f can locate
+    its RK4 stages on the lines.
     """
-    hs = grid.h
-    store(grid.base, state0)
-    for axis, start in sweep_lines(grid.shape, grid.base, order):
-        f = rhs_of_line(axis, start)
-        h = hs[axis]
-        i0 = start[axis]
-        y = state_of(start)
+    state0 = np.asarray(state0)
+    field = np.zeros(grid.shape + state0.shape, dtype=state0.dtype)
+    field[grid.base] = state0
+    for axis, lines in sweep_slabs(grid.shape, grid.base, order):
+        f = rhs_of_axis(axis, lines)
+        h = grid.h[axis]
+        i0 = grid.base[axis]
+        slab = lines(field)
+        y = slab[i0]
         for i in range(i0, grid.shape[axis] - 1):
             y = rk4_step(f, i * h, y, h)
-            store(start[:axis] + (i + 1,) + start[axis + 1:], y)
-        y = state_of(start)
+            slab[i + 1] = y
+        y = slab[i0]
         for i in range(i0, 0, -1):
             y = rk4_step(f, i * h, y, -h)
-            store(start[:axis] + (i - 1,) + start[axis + 1:], y)
+            slab[i - 1] = y
+    return field
 
 
 # finite differences along one axis of a grid field ---------------------------
@@ -110,12 +154,25 @@ def diff1(field: np.ndarray, axis: int, h: float, order: int = 2) -> np.ndarray:
     return np.moveaxis(out, 0, axis)
 
 
+def panel_sum(w: np.ndarray, panel: np.ndarray, item_ndim: int = 1) -> np.ndarray:
+    """sum_a w[a] panel[a] over axis 0, batched over all but the last
+    item_ndim axes.  Each item is one product of w with its (len(w), size)
+    panel, as np.tensordot(w, item_panel, axes=(0, 0)) forms it, so a stack
+    rounds as its items one by one (a single tensordot over the stack would
+    not: BLAS rounds a column by its position in the row)."""
+    p = np.moveaxis(panel, 0, panel.ndim - 1 - item_ndim)
+    flat = p.reshape(p.shape[:p.ndim - item_ndim] + (-1,))
+    return (w @ flat).reshape(panel.shape[1:])
+
+
 def cumulative_line_integral(samples: np.ndarray, h: float) -> np.ndarray:
     """Cumulative integral of node samples along axis 0 (4th-order composite).
 
     Uses the cumulative form of 4-point Newton-Cotes locally: the increment
     over [t_i, t_{i+1}] is evaluated from a cubic through the four nearest
-    samples, so the global error is O(h^4) for smooth integrands.
+    samples, so the global error is O(h^4) for smooth integrands.  Samples
+    (npts, lines..., m) integrate every line at once, with the bits of one
+    line at a time.
     """
     f = np.asarray(samples, dtype=complex)
     npts = f.shape[0]
@@ -132,11 +189,11 @@ def cumulative_line_integral(samples: np.ndarray, h: float) -> np.ndarray:
     w_mid = np.array([-1.0, 13.0, 13.0, -1.0]) * (h / 24.0)
     w_last = w_first[::-1]
     inc = np.empty((npts - 1,) + f.shape[1:], dtype=complex)
-    inc[0] = np.tensordot(w_first, f[0:4], axes=(0, 0))
+    inc[0] = panel_sum(w_first, f[0:4])
     if npts > 3:
         inc[1:-1] = (w_mid[0] * f[0:-3] + w_mid[1] * f[1:-2]
                      + w_mid[2] * f[2:-1] + w_mid[3] * f[3:])
-    inc[npts - 2] = np.tensordot(w_last, f[npts - 4:npts], axes=(0, 0))
+    inc[npts - 2] = panel_sum(w_last, f[npts - 4:npts])
     out[1:] = np.cumsum(inc, axis=0)
     return out
 

@@ -21,15 +21,22 @@ from .numerics import diff1
 COND_LIMIT = 1e12
 
 
+def _T(M: np.ndarray) -> np.ndarray:
+    """Transpose of each matrix of a stack."""
+    return np.swapaxes(M, -1, -2)
+
+
 def _solve_right(numer: np.ndarray, denom: np.ndarray, what: str) -> np.ndarray:
-    """numer @ denom^{-1} with condition monitoring."""
-    if np.linalg.cond(denom) > COND_LIMIT:
+    """numer @ denom^{-1} per matrix of a stack, with condition monitoring:
+    one node above COND_LIMIT rejects the whole stack."""
+    if np.any(np.linalg.cond(denom) > COND_LIMIT):
         raise SingularSuperposition(f"{what}: condition number above limit")
-    return np.linalg.solve(denom.T, numer.T).T
+    return _T(np.linalg.solve(_T(denom), _T(numer)))
 
 
 def bpt_compose(R0, R1, R2, D1, D2):
-    """Fourth vertex R_3 of the Bianchi quadrilateral:
+    """Fourth vertex R_3 of the Bianchi quadrilateral, batched over leading
+    axes:
 
     R_3 R_0^T = (D_2 - D_1 R_2 R_1^T)(D_2 R_2 R_1^T - D_1)^{-1},
     evaluated in the equivalent factor-free form
@@ -40,27 +47,25 @@ def bpt_compose(R0, R1, R2, D1, D2):
 
 
 def bpt_compose_field(R0, R1, R2, D1, D2):
-    """bpt_compose applied nodewise over leading grid axes."""
-    shape = R0.shape[:-2]
-    out = np.zeros_like(R0)
-    for idx in np.ndindex(*shape):
-        out[idx] = bpt_compose(R0[idx], R1[idx], R2[idx], D1, D2)
-    return out
+    """bpt_compose over the leading grid axes of the R fields."""
+    return bpt_compose(R0, R1, R2, D1, D2)
 
 
 def bpt_orthogonality_identity(R1, R2, D1, D2) -> float:
-    """|(D2 - K D1)(D2 K - D1) - (K D2 - D1)(D2 - D1 K)| with K = R2 R1^T;
-    this matrix identity is what makes R_3 orthogonal."""
-    K = R2 @ R1.T
+    """|(D2 - K D1)(D2 K - D1) - (K D2 - D1)(D2 - D1 K)| with K = R2 R1^T,
+    maximized over leading axes; this matrix identity is what makes R_3
+    orthogonal."""
+    K = R2 @ _T(R1)
     lhs = (D2 - K @ D1) @ (D2 @ K - D1)
     rhs = (K @ D2 - D1) @ (D2 - D1 @ K)
     return float(np.max(np.abs(lhs - rhs)))
 
 
 def bpt_scalar_identity(R0, R1, R2, R3, D1, D2, z1, z2) -> float:
-    """|(D2 R3 R0^T + D1)(D2 R2 R1^T - D1) - (1/z2 - 1/z1) I|."""
-    n = R0.shape[0]
-    lhs = (D2 @ R3 @ R0.T + D1) @ (D2 @ R2 @ R1.T - D1)
+    """|(D2 R3 R0^T + D1)(D2 R2 R1^T - D1) - (1/z2 - 1/z1) I|, maximized over
+    leading axes."""
+    n = R0.shape[-1]
+    lhs = (D2 @ R3 @ _T(R0) + D1) @ (D2 @ R2 @ _T(R1) - D1)
     return float(np.max(np.abs(lhs - (1.0 / z2 - 1.0 / z1) * np.eye(n))))
 
 
@@ -76,23 +81,18 @@ def bpt_verify(fg_seed: df.FieldGrid, R1f, R2f, R3f,
     (d) orthogonality of R_3.
     """
     D1, D2 = ctx1.D, ctx2.D
-    shape = fg_seed.grid.shape
     hs = fg_seed.grid.h
     n = fg_seed.n
-    K = np.einsum("...ij,...kj->...ik", R3f, fg_seed.R)
-    om = df.omega_fields(fg_seed, order=order)
+    R0f = fg_seed.R
+    K = np.einsum("...ij,...kj->...ik", R3f, R0f)
 
     worst_deriv = 0.0
     for k in range(fg_seed.grid.n):
         dK = diff1(K, axis=k, h=hs[k], order=order)
         Ek = np.zeros((n, n), dtype=complex)
         Ek[k, k] = 1.0
-        pred = np.zeros_like(dK)
-        for idx in np.ndindex(*shape):
-            R0, R1 = fg_seed.R[idx], R1f[idx]
-            Kx = K[idx]
-            pred[idx] = (-(Kx @ R0 @ Ek @ R1.T @ (D2 @ Kx + D1))
-                         + (D2 + Kx @ D1) @ R1 @ Ek @ R0.T)
+        pred = (-(K @ R0f @ Ek @ _T(R1f) @ (D2 @ K + D1))
+                + (D2 + K @ D1) @ R1f @ Ek @ _T(R0f))
         worst_deriv = max(worst_deriv, float(np.max(np.abs(dK - pred))))
 
     seed1 = df.FieldGrid(fg_seed.grid, fg_seed.kind, fg_seed.V, fg_seed.lam,
@@ -101,31 +101,24 @@ def bpt_verify(fg_seed: df.FieldGrid, R1f, R2f, R3f,
                          R2f, {})
     res_r1 = riccati_field_residual(R3f, seed1, ctx2, order=order)
     res_r2 = riccati_field_residual(R3f, seed2, ctx1, order=order)
-
-    scal = 0.0
-    orth = 0.0
-    for idx in np.ndindex(*shape):
-        scal = max(scal, bpt_scalar_identity(fg_seed.R[idx], R1f[idx],
-                                             R2f[idx], R3f[idx], D1, D2,
-                                             ctx1.z, ctx2.z))
-        orth = max(orth, float(np.max(np.abs(
-            R3f[idx] @ R3f[idx].T - np.eye(n)))))
     return {
         "derivative_identity": worst_deriv,
         "riccati_seed_r1": res_r1,
         "riccati_seed_r2": res_r2,
-        "scalar_identity": scal,
-        "orthogonality": orth,
+        "scalar_identity": bpt_scalar_identity(R0f, R1f, R2f, R3f, D1, D2,
+                                               ctx1.z, ctx2.z),
+        "orthogonality": float(np.max(np.abs(R3f @ _T(R3f) - np.eye(n)))),
     }
 
 
 def m3_r7(R0, R1, R2, R4, D1, D2, D3, z1, z2, z3):
-    """Eighth Moebius-cube vertex by the three superposition routes.
+    """Eighth Moebius-cube vertex by the three superposition routes, batched
+    over leading axes.
 
     Needs pairwise distinct z's; R_3, R_5, R_6 are first composed from the
     faces, then R_7 is evaluated from each of the three remaining faces and
     all routes must agree.  Returns (R_7, max pairwise route discrepancy,
-    box condition diagnostic).
+    largest box condition number).
     """
     if len({complex(z1), complex(z2), complex(z3)}) < 3:
         raise DistinctZRequired("Moebius cube needs pairwise distinct z")
@@ -135,7 +128,8 @@ def m3_r7(R0, R1, R2, R4, D1, D2, D3, z1, z2, z3):
     box = ((1.0 / z2 - 1.0 / z3) * D1 @ R1
            + (1.0 / z3 - 1.0 / z1) * D2 @ R2
            + (1.0 / z1 - 1.0 / z2) * D3 @ R4)
-    if np.linalg.cond(box) > COND_LIMIT:
+    cond = float(np.max(np.linalg.cond(box)))
+    if cond > COND_LIMIT:
         raise SingularBox("combination matrix is near singular")
     routes = [
         bpt_compose(R1, R3, R5, D2, D3),   # around x^1: z2-, z3-leaves
@@ -146,20 +140,14 @@ def m3_r7(R0, R1, R2, R4, D1, D2, D3, z1, z2, z3):
     for a in range(3):
         for b in range(a + 1, 3):
             gap = max(gap, float(np.max(np.abs(routes[a] - routes[b]))))
-    return routes[0], gap, float(np.linalg.cond(box))
+    return routes[0], gap, cond
 
 
 def m3_r7_field(R0f, R1f, R2f, R4f, ctx1, ctx2, ctx3):
-    """m3_r7 applied nodewise; returns (R7 field, max discrepancy)."""
-    shape = R0f.shape[:-2]
-    out = np.zeros_like(R0f)
-    gap = 0.0
-    for idx in np.ndindex(*shape):
-        out[idx], g, _ = m3_r7(R0f[idx], R1f[idx], R2f[idx], R4f[idx],
-                               ctx1.D, ctx2.D, ctx3.D,
-                               ctx1.z, ctx2.z, ctx3.z)
-        gap = max(gap, g)
-    return out, gap
+    """m3_r7 over the leading grid axes; returns (R7 field, max discrepancy)."""
+    R7, gap, _ = m3_r7(R0f, R1f, R2f, R4f, ctx1.D, ctx2.D, ctx3.D,
+                       ctx1.z, ctx2.z, ctx3.z)
+    return R7, gap
 
 
 def lattice_build(fg_seed: df.FieldGrid, q, lm, contexts: dict, extent: tuple,

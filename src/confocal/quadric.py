@@ -28,6 +28,7 @@ from .errors import (
     SingularConfocal,
     ZeroEigenvalue,
 )
+from .numerics import stack_apply, stack_dot
 from .sjcore import SJSpec, build_sj, iso_f, sqrt_branch
 
 TOL_ON = 1e-8
@@ -232,34 +233,6 @@ def ruling_length_residual(q: QuadricSpec, z: complex, x0: np.ndarray,
     _check_ruling(q, x0, w0, tol_pre)
     wz = sqrt_rz(q, z) @ w0
     return float(abs(wz @ wz - w0 @ w0))
-
-
-def segment_ruling_angle_residual(q: QuadricSpec, z: complex, x0a: np.ndarray,
-                                  x0b: np.ndarray, w0a: np.ndarray,
-                                  tol_pre: float = 1e-8) -> float:
-    """|(x_z(b)-x_0(a))^T w0(a) + (x_z(a)-x_0(b))^T sqrt(R_z) w0(a)|."""
-    _check_ruling(q, x0a, w0a, tol_pre)
-    xza = ivory_map(q, z, x0a)
-    xzb = ivory_map(q, z, x0b)
-    wza = sqrt_rz(q, z) @ w0a
-    return float(abs((xzb - x0a) @ w0a + (xza - x0b) @ wza))
-
-
-def ruling_angle_residual(q: QuadricSpec, z: complex, w0a: np.ndarray,
-                          w0b: np.ndarray) -> float:
-    """|w0(a)^T sqrt(R_z) w0(b) - (sqrt(R_z) w0(a))^T w0(b)| (trivially small)."""
-    S = sqrt_rz(q, z)
-    return float(abs(w0a @ (S @ w0b) - (S @ w0a) @ w0b))
-
-
-def polar_ruling_angle_residual(q: QuadricSpec, z: complex, w0: np.ndarray,
-                                w0hat: np.ndarray, tol_pre: float = 1e-8) -> float:
-    """|(sqrt(R_z) w)^T (sqrt(R_z) what) - w^T what| for w^T A what = 0."""
-    scale = max(1.0, float(np.max(np.abs(w0)) * np.max(np.abs(w0hat))))
-    if abs(w0 @ (q.A @ w0hat)) > tol_pre * scale:
-        raise NotRulingDirection("directions are not polar: w^T A what != 0")
-    S = sqrt_rz(q, z)
-    return float(abs((S @ w0) @ (S @ w0hat) - w0 @ w0hat))
 
 
 def confocal_orthogonality_residual(q: QuadricSpec, z1: complex, z2: complex,
@@ -506,19 +479,6 @@ def sqrt_rprime(q: QuadricSpec, lm: LMap, z: complex) -> np.ndarray:
     return lm.L.T @ (q.A @ sqrt_rz(q, z)) @ lm.L + E
 
 
-def _dot(a: np.ndarray, b: np.ndarray):
-    """Bilinear a^T b over the last axis, batched over leading axes.
-
-    A stacked matmul rounds as the 1-D a @ b does, so a stack of points gives
-    the same bits as the points one by one; einsum does not."""
-    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
-
-
-def _apply(M: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """M v over the last axis of v, batched; rounds as the 1-D M @ v."""
-    return (M @ v[..., None])[..., 0]
-
-
 def h_chart(q: QuadricSpec, lm: LMap | None, V: np.ndarray):
     """H at chart points V (..., n): V^T A' V + 2 V^T L^{-1}B + |B|^2 for
     (I)QWC, X^T A X for QC.  Equals |A x + B|^2 at the chart image.
@@ -556,11 +516,11 @@ def chart_to_ambient(q: QuadricSpec, lm: LMap | None, V: np.ndarray) -> np.ndarr
     """
     V = np.asarray(V, dtype=complex)
     m = q.dim
-    v2 = _dot(V, V)
+    v2 = stack_dot(V, V)
     if q.kind == QC:
-        return _apply(_inv_sqrt_sj(q.sj), _stereographic(V, v2, m))
+        return stack_apply(_inv_sqrt_sj(q.sj), _stereographic(V, v2, m))
     Z = embed(V, m) + (0.5 * v2)[..., None] * basis_vec(m - 1, m)
-    return _apply(lm.L, Z)
+    return stack_apply(lm.L, Z)
 
 
 def chart_tangents(q: QuadricSpec, lm: LMap | None, V: np.ndarray) -> np.ndarray:
@@ -573,7 +533,7 @@ def chart_tangents(q: QuadricSpec, lm: LMap | None, V: np.ndarray) -> np.ndarray
     e = basis_vec(m - 1, m)
     rows = np.eye(n, m, dtype=complex)
     if q.kind == QC:
-        v2 = _dot(V, V)
+        v2 = stack_dot(V, V)
         X = _stereographic(V, v2, m)
         M = _inv_sqrt_sj(q.sj)
         dX = 2.0 * (rows + V[..., :, None] * (e - X)[..., None, :])
@@ -581,7 +541,7 @@ def chart_tangents(q: QuadricSpec, lm: LMap | None, V: np.ndarray) -> np.ndarray
     else:
         M = lm.L
         cols = rows + V[..., :, None] * e
-    return np.swapaxes(_apply(M, cols), -1, -2)
+    return np.swapaxes(stack_apply(M, cols), -1, -2)
 
 
 def chart_normal_h(q: QuadricSpec, lm: LMap | None, V: np.ndarray):
@@ -591,7 +551,7 @@ def chart_normal_h(q: QuadricSpec, lm: LMap | None, V: np.ndarray):
     if np.any(np.abs(H) < TOL_ISO):
         raise IsotropicNormal(f"|H| = {np.min(np.abs(H)):.3e}")
     x = chart_to_ambient(q, lm, V)
-    N0 = (_apply(q.A, x) + q.B) / np.asarray(sqrt_branch(H))[..., None]
+    N0 = (stack_apply(q.A, x) + q.B) / np.asarray(sqrt_branch(H))[..., None]
     return N0, H
 
 

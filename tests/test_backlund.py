@@ -89,6 +89,25 @@ class TestRiccatiRHS:
                 assert np.max(np.abs(a - b)) < 1e-13
 
 
+    @pytest.mark.parametrize("blocks", [[(1.0, 1), (0.7, 1)],
+                                        [(1.0, 1), (0.7, 1), (1.3, 1)]])
+    def test_stack_matches_per_node_bitwise(self, blocks):
+        q = qd.qwc_quadric(blocks)
+        ctx = bk.make_context(q, 0.31 + 0.12j, qd.build_lmap(q))
+        n = q.n
+        rng = np.random.default_rng(8)
+        shape = (3, 5)
+        R0, R1 = (np.array([random_orthogonal(n, seed=s + i)
+                            for i in range(15)]).reshape(shape + (n, n))
+                  for s in (10, 90))
+        om = rng.standard_normal(shape + (n, n)) + 1j * rng.standard_normal(shape + (n, n))
+        for k in range(n):
+            got = bk.riccati_rhs_qwc(ctx, k, R0, om, R1)
+            for idx in np.ndindex(*shape):
+                assert np.array_equal(
+                    got[idx], bk.riccati_rhs_qwc(ctx, k, R0[idx], om[idx], R1[idx]))
+
+
 class TestQCRiccati:
     def test_sphere_u_closed_form(self):
         q = qd.qc_quadric([(1.0, 1)] * 3)

@@ -250,6 +250,33 @@ class TestForms:
         assert np.max(np.abs(s + 1.0)) < 1e-10
 
 
+class TestFrameCompletion:
+    def test_candidate_isotropic_at_one_node_only(self):
+        # g - (r.g) r = [0, 1, i] is isotropic for r = e_1 but not for r = e_2,
+        # so the first node skips g and the second takes it
+        r = np.eye(3, dtype=complex)[:2]
+        rng = np.random.default_rng(2)
+        dr = rng.standard_normal((2, 3, 3)) + 1j * rng.standard_normal((2, 3, 3))
+        pool = np.vstack([[5.0, 1.0, 1j], rng.standard_normal((4, 3))])
+        S, dS = df._complete_rows_with_derivs(r, dr, pool)
+        for i in range(2):
+            Si, dSi = df._complete_rows_with_derivs(r[i], dr[i], pool)
+            assert np.array_equal(S[i], Si) and np.array_equal(dS[i], dSi)
+            assert np.max(np.abs(Si @ Si.T - np.eye(3))) < 1e-12
+        assert not np.allclose(S[0, 1], S[1, 1])
+
+    def test_stack_matches_per_node_bitwise(self, forms32):
+        # unit first rows from the forms, random directional derivatives
+        rng = np.random.default_rng(4)
+        r = forms32.S[:5, :4, 0, :]
+        dr = rng.standard_normal((5, 4, 2, 2)) + 1j * rng.standard_normal((5, 4, 2, 2))
+        pool = rng.standard_normal((10, 2)) + 1j * rng.standard_normal((10, 2))
+        S, dS = df._complete_rows_with_derivs(r, dr, pool)
+        for idx in np.ndindex(5, 4):
+            Si, dSi = df._complete_rows_with_derivs(r[idx], dr[idx], pool)
+            assert np.array_equal(S[idx], Si) and np.array_equal(dS[idx], dSi)
+
+
 class TestSeedFrame:
     def test_chart_reproduction(self, qwc2, lmap2, soliton32):
         frame = df.seed_frame(qwc2, lmap2, soliton32, seed=11,

@@ -1,6 +1,8 @@
 """Stencils, quadrature and fits: every coefficient table is checked against
 analytic functions at its claimed order."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -100,35 +102,90 @@ def sweep_cases(draw):
     return shape, base, order
 
 
+def per_line_sweep(grid, state0, rhs, order, node_field):
+    """Reference sweep: every line of the axis-ordered sweep stepped on its
+    own, with rhs(axis, t, y, g, h) reading node_field along that line."""
+    field = np.zeros(grid.shape + state0.shape, dtype=complex)
+    field[grid.base] = state0
+    for d, axis in enumerate(order):
+        swept = order[:d]
+        h = grid.h[axis]
+        npts = grid.shape[axis]
+        for coords in itertools.product(*(range(grid.shape[a]) for a in swept)):
+            start = list(grid.base)
+            for a, i in zip(swept, coords):
+                start[a] = i
+            line = list(start)
+            line[axis] = slice(None)
+            line = tuple(line)
+            g = node_field[line]
+
+            def f(t, y, axis=axis, g=g):
+                return rhs(axis, t, y, g, h)
+            i0 = start[axis]
+            y = field[tuple(start)]
+            for i in range(i0, npts - 1):
+                y = rk4_step(f, i * h, y, h)
+                field[line][i + 1] = y
+            y = field[tuple(start)]
+            for i in range(i0, 0, -1):
+                y = rk4_step(f, i * h, y, -h)
+                field[line][i - 1] = y
+    return field
+
+
+def nonlinear_rhs(axis, t, y, g, h):
+    """A coupled quadratic flow driven by the node field g along the line:
+    g at the node stages, the mean of its two neighbours at the half-steps."""
+    half = round(2.0 * t / h)
+    gv = g[half // 2] if half % 2 == 0 else 0.5 * (g[half // 2] + g[half // 2 + 1])
+    y0, y1 = y[..., 0], y[..., 1]
+    return np.stack([0.2 * y0 * y1 - (axis + 1) * 0.1j * y1 + gv,
+                     -0.3 * y0 * y0 + t * y1 - 0.05 * gv * y1], axis=-1)
+
+
 class TestSweep:
     @given(sweep_cases())
     @settings(max_examples=60, deadline=None)
     def test_every_node_written_once_from_filled_starts(self, case):
+        # y' = u^axis + 1 from y = 100 at the base: RK4 is exact on the
+        # quadratic, so a node left unwritten (0) or a line started from an
+        # unfilled node shows as an error
         shape, base, order = case
         grid = GridSpec(tuple((0.0, 0.5 * s, s) for s in shape), base)
-        writes = np.zeros(shape, dtype=int)
-        vals = np.zeros(shape)
+        coords = np.stack(np.meshgrid(*[grid.coords(a) for a in range(len(shape))],
+                                      indexing="ij"), axis=-1)
 
-        def store(idx, y):
-            writes[idx] += 1
-            vals[idx] = y[0]
+        def rhs_of_axis(axis, lines):
+            # lines puts the current axis first, one column per line
+            u = lines(coords)[..., axis]
+            assert u.shape[0] == shape[axis]
+            assert np.all(u == grid.coords(axis).reshape((-1,) + (1,) * (u.ndim - 1)))
+            return lambda t, y: np.full_like(y, t + 1.0)
 
-        def state_of(idx):
-            assert writes[idx] == 1     # a line starts from a filled node
-            return np.array([vals[idx]])
-
-        def rhs_of_line(axis, _start):
-            # y' = u^axis + 1, with the stage time t = position along the line
-            return lambda t, y: np.array([t + 1.0])
-
-        rk4_sweep(grid, np.array([0.0]), store, state_of, rhs_of_line, order)
-        assert np.all(writes == 1)
-        # RK4 is exact on the quadratic sum_a (u_a^2 - b_a^2)/2 + (u_a - b_a)
-        u = np.stack(np.meshgrid(*[grid.coords(a) for a in range(len(shape))],
-                                 indexing="ij"), axis=-1)
+        vals = rk4_sweep(grid, np.array([100.0]), rhs_of_axis, order)[..., 0]
         b = np.array([grid.coords(a)[i] for a, i in enumerate(base)])
-        exact = np.sum(0.5 * (u ** 2 - b ** 2) + (u - b), axis=-1)
-        assert np.max(np.abs(vals - exact)) < 1e-12
+        exact = 100.0 + np.sum(0.5 * (coords ** 2 - b ** 2) + (coords - b), axis=-1)
+        assert np.max(np.abs(vals - exact)) < 1e-11
+
+    @given(sweep_cases(), st.integers(0, 2**31 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_lockstep_matches_per_line_bitwise(self, case, seed):
+        shape, base, order = case
+        grid = GridSpec(tuple((0.0, 0.08 * s, s) for s in shape), base)
+        rng = np.random.default_rng(seed)
+        node_field = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        state0 = np.array([0.3 + 0.1j, -0.2 + 0.4j])
+
+        def rhs_of_axis(axis, lines):
+            g = lines(node_field)
+            h = grid.h[axis]
+            return lambda t, y: nonlinear_rhs(axis, t, y, g, h)
+
+        got = rk4_sweep(grid, state0, rhs_of_axis, order)
+        ref = per_line_sweep(grid, state0, nonlinear_rhs, order, node_field)
+        assert got.shape == grid.shape + (2,)
+        assert np.array_equal(got, ref)
 
 
 class TestFits:

@@ -70,6 +70,42 @@ class TestCompose:
         assert np.max(np.abs(a - b)) < 1e-13
 
 
+    def test_stack_matches_per_node_bitwise(self, ctx_a, ctx_b):
+        shape = (4, 3)
+        R0, R1, R2 = (np.array([random_orthogonal(2, seed=s + i)
+                                for i in range(12)]).reshape(shape + (2, 2))
+                      for s in (0, 40, 80))
+        got = pm.bpt_compose_field(R0, R1, R2, ctx_a.D, ctx_b.D)
+        for idx in np.ndindex(*shape):
+            assert np.array_equal(got[idx], pm.bpt_compose(
+                R0[idx], R1[idx], R2[idx], ctx_a.D, ctx_b.D))
+
+    def test_moebius_stack_matches_per_node_bitwise(self, ctx_a, ctx_b, ctx_c):
+        shape = (3, 4)
+        R0, R1, R2, R4 = (np.array([random_orthogonal(2, seed=s + i)
+                                    for i in range(12)]).reshape(shape + (2, 2))
+                          for s in (0, 40, 80, 120))
+        R7, gap = pm.m3_r7_field(R0, R1, R2, R4, ctx_a, ctx_b, ctx_c)
+        gaps = []
+        for idx in np.ndindex(*shape):
+            r7, g, _ = pm.m3_r7(R0[idx], R1[idx], R2[idx], R4[idx], ctx_a.D,
+                                ctx_b.D, ctx_c.D, ctx_a.z, ctx_b.z, ctx_c.z)
+            assert np.array_equal(R7[idx], r7)
+            gaps.append(g)
+        assert gap == max(gaps)
+
+    def test_one_singular_node_rejects_the_field(self, ctx_a):
+        # equal z: D2 R2 - D1 R1 = D (R2 - R1) vanishes where the leaves meet
+        shape = (3, 4)
+        R0, R1, R2 = (np.array([random_orthogonal(2, seed=s + i)
+                                for i in range(12)]).reshape(shape + (2, 2))
+                      for s in (0, 40, 80))
+        pm.bpt_compose_field(R0, R1, R2, ctx_a.D, ctx_a.D)
+        R2[2, 1] = R1[2, 1]
+        with pytest.raises(SingularSuperposition):
+            pm.bpt_compose_field(R0, R1, R2, ctx_a.D, ctx_a.D)
+
+
 class TestVerify:
     def test_soliton_square(self, qwc2, lmap2, soliton32, ctx_a, ctx_b,
                             riccati32):

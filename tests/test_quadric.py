@@ -411,12 +411,16 @@ class TestChartBatch:
                 with pytest.raises(ChartSingularity):
                     helper(q, lm, V)
             return
-        # H(t d) = a t^2 + b t + c vanishes at a root t along a direction d
+        # H(t d) = a t^2 + b t + c vanishes at a root t along a direction d;
+        # take the root of smaller modulus (cancellation-free form 2c/(-b -+ s))
+        # so |H| at t d rounds below the isotropy tolerance (the larger root
+        # can sit at |V| ~ 1e2, where H rounds to ~1e-12)
         d = V[idx] / np.max(np.abs(V[idx]))
         a = d @ lm.aprime_n() @ d
         b = 2.0 * d @ qd.chart_b(q, lm)
         c = qd.b_norm2(q)
-        t = (-b + sqrt_branch(b * b - 4.0 * a * c)) / (2.0 * a)
+        s = sqrt_branch(b * b - 4.0 * a * c)
+        t = 2.0 * c / max(-b - s, -b + s, key=abs)
         V[idx] = t * d
         with pytest.raises(IsotropicNormal):
             qd.chart_normal_h(q, lm, V)
