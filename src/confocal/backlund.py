@@ -235,8 +235,7 @@ class RiccatiRun:
 
 
 def integrate_backlund(fg: df.FieldGrid, ctx: BacklundContext,
-                       R1_base: np.ndarray, order: int = 2,
-                       drift_hard: float = DRIFT_HARD,
+                       R1_base: np.ndarray, *, drift_hard: float = DRIFT_HARD,
                        base_tol: float = 1e-8) -> RiccatiRun:
     """RK4-integrate the (I)QWC Riccati equation over the seed grid.
 
@@ -826,11 +825,6 @@ def asymptotic_directions(ff: df.FundamentalForms) -> float:
     joined-orthogonal forms force y constant in j, i.e. coefficients +-1 up to
     scale and hence the same on seed and leaf.  Returns the max componentwise
     deviation of y / mean(y) from 1 over the grid."""
-    halpha = ff.hj[..., 1:, :]
-    shape = halpha.shape[:-2]
-    worst = 0.0
-    for idx in np.ndindex(*shape):
-        _, _, vh = np.linalg.svd(halpha[idx])
-        y = vh[-1].conj()
-        worst = max(worst, float(np.max(np.abs(y / y.mean() - 1.0))))
-    return worst
+    _, _, vh = np.linalg.svd(ff.hj[..., 1:, :])
+    y = vh[..., -1, :].conj()
+    return float(np.max(np.abs(y / y.mean(axis=-1, keepdims=True) - 1.0)))

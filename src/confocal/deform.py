@@ -294,18 +294,6 @@ def system_residual(fg: FieldGrid, q, lm, order: int = 2) -> SystemResidual:
     return SystemResidual(two, conj, orth)
 
 
-def residual_defqwc(fg: FieldGrid, q, lm, order: int = 2) -> SystemResidual:
-    if q.kind == qd.QC:
-        raise ValueError("use residual_defqc for quadrics with center")
-    return system_residual(fg, q, lm, order=order)
-
-
-def residual_defqc(fg: FieldGrid, q, lm=None, order: int = 2) -> SystemResidual:
-    if q.kind != qd.QC:
-        raise ValueError("residual_defqc applies to quadrics with center")
-    return system_residual(fg, q, lm, order=order)
-
-
 def omega_fields(fg: FieldGrid, order: int = 2) -> np.ndarray:
     """Connection slots [omega]_k = sum_j (Phi_j)_{jk} e_j e_k^T
     + (Phi_j)_{kj} e_k e_j^T per node, (*shape, n_axes, n, n)."""
@@ -364,65 +352,65 @@ def metric_field(fg: FieldGrid, q, lm) -> np.ndarray:
 
 
 def _derivative_fields(fg: FieldGrid, q, lm, mode: str, order: int):
+    """H with the u-derivatives the forms need: (H, dlam, dloglam, dlogsH,
+    dlogw), where dlam[..., j, k] = d lambda_j / du^k, dloglam = dlam /
+    lambda_j, dlogsH = d log sqrt(H) / du^k and dlogw = d log(|V|^2+1) / du^k
+    (QC only, zero otherwise; exact via dV = R del Lambda)."""
     hs = fg.grid.h
     H = qd.h_chart(q, lm, fg.V)
     if mode == "exact":
         model = ZeroSolitonModel(q, lm)
-        mu = fg.V * model.ap + model.bc
-        dlam = np.zeros(fg.grid.shape + (fg.n, fg.n), dtype=complex)
-        idx = np.arange(fg.n)
-        dlam[..., idx, idx] = -mu
-        dH = 2.0 * fg.lam * mu
-        return dlam, dH, H
-    dlam = np.stack(
-        [diff1(fg.lam, axis=k, h=hs[k], order=order) for k in range(fg.grid.n)],
-        axis=-1)
-    dH = np.stack(
-        [diff1(H, axis=k, h=hs[k], order=order) for k in range(fg.grid.n)],
-        axis=-1)
-    return dlam, dH, H
+        dlam, dH = model.dlam(fg.V), model.dH(fg.V, fg.lam)
+    else:
+        dlam = np.stack([diff1(fg.lam, axis=k, h=hs[k], order=order)
+                         for k in range(fg.grid.n)], axis=-1)
+        dH = np.stack([diff1(H, axis=k, h=hs[k], order=order)
+                       for k in range(fg.grid.n)], axis=-1)
+    if q.kind == qd.QC:
+        v2 = np.einsum("...k,...k->...", fg.V, fg.V)
+        dv2 = 2.0 * fg.lam * np.einsum("...j,...jk->...k", fg.V, fg.R)
+        dlogw = dv2 / (v2 + 1.0)[..., None]
+    else:
+        dlogw = np.zeros(fg.grid.shape + (fg.n,), dtype=complex)
+    return (H, dlam, dlam / fg.lam[..., :, None], dH / (2.0 * H[..., None]),
+            dlogw)
 
 
-def _dlogw_field(fg: FieldGrid, q):
-    """d log(|V|^2+1)/du^k (QC only; exact via dV = R del Lambda)."""
-    if q.kind != qd.QC:
-        return np.zeros(fg.grid.shape + (fg.n,), dtype=complex)
-    v2 = np.einsum("...k,...k->...", fg.V, fg.V)
-    dv2 = 2.0 * fg.lam * np.einsum("...j,...jk->...k", fg.V, fg.R)
-    return dv2 / (v2 + 1.0)[..., None]
-
-
-def gamma_field(fg: FieldGrid, q, dlam, dH, H) -> np.ndarray:
-    """Christoffel symbols Gamma^p_{jk} from the chart change-of-coordinate
-    formulas; entries with three distinct indices vanish in a conjugate net."""
-    n = fg.n
-    dloglam = dlam / fg.lam[..., :, None]
-    dlogsH = dH / (2.0 * H[..., None])
-    dlogw = _dlogw_field(fg, q)
-    G = np.zeros(fg.grid.shape + (n, n, n), dtype=complex)
-    for j in range(n):
-        for k in range(n):
-            if j == k:
-                continue
-            G[..., j, j, k] = dloglam[..., j, k] - dlogw[..., k]
-            G[..., j, k, j] = G[..., j, j, k]
-            ratio = (fg.lam[..., j] / fg.lam[..., k]) ** 2
-            G[..., k, j, j] = ratio * (dlogsH[..., k] + dlogw[..., k]
-                                       - dloglam[..., j, k])
-        G[..., j, j, j] = dloglam[..., j, j] + dlogsH[..., j] - dlogw[..., j]
+def gamma_field(lam, dloglam, dlogsH, dlogw) -> np.ndarray:
+    """Christoffel symbols Gamma^p_{jk} (..., p, j, k) from the chart
+    change-of-coordinate formulas, on stacks of lambda (..., n) and of the
+    log-derivatives of _derivative_fields; entries with three distinct indices
+    vanish in a conjugate net.  The lambda-ratio products go through
+    scalar_mul, so a stack rounds as its nodes one by one."""
+    n = lam.shape[-1]
+    j, k = np.nonzero(~np.eye(n, dtype=bool))
+    d = np.arange(n)
+    ratio = lam[..., :, None] / lam[..., None, :]
+    up = (dlogsH + dlogw)[..., None, :] - dloglam    # [j, k]: logs at k
+    across = dloglam - dlogw[..., None, :]
+    G = np.zeros(lam.shape + (n, n), dtype=complex)
+    G[..., j, j, k] = G[..., j, k, j] = across[..., j, k]
+    G[..., k, j, j] = scalar_mul(scalar_mul(ratio, ratio), up)[..., j, k]
+    G[..., d, d, d] = dloglam[..., d, d] + dlogsH - dlogw
     return G
 
 
-def _h0_and_gauge(fg: FieldGrid, q, H):
-    sqH = sqrt_branch(H)
-    if q.kind == qd.QC:
-        v2 = np.einsum("...k,...k->...", fg.V, fg.V)
-        h0 = -4.0 * fg.lam ** 2 / (sqH * (v2 + 1.0) ** 2)[..., None]
-        gauge = 4.0 * fg.lam / (v2 + 1.0)[..., None]
+def _h0_and_gauge(kind, V, lam, sqH):
+    """First second-form row h^0 and the gauge of the joined rows, (..., n)."""
+    if kind == qd.QC:
+        v2 = np.einsum("...k,...k->...", V, V)
+        h0 = -4.0 * lam ** 2 / (sqH * (v2 + 1.0) ** 2)[..., None]
+        gauge = 4.0 * lam / (v2 + 1.0)[..., None]
     else:
-        h0 = -(fg.lam ** 2) / sqH[..., None]
-        gauge = fg.lam
+        h0 = -(lam ** 2) / sqH[..., None]
+        gauge = lam
     return h0, gauge
+
+
+def _candidate_pool(n: int, seed: int) -> np.ndarray:
+    """The seeded fixed candidates the joined frame is completed against."""
+    rng = np.random.default_rng(seed)
+    return rng.standard_normal((n + 8, n)) + 1j * rng.standard_normal((n + 8, n))
 
 
 def _complete_rows_with_derivs(r, dr, pool, iso_tol=1e-8):
@@ -470,11 +458,13 @@ def _complete_rows_with_derivs(r, dr, pool, iso_tol=1e-8):
     return np.stack(rows, axis=-2), np.stack(drows, axis=-2)
 
 
-def _cmp_solve(hj, dhj, gamma, pairs, n):
+def _cmp_solve(hj, dhj, gamma):
     """Least-squares normal connection, batched over leading axes; returns
     (nconn, residual per node).  np.linalg.lstsq takes no stacks, so the
     solve itself runs node by node."""
     lead = hj.shape[:-2]
+    n = hj.shape[-1]
+    pairs = [(a, b) for a in range(1, n) for b in range(a + 1, n)]
     out = np.zeros(lead + (n, n, n), dtype=complex)
     res = np.zeros(lead)
     for k in range(n):
@@ -507,6 +497,23 @@ def _cmp_solve(hj, dhj, gamma, pairs, n):
     return out, res
 
 
+def _joined_frame(r, dr, gauge, dgauge, gamma, pool):
+    """Joined frame of unit first rows r (..., n) with derivatives dr
+    (..., n_dirs, n), completed against pool, and the normal connection of its
+    gauged columns; gauge (..., n) and dgauge (..., j, k) = d gauge_j / du^k.
+    Returns (S, hj, nconn, cmp residual per node)."""
+    n = r.shape[-1]
+    S, dS = _complete_rows_with_derivs(r, dr, pool)
+    hj = S * gauge[..., None, :]
+    dhj = np.zeros(S.shape[:-2] + (n, n, n), dtype=complex)   # (..., k, comp, j)
+    for k in range(n):
+        for j in range(n):
+            dhj[..., k, :, j] = (dgauge[..., j, k, None] * S[..., :, j]
+                                 + gauge[..., j, None] * dS[..., k, :, j])
+    nconn, res = _cmp_solve(hj, dhj, gamma)
+    return S, hj, nconn, res
+
+
 def forms_assemble(fg: FieldGrid, q, lm, seed: int = 0, mode: str = "auto",
                    order: int = 2, curvature_order: int = 4) -> FundamentalForms:
     """Assemble joined fundamental forms and G-CMP-R residuals for a field.
@@ -529,34 +536,19 @@ def forms_assemble(fg: FieldGrid, q, lm, seed: int = 0, mode: str = "auto",
         # the joined frame's first row is unit only on the prime-integral
         # quadric; forms of an off-shell field would be silently meaningless
         raise PrimeIntegralViolation(f"|Lambda|^2 + H = {pi:.3e} on the grid")
-    dlam, dH, H = _derivative_fields(fg, q, lm, mode, order)
+    H, dlam, dloglam, dlogsH, dlogw = _derivative_fields(fg, q, lm, mode, order)
     g = metric_field(fg, q, lm)
     ginv = np.linalg.inv(g)
-    gamma = gamma_field(fg, q, dlam, dH, H)
-    h0, gauge = _h0_and_gauge(fg, q, H)
+    gamma = gamma_field(fg.lam, dloglam, dlogsH, dlogw)
+    h0, gauge = _h0_and_gauge(q.kind, fg.V, fg.lam, sqrt_branch(H))
 
-    dloglam = dlam / fg.lam[..., :, None]
-    dlogsH = dH / (2.0 * H[..., None])
-    dlogw = _dlogw_field(fg, q)
     r = 1j * h0 / gauge
     dr = (dloglam - dlogsH[..., None, :] - dlogw[..., None, :]) * r[..., :, None]
     dr = np.swapaxes(dr, -1, -2)      # (*shape, n_dirs, n)
     dgauge = ((dloglam - dlogw[..., None, :]) * gauge[..., :, None]
               if q.kind == qd.QC else dlam)
-
-    rng = np.random.default_rng(seed)
-    pool = rng.standard_normal((n + 8, n)) + 1j * rng.standard_normal((n + 8, n))
-    S, dS = _complete_rows_with_derivs(r, dr, pool)
-
-    hj = S * gauge[..., None, :]
-    dhj = np.zeros(shape + (n, n, n), dtype=complex)   # (*shape, k, comp, j)
-    for k in range(n):
-        for j in range(n):
-            dhj[..., k, :, j] = (dgauge[..., j, k, None] * S[..., :, j]
-                                 + gauge[..., j, None] * dS[..., k, :, j])
-
-    pairs = [(a, b) for a in range(1, n) for b in range(a + 1, n)]
-    nconn, cmp_res = _cmp_solve(hj, dhj, gamma, pairs, n)
+    S, hj, nconn, cmp_res = _joined_frame(r, dr, gauge, dgauge, gamma,
+                                          _candidate_pool(n, seed))
 
     if mode == "exact":
         dgam = _exact_dgamma(fg, q, lm, H)
@@ -616,7 +608,7 @@ def _exact_dgamma(fg: FieldGrid, q, lm, H) -> np.ndarray:
     n = fg.n
     shape = fg.grid.shape
     lam = fg.lam
-    mu = fg.V * model.ap + model.bc
+    mu = model.mu(fg.V)
     ap = model.ap
     out = np.zeros(shape + (n, n, n, n), dtype=complex)  # (l, p, j, k)
     H2 = H * H
@@ -758,7 +750,9 @@ class AmbientFrame:
 
 class _SeedFrameModel:
     """Joint (V, Lambda, x, X, N) evolution of a zero-soliton deformation,
-    pointwise evaluable so every RK4 stage is exact."""
+    pointwise evaluable so every RK4 stage is exact.  Its geometry is that of
+    forms_assemble (gamma_field, _h0_and_gauge, _joined_frame) on the
+    closed-form zero-soliton derivatives."""
 
     def __init__(self, q, lm, seed: int, deformation: bool):
         self.zs = ZeroSolitonModel(q, lm)
@@ -766,16 +760,14 @@ class _SeedFrameModel:
         self.deformation = deformation
         self.m = 2 * self.n - 1 if deformation else self.n + 1
         self.p = self.n - 1 if deformation else 1
-        rng = np.random.default_rng(seed)
-        self.pool = (rng.standard_normal((self.n + 8, self.n))
-                     + 1j * rng.standard_normal((self.n + 8, self.n)))
+        self.pool = _candidate_pool(self.n, seed)
+        # zero solitons live on (I)QWC charts, which have no |V|^2+1 factor
+        self.dlogw = np.zeros(self.n, dtype=complex)
 
     def geometry(self, V, lam):
         """Metric, inverse metric, Christoffel symbols, second-form rows and
         normal connection at states (..., n)."""
         zs = self.zs
-        n = self.n
-        lead = V.shape[:-1]
         H = zs.H(V)
         sqH = np.asarray(sqrt_branch(H))
         g = zs.metric(V, lam)
@@ -783,33 +775,15 @@ class _SeedFrameModel:
         dlam = zs.dlam(V)
         dloglam = dlam / lam[..., :, None]
         dlogsH = zs.dH(V, lam) / (2.0 * H)[..., None]
-        gamma = np.zeros(lead + (n, n, n), dtype=complex)
-        for j in range(n):
-            for k in range(n):
-                if j == k:
-                    continue
-                gamma[..., j, j, k] = dloglam[..., j, k]
-                gamma[..., j, k, j] = dloglam[..., j, k]
-                ratio = lam[..., j] / lam[..., k]
-                gamma[..., k, j, j] = scalar_mul(
-                    scalar_mul(ratio, ratio), dlogsH[..., k] - dloglam[..., j, k])
-            gamma[..., j, j, j] = dloglam[..., j, j] + dlogsH[..., j]
-        h0 = -(lam ** 2) / sqH[..., None]
+        gamma = gamma_field(lam, dloglam, dlogsH, self.dlogw)
+        h0, gauge = _h0_and_gauge(zs.q.kind, V, lam, sqH)
         if not self.deformation:
             return (g, ginv, gamma, h0[..., None, :],
-                    np.zeros(lead + (n, 1, 1), dtype=complex))
+                    np.zeros(V.shape + (1, 1), dtype=complex))
         r = -1j * lam / sqH[..., None]
         dr = np.swapaxes((dloglam - dlogsH[..., None, :]) * r[..., :, None], -1, -2)
-        S, dS = _complete_rows_with_derivs(r, dr, self.pool)
-        hjn = S * lam[..., None, :]
-        dhj = np.zeros(lead + (n, n, n), dtype=complex)
-        for k in range(n):
-            for j in range(n):
-                dhj[..., k, :, j] = (dlam[..., j, k, None] * S[..., :, j]
-                                     + lam[..., j, None] * dS[..., k, :, j])
-        pairs = [(a, b) for a in range(1, n) for b in range(a + 1, n)]
-        nconn, _ = _cmp_solve(hjn, dhj, gamma, pairs, n)
-        return g, ginv, gamma, hjn[..., 1:, :], nconn[..., :, 1:, 1:]
+        _, hj, nconn, _ = _joined_frame(r, dr, gauge, dlam, gamma, self.pool)
+        return g, ginv, gamma, hj[..., 1:, :], nconn[..., :, 1:, 1:]
 
     def pack(self, V, lam, x, X, N):
         lead = V.shape[:-1]

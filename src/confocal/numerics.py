@@ -18,17 +18,6 @@ def rk4_step(f, t: float, y, h: float):
     return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def rk4_line(f, t0: float, y0, h: float, steps: int, callback=None):
-    """Integrate y' = f(t, y) over `steps` RK4 steps; callback(i, t, y) after each."""
-    t, y = t0, y0
-    for i in range(steps):
-        y = rk4_step(f, t, y, h)
-        t = t0 + (i + 1) * h
-        if callback is not None:
-            callback(i + 1, t, y)
-    return y
-
-
 # node algebra on stacks that rounds as single nodes do ---------------------
 
 def stack_dot(a: np.ndarray, b: np.ndarray):

@@ -573,42 +573,3 @@ def admissible_z(q: QuadricSpec, rng: np.random.Generator, scale: float = 0.5,
         if all(abs(1.0 - z * a) > min_gap for a in q.sj.eigenvalues):
             return complex(z)
     raise SingularConfocal("could not sample an admissible z")
-
-
-def ruling_direction(q: QuadricSpec, x0: np.ndarray, rng: np.random.Generator):
-    """A ruling direction w at x0: w tangent (w^T nhat_0 = 0) and w^T A w = 0.
-
-    Solved as a quadratic on a 2-plane of the tangent space; returns None if
-    the plane meets the null cone degenerately.
-    """
-    n0 = q.A @ x0 + q.B
-    # tangent basis: kernel of nhat^T via two random ambient vectors projected
-    m = q.dim
-    t = []
-    tries = 0
-    while len(t) < 2 and tries < 64:
-        tries += 1
-        g = rng.standard_normal(m) + 1j * rng.standard_normal(m)
-        w = g - (g @ n0) / (n0 @ n0) * n0 if abs(n0 @ n0) > 1e-12 else None
-        if w is None:
-            return None
-        for b in t:
-            w = w - (b @ w) / (b @ b) * b
-        if abs(w @ w) > 1e-10:
-            t.append(w)
-    if len(t) < 2:
-        return None
-    t1, t2 = t
-    c11 = t1 @ (q.A @ t1)
-    c12 = t1 @ (q.A @ t2)
-    c22 = t2 @ (q.A @ t2)
-    if abs(c11) < 1e-14:
-        w = t1
-    else:
-        disc = sqrt_branch(c12 * c12 - c11 * c22)
-        alpha = (-c12 + disc) / c11
-        w = alpha * t1 + t2
-    nw = np.max(np.abs(w))
-    if nw < 1e-12:
-        return None
-    return w / nw

@@ -1,6 +1,7 @@
 """Named verification scenarios: each runs a pipeline across the library and
-returns (check rows, artifact tables).  The CLI wraps these into reports;
-the acceptance test suite calls them directly."""
+returns a dict of its worst residuals and diagnostics (and, for the grid
+pipelines, the fields the CLI saves).  The CLI turns these into checks and
+reports; the acceptance test suite calls them directly."""
 
 from __future__ import annotations
 
@@ -114,30 +115,18 @@ def _ruling_batch(q, x0, T, rng):
     return w, ok
 
 
-def parallel_map(fn, items, threads: int = 1):
-    """Map with optional thread workers; results ordered by item index, so the
-    outcome does not depend on scheduling."""
-    if threads <= 1 or len(items) <= 1:
-        return [fn(it) for it in items]
-    from concurrent.futures import ThreadPoolExecutor
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
-
-
-def ivory_suite(q, lm, samples: int, seed: int, n_z: int = 8,
-                threads: int = 1) -> dict:
+def ivory_suite(q, lm, samples: int, seed: int, n_z: int = 8) -> dict:
     """Max residuals of the six Ivory-affinity identities over random samples.
 
     Splits the samples across n_z batches (one random admissible z each,
-    seeded independently so batches can run on worker threads) and evaluates
-    the identities vectorized; ruling-based identities skip the rare
-    degenerate tangent-plane draws (counted separately).
+    seeded independently) and evaluates the identities vectorized;
+    ruling-based identities skip the rare degenerate tangent-plane draws
+    (counted separately).
     """
     per = max(1, samples // n_z)
     keys = ("ivory_theorem", "tc_symmetry", "ruling_length",
             "segment_ruling_angle", "ruling_angle", "polar_ruling_angle")
-    batches = parallel_map(lambda i: _ivory_batch(q, lm, per, seed + 101 * i),
-                           list(range(n_z)), threads)
+    batches = [_ivory_batch(q, lm, per, seed + 101 * i) for i in range(n_z)]
     out = {k: max(b[k] for b in batches) for k in keys}
     out["samples"] = sum(b["samples"] for b in batches)
     out["degenerate_skipped"] = sum(b["degenerate_skipped"] for b in batches)
@@ -275,14 +264,14 @@ def soliton_pipeline(q, lm, grid, v_base, lam_base, seed: int) -> dict:
     fine = df.zero_soliton(q, lm, grid.refine(2), v_base, lam_base)
     drift = fg.meta["prime_integral_drift"]
     drift_fine = fine.meta["prime_integral_drift"]
-    sysres = df.residual_defqwc(fg, q, lm)
+    sysres = df.system_residual(fg, q, lm)
     ff = df.forms_assemble(fg, q, lm, seed=seed)
     frame0 = df.seed_frame(q, lm, fg, seed=seed, deformation=False)
     chart = qd.chart_to_ambient(q, lm, fg.V)
     frame = df.seed_frame(q, lm, fg, seed=seed, deformation=True)
     checks_frame = df.frame_checks(frame, ff.g)
     return {
-        "fg": fg, "fine": fine, "forms": ff, "frame": frame,
+        "fg": fg, "fine": fine,
         "prime_integral_drift": drift,
         "drift_ratio": drift / max(drift_fine, 1e-300),
         "defqwc": sysres.max,
@@ -296,7 +285,8 @@ def soliton_pipeline(q, lm, grid, v_base, lam_base, seed: int) -> dict:
 
 def backlund_pipeline(q, lm, grid, v_base, lam_base, z, seed: int,
                       refinements=(1, 2, 4)) -> dict:
-    """Riccati integration with h-halving study plus the transform layer."""
+    """Riccati integration and the leaf it transforms to, with an h-halving
+    study of the path mismatch and of the leaf residuals."""
     ctx = bk.make_context(q, z, lm)
     R1b = sjcore.random_orthogonal(q.n, seed=seed)
     runs = []
@@ -309,14 +299,12 @@ def backlund_pipeline(q, lm, grid, v_base, lam_base, z, seed: int,
         V1, lam1 = bk.algebraic_transform_qwc(ctx, fg.V, fg.lam, fg.R, run.R1)
         fg1 = df.FieldGrid(g, q.kind, V1, lam1, run.R1, {})
         leafres.append(bk.leaf_system_residual(fg1, q, lm)["max"])
-        defres.append(df.residual_defqwc(fg1, q, lm).interior_max())
-        runs.append((g.h[0], run, fg, fg1))
+        defres.append(df.system_residual(fg1, q, lm).interior_max())
+        runs.append((g.h[0], run, fg1))
     hs = [r[0] for r in runs]
-    h0, run0, fg0, fg1 = runs[0]
-    tres = bk.qwc_transform_residuals(ctx, fg0.V, fg0.lam, fg0.R, run0.R1,
-                                      fg1.V, fg1.lam)
+    _, run0, fg1 = runs[0]
     return {
-        "ctx": ctx, "fg": fg0, "leaf": fg1, "run": run0,
+        "ctx": ctx, "leaf": fg1, "run": run0,
         "drift": float(run0.drift.max()),
         "mismatch": run0.path_mismatch,
         "mismatch_ratio": run0.path_mismatch / max(runs[1][1].path_mismatch,
@@ -324,7 +312,6 @@ def backlund_pipeline(q, lm, grid, v_base, lam_base, z, seed: int,
         "leaf_slope": loglog_slope(hs, leafres),
         "leaf_residuals": leafres,
         "def_slope": loglog_slope(hs, defres),
-        "transform": tres,
         "hs": hs,
     }
 
@@ -347,8 +334,7 @@ def random_state_batch(q, lm, count: int, seed: int):
     return V, lam, R0, R1
 
 
-def sine_gordon_suite(grid, fields: int, seed: int, a1_inv: float = 1.6,
-                      threads: int = 1) -> dict:
+def sine_gordon_suite(grid, fields: int, seed: int, a1_inv: float = 1.6) -> dict:
     """Correlation between the curvature-equation residual of R(phi) and the
     finite-difference sine-Gordon residual of phi, over random smooth phi.
 
@@ -377,14 +363,14 @@ def sine_gordon_suite(grid, fields: int, seed: int, a1_inv: float = 1.6,
         fg = df.FieldGrid(grid, q.kind,
                           np.zeros(grid.shape + (2,), dtype=complex),
                           np.ones(grid.shape + (2,), dtype=complex), R, {})
-        res = df.residual_defqwc(fg, q, lm).two_form[..., 0, 1]
+        res = df.system_residual(fg, q, lm).two_form[..., 0, 1]
         phi11 = diff1(diff1(phi, 0, hs[0]), 0, hs[0])
         phi22 = diff1(diff1(phi, 1, hs[1]), 1, hs[1])
         sg = phi11 - phi22 + 0.5 * np.sin(2.0 * phi)
         inner = (slice(2, -2), slice(2, -2))
         return correlation(res[inner], sg[inner]), fit_scale(sg[inner],
                                                              res[inner])
-    results = parallel_map(one_field, list(range(fields)), threads)
+    results = [one_field(i) for i in range(fields)]
     consts = [c for _, c in results]
     return {"correlation_min": min(abs(r) for r, _ in results),
             "constant_mean": complex(np.mean(consts)),

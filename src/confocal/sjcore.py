@@ -122,15 +122,8 @@ def _block_series(a: complex, p: int, coeff_fn) -> np.ndarray:
     return out
 
 
-def _binom_half(k: int) -> float:
-    """Binomial coefficient C(1/2, k)."""
-    c = 1.0
-    for i in range(k):
-        c *= (0.5 - i) / (i + 1)
-    return c
-
-
 def _binom(x: float, k: int) -> float:
+    """Binomial coefficient C(x, k) for real x."""
     c = 1.0
     for i in range(k):
         c *= (x - i) / (i + 1)
@@ -150,7 +143,7 @@ def sqrt_sj(spec: SJSpec) -> np.ndarray:
     S = np.zeros((m, m), dtype=complex)
     for sl, a, p in spec.slices():
         ra = sqrt_branch(a)
-        S[sl, sl] = ra * _block_series(a, p, lambda k: _binom_half(k) * a ** (-k))
+        S[sl, sl] = ra * _block_series(a, p, lambda k: _binom(0.5, k) * a ** (-k))
     return S
 
 
@@ -169,7 +162,7 @@ def sqrt_resolvent(spec: SJSpec, z: complex) -> np.ndarray:
         if abs(w) < TOL_SINGULAR:
             raise SingularConfocal(f"1 - z*a = {w} for eigenvalue {a}")
         rw = sqrt_branch(w)
-        S[sl, sl] = rw * _block_series(a, p, lambda k: _binom_half(k) * (-z / w) ** k)
+        S[sl, sl] = rw * _block_series(a, p, lambda k: _binom(0.5, k) * (-z / w) ** k)
     return S
 
 

@@ -250,7 +250,7 @@ class TestLeafResiduals:
         assert 3.0 < r1 / r2 < 5.0     # slope 2 under halving
 
     def test_leaf_solves_defqwc(self, qwc2, lmap2, leaf32):
-        res = df.residual_defqwc(leaf32, qwc2, lmap2)
+        res = df.system_residual(leaf32, qwc2, lmap2)
         assert res.interior_max() < 0.05   # O(h^2) scale at h = 0.02
 
     def test_riccati_field_residual(self, soliton32, riccati32, ctx_a):
@@ -309,6 +309,19 @@ class TestAsymptotic:
         bad[..., 1:, :] += 0.2 * (rng.standard_normal(bad[..., 1:, :].shape))
         fake = SimpleNamespace(hj=bad)
         assert bk.asymptotic_directions(fake) > 1e-2
+
+    def test_stack_matches_per_node_bitwise(self, forms32):
+        from types import SimpleNamespace
+        rng = np.random.default_rng(1)
+        bad = forms32.hj.copy()
+        bad[..., 1:, :] += 0.2 * (rng.standard_normal(bad[..., 1:, :].shape))
+        for hj in (forms32.hj, bad):
+            worst = 0.0
+            for idx in np.ndindex(*hj.shape[:-2]):
+                _, _, vh = np.linalg.svd(hj[idx][1:, :])
+                y = vh[-1].conj()
+                worst = max(worst, float(np.max(np.abs(y / y.mean() - 1.0))))
+            assert bk.asymptotic_directions(SimpleNamespace(hj=hj)) == worst
 
 
 class TestBlockMatrixForm:

@@ -121,7 +121,7 @@ class TestPetersonAdmissible:
 
 class TestSystemResidual:
     def test_zero_soliton(self, soliton32, qwc2, lmap2):
-        res = df.residual_defqwc(soliton32, qwc2, lmap2)
+        res = df.system_residual(soliton32, qwc2, lmap2)
         assert res.max < 1e-8
 
     def test_nondiagonal_source_forced(self):
@@ -135,7 +135,7 @@ class TestSystemResidual:
                           np.ones(grid.shape + (n,), dtype=complex),
                           np.broadcast_to(np.eye(n), grid.shape + (n, n)).copy(),
                           {})
-        res = df.residual_defqwc(fg, q, lm)
+        res = df.system_residual(fg, q, lm)
         off = abs(lm.aprime_n()[0, 1])
         assert off > 0.1
         assert abs(np.max(np.abs(res.two_form)) - off) < 1e-12
@@ -152,7 +152,7 @@ class TestSystemResidual:
                           np.ones(grid.shape + (2,), dtype=complex),
                           np.broadcast_to(np.eye(2), grid.shape + (2, 2)).copy(),
                           {})
-        res = df.residual_defqc(fg, q)
+        res = df.system_residual(fg, q, None)
         expected = 4.0 * V[..., 0] * V[..., 1]
         assert np.max(np.abs(res.two_form[..., 0, 1] - expected)) < 1e-12
         assert np.max(np.abs(res.two_form[..., 1, 0] - expected)) < 1e-12
@@ -196,8 +196,8 @@ class TestGammaOracle:
             lm = None
         grid = df.GridSpec(((0.1, 0.5, 33), (0.2, 0.6, 33)))
         fg = manufactured_net(q, lm, grid)
-        dlam, dH, H = df._derivative_fields(fg, q, lm, "fd", 4)
-        gamma = df.gamma_field(fg, q, dlam, dH, H)
+        _, _, *logs = df._derivative_fields(fg, q, lm, "fd", 4)
+        gamma = df.gamma_field(fg.lam, *logs)
         g = df.metric_field(fg, q, lm)
         ginv = np.linalg.inv(g)
         hs = grid.h
@@ -312,6 +312,22 @@ class TestSeedFrame:
         assert checks["metric"] < 1e-6
         assert checks["tangent_normal"] < 1e-6
 
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_geometry_matches_forms(self, n):
+        # the frame's right-hand side and forms_assemble share one geometry
+        # kernel; on a whole zero-soliton grid they differ only by the
+        # rounding of H and of the first joined row
+        q = qd.qwc_quadric([(1.0, 1), (0.7, 1), (1.3, 1)][:n])
+        lm = qd.build_lmap(q)
+        v0, lam0 = sc.default_soliton_data(q, lm, theta=0.3)
+        fg = df.zero_soliton(q, lm, df.GridSpec(((0.0, 0.3, 9),) * n), v0, lam0)
+        ff = df.forms_assemble(fg, q, lm, seed=11)
+        model = df._SeedFrameModel(q, lm, seed=11, deformation=True)
+        _, _, gamma, hrows, nck = model.geometry(fg.V, fg.lam)
+        for got, want in ((gamma, ff.gamma), (hrows, ff.hj[..., 1:, :]),
+                          (nck, ff.nconn[..., :, 1:, 1:])):
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
 
 class TestQuadrature:
     def test_exact_form_oracle(self):
@@ -403,8 +419,8 @@ class TestExactCurvatureDerivatives:
         # order under refinement (a formula error would not converge)
         gaps = []
         for fg in (soliton32, soliton64):
-            dlam, dH, H = df._derivative_fields(fg, qwc2, lmap2, "exact", 2)
-            gamma = df.gamma_field(fg, qwc2, dlam, dH, H)
+            H, _, *logs = df._derivative_fields(fg, qwc2, lmap2, "exact", 2)
+            gamma = df.gamma_field(fg.lam, *logs)
             exact = df._exact_dgamma(fg, qwc2, lmap2, H)
             hs = fg.grid.h
             fd = np.stack([diff1(gamma, axis=a, h=hs[a], order=4)

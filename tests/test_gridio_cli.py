@@ -6,8 +6,9 @@ import json
 import numpy as np
 import pytest
 
-from confocal import cli, gridio
+from confocal import backlund as bk, cli, gridio, permute as pm
 from confocal.errors import ConfigError, MissingRun
+from confocal.sjcore import random_orthogonal
 
 
 class TestGridIO:
@@ -113,6 +114,28 @@ class TestRunScenario:
         rc = cli.main(["run", "--config", str(cfgfile), "--out",
                        str(tmp_path / "bad_base")])
         assert rc == 2
+
+    @pytest.mark.parametrize("quadric", [None, cli._QC_DEFAULT], ids=["qwc", "qc"])
+    def test_bpt_sample_worsts_match_per_sample_loop(self, tmp_path, quadric):
+        cfg = {"scenario": "bpt", "samples": 30, "seeds": {"master": 5},
+               "grid": {"axes": [[0.0, 0.3, 6], [0.0, 0.3, 6]]}}
+        if quadric is not None:
+            cfg["quadric"] = quadric
+        report = cli.run_scenario(cfg, tmp_path / "bpt")
+        full = cli.validate_config(cfg)
+        q, lm = cli._setup(full)
+        z1, z2 = full["zs"][:2]
+        D1, D2 = bk.make_context(q, z1, lm).D, bk.make_context(q, z2, lm).D
+        wo = wid = wsc = 0.0
+        for i in range(30):
+            R0, R1, R2 = (random_orthogonal(q.n, seed=5 + 3 * i + j)
+                          for j in range(3))
+            R3 = pm.bpt_compose(R0, R1, R2, D1, D2)
+            wo = max(wo, float(np.max(np.abs(R3 @ R3.T - np.eye(q.n)))))
+            wid = max(wid, pm.bpt_orthogonality_identity(R1, R2, D1, D2))
+            wsc = max(wsc, pm.bpt_scalar_identity(R0, R1, R2, R3, D1, D2, z1, z2))
+        got = [c["max_residual"] for c in report["checks"][:3]]
+        assert got == [wo, wid, wsc]
 
     def test_module_error_recorded_not_crash(self, tmp_path):
         # a non-admissible quadric: peterson check recorded as failed,
