@@ -2,10 +2,11 @@
 
 A single JSON config names a scenario (ivory-check, elliptic, deform-0soliton,
 backlund-qwc, backlund-qc, leaf-embed, bpt, m3, lattice, sine-gordon) plus the
-quadric, grid, spectral parameters, seeds and tolerance overrides.  Runs write
-report.json and raw CSV tables into the output directory; emit_plotdata turns
-a completed run into plot-ready convergence / drift / heatmap tables.  Exit
-status: 0 all checks passed, 1 some failed, 2 configuration error.
+quadric, grid, spectral parameters, seeds and tolerance overrides.  A runner
+records its checks inside timed stages (`Checks`); runs write report.json and
+raw CSV tables into the output directory; emit_plotdata turns a completed run
+into plot-ready convergence / drift / heatmap tables.  Exit status: 0 all
+checks passed, 1 some failed, 2 configuration error.
 
 Complex numbers in configs are [re, im] pairs; SJ blocks are
 {"a": [re, im], "p": size}.
@@ -15,10 +16,12 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import itertools
 import json
+import math
 import sys
 import time
-from dataclasses import asdict, dataclass
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -28,25 +31,48 @@ from . import permute as pm, quadric as qd, scenarios as sc, sjcore
 from .errors import ConfigError, ConfocalError, MissingRun
 from .numerics import loglog_slope
 
-SCENARIOS = ("ivory-check", "elliptic", "deform-0soliton", "backlund-qwc",
-             "backlund-qc", "leaf-embed", "bpt", "m3", "lattice", "sine-gordon")
+# checks that pass when the value is at least the tolerance (ratios and
+# correlations); every other check passes when it is at most the tolerance
+AT_LEAST = {"prime_integral_order", "path_mismatch_order",
+            "ruling_negative_control", "sine_gordon_correlation"}
 
 
-@dataclass
-class Check:
-    name: str
-    max_residual: float
-    tolerance: float
-    passed: bool
-    samples: int
-    runtime_s: float
+class Checks:
+    """The checks of one run, as report.json rows, and the timed stages that
+    measured them."""
 
-    @staticmethod
-    def make(name, value, tol, samples, t0, invert=False):
-        """invert=True passes when value >= tol (ratios, correlations)."""
-        ok = (value >= tol) if invert else (value <= tol)
-        return Check(name, float(value), float(tol), bool(ok), int(samples),
-                     round(time.time() - t0, 3))
+    def __init__(self, tol: dict):
+        self.tol = tol
+        self.rows: list[dict] = []
+        self.stages: list[dict] = []
+        self._nodes = None
+
+    @contextmanager
+    def stage(self, name: str, nodes: int = 1):
+        """Time the body alone.  Checks added in it take its wall time as
+        their runtime_s and, unless given, its node count as their samples."""
+        first, self._nodes = len(self.rows), nodes
+        t0 = time.perf_counter()
+        try:
+            yield
+        finally:
+            elapsed = time.perf_counter() - t0
+            wall = round(elapsed, 6)
+            self.stages.append({"name": name, "wall_s": wall, "nodes": nodes,
+                                "nodes_per_s": round(nodes / elapsed, 1)})
+            for c in self.rows[first:]:
+                c["runtime_s"] = round(wall, 3)
+
+    def add(self, name: str, value, tol=None, samples=None):
+        """Record a check; tol is a number, a key of the tolerance table, or
+        None for the table entry named like the check."""
+        if tol is None or isinstance(tol, str):
+            tol = self.tol[tol or name]
+        passed = value >= tol if name in AT_LEAST else value <= tol
+        self.rows.append({"name": name, "max_residual": float(value),
+                          "tolerance": float(tol), "passed": bool(passed),
+                          "samples": int(self._nodes if samples is None
+                                         else samples), "runtime_s": 0.0})
 
 
 def _parse_complex(v) -> complex:
@@ -61,17 +87,17 @@ def _parse_quadric(spec) -> qd.QuadricSpec:
     if not isinstance(spec, dict) or "kind" not in spec:
         raise ConfigError("quadric must be an object with 'kind'")
     kind = spec["kind"]
-    blocks = [(_parse_complex(b["a"]), int(b["p"]))
-              for b in spec.get("blocks", [])]
     try:
+        blocks = [(_parse_complex(b["a"]), int(b["p"]))
+                  for b in spec.get("blocks", [])]
         if kind == "QC":
             return qd.qc_quadric(blocks)
         if kind == "QWC":
             return qd.qwc_quadric(blocks)
         if kind == "IQWC":
             return qd.iqwc_quadric(int(spec.get("p", 2)), blocks)
-    except (ValueError, ConfocalError) as exc:
-        raise ConfigError(str(exc)) from exc
+    except (KeyError, TypeError, ValueError, ConfocalError) as exc:
+        raise ConfigError(f"bad quadric spec: {exc}") from exc
     raise ConfigError(f"unknown quadric kind {kind!r}")
 
 
@@ -101,39 +127,54 @@ _QC_DEFAULT = {"kind": "QC", "blocks": [{"a": [1.0, 0.0], "p": 1},
                                         {"a": [1.3, 0.1], "p": 1},
                                         {"a": [0.8, -0.2], "p": 1}]}
 
+# defaults of single scenarios, over _DEFAULTS
+_SCENARIO_DEFAULTS = {
+    "backlund-qc": {"quadric": _QC_DEFAULT},
+    "bpt": {"z": [[0.31, 0.12], [-0.2, 0.25]]},
+    "lattice": {"z": [[0.31, 0.12], [-0.2, 0.25]]},
+    "m3": {"z": [[0.31, 0.12], [-0.2, 0.25], [0.12, -0.3]], "extent": [2, 2, 2]},
+}
+_COUNTS = ("samples", "lame_samples", "fields")
+
 
 def validate_config(cfg: dict) -> dict:
-    """Schema check plus defaults; raises ConfigError on violations."""
+    """Schema check plus defaults; raises ConfigError on violations.  Adds
+    the tolerance table "tol", the complex "zs" and the master "seed"."""
     if not isinstance(cfg, dict):
         raise ConfigError("config must be a JSON object")
     name = cfg.get("scenario")
     if name not in SCENARIOS:
         raise ConfigError(f"scenario must be one of {SCENARIOS}, got {name!r}")
-    out = dict(_DEFAULTS)
-    if name == "backlund-qc":
-        out["quadric"] = _QC_DEFAULT
-    if name in ("bpt", "lattice"):
-        out["z"] = [[0.31, 0.12], [-0.2, 0.25]]
-    if name == "m3":
-        out["z"] = [[0.31, 0.12], [-0.2, 0.25], [0.12, -0.3]]
-        out["extent"] = [2, 2, 2]
-    out.update(cfg)
-    tol = sc.scaled_tolerances(float(out.get("tol_scale", 1.0)))
-    for k, v in out.get("tolerances", {}).items():
-        if k not in tol:
-            raise ConfigError(f"unknown tolerance {k!r}")
-        tol[k] = float(v)
-    if any(v <= 0 for v in tol.values()):
+    out = {**_DEFAULTS, **_SCENARIO_DEFAULTS.get(name, {}), **cfg}
+    try:
+        tol = sc.scaled_tolerances(float(out.get("tol_scale", 1.0)))
+        for k, v in out.get("tolerances", {}).items():
+            if k not in tol:
+                raise ConfigError(f"unknown tolerance {k!r}")
+            tol[k] = float(v)
+        out["zs"] = [_parse_complex(z) for z in out["z"]]
+        for k in _COUNTS:
+            out[k] = int(out[k])
+        out["lam_theta"] = float(out["lam_theta"])
+        out["extent"] = [int(e) for e in out["extent"]]
+        out["seed"] = int(out["seeds"].get("master", 7))
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise ConfigError(f"malformed config: {exc}") from exc
+    if not all(v > 0 for v in tol.values()):
         raise ConfigError("tolerances must be positive")
     out["tol"] = tol
-    out["zs"] = [_parse_complex(z) for z in out["z"]]
-    if name in ("bpt", "lattice") and len(set(out["zs"])) < 2:
-        raise ConfigError(f"{name} needs two distinct z values")
-    if name == "m3" and len(set(out["zs"])) < 3:
-        raise ConfigError("m3 needs three pairwise distinct z values")
-    if int(out["samples"]) < 1:
-        raise ConfigError("samples must be positive")
-    out["seed"] = int(out["seeds"].get("master", 7))
+    # the order-4 differences of the grid pipelines need five nodes per axis
+    if min(_parse_grid(out["grid"]).shape, default=0) < 5:
+        raise ConfigError("every grid axis needs >= 5 nodes")
+    if min(out[k] for k in _COUNTS) < 1:
+        raise ConfigError(f"{', '.join(_COUNTS)} must be >= 1")
+    if any(e < 2 for e in out["extent"]):
+        raise ConfigError("extent entries must be >= 2")
+    distinct = {"bpt": 2, "lattice": 2, "m3": 3}.get(name, 1)
+    if len(set(out["zs"])) < distinct:
+        raise ConfigError(f"{name} needs {distinct} distinct z values")
+    if name == "lattice" and len(out["extent"]) != len(out["zs"]):
+        raise ConfigError("extent length must match the number of z values")
     return out
 
 
@@ -141,8 +182,17 @@ def validate_config(cfg: dict) -> dict:
 # scenario runners
 # ---------------------------------------------------------------------------------
 
+# scenarios whose pipeline is defined for some quadric kinds only
+_KINDS = {"backlund-qc": (qd.QC,), **{s: (qd.QWC, qd.IQWC) for s in (
+    "deform-0soliton", "backlund-qwc", "leaf-embed", "m3", "lattice")}}
+
+
 def _setup(cfg):
     q = _parse_quadric(cfg["quadric"])
+    kinds = _KINDS.get(cfg["scenario"], (q.kind,))
+    if q.kind not in kinds:
+        raise ConfigError(f"{cfg['scenario']} needs a {' or '.join(kinds)} "
+                          "quadric")
     lm = sc.lmap_for(q, seed=cfg["seed"])
     if lm is not None and cfg.get("canonicalize") and q.kind == qd.IQWC:
         lm, ok = qd.canonicalize_lmap(q, lm)
@@ -151,90 +201,82 @@ def _setup(cfg):
     return q, lm
 
 
-def run_ivory_check(cfg, outdir):
+def _soliton_data(cfg, q, lm):
+    """The run's grid and the base-node (V, lambda) of its zero-soliton."""
+    return (_parse_grid(cfg["grid"]),
+            *sc.default_soliton_data(q, lm, theta=cfg["lam_theta"]))
+
+
+def _fill_order_gap(fg, q, lm, contexts, extent, seed):
+    """The lattice filled in axis order, its holes, and its largest gap to the
+    lattice filled in reversed axis order."""
+    lat, holes = pm.lattice_build(fg, q, lm, contexts, extent, seed=seed)
+    alt, _ = pm.lattice_build(fg, q, lm, contexts, extent, seed=seed,
+                              order_axes=tuple(reversed(range(len(extent)))))
+    gap = max((float(np.max(np.abs(lat[k].R - alt[k].R)))
+               for k in lat if lat[k] is not None and alt[k] is not None),
+              default=0.0)
+    return lat, holes, gap
+
+
+def run_ivory_check(cfg, outdir, checks):
     q, lm = _setup(cfg)
-    tol = cfg["tol"]
-    t0 = time.time()
-    res = sc.ivory_suite(q, lm, int(cfg["samples"]), cfg["seed"])
-    checks = []
-    rows = []
-    for key in ("ivory_theorem", "tc_symmetry", "ruling_length",
-                "segment_ruling_angle", "ruling_angle", "polar_ruling_angle"):
-        checks.append(Check.make(key, res[key], tol["ivory_identities"],
-                                 res["samples"], t0))
-        rows.append((key, res[key]))
-    t1 = time.time()
-    lame = sc.lame_suite(q, lm, int(cfg["lame_samples"]), cfg["seed"] + 1)
-    checks.append(Check.make("lame_orthogonality", lame["lame"],
-                             tol["lame_orthogonality"], lame["samples"], t1))
-    rows.append(("lame_orthogonality", lame["lame"]))
+    with checks.stage("ivory_suite", cfg["samples"]):
+        res = sc.ivory_suite(q, lm, cfg["samples"], cfg["seed"])
+        for key in sc.IVORY_KEYS:
+            checks.add(key, res[key], "ivory_identities", res["samples"])
+    with checks.stage("lame_suite", cfg["lame_samples"]):
+        lame = sc.lame_suite(q, lm, cfg["lame_samples"], cfg["seed"] + 1)
+        checks.add("lame_orthogonality", lame["lame"], samples=lame["samples"])
     gridio.save_residual_csv(outdir / "ivory_residuals.csv",
-                             ["identity", "max_residual"], rows)
-    return checks
+                             ["identity", "max_residual"],
+                             [(c["name"], c["max_residual"])
+                              for c in checks.rows])
 
 
-def run_elliptic(cfg, outdir):
+def run_elliptic(cfg, outdir, checks):
     q, lm = _setup(cfg)
-    tol = cfg["tol"]
     rng = np.random.default_rng(cfg["seed"])
-    t0 = time.time()
-    worst_back = 0.0
-    worst_onq = 0.0
-    count = min(int(cfg["samples"]), 100)
-    rows = []
-    for i in range(count):
-        V = qd.random_chart_point(q, rng)
-        x = qd.chart_to_ambient(q, lm, V) + 0.05 * (
-            rng.standard_normal(q.dim) + 1j * rng.standard_normal(q.dim))
-        roots = qd.elliptic_coordinates(q, x)
-        back = max(abs(qd.eval_confocal(q, zk, x)) for zk in roots)
-        worst_back = max(worst_back, back)
-        roots_on = qd.elliptic_coordinates(q, qd.chart_to_ambient(q, lm, V))
-        worst_onq = max(worst_onq, float(np.min(np.abs(roots_on))))
-        rows.append((i, back))
-    checks = [
-        Check.make("elliptic_backward", worst_back, tol["elliptic_backward"],
-                   count, t0),
-        Check.make("elliptic_zero_root_on_quadric", worst_onq,
-                   tol["elliptic_backward"], count, t0),
-    ]
+    count = min(cfg["samples"], 100)
+    with checks.stage("elliptic_coordinates", count):
+        rows = []
+        on_quadric = [0.0]
+        for i in range(count):
+            V = qd.random_chart_point(q, rng)
+            x = qd.chart_to_ambient(q, lm, V) + 0.05 * (
+                rng.standard_normal(q.dim) + 1j * rng.standard_normal(q.dim))
+            roots = qd.elliptic_coordinates(q, x)
+            rows.append((i, max(abs(qd.eval_confocal(q, zk, x)) for zk in roots)))
+            roots_on = qd.elliptic_coordinates(q, qd.chart_to_ambient(q, lm, V))
+            on_quadric.append(float(np.min(np.abs(roots_on))))
+        checks.add("elliptic_backward", max([0.0] + [b for _, b in rows]))
+        checks.add("elliptic_zero_root_on_quadric", max(on_quadric),
+                   "elliptic_backward")
     gridio.save_residual_csv(outdir / "elliptic_residuals.csv",
                              ["sample", "backward_error"], rows)
-    return checks
 
 
-def run_deform(cfg, outdir):
+def run_deform(cfg, outdir, checks):
     q, lm = _setup(cfg)
-    tol = cfg["tol"]
-    t0 = time.time()
-    if q.kind == qd.QC:
-        raise ConfigError("deform-0soliton needs a QWC or IQWC quadric")
-    ok, off = df.peterson_admissible(q, lm)
-    checks = [Check.make("peterson_admissible", off, 1e-10, 1, t0)]
+    with checks.stage("peterson_admissible"):
+        ok, off = df.peterson_admissible(q, lm)
+        checks.add("peterson_admissible", off, 1e-10)
     if not ok:
-        return checks  # dependent checks skipped, recorded by the report
-    grid = _parse_grid(cfg["grid"])
-    v0, lam0 = sc.default_soliton_data(q, lm, theta=float(cfg["lam_theta"]))
-    pipe = sc.soliton_pipeline(q, lm, grid, v0, lam0, cfg["seed"])
-    nodes = int(np.prod(grid.shape))
-    checks += [
-        Check.make("prime_integral_drift", pipe["prime_integral_drift"],
-                   tol["prime_integral_drift"], nodes, t0),
-        Check.make("prime_integral_order", pipe["drift_ratio"],
-                   tol["order_ratio_min"], nodes, t0, invert=True),
-        Check.make("defqwc_soliton", pipe["defqwc"], tol["defqwc_soliton"],
-                   nodes, t0),
-        Check.make("gcmpr_gauss", max(pipe["gcmpr"]["gauss_base"],
-                                      pipe["gcmpr"]["gauss_deform"]),
-                   tol["gcmpr_soliton"], nodes, t0),
-        Check.make("gcmpr_cmp", pipe["gcmpr"]["cmp"], tol["gcmpr_soliton"],
-                   nodes, t0),
-        Check.make("gcmpr_ricci", pipe["gcmpr"]["ricci"],
-                   tol["gcmpr_soliton"], nodes, t0),
-        Check.make("chart_reproduction", pipe["chart_reproduction"], 1e-6,
-                   nodes, t0),
-        Check.make("frame_metric", pipe["frame_metric"], 1e-6, nodes, t0),
-    ]
+        return  # dependent checks skipped, recorded by the report
+    grid, v0, lam0 = _soliton_data(cfg, q, lm)
+    with checks.stage("soliton_pipeline", math.prod(grid.shape)):
+        pipe = sc.soliton_pipeline(q, lm, grid, v0, lam0, cfg["seed"])
+        gcmpr = pipe["gcmpr"]
+        checks.add("prime_integral_drift", pipe["prime_integral_drift"])
+        checks.add("prime_integral_order", pipe["drift_ratio"],
+                   "order_ratio_min")
+        checks.add("defqwc_soliton", pipe["defqwc"])
+        checks.add("gcmpr_gauss", max(gcmpr["gauss_base"], gcmpr["gauss_deform"]),
+                   "gcmpr_soliton")
+        checks.add("gcmpr_cmp", gcmpr["cmp"], "gcmpr_soliton")
+        checks.add("gcmpr_ricci", gcmpr["ricci"], "gcmpr_soliton")
+        checks.add("chart_reproduction", pipe["chart_reproduction"], 1e-6)
+        checks.add("frame_metric", pipe["frame_metric"], 1e-6)
     gridio.save_fieldgrid(outdir / "soliton", pipe["fg"], q, {
         "seeds": cfg["seeds"], "tolerances": dict(cfg["tol"])})
     gridio.save_residual_csv(
@@ -242,45 +284,30 @@ def run_deform(cfg, outdir):
         [("prime_integral_drift", grid.h[0], pipe["prime_integral_drift"]),
          ("prime_integral_drift", grid.refine(2).h[0],
           pipe["fine"].meta["prime_integral_drift"])])
-    return checks
 
 
-def run_backlund_qwc(cfg, outdir):
+def run_backlund_qwc(cfg, outdir, checks):
     q, lm = _setup(cfg)
-    tol = cfg["tol"]
-    if q.kind == qd.QC:
-        raise ConfigError("backlund-qwc needs a QWC or IQWC quadric")
-    grid = _parse_grid(cfg["grid"])
-    v0, lam0 = sc.default_soliton_data(q, lm, theta=float(cfg["lam_theta"]))
+    grid, v0, lam0 = _soliton_data(cfg, q, lm)
     z = cfg["zs"][0]
-    t0 = time.time()
-    pipe = sc.backlund_pipeline(q, lm, grid, v0, lam0, z, cfg["seed"])
-    nodes = int(np.prod(grid.shape))
-    checks = [
-        Check.make("riccati_drift", pipe["drift"], tol["riccati_drift"],
-                   nodes, t0),
-        Check.make("path_mismatch", pipe["mismatch"], tol["path_mismatch"],
-                   nodes, t0),
-        Check.make("path_mismatch_order", pipe["mismatch_ratio"],
-                   tol["order_ratio_min"], nodes, t0, invert=True),
-        Check.make("leaf_system_slope", abs(pipe["leaf_slope"] - 2.0),
-                   tol["slope_window"], nodes, t0),
-        Check.make("leaf_defqwc_slope", abs(pipe["def_slope"] - 2.0),
-                   tol["slope_window"], nodes, t0),
-    ]
-    t1 = time.time()
-    V, lam, R0, R1 = sc.random_state_batch(q, lm, int(cfg["samples"]),
-                                           cfg["seed"] + 3)
+    with checks.stage("backlund_pipeline", math.prod(grid.shape)):
+        pipe = sc.backlund_pipeline(q, lm, grid, v0, lam0, z, cfg["seed"])
+        checks.add("riccati_drift", pipe["drift"])
+        checks.add("path_mismatch", pipe["mismatch"])
+        checks.add("path_mismatch_order", pipe["mismatch_ratio"],
+                   "order_ratio_min")
+        checks.add("leaf_system_slope", abs(pipe["leaf_slope"] - 2.0),
+                   "slope_window")
+        checks.add("leaf_defqwc_slope", abs(pipe["def_slope"] - 2.0),
+                   "slope_window")
     ctx = pipe["ctx"]
-    V1, lam1 = bk.algebraic_transform_qwc(ctx, V, lam, R0, R1)
-    tres = bk.qwc_transform_residuals(ctx, V, lam, R0, R1, V1, lam1)
-    inv = bk.involution_residual(ctx, V, lam, R0, R1)
-    checks += [
-        Check.make("transform_identities", max(tres.values()),
-                   tol["transform_identities"], int(cfg["samples"]), t1),
-        Check.make("involution", inv, tol["involution"],
-                   int(cfg["samples"]), t1),
-    ]
+    with checks.stage("algebraic_transform", cfg["samples"]):
+        V, lam, R0, R1 = sc.random_state_batch(q, lm, cfg["samples"],
+                                               cfg["seed"] + 3)
+        V1, lam1 = bk.algebraic_transform_qwc(ctx, V, lam, R0, R1)
+        tres = bk.qwc_transform_residuals(ctx, V, lam, R0, R1, V1, lam1)
+        checks.add("transform_identities", max(tres.values()))
+        checks.add("involution", bk.involution_residual(ctx, V, lam, R0, R1))
     rows = [("leaf_system_residual", h, v)
             for h, v in zip(pipe["hs"], pipe["leaf_residuals"])]
     rows += [("path_mismatch", pipe["hs"][0], pipe["mismatch"]),
@@ -301,293 +328,210 @@ def run_backlund_qwc(cfg, outdir):
     gridio.save_residual_csv(outdir / "raw_drift.csv", ["arclength", "drift"],
                              zip(arclength.tolist(),
                                  pipe["run"].drift.ravel().tolist()))
-    return checks
 
 
-def run_backlund_qc(cfg, outdir):
+def run_backlund_qc(cfg, outdir, checks):
     q, _ = _setup(cfg)
-    tol = cfg["tol"]
-    if q.kind != qd.QC:
-        raise ConfigError("backlund-qc needs a QC quadric")
-    z = cfg["zs"][0]
-    count = int(cfg["samples"])
-    n = q.n
-    t0 = time.time()
-    ctx = bk.make_context(q, z)
-    aux = bk.qc_aux(ctx)
-    rng = np.random.default_rng(cfg["seed"])
-    worst_gap = 0.0
-    om = np.zeros((n, n), dtype=complex)
-    for i in range(min(count, 100)):
-        V0 = 0.4 * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
-        lam0 = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        R0 = sjcore.random_orthogonal(n, seed=cfg["seed"] + 2 * i)
-        R1 = sjcore.random_orthogonal(n, seed=cfg["seed"] + 2 * i + 1)
-        for k in range(n):
-            a = bk.riccati_rhs_qc(ctx, k, V0, lam0, R0, om, R1, aux)
-            b = bk.riccati_rhs_qc_expanded(ctx, k, V0, lam0, R0, om, R1)
-            worst_gap = max(worst_gap, float(np.max(np.abs(a - b))))
-    checks = [Check.make("qc_compact_vs_expanded", worst_gap,
-                         tol["qc_compact_vs_expanded"], min(count, 100), t0)]
+    z, count, n, seed = cfg["zs"][0], cfg["samples"], q.n, cfg["seed"]
+    rng = np.random.default_rng(seed)
+    with checks.stage("qc_compact_vs_expanded", min(count, 100)):
+        ctx = bk.make_context(q, z)
+        aux = bk.qc_aux(ctx)
+        om = np.zeros((n, n), dtype=complex)
+        gaps = [0.0]
+        for i in range(min(count, 100)):
+            V0 = 0.4 * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
+            lam0 = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+            R0 = sjcore.random_orthogonal(n, seed=seed + 2 * i)
+            R1 = sjcore.random_orthogonal(n, seed=seed + 2 * i + 1)
+            for k in range(n):
+                a = bk.riccati_rhs_qc(ctx, k, V0, lam0, R0, om, R1, aux)
+                b = bk.riccati_rhs_qc_expanded(ctx, k, V0, lam0, R0, om, R1)
+                gaps.append(float(np.max(np.abs(a - b))))
+        checks.add("qc_compact_vs_expanded", max(gaps))
     # dN = 2M dV and dU = 2W^T dV are exact at the midpoint (quadratic maps)
-    t1 = time.time()
-    Va = 0.4 * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
-    Vb = Va + 0.1 * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
-    mid = 0.5 * (Va + Vb)
-    dN = aux.N(Vb) - aux.N(Va) - 2.0 * aux.M(mid) @ (Vb - Va)
-    dU = aux.U(Vb) - aux.U(Va) - 2.0 * aux.W(mid) @ (Vb - Va)
-    checks.append(Check.make("qc_aux_differentials",
-                             float(max(np.max(np.abs(dN)), abs(dU))),
-                             1e-12, 1, t1))
-    t2 = time.time()
-    V, lam, R0b, R1b = sc.random_state_batch(q, None, count, cfg["seed"] + 5)
-    V1, lam1 = bk.algebraic_transform_qc(ctx, V, lam, R0b, R1b)
-    tres = bk.qc_transform_residuals(ctx, V, lam, R0b, R1b, V1, lam1)
-    inv = bk.involution_residual(ctx, V, lam, R0b, R1b)
-    checks += [
-        Check.make("qc_transform_identities", max(tres.values()),
-                   tol["transform_identities"], count, t2),
-        Check.make("qc_involution", inv, tol["involution"], count, t2),
-    ]
-    t3 = time.time()
-    Vl, laml, _, R1l = sc.random_state_batch(q, None, 1, cfg["seed"] + 9)
-    states, _, okline = bk.integrate_backlund_qc_line(
-        q, z, Vl[0], laml[0], R1l[0], length=0.4, steps=64)
-    R1s = states[:, 2 * n:].reshape(-1, n, n)
-    drift = float(np.max(np.abs(np.einsum("sij,skj->sik", R1s, R1s)
-                                - np.eye(n))))
-    checks.append(Check.make("qc_line_orthogonality", drift,
-                             tol["riccati_drift"], len(states), t3))
-    checks.append(Check.make("qc_line_completed", 0.0 if okline else 1.0,
-                             0.5, 1, t3))
+    with checks.stage("qc_aux_differentials"):
+        Va = 0.4 * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
+        Vb = Va + 0.1 * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
+        mid = 0.5 * (Va + Vb)
+        dN = aux.N(Vb) - aux.N(Va) - 2.0 * aux.M(mid) @ (Vb - Va)
+        dU = aux.U(Vb) - aux.U(Va) - 2.0 * aux.W(mid) @ (Vb - Va)
+        checks.add("qc_aux_differentials",
+                   float(max(np.max(np.abs(dN)), abs(dU))), 1e-12)
+    with checks.stage("qc_transform", count):
+        V, lam, R0, R1 = sc.random_state_batch(q, None, count, seed + 5)
+        V1, lam1 = bk.algebraic_transform_qc(ctx, V, lam, R0, R1)
+        tres = bk.qc_transform_residuals(ctx, V, lam, R0, R1, V1, lam1)
+        checks.add("qc_transform_identities", max(tres.values()),
+                   "transform_identities")
+        checks.add("qc_involution", bk.involution_residual(ctx, V, lam, R0, R1),
+                   "involution")
+    with checks.stage("qc_line", 64):
+        Vl, laml, _, R1l = sc.random_state_batch(q, None, 1, seed + 9)
+        states, _, okline = bk.integrate_backlund_qc_line(
+            q, z, Vl[0], laml[0], R1l[0], length=0.4, steps=64)
+        R1s = states[:, 2 * n:].reshape(-1, n, n)
+        drift = float(np.max(np.abs(np.einsum("sij,skj->sik", R1s, R1s)
+                                    - np.eye(n))))
+        checks.add("qc_line_orthogonality", drift, "riccati_drift", len(states))
+        checks.add("qc_line_completed", 0.0 if okline else 1.0, 0.5, 1)
     gridio.save_residual_csv(outdir / "qc_checks.csv",
                              ["check", "value"],
-                             [("compact_vs_expanded", worst_gap),
+                             [("compact_vs_expanded", max(gaps)),
                               ("line_orthogonality", drift)])
-    return checks
 
 
-def run_leaf_embed(cfg, outdir):
+def run_leaf_embed(cfg, outdir, checks):
     q, lm = _setup(cfg)
-    tol = cfg["tol"]
-    if q.kind == qd.QC:
-        raise ConfigError("leaf-embed needs a QWC or IQWC quadric")
-    grid = _parse_grid(cfg["grid"])
-    v0, lam0 = sc.default_soliton_data(q, lm, theta=float(cfg["lam_theta"]))
-    z = cfg["zs"][0]
-    t0 = time.time()
-    fg = df.zero_soliton(q, lm, grid, v0, lam0)
-    ff = df.forms_assemble(fg, q, lm, seed=cfg["seed"])
-    ctx = bk.make_context(q, z, lm)
-    run = bk.integrate_backlund(fg, ctx,
-                                sjcore.random_orthogonal(q.n, cfg["seed"]))
-    V1, lam1 = bk.algebraic_transform_qwc(ctx, fg.V, fg.lam, fg.R, run.R1)
-    nodes = int(np.prod(grid.shape))
-    emb_d = bk.leaf_embed(q, lm, ctx, fg, ff, V1, lam1, run.R1, frame=None)
-    frame = df.seed_frame(q, lm, fg, seed=cfg["seed"], deformation=True)
-    emb_g = bk.leaf_embed(q, lm, ctx, fg, ff, V1, lam1, run.R1, frame=frame)
-    rng = np.random.default_rng(cfg["seed"])
-    worst = {"coefficient_isotropy": 0.0, "ruling": 0.0,
-             "negative_control": np.inf}
+    grid, v0, lam0 = _soliton_data(cfg, q, lm)
+    seed, nodes = cfg["seed"], math.prod(grid.shape)
+    with checks.stage("degenerate_leaf", nodes):
+        fg = df.zero_soliton(q, lm, grid, v0, lam0)
+        ff = df.forms_assemble(fg, q, lm, seed=seed)
+        ctx = bk.make_context(q, cfg["zs"][0], lm)
+        run = bk.integrate_backlund(fg, ctx, sjcore.random_orthogonal(q.n, seed))
+        V1, lam1 = bk.algebraic_transform_qwc(ctx, fg.V, fg.lam, fg.R, run.R1)
+        emb_d = bk.leaf_embed(q, lm, ctx, fg, ff, V1, lam1, run.R1, frame=None)
+        checks.add("leaf_on_confocal", emb_d.residuals["leaf_on_confocal"])
+        checks.add("degenerate_metric_scaling",
+                   emb_d.residuals["metric_scaling"], 1e-10)
     picks = min(nodes, 64)
-    all_idx = np.array(list(np.ndindex(*grid.shape)))
-    for row in rng.choice(all_idx, picks, replace=False):
-        idx = tuple(int(i) for i in row)
-        for rep in bk.ruling_facet_check(q, lm, ctx, fg.V[idx], V1[idx],
-                                         seed=cfg["seed"]):
-            worst["coefficient_isotropy"] = max(worst["coefficient_isotropy"],
-                                                rep["coefficient_isotropy"])
-            worst["ruling"] = max(worst["ruling"], rep["ruling"])
-            worst["negative_control"] = min(worst["negative_control"],
-                                            rep["negative_control"])
-    checks = [
-        Check.make("leaf_on_confocal", emb_d.residuals["leaf_on_confocal"],
-                   tol["leaf_on_confocal"], nodes, t0),
-        Check.make("degenerate_metric_scaling",
-                   emb_d.residuals["metric_scaling"], 1e-10, nodes, t0),
-        Check.make("ruling", worst["ruling"], tol["ruling"], picks, t0),
-        Check.make("coefficient_isotropy", worst["coefficient_isotropy"],
-                   tol["coefficient_isotropy"], picks, t0),
-        Check.make("ruling_negative_control", worst["negative_control"],
-                   1e-3, picks, t0, invert=True),
-        Check.make("acpia_exact", emb_g.residuals["acpia_exact"],
-                   tol["acpia"], nodes, t0),
-        Check.make("acpia_fd", emb_g.residuals["acpia_fd"], tol["acpia"],
-                   nodes, t0),
-        Check.make("joined_forms", emb_g.residuals["fund"],
-                   tol["joined_forms"], nodes, t0),
-        Check.make("asymptotic_correspondence",
-                   bk.asymptotic_directions(ff), 1e-10, nodes, t0),
-    ]
+    with checks.stage("ruling_facet_check", picks):
+        rng = np.random.default_rng(seed)
+        idx = np.indices(grid.shape).reshape(grid.n, -1).T
+        reps = [rep for row in rng.choice(idx, picks, replace=False)
+                for rep in bk.ruling_facet_check(q, lm, ctx, fg.V[tuple(row)],
+                                                 V1[tuple(row)], seed=seed)]
+        for key in ("ruling", "coefficient_isotropy"):
+            checks.add(key, max([0.0] + [r[key] for r in reps]))
+        checks.add("ruling_negative_control",
+                   min([np.inf] + [r["negative_control"] for r in reps]), 1e-3)
+    with checks.stage("general_leaf", nodes):
+        frame = df.seed_frame(q, lm, fg, seed=seed, deformation=True)
+        emb_g = bk.leaf_embed(q, lm, ctx, fg, ff, V1, lam1, run.R1, frame=frame)
+        checks.add("acpia_exact", emb_g.residuals["acpia_exact"], "acpia")
+        checks.add("acpia_fd", emb_g.residuals["acpia_fd"], "acpia")
+        checks.add("joined_forms", emb_g.residuals["fund"])
+        checks.add("asymptotic_correspondence", bk.asymptotic_directions(ff),
+                   1e-10)
     gridio.save_residual_csv(
         outdir / "leaf_embed_residuals.csv", ["check", "value"],
         [(k, v) for k, v in emb_g.residuals.items() if isinstance(v, float)])
-    return checks
 
 
-def run_bpt(cfg, outdir):
+def run_bpt(cfg, outdir, checks):
     q, lm = _setup(cfg)
-    tol = cfg["tol"]
-    z1, z2 = cfg["zs"][0], cfg["zs"][1]
-    c1 = bk.make_context(q, z1, lm)
-    c2 = bk.make_context(q, z2, lm)
-    n = q.n
-    count = int(cfg["samples"])
-    t0 = time.time()
-    # R0, R1, R2 of sample i are drawn with seeds seed + 3i, + 3i + 1, + 3i + 2
-    seed = cfg["seed"]
-    R0, R1, R2 = np.stack(
-        [[sjcore.random_orthogonal(n, seed=seed + 3 * i + j) for j in range(3)]
-         for i in range(count)], axis=1)
-    R3 = pm.bpt_compose(R0, R1, R2, c1.D, c2.D)
-    worst_o = float(np.max(np.abs(R3 @ np.swapaxes(R3, -1, -2) - np.eye(n))))
-    worst_id = pm.bpt_orthogonality_identity(R1, R2, c1.D, c2.D)
-    worst_sc = pm.bpt_scalar_identity(R0, R1, R2, R3, c1.D, c2.D, z1, z2)
+    z1, z2 = cfg["zs"][:2]
+    c1, c2 = bk.make_context(q, z1, lm), bk.make_context(q, z2, lm)
+    n, count, seed = q.n, cfg["samples"], cfg["seed"]
     # the superposition formula is derived for the (I)QWC system only; on a
     # QC quadric the run degrades to this algebraic experiment and the check
     # names say so ("extrapolated"), with no differential-level claim made
     prefix = "extrapolated_qc_" if q.kind == qd.QC else ""
-    checks = [
-        Check.make(prefix + "bpt_orthogonality", worst_o,
-                   tol["bpt_orthogonality"], count, t0),
-        Check.make(prefix + "bpt_matrix_identity", worst_id,
-                   tol["bpt_matrix_identity"], count, t0),
-        Check.make(prefix + "bpt_scalar_identity", worst_sc,
-                   tol["bpt_scalar_identity"], count, t0),
-    ]
+    with checks.stage("bpt_samples", count):
+        # R0, R1, R2 of sample i are drawn with seeds seed + 3i, + 3i + 1, + 3i + 2
+        R0, R1, R2 = np.stack(
+            [[sjcore.random_orthogonal(n, seed=seed + 3 * i + j) for j in range(3)]
+             for i in range(count)], axis=1)
+        R3 = pm.bpt_compose(R0, R1, R2, c1.D, c2.D)
+        orth = float(np.max(np.abs(R3 @ np.swapaxes(R3, -1, -2) - np.eye(n))))
+        checks.add(prefix + "bpt_orthogonality", orth, "bpt_orthogonality")
+        checks.add(prefix + "bpt_matrix_identity",
+                   pm.bpt_orthogonality_identity(R1, R2, c1.D, c2.D),
+                   "bpt_matrix_identity")
+        checks.add(prefix + "bpt_scalar_identity",
+                   pm.bpt_scalar_identity(R0, R1, R2, R3, c1.D, c2.D, z1, z2),
+                   "bpt_scalar_identity")
     if q.kind == qd.QC:
-        return checks
-    t1 = time.time()
-    grid = _parse_grid(cfg["grid"])
-    v0, lam0 = sc.default_soliton_data(q, lm, theta=float(cfg["lam_theta"]))
-    resid = []
-    hs = []
-    rep0 = None
-    fg0 = None
-    for r in (1, 2, 4):
-        g = grid if r == 1 else grid.refine(r)
-        fg = df.zero_soliton(q, lm, g, v0, lam0)
-        r1 = bk.integrate_backlund(fg, c1,
-                                   sjcore.random_orthogonal(n, cfg["seed"]))
-        r2 = bk.integrate_backlund(fg, c2,
-                                   sjcore.random_orthogonal(n, cfg["seed"] + 1))
-        R3f = pm.bpt_compose_field(fg.R, r1.R1, r2.R1, c1.D, c2.D)
-        rep = pm.bpt_verify(fg, r1.R1, r2.R1, R3f, c1, c2)
-        resid.append(max(rep["riccati_seed_r1"], rep["riccati_seed_r2"]))
-        hs.append(g.h[0])
-        if r == 1:
-            rep0, fg0 = rep, fg
-    slope = loglog_slope(hs, resid)
-    checks += [
-        Check.make("bpt_field_scalar_identity", rep0["scalar_identity"],
-                   tol["riccati_drift"], 1, t1),
-        Check.make("bpt_riccati_slope", abs(slope - 2.0),
-                   tol["slope_window"], 1, t1),
-    ]
-    t2 = time.time()
-    lat_a, _ = pm.lattice_build(fg0, q, lm, {0: c1, 1: c2}, (3, 3),
-                                seed=cfg["seed"], order_axes=(0, 1))
-    lat_b, _ = pm.lattice_build(fg0, q, lm, {0: c1, 1: c2}, (3, 3),
-                                seed=cfg["seed"], order_axes=(1, 0))
-    gap = max(float(np.max(np.abs(lat_a[k].R - lat_b[k].R)))
-              for k in lat_a if lat_a[k] is not None and lat_b[k] is not None)
-    checks.append(Check.make("lattice_order_agreement", gap,
-                             tol["lattice_order_agreement"], 9, t2))
+        return
+    grid, v0, lam0 = _soliton_data(cfg, q, lm)
+    grids = [grid.refine(r) for r in (1, 2, 4)]
+    with checks.stage("bpt_field", sum(math.prod(g.shape) for g in grids)):
+        resid = []
+        for g in grids:
+            fg = df.zero_soliton(q, lm, g, v0, lam0)
+            r1 = bk.integrate_backlund(fg, c1, sjcore.random_orthogonal(n, seed))
+            r2 = bk.integrate_backlund(fg, c2,
+                                       sjcore.random_orthogonal(n, seed + 1))
+            R3f = pm.bpt_compose_field(fg.R, r1.R1, r2.R1, c1.D, c2.D)
+            rep = pm.bpt_verify(fg, r1.R1, r2.R1, R3f, c1, c2)
+            resid.append(max(rep["riccati_seed_r1"], rep["riccati_seed_r2"]))
+            if g is grids[0]:
+                rep0, fg0 = rep, fg
+        hs = [g.h[0] for g in grids]
+        checks.add("bpt_field_scalar_identity", rep0["scalar_identity"],
+                   "riccati_drift", 1)
+        checks.add("bpt_riccati_slope", abs(loglog_slope(hs, resid) - 2.0),
+                   "slope_window", 1)
+    with checks.stage("lattice_fill_order", 9):
+        *_, gap = _fill_order_gap(fg0, q, lm, {0: c1, 1: c2}, (3, 3), seed)
+        checks.add("lattice_order_agreement", gap)
     gridio.save_residual_csv(outdir / "raw_convergence.csv",
                              ["metric", "h", "value"],
                              [("bpt_riccati_residual", h, v)
                               for h, v in zip(hs, resid)])
-    return checks
 
 
-def run_m3(cfg, outdir):
+def run_m3(cfg, outdir, checks):
     q, lm = _setup(cfg)
-    tol = cfg["tol"]
-    z1, z2, z3 = cfg["zs"][:3]
-    c1, c2, c3 = (bk.make_context(q, z, lm) for z in (z1, z2, z3))
-    n = q.n
-    t0 = time.time()
-    Rx = sjcore.random_orthogonal(n, seed=cfg["seed"])
-    _, gap_deg, _ = pm.m3_r7(Rx, Rx, Rx, Rx, c1.D, c2.D, c3.D, z1, z2, z3)
-    grid = _parse_grid(cfg["grid"])
-    v0, lam0 = sc.default_soliton_data(q, lm, theta=float(cfg["lam_theta"]))
-    fg = df.zero_soliton(q, lm, grid, v0, lam0)
-    lat, holes = pm.lattice_build(fg, q, lm, {0: c1, 1: c2, 2: c3},
-                                  (2, 2, 2), seed=cfg["seed"])
-    legs = (lat[(1, 0, 0)].R, lat[(0, 1, 0)].R, lat[(0, 0, 1)].R)
-    R7f, gap_int = pm.m3_r7_field(fg.R, *legs, c1, c2, c3)
-    cube_gap = (float(np.max(np.abs(lat[(1, 1, 1)].R - R7f)))
-                if lat[(1, 1, 1)] is not None else np.inf)
-    nodes = int(np.prod(grid.shape))
-    return [
-        Check.make("m3_degenerate", gap_deg, tol["m3_degenerate"], 1, t0),
-        Check.make("m3_integrated", gap_int, tol["m3_integrated"], nodes, t0),
-        Check.make("m3_cube_closure", cube_gap, tol["m3_integrated"],
-                   nodes, t0),
-        Check.make("m3_lattice_holes", float(len(holes)), 0.5, 8, t0),
-    ]
+    zs = cfg["zs"][:3]
+    contexts = [bk.make_context(q, z, lm) for z in zs]
+    with checks.stage("m3_degenerate"):
+        Rx = sjcore.random_orthogonal(q.n, seed=cfg["seed"])
+        _, gap_deg, _ = pm.m3_r7(Rx, Rx, Rx, Rx, *(c.D for c in contexts), *zs)
+        checks.add("m3_degenerate", gap_deg)
+    grid, v0, lam0 = _soliton_data(cfg, q, lm)
+    with checks.stage("m3_lattice", math.prod(grid.shape)):
+        fg = df.zero_soliton(q, lm, grid, v0, lam0)
+        lat, holes = pm.lattice_build(fg, q, lm, dict(enumerate(contexts)),
+                                      (2, 2, 2), seed=cfg["seed"])
+        legs = (lat[(1, 0, 0)].R, lat[(0, 1, 0)].R, lat[(0, 0, 1)].R)
+        R7f, gap_int = pm.m3_r7_field(fg.R, *legs, *contexts)
+        cube_gap = (float(np.max(np.abs(lat[(1, 1, 1)].R - R7f)))
+                    if lat[(1, 1, 1)] is not None else np.inf)
+        checks.add("m3_integrated", gap_int)
+        checks.add("m3_cube_closure", cube_gap, "m3_integrated")
+        checks.add("m3_lattice_holes", float(len(holes)), 0.5, 8)
 
 
-def run_lattice(cfg, outdir):
+def run_lattice(cfg, outdir, checks):
     q, lm = _setup(cfg)
-    tol = cfg["tol"]
-    zs = cfg["zs"]
-    contexts = {i: bk.make_context(q, z, lm) for i, z in enumerate(zs)}
-    extent = tuple(int(e) for e in cfg["extent"])
-    if len(extent) != len(zs):
-        raise ConfigError("extent length must match the number of z values")
-    grid = _parse_grid(cfg["grid"])
-    v0, lam0 = sc.default_soliton_data(q, lm, theta=float(cfg["lam_theta"]))
-    t0 = time.time()
-    fg = df.zero_soliton(q, lm, grid, v0, lam0)
-    lat, holes = pm.lattice_build(fg, q, lm, contexts, extent,
-                                  seed=cfg["seed"])
-    lat_alt, _ = pm.lattice_build(fg, q, lm, contexts, extent,
-                                  seed=cfg["seed"],
-                                  order_axes=tuple(reversed(range(len(extent)))))
-    gap = max((float(np.max(np.abs(lat[k].R - lat_alt[k].R)))
-               for k in lat if lat[k] is not None and lat_alt[k] is not None),
-              default=0.0)
-    rows = []
-    worst_scalar = 0.0
-    if len(extent) == 2:
-        for i in range(extent[0] - 1):
-            for j in range(extent[1] - 1):
-                cells = [lat[(i, j)], lat[(i + 1, j)], lat[(i, j + 1)],
-                         lat[(i + 1, j + 1)]]
+    contexts = {i: bk.make_context(q, z, lm) for i, z in enumerate(cfg["zs"])}
+    extent = tuple(cfg["extent"])
+    grid, v0, lam0 = _soliton_data(cfg, q, lm)
+    with checks.stage("lattice", math.prod(grid.shape)):
+        fg = df.zero_soliton(q, lm, grid, v0, lam0)
+        lat, holes, gap = _fill_order_gap(fg, q, lm, contexts, extent,
+                                          cfg["seed"])
+        rows = []
+        if len(extent) == 2:
+            for i, j in itertools.product(range(extent[0] - 1),
+                                          range(extent[1] - 1)):
+                cells = [lat[(i + a, j + b)]
+                         for a, b in ((0, 0), (1, 0), (0, 1), (1, 1))]
                 if any(c is None for c in cells):
                     continue
                 rep = pm.bpt_verify(cells[0], cells[1].R, cells[2].R,
                                     cells[3].R, contexts[0], contexts[1])
                 rows.append((f"{i}:{j}", rep["scalar_identity"]))
-                worst_scalar = max(worst_scalar, rep["scalar_identity"])
-    nodes = int(np.prod(grid.shape))
-    checks = [
-        Check.make("lattice_order_agreement", gap,
-                   tol["lattice_order_agreement"], nodes, t0),
-        Check.make("lattice_square_scalar", worst_scalar,
-                   10 * tol["riccati_drift"], max(len(rows), 1), t0),
-        Check.make("lattice_holes", float(len(holes)), 0.5, 1, t0),
-    ]
+        checks.add("lattice_order_agreement", gap)
+        checks.add("lattice_square_scalar", max([0.0] + [v for _, v in rows]),
+                   10 * checks.tol["riccati_drift"], max(len(rows), 1))
+        checks.add("lattice_holes", float(len(holes)), 0.5, 1)
     gridio.save_lattice(outdir / "lattice",
                         {k: (v.R if v is not None else None)
                          for k, v in lat.items()}, rows)
-    return checks
 
 
-def run_sine_gordon(cfg, outdir):
-    tol = cfg["tol"]
-    grid = _parse_grid(cfg["grid"])
-    t0 = time.time()
-    res = sc.sine_gordon_suite(grid, int(cfg["fields"]), cfg["seed"])
-    rows = [(i, abs(c)) for i, c in enumerate(res["constants"])]
+def run_sine_gordon(cfg, outdir, checks):
+    with checks.stage("sine_gordon_suite", cfg["fields"]):
+        res = sc.sine_gordon_suite(_parse_grid(cfg["grid"]), cfg["fields"],
+                                   cfg["seed"])
+        checks.add("sine_gordon_correlation", res["correlation_min"],
+                   "sg_correlation_min")
     gridio.save_residual_csv(outdir / "sine_gordon_constants.csv",
-                             ["field", "fitted_constant_abs"], rows)
-    return [
-        Check.make("sine_gordon_correlation", res["correlation_min"],
-                   tol["sg_correlation_min"], int(cfg["fields"]), t0,
-                   invert=True),
-    ]
+                             ["field", "fitted_constant_abs"],
+                             [(i, abs(c)) for i, c in enumerate(res["constants"])])
 
 
 RUNNERS = {
@@ -602,6 +546,7 @@ RUNNERS = {
     "lattice": run_lattice,
     "sine-gordon": run_sine_gordon,
 }
+SCENARIOS = tuple(RUNNERS)
 
 
 def run_scenario(cfg: dict, outdir) -> dict:
@@ -613,14 +558,16 @@ def run_scenario(cfg: dict, outdir) -> dict:
     cfg = validate_config(cfg)
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    t0 = time.time()
+    checks = Checks(cfg["tol"])
+    t0 = time.perf_counter()
     try:
-        checks = RUNNERS[cfg["scenario"]](cfg, outdir)
+        RUNNERS[cfg["scenario"]](cfg, outdir, checks)
     except ConfigError:
         raise
     except ConfocalError as exc:
-        checks = [Check(f"error:{type(exc).__name__}", float("inf"), 0.0,
-                        False, 0, round(time.time() - t0, 3))]
+        checks.rows = [{"name": f"error:{type(exc).__name__}", "max_residual": np.inf,
+                        "tolerance": 0.0, "passed": False, "samples": 0,
+                        "runtime_s": round(time.perf_counter() - t0, 3)}]
     blob = json.dumps({k: v for k, v in cfg.items()
                        if k not in ("tol", "zs", "seed")},
                       sort_keys=True, default=str).encode()
@@ -630,9 +577,10 @@ def run_scenario(cfg: dict, outdir) -> dict:
         "config_hash": hashlib.sha256(blob).hexdigest(),
         "seeds": cfg["seeds"],
         "tolerances": dict(cfg["tol"]),
-        "checks": [asdict(c) for c in checks],
-        "passed": all(c.passed for c in checks),
-        "runtime_s": round(time.time() - t0, 3),
+        "checks": checks.rows,
+        "stages": checks.stages,
+        "passed": all(c["passed"] for c in checks.rows),
+        "runtime_s": round(time.perf_counter() - t0, 6),
     }
     (outdir / "report.json").write_text(json.dumps(report, indent=2,
                                                    sort_keys=True) + "\n")
@@ -650,46 +598,35 @@ def emit_plotdata(run_dir) -> list:
     if not (run_dir / "report.json").exists():
         raise MissingRun(f"no report.json under {run_dir}")
     written = []
+
+    def read(path):
+        lines = path.read_text().strip().split("\n")[1:]
+        return [line.split(",") for line in lines]
+
+    def emit(name, columns, rows):
+        gridio.save_residual_csv(run_dir / name, columns, rows)
+        written.append(run_dir / name)
+
     raw = run_dir / "raw_convergence.csv"
     if raw.exists():
-        lines = raw.read_text().strip().split("\n")[1:]
         series = {}
-        for line in lines:
-            metric, h, v = line.split(",")
+        for metric, h, v in read(raw):
             series.setdefault(metric, []).append((float(h), float(v)))
-        rows = []
-        fits = []
-        for metric, pts in sorted(series.items()):
-            for h, v in sorted(pts, reverse=True):
-                rows.append((metric, h, v))
-            if len(pts) >= 2:
-                hs, vs = zip(*pts)
-                fits.append((metric, loglog_slope(hs, vs)))
-        gridio.save_residual_csv(run_dir / "convergence.csv",
-                                 ["metric", "h", "value"], rows)
-        gridio.save_residual_csv(run_dir / "convergence_fits.csv",
-                                 ["metric", "slope"], fits)
-        written += [run_dir / "convergence.csv",
-                    run_dir / "convergence_fits.csv"]
+        series = sorted(series.items())
+        emit("convergence.csv", ["metric", "h", "value"],
+             [(metric, h, v) for metric, pts in series
+              for h, v in sorted(pts, reverse=True)])
+        emit("convergence_fits.csv", ["metric", "slope"],
+             [(metric, loglog_slope(*zip(*pts))) for metric, pts in series
+              if len(pts) >= 2])
     raw = run_dir / "raw_drift.csv"
     if raw.exists():
-        lines = raw.read_text().strip().split("\n")[1:]
-        pts = sorted((float(a), float(b)) for a, b in
-                     (line.split(",") for line in lines))
-        gridio.save_residual_csv(run_dir / "drift_vs_arclength.csv",
-                                 ["arclength", "drift"], pts)
-        written.append(run_dir / "drift_vs_arclength.csv")
-    lat = run_dir / "lattice" / "residuals.csv"
-    if lat.exists():
-        lines = lat.read_text().strip().split("\n")[1:]
-        rows = []
-        for line in lines:
-            key, v = line.rsplit(",", 1)
-            ij = key.split(":")
-            rows.append((int(ij[0]), int(ij[1]), float(v)))
-        gridio.save_residual_csv(run_dir / "lattice_heatmap.csv",
-                                 ["i", "j", "residual"], rows)
-        written.append(run_dir / "lattice_heatmap.csv")
+        emit("drift_vs_arclength.csv", ["arclength", "drift"],
+             sorted((float(a), float(d)) for a, d in read(raw)))
+    raw = run_dir / "lattice" / "residuals.csv"
+    if raw.exists():
+        emit("lattice_heatmap.csv", ["i", "j", "residual"],
+             [(*map(int, key.split(":")), float(v)) for key, v in read(raw)])
     return written
 
 
@@ -704,8 +641,8 @@ def main(argv=None) -> int:
     runp.add_argument("--config", type=Path, help="JSON config file")
     runp.add_argument("--out", type=Path, default=Path("confocal-run"))
     runp.add_argument("--seed", type=int, help="override the master seed")
-    runp.add_argument("--tol-scale", type=float, default=1.0,
-                      help="multiply all residual tolerances")
+    runp.add_argument("--tol-scale", type=float, help="multiply all residual "
+                      "tolerances; overrides the config's tol_scale")
     plotp = sub.add_parser("plotdata", help="emit plot-ready CSV tables")
     plotp.add_argument("rundir", type=Path)
     args = parser.parse_args(argv)
@@ -722,19 +659,20 @@ def main(argv=None) -> int:
     if args.command != "run":
         parser.print_help()
         return 2
-    cfg = {}
-    if args.config:
-        try:
-            cfg = json.loads(args.config.read_text())
-        except (OSError, json.JSONDecodeError) as exc:
-            print(f"config error: {exc}", file=sys.stderr)
-            return 2
-    if args.scenario:
-        cfg["scenario"] = args.scenario
-    if args.seed is not None:
-        cfg.setdefault("seeds", {})["master"] = args.seed
-    cfg["tol_scale"] = args.tol_scale
     try:
+        cfg = json.loads(args.config.read_text()) if args.config else {}
+    except (OSError, ValueError) as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return 2
+    try:
+        if not isinstance(cfg, dict) or not isinstance(cfg.get("seeds", {}), dict):
+            raise ConfigError("the config and its seeds must be JSON objects")
+        if args.scenario:
+            cfg["scenario"] = args.scenario
+        if args.seed is not None:
+            cfg.setdefault("seeds", {})["master"] = args.seed
+        if args.tol_scale is not None:
+            cfg["tol_scale"] = args.tol_scale
         report = run_scenario(cfg, args.out)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

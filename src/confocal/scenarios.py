@@ -115,6 +115,10 @@ def _ruling_batch(q, x0, T, rng):
     return w, ok
 
 
+IVORY_KEYS = ("ivory_theorem", "tc_symmetry", "ruling_length",
+              "segment_ruling_angle", "ruling_angle", "polar_ruling_angle")
+
+
 def ivory_suite(q, lm, samples: int, seed: int, n_z: int = 8) -> dict:
     """Max residuals of the six Ivory-affinity identities over random samples.
 
@@ -124,10 +128,8 @@ def ivory_suite(q, lm, samples: int, seed: int, n_z: int = 8) -> dict:
     (counted separately).
     """
     per = max(1, samples // n_z)
-    keys = ("ivory_theorem", "tc_symmetry", "ruling_length",
-            "segment_ruling_angle", "ruling_angle", "polar_ruling_angle")
     batches = [_ivory_batch(q, lm, per, seed + 101 * i) for i in range(n_z)]
-    out = {k: max(b[k] for b in batches) for k in keys}
+    out = {k: max(b[k] for b in batches) for k in IVORY_KEYS}
     out["samples"] = sum(b["samples"] for b in batches)
     out["degenerate_skipped"] = sum(b["degenerate_skipped"] for b in batches)
     return out

@@ -1,13 +1,15 @@
 """Serialization round-trips, CLI scenario plumbing, exit codes, determinism,
 and plot-data emission."""
 
+import ast
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from confocal import backlund as bk, cli, gridio, permute as pm
-from confocal.errors import ConfigError, MissingRun
+from confocal import backlund as bk, cli, gridio, permute as pm, scenarios as sc
+from confocal.errors import ConfigError, MissingRun, MultipleRoot
 from confocal.sjcore import random_orthogonal
 
 
@@ -61,6 +63,36 @@ class TestConfigValidation:
     def test_bad_quadric(self):
         with pytest.raises(ConfigError):
             cli._parse_quadric({"kind": "QC", "blocks": [{"a": [0, 0], "p": 1}]})
+
+    @pytest.mark.parametrize("cfg", [
+        {"scenario": "sine-gordon", "fields": 0},
+        {"scenario": "ivory-check", "samples": "abc"},
+        {"scenario": "ivory-check", "lame_samples": 0},
+        {"scenario": "ivory-check", "seeds": 5},
+        {"scenario": "ivory-check", "z": 5},
+        {"scenario": "ivory-check", "tol_scale": "x"},
+        {"scenario": "ivory-check", "tolerances": [1e-3]},
+        {"scenario": "ivory-check", "quadric": {"kind": "QWC", "blocks": [{"p": 1}]}},
+        {"scenario": "deform-0soliton", "lam_theta": "x"},
+        ["ivory-check"],
+        {"scenario": "lattice", "extent": [1, 3]},
+        {"scenario": "backlund-qwc", "grid": {"axes": [[0.0, 0.3, 4]] * 2}},
+        {"scenario": "leaf-embed", "grid": {"axes": [[0.0, 0.3, 3]] * 2}},
+        {"scenario": "bpt", "grid": {"axes": [[0.0, 0.3, 4]] * 2}},
+        {"scenario": "lattice", "grid": {"axes": [[0.0, 0.3, 3]] * 2}},
+        {"scenario": "m3", "grid": {"axes": [[0.0, 0.3, 4]] * 2}},
+        {"scenario": "deform-0soliton", "grid": {"axes": [[0.0, 0.3, 4]] * 2}},
+        {"scenario": "m3", "quadric": cli._QC_DEFAULT},
+        {"scenario": "lattice", "quadric": cli._QC_DEFAULT},
+    ], ids=lambda c: json.dumps(c)[:60])
+    def test_malformed_config_exits_2(self, cfg, tmp_path, capsys):
+        cfgfile = tmp_path / "bad.json"
+        cfgfile.write_text(json.dumps(cfg))
+        rc = cli.main(["run", "--config", str(cfgfile), "--out",
+                       str(tmp_path / "out")])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("config error:")
+        assert not (tmp_path / "out" / "report.json").exists()
 
 
 class TestRunScenario:
@@ -159,6 +191,107 @@ class TestRunScenario:
                                    "lame_samples": 5, "tol_scale": 10.0},
                                   tmp_path / "s")
         assert report["tolerances"]["ivory_identities"] == 1e-9
+
+    def test_tol_scale_flag_overrides_config_only_when_given(self, tmp_path):
+        cfgfile = tmp_path / "scaled.json"
+        cfgfile.write_text(json.dumps({"scenario": "ivory-check", "samples": 16,
+                                       "lame_samples": 2, "tol_scale": 10}))
+        for extra, scale in (([], 10), (["--tol-scale", "2"], 2.0)):
+            out = tmp_path / f"run{len(extra)}"
+            assert cli.main(["run", "--config", str(cfgfile), "--out",
+                             str(out)] + extra) == 0
+            report = json.loads((out / "report.json").read_text())
+            assert (report["tolerances"]["riccati_drift"]
+                    == sc.TOLERANCES["riccati_drift"] * scale)
+
+    def test_module_error_becomes_single_error_check(self, tmp_path,
+                                                     monkeypatch):
+        def fail(*args, **kwargs):
+            raise MultipleRoot("forced")
+
+        monkeypatch.setattr(sc, "lame_suite", fail)
+        report = cli.run_scenario({"scenario": "ivory-check", "samples": 16,
+                                   "lame_samples": 2}, tmp_path / "err")
+        assert not report["passed"]
+        assert [c["name"] for c in report["checks"]] == ["error:MultipleRoot"]
+        assert [s["name"] for s in report["stages"]] == ["ivory_suite",
+                                                         "lame_suite"]
+
+
+_SMALL = {"axes": [[0.0, 0.3, 6], [0.0, 0.3, 6]]}
+# tiny configs of the ten scenarios and, per stage, the checks it records
+_STAGED = {
+    "ivory-check": ({"samples": 16, "lame_samples": 2}, [
+        ("ivory_suite", ["ivory_theorem", "tc_symmetry", "ruling_length",
+                         "segment_ruling_angle", "ruling_angle",
+                         "polar_ruling_angle"]),
+        ("lame_suite", ["lame_orthogonality"])]),
+    "elliptic": ({"samples": 3}, [
+        ("elliptic_coordinates", ["elliptic_backward",
+                                  "elliptic_zero_root_on_quadric"])]),
+    "deform-0soliton": ({"grid": _SMALL}, [
+        ("peterson_admissible", ["peterson_admissible"]),
+        ("soliton_pipeline", ["prime_integral_drift", "prime_integral_order",
+                              "defqwc_soliton", "gcmpr_gauss", "gcmpr_cmp",
+                              "gcmpr_ricci", "chart_reproduction",
+                              "frame_metric"])]),
+    "backlund-qwc": ({"grid": _SMALL, "samples": 8}, [
+        ("backlund_pipeline", ["riccati_drift", "path_mismatch",
+                               "path_mismatch_order", "leaf_system_slope",
+                               "leaf_defqwc_slope"]),
+        ("algebraic_transform", ["transform_identities", "involution"])]),
+    "backlund-qc": ({"samples": 4}, [
+        ("qc_compact_vs_expanded", ["qc_compact_vs_expanded"]),
+        ("qc_aux_differentials", ["qc_aux_differentials"]),
+        ("qc_transform", ["qc_transform_identities", "qc_involution"]),
+        ("qc_line", ["qc_line_orthogonality", "qc_line_completed"])]),
+    "leaf-embed": ({"grid": _SMALL}, [
+        ("degenerate_leaf", ["leaf_on_confocal", "degenerate_metric_scaling"]),
+        ("ruling_facet_check", ["ruling", "coefficient_isotropy",
+                                "ruling_negative_control"]),
+        ("general_leaf", ["acpia_exact", "acpia_fd", "joined_forms",
+                          "asymptotic_correspondence"])]),
+    "bpt": ({"grid": _SMALL, "samples": 4}, [
+        ("bpt_samples", ["bpt_orthogonality", "bpt_matrix_identity",
+                         "bpt_scalar_identity"]),
+        ("bpt_field", ["bpt_field_scalar_identity", "bpt_riccati_slope"]),
+        ("lattice_fill_order", ["lattice_order_agreement"])]),
+    "m3": ({"grid": _SMALL}, [
+        ("m3_degenerate", ["m3_degenerate"]),
+        ("m3_lattice", ["m3_integrated", "m3_cube_closure",
+                        "m3_lattice_holes"])]),
+    "lattice": ({"grid": _SMALL, "extent": [2, 2]}, [
+        ("lattice", ["lattice_order_agreement", "lattice_square_scalar",
+                     "lattice_holes"])]),
+    "sine-gordon": ({"grid": {"axes": [[0.0, 0.6, 9], [0.0, 0.6, 9]]},
+                     "fields": 2}, [
+        ("sine_gordon_suite", ["sine_gordon_correlation"])]),
+}
+
+
+@pytest.mark.parametrize("scenario", list(_STAGED))
+def test_checks_are_timed_by_their_own_stage(scenario, tmp_path):
+    extra, staged = _STAGED[scenario]
+    report = cli.run_scenario({"scenario": scenario, **extra}, tmp_path)
+    assert [c["name"] for c in report["checks"]] == [
+        name for _, names in staged for name in names]
+    assert [s["name"] for s in report["stages"]] == [s for s, _ in staged]
+    checks = iter(report["checks"])
+    for stage, (_, names) in zip(report["stages"], staged):
+        assert stage["nodes"] >= 1
+        for _ in names:
+            assert next(checks)["runtime_s"] == round(stage["wall_s"], 3)
+    assert sum(s["wall_s"] for s in report["stages"]) <= report["runtime_s"]
+
+
+def test_pass_direction_matches_benchmark():
+    # parsed, not imported: importing perfbench/run.py pins BLAS variables
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "run.py"
+    tree = ast.parse(path.read_text())
+    inverted = next(node.value for node in tree.body
+                    if isinstance(node, ast.Assign)
+                    and [t.id for t in node.targets] == ["INVERTED"])
+    assert ast.literal_eval(inverted) == cli.AT_LEAST
 
 
 class TestPlotData:
