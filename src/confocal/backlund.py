@@ -664,8 +664,8 @@ def leaf_embed(q, lm, ctx: BacklundContext, fg0: df.FieldGrid,
     metric_scaling = float(np.max(np.abs((g01 - gz1) - dv1_gram)))
 
     if frame is None:
-        on_confocal = max(abs(qd.eval_confocal(q, ctx.z, x))
-                          for x in x1.reshape(-1, n + 1))
+        on_confocal = float(np.max(numerics.scalar_abs(
+            qd.eval_confocal(q, ctx.z, x1))))
         x1_vs_ivory = float(np.max(np.abs(x1 - xz1)))
     else:
         on_confocal = None

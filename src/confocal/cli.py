@@ -5,8 +5,9 @@ backlund-qwc, backlund-qc, leaf-embed, bpt, m3, lattice, sine-gordon) plus the
 quadric, grid, spectral parameters, seeds and tolerance overrides.  A runner
 records its checks inside timed stages (`Checks`); runs write report.json and
 raw CSV tables into the output directory; emit_plotdata turns a completed run
-into plot-ready convergence / drift / heatmap tables.  Exit status: 0 all
-checks passed, 1 some failed, 2 configuration error.
+into plot-ready convergence / drift / heatmap tables.  `run --profile`
+writes a cProfile of the run to profile.pstats next to report.json.  Exit
+status: 0 all checks passed, 1 some failed, 2 configuration error.
 
 Complex numbers in configs are [re, im] pairs; SJ blocks are
 {"a": [re, im], "p": size}.
@@ -15,6 +16,7 @@ Complex numbers in configs are [re, im] pairs; SJ blocks are
 from __future__ import annotations
 
 import argparse
+import cProfile
 import hashlib
 import itertools
 import json
@@ -29,7 +31,7 @@ import numpy as np
 from . import __version__, backlund as bk, deform as df, gridio
 from . import permute as pm, quadric as qd, scenarios as sc, sjcore
 from .errors import ConfigError, ConfocalError, MissingRun
-from .numerics import loglog_slope
+from .numerics import loglog_slope, scalar_abs
 
 # checks that pass when the value is at least the tolerance (ratios and
 # correlations); every other check passes when it is at most the tolerance
@@ -168,6 +170,8 @@ def validate_config(cfg: dict) -> dict:
         raise ConfigError("every grid axis needs >= 5 nodes")
     if min(out[k] for k in _COUNTS) < 1:
         raise ConfigError(f"{', '.join(_COUNTS)} must be >= 1")
+    if out["seed"] < 0:
+        raise ConfigError("seeds.master must be >= 0")
     if any(e < 2 for e in out["extent"]):
         raise ConfigError("extent entries must be >= 2")
     distinct = {"bpt": 2, "lattice": 2, "m3": 3}.get(name, 1)
@@ -185,14 +189,24 @@ def validate_config(cfg: dict) -> dict:
 # scenarios whose pipeline is defined for some quadric kinds only
 _KINDS = {"backlund-qc": (qd.QC,), **{s: (qd.QWC, qd.IQWC) for s in (
     "deform-0soliton", "backlund-qwc", "leaf-embed", "m3", "lattice")}}
+# scenarios that integrate on the grid of an (I)QWC quadric (bpt on a QC
+# quadric does not), so the grid needs one axis per chart coordinate
+_ON_GRID = ("deform-0soliton", "backlund-qwc", "leaf-embed", "bpt", "m3",
+            "lattice")
 
 
 def _setup(cfg):
     q = _parse_quadric(cfg["quadric"])
-    kinds = _KINDS.get(cfg["scenario"], (q.kind,))
+    name = cfg["scenario"]
+    kinds = _KINDS.get(name, (q.kind,))
     if q.kind not in kinds:
-        raise ConfigError(f"{cfg['scenario']} needs a {' or '.join(kinds)} "
-                          "quadric")
+        raise ConfigError(f"{name} needs a {' or '.join(kinds)} quadric")
+    on_grid = name in _ON_GRID and q.kind != qd.QC
+    if q.n < 2 and (on_grid or name == "ivory-check"):
+        raise ConfigError(f"{name} needs a quadric with n >= 2, got n = {q.n}")
+    if on_grid and (axes := _parse_grid(cfg["grid"]).n) != q.n:
+        raise ConfigError(f"{name} needs one grid axis per chart coordinate: "
+                          f"n = {q.n}, got {axes} axes")
     lm = sc.lmap_for(q, seed=cfg["seed"])
     if lm is not None and cfg.get("canonicalize") and q.kind == qd.IQWC:
         lm, ok = qd.canonicalize_lmap(q, lm)
@@ -239,19 +253,21 @@ def run_elliptic(cfg, outdir, checks):
     rng = np.random.default_rng(cfg["seed"])
     count = min(cfg["samples"], 100)
     with checks.stage("elliptic_coordinates", count):
-        rows = []
-        on_quadric = [0.0]
-        for i in range(count):
-            V = qd.random_chart_point(q, rng)
-            x = qd.chart_to_ambient(q, lm, V) + 0.05 * (
-                rng.standard_normal(q.dim) + 1j * rng.standard_normal(q.dim))
-            roots = qd.elliptic_coordinates(q, x)
-            rows.append((i, max(abs(qd.eval_confocal(q, zk, x)) for zk in roots)))
-            roots_on = qd.elliptic_coordinates(q, qd.chart_to_ambient(q, lm, V))
-            on_quadric.append(float(np.min(np.abs(roots_on))))
-        checks.add("elliptic_backward", max([0.0] + [b for _, b in rows]))
-        checks.add("elliptic_zero_root_on_quadric", max(on_quadric),
-                   "elliptic_backward")
+        # per sample: a chart point, then the noise that moves it off Q_0
+        draws = [(qd.random_chart_point(q, rng),
+                  rng.standard_normal(q.dim) + 1j * rng.standard_normal(q.dim))
+                 for _ in range(count)]
+        V, noise = (np.array(d) for d in zip(*draws))
+        x0 = qd.chart_to_ambient(q, lm, V)
+        x = x0 + 0.05 * noise
+        roots = qd.elliptic_coordinates(q, x)
+        back = np.max(scalar_abs(qd.eval_confocal(q, roots, x[:, None, :])),
+                      axis=-1)
+        rows = list(enumerate(back.tolist()))
+        on_quadric = np.min(np.abs(qd.elliptic_coordinates(q, x0)), axis=-1)
+        checks.add("elliptic_backward", max([0.0] + back.tolist()))
+        checks.add("elliptic_zero_root_on_quadric",
+                   max([0.0] + on_quadric.tolist()), "elliptic_backward")
     gridio.save_residual_csv(outdir / "elliptic_residuals.csv",
                              ["sample", "backward_error"], rows)
 
@@ -524,9 +540,11 @@ def run_lattice(cfg, outdir, checks):
 
 
 def run_sine_gordon(cfg, outdir, checks):
+    grid = _parse_grid(cfg["grid"])
+    if grid.n != 2:   # the suite builds its own n = 2 quadric
+        raise ConfigError(f"sine-gordon needs a 2-axis grid, got {grid.n} axes")
     with checks.stage("sine_gordon_suite", cfg["fields"]):
-        res = sc.sine_gordon_suite(_parse_grid(cfg["grid"]), cfg["fields"],
-                                   cfg["seed"])
+        res = sc.sine_gordon_suite(grid, cfg["fields"], cfg["seed"])
         checks.add("sine_gordon_correlation", res["correlation_min"],
                    "sg_correlation_min")
     gridio.save_residual_csv(outdir / "sine_gordon_constants.csv",
@@ -643,6 +661,8 @@ def main(argv=None) -> int:
     runp.add_argument("--seed", type=int, help="override the master seed")
     runp.add_argument("--tol-scale", type=float, help="multiply all residual "
                       "tolerances; overrides the config's tol_scale")
+    runp.add_argument("--profile", action="store_true", help="write a cProfile "
+                      "of the run to profile.pstats next to report.json")
     plotp = sub.add_parser("plotdata", help="emit plot-ready CSV tables")
     plotp.add_argument("rundir", type=Path)
     args = parser.parse_args(argv)
@@ -673,7 +693,12 @@ def main(argv=None) -> int:
             cfg.setdefault("seeds", {})["master"] = args.seed
         if args.tol_scale is not None:
             cfg["tol_scale"] = args.tol_scale
-        report = run_scenario(cfg, args.out)
+        if args.profile:
+            profiler = cProfile.Profile()
+            report = profiler.runcall(run_scenario, cfg, args.out)
+            profiler.dump_stats(args.out / "profile.pstats")
+        else:
+            report = run_scenario(cfg, args.out)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -55,6 +55,36 @@ def scalar_mul(a, b):
     return out
 
 
+def scalar_abs(a):
+    """|a| of complex entries as Python and numpy scalars round it (libm
+    hypot); np.abs on a complex array rounds differently."""
+    a = np.asarray(a, dtype=complex)
+    return np.hypot(a.real, a.imag)
+
+
+def _lstsq_failed(_err, _flag):
+    raise np.linalg.LinAlgError("SVD did not converge in Linear Least Squares")
+
+
+def stack_lstsq(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Least-squares (least-norm) solutions x of a x = b, batched over
+    leading axes: a (..., M, N), b (..., M) -> x (..., N).
+
+    np.linalg.lstsq takes one system at a time, but the LAPACK gufunc behind
+    it (gelsd) loops over stacks; called as the wrapper calls it, one
+    right-hand side per system and the default rcond, each system gets the
+    bits of np.linalg.lstsq(a_i, b_i, rcond=None)[0].  Several right-hand
+    sides in one system would not."""
+    a = np.asarray(a, dtype=complex)
+    b = np.asarray(b, dtype=complex)
+    rcond = np.finfo(float).eps * max(a.shape[-2:])
+    with np.errstate(call=_lstsq_failed, invalid="call", over="ignore",
+                     divide="ignore", under="ignore"):
+        x = np.linalg._umath_linalg.lstsq(a, b[..., None], rcond,
+                                          signature="DDd->Ddid")[0]
+    return x[..., 0]
+
+
 # axis-ordered line sweeps over grids -----------------------------------------
 
 def sweep_slabs(shape, base, order=None):

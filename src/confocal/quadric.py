@@ -7,11 +7,17 @@ linear map L that carries them onto the quadric.
 
 All pairings are bilinear (x^T y, no conjugation).  Ambient vectors live in
 C^{n+1}, chart vectors in C^n.  The chart helpers take points batched over
-leading axes, (..., n), and are the one place the chart formulas live.
+leading axes, (..., n), and are the one place the chart formulas live.  The
+confocal family is batched too: resolvent, eval_confocal, nhat and the Lame
+residual take z (...) and ambient points (..., n+1) broadcast against each
+other, intersect_confocal is one Newton iteration over a stack of points,
+and elliptic_coordinates finds the roots of a whole stack of points at once;
+every entry of a stack has the bits of a call on its point alone.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -28,7 +34,8 @@ from .errors import (
     SingularConfocal,
     ZeroEigenvalue,
 )
-from .numerics import stack_apply, stack_dot
+from .numerics import (scalar_abs, scalar_mul, stack_apply, stack_dot,
+                       stack_lstsq)
 from .sjcore import SJSpec, build_sj, iso_f, sqrt_branch
 
 TOL_ON = 1e-8
@@ -129,14 +136,34 @@ def iqwc_quadric(p: int, blocks=()) -> QuadricSpec:
 
 
 # confocal family --------------------------------------------------------------
+#
+# The family functions take z of shape (...) and points of shape (..., m),
+# broadcast against each other, and give each entry the bits of a call on its
+# own z and point: R_z solves are stacked np.linalg.solve calls, dot products
+# and matrix-vector products stacked matmuls, and the scalar product z (B^T
+# R_z^{-1} B) goes through scalar_mul, as the one-point arithmetic rounds it.
 
-def resolvent(q: QuadricSpec, z: complex) -> np.ndarray:
-    """R_z = I - zA (dense); raises SingularConfocal near the pole set."""
-    z = complex(z)
-    for a in q.sj.eigenvalues:
-        if abs(1.0 - z * a) < 1e-12:
-            raise SingularConfocal(f"z = {z} is in spec(A)^-1")
-    return np.eye(q.dim) - z * q.A
+@functools.lru_cache(maxsize=16)
+def _identity(m: int) -> np.ndarray:
+    out = np.eye(m)
+    out.setflags(write=False)
+    return out
+
+
+def _solve(M: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """M^{-1} v over the last axis of v, batched; rounds as the 1-D solve."""
+    return np.linalg.solve(M, v[..., None])[..., 0]
+
+
+def resolvent(q: QuadricSpec, z) -> np.ndarray:
+    """R_z = I - zA (dense, (..., m, m) for z of shape (...)); raises
+    SingularConfocal if any z is near the pole set."""
+    z = np.asarray(z, dtype=complex)
+    near = np.abs(1.0 - z[..., None] * np.asarray(q.sj.eigenvalues)) < 1e-12
+    if np.any(near):
+        raise SingularConfocal(f"z = {z[np.any(near, axis=-1)].flat[0]} "
+                               "is in spec(A)^-1")
+    return _identity(q.dim) - z[..., None, None] * q.A
 
 
 def sqrt_rz(q: QuadricSpec, z: complex) -> np.ndarray:
@@ -144,17 +171,24 @@ def sqrt_rz(q: QuadricSpec, z: complex) -> np.ndarray:
     return sjcore.sqrt_resolvent(q.sj, z)
 
 
-def eval_confocal(q: QuadricSpec, z: complex, x: np.ndarray) -> complex:
-    """Q_z(x) = x^T A R_z^{-1} x + 2 (R_z^{-1}B)^T x + C + z B^T R_z^{-1} B."""
+def eval_confocal(q: QuadricSpec, z, x: np.ndarray):
+    """Q_z(x) = x^T A R_z^{-1} x + 2 (R_z^{-1}B)^T x + C + z B^T R_z^{-1} B,
+    (...) for z (...) and x (..., m); a single value is a Python complex."""
+    z = np.asarray(z, dtype=complex)
+    x = np.asarray(x, dtype=complex)
     Rz = resolvent(q, z)
-    y = np.linalg.solve(Rz, q.A @ x)
-    rb = np.linalg.solve(Rz, q.B)
-    return complex(x @ y + 2.0 * (rb @ x) + q.C + z * (q.B @ rb))
+    y = _solve(Rz, stack_apply(q.A, x))
+    rb = _solve(Rz, q.B)
+    out = (stack_dot(x, y) + 2.0 * stack_dot(rb, x) + q.C
+           + scalar_mul(z, stack_dot(q.B, rb)))
+    return complex(out) if np.ndim(out) == 0 else out
 
 
-def nhat(q: QuadricSpec, z: complex, x: np.ndarray) -> np.ndarray:
-    """Normal-direction vector R_z^{-1}(Ax + B) of the confocal quadric at x."""
-    return np.linalg.solve(resolvent(q, z), q.A @ x + q.B)
+def nhat(q: QuadricSpec, z, x: np.ndarray) -> np.ndarray:
+    """Normal-direction vector R_z^{-1}(Ax + B) of the confocal quadric at x,
+    (..., m) for z (...) and x (..., m)."""
+    x = np.asarray(x, dtype=complex)
+    return _solve(resolvent(q, z), stack_apply(q.A, x) + q.B)
 
 
 def translation(q: QuadricSpec, z: complex) -> np.ndarray:
@@ -235,33 +269,52 @@ def ruling_length_residual(q: QuadricSpec, z: complex, x0: np.ndarray,
     return float(abs(wz @ wz - w0 @ w0))
 
 
-def confocal_orthogonality_residual(q: QuadricSpec, z1: complex, z2: complex,
-                                    x: np.ndarray, tol_on: float = TOL_ON) -> float:
-    """Lame orthogonality |nhat_{z1}^T nhat_{z2}| at x on both confocal quadrics."""
-    if z1 == z2:
+def confocal_orthogonality_residual(q: QuadricSpec, z1, z2, x: np.ndarray,
+                                    tol_on: float = TOL_ON):
+    """Lame orthogonality |nhat_{z1}^T nhat_{z2}| at x on both confocal
+    quadrics, (...) for z1, z2 (...) and x (..., m); a float for one point."""
+    z1 = np.asarray(z1, dtype=complex)
+    z2 = np.asarray(z2, dtype=complex)
+    if np.any(z1 == z2):
         raise DistinctZRequired("confocal orthogonality needs z1 != z2")
     for z in (z1, z2):
-        r = abs(eval_confocal(q, z, x))
+        r = np.max(scalar_abs(eval_confocal(q, z, x)), initial=0.0)
         if r > tol_on:
-            raise OffQuadric(f"|Q_z(x)| = {r:.3e} at z = {z}")
-    return float(abs(nhat(q, z1, x) @ nhat(q, z2, x)))
+            raise OffQuadric(f"|Q_z(x)| = {r:.3e} > {tol_on:.1e}")
+    out = scalar_abs(stack_dot(nhat(q, z1, x), nhat(q, z2, x)))
+    return float(out) if out.ndim == 0 else out
 
 
-def intersect_confocal(q: QuadricSpec, z1: complex, z2: complex, x_start: np.ndarray,
+def intersect_confocal(q: QuadricSpec, z1, z2, x_start: np.ndarray,
                        max_iter: int = 50, tol: float = 1e-13):
-    """Newton iteration (least-norm steps) onto Q_{z1} = Q_{z2} = 0 from x_start.
+    """Newton iteration (least-norm steps) onto Q_{z1} = Q_{z2} = 0 from
+    x_start, for z1, z2 (...) and x_start (..., m) broadcast against each
+    other.  Each point steps until both |Q| are below tol, at most max_iter
+    times.
 
-    Returns the intersection point or None if not converged in max_iter steps.
+    Returns (x, converged): the last iterates (..., m) and the mask (...) of
+    the points that converged.
     """
-    x = np.asarray(x_start, dtype=complex).copy()
+    x_start = np.asarray(x_start, dtype=complex)
+    zz = np.stack(np.broadcast_arrays(np.asarray(z1, dtype=complex),
+                                      np.asarray(z2, dtype=complex)), axis=-1)
+    shape = np.broadcast_shapes(zz.shape[:-1], x_start.shape[:-1])
+    m = x_start.shape[-1]
+    x = np.broadcast_to(x_start, shape + (m,)).reshape(-1, m).copy()
+    zz = np.broadcast_to(zz, shape + (2,)).reshape(-1, 2)
+    converged = np.zeros(len(x), dtype=bool)
+    live = np.arange(len(x))
     for _ in range(max_iter):
-        F = np.array([eval_confocal(q, z1, x), eval_confocal(q, z2, x)])
-        if np.max(np.abs(F)) < tol:
-            return x
-        J = np.vstack([2.0 * nhat(q, z1, x), 2.0 * nhat(q, z2, x)])
-        dx, *_ = np.linalg.lstsq(J, -F, rcond=None)
-        x = x + dx
-    return None
+        if live.size == 0:
+            break
+        xl, zl = x[live], zz[live]
+        F = eval_confocal(q, zl, xl[:, None, :])
+        done = np.max(np.abs(F), axis=-1) < tol
+        converged[live[done]] = True
+        live, xl, zl, F = live[~done], xl[~done], zl[~done], F[~done]
+        J = 2.0 * nhat(q, zl, xl[:, None, :])
+        x[live] = xl + stack_lstsq(J, -F)
+    return x.reshape(shape + (m,)), converged.reshape(shape)[()]
 
 
 # elliptic coordinates ----------------------------------------------------------
@@ -278,70 +331,104 @@ def elliptic_coordinates(q: QuadricSpec, x: np.ndarray,
 
     Q_z(x) times prod_j (1 - z a_j)^{p_j} is a polynomial of degree <= n+1 in z;
     its coefficients are recovered by sampling, the roots taken from the
-    companion matrix and polished by Newton on the rational function itself.
+    companion matrix and polished by Newton on the polynomial.
     Raises MultipleRoot when |nhat_z|^2 = d/dz Q_z(x) (nearly) vanishes at a
     root, i.e. on the isotropic-normal locus.
+
+    Points x (..., m) give roots (..., n+1), each row what its point alone
+    gives: G is sampled for all points in one call, the points whose
+    polynomials share a degree go through one stacked eigenvalue call, and the
+    polish is one masked Newton iteration.  A point whose leading coefficients
+    fall below 1e-12 of its largest has fewer roots, and its row ends in NaN.
+    MultipleRoot is raised if any point has a multiple root.
     """
     if not is_general(q):
         raise ValueError("elliptic coordinates need a general quadric")
-    m = q.dim
-
-    def denom(z):
-        out = 1.0 + 0.0j
-        for a, p in q.sj.blocks:
-            out *= (1.0 - z * a) ** p
-        return out
-
-    def G(z):
-        return eval_confocal(q, z, x) * denom(z)
-
-    deg = m
+    x = np.asarray(x, dtype=complex)
+    deg = q.dim
     radii = np.max(np.abs(q.sj.eigenvalues)) + 1.0
     npts = 2 * (deg + 1)
     zs = 1.3 / radii * np.exp(2j * np.pi * (np.arange(npts) + 0.37) / npts)
-    vals = np.array([G(z) for z in zs])
-    V = np.vander(zs, deg + 1, increasing=False)
-    coeffs, *_ = np.linalg.lstsq(V, vals, rcond=None)
-    lead = np.max(np.abs(coeffs))
-    nz = np.nonzero(np.abs(coeffs) > 1e-12 * lead)[0]
-    coeffs = coeffs[nz[0]:]
-    roots = np.roots(coeffs)
-    roots = roots[np.argsort(np.abs(roots))]
+    vals = scalar_mul(eval_confocal(q, zs, x[..., None, :]),
+                      [_denominator(q, z) for z in zs])
+    coeffs = stack_lstsq(np.vander(zs, deg + 1, increasing=False), vals)
+    coeffs = coeffs.reshape(-1, deg + 1)
+    xs = x.reshape(-1, deg)
+    # np.roots semantics per point: drop the leading coefficients below 1e-12
+    # of the largest, keep exact trailing zeros as zero roots
+    size = np.abs(coeffs)
+    first = np.argmax(size > 1e-12 * np.max(size, axis=-1, keepdims=True),
+                      axis=-1)
+    last = deg - np.argmax(coeffs[:, ::-1] != 0, axis=-1)
+    roots = np.full((len(coeffs), deg - np.min(first, initial=0)), np.nan,
+                    dtype=complex)
+    for s, e in sorted(set(zip(first.tolist(), last.tolist()))):
+        rows = (first == s) & (last == e)
+        roots[rows, :deg - s] = _polished_roots(q, coeffs[rows, s:], e - s,
+                                                xs[rows], tol_back, tol_mult)
+    return roots.reshape(x.shape[:-1] + roots.shape[-1:])
 
-    # Newton polish on G directly, in |z|-ascending (deflation) order
-    dcoeffs = np.polyder(coeffs)
-    polished = []
-    for r in roots:
-        zk = r
-        for _ in range(40):
-            g = np.polyval(coeffs, zk)
-            dg = np.polyval(dcoeffs, zk)
-            if abs(dg) < 1e-14:
-                break
-            step = g / dg
-            zk = zk - step
-            if abs(step) < 1e-15 * max(1.0, abs(zk)):
-                break
-        polished.append(zk)
-    polished = np.array(polished)
 
-    scale = max(1.0, float(np.max(np.abs(polished))))
-    for i in range(len(polished)):
-        for j in range(i + 1, len(polished)):
-            if abs(polished[i] - polished[j]) < 1e-6 * scale:
-                raise MultipleRoot(
-                    f"near-coincident elliptic coordinates at z = {polished[i]}")
-    for zk in polished:
-        try:
-            nh = nhat(q, zk, x)
-        except SingularConfocal as exc:
-            raise MultipleRoot(f"root {zk} on a singular confocal member") from exc
-        if abs(nh @ nh) < tol_mult:
-            raise MultipleRoot(f"isotropic normal at elliptic coordinate z = {zk}")
-        back = abs(eval_confocal(q, zk, x))
-        if back > tol_back:
-            raise MultipleRoot(f"backward error {back:.3e} at root {zk}")
-    return polished
+def _denominator(q: QuadricSpec, z) -> complex:
+    """prod_j (1 - z a_j)^{p_j}, which clears the poles of Q_z."""
+    out = 1.0 + 0.0j
+    for a, p in q.sj.blocks:
+        out *= (1.0 - z * a) ** p
+    return out
+
+
+def _horner(P: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """np.polyval of each row of P (k, L) at its row of z (k, r)."""
+    y = np.zeros_like(z)
+    for j in range(P.shape[1]):
+        y = y * z + P[:, j, None]
+    return y
+
+
+def _polished_roots(q, P, span, x, tol_back, tol_mult):
+    """The roots of each row of P (k, L), whose first coefficient is nonzero
+    and last nonzero one is P[:, span], as np.roots finds them, sorted by |z|
+    and polished by Newton on the polynomial; then the multiple-root checks of
+    elliptic_coordinates at the points x (k, m)."""
+    k, L = P.shape
+    C = np.zeros((k, span, span), dtype=complex)
+    C[:, np.arange(1, span), np.arange(span - 1)] = 1.0
+    C[:, 0, :] = -P[:, 1:span + 1] / P[:, :1]
+    r = np.concatenate([np.linalg.eigvals(C) if span else C[:, 0],
+                        np.zeros((k, L - 1 - span), dtype=complex)], axis=-1)
+    r = np.take_along_axis(r, np.argsort(np.abs(r), axis=-1), axis=-1)
+
+    # Newton polish on G, each root until its step or derivative is tiny
+    dP = P[:, :-1] * np.arange(L - 1, 0, -1)
+    live = np.ones(r.shape, dtype=bool)
+    for _ in range(40):
+        g, dg = _horner(P, r), _horner(dP, r)
+        live &= ~(scalar_abs(dg) < 1e-14)
+        step = g / np.where(live, dg, 1.0)
+        r = np.where(live, r - step, r)
+        live &= ~(scalar_abs(step) < 1e-15 * np.fmax(1.0, scalar_abs(r)))
+        if not live.any():
+            break
+
+    scale = np.fmax(1.0, np.max(np.abs(r), axis=-1, initial=0.0))
+    i, j = np.triu_indices(r.shape[-1], 1)
+    close = scalar_abs(r[:, i] - r[:, j]) < 1e-6 * scale[:, None]
+    if np.any(close):
+        raise MultipleRoot("near-coincident elliptic coordinates at z = "
+                           f"{r[:, i][close][0]}")
+    try:
+        nh = nhat(q, r, x[:, None, :])
+    except SingularConfocal as exc:
+        raise MultipleRoot("elliptic coordinate on a singular confocal "
+                           "member") from exc
+    iso = scalar_abs(stack_dot(nh, nh)) < tol_mult
+    if np.any(iso):
+        raise MultipleRoot(f"isotropic normal at elliptic coordinate z = {r[iso][0]}")
+    back = scalar_abs(eval_confocal(q, r, x[:, None, :]))
+    if np.any(back > tol_back):
+        raise MultipleRoot(f"backward error {np.max(back):.3e} at an elliptic "
+                           "coordinate")
+    return r
 
 
 # charts and the L map ----------------------------------------------------------
@@ -436,8 +523,12 @@ def canonicalize_lmap(q: QuadricSpec, lm: LMap):
     return LMap(IQWC, L, L_inv, Aprime, lm.seed), True
 
 
+@functools.lru_cache(maxsize=64)
 def _inv_sqrt_sj(spec: SJSpec) -> np.ndarray:
-    """A^{-1/2} blockwise: a^{-1/2} sum_k C(-1/2,k) a^{-k} J_p^k."""
+    """A^{-1/2} blockwise: a^{-1/2} sum_k C(-1/2,k) a^{-k} J_p^k.
+
+    Built once per SJSpec and returned read-only: the QC chart maps and
+    tangents and the QWC L map share it."""
     for a, _ in spec.blocks:
         if a == 0:
             raise ZeroEigenvalue("inverse sqrt of singular SJ matrix")
@@ -448,6 +539,7 @@ def _inv_sqrt_sj(spec: SJSpec) -> np.ndarray:
         S[sl, sl] = (1.0 / ra) * sjcore._block_series(
             a, p, lambda k: sjcore._binom(-0.5, k) * a ** (-k)
         )
+    S.setflags(write=False)
     return S
 
 

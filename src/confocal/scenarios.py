@@ -5,11 +5,14 @@ reports; the acceptance test suite calls them directly."""
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from . import backlund as bk, deform as df, quadric as qd, sjcore
 from .errors import ConfocalError
-from .numerics import correlation, diff1, fit_scale, loglog_slope
+from .numerics import (correlation, diff1, fit_scale, loglog_slope,
+                       scalar_abs, stack_dot)
 from .sjcore import sqrt_branch
 
 # The verbatim default tolerance table embedded in every report.
@@ -197,35 +200,70 @@ def _masked_max(vals, mask) -> float:
 
 
 def lame_suite(q, lm, samples: int, seed: int) -> dict:
-    """Confocal orthogonality at numerically intersected points."""
+    """Confocal orthogonality at numerically intersected points.
+
+    A try draws two admissible z and, when they are at least 0.05 apart, a
+    chart point from which Newton intersects Q_{z1} and Q_{z2}; it is skipped
+    when Newton fails, the normal is (nearly) isotropic or the library raises.
+    Tries are drawn one by one in that rng order but evaluated in chunks, as
+    many as the acceptance rate so far says are still needed (all that remain
+    while none has been accepted), and their results are accepted in try
+    order until `samples` are done.  So samples, skipped and lame are those of
+    a loop that evaluates one try at a time; the draws after the last used try
+    are thrown away.
+    """
     rng = np.random.default_rng(seed)
+    limit = 20 * samples
     worst = 0.0
-    done = 0
-    skipped = 0
-    tries = 0
-    while done < samples and tries < 20 * samples:
-        tries += 1
-        z1 = qd.admissible_z(q, rng)
-        z2 = qd.admissible_z(q, rng)
-        if abs(z1 - z2) < 0.05:
-            continue
-        V = qd.random_chart_point(q, rng)
-        try:
-            x_start = qd.chart_to_ambient(q, lm, V)
-            x = qd.intersect_confocal(q, z1, z2, x_start)
-            if x is None:
+    done = skipped = tries = 0
+    while done < samples and tries < limit:
+        # the tries still needed at the acceptance rate so far
+        size = min(limit - tries,
+                   math.ceil((samples - done) * max(tries, 1) / max(done, 1)))
+        draws = []
+        for _ in range(size):
+            z1, z2 = qd.admissible_z(q, rng), qd.admissible_z(q, rng)
+            V = qd.random_chart_point(q, rng) if abs(z1 - z2) >= 0.05 else None
+            draws.append((z1, z2, V))
+        live = [d for d in draws if d[2] is not None]
+        results = iter(_lame_tries(q, lm, *(np.array(c) for c in zip(*live)))
+                       if live else ())
+        for *_, V in draws:
+            if done == samples:
+                break
+            tries += 1
+            if V is None:
+                continue
+            r = next(results)
+            if r is None:
                 skipped += 1
-                continue
-            n1 = qd.nhat(q, z1, x)
-            n2 = qd.nhat(q, z2, x)
-            if min(abs(n1 @ n1), abs(n2 @ n2)) < 1e-6:
-                skipped += 1   # isotropic-normal locus: flagged degenerate
-                continue
-            worst = max(worst, qd.confocal_orthogonality_residual(q, z1, z2, x))
-            done += 1
-        except ConfocalError:
-            skipped += 1
+            else:
+                worst = max(worst, r)
+                done += 1
     return {"lame": worst, "samples": done, "skipped": skipped}
+
+
+def _lame_tries(q, lm, z1, z2, V) -> list:
+    """Per try (z1, z2 (k,), chart points V (k, n)): the orthogonality
+    residual at the intersection point, or None for a skipped try.  A stack
+    that raises a ConfocalError is retried one try at a time."""
+    try:
+        x, ok = qd.intersect_confocal(q, z1, z2, qd.chart_to_ambient(q, lm, V))
+        idx = np.flatnonzero(ok)
+        n1, n2 = (qd.nhat(q, z[idx], x[idx]) for z in (z1, z2))
+        iso = np.minimum(scalar_abs(stack_dot(n1, n1)),
+                         scalar_abs(stack_dot(n2, n2))) < 1e-6
+        idx = idx[~iso]   # the isotropic-normal locus is skipped
+        res = qd.confocal_orthogonality_residual(q, z1[idx], z2[idx], x[idx])
+    except ConfocalError:
+        if len(V) == 1:
+            return [None]
+        return [r for i in range(len(V))
+                for r in _lame_tries(q, lm, z1[i:i + 1], z2[i:i + 1], V[i:i + 1])]
+    out = [None] * len(V)
+    for i, r in zip(idx.tolist(), res.tolist()):
+        out[i] = r
+    return out
 
 
 # -------------------------------------------------------------------------------------

@@ -3,6 +3,7 @@ and plot-data emission."""
 
 import ast
 import json
+import pstats
 from pathlib import Path
 
 import numpy as np
@@ -33,6 +34,11 @@ class TestGridIO:
         gridio.save_fieldgrid(tmp_path / "a", soliton32, qwc2)
         gridio.save_fieldgrid(tmp_path / "b", soliton32, qwc2)
         assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+
+
+N1_QWC = {"kind": "QWC", "blocks": [{"a": [1.0, 0.0], "p": 1}]}
+N1_QC = {"kind": "QC", "blocks": [{"a": [1.0, 0.0], "p": 1},
+                                  {"a": [0.5, 0.1], "p": 1}]}
 
 
 class TestConfigValidation:
@@ -84,6 +90,17 @@ class TestConfigValidation:
         {"scenario": "deform-0soliton", "grid": {"axes": [[0.0, 0.3, 4]] * 2}},
         {"scenario": "m3", "quadric": cli._QC_DEFAULT},
         {"scenario": "lattice", "quadric": cli._QC_DEFAULT},
+        {"scenario": "deform-0soliton", "grid": {"axes": [[0.0, 0.3, 6]] * 3}},
+        {"scenario": "bpt", "grid": {"axes": [[0.0, 0.3, 6]] * 3}},
+        {"scenario": "leaf-embed", "grid": {"axes": [[0.0, 0.3, 6]]}},
+        {"scenario": "sine-gordon", "grid": {"axes": [[0.0, 0.3, 6]] * 3}},
+        {"scenario": "ivory-check", "seeds": {"master": -1}},
+        {"scenario": "elliptic", "seeds": {"master": -1}},
+        {"scenario": "ivory-check", "quadric": N1_QWC},
+        {"scenario": "ivory-check", "quadric": N1_QC},
+        {"scenario": "deform-0soliton", "quadric": N1_QWC,
+         "grid": {"axes": [[0.0, 0.3, 6]]}},
+        {"scenario": "lattice", "quadric": N1_QWC},
     ], ids=lambda c: json.dumps(c)[:60])
     def test_malformed_config_exits_2(self, cfg, tmp_path, capsys):
         cfgfile = tmp_path / "bad.json"
@@ -95,6 +112,18 @@ class TestConfigValidation:
         assert not (tmp_path / "out" / "report.json").exists()
 
 
+    @pytest.mark.parametrize("cfg", [
+        {"scenario": "elliptic", "quadric": N1_QWC},
+        {"scenario": "elliptic", "quadric": N1_QC},
+        {"scenario": "bpt", "quadric": N1_QC, "samples": 20},
+        {"scenario": "backlund-qc", "quadric": N1_QC, "samples": 20},
+    ], ids=lambda c: c["scenario"] + "-" + c["quadric"]["kind"])
+    def test_one_dimensional_quadric_runs_where_defined(self, cfg, tmp_path):
+        # no grid is integrated here, so n = 1 stays supported
+        report = cli.run_scenario(cfg, tmp_path / "out")
+        assert report["passed"]
+
+
 class TestRunScenario:
     def test_ivory_run_and_exit(self, tmp_path):
         report = cli.run_scenario({"scenario": "ivory-check", "samples": 200,
@@ -104,6 +133,20 @@ class TestRunScenario:
         assert (tmp_path / "run" / "ivory_residuals.csv").exists()
 
 
+
+    def test_profile_flag_writes_pstats(self, tmp_path):
+        args = ["run", "--scenario", "elliptic", "--seed", "3", "--out"]
+        assert cli.main(args + [str(tmp_path / "plain")]) == 0
+        assert cli.main(args + [str(tmp_path / "prof"), "--profile"]) == 0
+        stats = pstats.Stats(str(tmp_path / "prof" / "profile.pstats"))
+        assert any(name == "elliptic_coordinates" for _, _, name in stats.stats)
+        assert not (tmp_path / "plain" / "profile.pstats").exists()
+
+        def checks(run):
+            report = json.loads((tmp_path / run / "report.json").read_text())
+            return [{k: v for k, v in c.items() if k != "runtime_s"}
+                    for c in report["checks"]]
+        assert checks("prof") == checks("plain")
 
     def test_unit_sphere_example(self, tmp_path):
         cfg = {"scenario": "ivory-check", "samples": 300, "lame_samples": 20,

@@ -9,7 +9,8 @@ from hypothesis import given, settings, strategies as st
 
 from confocal.deform import GridSpec
 from confocal.numerics import (correlation, cumulative_line_integral, diff1,
-                               fit_scale, loglog_slope, rk4_step, rk4_sweep)
+                               fit_scale, loglog_slope, rk4_step, rk4_sweep,
+                               scalar_abs, stack_lstsq)
 
 
 class TestDiff1:
@@ -181,6 +182,41 @@ class TestSweep:
         ref = per_line_sweep(grid, state0, nonlinear_rhs, order, node_field)
         assert got.shape == grid.shape + (2,)
         assert np.array_equal(got, ref)
+
+
+class TestStackAlgebra:
+    """Stacked helpers give each item the bits of the one-item call."""
+
+    @given(st.integers(1, 8), st.integers(1, 6), st.integers(1, 3),
+           st.integers(1, 4), st.integers(0, 2**31 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_lstsq_stack_matches_items(self, rows, cols, s, t, seed):
+        rng = np.random.default_rng(seed)
+        a = (rng.standard_normal((s, t, rows, cols))
+             + 1j * rng.standard_normal((s, t, rows, cols)))
+        b = rng.standard_normal((s, t, rows)) + 1j * rng.standard_normal((s, t, rows))
+        x = stack_lstsq(a, b)
+        assert x.shape == (s, t, cols)
+        for idx in np.ndindex(s, t):
+            ref, *_ = np.linalg.lstsq(a[idx], b[idx], rcond=None)
+            assert np.array_equal(x[idx], ref)
+        # one matrix broadcast over a stack of right-hand sides
+        x = stack_lstsq(a[0, 0], b)
+        for idx in np.ndindex(s, t):
+            assert np.array_equal(x[idx], np.linalg.lstsq(a[0, 0], b[idx],
+                                                          rcond=None)[0])
+
+    def test_lstsq_failure_raises(self):
+        a = np.full((2, 3, 2), np.nan, dtype=complex)
+        with pytest.raises(np.linalg.LinAlgError):
+            stack_lstsq(a, np.ones((2, 3)))
+
+    def test_scalar_abs_rounds_as_scalars(self):
+        rng = np.random.default_rng(4)
+        z = rng.standard_normal(2000) + 1j * rng.standard_normal(2000)
+        ref = np.array([abs(complex(v)) for v in z])
+        assert np.array_equal(scalar_abs(z), ref)
+        assert np.array_equal(scalar_abs(z), [abs(v) for v in z])
 
 
 class TestFits:

@@ -167,8 +167,8 @@ class TestLame:
             if abs(z1 - z2) < 0.1:
                 continue
             x0 = qd.chart_to_ambient(q, None, qd.random_chart_point(q, rng))
-            x = qd.intersect_confocal(q, z1, z2, x0)
-            if x is None:
+            x, ok = qd.intersect_confocal(q, z1, z2, x0)
+            if not ok:
                 continue
             assert qd.confocal_orthogonality_residual(q, z1, z2, x) < 1e-10
             found += 1
@@ -226,22 +226,9 @@ class TestElliptic:
             assert abs(qd.eval_confocal(iqwc2, zk, x)) < 1e-8
 
     def test_multiple_root_raises(self):
-        # Newton onto the isotropic-normal locus Q_z = |nhat_z|^2 = 0 at z*
-        q = qd.qc_quadric([(0.25, 1), (1.0, 1), (0.6, 1)])
-        zs = 0.3
-        rng = np.random.default_rng(4)
-        x = qd.chart_to_ambient(q, None, qd.random_chart_point(q, rng))
-        x = np.linalg.solve(qd.sqrt_rz(q, zs), x)  # put it near Q_{z*} = 0
-        for _ in range(60):
-            nh = qd.nhat(q, zs, x)
-            F = np.array([qd.eval_confocal(q, zs, x), nh @ nh])
-            if np.max(np.abs(F)) < 1e-13:
-                break
-            Rzinv = np.linalg.inv(qd.resolvent(q, zs))
-            J = np.vstack([2 * nh, 2 * (Rzinv @ q.A @ nh)])
-            dx, *_ = np.linalg.lstsq(J, -F, rcond=None)
-            x = x + dx
-        assert np.max(np.abs(F)) < 1e-12
+        q, x = isotropic_normal_point()
+        nh = qd.nhat(q, 0.3, x)
+        assert max(abs(qd.eval_confocal(q, 0.3, x)), abs(nh @ nh)) < 1e-12
         with pytest.raises(MultipleRoot):
             qd.elliptic_coordinates(q, x)
 
@@ -349,6 +336,14 @@ class TestCharts:
             dx = (qd.chart_to_ambient(iqwc2, iqwc_lmap, V + dv)
                   - qd.chart_to_ambient(iqwc2, iqwc_lmap, V - dv)) / (2 * eps)
             assert abs(N0 @ dx) < 1e-9
+
+    def test_inverse_sqrt_built_once_per_spec(self, qc3):
+        M = qd._inv_sqrt_sj(qc3.sj)
+        assert M is qd._inv_sqrt_sj(qd.qc_quadric(qc3.sj.blocks).sj)
+        assert not M.flags.writeable
+        assert np.array_equal(M, qd._inv_sqrt_sj.__wrapped__(qc3.sj))
+        with pytest.raises(ValueError):
+            M[0, 0] = 0.0
 
     def test_isotropic_normal_raises(self, parabola):
         lm = qd.build_lmap(parabola)
@@ -489,3 +484,234 @@ class TestEllipticIsotropicFlavor:
             assert len(roots) == 3
             for zk in roots:
                 assert abs(qd.eval_confocal(q, zk, x)) < 1e-8
+
+
+# per-point references: the one-point formulas of the confocal family -----------
+
+def ref_resolvent(q, z):
+    z = complex(z)
+    for a in q.sj.eigenvalues:
+        if abs(1.0 - z * a) < 1e-12:
+            raise SingularConfocal(f"z = {z}")
+    return np.eye(q.dim) - z * q.A
+
+
+def ref_eval(q, z, x):
+    Rz = ref_resolvent(q, z)
+    y = np.linalg.solve(Rz, q.A @ x)
+    rb = np.linalg.solve(Rz, q.B)
+    return complex(x @ y + 2.0 * (rb @ x) + q.C + z * (q.B @ rb))
+
+
+def ref_nhat(q, z, x):
+    return np.linalg.solve(ref_resolvent(q, z), q.A @ x + q.B)
+
+
+def ref_intersect(q, z1, z2, x, max_iter=50, tol=1e-13):
+    x = np.asarray(x, dtype=complex).copy()
+    for _ in range(max_iter):
+        F = np.array([ref_eval(q, z1, x), ref_eval(q, z2, x)])
+        if np.max(np.abs(F)) < tol:
+            return x, True
+        J = np.vstack([2.0 * ref_nhat(q, z1, x), 2.0 * ref_nhat(q, z2, x)])
+        dx, *_ = np.linalg.lstsq(J, -F, rcond=None)
+        x = x + dx
+    return x, False
+
+
+def ref_elliptic(q, x, tol_back=1e-8, tol_mult=1e-8):
+    """Sampled polynomial, np.roots, per-root Newton polish and checks."""
+    def denom(z):
+        out = 1.0 + 0.0j
+        for a, p in q.sj.blocks:
+            out *= (1.0 - z * a) ** p
+        return out
+
+    deg = q.dim
+    radii = np.max(np.abs(q.sj.eigenvalues)) + 1.0
+    npts = 2 * (deg + 1)
+    zs = 1.3 / radii * np.exp(2j * np.pi * (np.arange(npts) + 0.37) / npts)
+    vals = np.array([ref_eval(q, z, x) * denom(z) for z in zs])
+    coeffs, *_ = np.linalg.lstsq(np.vander(zs, deg + 1), vals, rcond=None)
+    nz = np.nonzero(np.abs(coeffs) > 1e-12 * np.max(np.abs(coeffs)))[0]
+    coeffs = coeffs[nz[0]:]
+    roots = np.roots(coeffs)
+    roots = roots[np.argsort(np.abs(roots))]
+    dcoeffs = np.polyder(coeffs)
+    polished = []
+    for zk in roots:
+        for _ in range(40):
+            g, dg = np.polyval(coeffs, zk), np.polyval(dcoeffs, zk)
+            if abs(dg) < 1e-14:
+                break
+            step = g / dg
+            zk = zk - step
+            if abs(step) < 1e-15 * max(1.0, abs(zk)):
+                break
+        polished.append(zk)
+    polished = np.array(polished)
+    scale = max(1.0, float(np.max(np.abs(polished))))
+    for i in range(len(polished)):
+        for j in range(i + 1, len(polished)):
+            if abs(polished[i] - polished[j]) < 1e-6 * scale:
+                raise MultipleRoot("near-coincident")
+    for zk in polished:
+        try:
+            nh = ref_nhat(q, zk, x)
+        except SingularConfocal as exc:
+            raise MultipleRoot("singular member") from exc
+        if abs(nh @ nh) < tol_mult or abs(ref_eval(q, zk, x)) > tol_back:
+            raise MultipleRoot("isotropic normal or backward error")
+    return polished
+
+
+def confocal_stack_strategy():
+    """(quadric, L map, z (s, t), chart points V (s, t, n), rng)."""
+    def build(kind, n, s, t, seed):
+        q = sc.standard_quadric(kind, n=n)
+        rng = np.random.default_rng(seed)
+        z = np.array([[qd.admissible_z(q, rng) for _ in range(t)]
+                      for _ in range(s)])
+        V = 0.6 * (rng.standard_normal((s, t, n))
+                   + 1j * rng.standard_normal((s, t, n)))
+        return q, sc.lmap_for(q), z, V, rng
+    return st.builds(build, st.sampled_from([qd.QC, qd.QWC, qd.IQWC]),
+                     st.integers(2, 4), st.integers(1, 4), st.integers(1, 3),
+                     st.integers(0, 2**31 - 1))
+
+
+def noisy_points(q, lm, V, rng, size=0.05):
+    return qd.chart_to_ambient(q, lm, V) + size * (
+        rng.standard_normal(V.shape[:-1] + (q.dim,))
+        + 1j * rng.standard_normal(V.shape[:-1] + (q.dim,)))
+
+
+class TestConfocalBatch:
+    """The confocal family takes z (...) and points (..., m) and gives each
+    entry the bits of the one-point formulas."""
+
+    @given(confocal_stack_strategy())
+    @settings(max_examples=40, deadline=None)
+    def test_family_matches_points(self, case):
+        q, lm, z, V, rng = case
+        x = noisy_points(q, lm, V, rng, size=0.3)
+        R, Q, N = qd.resolvent(q, z), qd.eval_confocal(q, z, x), qd.nhat(q, z, x)
+        assert R.shape == z.shape + (q.dim, q.dim)
+        assert Q.shape == z.shape and N.shape == x.shape
+        for idx in np.ndindex(*z.shape):
+            assert np.array_equal(R[idx], ref_resolvent(q, z[idx]))
+            assert Q[idx] == ref_eval(q, z[idx], x[idx])
+            assert np.array_equal(N[idx], ref_nhat(q, z[idx], x[idx]))
+        # one row of z broadcast against a column of points
+        Qb = qd.eval_confocal(q, z[0], x[:, :1])
+        for i, j in np.ndindex(*Qb.shape):
+            assert Qb[i, j] == ref_eval(q, z[0, j], x[i, 0])
+
+    @given(confocal_stack_strategy())
+    @settings(max_examples=25, deadline=None)
+    def test_intersection_matches_points(self, case):
+        q, lm, z1, V, rng = case
+        z2 = np.array([[qd.admissible_z(q, rng) for _ in row] for row in z1])
+        z2 = np.where(np.abs(z1 - z2) < 0.05, z2 + 0.1, z2)
+        x0 = qd.chart_to_ambient(q, lm, V)
+        x, ok = qd.intersect_confocal(q, z1, z2, x0)
+        assert x.shape == x0.shape and ok.shape == z1.shape
+        for idx in np.ndindex(*z1.shape):
+            xr, okr = ref_intersect(q, z1[idx], z2[idx], x0[idx])
+            assert ok[idx] == okr
+            assert np.array_equal(x[idx], xr)
+        res = qd.confocal_orthogonality_residual(q, z1[ok], z2[ok], x[ok])
+        for r, a, b, xi in zip(res, z1[ok], z2[ok], x[ok]):
+            assert r == abs(ref_nhat(q, a, xi) @ ref_nhat(q, b, xi))
+
+    @given(confocal_stack_strategy())
+    @settings(max_examples=25, deadline=None)
+    def test_elliptic_matches_points(self, case):
+        q, lm, _, V, rng = case
+        x = noisy_points(q, lm, V, rng)
+        refs = []
+        for idx in np.ndindex(*V.shape[:-1]):
+            try:
+                refs.append(ref_elliptic(q, x[idx]))
+            except MultipleRoot:
+                with pytest.raises(MultipleRoot):
+                    qd.elliptic_coordinates(q, x)
+                return
+        roots = qd.elliptic_coordinates(q, x)
+        assert roots.shape == V.shape[:-1] + (q.dim,)
+        for idx, ref in zip(np.ndindex(*V.shape[:-1]), refs):
+            assert np.array_equal(roots[idx], ref)
+        assert np.array_equal(qd.elliptic_coordinates(q, x[0, 0]), refs[0])
+
+    @given(confocal_stack_strategy(), st.data())
+    @settings(max_examples=25, deadline=None)
+    def test_one_pole_raises(self, case, data):
+        q, lm, z, V, rng = case
+        idx = tuple(data.draw(st.integers(0, k - 1)) for k in z.shape)
+        a = data.draw(st.sampled_from([a for a in q.sj.eigenvalues if a != 0]))
+        z = z.copy()
+        z[idx] = 1.0 / a
+        x = qd.chart_to_ambient(q, lm, V)
+        for call in (lambda: qd.resolvent(q, z), lambda: qd.eval_confocal(q, z, x),
+                     lambda: qd.nhat(q, z, x)):
+            with pytest.raises(SingularConfocal):
+                call()
+
+    @given(st.integers(1, 4), st.integers(1, 3), st.data())
+    @settings(max_examples=20, deadline=None)
+    def test_one_multiple_root_raises(self, s, t, data):
+        q, x_bad = isotropic_normal_point()
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**31 - 1)))
+        x = noisy_points(q, None, 0.6 * (rng.standard_normal((s, t, q.n))
+                                         + 1j * rng.standard_normal((s, t, q.n))),
+                         rng)
+        x[data.draw(st.integers(0, s - 1)), data.draw(st.integers(0, t - 1))] = x_bad
+        with pytest.raises(MultipleRoot):
+            qd.elliptic_coordinates(q, x)
+
+    def test_lame_suite_matches_one_try_at_a_time(self):
+        for q, lm, samples in [
+                (qd.qc_quadric([(1.0, 1)] * 3), None, 4),    # no intersections
+                (sc.standard_quadric(qd.QC), None, 12),
+                (sc.standard_quadric(qd.QWC, n=3), "lm", 12),
+                (sc.standard_quadric(qd.IQWC), "lm", 12)]:
+            lm = sc.lmap_for(q) if lm else None
+            assert sc.lame_suite(q, lm, samples, 5) == lame_one_try_at_a_time(
+                q, lm, samples, 5)
+
+
+def isotropic_normal_point():
+    """Newton onto the isotropic-normal locus Q_z = |nhat_z|^2 = 0 at z* = 0.3:
+    a point with a double elliptic coordinate."""
+    q = qd.qc_quadric([(0.25, 1), (1.0, 1), (0.6, 1)])
+    zs = 0.3
+    rng = np.random.default_rng(4)
+    x = qd.chart_to_ambient(q, None, qd.random_chart_point(q, rng))
+    x = np.linalg.solve(qd.sqrt_rz(q, zs), x)  # put it near Q_{z*} = 0
+    for _ in range(60):
+        nh = ref_nhat(q, zs, x)
+        F = np.array([ref_eval(q, zs, x), nh @ nh])
+        if np.max(np.abs(F)) < 1e-13:
+            break
+        J = np.vstack([2 * nh, 2 * (np.linalg.inv(ref_resolvent(q, zs)) @ q.A @ nh)])
+        x = x + np.linalg.lstsq(J, -F, rcond=None)[0]
+    return q, x
+
+
+def lame_one_try_at_a_time(q, lm, samples, seed):
+    rng = np.random.default_rng(seed)
+    worst, done, skipped, tries = 0.0, 0, 0, 0
+    while done < samples and tries < 20 * samples:
+        tries += 1
+        z1, z2 = qd.admissible_z(q, rng), qd.admissible_z(q, rng)
+        if abs(z1 - z2) < 0.05:
+            continue
+        V = qd.random_chart_point(q, rng)
+        x, ok = ref_intersect(q, z1, z2, qd.chart_to_ambient(q, lm, V))
+        if not ok or min(abs(ref_nhat(q, z1, x) @ ref_nhat(q, z1, x)),
+                         abs(ref_nhat(q, z2, x) @ ref_nhat(q, z2, x))) < 1e-6:
+            skipped += 1
+            continue
+        worst = max(worst, qd.confocal_orthogonality_residual(q, z1, z2, x))
+        done += 1
+    return {"lame": worst, "samples": done, "skipped": skipped}
