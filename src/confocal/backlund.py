@@ -43,9 +43,13 @@ class BacklundContext:
     ilc: np.ndarray = field(repr=False)   # I_{1,n} L^{-1} C(z), n-vector ((I)QWC)
     ilb: np.ndarray = field(repr=False)   # I_{1,n} L^{-1} B, n-vector ((I)QWC)
     n: int = field(init=False)            # chart dimension, stored once
+    d: np.ndarray | None = field(init=False, repr=False)  # diag of D, if D is diagonal
 
     def __post_init__(self):
         object.__setattr__(self, "n", self.q.n)
+        d = np.diagonal(self.D).copy()
+        object.__setattr__(self, "d", d if np.array_equal(self.D, np.diag(d))
+                           else None)
 
     @property
     def kind(self) -> str:
@@ -129,15 +133,31 @@ def qc_aux(ctx: BacklundContext) -> QCAux:
 
 # Riccati right-hand sides -----------------------------------------------------------
 
-def riccati_rhs_qwc(ctx: BacklundContext, k: int, R0: np.ndarray,
-                    omega0_k: np.ndarray, R1: np.ndarray) -> np.ndarray:
-    """dR_1/du^k for -dR_1 = R_1 omega_0 + R_1 del R_0^T D R_1 - D R_0 del,
-    batched over leading axes (stacked matmul rounds as one node does)."""
-    n = ctx.n
-    Ek = np.zeros((n, n), dtype=complex)
-    Ek[k, k] = 1.0
-    return -(R1 @ omega0_k + R1 @ Ek @ np.swapaxes(R0, -1, -2) @ ctx.D @ R1
-             - ctx.D @ R0 @ Ek)
+def riccati_rhs_qwc(ctx: BacklundContext, k: int, R0: np.ndarray | None,
+                    omega0_k: np.ndarray | None, R1: np.ndarray) -> np.ndarray:
+    """dR_1/du^k for -dR_1 = R_1 omega_0 + R_1 E_k R_0^T D R_1 - D R_0 E_k,
+    batched over leading axes; R0 = omega0_k = None is the zero-soliton seed
+    (R_0 = I, omega_0 = 0).
+
+    R_1 E_k R_0^T is the outer product of the k-th columns and D R_0 E_k
+    touches column k only.  For n <= 3 the array multiply rounds as a
+    single-term stacked matmul, and with D diagonal (ctx.d) X @ D is X * d,
+    so this has the bits of the matmul form (tests/test_numerics.py pins
+    both rules)."""
+    d = ctx.d
+    if R0 is None and d is not None:
+        out = (R1[..., :, k] * d[k])[..., :, None] * R1[..., None, k, :]
+        out[..., k, k] -= d[k]
+        return -out
+    if R0 is None:
+        R0 = np.eye(ctx.n, dtype=complex)
+    out = R1[..., :, k, None] * R0[..., None, :, k]
+    out = (out * d if d is not None else out @ ctx.D) @ R1
+    if omega0_k is not None:
+        out = out + R1 @ omega0_k
+    out[..., :, k] -= (d * R0[..., :, k] if d is not None
+                       else (ctx.D @ R0)[..., :, k])
+    return -out
 
 
 def riccati_rhs_qc(ctx: BacklundContext, k: int, V0, lam0, R0, omega0_k, R1,
@@ -293,15 +313,15 @@ def _omega_for_integration(fg: df.FieldGrid) -> np.ndarray:
 
 
 def _trivial_seed_rhs(ctx: BacklundContext):
-    """Line right-hand sides for a zero-soliton seed (R_0 = I, omega_0 = 0)."""
+    """Line right-hand sides for a zero-soliton seed (R_0 = I, omega_0 = 0),
+    passed to riccati_rhs_qwc as None: with a diagonal D each evaluation is
+    one outer product and no matmul."""
     n = ctx.n
-    I = np.eye(n, dtype=complex)
-    Z = np.zeros((n, n), dtype=complex)
 
     def rhs_of_axis(axis, _lines):
         def f(_t, y):
             R1 = y.reshape(y.shape[:-1] + (n, n))
-            return riccati_rhs_qwc(ctx, axis, I, Z, R1).reshape(y.shape)
+            return riccati_rhs_qwc(ctx, axis, None, None, R1).reshape(y.shape)
         return f
     return rhs_of_axis
 

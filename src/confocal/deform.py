@@ -23,7 +23,7 @@ from .errors import (
     StepFailure,
 )
 from .numerics import (cumulative_line_integral, diag_stack, diff1, scalar_mul,
-                       stack_apply, stack_dot)
+                       stack_apply, stack_dot, stack_lstsq)
 from .sjcore import sqrt_branch
 
 TOL_PI = 1e-8
@@ -418,8 +418,10 @@ def _complete_rows_with_derivs(r, dr, pool, iso_tol=1e-8):
     directional derivatives dr (..., n_dirs, n), against the fixed candidate
     pool, batched over leading axes.  Returns (S, dS) with S rows
     orthonormal, S[..., 0, :] = r, dS of shape (..., n_dirs, row, col).  A
-    candidate that is near isotropic at some nodes but not at others sends
-    the stack node by node, so each node skips exactly its own candidates."""
+    candidate that is near isotropic at some nodes but not at others splits
+    the stack into the nodes that skip it and the nodes that take it, and
+    each group is completed on its own, so each node skips exactly its own
+    candidates (a stack rounds as its nodes one by one)."""
     n = r.shape[-1]
     lead = r.shape[:-1]
     rows = [np.asarray(r, dtype=complex)]
@@ -442,9 +444,9 @@ def _complete_rows_with_derivs(r, dr, pool, iso_tol=1e-8):
         if np.any(skip):
             S = np.empty(lead + (n, n), dtype=complex)
             dS = np.empty(dr.shape[:-1] + (n, n), dtype=complex)
-            for idx in np.ndindex(*lead):
-                S[idx], dS[idx] = _complete_rows_with_derivs(r[idx], dr[idx],
-                                                             pool, iso_tol)
+            for group in (skip, ~skip):
+                S[group], dS[group] = _complete_rows_with_derivs(
+                    r[group], dr[group], pool, iso_tol)
             return S, dS
         dn2 = 2.0 * stack_apply(dw, w)
         s = np.asarray(sqrt_branch(n2))
@@ -460,8 +462,9 @@ def _complete_rows_with_derivs(r, dr, pool, iso_tol=1e-8):
 
 def _cmp_solve(hj, dhj, gamma):
     """Least-squares normal connection, batched over leading axes; returns
-    (nconn, residual per node).  np.linalg.lstsq takes no stacks, so the
-    solve itself runs node by node."""
+    (nconn, residual per node).  Each k-system is one stacked least-squares
+    solve (numerics.stack_lstsq), with the bits of np.linalg.lstsq node by
+    node."""
     lead = hj.shape[:-2]
     n = hj.shape[-1]
     pairs = [(a, b) for a in range(1, n) for b in range(a + 1, n)]
@@ -484,9 +487,7 @@ def _cmp_solve(hj, dhj, gamma):
         cfull = np.concatenate(rhs, axis=-1)
         if pairs:
             Mfull = np.concatenate(rows, axis=-2)
-            sol = np.empty(lead + (len(pairs),), dtype=complex)
-            for idx in np.ndindex(*lead):
-                sol[idx] = np.linalg.lstsq(Mfull[idx], -cfull[idx], rcond=None)[0]
+            sol = stack_lstsq(Mfull, -cfull)
             res = np.maximum(res, np.max(np.abs(stack_apply(Mfull, sol) + cfull),
                                          axis=-1))
             for col, (a, b) in enumerate(pairs):

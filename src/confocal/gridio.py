@@ -9,12 +9,16 @@ bytes.
 
 from __future__ import annotations
 
+import itertools
 import json
 from pathlib import Path
 
 import numpy as np
 
 from . import deform as df
+
+
+_ROWS_PER_WRITE = 256
 
 
 def _fmt(x: float) -> str:
@@ -33,32 +37,44 @@ def grid_header(grid: df.GridSpec) -> dict:
     return {"axes": [list(ax) for ax in grid.axes], "base": list(grid.base)}
 
 
+def _complex_columns(name: str, values: np.ndarray):
+    """Column names and Re/Im columns of a node field (nodes, *components),
+    components in C order, named name + component indices."""
+    names, cols = [], []
+    comps = itertools.product(*map(range, values.shape[1:]))
+    for comp, col in zip(comps, values.reshape(len(values), -1).T):
+        tag = name + "".join(map(str, comp))
+        names += [tag + "_re", tag + "_im"]
+        cols += [col.real, col.imag]
+    return names, cols
+
+
+def _write_columns(path, names, columns):
+    """CSV from whole columns, one row per node: ints as digits, floats with
+    repr precision (repr over .tolist() is _fmt entry by entry).  Rows are
+    formatted and written a block at a time, so the whole text is never
+    held in memory."""
+    columns = [np.asarray(col) for col in columns]
+    with open(path, "w") as f:
+        f.write(",".join(names) + "\n")
+        for i in range(0, len(columns[0]), _ROWS_PER_WRITE):
+            cells = [map(repr, col[i:i + _ROWS_PER_WRITE].tolist()) for col in columns]
+            f.write("".join(",".join(row) + "\n" for row in zip(*cells)))
+
+
 def save_fieldgrid(path, fg: df.FieldGrid, q, header_extra: dict | None = None):
     """Write <path>.csv and <path>.json for a FieldGrid."""
     path = Path(path)
-    n = fg.n
     naxes = fg.grid.n
-    cols = [f"i{a}" for a in range(naxes)] + [f"u{a}" for a in range(naxes)]
-    for name, comps in (("V", n), ("lam", n)):
-        for c in range(comps):
-            cols += [f"{name}{c}_re", f"{name}{c}_im"]
-    for a in range(n):
-        for b in range(n):
-            cols += [f"R{a}{b}_re", f"R{a}{b}_im"]
-    lines = [",".join(cols)]
-    coords = [fg.grid.coords(a) for a in range(naxes)]
-    for idx in np.ndindex(*fg.grid.shape):
-        row = [str(i) for i in idx]
-        row += [_fmt(coords[a][idx[a]]) for a in range(naxes)]
-        for c in range(n):
-            row += [_fmt(fg.V[idx][c].real), _fmt(fg.V[idx][c].imag)]
-        for c in range(n):
-            row += [_fmt(fg.lam[idx][c].real), _fmt(fg.lam[idx][c].imag)]
-        for a in range(n):
-            for b in range(n):
-                row += [_fmt(fg.R[idx][a, b].real), _fmt(fg.R[idx][a, b].imag)]
-        lines.append(",".join(row))
-    path.with_suffix(".csv").write_text("\n".join(lines) + "\n")
+    idx = np.indices(fg.grid.shape).reshape(naxes, -1)
+    names = [f"i{a}" for a in range(naxes)] + [f"u{a}" for a in range(naxes)]
+    cols = list(idx) + [fg.grid.coords(a)[idx[a]] for a in range(naxes)]
+    for name, values in (("V", fg.V), ("lam", fg.lam), ("R", fg.R)):
+        vnames, vcols = _complex_columns(
+            name, values.reshape((idx.shape[1],) + values.shape[naxes:]))
+        names += vnames
+        cols += vcols
+    _write_columns(path.with_suffix(".csv"), names, cols)
     header = {
         "quadric": quadric_header(q),
         "grid": grid_header(fg.grid),
@@ -124,20 +140,10 @@ def save_lattice(dirpath, lattice, residual_rows=None):
             index[str(key)] = None
             continue
         index[str(key)] = name + ".csv"
-        n = Rf.shape[-1]
-        cols = []
-        for a in range(n):
-            for b in range(n):
-                cols += [f"R{a}{b}_re", f"R{a}{b}_im"]
-        lines = [",".join(["node"] + cols)]
-        flat = Rf.reshape(-1, n, n)
-        for i, M in enumerate(flat):
-            row = [str(i)]
-            for a in range(n):
-                for b in range(n):
-                    row += [_fmt(M[a, b].real), _fmt(M[a, b].imag)]
-            lines.append(",".join(row))
-        (dirpath / (name + ".csv")).write_text("\n".join(lines) + "\n")
+        flat = Rf.reshape((-1,) + Rf.shape[-2:])
+        names, cols = _complex_columns("R", flat)
+        _write_columns(dirpath / (name + ".csv"), ["node"] + names,
+                       [np.arange(len(flat))] + cols)
     (dirpath / "index.json").write_text(json.dumps(index, indent=2,
                                                    sort_keys=True) + "\n")
     if residual_rows:

@@ -166,22 +166,6 @@ def sqrt_resolvent(spec: SJSpec, z: complex) -> np.ndarray:
     return S
 
 
-def resolvent_inv_sqrt(spec: SJSpec, z: complex) -> np.ndarray:
-    """(I - z A)^{-1/2}, blockwise: (1-za)^{-1/2} sum_k C(-1/2,k) (-z/(1-za))^k J_p^k."""
-    z = complex(z)
-    m = spec.dim
-    S = np.zeros((m, m), dtype=complex)
-    for sl, a, p in spec.slices():
-        w = 1.0 - z * a
-        if abs(w) < TOL_SINGULAR:
-            raise SingularConfocal(f"1 - z*a = {w} for eigenvalue {a}")
-        rw = sqrt_branch(w)
-        S[sl, sl] = (1.0 / rw) * _block_series(
-            a, p, lambda k: _binom(-0.5, k) * (-z / w) ** k
-        )
-    return S
-
-
 def orth_defect(M: np.ndarray) -> float:
     """max-norm of M^T M - I (bilinear orthogonality defect)."""
     m = M.shape[0]

@@ -3,8 +3,11 @@ independent oracles, structure-preserving integration, the algebraic
 transforms with their identities and involution, leaf embedding, and the
 ruling / asymptotic-direction verifications."""
 
+import functools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from confocal import backlund as bk, deform as df, quadric as qd, scenarios as sc
 from confocal.errors import DriftExceeded, UNearZero
@@ -106,6 +109,83 @@ class TestRiccatiRHS:
             for idx in np.ndindex(*shape):
                 assert np.array_equal(
                     got[idx], bk.riccati_rhs_qwc(ctx, k, R0[idx], om[idx], R1[idx]))
+
+
+def rhs_qwc_matmul_reference(ctx, k, R0, om_k, R1):
+    """The seven-matmul form of the display, E_k as a dense matrix."""
+    n = ctx.n
+    Ek = np.zeros((n, n), dtype=complex)
+    Ek[k, k] = 1.0
+    return -(R1 @ om_k + R1 @ Ek @ np.swapaxes(R0, -1, -2) @ ctx.D @ R1
+             - ctx.D @ R0 @ Ek)
+
+
+# diagonal D: real and complex eigenvalues; non-diagonal D: IQWC and a
+# Jordan p = 2 block
+RHS_QUADRICS = {
+    "qwc2": lambda: qd.qwc_quadric([(1.0, 1), (0.7, 1)]),
+    "qwc3": lambda: qd.qwc_quadric([(1.0, 1), (0.7, 1), (1.3, 1)]),
+    "qwc2c": lambda: qd.qwc_quadric([(1.0 + 0.4j, 1), (1.0 - 0.4j, 1)]),
+    "qwc3c": lambda: qd.qwc_quadric([(1.0 + 0.3j, 1), (1.0 - 0.3j, 1), (1.3, 1)]),
+    "iqwc2": lambda: qd.iqwc_quadric(2, [(1.5, 1)]),
+    "iqwc3": lambda: qd.iqwc_quadric(3, [(1.5, 1)]),
+    "jordan2": lambda: qd.qwc_quadric([(1.0, 2)]),
+    "jordan3": lambda: qd.qwc_quadric([(1.0, 2), (0.6, 1)]),
+    "qwc4": lambda: qd.qwc_quadric([(1.0, 1), (0.7, 1), (1.3, 1), (0.4, 1)]),
+    "iqwc4": lambda: qd.iqwc_quadric(4, [(1.5, 1)]),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def rhs_context(name):
+    q = RHS_QUADRICS[name]()
+    return bk.make_context(q, 0.31 + 0.12j, qd.build_lmap(q))
+
+
+class TestRiccatiRHSReference:
+    """The column-k right-hand side against the seven-matmul form: bitwise
+    for n <= 3 (the array multiply rounds as a single-term matmul there),
+    within 1e-13 relative at n = 4."""
+
+    @given(st.sampled_from(sorted(RHS_QUADRICS)),
+           st.sampled_from([(), (5,), (7, 4)]),
+           st.sampled_from(["stack", "identity"]),
+           st.booleans(), st.integers(0, 2**31 - 1))
+    @settings(max_examples=80, deadline=None)
+    def test_matches_matmul_form(self, name, shape, seed_kind, random_om, seed):
+        ctx = rhs_context(name)
+        n = ctx.n
+        rng = np.random.default_rng(seed)
+
+        def cplx(*s):
+            return rng.standard_normal(s) + 1j * rng.standard_normal(s)
+
+        nodes = int(np.prod(shape))
+        R1 = np.array([random_orthogonal(n, seed=int(s))
+                       for s in rng.integers(0, 2**31, nodes)]).reshape(shape + (n, n))
+        if seed_kind == "identity":
+            R0, om = None, None
+            R0_ref = np.eye(n, dtype=complex)
+            om_ref = np.zeros((n, n), dtype=complex)
+        else:
+            R0 = cplx(*shape, n, n)
+            om = cplx(*shape, n, n) if random_om else np.zeros(shape + (n, n), complex)
+            R0_ref, om_ref = R0, om
+        for k in range(n):
+            got = bk.riccati_rhs_qwc(ctx, k, R0, om, R1)
+            ref = rhs_qwc_matmul_reference(ctx, k, R0_ref, om_ref, R1)
+            assert got.shape == ref.shape
+            if n <= 3:
+                assert np.array_equal(got, ref)
+            else:
+                assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+    def test_diagonal_d_is_detected(self):
+        assert rhs_context("qwc3c").d is not None
+        assert rhs_context("iqwc3").d is None
+        assert rhs_context("jordan2").d is None
+        m = rhs_context("qwc2").mirror()
+        assert np.array_equal(m.d, -rhs_context("qwc2").d)
 
 
 class TestQCRiccati:

@@ -276,6 +276,77 @@ class TestFrameCompletion:
             Si, dSi = df._complete_rows_with_derivs(r[idx], dr[idx], pool)
             assert np.array_equal(S[idx], Si) and np.array_equal(dS[idx], dSi)
 
+    def test_split_at_two_successive_candidates(self, monkeypatch):
+        # the first candidate [5, 1, i] is isotropic after projection at the
+        # r = e_1 nodes only; among the nodes that take it, the second
+        # candidate e_2 lies in span(r, first row) at the r = e_2 nodes only
+        rows = np.eye(3, dtype=complex)
+        r = rows[[[0, 1, 2], [2, 0, 1]]]
+        rng = np.random.default_rng(6)
+        dr = rng.standard_normal((2, 3, 3, 3)) + 1j * rng.standard_normal((2, 3, 3, 3))
+        pool = np.vstack([[5.0, 1.0, 1j], [0.0, 1.0, 0.0], rng.standard_normal((4, 3))])
+        calls = []
+        complete = df._complete_rows_with_derivs
+
+        def counted(r, *args):
+            calls.append(r.shape[:-1])
+            return complete(r, *args)
+
+        monkeypatch.setattr(df, "_complete_rows_with_derivs", counted)
+        S, dS = df._complete_rows_with_derivs(r, dr, pool)
+        # the whole stack, then the skip and take groups of each split
+        assert calls == [(2, 3), (2,), (4,), (2,), (2,)]
+        monkeypatch.setattr(df, "_complete_rows_with_derivs", complete)
+        for idx in np.ndindex(2, 3):
+            Si, dSi = df._complete_rows_with_derivs(r[idx], dr[idx], pool)
+            assert np.array_equal(S[idx], Si) and np.array_equal(dS[idx], dSi)
+            assert np.max(np.abs(Si @ Si.T - np.eye(3))) < 1e-12
+
+
+def cmp_solve_per_node(hj, dhj, gamma):
+    """One node of the CMP least-squares solve with np.linalg.lstsq."""
+    n = hj.shape[-1]
+    pairs = [(a, b) for a in range(1, n) for b in range(a + 1, n)]
+    out = np.zeros((n, n, n), dtype=complex)
+    res = 0.0
+    for k in range(n):
+        rows, rhs = [], []
+        for j in range(n):
+            if j == k:
+                continue
+            rhs.append(dhj[k, :, j] - gamma[j, j, k] * hj[:, j]
+                       + gamma[k, j, j] * hj[:, k])
+            M = np.zeros((n, len(pairs)), dtype=complex)
+            for col, (a, b) in enumerate(pairs):
+                M[a, col] = hj[b, j]
+                M[b, col] = -hj[a, j]
+            rows.append(M)
+        c = np.concatenate(rhs)
+        M = np.concatenate(rows)
+        sol = np.linalg.lstsq(M, -c, rcond=None)[0]
+        res = max(res, np.max(np.abs(M @ sol + c)))
+        for col, (a, b) in enumerate(pairs):
+            out[k, a, b] = sol[col]
+            out[k, b, a] = -sol[col]
+    return out, res
+
+
+class TestCMPSolve:
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_stack_matches_per_node_lstsq(self, n):
+        rng = np.random.default_rng(n)
+
+        def cplx(*s):
+            return rng.standard_normal(s) + 1j * rng.standard_normal(s)
+
+        shape = (4, 3)
+        hj, dhj, gamma = cplx(*shape, n, n), cplx(*shape, n, n, n), cplx(*shape, n, n, n)
+        nconn, res = df._cmp_solve(hj, dhj, gamma)
+        for idx in np.ndindex(*shape):
+            ref, ref_res = cmp_solve_per_node(hj[idx], dhj[idx], gamma[idx])
+            assert np.array_equal(nconn[idx], ref)
+            assert res[idx] == ref_res
+
 
 class TestSeedFrame:
     def test_chart_reproduction(self, qwc2, lmap2, soliton32):

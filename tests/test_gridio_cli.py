@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from confocal import backlund as bk, cli, gridio, permute as pm, scenarios as sc
+from confocal import backlund as bk, cli, deform as df, gridio, permute as pm, scenarios as sc
 from confocal.errors import ConfigError, MissingRun, MultipleRoot
 from confocal.sjcore import random_orthogonal
 
@@ -34,6 +34,81 @@ class TestGridIO:
         gridio.save_fieldgrid(tmp_path / "a", soliton32, qwc2)
         gridio.save_fieldgrid(tmp_path / "b", soliton32, qwc2)
         assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+
+    def test_fieldgrid_csv_equals_per_row_writer(self, soliton32, qwc2, tmp_path):
+        # 13 * 9 * 11 nodes: more than one block of rows per write
+        grid = df.GridSpec(((0.0, 0.3, 13), (-1.0, 2.0, 9), (0.1, 0.7, 11)), (1, 2, 0))
+        rng = np.random.default_rng(3)
+
+        def cplx(*s):
+            return (rng.standard_normal(s) * 10.0 ** rng.integers(-300, 300, s)
+                    + 1j * rng.standard_normal(s))
+
+        fg3 = df.FieldGrid(grid, "QWC", cplx(13, 9, 11, 3), cplx(13, 9, 11, 3),
+                           cplx(13, 9, 11, 3, 3))
+        fg3.V[0, 0, 0] = complex(-0.0, 0.0)
+        for name, fg in (("n2", soliton32), ("n3", fg3)):
+            gridio.save_fieldgrid(tmp_path / name, fg, qwc2)
+            assert ((tmp_path / f"{name}.csv").read_text()
+                    == fieldgrid_csv_per_row(fg))
+        back = gridio.load_fieldgrid(tmp_path / "n3")
+        for f in ("V", "lam", "R"):
+            assert np.array_equal(getattr(back, f), getattr(fg3, f))
+        assert back.grid == grid
+
+    def test_lattice_csv_equals_per_row_writer(self, tmp_path):
+        rng = np.random.default_rng(5)
+        big = (50, 41, 2, 2)   # more than one block of rows per write
+        lattice = {(0, 0): rng.standard_normal(big) + 1j * rng.standard_normal(big),
+                   (0, 1): None,
+                   (1, 0): rng.standard_normal((6, 3, 3)) + 0j}
+        gridio.save_lattice(tmp_path, lattice)
+        index = json.loads((tmp_path / "index.json").read_text())
+        assert index == {"(0, 0)": "site_0_0.csv", "(0, 1)": None,
+                         "(1, 0)": "site_1_0.csv"}
+        for key in ((0, 0), (1, 0)):
+            name = "site_" + "_".join(map(str, key)) + ".csv"
+            assert (tmp_path / name).read_text() == lattice_csv_per_row(lattice[key])
+
+
+def _fmt(x):
+    return repr(float(x))
+
+
+def fieldgrid_csv_per_row(fg):
+    """The node-by-node CSV layout of save_fieldgrid."""
+    n, naxes = fg.n, fg.grid.n
+    cols = [f"i{a}" for a in range(naxes)] + [f"u{a}" for a in range(naxes)]
+    for name in ("V", "lam"):
+        for c in range(n):
+            cols += [f"{name}{c}_re", f"{name}{c}_im"]
+    for a in range(n):
+        for b in range(n):
+            cols += [f"R{a}{b}_re", f"R{a}{b}_im"]
+    lines = [",".join(cols)]
+    coords = [fg.grid.coords(a) for a in range(naxes)]
+    for idx in np.ndindex(*fg.grid.shape):
+        row = [str(i) for i in idx] + [_fmt(coords[a][idx[a]]) for a in range(naxes)]
+        for f in (fg.V, fg.lam):
+            for c in range(n):
+                row += [_fmt(f[idx][c].real), _fmt(f[idx][c].imag)]
+        for a in range(n):
+            for b in range(n):
+                row += [_fmt(fg.R[idx][a, b].real), _fmt(fg.R[idx][a, b].imag)]
+        lines.append(",".join(row))
+    return "\n".join(lines) + "\n"
+
+
+def lattice_csv_per_row(Rf):
+    """The node-by-node CSV layout of one save_lattice site."""
+    n = Rf.shape[-1]
+    cols = [f"R{a}{b}_{part}" for a in range(n) for b in range(n)
+            for part in ("re", "im")]
+    lines = [",".join(["node"] + cols)]
+    for i, M in enumerate(Rf.reshape(-1, n, n)):
+        lines.append(",".join([str(i)] + [_fmt(v) for a in range(n) for b in range(n)
+                                          for v in (M[a, b].real, M[a, b].imag)]))
+    return "\n".join(lines) + "\n"
 
 
 N1_QWC = {"kind": "QWC", "blocks": [{"a": [1.0, 0.0], "p": 1}]}

@@ -218,6 +218,27 @@ class TestStackAlgebra:
         assert np.array_equal(scalar_abs(z), ref)
         assert np.array_equal(scalar_abs(z), [abs(v) for v in z])
 
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_rounding_rules_of_the_column_k_riccati_rhs(self, n):
+        # backlund.riccati_rhs_qwc forms R_1 E_k R_0^T with the array
+        # multiply and scales by a diagonal D column-wise; its bits equal the
+        # matmul form's only while these two rules hold on the numpy/BLAS build
+        rng = np.random.default_rng(n)
+
+        def cplx(*s):
+            return rng.standard_normal(s) + 1j * rng.standard_normal(s)
+
+        A, B, X = cplx(7, n, n), cplx(7, n, n), cplx(7, n, n)
+        for k in range(n):
+            Ek = np.zeros((n, n), dtype=complex)
+            Ek[k, k] = 1.0
+            assert np.array_equal(A @ Ek @ B, A[..., :, k, None] * B[..., None, k, :]), (
+                f"rule broken: the array multiply no longer rounds as the "
+                f"single-term stacked matmul product (n = {n})")
+        d = cplx(n)
+        assert np.array_equal(X @ np.diag(d), X * d), (
+            f"rule broken: X @ diag(d) differs from X * d (n = {n})")
+
 
 class TestFits:
     def test_loglog_slope(self):

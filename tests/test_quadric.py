@@ -11,7 +11,19 @@ from confocal import quadric as qd, scenarios as sc
 from confocal.errors import (ChartSingularity, DistinctZRequired,
                              IsotropicNormal, MultipleRoot,
                              NotRulingDirection, OffQuadric, SingularConfocal)
-from confocal.sjcore import iso_f, resolvent_inv_sqrt, sqrt_branch
+from confocal.sjcore import _binom, _block_series, iso_f, sqrt_branch
+
+
+def resolvent_inv_sqrt(spec, z: complex) -> np.ndarray:
+    """(I - z A)^{-1/2}, blockwise: (1-za)^{-1/2} sum_k C(-1/2,k) (-z/(1-za))^k J_p^k;
+    the integrand of the translation's quadrature oracle."""
+    z = complex(z)
+    S = np.zeros((spec.dim, spec.dim), dtype=complex)
+    for sl, a, p in spec.slices():
+        w = 1.0 - z * a
+        S[sl, sl] = (1.0 / sqrt_branch(w)) * _block_series(
+            a, p, lambda k: _binom(-0.5, k) * (-z / w) ** k)
+    return S
 
 
 @pytest.fixture(scope="module")
