@@ -250,7 +250,6 @@ class RiccatiRun:
 
     R1: np.ndarray
     drift: np.ndarray          # per-node orthogonality defect
-    path_mismatch: float       # max gap between the two sweep orders
     meta: dict = field(default_factory=dict)
 
 
@@ -262,9 +261,9 @@ def integrate_backlund(fg: df.FieldGrid, ctx: BacklundContext,
     The seed supplies R_0 and omega_0; for a zero-soliton seed both are
     constant (I and 0) and the RK4 stages are exact, otherwise the seed field
     is interpolated cubically along lines at the half-step stages.  The leaf
-    field comes from the axis-ordered sweep; the reversed sweep order gives
-    the path-mismatch diagnostic.  Raises DriftExceeded if the orthogonality
-    defect passes drift_hard anywhere.
+    field comes from one sweep in axis order (path_mismatch runs the reversed
+    order).  Raises DriftExceeded if the orthogonality defect passes
+    drift_hard anywhere.
     """
     if ctx.kind == qd.QC:
         raise ValueError("grid integration applies to the (I)QWC equation")
@@ -272,25 +271,33 @@ def integrate_backlund(fg: df.FieldGrid, ctx: BacklundContext,
     # base_tol can be loosened to study how an initial orthogonality defect
     # propagates (it obeys a homogeneous linear equation along the flow)
     sjcore.check_orthogonal(R1_base, base_tol, "R1 base value")
-    if fg.meta.get("soliton") == "zero":
-        rhs_of_axis = _trivial_seed_rhs(ctx)
-    else:
-        rhs_of_axis = _general_seed_rhs(fg, ctx, _omega_for_integration(fg))
-
-    def integrate(order_axes):
-        R1 = numerics.rk4_sweep(fg.grid, R1_base.astype(complex).ravel(),
-                                rhs_of_axis, order=order_axes)
-        return R1.reshape(fg.grid.shape + (n, n))
-
-    R1_a = integrate(tuple(range(fg.grid.n)))
-    R1_b = integrate(tuple(reversed(range(fg.grid.n))))
-    drift = np.max(np.abs(np.einsum("...ij,...kj->...ik", R1_a, R1_a)
+    R1 = _riccati_sweep(fg, ctx, R1_base, None)
+    drift = np.max(np.abs(np.einsum("...ij,...kj->...ik", R1, R1)
                           - np.eye(n)), axis=(-2, -1))
     worst = float(np.max(drift))
     if worst > drift_hard:
         raise DriftExceeded(f"orthogonality drift {worst:.3e} > {drift_hard:.1e}")
-    mismatch = float(np.max(np.abs(R1_a - R1_b)))
-    return RiccatiRun(R1_a, drift, mismatch, {"z": ctx.z, "sqrt_z": ctx.sqrt_z})
+    return RiccatiRun(R1, drift, {"z": ctx.z, "sqrt_z": ctx.sqrt_z})
+
+
+def path_mismatch(fg: df.FieldGrid, ctx: BacklundContext,
+                  run: RiccatiRun) -> float:
+    """Max gap between the leaf field of run and the field the sweep in
+    reversed axis order integrates from the same base value."""
+    order = tuple(reversed(range(fg.grid.n)))
+    R1 = _riccati_sweep(fg, ctx, run.R1[fg.grid.base], order)
+    return float(np.max(np.abs(run.R1 - R1)))
+
+
+def _riccati_sweep(fg: df.FieldGrid, ctx: BacklundContext, R1_base, order):
+    """The leaf R field of one RK4 sweep in the given axis order."""
+    if fg.meta.get("soliton") == "zero":
+        rhs_of_axis = _trivial_seed_rhs(ctx)
+    else:
+        rhs_of_axis = _general_seed_rhs(fg, ctx, _omega_for_integration(fg))
+    R1 = numerics.rk4_sweep(fg.grid, R1_base.astype(complex).ravel(),
+                            rhs_of_axis, order=order)
+    return R1.reshape(fg.grid.shape + (fg.n, fg.n))
 
 
 def _omega_for_integration(fg: df.FieldGrid) -> np.ndarray:
@@ -367,8 +374,6 @@ def integrate_backlund_qc_line(q, z, V0_base, lam0_base, R1_base,
     V0_base = np.asarray(V0_base, dtype=complex).reshape(n)
     lam0_base = np.asarray(lam0_base, dtype=complex).reshape(n)
     sjcore.check_orthogonal(R1_base, 1e-8, "R1 base value")
-    m = n + 1
-    e = qd.basis_vec(m - 1, m)
     omega0 = np.zeros((n, n), dtype=complex)
     R0 = np.eye(n, dtype=complex)
 
@@ -378,12 +383,7 @@ def integrate_backlund_qc_line(q, z, V0_base, lam0_base, R1_base,
         R1 = y[2 * n:].reshape(n, n)
         dy = np.zeros_like(y)
         dy[axis] = lam[axis]
-        Vf = qd.embed(V, m)
-        v2 = V @ V
-        Xh = 2.0 * Vf + (v2 - 1.0) * e
-        AX = q.A @ Xh
-        grad = AX - (e @ AX) * e + Vf * (e @ AX)   # (I_{1,n} + V e^T) A Xh
-        dy[n + axis] = -2.0 * grad[axis]
+        dy[n + axis] = -qd.chart_source(q, None, V)[axis]
         dR1 = riccati_rhs_qc(ctx, axis, V, lam, R0, omega0, R1, aux, tol_u)
         dy[2 * n:] = dR1.ravel()
         return dy
@@ -443,8 +443,7 @@ def qwc_transform_residuals(ctx: BacklundContext, V0, lam0, R0, R1, V1, lam1):
     c01 = np.einsum("ij,...j->...i", srp, V0) - V1 + ctx.ilc
     c10 = np.einsum("ij,...j->...i", srp, V1) - V0 + ctx.ilc
     H1 = qd.h_chart(q, lm, V1)
-    endpoint = complex(qd.basis_vec(q.n, q.dim)
-                       @ (lm.L_inv @ qd.translation(q, ctx.z)))
+    endpoint = qd.chart_coords(lm, qd.translation(q, ctx.z))[-1]
     quad = (np.einsum("...i,ij,...j->...", V1, srp, V0)
             - 0.5 * (np.einsum("...j,...j->...", V1, V1)
                      + np.einsum("...j,...j->...", V0, V0))
@@ -465,8 +464,7 @@ def algebraic_transform_qc(ctx: BacklundContext, V0, lam0, R0, R1,
     """(V_0, Lambda_0) -> (V_1, Lambda_1) for QC, batched over leading axes."""
     aux = qc_aux(ctx)
     sz = ctx.sqrt_z
-    n = ctx.n
-    m = n + 1
+    m = ctx.n + 1
     srz = ctx.srp
     e = qd.basis_vec(m - 1, m)
     U = aux.U(V0)
@@ -475,46 +473,31 @@ def algebraic_transform_qc(ctx: BacklundContext, V0, lam0, R0, R1,
     R1l = np.einsum("...ij,...j->...i", R1, lam0)
     V1 = -sz * (R1l + aux.N(V0)) / U[..., None]
 
-    v0f = qd.embed(V0, m)
-    v02 = np.einsum("...j,...j->...", V0, V0)
-    Xh0 = 2.0 * v0f + (v02 - 1.0)[..., None] * e
+    Xh0 = qd.stereo_lift(V0, np.einsum("...j,...j->...", V0, V0))
     # (I + e V1^T) R1 Lambda0 = embed(R1l) + (V1.R1l) e
-    t = qd.embed(R1l, m) + np.einsum("...k,...k->...", V1,
-                                     R1l)[..., None] * e
+    v1r = np.einsum("...k,...k->...", V1, R1l)[..., None]
+    t = qd.embed(R1l, m) + v1r * e
     inner = (sz * np.einsum("ij,...j->...i", ctx.q.A, Xh0)
              - np.einsum("ij,...j->...i", srz, t))
-    escal = np.einsum("k,...k->...", e, inner)
-    brace = inner - escal[..., None] * e + v0f * escal[..., None]
-    tail = v0f * np.einsum("...k,...k->...", V1, R1l)[..., None]
-    lam1f = 2.0 * (brace + tail) / U[..., None]
-    lam1 = np.einsum("...ji,...j->...i", R0, lam1f[..., :n])
+    lam1f = 2.0 * (qd.stereo_project(V0, inner) + V0 * v1r) / U[..., None]
+    lam1 = np.einsum("...ji,...j->...i", R0, lam1f)
     return V1, lam1
 
 
 def qc_transform_residuals(ctx: BacklundContext, V0, lam0, R0, R1, V1, lam1):
     """Pointwise identities for the QC transform."""
-    n = ctx.n
-    m = n + 1
     srz = ctx.srp
     sz = ctx.sqrt_z
-    e = qd.basis_vec(m - 1, m)
-    v0f = qd.embed(V0, m)
-    v1f = qd.embed(V1, m)
     v02 = np.einsum("...j,...j->...", V0, V0)
     v12 = np.einsum("...j,...j->...", V1, V1)
-    Xh0 = 2.0 * v0f + (v02 - 1.0)[..., None] * e
-    Xh1 = 2.0 * v1f + (v12 - 1.0)[..., None] * e
+    Xh0 = qd.stereo_lift(V0, v02)
+    Xh1 = qd.stereo_lift(V1, v12)
     sXh0 = np.einsum("ij,...j->...i", srz, Xh0)
     sXh1 = np.einsum("ij,...j->...i", srz, Xh1)
-
-    def proj_left(V, w):
-        # [(I_{1,n} + V e^T) w]_n for a chart vector V
-        return w[..., :n] + V * np.einsum("k,...k->...", e, w)[..., None]
-
     rla1 = (sz * np.einsum("...ij,...j->...i", R0, lam1)
-            - proj_left(V0, sXh1) + (v12 + 1.0)[..., None] * V0)
+            - qd.stereo_project(V0, sXh1) + (v12 + 1.0)[..., None] * V0)
     rla2 = (-sz * np.einsum("...ij,...j->...i", R1, lam0)
-            - proj_left(V1, sXh0) + (v02 + 1.0)[..., None] * V1)
+            - qd.stereo_project(V1, sXh0) + (v02 + 1.0)[..., None] * V1)
     tc = (np.einsum("...i,...i->...", Xh0, sXh1)
           - (v02 + 1.0) * (v12 + 1.0))
     H1 = qd.h_chart(ctx.q, None, V1)
@@ -544,22 +527,9 @@ def involution_residual(ctx: BacklundContext, V0, lam0, R0, R1) -> float:
 def leaf_system_residual(fg1: df.FieldGrid, q, lm, order: int = 2) -> dict:
     """Finite-difference residual of the linear system on a leaf field:
     dV = R del Lambda, dLambda = omega Lambda - del R^T (source)."""
-    n = fg1.n
     hs = fg1.grid.h
     om = df.omega_fields(fg1, order=order)
-    if q.kind == qd.QC:
-        m = q.dim
-        e = qd.basis_vec(m - 1, m)
-        v2 = np.einsum("...j,...j->...", fg1.V, fg1.V)
-        Vf = qd.embed(fg1.V, m)
-        Xh = 2.0 * Vf + (v2 - 1.0)[..., None] * e
-        AX = np.einsum("ij,...j->...i", q.A, Xh)
-        escal = np.einsum("k,...k->...", e, AX)
-        grad = AX - escal[..., None] * e + Vf * escal[..., None]
-        source = 2.0 * grad[..., :n]
-    else:
-        source = (np.einsum("ij,...j->...i", lm.aprime_n(), fg1.V)
-                  + qd.chart_b(q, lm))
+    source = qd.chart_source(q, lm, fg1.V)
     res_v = res_l = 0.0
     for k in range(fg1.grid.n):
         dVk = diff1(fg1.V, axis=k, h=hs[k], order=order)
@@ -703,23 +673,16 @@ def leaf_embed(q, lm, ctx: BacklundContext, fg0: df.FieldGrid,
 
 
 def _chart_normal_derivative_dot(q, lm, fg0, vec):
-    """(d_j N_0)^T vec per node and direction, from the closed chart formula
-    for the base-quadric unit normal along V_0(u) ((I)QWC charts)."""
-    n = fg0.n
-    shape = fg0.grid.shape
-    H = qd.h_chart(q, lm, fg0.V)
-    sqH = sqrt_branch(H)
-    Lti = lm.L_inv.T
-    mu = np.einsum("jk,...k->...j", lm.aprime_n(), fg0.V) + qd.chart_b(q, lm)
-    N0 = (np.einsum("ic,...c->...i", Lti[:, :n], fg0.V)
-          + q.B) / sqH[..., None]
-    out = np.zeros(shape + (n,), dtype=complex)
-    for j in range(n):
-        dVj = fg0.lam[..., j:j + 1] * fg0.R[..., :, j]
-        dN = (np.einsum("ic,...c->...i", Lti[:, :n], dVj) / sqH[..., None]
-              - N0 * (np.einsum("...c,...c->...", mu, dVj) / H)[..., None])
-        out[..., j] = np.einsum("...i,...i->...", dN, vec[..., : n + 1])
-    return out
+    """(d_j N_0)^T vec per node and direction j, for the base-quadric unit
+    normal N_0 = (A x + B)/sqrt(H) along V_0(u) ((I)QWC charts):
+    dN_0 = A dx / sqrt(H) - N_0 (mu^T dV) / H with mu = dH/dv / 2."""
+    N0, H = qd.chart_normal_h(q, lm, fg0.V)
+    dV = fg0.R * fg0.lam[..., None, :]          # column j: dV_0 / du^j
+    AdX = q.A @ qd.chart_tangents(q, lm, fg0.V) @ dV
+    mudV = np.einsum("...c,...cj->...j", qd.chart_source(q, lm, fg0.V), dV)
+    dN = (AdX / np.asarray(sqrt_branch(H))[..., None, None]
+          - N0[..., :, None] * (mudV / H[..., None])[..., None, :])
+    return np.einsum("...ij,...i->...j", dN, vec[..., : q.dim])
 
 
 def _frame_normal_derivative_dot(fg0, ff0, frame, vec):
@@ -792,24 +755,15 @@ def ruling_facet_check_qc(q, ctx: BacklundContext, V0, V1, seed: int = 0):
     must satisfy the ruling condition w^T A R_z^{-1} w = 0.
     """
     n = q.n
-    m = n + 1
     V0 = np.asarray(V0, dtype=complex).reshape(n)
     V1 = np.asarray(V1, dtype=complex).reshape(n)
-    srz = ctx.srp
-    e = qd.basis_vec(m - 1, m)
-    v02 = complex(V0 @ V0)
-    v12 = complex(V1 @ V1)
-    X0 = (2.0 * qd.embed(V0, m) + (v02 - 1.0) * e) / (v02 + 1.0)
-    X1 = (2.0 * qd.embed(V1, m) + (v12 - 1.0) * e) / (v12 + 1.0)
-    H0 = complex(X0 @ (q.A @ X0))
-    vec = np.zeros(n, dtype=complex)
-    for k in range(n):
-        dX1 = 2.0 * (qd.basis_vec(k, m) + V1[k] * (e - X1)) / (v12 + 1.0)
-        vec[k] = X0 @ (srz @ dX1)
-    denom = 2.0 * ctx.sqrt_z * sqrt_branch(H0)
     Rzinv = np.linalg.inv(qd.resolvent(q, ctx.z))
-    frame = srz @ qd.chart_tangents(q, None, V1)
-    rows = [srow * 1j * (v12 + 1.0) * vec / denom for srow in (+1, -1)]
+    frame = ctx.srp @ qd.chart_tangents(q, None, V1)
+    # X_0 = A^{1/2} x_0 and dX_1 = A^{1/2} dx_1 give X_0^T sqrt(R_z) dX_1 =
+    # (A x_0)^T sqrt(R_z) dx_1 = sqrt(H_0) N_0^T frame
+    N0, _ = qd.chart_normal_h(q, None, V0)
+    row = 1j * (V1 @ V1 + 1.0) * (N0 @ frame) / (2.0 * ctx.sqrt_z)
+    rows = [srow * row for srow in (+1, -1)]
     return [rep for _, _, rep in _facet_reports(q, Rzinv, frame, rows, seed)]
 
 

@@ -521,15 +521,15 @@ def run_lattice(cfg, outdir, checks):
                                           cfg["seed"])
         rows = []
         if len(extent) == 2:
+            c0, c1 = contexts[0], contexts[1]
             for i, j in itertools.product(range(extent[0] - 1),
                                           range(extent[1] - 1)):
                 cells = [lat[(i + a, j + b)]
                          for a, b in ((0, 0), (1, 0), (0, 1), (1, 1))]
                 if any(c is None for c in cells):
                     continue
-                rep = pm.bpt_verify(cells[0], cells[1].R, cells[2].R,
-                                    cells[3].R, contexts[0], contexts[1])
-                rows.append((f"{i}:{j}", rep["scalar_identity"]))
+                rows.append((f"{i}:{j}", pm.bpt_scalar_identity(
+                    *(c.R for c in cells), c0.D, c1.D, c0.z, c1.z)))
         checks.add("lattice_order_agreement", gap)
         checks.add("lattice_square_scalar", max([0.0] + [v for _, v in rows]),
                    10 * checks.tol["riccati_drift"], max(len(rows), 1))

@@ -138,10 +138,6 @@ class ZeroSolitonModel:
         self.ap = np.diag(lm.aprime_n()).copy()
         self.bc = qd.chart_b(q, lm)
         self.b2 = qd.b_norm2(q)
-        T = lm.L.T @ lm.L
-        self.Tnn = T[: self.n, : self.n]
-        self.t_cross = T[self.n, : self.n]
-        self.t_ee = T[self.n, self.n]
 
     # the methods take stacks (..., n); scalar products go through
     # scalar_mul so a stack rounds as its nodes one by one
@@ -170,11 +166,8 @@ class ZeroSolitonModel:
         return 2.0 * lam * self.mu(V)
 
     def metric(self, V, lam):
-        Q = (self.Tnn + V[..., :, None] * self.t_cross
-             + self.t_cross[:, None] * V[..., None, :]
-             + self.t_ee * (V[..., :, None] * V[..., None, :]))
         D = diag_stack(lam)
-        return D @ Q @ D
+        return D @ qd.chart_gram(self.q, self.lm, V) @ D
 
 
 def zero_soliton(q, lm, grid: GridSpec, V_base, lam_base,
@@ -246,17 +239,14 @@ def phi_fields(fg: FieldGrid, order: int = 2) -> np.ndarray:
 
 def _curvature_source(fg: FieldGrid, q, lm) -> np.ndarray:
     """Source S of the curvature equation (A' block for (I)QWC,
-    4 (I + V e^T) A (I + e V^T) for QC), per node, n x n."""
+    4 P(V) A P(V)^T for QC), per node, n x n."""
     n = fg.n
     if q.kind != qd.QC:
         return np.broadcast_to(lm.aprime_n(), fg.grid.shape + (n, n))
-    m = q.dim
-    Ve = qd.embed(fg.V, m)
-    I1n = np.eye(m, dtype=complex)
-    I1n[m - 1, m - 1] = 0.0
-    left = I1n + np.einsum("...i,j->...ij", Ve, qd.basis_vec(m - 1, m))
-    S = np.einsum("...ij,jk,...lk->...il", left, q.A, left)
-    return 4.0 * S[..., :n, :n]
+    # A P^T projects the rows of A; A is symmetric, so its transpose is P A
+    V = fg.V[..., None, :]
+    APt = qd.stereo_project(V, q.A)
+    return 4.0 * qd.stereo_project(V, np.swapaxes(APt, -1, -2))
 
 
 def system_residual(fg: FieldGrid, q, lm, order: int = 2) -> SystemResidual:
@@ -337,16 +327,7 @@ class FundamentalForms:
 
 def metric_field(fg: FieldGrid, q, lm) -> np.ndarray:
     """Pullback metric g_{jk} in the conjugate coordinates, per node."""
-    if q.kind == qd.QC:
-        dx = qd.chart_tangents(q, None, fg.V)
-        T = np.einsum("...ij,...ik->...jk", dx, dx)
-    else:
-        n = fg.n
-        Tfull = lm.L.T @ lm.L
-        T = (Tfull[:n, :n]
-             + np.einsum("...j,k->...jk", fg.V, Tfull[n, :n])
-             + np.einsum("j,...k->...jk", Tfull[n, :n], fg.V)
-             + Tfull[n, n] * np.einsum("...j,...k->...jk", fg.V, fg.V))
+    T = qd.chart_gram(q, lm, fg.V)
     RT = np.einsum("...ij,...ik,...kl->...jl", fg.R, T, fg.R)
     return fg.lam[..., :, None] * RT * fg.lam[..., None, :]
 
@@ -596,10 +577,7 @@ def _chart_gradient_logsqH(fg, q, lm, H):
         Ax = np.einsum("ij,...j->...i", q.A, qd.chart_to_ambient(q, None, fg.V))
         AT = np.einsum("ij,...jk->...ik", q.A, qd.chart_tangents(q, None, fg.V))
         return np.einsum("...i,...ik->...k", Ax, AT) / H[..., None]
-    An = lm.aprime_n()
-    bc = qd.chart_b(q, lm)
-    mu = np.einsum("jk,...k->...j", An, fg.V) + bc
-    return mu / H[..., None]
+    return qd.chart_source(q, lm, fg.V) / H[..., None]
 
 
 def _exact_dgamma(fg: FieldGrid, q, lm, H) -> np.ndarray:

@@ -7,12 +7,15 @@ linear map L that carries them onto the quadric.
 
 All pairings are bilinear (x^T y, no conjugation).  Ambient vectors live in
 C^{n+1}, chart vectors in C^n.  The chart helpers take points batched over
-leading axes, (..., n), and are the one place the chart formulas live.  The
-confocal family is batched too: resolvent, eval_confocal, nhat and the Lame
-residual take z (...) and ambient points (..., n+1) broadcast against each
-other, intersect_confocal is one Newton iteration over a stack of points,
-and elliptic_coordinates finds the roots of a whole stack of points at once;
-every entry of a stack has the bits of a call on its point alone.
+leading axes, (..., n), and are the one place the chart formulas live: the
+maps, tangents, Gram matrix, normal and H, the source of the Lambda equation,
+the QC stereographic lift and projector, and the paraboloid coordinates
+L^{-1} x; no other module reads L or L^{-1}.  The confocal family is batched
+too: resolvent, eval_confocal, nhat and the Lame residual take z (...) and
+ambient points (..., n+1) broadcast against each other, intersect_confocal
+is one Newton iteration over a stack of points, and elliptic_coordinates
+finds the roots of a whole stack of points at once; every entry of a stack
+has the bits of a call on its point alone.
 """
 
 from __future__ import annotations
@@ -543,10 +546,15 @@ def _inv_sqrt_sj(spec: SJSpec) -> np.ndarray:
     return S
 
 
+def chart_coords(lm: LMap, x: np.ndarray) -> np.ndarray:
+    """Paraboloid coordinates Z = L^{-1} x (..., n+1) of ambient vectors x
+    (..., n+1) of an (I)QWC."""
+    return stack_apply(lm.L_inv, np.asarray(x, dtype=complex))
+
+
 def chart_b(q: QuadricSpec, lm: LMap) -> np.ndarray:
     """I_{1,n} L^{-1} B as an n-vector."""
-    v = lm.L_inv @ q.B
-    return v[: q.n]
+    return chart_coords(lm, q.B)[: q.n]
 
 
 def b_norm2(q: QuadricSpec) -> complex:
@@ -555,8 +563,7 @@ def b_norm2(q: QuadricSpec) -> complex:
 
 def translation_chart(q: QuadricSpec, lm: LMap, z: complex) -> np.ndarray:
     """I_{1,n} L^{-1} C(z) as an n-vector."""
-    v = lm.L_inv @ translation(q, z)
-    return v[: q.n]
+    return chart_coords(lm, translation(q, z))[: q.n]
 
 
 def sqrt_rprime(q: QuadricSpec, lm: LMap, z: complex) -> np.ndarray:
@@ -581,7 +588,7 @@ def h_chart(q: QuadricSpec, lm: LMap | None, V: np.ndarray):
     stack, so each caller keeps one shape (a single point as V[None, :])."""
     V = np.asarray(V, dtype=complex)
     if q.kind == QC:
-        X = _stereographic(V, np.einsum("...k,...k->...", V, V), q.dim)
+        X = _stereographic(V, np.einsum("...k,...k->...", V, V))
         return np.einsum("...i,ij,...j->...", X, q.A, X)
     An = lm.aprime_n()
     bc = chart_b(q, lm)
@@ -589,15 +596,30 @@ def h_chart(q: QuadricSpec, lm: LMap | None, V: np.ndarray):
             + 2.0 * np.einsum("...j,j->...", V, bc) + b_norm2(q))
 
 
-def _stereographic(V: np.ndarray, v2, m: int) -> np.ndarray:
-    """Stereographic image X of V (..., n) on the unit sphere of C^m.
+def stereo_lift(V: np.ndarray, v2) -> np.ndarray:
+    """QC lift X^ = 2V + (|V|^2 - 1) e_{n+1} (..., n+1) of chart points V
+    (..., n): the stereographic image times |V|^2 + 1.
 
-    v2 = V^T V comes from the caller: the maps round it as a dot product and
-    H as an einsum, and a different last bit of v2 moves every X."""
+    v2 = V^T V (...) comes from the caller: the maps round it as a dot
+    product and H as an einsum, and a different last bit of v2 moves X^."""
+    V = np.asarray(V, dtype=complex)
+    m = V.shape[-1] + 1
+    return (2.0 * embed(V, m)
+            + (np.asarray(v2) - 1.0)[..., None] * basis_vec(m - 1, m))
+
+
+def stereo_project(V: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """QC projector P(V) w = [(I_{1,n} + V e^T) w]_n = w_{1..n} + V w_{n+1}
+    (..., n) of ambient vectors w (..., n+1) at chart points V (..., n)."""
+    return w[..., :-1] + scalar_mul(V, w[..., -1:])
+
+
+def _stereographic(V: np.ndarray, v2) -> np.ndarray:
+    """Stereographic image X = X^ / (|V|^2 + 1) of V (..., n) on the unit
+    sphere of C^{n+1}."""
     if np.any(np.abs(v2 + 1.0) < 1e-12):
         raise ChartSingularity("|V|^2 = -1 in the stereographic chart")
-    X = 2.0 * embed(V, m) + (v2 - 1.0)[..., None] * basis_vec(m - 1, m)
-    return X / (v2 + 1.0)[..., None]
+    return stereo_lift(V, v2) / (v2 + 1.0)[..., None]
 
 
 def chart_to_ambient(q: QuadricSpec, lm: LMap | None, V: np.ndarray) -> np.ndarray:
@@ -610,7 +632,7 @@ def chart_to_ambient(q: QuadricSpec, lm: LMap | None, V: np.ndarray) -> np.ndarr
     m = q.dim
     v2 = stack_dot(V, V)
     if q.kind == QC:
-        return stack_apply(_inv_sqrt_sj(q.sj), _stereographic(V, v2, m))
+        return stack_apply(_inv_sqrt_sj(q.sj), _stereographic(V, v2))
     Z = embed(V, m) + (0.5 * v2)[..., None] * basis_vec(m - 1, m)
     return stack_apply(lm.L, Z)
 
@@ -626,7 +648,7 @@ def chart_tangents(q: QuadricSpec, lm: LMap | None, V: np.ndarray) -> np.ndarray
     rows = np.eye(n, m, dtype=complex)
     if q.kind == QC:
         v2 = stack_dot(V, V)
-        X = _stereographic(V, v2, m)
+        X = _stereographic(V, v2)
         M = _inv_sqrt_sj(q.sj)
         dX = 2.0 * (rows + V[..., :, None] * (e - X)[..., None, :])
         cols = dX / (v2 + 1.0)[..., None, None]
@@ -634,6 +656,25 @@ def chart_tangents(q: QuadricSpec, lm: LMap | None, V: np.ndarray) -> np.ndarray
         M = lm.L
         cols = rows + V[..., :, None] * e
     return np.swapaxes(stack_apply(M, cols), -1, -2)
+
+
+def chart_gram(q: QuadricSpec, lm: LMap | None, V: np.ndarray) -> np.ndarray:
+    """Pullback Gram matrix dx^T dx (..., n, n) at chart points V (..., n),
+    from the chart_tangents columns; the einsum rounds a stack as its points
+    one by one."""
+    T = chart_tangents(q, lm, V)
+    return np.einsum("...ij,...ik->...jk", T, T)
+
+
+def chart_source(q: QuadricSpec, lm: LMap | None, V: np.ndarray) -> np.ndarray:
+    """Source of the Lambda equation at chart points V (..., n):
+    A'V + I_{1,n} L^{-1}B for (I)QWC, 2 P(V) A X^ for QC.  For (I)QWC it is
+    half the chart gradient of H."""
+    V = np.asarray(V, dtype=complex)
+    if q.kind == QC:
+        AX = stack_apply(q.A, stereo_lift(V, stack_dot(V, V)))
+        return 2.0 * stereo_project(V, AX)
+    return stack_apply(lm.aprime_n(), V) + chart_b(q, lm)
 
 
 def chart_normal_h(q: QuadricSpec, lm: LMap | None, V: np.ndarray):

@@ -332,10 +332,13 @@ def backlund_pipeline(q, lm, grid, v_base, lam_base, z, seed: int,
     runs = []
     leafres = []
     defres = []
-    for r in refinements:
+    mismatch = []
+    for i, r in enumerate(refinements):
         g = grid if r == 1 else grid.refine(r)
         fg = df.zero_soliton(q, lm, g, v_base, lam_base)
         run = bk.integrate_backlund(fg, ctx, R1b)
+        if i < 2:   # the mismatch and its halving ratio read two grids
+            mismatch.append(bk.path_mismatch(fg, ctx, run))
         V1, lam1 = bk.algebraic_transform_qwc(ctx, fg.V, fg.lam, fg.R, run.R1)
         fg1 = df.FieldGrid(g, q.kind, V1, lam1, run.R1, {})
         leafres.append(bk.leaf_system_residual(fg1, q, lm)["max"])
@@ -346,9 +349,8 @@ def backlund_pipeline(q, lm, grid, v_base, lam_base, z, seed: int,
     return {
         "ctx": ctx, "leaf": fg1, "run": run0,
         "drift": float(run0.drift.max()),
-        "mismatch": run0.path_mismatch,
-        "mismatch_ratio": run0.path_mismatch / max(runs[1][1].path_mismatch,
-                                                   1e-300),
+        "mismatch": mismatch[0],
+        "mismatch_ratio": mismatch[0] / max(mismatch[1], 1e-300),
         "leaf_slope": loglog_slope(hs, leafres),
         "leaf_residuals": leafres,
         "def_slope": loglog_slope(hs, defres),

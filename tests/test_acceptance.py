@@ -117,10 +117,11 @@ def test_criterion_04_soliton_integrability(qwc2, lmap2, soliton32, soliton64):
           f"system residual {sysres:.3e} (tol 1e-8)")
 
 
-def test_criterion_05_backlund_integration(qwc2, lmap2, riccati32, riccati64):
+def test_criterion_05_backlund_integration(qwc2, lmap2, soliton32, soliton64,
+                                           ctx_a, riccati32, riccati64):
     drift = float(riccati32.drift.max())
-    mism = riccati32.path_mismatch
-    ratio = mism / riccati64.path_mismatch
+    mism = bk.path_mismatch(soliton32, ctx_a, riccati32)
+    ratio = mism / bk.path_mismatch(soliton64, ctx_a, riccati64)
     grid = df.GridSpec(((0.0, 0.3, 16), (0.0, 0.3, 16)))
     v0, lam0 = sc.default_soliton_data(qwc2, lmap2)
     pipe = sc.backlund_pipeline(qwc2, lmap2, grid, v0, lam0, 0.31 + 0.12j,

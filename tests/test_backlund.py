@@ -250,10 +250,25 @@ class TestQCRiccati:
 
 
 class TestIntegration:
-    def test_drift_and_mismatch(self, riccati32, riccati64):
+    def test_drift_and_mismatch(self, soliton32, soliton64, ctx_a, riccati32,
+                                riccati64):
         assert riccati32.drift.max() < 1e-6
-        assert riccati32.path_mismatch < 1e-6
-        assert riccati32.path_mismatch / riccati64.path_mismatch >= 12.0
+        mismatch = bk.path_mismatch(soliton32, ctx_a, riccati32)
+        assert mismatch < 1e-6
+        assert mismatch / bk.path_mismatch(soliton64, ctx_a, riccati64) >= 12.0
+
+    def test_one_sweep(self, soliton32, ctx_a, riccati32, monkeypatch):
+        # four RK4 stages per step, one right-hand side call per stage for
+        # all lines of an axis, and each axis swept once
+        calls = []
+        rhs = bk.riccati_rhs_qwc
+        monkeypatch.setattr(bk, "riccati_rhs_qwc",
+                            lambda *a: calls.append(a[1]) or rhs(*a))
+        run = bk.integrate_backlund(soliton32, ctx_a, random_orthogonal(2, seed=3))
+        shape = soliton32.grid.shape
+        assert len(calls) == 4 * sum(s - 1 for s in shape)
+        assert calls == [k for k, s in enumerate(shape) for _ in range(4 * (s - 1))]
+        assert np.array_equal(run.R1, riccati32.R1)
 
     def test_drift_exceeded(self, soliton32, ctx_a):
         with pytest.raises(DriftExceeded):
@@ -485,7 +500,7 @@ class TestIQWCPipeline:
         ctx = bk.make_context(iqwc2, 0.24 + 0.18j, lm)
         run = bk.integrate_backlund(fg, ctx, random_orthogonal(2, seed=5))
         assert run.drift.max() < 1e-6
-        assert run.path_mismatch < 1e-6
+        assert bk.path_mismatch(fg, ctx, run) < 1e-6
         V1, lam1 = bk.algebraic_transform_qwc(ctx, fg.V, fg.lam, fg.R, run.R1)
         res = bk.qwc_transform_residuals(ctx, fg.V, fg.lam, fg.R, run.R1,
                                          V1, lam1)

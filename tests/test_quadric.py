@@ -3,11 +3,15 @@ coordinates.  Derived expectations are computed by independent oracles
 (quadrature for the translation, polynomial expansion for elliptic roots,
 finite differences for normals)."""
 
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from confocal import quadric as qd, scenarios as sc
+from confocal.numerics import stack_apply, stack_dot
 from confocal.errors import (ChartSingularity, DistinctZRequired,
                              IsotropicNormal, MultipleRoot,
                              NotRulingDirection, OffQuadric, SingularConfocal)
@@ -428,6 +432,125 @@ class TestChartBatch:
         V[idx] = t * d
         with pytest.raises(IsotropicNormal):
             qd.chart_normal_h(q, lm, V)
+
+
+def chart_formula_strategy():
+    """(quadric, L map, V, W) with V a stack (), (5,) or (4, 3) of chart
+    points and W a stack of ambient vectors of the same shape."""
+    def build(kind, n, shape, seed):
+        q = sc.standard_quadric(kind, n=n)
+        rng = np.random.default_rng(seed)
+
+        def draw(k):
+            return 0.6 * (rng.standard_normal(shape + (k,))
+                          + 1j * rng.standard_normal(shape + (k,)))
+        return q, sc.lmap_for(q), draw(n), draw(n + 1)
+    return st.builds(build, st.sampled_from([qd.QC, qd.QWC, qd.IQWC]),
+                     st.integers(2, 4), st.sampled_from([(), (5,), (4, 3)]),
+                     st.integers(0, 2**31 - 1))
+
+
+def ref_lift(V):
+    """X^ = (2V, |V|^2 - 1), one point."""
+    return np.concatenate([2.0 * V, [V @ V - 1.0]])
+
+
+def ref_projector(V):
+    """[I_{1,n} + V e^T]_n, the n x (n+1) matrix [I_n | V], one point."""
+    m = len(V) + 1
+    I1n = np.eye(m, dtype=complex)
+    I1n[-1, -1] = 0.0
+    return (I1n + np.outer(qd.embed(V, m), qd.basis_vec(m - 1, m)))[:-1]
+
+
+def ref_gram(q, lm, V):
+    """Pullback Gram of the chart at one point: (I)QWC J^T L^T L J with
+    J = [I_n; V^T]; QC J^T A^{-1} J with J = dX/dV by the quotient rule."""
+    n = len(V)
+    if q.kind != qd.QC:
+        J = np.vstack([np.eye(n), V[None, :]])
+        return J.T @ (lm.L.T @ lm.L) @ J
+    w = V @ V + 1.0
+    J = (np.vstack([2.0 * np.eye(n), 2.0 * V[None, :]]) / w
+         - 2.0 * np.outer(ref_lift(V), V) / w**2)
+    return J.T @ np.linalg.inv(q.A) @ J
+
+
+def ref_source(q, lm, V):
+    """Source of the Lambda equation at one point: A'V + I L^{-1}B for
+    (I)QWC, 2 [(I_{1,n} + V e^T) A X^]_n for QC."""
+    n = len(V)
+    if q.kind == qd.QC:
+        return 2.0 * ref_projector(V) @ q.A @ ref_lift(V)
+    return lm.Aprime[:n, :n] @ V + np.linalg.solve(lm.L, q.B)[:n]
+
+
+class TestChartFormulas:
+    """chart_gram, chart_source, the QC lift and projector and the
+    paraboloid coordinates against formulas written here, and each point of
+    a stack with the bits of a call on that point alone."""
+
+    @given(chart_formula_strategy())
+    @settings(max_examples=60, deadline=None)
+    def test_against_reference_formulas(self, case):
+        q, lm, V, W = case
+        G = qd.chart_gram(q, lm, V)
+        S = qd.chart_source(q, lm, V)
+        X = qd.stereo_lift(V, stack_dot(V, V))
+        P = qd.stereo_project(V, W)
+        n = q.n
+        assert G.shape == V.shape[:-1] + (n, n) and S.shape == V.shape
+        assert X.shape == W.shape and P.shape == V.shape
+        for idx in np.ndindex(*V.shape[:-1]):
+            g = ref_gram(q, lm, V[idx])
+            s = ref_source(q, lm, V[idx])
+            assert np.max(np.abs(G[idx] - g)) <= 1e-12 * np.max(np.abs(g))
+            assert np.max(np.abs(S[idx] - s)) <= 1e-12 * np.max(np.abs(s))
+            assert np.array_equal(X[idx], ref_lift(V[idx]))
+            p = ref_projector(V[idx]) @ W[idx]
+            assert np.max(np.abs(P[idx] - p)) <= 1e-15 * np.max(np.abs(p))
+            # and with the bits of Python scalar arithmetic (no fused
+            # multiply-add), entry by entry
+            v, w = V[idx].tolist(), W[idx].tolist()
+            assert P[idx].tolist() == [w[i] + v[i] * w[-1] for i in range(n)]
+        if q.kind != qd.QC:
+            Z = qd.chart_coords(lm, W)
+            assert np.max(np.abs(stack_apply(lm.L, Z) - W)) < 1e-12
+            # the source is half the chart gradient of H (exact: H is quadratic)
+            d = 1e-3 * np.eye(n)
+            dH = (qd.h_chart(q, lm, V[..., None, :] + d)
+                  - qd.h_chart(q, lm, V[..., None, :] - d)) / 2e-3
+            assert np.max(np.abs(dH - 2.0 * S)) < 1e-9 * max(1.0, np.max(np.abs(S)))
+
+    @given(chart_formula_strategy())
+    @settings(max_examples=40, deadline=None)
+    def test_stack_matches_points(self, case):
+        q, lm, V, W = case
+        G = qd.chart_gram(q, lm, V)
+        S = qd.chart_source(q, lm, V)
+        P = qd.stereo_project(V, W)
+        Z = qd.chart_coords(lm, W) if lm is not None else None
+        for idx in np.ndindex(*V.shape[:-1]):
+            assert np.array_equal(G[idx], qd.chart_gram(q, lm, V[idx]))
+            assert np.array_equal(S[idx], qd.chart_source(q, lm, V[idx]))
+            assert np.array_equal(P[idx], qd.stereo_project(V[idx], W[idx]))
+            if Z is not None:
+                assert np.array_equal(Z[idx], qd.chart_coords(lm, W[idx]))
+
+    def test_only_quadric_reads_the_l_map(self):
+        # L and L^{-1} are chart data: every other module goes through the
+        # quadric helpers, so the chart formulas have one home
+        src = Path(qd.__file__).parent
+        reads = []
+        for path in sorted(src.glob("*.py")):
+            if path.name == "quadric.py":
+                continue
+            tree = ast.parse(path.read_text())
+            reads += [f"{path.name}:{node.lineno} .{node.attr}"
+                      for node in ast.walk(tree)
+                      if isinstance(node, ast.Attribute)
+                      and node.attr in ("L", "L_inv")]
+        assert reads == []
 
 
 class TestIvoryOnConfocalAllKinds:
