@@ -63,12 +63,13 @@ class BacklundContext:
                                self.srp, self.ilc, self.ilb)
 
 
-def make_context(q, z, lm=None, sign: int = 1) -> BacklundContext:
-    """Build the transformation context at z; sign=-1 starts on the mirrored branch."""
+def make_context(q, z, lm=None) -> BacklundContext:
+    """Build the transformation context at z on the principal sqrt(z) branch
+    (`BacklundContext.mirror` gives the other one)."""
     z = complex(z)
     if z == 0:
         raise ValueError("the transformation needs z != 0")
-    sz = sign * sqrt_branch(z)
+    sz = sqrt_branch(z)
     n = q.n
     zero = np.zeros(n, dtype=complex)
     if q.kind == qd.QC:
@@ -161,12 +162,13 @@ def riccati_rhs_qwc(ctx: BacklundContext, k: int, R0: np.ndarray | None,
 
 
 def riccati_rhs_qc(ctx: BacklundContext, k: int, V0, lam0, R0, omega0_k, R1,
-                   aux: QCAux | None = None, tol_u: float = TOL_U) -> np.ndarray:
-    """dR_1/du^k for the QC Riccati equation in the compact M/N/W/U form."""
+                   aux: QCAux | None = None) -> np.ndarray:
+    """dR_1/du^k for the QC Riccati equation in the compact M/N/W/U form;
+    raises UNearZero where |U| < TOL_U."""
     aux = qc_aux(ctx) if aux is None else aux
     n = ctx.n
     U = complex(aux.U(V0))
-    if abs(U) < tol_u:
+    if abs(U) < TOL_U:
         raise UNearZero(f"|U| = {abs(U):.3e}")
     M = aux.M(V0)
     N = aux.N(V0)
@@ -182,7 +184,7 @@ def riccati_rhs_qc(ctx: BacklundContext, k: int, V0, lam0, R0, omega0_k, R1,
 
 
 def riccati_rhs_qc_expanded(ctx: BacklundContext, k: int, V0, lam0, R0,
-                            omega0_k, R1, tol_u: float = TOL_U) -> np.ndarray:
+                            omega0_k, R1) -> np.ndarray:
     """Literal transcription of the expanded QC Riccati display; kept as a
     cross-check oracle for the compact form."""
     n = ctx.n
@@ -196,7 +198,7 @@ def riccati_rhs_qc_expanded(ctx: BacklundContext, k: int, V0, lam0, R0,
     v2 = complex(V0 @ V0)
     Xh = 2.0 * V + (v2 - 1.0) * e
     U = complex(e @ (srz @ Xh) - v2 - 1.0)
-    if abs(U) < tol_u:
+    if abs(U) < TOL_U:
         raise UNearZero(f"|U| = {abs(U):.3e}")
     lamv = qd.embed(lam0, m)
     R0e = np.zeros((m, m), dtype=complex)
@@ -358,17 +360,16 @@ def _general_seed_rhs(fg: df.FieldGrid, ctx: BacklundContext, omega):
 
 
 def integrate_backlund_qc_line(q, z, V0_base, lam0_base, R1_base,
-                               length: float, steps: int, axis: int = 0,
-                               sign: int = 1, tol_u: float = TOL_U,
-                               max_halvings: int = 8):
-    """Integrate the QC Riccati equation along one coordinate line, jointly
-    with the seed line data (R_0 = I).  Near the U = 0 locus the step is
-    retried with halved substeps; if |U| stays below tol_u the reachable part
-    of the line is returned with ok=False.
+                               length: float, steps: int):
+    """Integrate the QC Riccati equation along the u^1 line on the principal
+    sqrt(z) branch, jointly with the seed line data (R_0 = I).  Near the
+    U = 0 locus a step is retried with up to 8 halvings of its substep; if
+    |U| stays below TOL_U the reachable part of the line is returned with
+    ok=False.
 
     Returns (states, ctx, ok) with states[i] = concat(V0, lam0, R1.ravel()).
     """
-    ctx = make_context(q, z, sign=sign)
+    ctx = make_context(q, z)
     aux = qc_aux(ctx)
     n = q.n
     V0_base = np.asarray(V0_base, dtype=complex).reshape(n)
@@ -382,9 +383,9 @@ def integrate_backlund_qc_line(q, z, V0_base, lam0_base, R1_base,
         lam = y[n:2 * n]
         R1 = y[2 * n:].reshape(n, n)
         dy = np.zeros_like(y)
-        dy[axis] = lam[axis]
-        dy[n + axis] = -qd.chart_source(q, None, V)[axis]
-        dR1 = riccati_rhs_qc(ctx, axis, V, lam, R0, omega0, R1, aux, tol_u)
+        dy[0] = lam[0]
+        dy[n] = -qd.chart_source(q, None, V)[0]
+        dR1 = riccati_rhs_qc(ctx, 0, V, lam, R0, omega0, R1, aux)
         dy[2 * n:] = dR1.ravel()
         return dy
 
@@ -395,7 +396,7 @@ def integrate_backlund_qc_line(q, z, V0_base, lam0_base, R1_base,
     for _ in range(steps):
         sub = 1
         yk = None
-        for attempt in range(max_halvings + 1):
+        for _attempt in range(9):
             try:
                 yk = y
                 for _s in range(sub):
@@ -459,26 +460,21 @@ def qwc_transform_residuals(ctx: BacklundContext, V0, lam0, R0, R1, V1, lam1):
     }
 
 
-def algebraic_transform_qc(ctx: BacklundContext, V0, lam0, R0, R1,
-                           tol_u: float = TOL_U):
+def algebraic_transform_qc(ctx: BacklundContext, V0, lam0, R0, R1):
     """(V_0, Lambda_0) -> (V_1, Lambda_1) for QC, batched over leading axes."""
     aux = qc_aux(ctx)
     sz = ctx.sqrt_z
-    m = ctx.n + 1
     srz = ctx.srp
-    e = qd.basis_vec(m - 1, m)
     U = aux.U(V0)
-    if np.min(np.abs(U)) < tol_u:
+    if np.min(np.abs(U)) < TOL_U:
         raise UNearZero(f"min |U| = {np.min(np.abs(U)):.3e}")
     R1l = np.einsum("...ij,...j->...i", R1, lam0)
     V1 = -sz * (R1l + aux.N(V0)) / U[..., None]
 
     Xh0 = qd.stereo_lift(V0, np.einsum("...j,...j->...", V0, V0))
-    # (I + e V1^T) R1 Lambda0 = embed(R1l) + (V1.R1l) e
     v1r = np.einsum("...k,...k->...", V1, R1l)[..., None]
-    t = qd.embed(R1l, m) + v1r * e
     inner = (sz * np.einsum("ij,...j->...i", ctx.q.A, Xh0)
-             - np.einsum("ij,...j->...i", srz, t))
+             - np.einsum("ij,...j->...i", srz, qd.stereo_project_t(V1, R1l)))
     lam1f = 2.0 * (qd.stereo_project(V0, inner) + V0 * v1r) / U[..., None]
     lam1 = np.einsum("...ji,...j->...i", R0, lam1f)
     return V1, lam1
@@ -524,16 +520,16 @@ def involution_residual(ctx: BacklundContext, V0, lam0, R0, R1) -> float:
 
 # leaf-level residuals ----------------------------------------------------------------
 
-def leaf_system_residual(fg1: df.FieldGrid, q, lm, order: int = 2) -> dict:
-    """Finite-difference residual of the linear system on a leaf field:
-    dV = R del Lambda, dLambda = omega Lambda - del R^T (source)."""
+def leaf_system_residual(fg1: df.FieldGrid, q, lm) -> dict:
+    """Second-order finite-difference residual of the linear system on a leaf
+    field: dV = R del Lambda, dLambda = omega Lambda - del R^T (source)."""
     hs = fg1.grid.h
-    om = df.omega_fields(fg1, order=order)
+    om = df.omega_fields(fg1)
     source = qd.chart_source(q, lm, fg1.V)
     res_v = res_l = 0.0
     for k in range(fg1.grid.n):
-        dVk = diff1(fg1.V, axis=k, h=hs[k], order=order)
-        dLk = diff1(fg1.lam, axis=k, h=hs[k], order=order)
+        dVk = diff1(fg1.V, axis=k, h=hs[k])
+        dLk = diff1(fg1.lam, axis=k, h=hs[k])
         pred_v = fg1.R[..., :, k] * fg1.lam[..., k:k + 1]
         res_v = max(res_v, float(np.max(np.abs(dVk - pred_v))))
         Rt_src = np.einsum("...jk,...j->...k", fg1.R, source)
@@ -544,14 +540,14 @@ def leaf_system_residual(fg1: df.FieldGrid, q, lm, order: int = 2) -> dict:
 
 
 def riccati_field_residual(R_new: np.ndarray, fg_seed: df.FieldGrid,
-                           ctx: BacklundContext, order: int = 2) -> float:
-    """Finite-difference residual of the Riccati equation for R_new against
-    the seed role played by fg_seed's R field."""
+                           ctx: BacklundContext) -> float:
+    """Second-order finite-difference residual of the Riccati equation for
+    R_new against the seed role played by fg_seed's R field."""
     hs = fg_seed.grid.h
-    om = df.omega_fields(fg_seed, order=order)
+    om = df.omega_fields(fg_seed)
     worst = 0.0
     for k in range(fg_seed.grid.n):
-        dRk = diff1(R_new, axis=k, h=hs[k], order=order)
+        dRk = diff1(R_new, axis=k, h=hs[k])
         pred = riccati_rhs_qwc(ctx, k, fg_seed.R, om[..., k, :, :], R_new)
         worst = max(worst, float(np.max(np.abs(dRk - pred))))
     return worst
@@ -704,8 +700,7 @@ def _frame_normal_derivative_dot(fg0, ff0, frame, vec):
 
 # ruling / facet and asymptotic-direction checks ---------------------------------------
 
-def ruling_facet_check(q, lm, ctx: BacklundContext, V0, V1, seed: int = 0,
-                       delta=None, R0=None, R1=None):
+def ruling_facet_check(q, lm, ctx: BacklundContext, V0, V1, seed: int = 0):
     """Facet rotation M with first row +-i (sqrt(R'_z)V_0 - V_1 + ILC)/sqrt(zH_0),
     completed to O_n(C); the facet cuts the tangent space of x_z along
     w = [x_z tangent frame] (M^T e_1 +- i M^T e_2).
@@ -713,9 +708,7 @@ def ruling_facet_check(q, lm, ctx: BacklundContext, V0, V1, seed: int = 0,
     Per branch combination returns: the first-row unit defect, the coefficient
     isotropy |M^T e_1 +- i M^T e_2|^2, the ruling condition |w^T A R_z^{-1} w|,
     the tangency |nhat_z^T w|, and a deliberately non-isotropic negative
-    control.  When a diagonal-constants vector delta is given, the facet
-    vector for that slot is formed explicitly and its components along the
-    extra frame rows (e_j^T M Delta', j >= 3) are reported.
+    control.
     """
     n = q.n
     V0 = np.asarray(V0, dtype=complex).reshape(n)
@@ -729,19 +722,10 @@ def ruling_facet_check(q, lm, ctx: BacklundContext, V0, V1, seed: int = 0,
     frame = srz @ qd.chart_tangents(q, lm, V1)
     xz1 = srz @ qd.chart_to_ambient(q, lm, V1) + qd.translation(q, ctx.z)
     nh = Rzinv @ (q.A @ xz1 + q.B)
-    c10 = ctx.srp_n() @ V1 - V0 + ctx.ilc
     rows = [srow * 1j * c01 / denom for srow in (+1, -1)]
     out = []
-    for M, w, rep in _facet_reports(q, Rzinv, frame, rows, seed):
+    for _, w, rep in _facet_reports(q, Rzinv, frame, rows, seed):
         rep["tangency"] = float(abs(nh @ w))
-        if delta is not None:
-            Ra = np.eye(n, dtype=complex) if R0 is None else R0
-            Rb = np.eye(n, dtype=complex) if R1 is None else R1
-            dprime = (Rb @ np.diag(np.asarray(delta, dtype=complex))
-                      @ Ra.T @ c10) / ctx.sqrt_z
-            comp = M @ dprime
-            rep["facet_extra_components"] = float(
-                np.max(np.abs(comp[2:])) if n > 2 else 0.0)
         out.append(rep)
     return out
 

@@ -172,6 +172,10 @@ def validate_config(cfg: dict) -> dict:
         raise ConfigError(f"{', '.join(_COUNTS)} must be >= 1")
     if out["seed"] < 0:
         raise ConfigError("seeds.master must be >= 0")
+    # not in _DEFAULTS, which would change every report's config_hash
+    if not isinstance(out.get("canonicalize", False), bool):
+        raise ConfigError("canonicalize must be true or false, got "
+                          f"{out['canonicalize']!r}")
     if any(e < 2 for e in out["extent"]):
         raise ConfigError("extent entries must be >= 2")
     distinct = {"bpt": 2, "lattice": 2, "m3": 3}.get(name, 1)

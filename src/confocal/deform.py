@@ -108,12 +108,13 @@ def prime_integral_residual(fg: FieldGrid, q, lm) -> np.ndarray:
     return np.abs(lam2 + H)
 
 
-def peterson_admissible(q, lm, tol: float = 1e-10):
-    """True iff the n-block of A' is diagonal (chart-level integrability)."""
+def peterson_admissible(q, lm):
+    """True iff the n-block of A' is diagonal to 1e-10 (chart-level
+    integrability)."""
     An = lm.aprime_n()
     off = An - np.diag(np.diag(An))
     res = float(np.max(np.abs(off)))
-    return res < tol, res
+    return res < 1e-10, res
 
 
 # the zero-soliton (R = I) model --------------------------------------------------
@@ -170,14 +171,12 @@ class ZeroSolitonModel:
         return D @ qd.chart_gram(self.q, self.lm, V) @ D
 
 
-def zero_soliton(q, lm, grid: GridSpec, V_base, lam_base,
-                 tol_pi: float = TOL_PI, tol_deg: float = TOL_DEG,
-                 allow_degenerate: bool = False) -> FieldGrid:
+def zero_soliton(q, lm, grid: GridSpec, V_base, lam_base) -> FieldGrid:
     """Integrate the R = I soliton over the grid with RK4 line sweeps.
 
-    The base node must satisfy the prime integral |Lambda|^2 = -H; a lambda
-    component below tol_deg is the degenerate branch and raises StepFailure
-    unless allow_degenerate is set.
+    The base node must satisfy the prime integral |Lambda|^2 = -H to TOL_PI;
+    a lambda component below TOL_DEG, at the base or anywhere on the grid, is
+    the degenerate branch and raises StepFailure.
     """
     model = ZeroSolitonModel(q, lm)
     n = grid.n
@@ -186,16 +185,16 @@ def zero_soliton(q, lm, grid: GridSpec, V_base, lam_base,
     V_base = np.asarray(V_base, dtype=complex).reshape(n)
     lam_base = np.asarray(lam_base, dtype=complex).reshape(n)
     pi0 = abs((lam_base @ lam_base) + model.H(V_base))
-    if pi0 > tol_pi:
+    if pi0 > TOL_PI:
         raise PrimeIntegralViolation(f"|Lambda|^2 + H = {pi0:.3e} at base")
-    if np.min(np.abs(lam_base)) < tol_deg and not allow_degenerate:
+    if np.min(np.abs(lam_base)) < TOL_DEG:
         raise StepFailure("degenerate branch: some lambda_j ~ 0 at base")
 
     y = numerics.rk4_sweep(grid, np.concatenate([V_base, lam_base]),
                            lambda axis, _lines: model.rhs_vlam(axis))
     V, lam = y[..., :n].copy(), y[..., n:].copy()
-    if not allow_degenerate and np.min(np.abs(lam)) < tol_deg:
-        raise StepFailure("lambda collapsed below tol_deg during integration")
+    if np.min(np.abs(lam)) < TOL_DEG:
+        raise StepFailure("lambda collapsed below TOL_DEG during integration")
     R = np.broadcast_to(np.eye(n), grid.shape + (n, n)).astype(complex).copy()
     fg = FieldGrid(grid, q.kind, V, lam, R, {"soliton": "zero"})
     fg.meta["prime_integral_drift"] = float(np.max(prime_integral_residual(fg, q, lm)))
@@ -217,22 +216,23 @@ class SystemResidual:
         return float(max(np.max(np.abs(self.two_form)), self.conj_triple,
                          np.max(self.orth)))
 
-    def interior_max(self, margin: int = 2) -> float:
-        """Max residual away from the boundary layers, where double one-sided
-        differencing would otherwise drop an order."""
+    def interior_max(self) -> float:
+        """Max residual away from the two-node boundary layers, where double
+        one-sided differencing would otherwise drop an order."""
         naxes = self.orth.ndim
-        sl = tuple(slice(margin, -margin) for _ in range(naxes))
+        sl = tuple(slice(2, -2) for _ in range(naxes))
         return float(max(np.max(np.abs(self.two_form[sl])), self.conj_triple,
                          np.max(self.orth[sl])))
 
 
-def phi_fields(fg: FieldGrid, order: int = 2) -> np.ndarray:
-    """Phi_l = R^T dR/du^l per node, as (*shape, n_axes, n, n)."""
+def phi_fields(fg: FieldGrid) -> np.ndarray:
+    """Phi_l = R^T dR/du^l per node, as (*shape, n_axes, n, n), from second
+    order differences."""
     n = fg.n
     hs = fg.grid.h
     out = np.empty(fg.grid.shape + (fg.grid.n, n, n), dtype=complex)
     for l in range(fg.grid.n):
-        Rl = diff1(fg.R, axis=l, h=hs[l], order=order)
+        Rl = diff1(fg.R, axis=l, h=hs[l])
         out[..., l, :, :] = np.einsum("...ji,...jk->...ik", fg.R, Rl)
     return out
 
@@ -249,22 +249,21 @@ def _curvature_source(fg: FieldGrid, q, lm) -> np.ndarray:
     return 4.0 * qd.stereo_project(V, np.swapaxes(APt, -1, -2))
 
 
-def system_residual(fg: FieldGrid, q, lm, order: int = 2) -> SystemResidual:
+def system_residual(fg: FieldGrid, q, lm) -> SystemResidual:
     """Residuals of the curvature equation e_j^T[(Phi_j)_j - (Phi_k)_k
     - sum_l Phi_l e_l e_l^T Phi_l + R^T S R]e_k, the distinct-index constraint,
-    and the orthogonality of R."""
+    and the orthogonality of R, from second-order differences."""
     n = fg.n
     shape = fg.grid.shape
     hs = fg.grid.h
-    phi = phi_fields(fg, order=order)
+    phi = phi_fields(fg)
     src = _curvature_source(fg, q, lm)
     RtSR = np.einsum("...ji,...jk,...kl->...il", fg.R, src, fg.R)
     quad = np.zeros(shape + (n, n), dtype=complex)
     for l in range(n):
         pl = phi[..., l, :, :]
         quad = quad + np.einsum("...i,...k->...ik", pl[..., :, l], pl[..., l, :])
-    dphi = [diff1(phi[..., j, :, :], axis=j, h=hs[j], order=order)
-            for j in range(n)]
+    dphi = [diff1(phi[..., j, :, :], axis=j, h=hs[j]) for j in range(n)]
     two = np.zeros(shape + (n, n), dtype=complex)
     for j in range(n):
         for k in range(n):
@@ -284,11 +283,11 @@ def system_residual(fg: FieldGrid, q, lm, order: int = 2) -> SystemResidual:
     return SystemResidual(two, conj, orth)
 
 
-def omega_fields(fg: FieldGrid, order: int = 2) -> np.ndarray:
+def omega_fields(fg: FieldGrid) -> np.ndarray:
     """Connection slots [omega]_k = sum_j (Phi_j)_{jk} e_j e_k^T
     + (Phi_j)_{kj} e_k e_j^T per node, (*shape, n_axes, n, n)."""
     n = fg.n
-    phi = phi_fields(fg, order=order)
+    phi = phi_fields(fg)
     out = np.zeros(fg.grid.shape + (fg.grid.n, n, n), dtype=complex)
     for k in range(fg.grid.n):
         for j in range(n):
@@ -319,10 +318,6 @@ class FundamentalForms:
     vfield: np.ndarray       # (*shape, n): d log sqrt(H) / d v^k
     H: np.ndarray
     residuals: dict
-
-    @property
-    def n(self) -> int:
-        return self.h0.shape[-1]
 
 
 def metric_field(fg: FieldGrid, q, lm) -> np.ndarray:
@@ -394,12 +389,13 @@ def _candidate_pool(n: int, seed: int) -> np.ndarray:
     return rng.standard_normal((n + 8, n)) + 1j * rng.standard_normal((n + 8, n))
 
 
-def _complete_rows_with_derivs(r, dr, pool, iso_tol=1e-8):
+def _complete_rows_with_derivs(r, dr, pool):
     """Bilinear Gram-Schmidt completion of unit rows r (..., n), with
     directional derivatives dr (..., n_dirs, n), against the fixed candidate
     pool, batched over leading axes.  Returns (S, dS) with S rows
     orthonormal, S[..., 0, :] = r, dS of shape (..., n_dirs, row, col).  A
-    candidate that is near isotropic at some nodes but not at others splits
+    candidate whose squared norm is below 1e-8 is near isotropic and skipped;
+    one that is near isotropic at some nodes but not at others splits
     the stack into the nodes that skip it and the nodes that take it, and
     each group is completed on its own, so each node skips exactly its own
     candidates (a stack rounds as its nodes one by one)."""
@@ -419,7 +415,7 @@ def _complete_rows_with_derivs(r, dr, pool, iso_tol=1e-8):
                 dw = dw - dc[..., :, None] * b[..., None, :] - c[..., None, None] * db
                 w = w - c[..., None] * b
         n2 = stack_dot(w, w)
-        skip = np.abs(n2) < iso_tol
+        skip = np.abs(n2) < 1e-8
         if np.all(skip):
             continue
         if np.any(skip):
@@ -427,7 +423,7 @@ def _complete_rows_with_derivs(r, dr, pool, iso_tol=1e-8):
             dS = np.empty(dr.shape[:-1] + (n, n), dtype=complex)
             for group in (skip, ~skip):
                 S[group], dS[group] = _complete_rows_with_derivs(
-                    r[group], dr[group], pool, iso_tol)
+                    r[group], dr[group], pool)
             return S, dS
         dn2 = 2.0 * stack_apply(dw, w)
         s = np.asarray(sqrt_branch(n2))
@@ -497,14 +493,15 @@ def _joined_frame(r, dr, gauge, dgauge, gamma, pool):
 
 
 def forms_assemble(fg: FieldGrid, q, lm, seed: int = 0, mode: str = "auto",
-                   order: int = 2, curvature_order: int = 4) -> FundamentalForms:
+                   curvature_order: int = 4) -> FundamentalForms:
     """Assemble joined fundamental forms and G-CMP-R residuals for a field.
 
     mode 'exact' uses the zero-soliton closed derivative formulas (R = I,
-    diagonal A' block); 'fd' differentiates the node fields; 'auto' picks
-    'exact' for zero_soliton output.  The joined frame S is completed per node
-    from a seeded fixed candidate pool, which keeps it smooth in u, and its
-    derivatives are propagated through the Gram-Schmidt chain.
+    diagonal A' block); 'fd' differentiates the node fields with second-order
+    differences; 'auto' picks 'exact' for zero_soliton output.  The joined
+    frame S is completed per node from a seeded fixed candidate pool, which
+    keeps it smooth in u, and its derivatives are propagated through the
+    Gram-Schmidt chain.
     """
     n = fg.n
     shape = fg.grid.shape
@@ -518,7 +515,7 @@ def forms_assemble(fg: FieldGrid, q, lm, seed: int = 0, mode: str = "auto",
         # the joined frame's first row is unit only on the prime-integral
         # quadric; forms of an off-shell field would be silently meaningless
         raise PrimeIntegralViolation(f"|Lambda|^2 + H = {pi:.3e} on the grid")
-    H, dlam, dloglam, dlogsH, dlogw = _derivative_fields(fg, q, lm, mode, order)
+    H, dlam, dloglam, dlogsH, dlogw = _derivative_fields(fg, q, lm, mode, 2)
     g = metric_field(fg, q, lm)
     ginv = np.linalg.inv(g)
     gamma = gamma_field(fg.lam, dloglam, dlogsH, dlogw)
@@ -679,18 +676,17 @@ def plaquette_mismatch(grid: GridSpec, omega: np.ndarray) -> float:
     return worst
 
 
-def quadrature_1form(grid: GridSpec, omega: np.ndarray, base_value,
-                     tol_closure: float = 1e-5, check: bool = True):
+def quadrature_1form(grid: GridSpec, omega: np.ndarray, base_value):
     """Path-integrate a node-sampled closed 1-form to positions over the grid.
 
     omega has shape (*grid.shape, n_axes, m).  Axis-ordered line sweeps from
     the base node with 4th-order composite quadrature; the reversed sweep order
     and the per-plaquette circulation are reported as closure diagnostics.
-    Raises ClosureViolation when the plaquette test exceeds tol_closure.
+    Raises ClosureViolation when the plaquette test exceeds 1e-5.
     """
     mis = plaquette_mismatch(grid, omega)
-    if check and mis > tol_closure:
-        raise ClosureViolation(f"plaquette mismatch {mis:.3e} > {tol_closure:.1e}")
+    if mis > 1e-5:
+        raise ClosureViolation(f"plaquette mismatch {mis:.3e} > 1.0e-05")
     pos = _integrate_sweep(grid, omega, base_value, order=tuple(range(grid.n)))
     pos_alt = _integrate_sweep(grid, omega, base_value,
                                order=tuple(reversed(range(grid.n))))
@@ -721,10 +717,6 @@ class AmbientFrame:
     X: np.ndarray        # (*shape, m, n)
     N: np.ndarray        # (*shape, m, p)
     meta: dict = field(default_factory=dict)
-
-    @property
-    def m(self) -> int:
-        return self.x.shape[-1]
 
 
 class _SeedFrameModel:

@@ -70,9 +70,9 @@ def bpt_scalar_identity(R0, R1, R2, R3, D1, D2, z1, z2) -> float:
 
 
 def bpt_verify(fg_seed: df.FieldGrid, R1f, R2f, R3f,
-               ctx1: BacklundContext, ctx2: BacklundContext,
-               order: int = 2) -> dict:
-    """Verification bundle over a grid of fields.
+               ctx1: BacklundContext, ctx2: BacklundContext) -> dict:
+    """Verification bundle over a grid of fields, from second-order
+    differences.
 
     (a) the closed derivative identity for K = R_3 R_0^T by finite differences,
     (b) R_3 satisfies the leaf Riccati equations with seeds (R_1, z_2) and
@@ -88,7 +88,7 @@ def bpt_verify(fg_seed: df.FieldGrid, R1f, R2f, R3f,
 
     worst_deriv = 0.0
     for k in range(fg_seed.grid.n):
-        dK = diff1(K, axis=k, h=hs[k], order=order)
+        dK = diff1(K, axis=k, h=hs[k])
         Ek = np.zeros((n, n), dtype=complex)
         Ek[k, k] = 1.0
         pred = (-(K @ R0f @ Ek @ _T(R1f) @ (D2 @ K + D1))
@@ -99,8 +99,8 @@ def bpt_verify(fg_seed: df.FieldGrid, R1f, R2f, R3f,
                          R1f, {})
     seed2 = df.FieldGrid(fg_seed.grid, fg_seed.kind, fg_seed.V, fg_seed.lam,
                          R2f, {})
-    res_r1 = riccati_field_residual(R3f, seed1, ctx2, order=order)
-    res_r2 = riccati_field_residual(R3f, seed2, ctx1, order=order)
+    res_r1 = riccati_field_residual(R3f, seed1, ctx2)
+    res_r2 = riccati_field_residual(R3f, seed2, ctx1)
     return {
         "derivative_identity": worst_deriv,
         "riccati_seed_r1": res_r1,

@@ -223,12 +223,11 @@ def translation(q: QuadricSpec, z: complex) -> np.ndarray:
     return out
 
 
-def ivory_map(q: QuadricSpec, z: complex, x0: np.ndarray,
-              tol_on: float = TOL_ON) -> np.ndarray:
-    """Ivory affinity x_z = sqrt(R_z) x0 + C(z); x0 must lie on Q_0."""
+def ivory_map(q: QuadricSpec, z: complex, x0: np.ndarray) -> np.ndarray:
+    """Ivory affinity x_z = sqrt(R_z) x0 + C(z); x0 must lie on Q_0 to TOL_ON."""
     r = abs(eval_confocal(q, 0.0, x0))
-    if r > tol_on:
-        raise OffQuadric(f"|Q_0(x0)| = {r:.3e} > {tol_on:.1e}")
+    if r > TOL_ON:
+        raise OffQuadric(f"|Q_0(x0)| = {r:.3e} > {TOL_ON:.1e}")
     return sqrt_rz(q, z) @ x0 + translation(q, z)
 
 
@@ -255,44 +254,41 @@ def tc_symmetry_residual(q: QuadricSpec, z: complex,
     return float(abs((xzb - x0a) @ na - (xza - x0b) @ nb))
 
 
-def _check_ruling(q: QuadricSpec, x0: np.ndarray, w0: np.ndarray, tol: float):
+def ruling_length_residual(q: QuadricSpec, z: complex, x0: np.ndarray,
+                           w0: np.ndarray) -> float:
+    """| |sqrt(R_z) w0|^2 - |w0|^2 | for a ruling direction w0 at x0; raises
+    NotRulingDirection unless w0 is isotropic for A and tangent at x0 to
+    1e-8 (relative to max(1, |w0|_inf^2))."""
     n0 = q.A @ x0 + q.B
-    scale = max(1.0, float(np.max(np.abs(w0))) ** 2)
-    if abs(w0 @ (q.A @ w0)) > tol * scale or abs(w0 @ n0) > tol * scale:
+    tol = 1e-8 * max(1.0, float(np.max(np.abs(w0))) ** 2)
+    if abs(w0 @ (q.A @ w0)) > tol or abs(w0 @ n0) > tol:
         raise NotRulingDirection(
             f"w^T A w = {w0 @ (q.A @ w0):.3e}, w^T nhat = {w0 @ n0:.3e}"
         )
-
-
-def ruling_length_residual(q: QuadricSpec, z: complex, x0: np.ndarray,
-                           w0: np.ndarray, tol_pre: float = 1e-8) -> float:
-    """| |sqrt(R_z) w0|^2 - |w0|^2 | for a ruling direction w0 at x0."""
-    _check_ruling(q, x0, w0, tol_pre)
     wz = sqrt_rz(q, z) @ w0
     return float(abs(wz @ wz - w0 @ w0))
 
 
-def confocal_orthogonality_residual(q: QuadricSpec, z1, z2, x: np.ndarray,
-                                    tol_on: float = TOL_ON):
+def confocal_orthogonality_residual(q: QuadricSpec, z1, z2, x: np.ndarray):
     """Lame orthogonality |nhat_{z1}^T nhat_{z2}| at x on both confocal
-    quadrics, (...) for z1, z2 (...) and x (..., m); a float for one point."""
+    quadrics (to TOL_ON), (...) for z1, z2 (...) and x (..., m); a float for
+    one point."""
     z1 = np.asarray(z1, dtype=complex)
     z2 = np.asarray(z2, dtype=complex)
     if np.any(z1 == z2):
         raise DistinctZRequired("confocal orthogonality needs z1 != z2")
     for z in (z1, z2):
         r = np.max(scalar_abs(eval_confocal(q, z, x)), initial=0.0)
-        if r > tol_on:
-            raise OffQuadric(f"|Q_z(x)| = {r:.3e} > {tol_on:.1e}")
+        if r > TOL_ON:
+            raise OffQuadric(f"|Q_z(x)| = {r:.3e} > {TOL_ON:.1e}")
     out = scalar_abs(stack_dot(nhat(q, z1, x), nhat(q, z2, x)))
     return float(out) if out.ndim == 0 else out
 
 
-def intersect_confocal(q: QuadricSpec, z1, z2, x_start: np.ndarray,
-                       max_iter: int = 50, tol: float = 1e-13):
+def intersect_confocal(q: QuadricSpec, z1, z2, x_start: np.ndarray):
     """Newton iteration (least-norm steps) onto Q_{z1} = Q_{z2} = 0 from
     x_start, for z1, z2 (...) and x_start (..., m) broadcast against each
-    other.  Each point steps until both |Q| are below tol, at most max_iter
+    other.  Each point steps until both |Q| are below 1e-13, at most 50
     times.
 
     Returns (x, converged): the last iterates (..., m) and the mask (...) of
@@ -307,12 +303,12 @@ def intersect_confocal(q: QuadricSpec, z1, z2, x_start: np.ndarray,
     zz = np.broadcast_to(zz, shape + (2,)).reshape(-1, 2)
     converged = np.zeros(len(x), dtype=bool)
     live = np.arange(len(x))
-    for _ in range(max_iter):
+    for _ in range(50):
         if live.size == 0:
             break
         xl, zl = x[live], zz[live]
         F = eval_confocal(q, zl, xl[:, None, :])
-        done = np.max(np.abs(F), axis=-1) < tol
+        done = np.max(np.abs(F), axis=-1) < 1e-13
         converged[live[done]] = True
         live, xl, zl, F = live[~done], xl[~done], zl[~done], F[~done]
         J = 2.0 * nhat(q, zl, xl[:, None, :])
@@ -328,15 +324,15 @@ def is_general(q: QuadricSpec) -> bool:
     return len(set(eigs)) == len(eigs)
 
 
-def elliptic_coordinates(q: QuadricSpec, x: np.ndarray,
-                         tol_back: float = 1e-8, tol_mult: float = 1e-8):
+def elliptic_coordinates(q: QuadricSpec, x: np.ndarray):
     """The n+1 roots of Q_z(x) = 0 for a general quadric, |z| ascending.
 
     Q_z(x) times prod_j (1 - z a_j)^{p_j} is a polynomial of degree <= n+1 in z;
     its coefficients are recovered by sampling, the roots taken from the
     companion matrix and polished by Newton on the polynomial.
-    Raises MultipleRoot when |nhat_z|^2 = d/dz Q_z(x) (nearly) vanishes at a
-    root, i.e. on the isotropic-normal locus.
+    Raises MultipleRoot when |nhat_z|^2 = d/dz Q_z(x) falls below 1e-8 at a
+    root, i.e. on the isotropic-normal locus, or when a root's backward error
+    |Q_z(x)| exceeds 1e-8.
 
     Points x (..., m) give roots (..., n+1), each row what its point alone
     gives: G is sampled for all points in one call, the points whose
@@ -368,7 +364,7 @@ def elliptic_coordinates(q: QuadricSpec, x: np.ndarray,
     for s, e in sorted(set(zip(first.tolist(), last.tolist()))):
         rows = (first == s) & (last == e)
         roots[rows, :deg - s] = _polished_roots(q, coeffs[rows, s:], e - s,
-                                                xs[rows], tol_back, tol_mult)
+                                                xs[rows])
     return roots.reshape(x.shape[:-1] + roots.shape[-1:])
 
 
@@ -388,7 +384,7 @@ def _horner(P: np.ndarray, z: np.ndarray) -> np.ndarray:
     return y
 
 
-def _polished_roots(q, P, span, x, tol_back, tol_mult):
+def _polished_roots(q, P, span, x):
     """The roots of each row of P (k, L), whose first coefficient is nonzero
     and last nonzero one is P[:, span], as np.roots finds them, sorted by |z|
     and polished by Newton on the polynomial; then the multiple-root checks of
@@ -424,11 +420,11 @@ def _polished_roots(q, P, span, x, tol_back, tol_mult):
     except SingularConfocal as exc:
         raise MultipleRoot("elliptic coordinate on a singular confocal "
                            "member") from exc
-    iso = scalar_abs(stack_dot(nh, nh)) < tol_mult
+    iso = scalar_abs(stack_dot(nh, nh)) < 1e-8
     if np.any(iso):
         raise MultipleRoot(f"isotropic normal at elliptic coordinate z = {r[iso][0]}")
     back = scalar_abs(eval_confocal(q, r, x[:, None, :]))
-    if np.any(back > tol_back):
+    if np.any(back > 1e-8):
         raise MultipleRoot(f"backward error {np.max(back):.3e} at an elliptic "
                            "coordinate")
     return r
@@ -614,6 +610,14 @@ def stereo_project(V: np.ndarray, w: np.ndarray) -> np.ndarray:
     return w[..., :-1] + scalar_mul(V, w[..., -1:])
 
 
+def stereo_project_t(V: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Transposed QC projector P(V)^T u = (I_{1,n} + e V^T) u = (u, V^T u)
+    (..., n+1) of chart vectors u (..., n) at chart points V (..., n)."""
+    m = V.shape[-1] + 1
+    return (embed(u, m)
+            + np.einsum("...k,...k->...", V, u)[..., None] * basis_vec(m - 1, m))
+
+
 def _stereographic(V: np.ndarray, v2) -> np.ndarray:
     """Stereographic image X = X^ / (|V|^2 + 1) of V (..., n) on the unit
     sphere of C^{n+1}."""
@@ -637,15 +641,22 @@ def chart_to_ambient(q: QuadricSpec, lm: LMap | None, V: np.ndarray) -> np.ndarr
     return stack_apply(lm.L, Z)
 
 
+@functools.lru_cache(maxsize=16)
+def _chart_axes(m: int):
+    """Read-only I_{n,m} (the chart axes in C^m, n = m - 1) and e_{m-1}."""
+    rows, e = np.eye(m - 1, m, dtype=complex), basis_vec(m - 1, m)
+    rows.setflags(write=False)
+    e.setflags(write=False)
+    return rows, e
+
+
 def chart_tangents(q: QuadricSpec, lm: LMap | None, V: np.ndarray) -> np.ndarray:
     """Columns d x / d v^k at chart points V (..., n), shape (..., n+1, n).
 
     Each column is its own matrix-vector product: one matrix product over all
     columns rounds differently."""
     V = np.asarray(V, dtype=complex)
-    m, n = q.dim, q.dim - 1
-    e = basis_vec(m - 1, m)
-    rows = np.eye(n, m, dtype=complex)
+    rows, e = _chart_axes(q.dim)
     if q.kind == QC:
         v2 = stack_dot(V, V)
         X = _stereographic(V, v2)
@@ -690,19 +701,17 @@ def chart_normal_h(q: QuadricSpec, lm: LMap | None, V: np.ndarray):
 
 # sampling helpers ---------------------------------------------------------------
 
-def random_chart_point(q: QuadricSpec, rng: np.random.Generator,
-                       scale: float = 0.6) -> np.ndarray:
+def random_chart_point(q: QuadricSpec, rng: np.random.Generator) -> np.ndarray:
     n = q.dim - 1
-    return scale * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
+    return 0.6 * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
 
 
-def admissible_z(q: QuadricSpec, rng: np.random.Generator, scale: float = 0.5,
-                 min_gap: float = 0.15) -> complex:
+def admissible_z(q: QuadricSpec, rng: np.random.Generator) -> complex:
     """Random spectral parameter kept away from spec(A)^{-1} and from 0."""
     for _ in range(256):
-        z = scale * (rng.standard_normal() + 1j * rng.standard_normal())
+        z = 0.5 * (rng.standard_normal() + 1j * rng.standard_normal())
         if abs(z) < 0.05:
             continue
-        if all(abs(1.0 - z * a) > min_gap for a in q.sj.eigenvalues):
+        if all(abs(1.0 - z * a) > 0.15 for a in q.sj.eigenvalues):
             return complex(z)
     raise SingularConfocal("could not sample an admissible z")

@@ -62,26 +62,16 @@ def scaled_tolerances(scale: float = 1.0) -> dict:
 
 # quadric dictionaries used by scenarios and tests ------------------------------------
 
-def standard_quadric(kind: str, n: int = 2, flavor: str = "diag"):
-    """Desk-scale canonical examples of each kind."""
+def standard_quadric(kind: str, n: int = 2):
+    """Desk-scale canonical diagonal example of each kind (p = 2 for IQWC)."""
     if kind == qd.QC:
-        if flavor == "sphere":
-            return qd.qc_quadric([(1.0, 1)] * (n + 1))
-        if flavor == "sj":
-            return qd.qc_quadric([(0.8 + 0.3j, 2)] + [(1.0 + 0.1j * k, 1)
-                                                      for k in range(n - 1)])
         return qd.qc_quadric([(1.0 + 0.25 * k + 0.1j * k, 1)
                               for k in range(n + 1)])
     if kind == qd.QWC:
-        if flavor == "sj":
-            return qd.qwc_quadric([(0.9 - 0.2j, 2)] + [(1.0 + 0.2 * k, 1)
-                                                       for k in range(n - 2)])
         return qd.qwc_quadric([(1.0 + 0.3 * k + 0.05j, 1) for k in range(n)])
     if kind == qd.IQWC:
-        p = 2 if flavor != "p3" else 3
-        extra = n + 1 - p
-        return qd.iqwc_quadric(p, [(1.5 + 0.4 * k - 0.2j, 1)
-                                   for k in range(extra)])
+        return qd.iqwc_quadric(2, [(1.5 + 0.4 * k - 0.2j, 1)
+                                   for k in range(n - 1)])
     raise ValueError(kind)
 
 
@@ -118,20 +108,22 @@ def _ruling_batch(q, x0, T, rng):
     return w, ok
 
 
+IVORY_BATCHES = 8
 IVORY_KEYS = ("ivory_theorem", "tc_symmetry", "ruling_length",
               "segment_ruling_angle", "ruling_angle", "polar_ruling_angle")
 
 
-def ivory_suite(q, lm, samples: int, seed: int, n_z: int = 8) -> dict:
+def ivory_suite(q, lm, samples: int, seed: int) -> dict:
     """Max residuals of the six Ivory-affinity identities over random samples.
 
-    Splits the samples across n_z batches (one random admissible z each,
-    seeded independently) and evaluates the identities vectorized;
+    Splits the samples across IVORY_BATCHES batches (one random admissible z
+    each, seeded independently) and evaluates the identities vectorized;
     ruling-based identities skip the rare degenerate tangent-plane draws
     (counted separately).
     """
-    per = max(1, samples // n_z)
-    batches = [_ivory_batch(q, lm, per, seed + 101 * i) for i in range(n_z)]
+    per = max(1, samples // IVORY_BATCHES)
+    batches = [_ivory_batch(q, lm, per, seed + 101 * i)
+               for i in range(IVORY_BATCHES)]
     out = {k: max(b[k] for b in batches) for k in IVORY_KEYS}
     out["samples"] = sum(b["samples"] for b in batches)
     out["degenerate_skipped"] = sum(b["degenerate_skipped"] for b in batches)
@@ -270,14 +262,14 @@ def _lame_tries(q, lm, z1, z2, V) -> list:
 # grid pipelines
 # -------------------------------------------------------------------------------------
 
-def default_soliton_data(q, lm, theta: float = 0.4, phi: float = 0.2):
+def default_soliton_data(q, lm, theta: float = 0.4):
     """A nondegenerate base state on the prime-integral quadric.
 
     The base chart point is the origin unless H vanishes there (isotropic
     quadrics without center have H(0) = |B|^2 = 0), in which case a fixed
     nearby point is used.  Lambda is sqrt(H0) [i cosh(theta), sinh(theta) u]
     with u the real unit vector of R^{n-1} whose hyperspherical angles all
-    equal phi (u = [1] for n = 2, [cos phi, sin phi] for n = 3).
+    equal 0.2 (u = [1] for n = 2, [cos 0.2, sin 0.2] for n = 3).
     """
     n = q.n
     if n < 2:
@@ -289,8 +281,8 @@ def default_soliton_data(q, lm, theta: float = 0.4, phi: float = 0.2):
         H0 = complex(qd.h_chart(q, lm, v0[None, :])[0])
     u = np.ones(n - 1)
     for k in range(n - 2):
-        u[k] *= np.cos(phi)
-        u[k + 1:] *= np.sin(phi)
+        u[k] *= np.cos(0.2)
+        u[k + 1:] *= np.sin(0.2)
     lam = np.concatenate([[1j * np.cosh(theta)], np.sinh(theta) * u])
     # the pattern squares (bilinearly) to -1, so scaling by sqrt(H0) puts the
     # base on the prime-integral quadric |Lambda|^2 = -H0
@@ -323,17 +315,17 @@ def soliton_pipeline(q, lm, grid, v_base, lam_base, seed: int) -> dict:
     }
 
 
-def backlund_pipeline(q, lm, grid, v_base, lam_base, z, seed: int,
-                      refinements=(1, 2, 4)) -> dict:
+def backlund_pipeline(q, lm, grid, v_base, lam_base, z, seed: int) -> dict:
     """Riccati integration and the leaf it transforms to, with an h-halving
-    study of the path mismatch and of the leaf residuals."""
+    study (refinements 1, 2 and 4) of the path mismatch and of the leaf
+    residuals."""
     ctx = bk.make_context(q, z, lm)
     R1b = sjcore.random_orthogonal(q.n, seed=seed)
     runs = []
     leafres = []
     defres = []
     mismatch = []
-    for i, r in enumerate(refinements):
+    for i, r in enumerate((1, 2, 4)):
         g = grid if r == 1 else grid.refine(r)
         fg = df.zero_soliton(q, lm, g, v_base, lam_base)
         run = bk.integrate_backlund(fg, ctx, R1b)
@@ -376,15 +368,15 @@ def random_state_batch(q, lm, count: int, seed: int):
     return V, lam, R0, R1
 
 
-def sine_gordon_suite(grid, fields: int, seed: int, a1_inv: float = 1.6) -> dict:
+def sine_gordon_suite(grid, fields: int, seed: int) -> dict:
     """Correlation between the curvature-equation residual of R(phi) and the
     finite-difference sine-Gordon residual of phi, over random smooth phi.
 
     Uses the normalized quadric A = diag(a1^{-1}, a2^{-1}, 0) with
-    a1^{-1} - a2^{-1} = 1; the proportionality constant is reported.
+    a1^{-1} = 1.6 and a1^{-1} - a2^{-1} = 1; the proportionality constant is
+    reported.
     """
-    a2_inv = a1_inv - 1.0
-    q = qd.qwc_quadric([(a1_inv, 1), (a2_inv, 1)])
+    q = qd.qwc_quadric([(1.6, 1), (1.6 - 1.0, 1)])
     lm = qd.build_lmap(q)
     u1 = grid.coords(0)[:, None]
     u2 = grid.coords(1)[None, :]

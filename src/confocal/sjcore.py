@@ -18,6 +18,7 @@ from .errors import IsotropicEncounter, SingularConfocal, ZeroEigenvalue
 
 TOL_ORTH = 1e-10
 TOL_SINGULAR = 1e-12
+EXTRA_DRAWS = 32     # candidate draws orth_complete adds beyond the rows it needs
 
 
 def sqrt_branch(a):
@@ -179,10 +180,11 @@ def check_orthogonal(M: np.ndarray, tol: float = TOL_ORTH, what: str = "matrix")
     return M
 
 
-def gs_complete(rows, cands, iso_tol: float = 1e-8):
+def gs_complete(rows, cands):
     """Bilinear Gram-Schmidt: extend `rows` (unit, pairwise orthogonal) by
     normalized projections of the candidate vectors, skipping candidates whose
-    projection is near-isotropic.  Returns the list of appended rows.
+    projection is near-isotropic (|w^T w| < 1e-8).  Returns the list of
+    appended rows.
     """
     basis = [np.asarray(r, dtype=complex) for r in rows]
     m = basis[0].shape[0] if basis else (cands[0].shape[0] if len(cands) else 0)
@@ -194,7 +196,7 @@ def gs_complete(rows, cands, iso_tol: float = 1e-8):
         for b in basis:
             w = w - (b @ w) * b
         n2 = w @ w
-        if abs(n2) < iso_tol:
+        if abs(n2) < 1e-8:
             continue
         w = w / sqrt_branch(n2)
         basis.append(w)
@@ -202,14 +204,13 @@ def gs_complete(rows, cands, iso_tol: float = 1e-8):
     return added
 
 
-def orth_complete(rows, m: int, seed: int = 0, max_retries: int = 32,
-                  iso_tol: float = 1e-8) -> np.ndarray:
+def orth_complete(rows, m: int, seed: int = 0) -> np.ndarray:
     """Complete the given bilinear-orthonormal rows to M in O_m(C).
 
     The supplied rows become the first rows of M; the rest are drawn from a
     seeded complex Gaussian pool and bilinear Gram-Schmidt'ed.  Deterministic
     per seed.  Raises IsotropicEncounter if a supplied row is isotropic /
-    non-orthogonal, or if max_retries candidate draws all project to
+    non-orthogonal, or if the EXTRA_DRAWS spare candidates all project to
     near-isotropic vectors.
     """
     rows = [np.asarray(r, dtype=complex).reshape(m) for r in rows]
@@ -221,13 +222,13 @@ def orth_complete(rows, m: int, seed: int = 0, max_retries: int = 32,
                 raise IsotropicEncounter(f"prescribed rows {k},{i} not bilinear-orthogonal")
     rng = np.random.default_rng(seed)
     need = m - len(rows)
-    pool = rng.standard_normal((need + max_retries, m)) + 1j * rng.standard_normal(
-        (need + max_retries, m)
+    pool = rng.standard_normal((need + EXTRA_DRAWS, m)) + 1j * rng.standard_normal(
+        (need + EXTRA_DRAWS, m)
     )
-    added = gs_complete(rows, pool, iso_tol=iso_tol)
+    added = gs_complete(rows, pool)
     if len(rows) + len(added) < m:
         raise IsotropicEncounter(
-            f"could not complete to O_{m}(C) after {max_retries} extra draws"
+            f"could not complete to O_{m}(C) after {EXTRA_DRAWS} extra draws"
         )
     return np.array(rows + added)
 

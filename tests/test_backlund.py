@@ -248,6 +248,25 @@ class TestQCRiccati:
         assert res["prime_integral"] < 1e-6
         assert res["tangency"] < 1e-6
 
+    def test_line_gives_up_where_u_stays_small(self, qc3, monkeypatch):
+        # every |U| is below the threshold: the first step is tried with 1,
+        # 2, ..., 2^8 substeps, then the line stops at its base state
+        monkeypatch.setattr(bk, "TOL_U", np.inf)
+        substeps = []
+        step = bk.rk4_step
+
+        def rk4_step(f, t, y, h):
+            substeps.append(h)
+            return step(f, t, y, h)
+        monkeypatch.setattr(bk, "rk4_step", rk4_step)
+        V, lam, _, R1 = sc.random_state_batch(qc3, None, 1, seed=12)
+        states, _, ok = bk.integrate_backlund_qc_line(
+            qc3, 0.3 + 0.1j, V[0], lam[0], R1[0], length=0.4, steps=48)
+        assert ok is False
+        assert np.array_equal(states,
+                              np.concatenate([V[0], lam[0], R1[0].ravel()])[None])
+        assert substeps == [0.4 / 48 / 2 ** k for k in range(9)]
+
 
 class TestIntegration:
     def test_drift_and_mismatch(self, soliton32, soliton64, ctx_a, riccati32,

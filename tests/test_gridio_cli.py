@@ -265,6 +265,41 @@ class TestRunScenario:
                        str(tmp_path / "bad_base")])
         assert rc == 2
 
+    # an IQWC whose A' block is not diagonal until canonicalized
+    IQWC_SOLITON = {"scenario": "deform-0soliton",
+                    "quadric": {"kind": "IQWC", "p": 2,
+                                "blocks": [{"a": [1.5, -0.2], "p": 1}]},
+                    "grid": {"axes": [[0.0, 0.3, 9]] * 2}}
+
+    def _run_iqwc(self, tmp_path, **extra):
+        cfgfile = tmp_path / "iqwc.json"
+        cfgfile.write_text(json.dumps({**self.IQWC_SOLITON, **extra}))
+        out = tmp_path / "iqwc"
+        rc = cli.main(["run", "--config", str(cfgfile), "--out", str(out)])
+        report = out / "report.json"
+        return rc, json.loads(report.read_text()) if report.exists() else None
+
+    def test_canonicalized_iqwc_soliton_passes(self, tmp_path):
+        rc, report = self._run_iqwc(tmp_path, canonicalize=True)
+        assert rc == 0
+        assert len(report["checks"]) == 9
+        assert all(c["passed"] for c in report["checks"])
+
+    def test_iqwc_soliton_needs_canonicalize(self, tmp_path):
+        rc, report = self._run_iqwc(tmp_path)
+        assert rc == 1
+        [check] = report["checks"]
+        assert check["name"] == "peterson_admissible"
+        assert not check["passed"]
+        assert check["max_residual"] == pytest.approx(0.62, abs=0.01)
+
+    @pytest.mark.parametrize("value", ["false", 0, "yes"])
+    def test_canonicalize_must_be_boolean(self, tmp_path, capsys, value):
+        rc, report = self._run_iqwc(tmp_path, canonicalize=value)
+        assert rc == 2
+        assert "canonicalize" in capsys.readouterr().err
+        assert report is None
+
     @pytest.mark.parametrize("quadric", [None, cli._QC_DEFAULT], ids=["qwc", "qc"])
     def test_bpt_sample_worsts_match_per_sample_loop(self, tmp_path, quadric):
         cfg = {"scenario": "bpt", "samples": 30, "seeds": {"master": 5},

@@ -537,6 +537,17 @@ class TestChartFormulas:
             if Z is not None:
                 assert np.array_equal(Z[idx], qd.chart_coords(lm, W[idx]))
 
+    @given(chart_formula_strategy())
+    @settings(max_examples=40, deadline=None)
+    def test_transposed_projector(self, case):
+        _, _, V, W = case
+        u = W[..., :-1]
+        T = qd.stereo_project_t(V, u)
+        for idx in np.ndindex(*V.shape[:-1]):
+            t = ref_projector(V[idx]).T @ u[idx]
+            assert np.max(np.abs(T[idx] - t)) <= 1e-13 * np.max(np.abs(t))
+            assert np.array_equal(T[idx], qd.stereo_project_t(V[idx], u[idx]))
+
     def test_only_quadric_reads_the_l_map(self):
         # L and L^{-1} are chart data: every other module goes through the
         # quadric helpers, so the chart formulas have one home
