@@ -82,16 +82,6 @@ def make_context(q, z, lm=None) -> BacklundContext:
                            qd.translation_chart(q, lm, z), qd.chart_b(q, lm))
 
 
-def context_defect(ctx: BacklundContext) -> float:
-    """|D^2 - (I - z A'_n)/z| ((I)QWC) resp. |D^2 - (I - z A)_n/z| (QC)."""
-    n = ctx.n
-    if ctx.kind == qd.QC:
-        tgt = (np.eye(n) - ctx.z * ctx.q.A[:n, :n]) / ctx.z
-    else:
-        tgt = (np.eye(n) - ctx.z * ctx.lm.aprime_n()) / ctx.z
-    return float(np.max(np.abs(ctx.D @ ctx.D - tgt)))
-
-
 # QC auxiliary quantities ------------------------------------------------------------
 
 @dataclass(frozen=True)

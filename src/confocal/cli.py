@@ -16,6 +16,7 @@ Complex numbers in configs are [re, im] pairs; SJ blocks are
 from __future__ import annotations
 
 import argparse
+import cmath
 import cProfile
 import hashlib
 import itertools
@@ -79,10 +80,14 @@ class Checks:
 
 def _parse_complex(v) -> complex:
     if isinstance(v, (int, float)):
-        return complex(v)
-    if isinstance(v, (list, tuple)) and len(v) == 2:
-        return complex(v[0], v[1])
-    raise ConfigError(f"complex values are [re, im] pairs, got {v!r}")
+        c = complex(v)
+    elif isinstance(v, (list, tuple)) and len(v) == 2:
+        c = complex(v[0], v[1])
+    else:
+        raise ConfigError(f"complex values are [re, im] pairs, got {v!r}")
+    if not cmath.isfinite(c):
+        raise ConfigError(f"complex values must be finite, got {v!r}")
+    return c
 
 
 def _parse_quadric(spec) -> qd.QuadricSpec:
@@ -98,7 +103,7 @@ def _parse_quadric(spec) -> qd.QuadricSpec:
             return qd.qwc_quadric(blocks)
         if kind == "IQWC":
             return qd.iqwc_quadric(int(spec.get("p", 2)), blocks)
-    except (KeyError, TypeError, ValueError, ConfocalError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError, ConfocalError) as exc:
         raise ConfigError(f"bad quadric spec: {exc}") from exc
     raise ConfigError(f"unknown quadric kind {kind!r}")
 
@@ -108,7 +113,7 @@ def _parse_grid(spec) -> df.GridSpec:
         axes = tuple(tuple(ax) for ax in spec["axes"])
         base = tuple(spec["base"]) if "base" in spec else None
         return df.GridSpec(axes, base)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"bad grid spec: {exc}") from exc
 
 
@@ -149,7 +154,8 @@ def validate_config(cfg: dict) -> dict:
         raise ConfigError(f"scenario must be one of {SCENARIOS}, got {name!r}")
     out = {**_DEFAULTS, **_SCENARIO_DEFAULTS.get(name, {}), **cfg}
     try:
-        tol = sc.scaled_tolerances(float(out.get("tol_scale", 1.0)))
+        scale = float(out.get("tol_scale", 1.0))
+        tol = sc.scaled_tolerances(scale)
         for k, v in out.get("tolerances", {}).items():
             if k not in tol:
                 raise ConfigError(f"unknown tolerance {k!r}")
@@ -160,8 +166,11 @@ def validate_config(cfg: dict) -> dict:
         out["lam_theta"] = float(out["lam_theta"])
         out["extent"] = [int(e) for e in out["extent"]]
         out["seed"] = int(out["seeds"].get("master", 7))
-    except (AttributeError, TypeError, ValueError) as exc:
+    except (AttributeError, TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"malformed config: {exc}") from exc
+    # json reads Infinity and NaN, and float() reads "inf"
+    if not all(math.isfinite(v) for v in (scale, *tol.values(), out["lam_theta"])):
+        raise ConfigError("tol_scale, tolerances and lam_theta must be finite")
     if not all(v > 0 for v in tol.values()):
         raise ConfigError("tolerances must be positive")
     out["tol"] = tol

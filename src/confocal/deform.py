@@ -11,19 +11,15 @@ its Gauss / Codazzi-Mainardi / Ricci residuals.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import numerics, quadric as qd
-from .errors import (
-    ClosureViolation,
-    DegenerateLambda,
-    PrimeIntegralViolation,
-    StepFailure,
-)
-from .numerics import (cumulative_line_integral, diag_stack, diff1, scalar_mul,
-                       stack_apply, stack_dot, stack_lstsq)
+from .errors import DegenerateLambda, PrimeIntegralViolation, StepFailure
+from .numerics import (diag_stack, diff1, scalar_mul, stack_apply, stack_dot,
+                       stack_lstsq)
 from .sjcore import sqrt_branch
 
 TOL_PI = 1e-8
@@ -41,6 +37,8 @@ class GridSpec:
         axes = tuple((float(a), float(b), int(s)) for a, b, s in self.axes)
         if any(s < 2 for _, _, s in axes):
             raise ValueError("each axis needs >= 2 nodes")
+        if not all(math.isfinite(a) and math.isfinite(b) for a, b, _ in axes):
+            raise ValueError("axis bounds must be finite")
         if any(b <= a for a, b, _ in axes):
             raise ValueError("axis ranges must be increasing")
         base = self.base if self.base is not None else tuple(0 for _ in axes)
@@ -99,13 +97,11 @@ class FieldGrid:
 # chart-level scalars ------------------------------------------------------------
 
 def prime_integral_residual(fg: FieldGrid, q, lm) -> np.ndarray:
-    """|Lambda|^2 + H (QWC/IQWC) resp. |Lambda|^2 + H (|V|^2+1)^2 (QC), per node."""
-    lam2 = np.einsum("...j,...j->...", fg.lam, fg.lam)
-    H = qd.h_chart(q, lm, fg.V)
+    """|Lambda|^2 + H per node, on a QWC or IQWC chart."""
     if q.kind == qd.QC:
-        v2 = np.einsum("...j,...j->...", fg.V, fg.V)
-        return np.abs(lam2 + H * (v2 + 1.0) ** 2)
-    return np.abs(lam2 + H)
+        raise StepFailure("the prime integral is taken on QWC/IQWC charts only")
+    lam2 = np.einsum("...j,...j->...", fg.lam, fg.lam)
+    return np.abs(lam2 + qd.h_chart(q, lm, fg.V))
 
 
 def peterson_admissible(q, lm):
@@ -371,16 +367,9 @@ def gamma_field(lam, dloglam, dlogsH, dlogw) -> np.ndarray:
     return G
 
 
-def _h0_and_gauge(kind, V, lam, sqH):
+def _h0_and_gauge(lam, sqH):
     """First second-form row h^0 and the gauge of the joined rows, (..., n)."""
-    if kind == qd.QC:
-        v2 = np.einsum("...k,...k->...", V, V)
-        h0 = -4.0 * lam ** 2 / (sqH * (v2 + 1.0) ** 2)[..., None]
-        gauge = 4.0 * lam / (v2 + 1.0)[..., None]
-    else:
-        h0 = -(lam ** 2) / sqH[..., None]
-        gauge = lam
-    return h0, gauge
+    return -(lam ** 2) / sqH[..., None], lam
 
 
 def _candidate_pool(n: int, seed: int) -> np.ndarray:
@@ -492,13 +481,14 @@ def _joined_frame(r, dr, gauge, dgauge, gamma, pool):
     return S, hj, nconn, res
 
 
-def forms_assemble(fg: FieldGrid, q, lm, seed: int = 0, mode: str = "auto",
+def forms_assemble(fg: FieldGrid, q, lm, seed: int = 0,
                    curvature_order: int = 4) -> FundamentalForms:
-    """Assemble joined fundamental forms and G-CMP-R residuals for a field.
+    """Assemble joined fundamental forms and G-CMP-R residuals for a field on
+    a QWC or IQWC chart (a QC field raises StepFailure).
 
-    mode 'exact' uses the zero-soliton closed derivative formulas (R = I,
-    diagonal A' block); 'fd' differentiates the node fields with second-order
-    differences; 'auto' picks 'exact' for zero_soliton output.  The joined
+    A zero_soliton field takes the closed zero-soliton derivative formulas
+    (mode 'exact': R = I, diagonal A' block); any other field is
+    differentiated with second-order differences (mode 'fd').  The joined
     frame S is completed per node from a seeded fixed candidate pool, which
     keeps it smooth in u, and its derivatives are propagated through the
     Gram-Schmidt chain.
@@ -506,8 +496,7 @@ def forms_assemble(fg: FieldGrid, q, lm, seed: int = 0, mode: str = "auto",
     n = fg.n
     shape = fg.grid.shape
     hs = fg.grid.h
-    if mode == "auto":
-        mode = "exact" if fg.meta.get("soliton") == "zero" else "fd"
+    mode = "exact" if fg.meta.get("soliton") == "zero" else "fd"
     if np.min(np.abs(fg.lam)) < TOL_DEG:
         raise DegenerateLambda("lambda_j below tolerance somewhere on the grid")
     pi = float(np.max(prime_integral_residual(fg, q, lm)))
@@ -519,14 +508,12 @@ def forms_assemble(fg: FieldGrid, q, lm, seed: int = 0, mode: str = "auto",
     g = metric_field(fg, q, lm)
     ginv = np.linalg.inv(g)
     gamma = gamma_field(fg.lam, dloglam, dlogsH, dlogw)
-    h0, gauge = _h0_and_gauge(q.kind, fg.V, fg.lam, sqrt_branch(H))
+    h0, gauge = _h0_and_gauge(fg.lam, sqrt_branch(H))
 
     r = 1j * h0 / gauge
     dr = (dloglam - dlogsH[..., None, :] - dlogw[..., None, :]) * r[..., :, None]
     dr = np.swapaxes(dr, -1, -2)      # (*shape, n_dirs, n)
-    dgauge = ((dloglam - dlogw[..., None, :]) * gauge[..., :, None]
-              if q.kind == qd.QC else dlam)
-    S, hj, nconn, cmp_res = _joined_frame(r, dr, gauge, dgauge, gamma,
+    S, hj, nconn, cmp_res = _joined_frame(r, dr, gauge, dlam, gamma,
                                           _candidate_pool(n, seed))
 
     if mode == "exact":
@@ -562,19 +549,9 @@ def forms_assemble(fg: FieldGrid, q, lm, seed: int = 0, mode: str = "auto",
         "joined_orthogonality": float(np.max(np.abs(JO))),
         "mode": mode,
     }
-    vf = _chart_gradient_logsqH(fg, q, lm, H)
+    vf = qd.chart_source(q, lm, fg.V) / H[..., None]
     return FundamentalForms(g, ginv, gamma, h0, gauge, S, hj, nconn, vf, H,
                             residuals)
-
-
-def _chart_gradient_logsqH(fg, q, lm, H):
-    """d log sqrt(H) / d v^k (chart gradient, not the u-derivative)."""
-    if q.kind == qd.QC:
-        # H = |A x|^2 on the quadric, so dH / dv^k = 2 (A x)^T A dx / dv^k
-        Ax = np.einsum("ij,...j->...i", q.A, qd.chart_to_ambient(q, None, fg.V))
-        AT = np.einsum("ij,...jk->...ik", q.A, qd.chart_tangents(q, None, fg.V))
-        return np.einsum("...i,...ik->...k", Ax, AT) / H[..., None]
-    return qd.chart_source(q, lm, fg.V) / H[..., None]
 
 
 def _exact_dgamma(fg: FieldGrid, q, lm, H) -> np.ndarray:
@@ -657,56 +634,6 @@ def _ricci_residual(nconn, hj, ginv, hs, order: int = 4) -> float:
     return worst
 
 
-# quadrature of explicit 1-forms ----------------------------------------------------
-
-def plaquette_mismatch(grid: GridSpec, omega: np.ndarray) -> float:
-    """Max trapezoid circulation of the sampled 1-form around elementary squares."""
-    n = grid.n
-    hs = grid.h
-    worst = 0.0
-    for a in range(n):
-        for b in range(a + 1, n):
-            wa = np.moveaxis(omega[..., a, :], (a, b), (0, 1))
-            wb = np.moveaxis(omega[..., b, :], (a, b), (0, 1))
-            bottom = 0.5 * hs[a] * (wa[:-1, :-1] + wa[1:, :-1])
-            right = 0.5 * hs[b] * (wb[1:, :-1] + wb[1:, 1:])
-            top = 0.5 * hs[a] * (wa[:-1, 1:] + wa[1:, 1:])
-            left = 0.5 * hs[b] * (wb[:-1, :-1] + wb[:-1, 1:])
-            worst = max(worst, float(np.max(np.abs(bottom + right - top - left))))
-    return worst
-
-
-def quadrature_1form(grid: GridSpec, omega: np.ndarray, base_value):
-    """Path-integrate a node-sampled closed 1-form to positions over the grid.
-
-    omega has shape (*grid.shape, n_axes, m).  Axis-ordered line sweeps from
-    the base node with 4th-order composite quadrature; the reversed sweep order
-    and the per-plaquette circulation are reported as closure diagnostics.
-    Raises ClosureViolation when the plaquette test exceeds 1e-5.
-    """
-    mis = plaquette_mismatch(grid, omega)
-    if mis > 1e-5:
-        raise ClosureViolation(f"plaquette mismatch {mis:.3e} > 1.0e-05")
-    pos = _integrate_sweep(grid, omega, base_value, order=tuple(range(grid.n)))
-    pos_alt = _integrate_sweep(grid, omega, base_value,
-                               order=tuple(reversed(range(grid.n))))
-    gap = float(np.max(np.abs(pos - pos_alt)))
-    return pos, {"plaquette": mis, "sweep_mismatch": gap}
-
-
-def _integrate_sweep(grid: GridSpec, omega, base_value, order):
-    """Cumulative line quadrature along the lines of the sweep in `order`,
-    every line of an axis at once."""
-    pos = np.zeros(grid.shape + (omega.shape[-1],), dtype=complex)
-    pos[grid.base] = np.asarray(base_value, dtype=complex)
-    for axis, lines in numerics.sweep_slabs(grid.shape, grid.base, order):
-        F = cumulative_line_integral(lines(omega)[..., axis, :], grid.h[axis])
-        i0 = grid.base[axis]
-        slab = lines(pos)
-        slab[...] = slab[i0] + F - F[i0]
-    return pos
-
-
 # seed frame (Gauss-Weingarten integration for zero-soliton seeds) -------------------
 
 @dataclass
@@ -747,7 +674,7 @@ class _SeedFrameModel:
         dloglam = dlam / lam[..., :, None]
         dlogsH = zs.dH(V, lam) / (2.0 * H)[..., None]
         gamma = gamma_field(lam, dloglam, dlogsH, self.dlogw)
-        h0, gauge = _h0_and_gauge(zs.q.kind, V, lam, sqH)
+        h0, gauge = _h0_and_gauge(lam, sqH)
         if not self.deformation:
             return (g, ginv, gamma, h0[..., None, :],
                     np.zeros(V.shape + (1, 1), dtype=complex))

@@ -25,10 +25,6 @@ class OffQuadric(ConfocalError):
     """A point that should lie on the quadric does not (beyond tolerance)."""
 
 
-class NotRulingDirection(ConfocalError):
-    """Supplied direction fails the ruling preconditions."""
-
-
 class MultipleRoot(ConfocalError):
     """Elliptic-coordinate polynomial has a (near) multiple root."""
 
@@ -51,10 +47,6 @@ class StepFailure(ConfocalError):
 
 class DegenerateLambda(ConfocalError):
     """Some lambda_j below tolerance where a nonzero value is required."""
-
-
-class ClosureViolation(ConfocalError):
-    """1-form is not numerically closed: plaquette mismatch above tolerance."""
 
 
 class UNearZero(ConfocalError):

@@ -1,8 +1,8 @@
 """Shared numerical machinery: RK4 line stepping, the axis-ordered sweep
-that every grid integration runs on (RK4 line sweeps and 1-form quadrature,
-over any number of axes, with all parallel lines of an axis advancing in
-lockstep), finite-difference stencils on uniform grids, composite line
-quadrature, and log-log slope fits."""
+that every grid integration runs on (RK4 line sweeps over any number of
+axes, with all parallel lines of an axis advancing in lockstep),
+finite-difference stencils on uniform grids, stacked node algebra that
+rounds as single nodes do, and log-log slope fits."""
 
 from __future__ import annotations
 
@@ -173,7 +173,7 @@ def diff1(field: np.ndarray, axis: int, h: float, order: int = 2) -> np.ndarray:
     return np.moveaxis(out, 0, axis)
 
 
-def panel_sum(w: np.ndarray, panel: np.ndarray, item_ndim: int = 1) -> np.ndarray:
+def panel_sum(w: np.ndarray, panel: np.ndarray, item_ndim: int) -> np.ndarray:
     """sum_a w[a] panel[a] over axis 0, batched over all but the last
     item_ndim axes.  Each item is one product of w with its (len(w), size)
     panel, as np.tensordot(w, item_panel, axes=(0, 0)) forms it, so a stack
@@ -182,39 +182,6 @@ def panel_sum(w: np.ndarray, panel: np.ndarray, item_ndim: int = 1) -> np.ndarra
     p = np.moveaxis(panel, 0, panel.ndim - 1 - item_ndim)
     flat = p.reshape(p.shape[:p.ndim - item_ndim] + (-1,))
     return (w @ flat).reshape(panel.shape[1:])
-
-
-def cumulative_line_integral(samples: np.ndarray, h: float) -> np.ndarray:
-    """Cumulative integral of node samples along axis 0 (4th-order composite).
-
-    Uses the cumulative form of 4-point Newton-Cotes locally: the increment
-    over [t_i, t_{i+1}] is evaluated from a cubic through the four nearest
-    samples, so the global error is O(h^4) for smooth integrands.  Samples
-    (npts, lines..., m) integrate every line at once, with the bits of one
-    line at a time.
-    """
-    f = np.asarray(samples, dtype=complex)
-    npts = f.shape[0]
-    out = np.zeros_like(f)
-    if npts == 1:
-        return out
-    if npts < 4:
-        # trapezoid fallback for very short lines
-        inc = 0.5 * h * (f[:-1] + f[1:])
-        out[1:] = np.cumsum(inc, axis=0)
-        return out
-    # cubic-panel weights for the integral over one step, by panel position
-    w_first = np.array([9.0, 19.0, -5.0, 1.0]) * (h / 24.0)
-    w_mid = np.array([-1.0, 13.0, 13.0, -1.0]) * (h / 24.0)
-    w_last = w_first[::-1]
-    inc = np.empty((npts - 1,) + f.shape[1:], dtype=complex)
-    inc[0] = panel_sum(w_first, f[0:4])
-    if npts > 3:
-        inc[1:-1] = (w_mid[0] * f[0:-3] + w_mid[1] * f[1:-2]
-                     + w_mid[2] * f[2:-1] + w_mid[3] * f[3:])
-    inc[npts - 2] = panel_sum(w_last, f[npts - 4:npts])
-    out[1:] = np.cumsum(inc, axis=0)
-    return out
 
 
 def loglog_slope(hs, errs) -> float:

@@ -1,9 +1,9 @@
 """Confocal quadrics in canonical form: the three kinds (with center, without
 center, isotropic without center), their confocal families R_z = I - zA, the
-Ivory affinity x_z = sqrt(R_z) x_0 + C(z), its classical metric identities,
-elliptic coordinates, and the chart parametrizations (graph chart on the
-equilateral paraboloid for (I)QWC, stereographic chart for QC) with the
-linear map L that carries them onto the quadric.
+Ivory affinity x_z = sqrt(R_z) x_0 + C(z), elliptic coordinates, and the
+chart parametrizations (graph chart on the equilateral paraboloid for
+(I)QWC, stereographic chart for QC) with the linear map L that carries them
+onto the quadric.
 
 All pairings are bilinear (x^T y, no conjugation).  Ambient vectors live in
 C^{n+1}, chart vectors in C^n.  The chart helpers take points batched over
@@ -32,7 +32,6 @@ from .errors import (
     DistinctZRequired,
     IsotropicNormal,
     MultipleRoot,
-    NotRulingDirection,
     OffQuadric,
     SingularConfocal,
     ZeroEigenvalue,
@@ -229,44 +228,6 @@ def ivory_map(q: QuadricSpec, z: complex, x0: np.ndarray) -> np.ndarray:
     if r > TOL_ON:
         raise OffQuadric(f"|Q_0(x0)| = {r:.3e} > {TOL_ON:.1e}")
     return sqrt_rz(q, z) @ x0 + translation(q, z)
-
-
-# classical metric identities of the Ivory affinity ----------------------------
-
-def ivory_theorem_residual(q: QuadricSpec, z: complex,
-                           x0a: np.ndarray, x0b: np.ndarray) -> float:
-    """| |x_z(b)-x_0(a)|^2 - |x_z(a)-x_0(b)|^2 | (segment-length preservation)."""
-    xza = ivory_map(q, z, x0a)
-    xzb = ivory_map(q, z, x0b)
-    va = xzb - x0a
-    vb = xza - x0b
-    return float(abs(va @ va - vb @ vb))
-
-
-def tc_symmetry_residual(q: QuadricSpec, z: complex,
-                         x0a: np.ndarray, x0b: np.ndarray) -> float:
-    """Symmetry of the tangency configuration:
-    (x_z(b)-x_0(a))^T (A x_0(a) + B) = (x_z(a)-x_0(b))^T (A x_0(b) + B)."""
-    xza = ivory_map(q, z, x0a)
-    xzb = ivory_map(q, z, x0b)
-    na = q.A @ x0a + q.B
-    nb = q.A @ x0b + q.B
-    return float(abs((xzb - x0a) @ na - (xza - x0b) @ nb))
-
-
-def ruling_length_residual(q: QuadricSpec, z: complex, x0: np.ndarray,
-                           w0: np.ndarray) -> float:
-    """| |sqrt(R_z) w0|^2 - |w0|^2 | for a ruling direction w0 at x0; raises
-    NotRulingDirection unless w0 is isotropic for A and tangent at x0 to
-    1e-8 (relative to max(1, |w0|_inf^2))."""
-    n0 = q.A @ x0 + q.B
-    tol = 1e-8 * max(1.0, float(np.max(np.abs(w0))) ** 2)
-    if abs(w0 @ (q.A @ w0)) > tol or abs(w0 @ n0) > tol:
-        raise NotRulingDirection(
-            f"w^T A w = {w0 @ (q.A @ w0):.3e}, w^T nhat = {w0 @ n0:.3e}"
-        )
-    wz = sqrt_rz(q, z) @ w0
-    return float(abs(wz @ wz - w0 @ w0))
 
 
 def confocal_orthogonality_residual(q: QuadricSpec, z1, z2, x: np.ndarray):

@@ -60,21 +60,6 @@ def scaled_tolerances(scale: float = 1.0) -> dict:
     return out
 
 
-# quadric dictionaries used by scenarios and tests ------------------------------------
-
-def standard_quadric(kind: str, n: int = 2):
-    """Desk-scale canonical diagonal example of each kind (p = 2 for IQWC)."""
-    if kind == qd.QC:
-        return qd.qc_quadric([(1.0 + 0.25 * k + 0.1j * k, 1)
-                              for k in range(n + 1)])
-    if kind == qd.QWC:
-        return qd.qwc_quadric([(1.0 + 0.3 * k + 0.05j, 1) for k in range(n)])
-    if kind == qd.IQWC:
-        return qd.iqwc_quadric(2, [(1.5 + 0.4 * k - 0.2j, 1)
-                                   for k in range(n - 1)])
-    raise ValueError(kind)
-
-
 def lmap_for(q, seed: int = 0):
     return qd.build_lmap(q, seed=seed) if q.kind != qd.QC else None
 

@@ -1,9 +1,33 @@
-"""Shared fixtures: the heavy grid pipelines are session-scoped so the whole
-suite stays inside the runtime budget."""
+"""Shared fixtures and test-only helpers: the heavy grid pipelines are
+session-scoped so the whole suite stays inside the runtime budget."""
 
+import numpy as np
 import pytest
 
 from confocal import backlund as bk, deform as df, quadric as qd, scenarios as sc
+
+
+def standard_quadric(kind: str, n: int = 2):
+    """Desk-scale canonical diagonal example of each kind (p = 2 for IQWC)."""
+    if kind == qd.QC:
+        return qd.qc_quadric([(1.0 + 0.25 * k + 0.1j * k, 1)
+                              for k in range(n + 1)])
+    if kind == qd.QWC:
+        return qd.qwc_quadric([(1.0 + 0.3 * k + 0.05j, 1) for k in range(n)])
+    if kind == qd.IQWC:
+        return qd.iqwc_quadric(2, [(1.5 + 0.4 * k - 0.2j, 1)
+                                   for k in range(n - 1)])
+    raise ValueError(kind)
+
+
+def context_defect(ctx: bk.BacklundContext) -> float:
+    """|D^2 - (I - z A'_n)/z| ((I)QWC) resp. |D^2 - (I - z A)_n/z| (QC)."""
+    n = ctx.n
+    if ctx.kind == qd.QC:
+        tgt = (np.eye(n) - ctx.z * ctx.q.A[:n, :n]) / ctx.z
+    else:
+        tgt = (np.eye(n) - ctx.z * ctx.lm.aprime_n()) / ctx.z
+    return float(np.max(np.abs(ctx.D @ ctx.D - tgt)))
 
 
 @pytest.fixture(scope="session")

@@ -15,6 +15,7 @@ from confocal import backlund as bk, deform as df, permute as pm
 from confocal import quadric as qd, scenarios as sc, sjcore
 from confocal.numerics import loglog_slope
 from confocal.sjcore import SJSpec, build_sj, random_orthogonal, sqrt_sj
+from conftest import standard_quadric
 
 
 def _line(num, name, ok, detail):
@@ -54,8 +55,8 @@ def test_criterion_02_ivory_identities():
     t0 = time.time()
     cases = []
     for n in (2, 3):
-        cases.append(("QC", sc.standard_quadric(qd.QC, n)))
-        cases.append(("QWC", sc.standard_quadric(qd.QWC, n)))
+        cases.append(("QC", standard_quadric(qd.QC, n)))
+        cases.append(("QWC", standard_quadric(qd.QWC, n)))
         extra = [(1.5 + 0.4 * k - 0.2j, 1) for k in range(n - 1)]
         cases.append(("IQWC", qd.iqwc_quadric(2, extra)))
     worst = {}
@@ -65,7 +66,7 @@ def test_criterion_02_ivory_identities():
         for key in ("ivory_theorem", "tc_symmetry", "ruling_length",
                     "segment_ruling_angle", "polar_ruling_angle"):
             worst[key] = max(worst.get(key, 0.0), res[key])
-    qlame = sc.standard_quadric(qd.QC, 2)
+    qlame = standard_quadric(qd.QC, 2)
     lame = sc.lame_suite(qlame, None, 100, seed=23)
     dt = time.time() - t0
     bad = {k: v for k, v in worst.items() if v >= 1e-10}
@@ -259,13 +260,11 @@ def test_criterion_11_gcmpr(qwc2, lmap2, forms32, leaf32, soliton64,
     worst_n3 = max(r3["gauss_base"], r3["gauss_deform"], r3["cmp"],
                    r3["ricci"])
     # leaf forms converge at O(h^2)
-    ff_leaf = df.forms_assemble(leaf32, qwc2, lmap2, seed=11, mode="fd",
-                                curvature_order=2)
+    ff_leaf = df.forms_assemble(leaf32, qwc2, lmap2, seed=11, curvature_order=2)
     V1, lam1 = bk.algebraic_transform_qwc(ctx_a, soliton64.V, soliton64.lam,
                                           soliton64.R, riccati64.R1)
     leaf64 = df.FieldGrid(soliton64.grid, qwc2.kind, V1, lam1, riccati64.R1, {})
-    ff_leaf2 = df.forms_assemble(leaf64, qwc2, lmap2, seed=11, mode="fd",
-                                 curvature_order=2)
+    ff_leaf2 = df.forms_assemble(leaf64, qwc2, lmap2, seed=11, curvature_order=2)
     # interior restriction: double one-sided differencing at the boundary
     # layers drops an order there, the leaf claim is the O(h^2) floor
     ratio = (ff_leaf.residuals["gauss_base_interior"]

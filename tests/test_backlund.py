@@ -12,15 +12,16 @@ from hypothesis import given, settings, strategies as st
 from confocal import backlund as bk, deform as df, quadric as qd, scenarios as sc
 from confocal.errors import DriftExceeded, UNearZero
 from confocal.sjcore import random_orthogonal, sqrt_branch
+from conftest import context_defect
 
 
 class TestContext:
     def test_defect_and_mirror(self, qwc2, lmap2, ctx_a):
-        assert bk.context_defect(ctx_a) < 1e-12
+        assert context_defect(ctx_a) < 1e-12
         m = ctx_a.mirror()
         assert m.sqrt_z == -ctx_a.sqrt_z
         assert np.max(np.abs(m.D + ctx_a.D)) < 1e-15
-        assert bk.context_defect(m) < 1e-12
+        assert context_defect(m) < 1e-12
 
     def test_zero_z_rejected(self, qwc2, lmap2):
         with pytest.raises(ValueError):
@@ -28,7 +29,7 @@ class TestContext:
 
     def test_qc_defect(self, qc3):
         ctx = bk.make_context(qc3, 0.2 - 0.3j)
-        assert bk.context_defect(ctx) < 1e-12
+        assert context_defect(ctx) < 1e-12
 
 
 def rhs_qwc_indexed_oracle(ctx, k, R0, om_k, R1):
@@ -413,7 +414,7 @@ class TestRulingFacet:
 class TestAsymptotic:
     def test_seed_and_leaf_agree(self, forms32, qwc2, lmap2, leaf32):
         assert bk.asymptotic_directions(forms32) < 1e-10
-        ff1 = df.forms_assemble(leaf32, qwc2, lmap2, seed=11, mode="fd")
+        ff1 = df.forms_assemble(leaf32, qwc2, lmap2, seed=11)
         assert bk.asymptotic_directions(ff1) < 1e-8
 
     def test_negative_control(self, forms32):

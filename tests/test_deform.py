@@ -1,14 +1,14 @@
 """Deformation systems on grids: zero-soliton integration against the
 closed-form oscillator oracle, system residuals, fundamental forms against
-metric finite differences, frame integration, and 1-form quadrature."""
+metric finite differences, and Gauss-Weingarten frame integration."""
 
 import numpy as np
 import pytest
 
 from confocal import deform as df, quadric as qd, scenarios as sc
-from confocal.errors import (ClosureViolation, PrimeIntegralViolation,
-                             StepFailure)
+from confocal.errors import PrimeIntegralViolation, StepFailure
 from confocal.numerics import diff1
+from conftest import standard_quadric
 
 
 def oscillator_oracle(model, grid, v0, lam0):
@@ -76,7 +76,7 @@ class TestZeroSoliton:
 
     def test_four_axes_fill_every_node(self):
         # the sweep runs over all four axes: no node is left at its zero start
-        q = sc.standard_quadric(qd.QWC, n=4)
+        q = standard_quadric(qd.QWC, n=4)
         lm = sc.lmap_for(q)
         grid = df.GridSpec(((0.0, 0.2, 6),) * 4)
         v0, lam0 = sc.default_soliton_data(q, lm)
@@ -88,7 +88,7 @@ class TestZeroSoliton:
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_default_data_on_prime_integral(self, n):
-        q = sc.standard_quadric(qd.QWC, n=n)
+        q = standard_quadric(qd.QWC, n=n)
         lm = sc.lmap_for(q)
         v0, lam0 = sc.default_soliton_data(q, lm)
         H0 = qd.h_chart(q, lm, v0[None, :])[0]
@@ -400,62 +400,6 @@ class TestSeedFrame:
             assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
-class TestQuadrature:
-    def test_exact_form_oracle(self):
-        grid = df.GridSpec(((0.0, 0.62, 32), (0.0, 0.62, 32)))
-        u1 = grid.coords(0)[:, None]
-        u2 = grid.coords(1)[None, :]
-        f = np.sin(2 * u1 + 0.3) * np.exp(0.5j * u2)   # scalar potential
-        omega = np.zeros(grid.shape + (2, 1), dtype=complex)
-        omega[..., 0, 0] = 2 * np.cos(2 * u1 + 0.3) * np.exp(0.5j * u2)
-        omega[..., 1, 0] = 0.5j * f
-        pos, diag = df.quadrature_1form(grid, omega, f[0, 0])
-        assert np.max(np.abs(pos[..., 0] - f)) < 2e-7   # O(h^4) recovery
-        assert diag["plaquette"] < 1e-5
-
-    def test_chart_positions_recovered(self, qwc2, lmap2, soliton32):
-        grid = soliton32.grid
-        omega = np.zeros(grid.shape + (2, 3), dtype=complex)
-        chart = np.zeros(grid.shape + (3,), dtype=complex)
-        for idx in np.ndindex(*grid.shape):
-            T = qd.chart_tangents(qwc2, lmap2, soliton32.V[idx])
-            dV = soliton32.R[idx] @ np.diag(soliton32.lam[idx])
-            omega[idx] = (T @ dV).T
-            chart[idx] = qd.chart_to_ambient(qwc2, lmap2, soliton32.V[idx])
-        pos, diag = df.quadrature_1form(grid, omega, chart[0, 0])
-        assert np.max(np.abs(pos - chart)) < 1e-8
-        assert diag["sweep_mismatch"] < 1e-8
-
-
-
-    def test_quadrature_metric_reproduction(self, qwc2, lmap2, soliton32,
-                                            forms32):
-        # finite differences of quadrature positions reproduce g_{jk}
-        grid = soliton32.grid
-        omega = np.zeros(grid.shape + (2, 3), dtype=complex)
-        for idx in np.ndindex(*grid.shape):
-            T = qd.chart_tangents(qwc2, lmap2, soliton32.V[idx])
-            omega[idx] = (T @ (soliton32.R[idx]
-                               @ np.diag(soliton32.lam[idx]))).T
-        base_val = qd.chart_to_ambient(qwc2, lmap2, soliton32.V[0, 0])
-        pos, _ = df.quadrature_1form(grid, omega, base_val)
-        dx = np.stack([diff1(pos, axis=k, h=grid.h[k], order=4)
-                       for k in range(2)], axis=-2)
-        G = np.einsum("...km,...lm->...kl", dx, dx)
-        inner = (slice(2, -2), slice(2, -2))
-        assert np.max(np.abs((G - forms32.g)[inner])) < 1e-6
-
-    def test_non_closed_raises(self):
-        grid = df.GridSpec(((0.0, 0.62, 32), (0.0, 0.62, 32)))
-        u1 = grid.coords(0)[:, None]
-        u2 = grid.coords(1)[None, :]
-        omega = np.zeros(grid.shape + (2, 1), dtype=complex)
-        omega[..., 0, 0] = u2 * np.ones_like(u1)    # d(omega) != 0
-        omega[..., 1, 0] = -u1 * np.ones_like(u2)
-        with pytest.raises(ClosureViolation):
-            df.quadrature_1form(grid, omega, 0.0)
-
-
 class TestSineGordon:
     def test_reduction_correlation(self):
         grid = df.GridSpec(((0.0, 0.62, 32), (0.0, 0.62, 32)))
@@ -463,23 +407,6 @@ class TestSineGordon:
         assert res["correlation_min"] > 0.999
         # proportionality constant reported (close to -1 in this convention)
         assert abs(res["constant_mean"] + 1.0) < 0.05
-
-
-class TestQuadratureN3:
-    def test_exact_form_three_axes(self):
-        grid = df.GridSpec(((0.0, 0.3, 11), (0.0, 0.3, 11), (0.0, 0.3, 11)))
-        u = [grid.coords(a) for a in range(3)]
-        u1 = u[0][:, None, None]
-        u2 = u[1][None, :, None]
-        u3 = u[2][None, None, :]
-        f = np.sin(u1 + 2 * u2) * np.exp(0.4j * u3)
-        omega = np.zeros(grid.shape + (3, 1), dtype=complex)
-        omega[..., 0, 0] = np.cos(u1 + 2 * u2) * np.exp(0.4j * u3)
-        omega[..., 1, 0] = 2 * np.cos(u1 + 2 * u2) * np.exp(0.4j * u3)
-        omega[..., 2, 0] = 0.4j * f
-        pos, diag = df.quadrature_1form(grid, omega, f[0, 0, 0])
-        assert np.max(np.abs(pos[..., 0] - f)) < 1e-5
-        assert diag["sweep_mismatch"] < 1e-5
 
 
 class TestExactCurvatureDerivatives:
@@ -508,4 +435,11 @@ class TestFormsPrecondition:
         bad.lam = bad.lam * 1.05
         bad.meta = {}
         with pytest.raises(PrimeIntegralViolation):
-            df.forms_assemble(bad, qwc2, lmap2, seed=1, mode="fd")
+            df.forms_assemble(bad, qwc2, lmap2, seed=1)
+
+    def test_qc_field_rejected(self, qc3, soliton32):
+        # the forms are assembled on QWC/IQWC charts only
+        fg = df.FieldGrid(soliton32.grid, qc3.kind, soliton32.V, soliton32.lam,
+                          soliton32.R)
+        with pytest.raises(StepFailure):
+            df.forms_assemble(fg, qc3, None)

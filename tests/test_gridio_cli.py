@@ -114,6 +114,7 @@ def lattice_csv_per_row(Rf):
 N1_QWC = {"kind": "QWC", "blocks": [{"a": [1.0, 0.0], "p": 1}]}
 N1_QC = {"kind": "QC", "blocks": [{"a": [1.0, 0.0], "p": 1},
                                   {"a": [0.5, 0.1], "p": 1}]}
+INF, NAN = float("inf"), float("nan")   # json writes Infinity and NaN
 
 
 class TestConfigValidation:
@@ -176,6 +177,13 @@ class TestConfigValidation:
         {"scenario": "deform-0soliton", "quadric": N1_QWC,
          "grid": {"axes": [[0.0, 0.3, 6]]}},
         {"scenario": "lattice", "quadric": N1_QWC},
+        {"scenario": "ivory-check", "tolerances": {"ivory_identities": INF}},
+        {"scenario": "ivory-check", "tol_scale": INF},
+        {"scenario": "bpt", "z": [[NAN, 0.0], [-0.2, 0.25]]},
+        {"scenario": "deform-0soliton", "lam_theta": NAN},
+        {"scenario": "deform-0soliton", "grid": {"axes": [[0.0, INF, 6]] * 2}},
+        {"scenario": "deform-0soliton", "grid": {"axes": [[0.0, 0.3, INF]] * 2}},
+        {"scenario": "ivory-check", "samples": INF},
     ], ids=lambda c: json.dumps(c)[:60])
     def test_malformed_config_exits_2(self, cfg, tmp_path, capsys):
         cfgfile = tmp_path / "bad.json"
@@ -186,6 +194,12 @@ class TestConfigValidation:
         assert capsys.readouterr().err.startswith("config error:")
         assert not (tmp_path / "out" / "report.json").exists()
 
+
+    def test_infinite_tol_scale_flag_exits_2(self, tmp_path, capsys):
+        rc = cli.main(["run", "--scenario", "elliptic", "--tol-scale", "inf",
+                       "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("config error:")
 
     @pytest.mark.parametrize("cfg", [
         {"scenario": "elliptic", "quadric": N1_QWC},

@@ -1,5 +1,5 @@
-"""Stencils, quadrature and fits: every coefficient table is checked against
-analytic functions at its claimed order."""
+"""Stencils, RK4 steps and sweeps, and fits: every coefficient table is
+checked against analytic functions at its claimed order."""
 
 import itertools
 
@@ -8,9 +8,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from confocal.deform import GridSpec
-from confocal.numerics import (correlation, cumulative_line_integral, diff1,
-                               fit_scale, loglog_slope, rk4_step, rk4_sweep,
-                               scalar_abs, stack_lstsq)
+from confocal.numerics import (correlation, diff1, fit_scale, loglog_slope,
+                               rk4_step, rk4_sweep, scalar_abs, stack_lstsq)
 
 
 class TestDiff1:
@@ -48,30 +47,6 @@ class TestDiff1:
         d0 = diff1(f, 0, a[1] - a[0], order=2)
         expected = np.outer(2 * a, b) + 1j * np.outer(np.ones_like(a), b ** 2)
         assert np.max(np.abs(d0 - expected)) < 1e-12
-
-
-class TestCumulative:
-    def test_fourth_order(self):
-        errs, hs = [], []
-        for npts in (17, 33, 65):
-            t = np.linspace(0.0, 1.0, npts)
-            h = t[1] - t[0]
-            f = np.cos(3.0 * t) * np.exp(0.5 * t)
-            F = (np.exp(0.5 * t) * (0.5 * np.cos(3 * t) + 3 * np.sin(3 * t))
-                 / 9.25)
-            got = cumulative_line_integral(f[:, None], h)[:, 0]
-            errs.append(np.max(np.abs(got - (F - F[0]))))
-            hs.append(h)
-        slope = loglog_slope(hs, errs)
-        assert slope > 3.6
-
-    def test_exact_on_cubics(self):
-        t = np.linspace(0.0, 2.0, 9)
-        h = t[1] - t[0]
-        f = t ** 3 - t
-        F = t ** 4 / 4 - t ** 2 / 2
-        got = cumulative_line_integral(f[:, None], h)[:, 0]
-        assert np.max(np.abs(got - (F - F[0]))) < 1e-12
 
 
 class TestRK4:
