@@ -22,7 +22,8 @@ from .numerics import diff1, rk4_step
 from .sjcore import sqrt_branch
 
 TOL_U = 1e-8
-DRIFT_HARD = 1e-4
+DRIFT_HARD = 1e-4   # largest orthogonality drift integrate_backlund accepts
+BASE_TOL = 1e-8     # largest orthogonality defect of its base value R1_base
 
 
 @dataclass(frozen=True)
@@ -242,12 +243,10 @@ class RiccatiRun:
 
     R1: np.ndarray
     drift: np.ndarray          # per-node orthogonality defect
-    meta: dict = field(default_factory=dict)
 
 
 def integrate_backlund(fg: df.FieldGrid, ctx: BacklundContext,
-                       R1_base: np.ndarray, *, drift_hard: float = DRIFT_HARD,
-                       base_tol: float = 1e-8) -> RiccatiRun:
+                       R1_base: np.ndarray) -> RiccatiRun:
     """RK4-integrate the (I)QWC Riccati equation over the seed grid.
 
     The seed supplies R_0 and omega_0; for a zero-soliton seed both are
@@ -255,21 +254,21 @@ def integrate_backlund(fg: df.FieldGrid, ctx: BacklundContext,
     is interpolated cubically along lines at the half-step stages.  The leaf
     field comes from one sweep in axis order (path_mismatch runs the reversed
     order).  Raises DriftExceeded if the orthogonality defect passes
-    drift_hard anywhere.
+    DRIFT_HARD anywhere.
     """
     if ctx.kind == qd.QC:
         raise ValueError("grid integration applies to the (I)QWC equation")
     n = fg.n
-    # base_tol can be loosened to study how an initial orthogonality defect
+    # BASE_TOL can be loosened to study how an initial orthogonality defect
     # propagates (it obeys a homogeneous linear equation along the flow)
-    sjcore.check_orthogonal(R1_base, base_tol, "R1 base value")
+    sjcore.check_orthogonal(R1_base, BASE_TOL, "R1 base value")
     R1 = _riccati_sweep(fg, ctx, R1_base, None)
     drift = np.max(np.abs(np.einsum("...ij,...kj->...ik", R1, R1)
                           - np.eye(n)), axis=(-2, -1))
     worst = float(np.max(drift))
-    if worst > drift_hard:
-        raise DriftExceeded(f"orthogonality drift {worst:.3e} > {drift_hard:.1e}")
-    return RiccatiRun(R1, drift, {"z": ctx.z, "sqrt_z": ctx.sqrt_z})
+    if worst > DRIFT_HARD:
+        raise DriftExceeded(f"orthogonality drift {worst:.3e} > {DRIFT_HARD:.1e}")
+    return RiccatiRun(R1, drift)
 
 
 def path_mismatch(fg: df.FieldGrid, ctx: BacklundContext,
@@ -297,18 +296,12 @@ def _omega_for_integration(fg: df.FieldGrid) -> np.ndarray:
     high-order differences with the Phi_l = R^T dR/du^l factors projected onto
     their antisymmetric part (the exact Phi is antisymmetric; the symmetric
     finite-difference noise would otherwise source orthogonality drift)."""
-    n = fg.n
     hs = fg.grid.h
     order = 4 if min(fg.grid.shape) >= 5 else 2
-    out = np.zeros(fg.grid.shape + (fg.grid.n, n, n), dtype=complex)
-    for l in range(fg.grid.n):
-        Rl = diff1(fg.R, axis=l, h=hs[l], order=order)
-        phi = np.einsum("...ji,...jk->...ik", fg.R, Rl)
-        phi = 0.5 * (phi - np.swapaxes(phi, -1, -2))
-        for k in range(fg.grid.n):
-            out[..., k, l, k] += phi[..., l, k]
-            out[..., k, k, l] += phi[..., k, l]
-    return out
+    phi = np.stack([np.einsum("...ji,...jk->...ik", fg.R,
+                              diff1(fg.R, axis=l, h=hs[l], order=order))
+                    for l in range(fg.grid.n)], axis=-3)
+    return df.omega_slots(0.5 * (phi - np.swapaxes(phi, -1, -2)))
 
 
 def _trivial_seed_rhs(ctx: BacklundContext):
@@ -635,7 +628,9 @@ def leaf_embed(q, lm, ctx: BacklundContext, fg0: df.FieldGrid,
     g01_fd = np.einsum("...km,...lm->...kl", x01_fd, x01_fd)
     acpia_fd = float(np.max(np.abs(g1_fd - g01_fd)))
 
-    fund_res, _, _ = df.joined_forms_residual(dx01, dxz1, joined)
+    # joined forms: g01 - gz1 is the Gram matrix of the joined column
+    fund_res = float(np.max(np.abs(
+        (g01 - gz1) - np.einsum("...ja,...ka->...jk", joined, joined))))
     dv1_gram = ctx.z * np.einsum("...km,...lm->...kl", dV1, dV1)
     metric_scaling = float(np.max(np.abs((g01 - gz1) - dv1_gram)))
 

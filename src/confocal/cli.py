@@ -187,9 +187,11 @@ def validate_config(cfg: dict) -> dict:
                           f"{out['canonicalize']!r}")
     if any(e < 2 for e in out["extent"]):
         raise ConfigError("extent entries must be >= 2")
-    distinct = {"bpt": 2, "lattice": 2, "m3": 3}.get(name, 1)
-    if len(set(out["zs"])) < distinct:
-        raise ConfigError(f"{name} needs {distinct} distinct z values")
+    if len(set(out["zs"])) < len(out["zs"]):
+        raise ConfigError("the z values must be distinct")
+    needed = {"bpt": 2, "lattice": 2, "m3": 3}.get(name, 1)
+    if len(out["zs"]) < needed:
+        raise ConfigError(f"{name} needs at least {needed} z values")
     if name == "lattice" and len(out["extent"]) != len(out["zs"]):
         raise ConfigError("extent length must match the number of z values")
     return out
@@ -234,11 +236,11 @@ def _soliton_data(cfg, q, lm):
             *sc.default_soliton_data(q, lm, theta=cfg["lam_theta"]))
 
 
-def _fill_order_gap(fg, q, lm, contexts, extent, seed):
+def _fill_order_gap(fg, contexts, extent, seed):
     """The lattice filled in axis order, its holes, and its largest gap to the
     lattice filled in reversed axis order."""
-    lat, holes = pm.lattice_build(fg, q, lm, contexts, extent, seed=seed)
-    alt, _ = pm.lattice_build(fg, q, lm, contexts, extent, seed=seed,
+    lat, holes = pm.lattice_build(fg, contexts, extent, seed=seed)
+    alt, _ = pm.lattice_build(fg, contexts, extent, seed=seed,
                               order_axes=tuple(reversed(range(len(extent)))))
     gap = max((float(np.max(np.abs(lat[k].R - alt[k].R)))
                for k in lat if lat[k] is not None and alt[k] is not None),
@@ -486,14 +488,15 @@ def run_bpt(cfg, outdir, checks):
             rep = pm.bpt_verify(fg, r1.R1, r2.R1, R3f, c1, c2)
             resid.append(max(rep["riccati_seed_r1"], rep["riccati_seed_r2"]))
             if g is grids[0]:
-                rep0, fg0 = rep, fg
+                fg0 = fg
+                scalar = pm.bpt_scalar_identity(fg.R, r1.R1, r2.R1, R3f,
+                                                c1.D, c2.D, c1.z, c2.z)
         hs = [g.h[0] for g in grids]
-        checks.add("bpt_field_scalar_identity", rep0["scalar_identity"],
-                   "riccati_drift", 1)
+        checks.add("bpt_field_scalar_identity", scalar, "riccati_drift", 1)
         checks.add("bpt_riccati_slope", abs(loglog_slope(hs, resid) - 2.0),
                    "slope_window", 1)
     with checks.stage("lattice_fill_order", 9):
-        *_, gap = _fill_order_gap(fg0, q, lm, {0: c1, 1: c2}, (3, 3), seed)
+        *_, gap = _fill_order_gap(fg0, {0: c1, 1: c2}, (3, 3), seed)
         checks.add("lattice_order_agreement", gap)
     gridio.save_residual_csv(outdir / "raw_convergence.csv",
                              ["metric", "h", "value"],
@@ -507,13 +510,13 @@ def run_m3(cfg, outdir, checks):
     contexts = [bk.make_context(q, z, lm) for z in zs]
     with checks.stage("m3_degenerate"):
         Rx = sjcore.random_orthogonal(q.n, seed=cfg["seed"])
-        _, gap_deg, _ = pm.m3_r7(Rx, Rx, Rx, Rx, *(c.D for c in contexts), *zs)
+        _, gap_deg = pm.m3_r7(Rx, Rx, Rx, Rx, *(c.D for c in contexts), *zs)
         checks.add("m3_degenerate", gap_deg)
     grid, v0, lam0 = _soliton_data(cfg, q, lm)
     with checks.stage("m3_lattice", math.prod(grid.shape)):
         fg = df.zero_soliton(q, lm, grid, v0, lam0)
-        lat, holes = pm.lattice_build(fg, q, lm, dict(enumerate(contexts)),
-                                      (2, 2, 2), seed=cfg["seed"])
+        lat, holes = pm.lattice_build(fg, dict(enumerate(contexts)), (2, 2, 2),
+                                      seed=cfg["seed"])
         legs = (lat[(1, 0, 0)].R, lat[(0, 1, 0)].R, lat[(0, 0, 1)].R)
         R7f, gap_int = pm.m3_r7_field(fg.R, *legs, *contexts)
         cube_gap = (float(np.max(np.abs(lat[(1, 1, 1)].R - R7f)))
@@ -530,8 +533,7 @@ def run_lattice(cfg, outdir, checks):
     grid, v0, lam0 = _soliton_data(cfg, q, lm)
     with checks.stage("lattice", math.prod(grid.shape)):
         fg = df.zero_soliton(q, lm, grid, v0, lam0)
-        lat, holes, gap = _fill_order_gap(fg, q, lm, contexts, extent,
-                                          cfg["seed"])
+        lat, holes, gap = _fill_order_gap(fg, contexts, extent, cfg["seed"])
         rows = []
         if len(extent) == 2:
             c0, c1 = contexts[0], contexts[1]

@@ -279,17 +279,22 @@ def system_residual(fg: FieldGrid, q, lm) -> SystemResidual:
     return SystemResidual(two, conj, orth)
 
 
-def omega_fields(fg: FieldGrid) -> np.ndarray:
+def omega_slots(phi: np.ndarray) -> np.ndarray:
     """Connection slots [omega]_k = sum_j (Phi_j)_{jk} e_j e_k^T
-    + (Phi_j)_{kj} e_k e_j^T per node, (*shape, n_axes, n, n)."""
-    n = fg.n
-    phi = phi_fields(fg)
-    out = np.zeros(fg.grid.shape + (fg.grid.n, n, n), dtype=complex)
-    for k in range(fg.grid.n):
-        for j in range(n):
+    + (Phi_j)_{kj} e_k e_j^T per node, (..., n_axes, n, n), from the
+    Phi_l = R^T dR/du^l stack phi of the same shape."""
+    naxes = phi.shape[-3]
+    out = np.zeros(phi.shape, dtype=complex)
+    for k in range(naxes):
+        for j in range(naxes):
             out[..., k, j, k] += phi[..., j, j, k]
             out[..., k, k, j] += phi[..., j, k, j]
     return out
+
+
+def omega_fields(fg: FieldGrid) -> np.ndarray:
+    """omega_slots of the second-order phi_fields of fg."""
+    return omega_slots(phi_fields(fg))
 
 
 # fundamental forms ----------------------------------------------------------------
@@ -607,7 +612,7 @@ def _curvature_component(gamma, g, dgam) -> np.ndarray:
     return out
 
 
-def _ricci_residual(nconn, hj, ginv, hs, order: int = 4) -> float:
+def _ricci_residual(nconn, hj, ginv, hs, order: int) -> float:
     """max |r^b_{a jk} - (h^a_j h^b_k - h^b_j h^a_k) g^{jk}| over true normals."""
     n = hj.shape[-1]
     if n < 3:
@@ -643,7 +648,6 @@ class AmbientFrame:
     x: np.ndarray        # (*shape, m)
     X: np.ndarray        # (*shape, m, n)
     N: np.ndarray        # (*shape, m, p)
-    meta: dict = field(default_factory=dict)
 
 
 class _SeedFrameModel:
@@ -701,22 +705,21 @@ class _SeedFrameModel:
         return V, lam, x, X, N
 
     def rhs(self, k: int):
-        """d(state)/du^k on states (..., size)."""
-        zs = self.zs
+        """d(state)/du^k on states (..., size); (V, Lambda) move as in
+        ZeroSolitonModel.rhs_vlam."""
+        n = self.n
+        vlam_rhs = self.zs.rhs_vlam(k)
 
-        def f(_t, y):
+        def f(t, y):
             V, lam, x, X, N = self.unpack(y)
             g, ginv, gamma, hrows, nck = self.geometry(V, lam)
-            dV = np.zeros_like(V)
-            dlam_line = np.zeros_like(V)
-            dV[..., k] = lam[..., k]
-            dlam_line[..., k] = -(scalar_mul(zs.ap[k], V[..., k]) + zs.bc[k])
+            dvlam = vlam_rhs(t, y[..., :2 * n])
             dx = X[..., :, k]
             dX = np.einsum("...ml,...lj->...mj", X, gamma[..., :, :, k])
             dX[..., :, k] = dX[..., :, k] + stack_apply(N, hrows[..., :, k])
             dN = (-np.einsum("...ml,...l,...a->...ma", X, ginv[..., k, :],
                              hrows[..., :, k]) + N @ nck[..., k, :, :])
-            return self.pack(dV, dlam_line, dx, dX, dN)
+            return self.pack(dvlam[..., :n], dvlam[..., n:], dx, dX, dN)
         return f
 
 
@@ -753,11 +756,8 @@ def seed_frame(q, lm, fg: FieldGrid, seed: int = 0,
 
     y = numerics.rk4_sweep(fg.grid, model.pack(V0, lam0, x, X, N),
                            lambda axis, _lines: model.rhs(axis))
-    Vs, Ls, xs, Xs, Ns = (a.copy() for a in model.unpack(y))
-    frame = AmbientFrame(xs, Xs, Ns, {"deformation": deformation})
-    frame.meta["field_gap"] = float(max(np.max(np.abs(Vs - fg.V)),
-                                        np.max(np.abs(Ls - fg.lam))))
-    return frame
+    _, _, x, X, N = model.unpack(y)
+    return AmbientFrame(x.copy(), X.copy(), N.copy())
 
 
 def frame_checks(frame: AmbientFrame, g: np.ndarray) -> dict:
@@ -771,18 +771,3 @@ def frame_checks(frame: AmbientFrame, g: np.ndarray) -> dict:
         "normal_orthonormal": float(np.max(np.abs(
             NN - np.eye(frame.N.shape[-1])))),
     }
-
-
-def joined_forms_residual(dx01: np.ndarray, dxz1: np.ndarray,
-                          joined: np.ndarray):
-    """eq-fund check on per-node direction data: the difference of the first
-    fundamental forms at the two chart images against the Gram matrix of the
-    joined column [ -i dN0.(xz1-x0) ; -dN.(x1-x0) ].
-
-    dx01, dxz1: (*shape, n_dirs, m);  joined: (*shape, n_dirs, n).
-    Returns (max residual, lhs field, rhs field).
-    """
-    lhs = (np.einsum("...jm,...km->...jk", dx01, dx01)
-           - np.einsum("...jm,...km->...jk", dxz1, dxz1))
-    rhs = np.einsum("...ja,...ka->...jk", joined, joined)
-    return float(np.max(np.abs(lhs - rhs))), lhs, rhs

@@ -89,33 +89,33 @@ def save_fieldgrid(path, fg: df.FieldGrid, q, header_extra: dict | None = None):
 
 
 def load_fieldgrid(path) -> df.FieldGrid:
-    """Rebuild a FieldGrid from <path>.csv / <path>.json."""
+    """Rebuild a FieldGrid from <path>.csv / <path>.json, column by column:
+    each node lands at its index columns and each Re/Im column is parsed
+    whole into its component, so signed zeros come back as written."""
     path = Path(path)
     header = json.loads(path.with_suffix(".json").read_text())
     grid = df.GridSpec(tuple(tuple(ax) for ax in header["grid"]["axes"]),
                        tuple(header["grid"]["base"]))
-    text = path.with_suffix(".csv").read_text().strip().split("\n")
-    cols = text[0].split(",")
-    naxes = grid.n
-    ncomp = sum(1 for c in cols if c.startswith("V") and c.endswith("_re"))
-    V = np.zeros(grid.shape + (ncomp,), dtype=complex)
-    lam = np.zeros(grid.shape + (ncomp,), dtype=complex)
-    R = np.zeros(grid.shape + (ncomp, ncomp), dtype=complex)
-    for line in text[1:]:
-        vals = line.split(",")
-        idx = tuple(int(v) for v in vals[:naxes])
-        o = 2 * naxes
-        for c in range(ncomp):
-            V[idx][c] = float(vals[o]) + 1j * float(vals[o + 1])
-            o += 2
-        for c in range(ncomp):
-            lam[idx][c] = float(vals[o]) + 1j * float(vals[o + 1])
-            o += 2
-        for a in range(ncomp):
-            for b in range(ncomp):
-                R[idx][a, b] = float(vals[o]) + 1j * float(vals[o + 1])
-                o += 2
-    return df.FieldGrid(grid, header["kind"], V, lam, R, header.get("meta", {}))
+    csv = path.with_suffix(".csv")
+    with open(csv) as f:
+        names = f.readline().strip().split(",")
+    columns = dict(zip(names, np.loadtxt(csv, delimiter=",", skiprows=1,
+                                         ndmin=2).T))
+    nodes = tuple(columns[f"i{a}"].astype(int) for a in range(grid.n))
+    n = sum(1 for c in columns if c.startswith("V") and c.endswith("_re"))
+
+    def field(name, comps):
+        out = np.zeros(grid.shape + comps, dtype=complex)
+        tags = [name + "".join(map(str, c))
+                for c in itertools.product(*map(range, comps))]
+        for part, suffix in ((out.real, "_re"), (out.imag, "_im")):
+            cols = np.stack([columns[t + suffix] for t in tags], axis=-1)
+            part[nodes] = cols.reshape((-1,) + comps)
+        return out
+
+    return df.FieldGrid(grid, header["kind"], field("V", (n,)),
+                        field("lam", (n,)), field("R", (n, n)),
+                        header.get("meta", {}))
 
 
 def save_residual_csv(path, names, rows):

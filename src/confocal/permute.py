@@ -14,9 +14,10 @@ from itertools import product
 import numpy as np
 
 from . import deform as df
-from .backlund import BacklundContext, riccati_field_residual
+from .backlund import (BacklundContext, algebraic_transform_qwc,
+                       integrate_backlund, riccati_field_residual)
 from .errors import DistinctZRequired, SingularBox, SingularSuperposition
-from .numerics import diff1
+from .sjcore import random_orthogonal
 
 COND_LIMIT = 1e12
 
@@ -71,44 +72,13 @@ def bpt_scalar_identity(R0, R1, R2, R3, D1, D2, z1, z2) -> float:
 
 def bpt_verify(fg_seed: df.FieldGrid, R1f, R2f, R3f,
                ctx1: BacklundContext, ctx2: BacklundContext) -> dict:
-    """Verification bundle over a grid of fields, from second-order
-    differences.
-
-    (a) the closed derivative identity for K = R_3 R_0^T by finite differences,
-    (b) R_3 satisfies the leaf Riccati equations with seeds (R_1, z_2) and
-        (R_2, z_1),
-    (c) the scalar identity (D2 R3 R0^T + D1)(D2 R2 R1^T - D1) = (1/z2 - 1/z1) I,
-    (d) orthogonality of R_3.
-    """
-    D1, D2 = ctx1.D, ctx2.D
-    hs = fg_seed.grid.h
-    n = fg_seed.n
-    R0f = fg_seed.R
-    K = np.einsum("...ij,...kj->...ik", R3f, R0f)
-
-    worst_deriv = 0.0
-    for k in range(fg_seed.grid.n):
-        dK = diff1(K, axis=k, h=hs[k])
-        Ek = np.zeros((n, n), dtype=complex)
-        Ek[k, k] = 1.0
-        pred = (-(K @ R0f @ Ek @ _T(R1f) @ (D2 @ K + D1))
-                + (D2 + K @ D1) @ R1f @ Ek @ _T(R0f))
-        worst_deriv = max(worst_deriv, float(np.max(np.abs(dK - pred))))
-
-    seed1 = df.FieldGrid(fg_seed.grid, fg_seed.kind, fg_seed.V, fg_seed.lam,
-                         R1f, {})
-    seed2 = df.FieldGrid(fg_seed.grid, fg_seed.kind, fg_seed.V, fg_seed.lam,
-                         R2f, {})
-    res_r1 = riccati_field_residual(R3f, seed1, ctx2)
-    res_r2 = riccati_field_residual(R3f, seed2, ctx1)
-    return {
-        "derivative_identity": worst_deriv,
-        "riccati_seed_r1": res_r1,
-        "riccati_seed_r2": res_r2,
-        "scalar_identity": bpt_scalar_identity(R0f, R1f, R2f, R3f, D1, D2,
-                                               ctx1.z, ctx2.z),
-        "orthogonality": float(np.max(np.abs(R3f @ _T(R3f) - np.eye(n)))),
-    }
+    """Differential-level permutability: the second-order finite-difference
+    residuals of R_3 in the leaf Riccati equations with seeds (R_1, z_2) and
+    (R_2, z_1)."""
+    seed1 = df.FieldGrid(fg_seed.grid, fg_seed.kind, fg_seed.V, fg_seed.lam, R1f)
+    seed2 = df.FieldGrid(fg_seed.grid, fg_seed.kind, fg_seed.V, fg_seed.lam, R2f)
+    return {"riccati_seed_r1": riccati_field_residual(R3f, seed1, ctx2),
+            "riccati_seed_r2": riccati_field_residual(R3f, seed2, ctx1)}
 
 
 def m3_r7(R0, R1, R2, R4, D1, D2, D3, z1, z2, z3):
@@ -117,8 +87,7 @@ def m3_r7(R0, R1, R2, R4, D1, D2, D3, z1, z2, z3):
 
     Needs pairwise distinct z's; R_3, R_5, R_6 are first composed from the
     faces, then R_7 is evaluated from each of the three remaining faces and
-    all routes must agree.  Returns (R_7, max pairwise route discrepancy,
-    largest box condition number).
+    all routes must agree.  Returns (R_7, max pairwise route discrepancy).
     """
     if len({complex(z1), complex(z2), complex(z3)}) < 3:
         raise DistinctZRequired("Moebius cube needs pairwise distinct z")
@@ -128,8 +97,7 @@ def m3_r7(R0, R1, R2, R4, D1, D2, D3, z1, z2, z3):
     box = ((1.0 / z2 - 1.0 / z3) * D1 @ R1
            + (1.0 / z3 - 1.0 / z1) * D2 @ R2
            + (1.0 / z1 - 1.0 / z2) * D3 @ R4)
-    cond = float(np.max(np.linalg.cond(box)))
-    if cond > COND_LIMIT:
+    if np.any(np.linalg.cond(box) > COND_LIMIT):
         raise SingularBox("combination matrix is near singular")
     routes = [
         bpt_compose(R1, R3, R5, D2, D3),   # around x^1: z2-, z3-leaves
@@ -140,17 +108,16 @@ def m3_r7(R0, R1, R2, R4, D1, D2, D3, z1, z2, z3):
     for a in range(3):
         for b in range(a + 1, 3):
             gap = max(gap, float(np.max(np.abs(routes[a] - routes[b]))))
-    return routes[0], gap, cond
+    return routes[0], gap
 
 
 def m3_r7_field(R0f, R1f, R2f, R4f, ctx1, ctx2, ctx3):
     """m3_r7 over the leading grid axes; returns (R7 field, max discrepancy)."""
-    R7, gap, _ = m3_r7(R0f, R1f, R2f, R4f, ctx1.D, ctx2.D, ctx3.D,
-                       ctx1.z, ctx2.z, ctx3.z)
-    return R7, gap
+    return m3_r7(R0f, R1f, R2f, R4f, ctx1.D, ctx2.D, ctx3.D,
+                 ctx1.z, ctx2.z, ctx3.z)
 
 
-def lattice_build(fg_seed: df.FieldGrid, q, lm, contexts: dict, extent: tuple,
+def lattice_build(fg_seed: df.FieldGrid, contexts: dict, extent: tuple,
                   seed: int = 0, order_axes=None):
     """Fill a Z^k lattice of transform states from the seed solution.
 
@@ -165,9 +132,6 @@ def lattice_build(fg_seed: df.FieldGrid, q, lm, contexts: dict, extent: tuple,
 
     Returns (lattice dict index -> FieldGrid or None, holes list).
     """
-    from .backlund import algebraic_transform_qwc, integrate_backlund
-    from .sjcore import random_orthogonal
-
     k = len(extent)
     if order_axes is None:
         order_axes = tuple(range(k))
@@ -181,8 +145,7 @@ def lattice_build(fg_seed: df.FieldGrid, q, lm, contexts: dict, extent: tuple,
         run = integrate_backlund(prev, contexts[axis], base_rot)
         V1, lam1 = algebraic_transform_qwc(contexts[axis], prev.V, prev.lam,
                                            prev.R, run.R1)
-        return df.FieldGrid(prev.grid, prev.kind, V1, lam1, run.R1,
-                            {"lattice_step": (prev_key, axis)})
+        return df.FieldGrid(prev.grid, prev.kind, V1, lam1, run.R1)
 
     # coordinate-ray chains
     for axis in range(k):
@@ -216,8 +179,7 @@ def lattice_build(fg_seed: df.FieldGrid, q, lm, contexts: dict, extent: tuple,
                 continue
             V1, lam1 = algebraic_transform_qwc(contexts[b], leg_a.V,
                                                leg_a.lam, leg_a.R, Rn)
-            return df.FieldGrid(base.grid, base.kind, V1, lam1, Rn,
-                                {"lattice_cell": idx})
+            return df.FieldGrid(base.grid, base.kind, V1, lam1, Rn)
         return None
 
     for idx in sorted(product(*[range(e) for e in extent]),

@@ -19,6 +19,7 @@ from .errors import IsotropicEncounter, SingularConfocal, ZeroEigenvalue
 TOL_ORTH = 1e-10
 TOL_SINGULAR = 1e-12
 EXTRA_DRAWS = 32     # candidate draws orth_complete adds beyond the rows it needs
+RANDOM_K_SCALE = 0.5  # entry bound of random_orthogonal's antisymmetric exponent
 
 
 def sqrt_branch(a):
@@ -233,11 +234,13 @@ def orth_complete(rows, m: int, seed: int = 0) -> np.ndarray:
     return np.array(rows + added)
 
 
-def random_orthogonal(m: int, seed: int = 0, scale: float = 0.5) -> np.ndarray:
-    """exp(K) for a seeded random complex antisymmetric K with entries bounded by scale."""
+def random_orthogonal(m: int, seed: int = 0) -> np.ndarray:
+    """exp(K) for a seeded random complex antisymmetric K with entries bounded
+    by RANDOM_K_SCALE."""
     if m < 1:
         raise ValueError("m must be >= 1")
     rng = np.random.default_rng(seed)
+    scale = RANDOM_K_SCALE
     W = rng.uniform(-scale, scale, (m, m)) + 1j * rng.uniform(-scale, scale, (m, m))
     K = 0.5 * (W - W.T)
     return expm(K)

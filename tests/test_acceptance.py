@@ -213,10 +213,10 @@ def test_criterion_09_bpt(qwc2, lmap2):
         if r == 1:
             fg0 = fg
     slope = loglog_slope(hs, resid)
-    lat_a, _ = pm.lattice_build(fg0, qwc2, lmap2, {0: c1, 1: c2}, (3, 3),
-                                seed=5, order_axes=(0, 1))
-    lat_b, _ = pm.lattice_build(fg0, qwc2, lmap2, {0: c1, 1: c2}, (3, 3),
-                                seed=5, order_axes=(1, 0))
+    lat_a, _ = pm.lattice_build(fg0, {0: c1, 1: c2}, (3, 3), seed=5,
+                                order_axes=(0, 1))
+    lat_b, _ = pm.lattice_build(fg0, {0: c1, 1: c2}, (3, 3), seed=5,
+                                order_axes=(1, 0))
     gap = max(float(np.max(np.abs(lat_a[k].R - lat_b[k].R))) for k in lat_a)
     ok = (worst_o < 1e-10 and worst_sc < 1e-10
           and abs(slope - 2.0) <= 0.3 and gap < 1e-9)
@@ -230,12 +230,12 @@ def test_criterion_10_moebius(qwc2, lmap2):
     zs = (0.31 + 0.12j, -0.2 + 0.25j, 0.12 - 0.3j)
     c1, c2, c3 = (bk.make_context(qwc2, z, lmap2) for z in zs)
     Rx = random_orthogonal(2, seed=77)
-    _, gap_deg, _ = pm.m3_r7(Rx, Rx, Rx, Rx, c1.D, c2.D, c3.D, *zs)
+    _, gap_deg = pm.m3_r7(Rx, Rx, Rx, Rx, c1.D, c2.D, c3.D, *zs)
     grid = df.GridSpec(((0.0, 0.3, 16), (0.0, 0.3, 16)))
     v0, lam0 = sc.default_soliton_data(qwc2, lmap2)
     fg = df.zero_soliton(qwc2, lmap2, grid, v0, lam0)
-    lat, holes = pm.lattice_build(fg, qwc2, lmap2, {0: c1, 1: c2, 2: c3},
-                                  (2, 2, 2), seed=5)
+    lat, holes = pm.lattice_build(fg, {0: c1, 1: c2, 2: c3}, (2, 2, 2),
+                                  seed=5)
     R7, gap_int = pm.m3_r7_field(fg.R, lat[(1, 0, 0)].R, lat[(0, 1, 0)].R,
                                  lat[(0, 0, 1)].R, c1, c2, c3)
     cube = float(np.max(np.abs(lat[(1, 1, 1)].R - R7)))

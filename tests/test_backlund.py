@@ -290,21 +290,23 @@ class TestIntegration:
         assert calls == [k for k, s in enumerate(shape) for _ in range(4 * (s - 1))]
         assert np.array_equal(run.R1, riccati32.R1)
 
-    def test_drift_exceeded(self, soliton32, ctx_a):
+    def test_drift_exceeded(self, soliton32, ctx_a, monkeypatch):
+        monkeypatch.setattr(bk, "DRIFT_HARD", 1e-30)
         with pytest.raises(DriftExceeded):
-            bk.integrate_backlund(soliton32, ctx_a, random_orthogonal(2, 1),
-                                  drift_hard=1e-30)
+            bk.integrate_backlund(soliton32, ctx_a, random_orthogonal(2, 1))
 
-    def test_nonorthogonal_base_linear_growth(self, soliton32, ctx_a):
+    def test_nonorthogonal_base_linear_growth(self, soliton32, ctx_a,
+                                              monkeypatch):
         # defect evolves by a homogeneous linear equation: doubling the
         # initial defect doubles the final defect (to leading order)
+        monkeypatch.setattr(bk, "DRIFT_HARD", 1.0)
+        monkeypatch.setattr(bk, "BASE_TOL", 1e-3)
         base = random_orthogonal(2, seed=6)
         eps = np.array([[0.0, 1e-6], [1e-6, 0.0]])
         d_final = []
         for fac in (1.0, 2.0):
             R1b = base + fac * eps @ base
-            run = bk.integrate_backlund(soliton32, ctx_a, R1b + 0j,
-                                        drift_hard=1.0, base_tol=1e-3)
+            run = bk.integrate_backlund(soliton32, ctx_a, R1b + 0j)
             d_final.append(np.max(np.abs(
                 np.einsum("...ij,...kj->...ik", run.R1, run.R1) - np.eye(2))))
         ratio = d_final[1] / d_final[0]

@@ -54,6 +54,7 @@ class TestGridIO:
         back = gridio.load_fieldgrid(tmp_path / "n3")
         for f in ("V", "lam", "R"):
             assert np.array_equal(getattr(back, f), getattr(fg3, f))
+        assert np.signbit(back.V[0, 0, 0].real).all()   # the -0.0 set above
         assert back.grid == grid
 
     def test_lattice_csv_equals_per_row_writer(self, tmp_path):
@@ -184,6 +185,12 @@ class TestConfigValidation:
         {"scenario": "deform-0soliton", "grid": {"axes": [[0.0, INF, 6]] * 2}},
         {"scenario": "deform-0soliton", "grid": {"axes": [[0.0, 0.3, INF]] * 2}},
         {"scenario": "ivory-check", "samples": INF},
+        # enough distinct z values, but one repeated: a transform superposed
+        # with itself makes the bpt checks read 0
+        {"scenario": "bpt", "z": [[0.31, 0.12], [0.31, 0.12], [-0.2, 0.25]]},
+        {"scenario": "lattice", "z": [[0.31, 0.12], [-0.2, 0.25], [0.31, 0.12]],
+         "extent": [2, 2, 2]},
+        {"scenario": "backlund-qwc", "z": [[0.31, 0.12], [0.31, 0.12]]},
     ], ids=lambda c: json.dumps(c)[:60])
     def test_malformed_config_exits_2(self, cfg, tmp_path, capsys):
         cfgfile = tmp_path / "bad.json"

@@ -1,10 +1,20 @@
-"""Every optional parameter of the library is set by some caller: an option
-that only ever takes its default is a constant in disguise."""
+"""Every optional parameter of the library is set by some caller in src/: an
+option that only tests set, or that only ever takes its default, is a constant
+in disguise (tests monkeypatch a module constant instead).  SET_OUTSIDE_SRC
+names the few options whose caller lives outside src/, with the reason."""
 
 import ast
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+
+SET_OUTSIDE_SRC = {
+    ("cli", "main", "argv"): "console entry point; tests pass argv",
+    ("deform", "forms_assemble", "curvature_order"):
+        "acceptance criterion 11 sets 2 on the leaf forms",
+    ("backlund", "ruling_facet_check_qc", "seed"):
+        "no src/ caller until backlund-qc runs the QC ruling check",
+}
 
 
 def _defs(tree):
@@ -33,9 +43,9 @@ def _optional(fn, bound):
 
 def _calls():
     """(callee name, call, name of the enclosing top-level def) of every call
-    in src/ and tests/."""
+    in src/."""
     out = []
-    for path in sorted([*(ROOT / "src").rglob("*.py"), *(ROOT / "tests").rglob("*.py")]):
+    for path in sorted((ROOT / "src").rglob("*.py")):
         tree = ast.parse(path.read_text())
         owner = {id(node): fn.name for fn, _ in _defs(tree) for node in ast.walk(fn)}
         for node in ast.walk(tree):
@@ -63,9 +73,10 @@ def _passed(call, name, index):
 
 
 def never_set_options():
-    """The optional parameters of src/confocal that no call sets.  Passing a
-    parameter only on to an option of the same name in the enclosing
-    function, which is itself never set, does not count as setting it."""
+    """The optional parameters of src/confocal that no call in src/ sets.
+    Passing a parameter only on to an option of the same name in the
+    enclosing function, which is itself never set, does not count as setting
+    it."""
     options = {}
     for path in sorted((ROOT / "src" / "confocal").glob("*.py")):
         for fn, bound in _defs(ast.parse(path.read_text())):
@@ -89,5 +100,6 @@ def never_set_options():
         unset = still
 
 
-def test_every_option_is_set_somewhere():
-    assert never_set_options() == []
+def test_every_option_is_set_in_src():
+    # a stale allow-list entry (gone, or set in src/ after all) fails too
+    assert never_set_options() == sorted(SET_OUTSIDE_SRC)

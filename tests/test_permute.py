@@ -88,8 +88,8 @@ class TestCompose:
         R7, gap = pm.m3_r7_field(R0, R1, R2, R4, ctx_a, ctx_b, ctx_c)
         gaps = []
         for idx in np.ndindex(*shape):
-            r7, g, _ = pm.m3_r7(R0[idx], R1[idx], R2[idx], R4[idx], ctx_a.D,
-                                ctx_b.D, ctx_c.D, ctx_a.z, ctx_b.z, ctx_c.z)
+            r7, g = pm.m3_r7(R0[idx], R1[idx], R2[idx], R4[idx], ctx_a.D,
+                             ctx_b.D, ctx_c.D, ctx_a.z, ctx_b.z, ctx_c.z)
             assert np.array_equal(R7[idx], r7)
             gaps.append(g)
         assert gap == max(gaps)
@@ -113,10 +113,12 @@ class TestVerify:
                                    random_orthogonal(2, seed=4))
         R3f = pm.bpt_compose_field(soliton32.R, riccati32.R1, r2.R1,
                                    ctx_a.D, ctx_b.D)
+        assert np.max(np.abs(R3f @ np.swapaxes(R3f, -1, -2) - np.eye(2))) < 1e-7
+        assert pm.bpt_scalar_identity(soliton32.R, riccati32.R1, r2.R1, R3f,
+                                      ctx_a.D, ctx_b.D, ctx_a.z, ctx_b.z) < 1e-7
+        # R_3 is the z_2-transform of R_1 and the z_1-transform of R_2, to O(h^2)
         rep = pm.bpt_verify(soliton32, riccati32.R1, r2.R1, R3f, ctx_a, ctx_b)
-        assert rep["orthogonality"] < 1e-7
-        assert rep["scalar_identity"] < 1e-7
-        assert rep["derivative_identity"] < 0.01          # O(h^2)
+        assert set(rep) == {"riccati_seed_r1", "riccati_seed_r2"}
         assert rep["riccati_seed_r1"] < 0.01
         assert rep["riccati_seed_r2"] < 0.01
 
@@ -124,8 +126,8 @@ class TestVerify:
 class TestMoebius:
     def test_degenerate_symmetric_input(self, ctx_a, ctx_b, ctx_c):
         R = random_orthogonal(2, seed=77)
-        _, gap, _ = pm.m3_r7(R, R, R, R, ctx_a.D, ctx_b.D, ctx_c.D,
-                             ctx_a.z, ctx_b.z, ctx_c.z)
+        _, gap = pm.m3_r7(R, R, R, R, ctx_a.D, ctx_b.D, ctx_c.D,
+                          ctx_a.z, ctx_b.z, ctx_c.z)
         assert gap < 1e-12
 
     def test_distinct_z_required(self, ctx_a, ctx_b):
@@ -166,30 +168,29 @@ def small_soliton(qwc2, lmap2):
 
 
 class TestLattice:
-    def test_row_column_agreement(self, qwc2, lmap2, small_soliton, ctx_a,
-                                  ctx_b):
+    def test_row_column_agreement(self, small_soliton, ctx_a, ctx_b):
         ctxs = {0: ctx_a, 1: ctx_b}
-        lat_a, holes_a = pm.lattice_build(small_soliton, qwc2, lmap2, ctxs,
-                                          (3, 3), seed=5, order_axes=(0, 1))
-        lat_b, holes_b = pm.lattice_build(small_soliton, qwc2, lmap2, ctxs,
-                                          (3, 3), seed=5, order_axes=(1, 0))
+        lat_a, holes_a = pm.lattice_build(small_soliton, ctxs, (3, 3), seed=5,
+                                          order_axes=(0, 1))
+        lat_b, holes_b = pm.lattice_build(small_soliton, ctxs, (3, 3), seed=5,
+                                          order_axes=(1, 0))
         assert not holes_a and not holes_b
         gap = max(np.max(np.abs(lat_a[k].R - lat_b[k].R)) for k in lat_a)
         assert gap < 1e-9
-        # every elementary square closes on the scalar identity
+        # every elementary square closes on the scalar identity, and every
+        # vertex is orthogonal
         for i in range(2):
             for j in range(2):
-                rep = pm.bpt_verify(lat_a[(i, j)], lat_a[(i + 1, j)].R,
-                                    lat_a[(i, j + 1)].R,
-                                    lat_a[(i + 1, j + 1)].R, ctx_a, ctx_b)
-                assert rep["scalar_identity"] < 1e-5
-                assert rep["orthogonality"] < 1e-5
+                R0, R1, R2, R3 = (lat_a[(i + a, j + b)].R
+                                  for a, b in ((0, 0), (1, 0), (0, 1), (1, 1)))
+                assert pm.bpt_scalar_identity(R0, R1, R2, R3, ctx_a.D, ctx_b.D,
+                                              ctx_a.z, ctx_b.z) < 1e-5
+                assert np.max(np.abs(R3 @ np.swapaxes(R3, -1, -2)
+                                     - np.eye(2))) < 1e-5
 
-    def test_cube_closes(self, qwc2, lmap2, small_soliton, ctx_a, ctx_b,
-                         ctx_c):
+    def test_cube_closes(self, small_soliton, ctx_a, ctx_b, ctx_c):
         ctxs = {0: ctx_a, 1: ctx_b, 2: ctx_c}
-        lat, holes = pm.lattice_build(small_soliton, qwc2, lmap2, ctxs,
-                                      (2, 2, 2), seed=5)
+        lat, holes = pm.lattice_build(small_soliton, ctxs, (2, 2, 2), seed=5)
         assert not holes
         R7, gap = pm.m3_r7_field(small_soliton.R, lat[(1, 0, 0)].R,
                                  lat[(0, 1, 0)].R, lat[(0, 0, 1)].R,
@@ -197,12 +198,12 @@ class TestLattice:
         assert gap < 1e-8
         assert np.max(np.abs(lat[(1, 1, 1)].R - R7)) < 1e-8
 
-    def test_holes_reported_not_fatal(self, qwc2, lmap2, small_soliton,
-                                      ctx_a, ctx_b, monkeypatch):
+    def test_holes_reported_not_fatal(self, small_soliton, ctx_a, ctx_b,
+                                      monkeypatch):
         def boom(*args, **kwargs):
             raise SingularSuperposition("forced")
         monkeypatch.setattr(pm, "bpt_compose_field", boom)
-        lat, holes = pm.lattice_build(small_soliton, qwc2, lmap2,
-                                      {0: ctx_a, 1: ctx_b}, (2, 2), seed=5)
+        lat, holes = pm.lattice_build(small_soliton, {0: ctx_a, 1: ctx_b},
+                                      (2, 2), seed=5)
         assert holes == [(1, 1)]
         assert lat[(1, 1)] is None

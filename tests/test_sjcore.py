@@ -147,8 +147,9 @@ class TestCompletions:
         b = orth_complete([], 4, seed=13)
         assert np.array_equal(a, b)
 
-    def test_random_orthogonal(self):
+    def test_random_orthogonal(self, monkeypatch):
         M = random_orthogonal(4, seed=2)
         assert sjcore.orth_defect(M) < 1e-12
         assert np.array_equal(M, random_orthogonal(4, seed=2))
-        assert np.allclose(random_orthogonal(3, seed=1, scale=0.0), np.eye(3))
+        monkeypatch.setattr(sjcore, "RANDOM_K_SCALE", 0.0)
+        assert np.allclose(random_orthogonal(3, seed=1), np.eye(3))
