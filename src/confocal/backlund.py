@@ -153,10 +153,9 @@ def riccati_rhs_qwc(ctx: BacklundContext, k: int, R0: np.ndarray | None,
 
 
 def riccati_rhs_qc(ctx: BacklundContext, k: int, V0, lam0, R0, omega0_k, R1,
-                   aux: QCAux | None = None) -> np.ndarray:
-    """dR_1/du^k for the QC Riccati equation in the compact M/N/W/U form;
-    raises UNearZero where |U| < TOL_U."""
-    aux = qc_aux(ctx) if aux is None else aux
+                   aux: QCAux) -> np.ndarray:
+    """dR_1/du^k for the QC Riccati equation in the compact M/N/W/U form, with
+    aux = qc_aux(ctx); raises UNearZero where |U| < TOL_U."""
     n = ctx.n
     U = complex(aux.U(V0))
     if abs(U) < TOL_U:
@@ -296,11 +295,7 @@ def _omega_for_integration(fg: df.FieldGrid) -> np.ndarray:
     high-order differences with the Phi_l = R^T dR/du^l factors projected onto
     their antisymmetric part (the exact Phi is antisymmetric; the symmetric
     finite-difference noise would otherwise source orthogonality drift)."""
-    hs = fg.grid.h
-    order = 4 if min(fg.grid.shape) >= 5 else 2
-    phi = np.stack([np.einsum("...ji,...jk->...ik", fg.R,
-                              diff1(fg.R, axis=l, h=hs[l], order=order))
-                    for l in range(fg.grid.n)], axis=-3)
+    phi = df.phi_fields(fg, 4 if min(fg.grid.shape) >= 5 else 2)
     return df.omega_slots(0.5 * (phi - np.swapaxes(phi, -1, -2)))
 
 
@@ -503,23 +498,23 @@ def involution_residual(ctx: BacklundContext, V0, lam0, R0, R1) -> float:
 
 # leaf-level residuals ----------------------------------------------------------------
 
-def leaf_system_residual(fg1: df.FieldGrid, q, lm) -> dict:
-    """Second-order finite-difference residual of the linear system on a leaf
-    field: dV = R del Lambda, dLambda = omega Lambda - del R^T (source)."""
+def leaf_system_residual(fg1: df.FieldGrid, q, lm) -> float:
+    """Max second-order finite-difference residual of the linear system on a
+    leaf field: dV = R del Lambda, dLambda = omega Lambda - del R^T (source)."""
     hs = fg1.grid.h
     om = df.omega_fields(fg1)
     source = qd.chart_source(q, lm, fg1.V)
-    res_v = res_l = 0.0
+    worst = 0.0
     for k in range(fg1.grid.n):
         dVk = diff1(fg1.V, axis=k, h=hs[k])
         dLk = diff1(fg1.lam, axis=k, h=hs[k])
         pred_v = fg1.R[..., :, k] * fg1.lam[..., k:k + 1]
-        res_v = max(res_v, float(np.max(np.abs(dVk - pred_v))))
         Rt_src = np.einsum("...jk,...j->...k", fg1.R, source)
         pred_l = np.einsum("...ij,...j->...i", om[..., k, :, :], fg1.lam)
         pred_l[..., k] = pred_l[..., k] - Rt_src[..., k]
-        res_l = max(res_l, float(np.max(np.abs(dLk - pred_l))))
-    return {"dV": res_v, "dLambda": res_l, "max": max(res_v, res_l)}
+        worst = max(worst, float(np.max(np.abs(dVk - pred_v))),
+                    float(np.max(np.abs(dLk - pred_l))))
+    return worst
 
 
 def riccati_field_residual(R_new: np.ndarray, fg_seed: df.FieldGrid,
@@ -538,27 +533,15 @@ def riccati_field_residual(R_new: np.ndarray, fg_seed: df.FieldGrid,
 
 # leaf embedding -----------------------------------------------------------------------
 
-@dataclass
-class LeafEmbedding:
-    """Leaf position/differential data with ACPIA and joined-form residuals."""
-
-    x1: np.ndarray            # (*shape, m) leaf positions
-    dx1: np.ndarray           # (*shape, n_dirs, m) exact leaf differentials
-    dx01: np.ndarray          # (*shape, n_dirs, n+1) chart differentials at V1
-    dxz1: np.ndarray          # (*shape, n_dirs, n+1) confocal differentials
-    xz1: np.ndarray           # (*shape, n+1) confocal image points
-    joined: np.ndarray        # (*shape, n_dirs, n) joined second-form column
-    residuals: dict
-
-
 def leaf_embed(q, lm, ctx: BacklundContext, fg0: df.FieldGrid,
                ff0: df.FundamentalForms, V1, lam1, R1,
-               frame: df.AmbientFrame | None = None) -> LeafEmbedding:
-    """Embed the leaf x^1 = x^0 + [x^0_v](sqrt(R'_z) V_1 - V_0 + I L^{-1}C(z)).
+               frame: df.AmbientFrame | None = None) -> dict:
+    """Embed the leaf x^1 = x^0 + [x^0_v](sqrt(R'_z) V_1 - V_0 + I L^{-1}C(z))
+    and return its ACPIA and joined-form residuals.
 
     frame=None is the degenerate seed x^0 = x_0 (chart embedding, normal frame
     [N_0, e_{n+2}, ...]); the leaf then lands on the confocal quadric x_z and
-    the residual dict reports max |Q_z(x^1)|.  Otherwise frame is an integrated
+    the residuals include max |Q_z(x^1)|.  Otherwise frame is an integrated
     deformation frame in C^{2n-1}.  Differentials are evaluated from the
     closed formulas; a 4th-order finite-difference version cross-checks them.
     """
@@ -575,7 +558,8 @@ def leaf_embed(q, lm, ctx: BacklundContext, fg0: df.FieldGrid,
     T0 = qd.chart_tangents(q, lm, fg0.V)
     T1 = qd.chart_tangents(q, lm, V1)
     x01 = qd.chart_to_ambient(q, lm, V1)
-    N0c, _ = qd.chart_normal_h(q, lm, fg0.V)
+    N0c, H0 = qd.chart_normal_h(q, lm, fg0.V)
+    dN0 = _chart_normal_derivative(q, lm, fg0, N0c, H0, T0)
     srz = qd.sqrt_rz(q, ctx.z)
     xz1 = np.einsum("ij,...j->...i", srz, x01) + qd.translation(q, ctx.z)
     dV1 = np.zeros(shape + (n, n), dtype=complex)       # [..., dir, comp]
@@ -600,14 +584,14 @@ def leaf_embed(q, lm, ctx: BacklundContext, fg0: df.FieldGrid,
 
     vscript = np.einsum("...mc,...c->...m", Tv, ff0.vfield)
     if frame is None:
-        dN_dot = _chart_normal_derivative_dot(q, lm, fg0, diffvec)[..., None]
+        dN_dot = np.einsum("...ij,...i->...j", dN0, diffvec)[..., None]
     else:
         dN_dot = _frame_normal_derivative_dot(fg0, ff0, frame, diffvec)
     dx1 = (-np.einsum("...m,...c,...kc->...km", vscript, c01, dV1)
            + np.einsum("...mc,cd,...kd->...km", Tv, srp, dV1)
            - np.einsum("...ma,...ka->...km", Nmat, dN_dot))
 
-    dN0_dot = _chart_normal_derivative_dot(q, lm, fg0, xz1 - x0_chart)
+    dN0_dot = np.einsum("...ij,...i->...j", dN0, xz1 - x0_chart)
     joined = np.zeros(shape + (n, n), dtype=complex)
     joined[..., :, 0] = -1j * dN0_dot
     if frame is None:
@@ -641,7 +625,7 @@ def leaf_embed(q, lm, ctx: BacklundContext, fg0: df.FieldGrid,
     else:
         on_confocal = None
         x1_vs_ivory = None
-    residuals = {
+    return {
         "acpia_exact": acpia_exact,
         "acpia_fd": acpia_fd,
         "fund": fund_res,
@@ -650,20 +634,18 @@ def leaf_embed(q, lm, ctx: BacklundContext, fg0: df.FieldGrid,
         "leaf_vs_ivory_image": x1_vs_ivory,
         "fd_vs_exact_dx1": float(np.max(np.abs(dx1_fd - dx1))),
     }
-    return LeafEmbedding(x1, dx1, dx01, dxz1, xz1, joined, residuals)
 
 
-def _chart_normal_derivative_dot(q, lm, fg0, vec):
-    """(d_j N_0)^T vec per node and direction j, for the base-quadric unit
-    normal N_0 = (A x + B)/sqrt(H) along V_0(u) ((I)QWC charts):
-    dN_0 = A dx / sqrt(H) - N_0 (mu^T dV) / H with mu = dH/dv / 2."""
-    N0, H = qd.chart_normal_h(q, lm, fg0.V)
+def _chart_normal_derivative(q, lm, fg0, N0, H, T0):
+    """Columns d_j N_0 (*shape, n+1, n) of the base-quadric unit normal
+    N_0 = (A x + B)/sqrt(H) along V_0(u) ((I)QWC charts), from the N_0, H and
+    chart tangents T0 at V_0: dN_0 = A dx / sqrt(H) - N_0 (mu^T dV) / H with
+    mu = dH/dv / 2."""
     dV = fg0.R * fg0.lam[..., None, :]          # column j: dV_0 / du^j
-    AdX = q.A @ qd.chart_tangents(q, lm, fg0.V) @ dV
+    AdX = q.A @ T0 @ dV
     mudV = np.einsum("...c,...cj->...j", qd.chart_source(q, lm, fg0.V), dV)
-    dN = (AdX / np.asarray(sqrt_branch(H))[..., None, None]
-          - N0[..., :, None] * (mudV / H[..., None])[..., None, :])
-    return np.einsum("...ij,...i->...j", dN, vec[..., : q.dim])
+    return (AdX / np.asarray(sqrt_branch(H))[..., None, None]
+            - N0[..., :, None] * (mudV / H[..., None])[..., None, :])
 
 
 def _frame_normal_derivative_dot(fg0, ff0, frame, vec):
@@ -709,7 +691,7 @@ def ruling_facet_check(q, lm, ctx: BacklundContext, V0, V1, seed: int = 0):
     nh = Rzinv @ (q.A @ xz1 + q.B)
     rows = [srow * 1j * c01 / denom for srow in (+1, -1)]
     out = []
-    for _, w, rep in _facet_reports(q, Rzinv, frame, rows, seed):
+    for w, rep in _facet_reports(q, Rzinv, frame, rows, seed):
         rep["tangency"] = float(abs(nh @ w))
         out.append(rep)
     return out
@@ -733,7 +715,7 @@ def ruling_facet_check_qc(q, ctx: BacklundContext, V0, V1, seed: int = 0):
     N0, _ = qd.chart_normal_h(q, None, V0)
     row = 1j * (V1 @ V1 + 1.0) * (N0 @ frame) / (2.0 * ctx.sqrt_z)
     rows = [srow * row for srow in (+1, -1)]
-    return [rep for _, _, rep in _facet_reports(q, Rzinv, frame, rows, seed)]
+    return [rep for _, rep in _facet_reports(q, Rzinv, frame, rows, seed)]
 
 
 def _facet_reports(q, Rzinv, frame, rows, seed):
@@ -741,7 +723,7 @@ def _facet_reports(q, Rzinv, frame, rows, seed):
     exactly unit and completed to M in O_n(C); for both pair signs the cut
     direction w = frame (M^T e_1 +- i M^T e_2) is tested against the ruling
     condition w^T A R_z^{-1} w = 0 next to a non-isotropic negative control.
-    Yields (M, w, report) so callers can add their own entries."""
+    Yields (w, report) so callers can add their own entries."""
     n = frame.shape[-1]
     for srow, row in zip((+1, -1), rows):
         unit = abs(row @ row - 1.0)
@@ -753,7 +735,7 @@ def _facet_reports(q, Rzinv, frame, rows, seed):
             coef = M[0] + s2 * 1j * M[1]
             w = frame @ coef
             bad = frame @ (M[0] + 0.5 * M[1])
-            yield M, w, {
+            yield w, {
                 "row_sign": srow,
                 "pair_sign": s2,
                 "row_unit": float(unit),

@@ -221,39 +221,27 @@ class SystemResidual:
                          np.max(self.orth[sl])))
 
 
-def phi_fields(fg: FieldGrid) -> np.ndarray:
-    """Phi_l = R^T dR/du^l per node, as (*shape, n_axes, n, n), from second
-    order differences."""
-    n = fg.n
+def phi_fields(fg: FieldGrid, order: int) -> np.ndarray:
+    """Phi_l = R^T dR/du^l per node, as (*shape, n_axes, n, n), from
+    differences of the given order."""
     hs = fg.grid.h
-    out = np.empty(fg.grid.shape + (fg.grid.n, n, n), dtype=complex)
-    for l in range(fg.grid.n):
-        Rl = diff1(fg.R, axis=l, h=hs[l])
-        out[..., l, :, :] = np.einsum("...ji,...jk->...ik", fg.R, Rl)
-    return out
-
-
-def _curvature_source(fg: FieldGrid, q, lm) -> np.ndarray:
-    """Source S of the curvature equation (A' block for (I)QWC,
-    4 P(V) A P(V)^T for QC), per node, n x n."""
-    n = fg.n
-    if q.kind != qd.QC:
-        return np.broadcast_to(lm.aprime_n(), fg.grid.shape + (n, n))
-    # A P^T projects the rows of A; A is symmetric, so its transpose is P A
-    V = fg.V[..., None, :]
-    APt = qd.stereo_project(V, q.A)
-    return 4.0 * qd.stereo_project(V, np.swapaxes(APt, -1, -2))
+    return np.stack([np.einsum("...ji,...jk->...ik", fg.R,
+                               diff1(fg.R, axis=l, h=hs[l], order=order))
+                     for l in range(fg.grid.n)], axis=-3)
 
 
 def system_residual(fg: FieldGrid, q, lm) -> SystemResidual:
     """Residuals of the curvature equation e_j^T[(Phi_j)_j - (Phi_k)_k
-    - sum_l Phi_l e_l e_l^T Phi_l + R^T S R]e_k, the distinct-index constraint,
-    and the orthogonality of R, from second-order differences."""
+    - sum_l Phi_l e_l e_l^T Phi_l + R^T A'_n R]e_k, the distinct-index
+    constraint, and the orthogonality of R, from second-order differences, on
+    a QWC or IQWC chart (a QC field raises StepFailure)."""
+    if q.kind == qd.QC:
+        raise StepFailure("the deformation system is taken on QWC/IQWC charts only")
     n = fg.n
     shape = fg.grid.shape
     hs = fg.grid.h
-    phi = phi_fields(fg)
-    src = _curvature_source(fg, q, lm)
+    phi = phi_fields(fg, 2)
+    src = np.broadcast_to(lm.aprime_n(), shape + (n, n))
     RtSR = np.einsum("...ji,...jk,...kl->...il", fg.R, src, fg.R)
     quad = np.zeros(shape + (n, n), dtype=complex)
     for l in range(n):
@@ -294,7 +282,7 @@ def omega_slots(phi: np.ndarray) -> np.ndarray:
 
 def omega_fields(fg: FieldGrid) -> np.ndarray:
     """omega_slots of the second-order phi_fields of fg."""
-    return omega_slots(phi_fields(fg))
+    return omega_slots(phi_fields(fg, 2))
 
 
 # fundamental forms ----------------------------------------------------------------
@@ -329,10 +317,9 @@ def metric_field(fg: FieldGrid, q, lm) -> np.ndarray:
 
 
 def _derivative_fields(fg: FieldGrid, q, lm, mode: str, order: int):
-    """H with the u-derivatives the forms need: (H, dlam, dloglam, dlogsH,
-    dlogw), where dlam[..., j, k] = d lambda_j / du^k, dloglam = dlam /
-    lambda_j, dlogsH = d log sqrt(H) / du^k and dlogw = d log(|V|^2+1) / du^k
-    (QC only, zero otherwise; exact via dV = R del Lambda)."""
+    """H with the u-derivatives the forms need: (H, dlam, dloglam, dlogsH),
+    where dlam[..., j, k] = d lambda_j / du^k, dloglam = dlam / lambda_j and
+    dlogsH = d log sqrt(H) / du^k."""
     hs = fg.grid.h
     H = qd.h_chart(q, lm, fg.V)
     if mode == "exact":
@@ -343,17 +330,10 @@ def _derivative_fields(fg: FieldGrid, q, lm, mode: str, order: int):
                          for k in range(fg.grid.n)], axis=-1)
         dH = np.stack([diff1(H, axis=k, h=hs[k], order=order)
                        for k in range(fg.grid.n)], axis=-1)
-    if q.kind == qd.QC:
-        v2 = np.einsum("...k,...k->...", fg.V, fg.V)
-        dv2 = 2.0 * fg.lam * np.einsum("...j,...jk->...k", fg.V, fg.R)
-        dlogw = dv2 / (v2 + 1.0)[..., None]
-    else:
-        dlogw = np.zeros(fg.grid.shape + (fg.n,), dtype=complex)
-    return (H, dlam, dlam / fg.lam[..., :, None], dH / (2.0 * H[..., None]),
-            dlogw)
+    return H, dlam, dlam / fg.lam[..., :, None], dH / (2.0 * H[..., None])
 
 
-def gamma_field(lam, dloglam, dlogsH, dlogw) -> np.ndarray:
+def gamma_field(lam, dloglam, dlogsH) -> np.ndarray:
     """Christoffel symbols Gamma^p_{jk} (..., p, j, k) from the chart
     change-of-coordinate formulas, on stacks of lambda (..., n) and of the
     log-derivatives of _derivative_fields; entries with three distinct indices
@@ -363,12 +343,11 @@ def gamma_field(lam, dloglam, dlogsH, dlogw) -> np.ndarray:
     j, k = np.nonzero(~np.eye(n, dtype=bool))
     d = np.arange(n)
     ratio = lam[..., :, None] / lam[..., None, :]
-    up = (dlogsH + dlogw)[..., None, :] - dloglam    # [j, k]: logs at k
-    across = dloglam - dlogw[..., None, :]
+    up = dlogsH[..., None, :] - dloglam    # [j, k]: logs at k
     G = np.zeros(lam.shape + (n, n), dtype=complex)
-    G[..., j, j, k] = G[..., j, k, j] = across[..., j, k]
+    G[..., j, j, k] = G[..., j, k, j] = dloglam[..., j, k]
     G[..., k, j, j] = scalar_mul(scalar_mul(ratio, ratio), up)[..., j, k]
-    G[..., d, d, d] = dloglam[..., d, d] + dlogsH - dlogw
+    G[..., d, d, d] = dloglam[..., d, d] + dlogsH
     return G
 
 
@@ -509,14 +488,14 @@ def forms_assemble(fg: FieldGrid, q, lm, seed: int = 0,
         # the joined frame's first row is unit only on the prime-integral
         # quadric; forms of an off-shell field would be silently meaningless
         raise PrimeIntegralViolation(f"|Lambda|^2 + H = {pi:.3e} on the grid")
-    H, dlam, dloglam, dlogsH, dlogw = _derivative_fields(fg, q, lm, mode, 2)
+    H, dlam, dloglam, dlogsH = _derivative_fields(fg, q, lm, mode, 2)
     g = metric_field(fg, q, lm)
     ginv = np.linalg.inv(g)
-    gamma = gamma_field(fg.lam, dloglam, dlogsH, dlogw)
+    gamma = gamma_field(fg.lam, dloglam, dlogsH)
     h0, gauge = _h0_and_gauge(fg.lam, sqrt_branch(H))
 
     r = 1j * h0 / gauge
-    dr = (dloglam - dlogsH[..., None, :] - dlogw[..., None, :]) * r[..., :, None]
+    dr = (dloglam - dlogsH[..., None, :]) * r[..., :, None]
     dr = np.swapaxes(dr, -1, -2)      # (*shape, n_dirs, n)
     S, hj, nconn, cmp_res = _joined_frame(r, dr, gauge, dlam, gamma,
                                           _candidate_pool(n, seed))
@@ -663,8 +642,6 @@ class _SeedFrameModel:
         self.m = 2 * self.n - 1 if deformation else self.n + 1
         self.p = self.n - 1 if deformation else 1
         self.pool = _candidate_pool(self.n, seed)
-        # zero solitons live on (I)QWC charts, which have no |V|^2+1 factor
-        self.dlogw = np.zeros(self.n, dtype=complex)
 
     def geometry(self, V, lam):
         """Metric, inverse metric, Christoffel symbols, second-form rows and
@@ -677,7 +654,7 @@ class _SeedFrameModel:
         dlam = zs.dlam(V)
         dloglam = dlam / lam[..., :, None]
         dlogsH = zs.dH(V, lam) / (2.0 * H)[..., None]
-        gamma = gamma_field(lam, dloglam, dlogsH, self.dlogw)
+        gamma = gamma_field(lam, dloglam, dlogsH)
         h0, gauge = _h0_and_gauge(lam, sqH)
         if not self.deformation:
             return (g, ginv, gamma, h0[..., None, :],

@@ -154,7 +154,7 @@ def test_criterion_07_degenerate_seed(qwc2, lmap2, soliton32, forms32, ctx_a,
                                       leaf32):
     emb = bk.leaf_embed(qwc2, lmap2, ctx_a, soliton32, forms32,
                         leaf32.V, leaf32.lam, leaf32.R, frame=None)
-    qz = emb.residuals["leaf_on_confocal"]
+    qz = emb["leaf_on_confocal"]
     rng = np.random.default_rng(31)
     worst_rule = 0.0
     worst_iso = 0.0
@@ -176,8 +176,8 @@ def test_criterion_08_acpia(qwc2, lmap2, soliton32, forms32, ctx_a, leaf32,
                             frame32):
     emb = bk.leaf_embed(qwc2, lmap2, ctx_a, soliton32, forms32,
                         leaf32.V, leaf32.lam, leaf32.R, frame=frame32)
-    acpia = max(emb.residuals["acpia_fd"], emb.residuals["acpia_exact"])
-    fund = emb.residuals["fund"]
+    acpia = max(emb["acpia_fd"], emb["acpia_exact"])
+    fund = emb["fund"]
     ok = acpia < 1e-6 and fund < 1e-6
     _line(8, "acpia_and_joined_forms", ok,
           f"|dx1|^2 vs |dx01|^2 residual {acpia:.3e} (tol 1e-6) on 32^2, "

@@ -359,11 +359,11 @@ class TestTransforms:
 class TestLeafResiduals:
     def test_leaf_system_and_slope(self, qwc2, lmap2, leaf32, soliton64,
                                    ctx_a, riccati64):
-        r1 = bk.leaf_system_residual(leaf32, qwc2, lmap2)["max"]
+        r1 = bk.leaf_system_residual(leaf32, qwc2, lmap2)
         V1, lam1 = bk.algebraic_transform_qwc(ctx_a, soliton64.V, soliton64.lam,
                                               soliton64.R, riccati64.R1)
         fine = df.FieldGrid(soliton64.grid, qwc2.kind, V1, lam1, riccati64.R1, {})
-        r2 = bk.leaf_system_residual(fine, qwc2, lmap2)["max"]
+        r2 = bk.leaf_system_residual(fine, qwc2, lmap2)
         assert 3.0 < r1 / r2 < 5.0     # slope 2 under halving
 
     def test_leaf_solves_defqwc(self, qwc2, lmap2, leaf32):
@@ -378,9 +378,8 @@ class TestLeafResiduals:
 class TestLeafEmbedding:
     def test_degenerate_seed(self, qwc2, lmap2, soliton32, forms32, ctx_a,
                              riccati32, leaf32):
-        emb = bk.leaf_embed(qwc2, lmap2, ctx_a, soliton32, forms32,
-                            leaf32.V, leaf32.lam, leaf32.R, frame=None)
-        r = emb.residuals
+        r = bk.leaf_embed(qwc2, lmap2, ctx_a, soliton32, forms32,
+                          leaf32.V, leaf32.lam, leaf32.R, frame=None)
         assert r["leaf_on_confocal"] < 1e-8
         assert r["leaf_vs_ivory_image"] < 1e-8
         assert r["metric_scaling"] < 1e-10
@@ -388,9 +387,8 @@ class TestLeafEmbedding:
 
     def test_generic_seed_acpia(self, qwc2, lmap2, soliton32, forms32, ctx_a,
                                 leaf32, frame32):
-        emb = bk.leaf_embed(qwc2, lmap2, ctx_a, soliton32, forms32,
-                            leaf32.V, leaf32.lam, leaf32.R, frame=frame32)
-        r = emb.residuals
+        r = bk.leaf_embed(qwc2, lmap2, ctx_a, soliton32, forms32,
+                          leaf32.V, leaf32.lam, leaf32.R, frame=frame32)
         assert r["acpia_exact"] < 1e-6
         assert r["acpia_fd"] < 1e-6
         assert r["fund"] < 1e-6
@@ -531,4 +529,4 @@ class TestIQWCPipeline:
         assert ff.residuals["gauss_base"] < 1e-8
         emb = bk.leaf_embed(iqwc2, lm, ctx, fg, ff, V1, lam1, run.R1,
                             frame=None)
-        assert emb.residuals["leaf_on_confocal"] < 1e-8
+        assert emb["leaf_on_confocal"] < 1e-8

@@ -140,22 +140,12 @@ class TestSystemResidual:
         assert off > 0.1
         assert abs(np.max(np.abs(res.two_form)) - off) < 1e-12
 
-    def test_qc_sphere_identity_field_closed_form(self):
-        # A = I, R = I: the residual reduces to the closed-form source
-        # 4 [(I+Ve^T)(I+eV^T)]_{jk} = 4 v_j v_k off the diagonal
-        q = qd.qc_quadric([(1.0, 1)] * 3)
-        grid = df.GridSpec(((0.0, 0.2, 8), (0.0, 0.2, 8)))
-        rng = np.random.default_rng(0)
-        V = 0.3 * (rng.standard_normal(grid.shape + (2,))
-                   + 1j * rng.standard_normal(grid.shape + (2,)))
-        fg = df.FieldGrid(grid, q.kind, V,
-                          np.ones(grid.shape + (2,), dtype=complex),
-                          np.broadcast_to(np.eye(2), grid.shape + (2, 2)).copy(),
-                          {})
-        res = df.system_residual(fg, q, None)
-        expected = 4.0 * V[..., 0] * V[..., 1]
-        assert np.max(np.abs(res.two_form[..., 0, 1] - expected)) < 1e-12
-        assert np.max(np.abs(res.two_form[..., 1, 0] - expected)) < 1e-12
+    def test_qc_field_rejected(self, qc3, soliton32):
+        # the deformation system is taken on QWC/IQWC charts only
+        fg = df.FieldGrid(soliton32.grid, qc3.kind, soliton32.V, soliton32.lam,
+                          soliton32.R)
+        with pytest.raises(StepFailure):
+            df.system_residual(fg, qc3, None)
 
     def test_constraint_violation_flagged(self, qwc2, lmap2, soliton32):
         bad = soliton32.copy()
@@ -184,16 +174,11 @@ def manufactured_net(q, lm, grid):
 
 
 class TestGammaOracle:
-    @pytest.mark.parametrize("kind", ["qwc", "qc"])
-    def test_formulas_match_metric_christoffels(self, kind):
+    def test_formulas_match_metric_christoffels(self):
         # Gamma from the chart formulas against the standard formula
         # (1/2) g^{pm} [(g_jm)_k + (g_km)_j - (g_jk)_m] with FD derivatives
-        if kind == "qwc":
-            q = qd.qwc_quadric([(1.0, 1), (0.7, 1)])
-            lm = qd.build_lmap(q)
-        else:
-            q = qd.qc_quadric([(1.0, 1), (1.4, 1), (0.8, 1)])
-            lm = None
+        q = qd.qwc_quadric([(1.0, 1), (0.7, 1)])
+        lm = qd.build_lmap(q)
         grid = df.GridSpec(((0.1, 0.5, 33), (0.2, 0.6, 33)))
         fg = manufactured_net(q, lm, grid)
         _, _, *logs = df._derivative_fields(fg, q, lm, "fd", 4)

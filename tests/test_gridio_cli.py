@@ -191,6 +191,7 @@ class TestConfigValidation:
         {"scenario": "lattice", "z": [[0.31, 0.12], [-0.2, 0.25], [0.31, 0.12]],
          "extent": [2, 2, 2]},
         {"scenario": "backlund-qwc", "z": [[0.31, 0.12], [0.31, 0.12]]},
+        {"scenario": "backlund-qc", "quadric": cli._DEFAULTS["quadric"]},
     ], ids=lambda c: json.dumps(c)[:60])
     def test_malformed_config_exits_2(self, cfg, tmp_path, capsys):
         cfgfile = tmp_path / "bad.json"
@@ -199,7 +200,7 @@ class TestConfigValidation:
                        str(tmp_path / "out")])
         assert rc == 2
         assert capsys.readouterr().err.startswith("config error:")
-        assert not (tmp_path / "out" / "report.json").exists()
+        assert not (tmp_path / "out").exists()   # nothing is written
 
 
     def test_infinite_tol_scale_flag_exits_2(self, tmp_path, capsys):
@@ -441,6 +442,30 @@ _STAGED = {
                      "fields": 2}, [
         ("sine_gordon_suite", ["sine_gordon_correlation"])]),
 }
+
+
+# checks whose bound is not a residual tolerance: the ratio, slope and
+# correlation windows of scenarios._UNSCALED, the zero_soliton admissibility
+# threshold, the at-least negative control and the 0/1 flags and hole counts
+_FIXED_BOUNDS = {"prime_integral_order", "path_mismatch_order",
+                 "leaf_system_slope", "leaf_defqwc_slope", "bpt_riccati_slope",
+                 "sine_gordon_correlation", "peterson_admissible",
+                 "ruling_negative_control", "qc_line_completed",
+                 "m3_lattice_holes", "lattice_holes"}
+
+
+@pytest.mark.parametrize("scenario", list(_STAGED))
+def test_tol_scale_scales_every_residual_gate(scenario, tmp_path):
+    extra, _ = _STAGED[scenario]
+    cfg = {"scenario": scenario, **extra}
+    base = cli.run_scenario(dict(cfg), tmp_path / "base")
+    scaled = cli.run_scenario({**cfg, "tol_scale": 10}, tmp_path / "scaled")
+    assert [c["name"] for c in scaled["checks"]] == [
+        c["name"] for c in base["checks"]]
+    for b, c in zip(base["checks"], scaled["checks"]):
+        factor = 1 if c["name"] in _FIXED_BOUNDS else 10
+        assert c["tolerance"] == b["tolerance"] * factor, c["name"]
+    assert scaled["tolerances"] == sc.scaled_tolerances(10)
 
 
 @pytest.mark.parametrize("scenario", list(_STAGED))
