@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import deform as df, numerics, quadric as qd, sjcore
-from .errors import DriftExceeded, UNearZero
+from .errors import DriftExceeded, StepFailure, UNearZero
 from .numerics import diff1, rk4_step
 from .sjcore import sqrt_branch
 
@@ -30,9 +30,10 @@ BASE_TOL = 1e-8     # largest orthogonality defect of its base value R1_base
 class BacklundContext:
     """Spectral parameter with branch data and derived matrices.
 
-    D is the n-block of sqrt(R'_z)/sqrt(z) for (I)QWC and of sqrt(R_z)/sqrt(z)
-    at QC usage sites.  mirror() flips the sqrt(z) branch (and hence D); the
-    involution symmetry swaps the two R factors under that flip.
+    D is the n-block of sqrt(R'_z)/sqrt(z) for (I)QWC, exactly diagonal on a
+    Peterson-admissible map, and of sqrt(R_z)/sqrt(z) at QC usage sites.
+    mirror() flips the sqrt(z) branch (and hence D); the involution symmetry
+    swaps the two R factors under that flip.
     """
 
     q: object
@@ -79,7 +80,11 @@ def make_context(q, z, lm=None) -> BacklundContext:
     if lm is None:
         raise ValueError("(I)QWC context needs the L map")
     srp = qd.sqrt_rprime(q, lm, z)
-    return BacklundContext(q, lm, z, sz, srp[:n, :n] / sz, srp,
+    D = srp[:n, :n] / sz
+    if df.peterson_admissible(q, lm)[0]:
+        # the zero soliton's diagonal A' block, without sqrt's rounding noise
+        D = np.diag(np.diagonal(D))
+    return BacklundContext(q, lm, z, sz, D, srp,
                            qd.translation_chart(q, lm, z), qd.chart_b(q, lm))
 
 
@@ -128,27 +133,20 @@ def qc_aux(ctx: BacklundContext) -> QCAux:
 def riccati_rhs_qwc(ctx: BacklundContext, k: int, R0: np.ndarray | None,
                     omega0_k: np.ndarray | None, R1: np.ndarray) -> np.ndarray:
     """dR_1/du^k for -dR_1 = R_1 omega_0 + R_1 E_k R_0^T D R_1 - D R_0 E_k,
-    batched over leading axes; R0 = omega0_k = None is the zero-soliton seed
-    (R_0 = I, omega_0 = 0).
+    batched over leading axes, for a diagonal D (ctx.d); R0 = omega0_k = None
+    is the zero-soliton seed (R_0 = I, omega_0 = 0).
 
     R_1 E_k R_0^T is the outer product of the k-th columns and D R_0 E_k
     touches column k only.  For n <= 3 the array multiply rounds as a
-    single-term stacked matmul, and with D diagonal (ctx.d) X @ D is X * d,
-    so this has the bits of the matmul form (tests/test_numerics.py pins
-    both rules)."""
+    single-term stacked matmul, and X @ D is X * d, so this has the bits of
+    the matmul form (tests/test_numerics.py pins both rules)."""
     d = ctx.d
-    if R0 is None and d is not None:
+    if R0 is None:
         out = (R1[..., :, k] * d[k])[..., :, None] * R1[..., None, k, :]
         out[..., k, k] -= d[k]
         return -out
-    if R0 is None:
-        R0 = np.eye(ctx.n, dtype=complex)
-    out = R1[..., :, k, None] * R0[..., None, :, k]
-    out = (out * d if d is not None else out @ ctx.D) @ R1
-    if omega0_k is not None:
-        out = out + R1 @ omega0_k
-    out[..., :, k] -= (d * R0[..., :, k] if d is not None
-                       else (ctx.D @ R0)[..., :, k])
+    out = (R1[..., :, k, None] * R0[..., None, :, k] * d) @ R1 + R1 @ omega0_k
+    out[..., :, k] -= d * R0[..., :, k]
     return -out
 
 
@@ -281,6 +279,7 @@ def path_mismatch(fg: df.FieldGrid, ctx: BacklundContext,
 
 def _riccati_sweep(fg: df.FieldGrid, ctx: BacklundContext, R1_base, order):
     """The leaf R field of one RK4 sweep in the given axis order."""
+    _require_diagonal(ctx)
     if fg.meta.get("soliton") == "zero":
         rhs_of_axis = _trivial_seed_rhs(ctx)
     else:
@@ -288,6 +287,13 @@ def _riccati_sweep(fg: df.FieldGrid, ctx: BacklundContext, R1_base, order):
     R1 = numerics.rk4_sweep(fg.grid, R1_base.astype(complex).ravel(),
                             rhs_of_axis, order=order)
     return R1.reshape(fg.grid.shape + (fg.n, fg.n))
+
+
+def _require_diagonal(ctx: BacklundContext) -> None:
+    """The Riccati flow runs on a diagonal D, which make_context gives every
+    Peterson-admissible map; raise StepFailure on any other."""
+    if ctx.d is None:
+        raise StepFailure("the Riccati flow needs a diagonal D")
 
 
 def _omega_for_integration(fg: df.FieldGrid) -> np.ndarray:
@@ -301,8 +307,8 @@ def _omega_for_integration(fg: df.FieldGrid) -> np.ndarray:
 
 def _trivial_seed_rhs(ctx: BacklundContext):
     """Line right-hand sides for a zero-soliton seed (R_0 = I, omega_0 = 0),
-    passed to riccati_rhs_qwc as None: with a diagonal D each evaluation is
-    one outer product and no matmul."""
+    passed to riccati_rhs_qwc as None: each evaluation is one outer product
+    and no matmul."""
     n = ctx.n
 
     def rhs_of_axis(axis, _lines):
@@ -521,6 +527,7 @@ def riccati_field_residual(R_new: np.ndarray, fg_seed: df.FieldGrid,
                            ctx: BacklundContext) -> float:
     """Second-order finite-difference residual of the Riccati equation for
     R_new against the seed role played by fg_seed's R field."""
+    _require_diagonal(ctx)
     hs = fg_seed.grid.h
     om = df.omega_fields(fg_seed)
     worst = 0.0

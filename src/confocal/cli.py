@@ -189,6 +189,9 @@ def validate_config(cfg: dict) -> dict:
                           f"{out['canonicalize']!r}")
     if any(e < 2 for e in out["extent"]):
         raise ConfigError("extent entries must be >= 2")
+    # the transformation is defined for z != 0 only
+    if 0 in out["zs"]:
+        raise ConfigError("the z values must be nonzero")
     if len(set(out["zs"])) < len(out["zs"]):
         raise ConfigError("the z values must be distinct")
     needed = {"bpt": 2, "lattice": 2, "m3": 3}.get(name, 1)

@@ -316,27 +316,11 @@ def metric_field(fg: FieldGrid, q, lm) -> np.ndarray:
     return fg.lam[..., :, None] * RT * fg.lam[..., None, :]
 
 
-def _derivative_fields(fg: FieldGrid, q, lm, mode: str, order: int):
-    """H with the u-derivatives the forms need: (H, dlam, dloglam, dlogsH),
-    where dlam[..., j, k] = d lambda_j / du^k, dloglam = dlam / lambda_j and
-    dlogsH = d log sqrt(H) / du^k."""
-    hs = fg.grid.h
-    H = qd.h_chart(q, lm, fg.V)
-    if mode == "exact":
-        model = ZeroSolitonModel(q, lm)
-        dlam, dH = model.dlam(fg.V), model.dH(fg.V, fg.lam)
-    else:
-        dlam = np.stack([diff1(fg.lam, axis=k, h=hs[k], order=order)
-                         for k in range(fg.grid.n)], axis=-1)
-        dH = np.stack([diff1(H, axis=k, h=hs[k], order=order)
-                       for k in range(fg.grid.n)], axis=-1)
-    return H, dlam, dlam / fg.lam[..., :, None], dH / (2.0 * H[..., None])
-
-
 def gamma_field(lam, dloglam, dlogsH) -> np.ndarray:
     """Christoffel symbols Gamma^p_{jk} (..., p, j, k) from the chart
     change-of-coordinate formulas, on stacks of lambda (..., n) and of the
-    log-derivatives of _derivative_fields; entries with three distinct indices
+    log-derivatives dloglam[..., j, k] = d log lambda_j / du^k and
+    dlogsH[..., k] = d log sqrt(H) / du^k; entries with three distinct indices
     vanish in a conjugate net.  The lambda-ratio products go through
     scalar_mul, so a stack rounds as its nodes one by one."""
     n = lam.shape[-1]
@@ -349,11 +333,6 @@ def gamma_field(lam, dloglam, dlogsH) -> np.ndarray:
     G[..., k, j, j] = scalar_mul(scalar_mul(ratio, ratio), up)[..., j, k]
     G[..., d, d, d] = dloglam[..., d, d] + dlogsH
     return G
-
-
-def _h0_and_gauge(lam, sqH):
-    """First second-form row h^0 and the gauge of the joined rows, (..., n)."""
-    return -(lam ** 2) / sqH[..., None], lam
 
 
 def _candidate_pool(n: int, seed: int) -> np.ndarray:
@@ -448,21 +427,33 @@ def _cmp_solve(hj, dhj, gamma):
     return out, res
 
 
-def _joined_frame(r, dr, gauge, dgauge, gamma, pool):
-    """Joined frame of unit first rows r (..., n) with derivatives dr
-    (..., n_dirs, n), completed against pool, and the normal connection of its
-    gauged columns; gauge (..., n) and dgauge (..., j, k) = d gauge_j / du^k.
-    Returns (S, hj, nconn, cmp residual per node)."""
-    n = r.shape[-1]
+def _joined_geometry(lam, H, dlam, dH, pool):
+    """Christoffel symbols, first second-form row and joined frame of a
+    conjugate net, from lambda (..., n), H (...), dlam[..., j, k] =
+    d lambda_j / du^k and dH[..., k] = dH / du^k.  Returns (gamma, h0,
+    joined): h0 = -lambda^2 / sqrt(H), and joined = (S, hj, nconn, cmp
+    residual per node) for the frame whose unit first row is
+    r = -i lambda / sqrt(H), completed against pool, with hj = S lambda (the
+    joined columns gauged by lambda); joined is None when pool is None."""
+    n = lam.shape[-1]
+    sqH = np.asarray(sqrt_branch(H))
+    dloglam = dlam / lam[..., :, None]
+    dlogsH = dH / (2.0 * H)[..., None]
+    gamma = gamma_field(lam, dloglam, dlogsH)
+    h0 = -(lam ** 2) / sqH[..., None]
+    if pool is None:
+        return gamma, h0, None
+    r = -1j * lam / sqH[..., None]
+    dr = np.swapaxes((dloglam - dlogsH[..., None, :]) * r[..., :, None], -1, -2)
     S, dS = _complete_rows_with_derivs(r, dr, pool)
-    hj = S * gauge[..., None, :]
+    hj = S * lam[..., None, :]
     dhj = np.zeros(S.shape[:-2] + (n, n, n), dtype=complex)   # (..., k, comp, j)
     for k in range(n):
         for j in range(n):
-            dhj[..., k, :, j] = (dgauge[..., j, k, None] * S[..., :, j]
-                                 + gauge[..., j, None] * dS[..., k, :, j])
+            dhj[..., k, :, j] = (dlam[..., j, k, None] * S[..., :, j]
+                                 + lam[..., j, None] * dS[..., k, :, j])
     nconn, res = _cmp_solve(hj, dhj, gamma)
-    return S, hj, nconn, res
+    return gamma, h0, (S, hj, nconn, res)
 
 
 def forms_assemble(fg: FieldGrid, q, lm, seed: int = 0,
@@ -470,12 +461,12 @@ def forms_assemble(fg: FieldGrid, q, lm, seed: int = 0,
     """Assemble joined fundamental forms and G-CMP-R residuals for a field on
     a QWC or IQWC chart (a QC field raises StepFailure).
 
-    A zero_soliton field takes the closed zero-soliton derivative formulas
-    (mode 'exact': R = I, diagonal A' block); any other field is
-    differentiated with second-order differences (mode 'fd').  The joined
-    frame S is completed per node from a seeded fixed candidate pool, which
-    keeps it smooth in u, and its derivatives are propagated through the
-    Gram-Schmidt chain.
+    A zero_soliton field takes H and the derivatives of lambda and H from its
+    ZeroSolitonModel (R = I, diagonal A' block); any other field is
+    differentiated with second-order differences.  Both feed the geometry of
+    the seed frame (_joined_geometry), whose joined frame S is completed per
+    node from a seeded fixed candidate pool, which keeps it smooth in u, and
+    whose derivatives are propagated through the Gram-Schmidt chain.
     """
     n = fg.n
     shape = fg.grid.shape
@@ -488,20 +479,21 @@ def forms_assemble(fg: FieldGrid, q, lm, seed: int = 0,
         # the joined frame's first row is unit only on the prime-integral
         # quadric; forms of an off-shell field would be silently meaningless
         raise PrimeIntegralViolation(f"|Lambda|^2 + H = {pi:.3e} on the grid")
-    H, dlam, dloglam, dlogsH = _derivative_fields(fg, q, lm, mode, 2)
+    if mode == "exact":
+        model = ZeroSolitonModel(q, lm)
+        H = model.H(fg.V)
+        dlam, dH = model.dlam(fg.V), model.dH(fg.V, fg.lam)
+    else:
+        H = qd.h_chart(q, lm, fg.V)
+        dlam, dH = (np.stack([diff1(f, axis=k, h=hs[k]) for k in range(len(shape))],
+                             axis=-1) for f in (fg.lam, H))
     g = metric_field(fg, q, lm)
     ginv = np.linalg.inv(g)
-    gamma = gamma_field(fg.lam, dloglam, dlogsH)
-    h0, gauge = _h0_and_gauge(fg.lam, sqrt_branch(H))
-
-    r = 1j * h0 / gauge
-    dr = (dloglam - dlogsH[..., None, :]) * r[..., :, None]
-    dr = np.swapaxes(dr, -1, -2)      # (*shape, n_dirs, n)
-    S, hj, nconn, cmp_res = _joined_frame(r, dr, gauge, dlam, gamma,
-                                          _candidate_pool(n, seed))
+    gamma, h0, (S, hj, nconn, cmp_res) = _joined_geometry(
+        fg.lam, H, dlam, dH, _candidate_pool(n, seed))
 
     if mode == "exact":
-        dgam = _exact_dgamma(fg, q, lm, H)
+        dgam = _exact_dgamma(fg, model, H)
     else:
         dgam = np.stack(
             [diff1(gamma, axis=a, h=hs[a], order=curvature_order)
@@ -520,7 +512,7 @@ def forms_assemble(fg: FieldGrid, q, lm, seed: int = 0,
     ricci = _ricci_residual(nconn, hj, ginv, hs, order=curvature_order)
 
     JO = np.einsum("...rj,...rk->...jk", hj, hj)
-    JO = JO - gauge[..., :, None] ** 2 * np.eye(n)
+    JO = JO - fg.lam[..., :, None] ** 2 * np.eye(n)
     margin = min(3, min(shape) // 3)
     core = tuple(slice(margin, -margin) for _ in shape)
     residuals = {
@@ -534,14 +526,14 @@ def forms_assemble(fg: FieldGrid, q, lm, seed: int = 0,
         "mode": mode,
     }
     vf = qd.chart_source(q, lm, fg.V) / H[..., None]
-    return FundamentalForms(g, ginv, gamma, h0, gauge, S, hj, nconn, vf, H,
+    return FundamentalForms(g, ginv, gamma, h0, fg.lam, S, hj, nconn, vf, H,
                             residuals)
 
 
-def _exact_dgamma(fg: FieldGrid, q, lm, H) -> np.ndarray:
-    """Exact (G^p_{jk})_l fields for the zero-soliton gauge, where lambda_j and
-    v_j depend on u^j alone: only the G^p_{jj} components are nonzero fields."""
-    model = ZeroSolitonModel(q, lm)
+def _exact_dgamma(fg: FieldGrid, model: ZeroSolitonModel, H) -> np.ndarray:
+    """Exact (G^p_{jk})_l fields for the zero-soliton gauge of model, where
+    lambda_j and v_j depend on u^j alone: only the G^p_{jj} components are
+    nonzero fields."""
     n = fg.n
     shape = fg.grid.shape
     lam = fg.lam
@@ -632,36 +624,29 @@ class AmbientFrame:
 class _SeedFrameModel:
     """Joint (V, Lambda, x, X, N) evolution of a zero-soliton deformation,
     pointwise evaluable so every RK4 stage is exact.  Its geometry is that of
-    forms_assemble (gamma_field, _h0_and_gauge, _joined_frame) on the
-    closed-form zero-soliton derivatives."""
+    forms_assemble (_joined_geometry) on the closed-form derivatives of its
+    ZeroSolitonModel; the base-quadric copy (deformation=False) needs no
+    joined frame."""
 
     def __init__(self, q, lm, seed: int, deformation: bool):
         self.zs = ZeroSolitonModel(q, lm)
         self.n = q.n
-        self.deformation = deformation
         self.m = 2 * self.n - 1 if deformation else self.n + 1
         self.p = self.n - 1 if deformation else 1
-        self.pool = _candidate_pool(self.n, seed)
+        self.pool = _candidate_pool(self.n, seed) if deformation else None
 
     def geometry(self, V, lam):
         """Metric, inverse metric, Christoffel symbols, second-form rows and
         normal connection at states (..., n)."""
         zs = self.zs
-        H = zs.H(V)
-        sqH = np.asarray(sqrt_branch(H))
         g = zs.metric(V, lam)
         ginv = np.linalg.inv(g)
-        dlam = zs.dlam(V)
-        dloglam = dlam / lam[..., :, None]
-        dlogsH = zs.dH(V, lam) / (2.0 * H)[..., None]
-        gamma = gamma_field(lam, dloglam, dlogsH)
-        h0, gauge = _h0_and_gauge(lam, sqH)
-        if not self.deformation:
+        gamma, h0, joined = _joined_geometry(lam, zs.H(V), zs.dlam(V),
+                                             zs.dH(V, lam), self.pool)
+        if joined is None:
             return (g, ginv, gamma, h0[..., None, :],
                     np.zeros(V.shape + (1, 1), dtype=complex))
-        r = -1j * lam / sqH[..., None]
-        dr = np.swapaxes((dloglam - dlogsH[..., None, :]) * r[..., :, None], -1, -2)
-        _, hj, nconn, _ = _joined_frame(r, dr, gauge, dlam, gamma, self.pool)
+        _, hj, nconn, _ = joined
         return g, ginv, gamma, hj[..., 1:, :], nconn[..., :, 1:, 1:]
 
     def pack(self, V, lam, x, X, N):

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from confocal import backlund as bk, deform as df, quadric as qd, scenarios as sc
-from confocal.errors import DriftExceeded, UNearZero
+from confocal.errors import DriftExceeded, StepFailure, UNearZero
 from confocal.sjcore import random_orthogonal, sqrt_branch
 from conftest import context_defect
 
@@ -121,26 +121,28 @@ def rhs_qwc_matmul_reference(ctx, k, R0, om_k, R1):
              - ctx.D @ R0 @ Ek)
 
 
-# diagonal D: real and complex eigenvalues; non-diagonal D: IQWC and a
-# Jordan p = 2 block
+# D is diagonal on every Peterson-admissible map: real and complex
+# eigenvalues, and IQWC charts made admissible by canonicalize_lmap
 RHS_QUADRICS = {
     "qwc2": lambda: qd.qwc_quadric([(1.0, 1), (0.7, 1)]),
     "qwc3": lambda: qd.qwc_quadric([(1.0, 1), (0.7, 1), (1.3, 1)]),
     "qwc2c": lambda: qd.qwc_quadric([(1.0 + 0.4j, 1), (1.0 - 0.4j, 1)]),
     "qwc3c": lambda: qd.qwc_quadric([(1.0 + 0.3j, 1), (1.0 - 0.3j, 1), (1.3, 1)]),
-    "iqwc2": lambda: qd.iqwc_quadric(2, [(1.5, 1)]),
-    "iqwc3": lambda: qd.iqwc_quadric(3, [(1.5, 1)]),
-    "jordan2": lambda: qd.qwc_quadric([(1.0, 2)]),
-    "jordan3": lambda: qd.qwc_quadric([(1.0, 2), (0.6, 1)]),
     "qwc4": lambda: qd.qwc_quadric([(1.0, 1), (0.7, 1), (1.3, 1), (0.4, 1)]),
-    "iqwc4": lambda: qd.iqwc_quadric(4, [(1.5, 1)]),
+    "iqwc2": lambda: qd.iqwc_quadric(2, [(1.5, 1)]),
+    "iqwc3": lambda: qd.iqwc_quadric(2, [(1.5, 1), (1.9, 1)]),
+    "iqwc4": lambda: qd.iqwc_quadric(2, [(1.5, 1), (1.9, 1), (0.8, 1)]),
 }
 
 
 @functools.lru_cache(maxsize=None)
 def rhs_context(name):
     q = RHS_QUADRICS[name]()
-    return bk.make_context(q, 0.31 + 0.12j, qd.build_lmap(q))
+    lm = qd.build_lmap(q)
+    if q.kind == qd.IQWC:
+        lm, ok = qd.canonicalize_lmap(q, lm)
+        assert ok
+    return bk.make_context(q, 0.31 + 0.12j, lm)
 
 
 class TestRiccatiRHSReference:
@@ -182,11 +184,30 @@ class TestRiccatiRHSReference:
                 assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
 
     def test_diagonal_d_is_detected(self):
-        assert rhs_context("qwc3c").d is not None
-        assert rhs_context("iqwc3").d is None
-        assert rhs_context("jordan2").d is None
-        m = rhs_context("qwc2").mirror()
-        assert np.array_equal(m.d, -rhs_context("qwc2").d)
+        for name in RHS_QUADRICS:
+            ctx = rhs_context(name)
+            assert np.array_equal(ctx.D, np.diag(ctx.d))
+            assert np.array_equal(ctx.mirror().d, -ctx.d)
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_diagonal_snap_keeps_qwc_bits(self, n):
+        # on a QWC chart sqrt(R'_z) is exactly diagonal already, so making
+        # D diagonal moves no bit there
+        q = qd.qwc_quadric([(1.0, 1), (0.7, 1), (1.3, 1), (0.4, 1)][:n])
+        lm = sc.lmap_for(q, seed=7)
+        for z in (0.31 + 0.12j, -0.2 + 0.25j, 0.12 - 0.3j):
+            ctx = bk.make_context(q, z, lm)
+            want = qd.sqrt_rprime(q, lm, z)[:n, :n] / ctx.sqrt_z
+            assert ctx.D.tobytes() == want.tobytes()
+
+    def test_non_admissible_flow_raises(self, soliton32):
+        # a Jordan block: D keeps its off-diagonal entries for the algebraic
+        # checks, and the Riccati flow refuses it
+        q = qd.qwc_quadric([(1.0, 2)])
+        ctx = bk.make_context(q, 0.31 + 0.12j, qd.build_lmap(q))
+        assert ctx.d is None
+        with pytest.raises(StepFailure):
+            bk.integrate_backlund(soliton32, ctx, np.eye(2, dtype=complex))
 
 
 class TestQCRiccati:

@@ -75,8 +75,10 @@ def test_allowed_key(tmp_path, capsys, allow, status):
         "default/deform-0soliton/report.json::tolerances.chart_reproduction"]
     assert got == status
     out = capsys.readouterr().out
-    assert ("DIFFERS  default/deform-0soliton/report.json::tolerances."
-            "chart_reproduction: only in rev-b" in out) == bool(status)
+    line = ("default/deform-0soliton/report.json::tolerances."
+            "chart_reproduction: only in rev-b")
+    assert ("DIFFERS  " + line in out) == bool(status)
+    assert ("ALLOWED  " + line in out) == (not status)
 
 
 def test_csv_bytes_and_missing_files(tmp_path):

@@ -181,11 +181,14 @@ class TestGammaOracle:
         lm = qd.build_lmap(q)
         grid = df.GridSpec(((0.1, 0.5, 33), (0.2, 0.6, 33)))
         fg = manufactured_net(q, lm, grid)
-        _, _, *logs = df._derivative_fields(fg, q, lm, "fd", 4)
-        gamma = df.gamma_field(fg.lam, *logs)
+        hs = grid.h
+        H = qd.h_chart(q, lm, fg.V)
+        dlam, dH = (np.stack([diff1(f, axis=k, h=hs[k], order=4)
+                              for k in range(2)], axis=-1)
+                    for f in (fg.lam, H))
+        gamma, _, _ = df._joined_geometry(fg.lam, H, dlam, dH, None)
         g = df.metric_field(fg, q, lm)
         ginv = np.linalg.inv(g)
-        hs = grid.h
         dg = np.stack([diff1(g, axis=a, h=hs[a], order=4) for a in range(2)],
                       axis=-3)   # (..., deriv, j, k)
         n = 2
@@ -368,21 +371,26 @@ class TestSeedFrame:
         assert checks["metric"] < 1e-6
         assert checks["tangent_normal"] < 1e-6
 
-    @pytest.mark.parametrize("n", [2, 3])
-    def test_geometry_matches_forms(self, n):
-        # the frame's right-hand side and forms_assemble share one geometry
-        # kernel; on a whole zero-soliton grid they differ only by the
-        # rounding of H and of the first joined row
-        q = qd.qwc_quadric([(1.0, 1), (0.7, 1), (1.3, 1)][:n])
-        lm = qd.build_lmap(q)
+    @pytest.mark.parametrize("n, canonical", [(2, False), (3, False), (2, True)],
+                             ids=["2", "3", "canonical-iqwc"])
+    def test_geometry_matches_forms(self, n, canonical):
+        # the frame's right-hand side and forms_assemble read one geometry
+        # function on one zero-soliton model
+        if canonical:
+            q = qd.iqwc_quadric(2, [(1.5 - 0.2j, 1)])
+            lm, ok = qd.canonicalize_lmap(q, qd.build_lmap(q, seed=7))
+            assert ok
+        else:
+            q = qd.qwc_quadric([(1.0, 1), (0.7, 1), (1.3, 1)][:n])
+            lm = qd.build_lmap(q)
         v0, lam0 = sc.default_soliton_data(q, lm, theta=0.3)
         fg = df.zero_soliton(q, lm, df.GridSpec(((0.0, 0.3, 9),) * n), v0, lam0)
         ff = df.forms_assemble(fg, q, lm, seed=11)
         model = df._SeedFrameModel(q, lm, seed=11, deformation=True)
-        _, _, gamma, hrows, nck = model.geometry(fg.V, fg.lam)
+        g, _, gamma, hrows, nck = model.geometry(fg.V, fg.lam)
         for got, want in ((gamma, ff.gamma), (hrows, ff.hj[..., 1:, :]),
-                          (nck, ff.nconn[..., :, 1:, 1:])):
-            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+                          (nck, ff.nconn[..., :, 1:, 1:]), (g, ff.g)):
+            assert np.array_equal(got, want)
 
 
 class TestSineGordon:
@@ -402,9 +410,11 @@ class TestExactCurvatureDerivatives:
         # order under refinement (a formula error would not converge)
         gaps = []
         for fg in (soliton32, soliton64):
-            H, _, *logs = df._derivative_fields(fg, qwc2, lmap2, "exact", 2)
-            gamma = df.gamma_field(fg.lam, *logs)
-            exact = df._exact_dgamma(fg, qwc2, lmap2, H)
+            model = df.ZeroSolitonModel(qwc2, lmap2)
+            H = model.H(fg.V)
+            gamma, _, _ = df._joined_geometry(fg.lam, H, model.dlam(fg.V),
+                                              model.dH(fg.V, fg.lam), None)
+            exact = df._exact_dgamma(fg, model, H)
             hs = fg.grid.h
             fd = np.stack([diff1(gamma, axis=a, h=hs[a], order=4)
                            for a in range(2)], axis=-4)

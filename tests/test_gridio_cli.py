@@ -192,6 +192,14 @@ class TestConfigValidation:
          "extent": [2, 2, 2]},
         {"scenario": "backlund-qwc", "z": [[0.31, 0.12], [0.31, 0.12]]},
         {"scenario": "backlund-qc", "quadric": cli._DEFAULTS["quadric"]},
+        # z = 0 has no transformation, also where the scenario ignores z
+        {"scenario": "backlund-qwc", "z": [[0.0, 0.0]]},
+        {"scenario": "backlund-qc", "z": [0.0]},
+        {"scenario": "leaf-embed", "z": [[0.0, -0.0]]},
+        {"scenario": "bpt", "z": [[0.31, 0.12], [0.0, 0.0]]},
+        {"scenario": "m3", "z": [[0.31, 0.12], [-0.2, 0.25], [0.0, 0.0]]},
+        {"scenario": "lattice", "z": [[0.0, 0.0], [-0.2, 0.25]]},
+        {"scenario": "ivory-check", "z": [0.0]},
     ], ids=lambda c: json.dumps(c)[:60])
     def test_malformed_config_exits_2(self, cfg, tmp_path, capsys):
         cfgfile = tmp_path / "bad.json"

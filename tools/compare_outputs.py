@@ -10,13 +10,15 @@ revision, with that src/ on the import path and BLAS pinned to one thread.
 The two output trees are compared file by file: CSV and other files by
 bytes, JSON files key by key, and report.json key by key apart from its
 timing fields (`runtime_s`, `stages[].wall_s`, `stages[].nodes_per_s`).  The
-exit codes of the runs are compared too.  Every moved check is printed with
-its old value, new value and gate ratio (value over tolerance).
+exit codes of the runs are compared too.  Every difference is printed, a
+moved check with its old value, new value and gate ratio (value over
+tolerance).
 
 A difference is named `<run>/<file>::<key>` (`<run>/<file>` for a byte
 difference).  --allow names a file of fnmatch patterns, one a line (`#`
-starts a comment); a difference that matches one is allowed.  The last line
-is the summary; the exit status is 1 when some difference is not allowed.
+starts a comment); a difference that matches one is allowed and printed as
+ALLOWED, any other as DIFFERS.  The last line is the summary; the exit
+status is 1 when some difference is not allowed.
 """
 
 from __future__ import annotations
@@ -217,8 +219,9 @@ def read_allow(path) -> list:
 
 
 def report(runs: int, nfiles: int, equal: int, diffs: list, allow: list) -> int:
-    """Print each difference no pattern allows, a count per allow pattern
-    and the summary line; returns the exit status."""
+    """Print each difference, ALLOWED when a pattern allows it and DIFFERS
+    otherwise, a count per allow pattern and the summary line; returns the
+    exit status."""
     disallowed = 0
     per_pattern = dict.fromkeys(allow, 0)
     for ident, line in diffs:
@@ -228,6 +231,7 @@ def report(runs: int, nfiles: int, equal: int, diffs: list, allow: list) -> int:
             print("DIFFERS  " + line)
         else:
             per_pattern[pat] += 1
+            print("ALLOWED  " + line)
     for pat, count in per_pattern.items():
         print(f"allowed  {pat}: {count} differences")
     print(f"compare_outputs: {runs} runs, {nfiles} files, {equal} equal, "
