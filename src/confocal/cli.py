@@ -248,18 +248,6 @@ def _soliton_data(cfg, q, lm):
             *sc.default_soliton_data(q, lm, theta=cfg["lam_theta"]))
 
 
-def _fill_order_gap(fg, contexts, extent, seed):
-    """The lattice filled in axis order, its holes, and its largest gap to the
-    lattice filled in reversed axis order."""
-    lat, holes = pm.lattice_build(fg, contexts, extent, seed=seed)
-    alt, _ = pm.lattice_build(fg, contexts, extent, seed=seed,
-                              order_axes=tuple(reversed(range(len(extent)))))
-    gap = max((float(np.max(np.abs(lat[k].R - alt[k].R)))
-               for k in lat if lat[k] is not None and alt[k] is not None),
-              default=0.0)
-    return lat, holes, gap
-
-
 def run_ivory_check(cfg, q, lm, outdir, checks):
     with checks.stage("ivory_suite", cfg["samples"]):
         res = sc.ivory_suite(q, lm, cfg["samples"], cfg["seed"])
@@ -373,16 +361,16 @@ def run_backlund_qwc(cfg, q, lm, outdir, checks):
 def run_backlund_qc(cfg, q, _lm, outdir, checks):
     z, count, n, seed = cfg["zs"][0], cfg["samples"], q.n, cfg["seed"]
     rng = np.random.default_rng(seed)
-    with checks.stage("qc_compact_vs_expanded", min(count, 100)):
+    picks = min(count, 100)
+    with checks.stage("qc_compact_vs_expanded", picks):
         ctx = bk.make_context(q, z)
         aux = bk.qc_aux(ctx)
         om = np.zeros((n, n), dtype=complex)
         gaps = [0.0]
-        for i in range(min(count, 100)):
+        R0s, R1s = sjcore.random_orthogonal(n, seed=sjcore.seed_rows(seed, 2, picks))
+        for R0, R1 in zip(R0s, R1s):
             V0 = 0.4 * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
             lam0 = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-            R0 = sjcore.random_orthogonal(n, seed=seed + 2 * i)
-            R1 = sjcore.random_orthogonal(n, seed=seed + 2 * i + 1)
             for k in range(n):
                 a = bk.riccati_rhs_qc(ctx, k, V0, lam0, R0, om, R1, aux)
                 b = bk.riccati_rhs_qc_expanded(ctx, k, V0, lam0, R0, om, R1)
@@ -467,10 +455,7 @@ def run_bpt(cfg, q, lm, outdir, checks):
     # names say so ("extrapolated"), with no differential-level claim made
     prefix = "extrapolated_qc_" if q.kind == qd.QC else ""
     with checks.stage("bpt_samples", count):
-        # R0, R1, R2 of sample i are drawn with seeds seed + 3i, + 3i + 1, + 3i + 2
-        R0, R1, R2 = np.stack(
-            [[sjcore.random_orthogonal(n, seed=seed + 3 * i + j) for j in range(3)]
-             for i in range(count)], axis=1)
+        R0, R1, R2 = sjcore.random_orthogonal(n, seed=sjcore.seed_rows(seed, 3, count))
         R3 = pm.bpt_compose(R0, R1, R2, c1.D, c2.D)
         orth = float(np.max(np.abs(R3 @ np.swapaxes(R3, -1, -2) - np.eye(n))))
         checks.add(prefix + "bpt_orthogonality", orth, "bpt_orthogonality")
@@ -503,8 +488,9 @@ def run_bpt(cfg, q, lm, outdir, checks):
         checks.add("bpt_riccati_slope", abs(loglog_slope(hs, resid) - 2.0),
                    "slope_window", 1)
     with checks.stage("lattice_fill_order", 9):
-        *_, gap = _fill_order_gap(fg0, {0: c1, 1: c2}, (3, 3), seed)
-        checks.add("lattice_order_agreement", gap)
+        contexts = {0: c1, 1: c2}
+        lat, _ = pm.lattice_build(fg0, contexts, (3, 3), seed=seed)
+        checks.add("lattice_order_agreement", pm.lattice_order_gap(lat, contexts))
     gridio.save_residual_csv(outdir / "raw_convergence.csv",
                              ["metric", "h", "value"],
                              [("bpt_riccati_residual", h, v)
@@ -539,7 +525,7 @@ def run_lattice(cfg, q, lm, outdir, checks):
     grid, v0, lam0 = _soliton_data(cfg, q, lm)
     with checks.stage("lattice", math.prod(grid.shape)):
         fg = df.zero_soliton(q, lm, grid, v0, lam0)
-        lat, holes, gap = _fill_order_gap(fg, contexts, extent, cfg["seed"])
+        lat, holes = pm.lattice_build(fg, contexts, extent, seed=cfg["seed"])
         rows = []
         if len(extent) == 2:
             c0, c1 = contexts[0], contexts[1]
@@ -551,7 +537,7 @@ def run_lattice(cfg, q, lm, outdir, checks):
                     continue
                 rows.append((f"{i}:{j}", pm.bpt_scalar_identity(
                     *(c.R for c in cells), c0.D, c1.D, c0.z, c1.z)))
-        checks.add("lattice_order_agreement", gap)
+        checks.add("lattice_order_agreement", pm.lattice_order_gap(lat, contexts))
         checks.add("lattice_square_scalar", max([0.0] + [v for _, v in rows]),
                    10 * checks.tol["riccati_drift"], max(len(rows), 1))
         checks.add("lattice_holes", float(len(holes)), 0.5, 1)   # as in m3

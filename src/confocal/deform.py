@@ -292,20 +292,16 @@ class FundamentalForms:
     """Joined fundamental-form data of a deformation over the grid.
 
     hj[..., :, j] is the joined vector [i h^0_j, h^{n+1}_j, ..., h^{2n-1}_j],
-    equal to gauge_j times column j of the orthogonal frame S.  nconn[k] is the
+    lambda_j times column j of the orthogonal joined frame.  nconn[k] is the
     normal connection in joined indices (first row and column zero).
     """
 
     g: np.ndarray
     ginv: np.ndarray
     gamma: np.ndarray        # (*shape, p, j, k) Gamma^p_{jk}
-    h0: np.ndarray
-    gauge: np.ndarray
-    S: np.ndarray
     hj: np.ndarray
     nconn: np.ndarray        # (*shape, n_axes, n, n)
     vfield: np.ndarray       # (*shape, n): d log sqrt(H) / d v^k
-    H: np.ndarray
     residuals: dict
 
 
@@ -489,7 +485,7 @@ def forms_assemble(fg: FieldGrid, q, lm, seed: int = 0,
                              axis=-1) for f in (fg.lam, H))
     g = metric_field(fg, q, lm)
     ginv = np.linalg.inv(g)
-    gamma, h0, (S, hj, nconn, cmp_res) = _joined_geometry(
+    gamma, h0, (_, hj, nconn, cmp_res) = _joined_geometry(
         fg.lam, H, dlam, dH, _candidate_pool(n, seed))
 
     if mode == "exact":
@@ -526,8 +522,7 @@ def forms_assemble(fg: FieldGrid, q, lm, seed: int = 0,
         "mode": mode,
     }
     vf = qd.chart_source(q, lm, fg.V) / H[..., None]
-    return FundamentalForms(g, ginv, gamma, h0, fg.lam, S, hj, nconn, vf, H,
-                            residuals)
+    return FundamentalForms(g, ginv, gamma, hj, nconn, vf, residuals)
 
 
 def _exact_dgamma(fg: FieldGrid, model: ZeroSolitonModel, H) -> np.ndarray:

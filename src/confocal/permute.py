@@ -118,7 +118,7 @@ def m3_r7_field(R0f, R1f, R2f, R4f, ctx1, ctx2, ctx3):
 
 
 def lattice_build(fg_seed: df.FieldGrid, contexts: dict, extent: tuple,
-                  seed: int = 0, order_axes=None):
+                  seed: int = 0):
     """Fill a Z^k lattice of transform states from the seed solution.
 
     contexts[i] is the BacklundContext of lattice axis i (one z per axis).
@@ -133,45 +133,54 @@ def lattice_build(fg_seed: df.FieldGrid, contexts: dict, extent: tuple,
     Returns (lattice dict index -> FieldGrid or None, holes list).
     """
     k = len(extent)
-    if order_axes is None:
-        order_axes = tuple(range(k))
-    n = fg_seed.n
-    lattice = {tuple([0] * k): fg_seed}
-    holes = []
-
-    def integrate_step(prev_key, axis, step_index):
-        prev = lattice[prev_key]
-        base_rot = random_orthogonal(n, seed=seed + 977 * axis + step_index)
-        run = integrate_backlund(prev, contexts[axis], base_rot)
-        V1, lam1 = algebraic_transform_qwc(contexts[axis], prev.V, prev.lam,
-                                           prev.R, run.R1)
-        return df.FieldGrid(prev.grid, prev.kind, V1, lam1, run.R1)
-
-    # coordinate-ray chains
+    rays = {(0,) * k: fg_seed}
     for axis in range(k):
         for step in range(1, extent[axis]):
-            key = [0] * k
-            key[axis] = step
-            prev = list(key)
-            prev[axis] = step - 1
-            lattice[tuple(key)] = integrate_step(tuple(prev), axis, step)
+            prev = rays[tuple(step - 1 if a == axis else 0 for a in range(k))]
+            base_rot = random_orthogonal(fg_seed.n, seed=seed + 977 * axis + step)
+            run = integrate_backlund(prev, contexts[axis], base_rot)
+            V1, lam1 = algebraic_transform_qwc(contexts[axis], prev.V, prev.lam,
+                                               prev.R, run.R1)
+            rays[tuple(step if a == axis else 0 for a in range(k))] = df.FieldGrid(
+                prev.grid, prev.kind, V1, lam1, run.R1)
+    cells = [idx for idx in sorted(product(*map(range, extent)),
+                                   key=lambda t: (sum(t), t))
+             if idx not in rays]
+    return _fill(rays, contexts, cells, range(k))
 
-    def compose_cell(idx):
-        axes_pairs = [(a, b) for a in order_axes for b in order_axes
-                      if a != b and idx[a] >= 1 and idx[b] >= 1]
-        for a, b in axes_pairs:
-            t0 = list(idx)
-            t0[a] -= 1
-            t0[b] -= 1
-            ta = list(idx)
-            ta[b] -= 1
-            tb = list(idx)
-            tb[a] -= 1
-            t0, ta, tb = tuple(t0), tuple(ta), tuple(tb)
-            cells = [lattice.get(t) for t in (t0, ta, tb)]
-            if any(c is None for c in cells):
+
+def lattice_order_gap(lattice: dict, contexts: dict) -> float:
+    """Largest R gap between a lattice_build lattice and the lattice that its
+    own ray cells fill in reversed axis order, over the cells both fills
+    have; the chains are not integrated again."""
+    rays = {idx: cell for idx, cell in lattice.items()
+            if np.count_nonzero(idx) <= 1}
+    k = len(next(iter(lattice)))
+    alt, _ = _fill(rays, contexts, [idx for idx in lattice if idx not in rays],
+                   range(k - 1, -1, -1))
+    return max((float(np.max(np.abs(lattice[idx].R - alt[idx].R)))
+                for idx in lattice
+                if lattice[idx] is not None and alt[idx] is not None),
+               default=0.0)
+
+
+def _fill(rays: dict, contexts: dict, cells: list, order):
+    """The lattice of the ray cells with each of cells, in turn, composed
+    from the first axis pair (a, b), a and b read in the given axis order,
+    whose three cells behind it are filled and whose superposition is
+    regular.  A cell no pair closes is a hole (None).  Returns (lattice,
+    holes)."""
+    lattice = dict(rays)
+    holes = []
+    for idx in cells:
+        for a, b in ((a, b) for a in order for b in order
+                     if a != b and idx[a] >= 1 and idx[b] >= 1):
+            ta = tuple(i - (c == b) for c, i in enumerate(idx))
+            tb = tuple(i - (c == a) for c, i in enumerate(idx))
+            t0 = tuple(i - (c == b) for c, i in enumerate(tb))
+            base, leg_a, leg_b = (lattice.get(t) for t in (t0, ta, tb))
+            if base is None or leg_a is None or leg_b is None:
                 continue
-            base, leg_a, leg_b = cells
             try:
                 Rn = bpt_compose_field(base.R, leg_a.R, leg_b.R,
                                        contexts[a].D, contexts[b].D)
@@ -179,15 +188,9 @@ def lattice_build(fg_seed: df.FieldGrid, contexts: dict, extent: tuple,
                 continue
             V1, lam1 = algebraic_transform_qwc(contexts[b], leg_a.V,
                                                leg_a.lam, leg_a.R, Rn)
-            return df.FieldGrid(base.grid, base.kind, V1, lam1, Rn)
-        return None
-
-    for idx in sorted(product(*[range(e) for e in extent]),
-                      key=lambda t: (sum(t), t)):
-        if tuple(idx) in lattice:
-            continue
-        cell = compose_cell(tuple(idx))
-        if cell is None:
-            holes.append(tuple(idx))
-        lattice[tuple(idx)] = cell
+            lattice[idx] = df.FieldGrid(base.grid, base.kind, V1, lam1, Rn)
+            break
+        else:
+            lattice[idx] = None
+            holes.append(idx)
     return lattice, holes

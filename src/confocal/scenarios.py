@@ -353,8 +353,7 @@ def random_state_batch(q, lm, count: int, seed: int):
     else:
         target = -H
     lam = mu * sqrt_branch(target / np.einsum("sj,sj->s", mu, mu))[:, None]
-    R0 = np.stack([sjcore.random_orthogonal(n, seed=seed + 2 * i) for i in range(count)])
-    R1 = np.stack([sjcore.random_orthogonal(n, seed=seed + 2 * i + 1) for i in range(count)])
+    R0, R1 = sjcore.random_orthogonal(n, seed=sjcore.seed_rows(seed, 2, count))
     return V, lam, R0, R1
 
 

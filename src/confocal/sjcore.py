@@ -234,13 +234,27 @@ def orth_complete(rows, m: int, seed: int = 0) -> np.ndarray:
     return np.array(rows + added)
 
 
-def random_orthogonal(m: int, seed: int = 0) -> np.ndarray:
+def seed_rows(seed: int, rows: int, count: int) -> np.ndarray:
+    """Seed array of shape (rows, count) with entry [j, i] = seed + rows i + j:
+    row j seeds the j-th draw of each of count samples.  The entries are
+    Python ints, so a master seed beyond int64 stays exact."""
+    return seed + np.arange(rows * count, dtype=object).reshape(count, rows).T
+
+
+def random_orthogonal(m: int, seed=0) -> np.ndarray:
     """exp(K) for a seeded random complex antisymmetric K with entries bounded
-    by RANDOM_K_SCALE."""
+    by RANDOM_K_SCALE, batched over an integer seed array: a seed array of
+    shape s gives a stack of shape s + (m, m), each entry drawn from its own
+    generator, so it equals the per-seed draw."""
     if m < 1:
         raise ValueError("m must be >= 1")
-    rng = np.random.default_rng(seed)
+    seeds = np.asarray(seed)
     scale = RANDOM_K_SCALE
-    W = rng.uniform(-scale, scale, (m, m)) + 1j * rng.uniform(-scale, scale, (m, m))
-    K = 0.5 * (W - W.T)
+    W = np.empty((seeds.size, m, m), dtype=complex)
+    for i, s in enumerate(seeds.flat):
+        rng = np.random.default_rng(s)
+        W[i] = (rng.uniform(-scale, scale, (m, m))
+                + 1j * rng.uniform(-scale, scale, (m, m)))
+    W = W.reshape(seeds.shape + (m, m))
+    K = 0.5 * (W - np.swapaxes(W, -1, -2))
     return expm(K)

@@ -225,16 +225,17 @@ class TestForms:
         assert ff.residuals["cmp"] < 1e-6
         assert ff.residuals["ricci"] < 1e-6
 
-    def test_h_vectors_orthogonal_with_norm(self, forms32):
+    def test_h_vectors_orthogonal_with_norm(self, soliton32, forms32):
+        # the joined columns are gauged by lambda
         hj = forms32.hj
         G = np.einsum("...ri,...rj->...ij", hj, hj)
-        offdiag = G - forms32.gauge[..., :, None] ** 2 * np.eye(2)
+        offdiag = G - soliton32.lam[..., :, None] ** 2 * np.eye(2)
         assert np.max(np.abs(offdiag)) < 1e-10
 
-    def test_syst0_sum_rule(self, forms32):
-        # sum_j (h0_j)^2 / a_j^2 + 1 = 0
-        s = np.einsum("...j,...j->...", forms32.h0 / forms32.gauge,
-                      forms32.h0 / forms32.gauge)
+    def test_syst0_sum_rule(self, soliton32, forms32):
+        # sum_j (h0_j)^2 / a_j^2 + 1 = 0, with h0 = -i hj[0] and a = lambda
+        h0 = -1j * forms32.hj[..., 0, :]
+        s = np.einsum("...j,...j->...", h0 / soliton32.lam, h0 / soliton32.lam)
         assert np.max(np.abs(s + 1.0)) < 1e-10
 
 
@@ -253,10 +254,11 @@ class TestFrameCompletion:
             assert np.max(np.abs(Si @ Si.T - np.eye(3))) < 1e-12
         assert not np.allclose(S[0, 1], S[1, 1])
 
-    def test_stack_matches_per_node_bitwise(self, forms32):
-        # unit first rows from the forms, random directional derivatives
+    def test_stack_matches_per_node_bitwise(self, soliton32, forms32):
+        # unit first rows from the forms (row 0 of the joined frame is
+        # hj[0] / lambda), random directional derivatives
         rng = np.random.default_rng(4)
-        r = forms32.S[:5, :4, 0, :]
+        r = forms32.hj[:5, :4, 0, :] / soliton32.lam[:5, :4]
         dr = rng.standard_normal((5, 4, 2, 2)) + 1j * rng.standard_normal((5, 4, 2, 2))
         pool = rng.standard_normal((10, 2)) + 1j * rng.standard_normal((10, 2))
         S, dS = df._complete_rows_with_derivs(r, dr, pool)

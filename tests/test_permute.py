@@ -168,20 +168,26 @@ def small_soliton(qwc2, lmap2):
 
 
 class TestLattice:
-    def test_row_column_agreement(self, small_soliton, ctx_a, ctx_b):
+    def test_row_column_agreement(self, small_soliton, ctx_a, ctx_b,
+                                  monkeypatch):
+        # record the holes of both fills: lattice_build's, in axis order, and
+        # the reversed-order fill lattice_order_gap compares against
+        fill, fills = pm._fill, []
+
+        def spy(*args):
+            fills.append(fill(*args))
+            return fills[-1]
+        monkeypatch.setattr(pm, "_fill", spy)
         ctxs = {0: ctx_a, 1: ctx_b}
-        lat_a, holes_a = pm.lattice_build(small_soliton, ctxs, (3, 3), seed=5,
-                                          order_axes=(0, 1))
-        lat_b, holes_b = pm.lattice_build(small_soliton, ctxs, (3, 3), seed=5,
-                                          order_axes=(1, 0))
-        assert not holes_a and not holes_b
-        gap = max(np.max(np.abs(lat_a[k].R - lat_b[k].R)) for k in lat_a)
+        lat, _ = pm.lattice_build(small_soliton, ctxs, (3, 3), seed=5)
+        gap = pm.lattice_order_gap(lat, ctxs)
+        assert [holes for _, holes in fills] == [[], []]
         assert gap < 1e-9
         # every elementary square closes on the scalar identity, and every
         # vertex is orthogonal
         for i in range(2):
             for j in range(2):
-                R0, R1, R2, R3 = (lat_a[(i + a, j + b)].R
+                R0, R1, R2, R3 = (lat[(i + a, j + b)].R
                                   for a, b in ((0, 0), (1, 0), (0, 1), (1, 1)))
                 assert pm.bpt_scalar_identity(R0, R1, R2, R3, ctx_a.D, ctx_b.D,
                                               ctx_a.z, ctx_b.z) < 1e-5
@@ -197,6 +203,23 @@ class TestLattice:
                                  ctx_a, ctx_b, ctx_c)
         assert gap < 1e-8
         assert np.max(np.abs(lat[(1, 1, 1)].R - R7)) < 1e-8
+
+    @pytest.mark.parametrize("extent, runs", [((3, 3), 4), ((2, 2, 2), 3)])
+    def test_chains_integrated_once(self, small_soliton, ctx_a, ctx_b, ctx_c,
+                                    extent, runs, monkeypatch):
+        # one Riccati run per ray cell; the reversed-order fill of the gap
+        # reuses the chains
+        calls = []
+        integrate = pm.integrate_backlund
+
+        def counted(*args):
+            calls.append(args)
+            return integrate(*args)
+        monkeypatch.setattr(pm, "integrate_backlund", counted)
+        ctxs = dict(enumerate((ctx_a, ctx_b, ctx_c)[:len(extent)]))
+        lat, holes = pm.lattice_build(small_soliton, ctxs, extent, seed=5)
+        assert not holes and pm.lattice_order_gap(lat, ctxs) < 1e-8
+        assert len(calls) == runs
 
     def test_holes_reported_not_fatal(self, small_soliton, ctx_a, ctx_b,
                                       monkeypatch):

@@ -153,3 +153,26 @@ class TestCompletions:
         assert np.array_equal(M, random_orthogonal(4, seed=2))
         monkeypatch.setattr(sjcore, "RANDOM_K_SCALE", 0.0)
         assert np.allclose(random_orthogonal(3, seed=1), np.eye(3))
+
+    @settings(max_examples=40, deadline=None)
+    @given(m=st.integers(1, 4), per_sample=st.sampled_from([1, 3]),
+           seeds=st.lists(st.integers(0, 2 ** 40), min_size=1, max_size=6))
+    def test_random_orthogonal_stack_is_per_seed(self, m, per_sample, seeds):
+        # an int64 seed array of shape (k,) or (k, 3) draws the stack of the
+        # per-seed calls, bit for bit; a numpy-int scalar still gives (m, m)
+        arr = np.array(seeds, dtype=np.int64)
+        if per_sample == 3:
+            arr = 3 * arr[:, None] + np.arange(3)
+        stack = random_orthogonal(m, seed=arr)
+        per = np.array([random_orthogonal(m, seed=int(s)) for s in arr.flat])
+        assert stack.shape == arr.shape + (m, m)
+        assert np.array_equal(stack, per.reshape(stack.shape))
+        assert np.array_equal(random_orthogonal(m, seed=arr.flat[0]), per[0])
+
+    def test_seed_rows(self):
+        assert sjcore.seed_rows(7, 3, 2).tolist() == [[7, 10], [8, 11], [9, 12]]
+        big = 2 ** 70
+        rows = sjcore.seed_rows(big, 2, 3)
+        assert rows[1, 2] == big + 5 and type(rows[1, 2]) is int
+        assert np.array_equal(random_orthogonal(2, seed=rows)[1, 2],
+                              random_orthogonal(2, seed=big + 5))
