@@ -18,7 +18,7 @@ import numpy as np
 
 from . import deform as df, numerics, quadric as qd, sjcore
 from .errors import DriftExceeded, StepFailure, UNearZero
-from .numerics import diff1, rk4_step
+from .numerics import diff1, rk4_step, scalar_abs, scalar_mul, stack_apply, stack_dot
 from .sjcore import sqrt_branch
 
 TOL_U = 1e-8
@@ -626,8 +626,7 @@ def leaf_embed(q, lm, ctx: BacklundContext, fg0: df.FieldGrid,
     metric_scaling = float(np.max(np.abs((g01 - gz1) - dv1_gram)))
 
     if frame is None:
-        on_confocal = float(np.max(numerics.scalar_abs(
-            qd.eval_confocal(q, ctx.z, x1))))
+        on_confocal = float(np.max(scalar_abs(qd.eval_confocal(q, ctx.z, x1))))
         x1_vs_ivory = float(np.max(np.abs(x1 - xz1)))
     else:
         on_confocal = None
@@ -679,48 +678,45 @@ def ruling_facet_check(q, lm, ctx: BacklundContext, V0, V1, seed: int = 0):
     completed to O_n(C); the facet cuts the tangent space of x_z along
     w = [x_z tangent frame] (M^T e_1 +- i M^T e_2).
 
-    Per branch combination returns: the first-row unit defect, the coefficient
-    isotropy |M^T e_1 +- i M^T e_2|^2, the ruling condition |w^T A R_z^{-1} w|,
-    the tangency |nhat_z^T w|, and a deliberately non-isotropic negative
-    control.
+    Per branch combination returns, per chart point of V0, V1 (..., n): the
+    first-row unit defect, the coefficient isotropy |M^T e_1 +- i M^T e_2|^2,
+    the ruling condition |w^T A R_z^{-1} w|, the tangency |nhat_z^T w|, and a
+    deliberately non-isotropic negative control, each an array (...).
     """
-    n = q.n
-    V0 = np.asarray(V0, dtype=complex).reshape(n)
-    V1 = np.asarray(V1, dtype=complex).reshape(n)
-    srp = ctx.srp_n()
-    c01 = srp @ V0 - V1 + ctx.ilc
-    H0 = complex(qd.h_chart(q, lm, V0[None, :])[0])
-    denom = ctx.sqrt_z * sqrt_branch(H0)
+    V0 = np.asarray(V0, dtype=complex)
+    V1 = np.asarray(V1, dtype=complex)
+    c01 = stack_apply(ctx.srp_n(), V0) - V1 + ctx.ilc
+    denom = scalar_mul(ctx.sqrt_z, sqrt_branch(qd.h_chart(q, lm, V0)))
     srz = qd.sqrt_rz(q, ctx.z)
     Rzinv = np.linalg.inv(qd.resolvent(q, ctx.z))
     frame = srz @ qd.chart_tangents(q, lm, V1)
-    xz1 = srz @ qd.chart_to_ambient(q, lm, V1) + qd.translation(q, ctx.z)
-    nh = Rzinv @ (q.A @ xz1 + q.B)
-    rows = [srow * 1j * c01 / denom for srow in (+1, -1)]
+    xz1 = stack_apply(srz, qd.chart_to_ambient(q, lm, V1)) + qd.translation(q, ctx.z)
+    nh = stack_apply(Rzinv, stack_apply(q.A, xz1) + q.B)
+    rows = [srow * 1j * c01 / denom[..., None] for srow in (+1, -1)]
     out = []
     for w, rep in _facet_reports(q, Rzinv, frame, rows, seed):
-        rep["tangency"] = float(abs(nh @ w))
+        rep["tangency"] = scalar_abs(stack_dot(nh, w))
         out.append(rep)
     return out
 
 
 def ruling_facet_check_qc(q, ctx: BacklundContext, V0, V1, seed: int = 0):
-    """QC variant of the facet/ruling verification in the stereographic chart.
+    """QC variant of ruling_facet_check in the stereographic chart.
 
     The facet rotation's first row is +-i (|V_1|^2+1) [X_0^T sqrt(R_z)
     dX_1/dv^k]_k / (2 sqrt(z H_0)); the mirrored tangency relation makes it a
     unit row, and the cut direction w = [x_z tangents](M^T e_1 +- i M^T e_2)
     must satisfy the ruling condition w^T A R_z^{-1} w = 0.
     """
-    n = q.n
-    V0 = np.asarray(V0, dtype=complex).reshape(n)
-    V1 = np.asarray(V1, dtype=complex).reshape(n)
+    V0 = np.asarray(V0, dtype=complex)
+    V1 = np.asarray(V1, dtype=complex)
     Rzinv = np.linalg.inv(qd.resolvent(q, ctx.z))
     frame = ctx.srp @ qd.chart_tangents(q, None, V1)
     # X_0 = A^{1/2} x_0 and dX_1 = A^{1/2} dx_1 give X_0^T sqrt(R_z) dX_1 =
     # (A x_0)^T sqrt(R_z) dx_1 = sqrt(H_0) N_0^T frame
     N0, _ = qd.chart_normal_h(q, None, V0)
-    row = 1j * (V1 @ V1 + 1.0) * (N0 @ frame) / (2.0 * ctx.sqrt_z)
+    row = (scalar_mul(1j, stack_dot(V1, V1) + 1.0)[..., None]
+           * (N0[..., None, :] @ frame)[..., 0, :] / (2.0 * ctx.sqrt_z))
     rows = [srow * row for srow in (+1, -1)]
     return [rep for _, rep in _facet_reports(q, Rzinv, frame, rows, seed)]
 
@@ -732,23 +728,28 @@ def _facet_reports(q, Rzinv, frame, rows, seed):
     condition w^T A R_z^{-1} w = 0 next to a non-isotropic negative control.
     Yields (w, report) so callers can add their own entries."""
     n = frame.shape[-1]
+
+    def ruling(v):
+        return scalar_abs(stack_dot(v, stack_apply(q.A, stack_apply(Rzinv, v))))
+
     for srow, row in zip((+1, -1), rows):
-        unit = abs(row @ row - 1.0)
+        r2 = stack_dot(row, row)
+        unit = scalar_abs(r2 - 1.0)
         # the tangency identity makes the row unit up to the field drift;
         # normalize exactly so M is orthogonal to machine precision
-        row = row / sqrt_branch(row @ row)
-        M = sjcore.orth_complete([row], n, seed=seed)
+        M = sjcore.orth_complete(row / np.asarray(sqrt_branch(r2))[..., None],
+                                 n, seed=seed)
         for s2 in (+1, -1):
-            coef = M[0] + s2 * 1j * M[1]
-            w = frame @ coef
-            bad = frame @ (M[0] + 0.5 * M[1])
+            coef = M[..., 0, :] + s2 * 1j * M[..., 1, :]
+            w = stack_apply(frame, coef)
             yield w, {
                 "row_sign": srow,
                 "pair_sign": s2,
-                "row_unit": float(unit),
-                "coefficient_isotropy": float(abs(coef @ coef)),
-                "ruling": float(abs(w @ (q.A @ (Rzinv @ w)))),
-                "negative_control": float(abs(bad @ (q.A @ (Rzinv @ bad)))),
+                "row_unit": unit,
+                "coefficient_isotropy": scalar_abs(stack_dot(coef, coef)),
+                "ruling": ruling(w),
+                "negative_control": ruling(
+                    stack_apply(frame, M[..., 0, :] + 0.5 * M[..., 1, :])),
             }
 
 

@@ -425,15 +425,14 @@ def run_leaf_embed(cfg, q, lm, outdir, checks):
     with checks.stage("ruling_facet_check", picks):
         rng = np.random.default_rng(seed)
         idx = np.indices(grid.shape).reshape(grid.n, -1).T
-        reps = [rep for row in rng.choice(idx, picks, replace=False)
-                for rep in bk.ruling_facet_check(q, lm, ctx, fg.V[tuple(row)],
-                                                 V1[tuple(row)], seed=seed)]
+        sel = tuple(rng.choice(idx, picks, replace=False).T)
+        reps = bk.ruling_facet_check(q, lm, ctx, fg.V[sel], V1[sel], seed=seed)
         for key in ("ruling", "coefficient_isotropy"):
-            checks.add(key, max([0.0] + [r[key] for r in reps]))
+            checks.add(key, float(np.max([r[key] for r in reps])))
         # an at-least bound away from isotropy, which a larger tol_scale
         # would tighten
         checks.add("ruling_negative_control",
-                   min([np.inf] + [r["negative_control"] for r in reps]), 1e-3)
+                   float(np.min([r["negative_control"] for r in reps])), 1e-3)
     with checks.stage("general_leaf", nodes):
         frame = df.seed_frame(q, lm, fg, seed=seed, deformation=True)
         emb_g = bk.leaf_embed(q, lm, ctx, fg, ff, V1, lam1, run.R1, frame=frame)

@@ -20,7 +20,7 @@ from . import numerics, quadric as qd
 from .errors import DegenerateLambda, PrimeIntegralViolation, StepFailure
 from .numerics import (diag_stack, diff1, scalar_mul, stack_apply, stack_dot,
                        stack_lstsq)
-from .sjcore import sqrt_branch
+from .sjcore import candidate_pool, complete_rows, sqrt_branch
 
 TOL_PI = 1e-8
 TOL_DEG = 1e-10
@@ -88,10 +88,6 @@ class FieldGrid:
     @property
     def n(self) -> int:
         return self.V.shape[-1]
-
-    def copy(self) -> "FieldGrid":
-        return FieldGrid(self.grid, self.kind, self.V.copy(), self.lam.copy(),
-                         self.R.copy(), dict(self.meta))
 
 
 # chart-level scalars ------------------------------------------------------------
@@ -331,60 +327,6 @@ def gamma_field(lam, dloglam, dlogsH) -> np.ndarray:
     return G
 
 
-def _candidate_pool(n: int, seed: int) -> np.ndarray:
-    """The seeded fixed candidates the joined frame is completed against."""
-    rng = np.random.default_rng(seed)
-    return rng.standard_normal((n + 8, n)) + 1j * rng.standard_normal((n + 8, n))
-
-
-def _complete_rows_with_derivs(r, dr, pool):
-    """Bilinear Gram-Schmidt completion of unit rows r (..., n), with
-    directional derivatives dr (..., n_dirs, n), against the fixed candidate
-    pool, batched over leading axes.  Returns (S, dS) with S rows
-    orthonormal, S[..., 0, :] = r, dS of shape (..., n_dirs, row, col).  A
-    candidate whose squared norm is below 1e-8 is near isotropic and skipped;
-    one that is near isotropic at some nodes but not at others splits
-    the stack into the nodes that skip it and the nodes that take it, and
-    each group is completed on its own, so each node skips exactly its own
-    candidates (a stack rounds as its nodes one by one)."""
-    n = r.shape[-1]
-    lead = r.shape[:-1]
-    rows = [np.asarray(r, dtype=complex)]
-    drows = [np.asarray(dr, dtype=complex)]
-    for gvec in pool:
-        if len(rows) == n:
-            break
-        w = np.broadcast_to(gvec.astype(complex), lead + (n,)).copy()
-        dw = np.zeros_like(drows[0])
-        for _pass in range(2):  # re-orthogonalize for machine-level defects
-            for b, db in zip(rows, drows):
-                c = stack_dot(b, w)
-                dc = stack_apply(db, w) + stack_apply(dw, b)
-                dw = dw - dc[..., :, None] * b[..., None, :] - c[..., None, None] * db
-                w = w - c[..., None] * b
-        n2 = stack_dot(w, w)
-        skip = np.abs(n2) < 1e-8
-        if np.all(skip):
-            continue
-        if np.any(skip):
-            S = np.empty(lead + (n, n), dtype=complex)
-            dS = np.empty(dr.shape[:-1] + (n, n), dtype=complex)
-            for group in (skip, ~skip):
-                S[group], dS[group] = _complete_rows_with_derivs(
-                    r[group], dr[group], pool)
-            return S, dS
-        dn2 = 2.0 * stack_apply(dw, w)
-        s = np.asarray(sqrt_branch(n2))
-        ds = dn2 / (2.0 * s)[..., None]
-        drows.append(dw / s[..., None, None]
-                     - (ds / scalar_mul(s, s)[..., None])[..., :, None]
-                     * w[..., None, :])
-        rows.append(w / s[..., None])
-    if len(rows) < n:
-        raise DegenerateLambda("could not complete the joined frame")
-    return np.stack(rows, axis=-2), np.stack(drows, axis=-2)
-
-
 def _cmp_solve(hj, dhj, gamma):
     """Least-squares normal connection, batched over leading axes; returns
     (nconn, residual per node).  Each k-system is one stacked least-squares
@@ -441,7 +383,7 @@ def _joined_geometry(lam, H, dlam, dH, pool):
         return gamma, h0, None
     r = -1j * lam / sqH[..., None]
     dr = np.swapaxes((dloglam - dlogsH[..., None, :]) * r[..., :, None], -1, -2)
-    S, dS = _complete_rows_with_derivs(r, dr, pool)
+    S, dS = complete_rows(r, dr, pool)
     hj = S * lam[..., None, :]
     dhj = np.zeros(S.shape[:-2] + (n, n, n), dtype=complex)   # (..., k, comp, j)
     for k in range(n):
@@ -452,14 +394,14 @@ def _joined_geometry(lam, H, dlam, dH, pool):
     return gamma, h0, (S, hj, nconn, res)
 
 
-def forms_assemble(fg: FieldGrid, q, lm, seed: int = 0,
-                   curvature_order: int = 4) -> FundamentalForms:
+def forms_assemble(fg: FieldGrid, q, lm, seed: int = 0) -> FundamentalForms:
     """Assemble joined fundamental forms and G-CMP-R residuals for a field on
     a QWC or IQWC chart (a QC field raises StepFailure).
 
     A zero_soliton field takes H and the derivatives of lambda and H from its
-    ZeroSolitonModel (R = I, diagonal A' block); any other field is
-    differentiated with second-order differences.  Both feed the geometry of
+    ZeroSolitonModel (R = I, diagonal A' block) and differences the normal
+    connection at 4th order; any other field is differentiated with
+    second-order differences throughout.  Both feed the geometry of
     the seed frame (_joined_geometry), whose joined frame S is completed per
     node from a seeded fixed candidate pool, which keeps it smooth in u, and
     whose derivatives are propagated through the Gram-Schmidt chain.
@@ -467,7 +409,8 @@ def forms_assemble(fg: FieldGrid, q, lm, seed: int = 0,
     n = fg.n
     shape = fg.grid.shape
     hs = fg.grid.h
-    mode = "exact" if fg.meta.get("soliton") == "zero" else "fd"
+    exact = fg.meta.get("soliton") == "zero"
+    order = 4 if exact else 2
     if np.min(np.abs(fg.lam)) < TOL_DEG:
         raise DegenerateLambda("lambda_j below tolerance somewhere on the grid")
     pi = float(np.max(prime_integral_residual(fg, q, lm)))
@@ -475,7 +418,7 @@ def forms_assemble(fg: FieldGrid, q, lm, seed: int = 0,
         # the joined frame's first row is unit only on the prime-integral
         # quadric; forms of an off-shell field would be silently meaningless
         raise PrimeIntegralViolation(f"|Lambda|^2 + H = {pi:.3e} on the grid")
-    if mode == "exact":
+    if exact:
         model = ZeroSolitonModel(q, lm)
         H = model.H(fg.V)
         dlam, dH = model.dlam(fg.V), model.dH(fg.V, fg.lam)
@@ -486,13 +429,13 @@ def forms_assemble(fg: FieldGrid, q, lm, seed: int = 0,
     g = metric_field(fg, q, lm)
     ginv = np.linalg.inv(g)
     gamma, h0, (_, hj, nconn, cmp_res) = _joined_geometry(
-        fg.lam, H, dlam, dH, _candidate_pool(n, seed))
+        fg.lam, H, dlam, dH, candidate_pool(n + 8, n, seed))
 
-    if mode == "exact":
+    if exact:
         dgam = _exact_dgamma(fg, model, H)
     else:
         dgam = np.stack(
-            [diff1(gamma, axis=a, h=hs[a], order=curvature_order)
+            [diff1(gamma, axis=a, h=hs[a], order=order)
              for a in range(len(shape))], axis=-4)
     Rjkjk = _curvature_component(gamma, g, dgam)
     gauss0 = np.zeros(shape + (n, n), dtype=complex)
@@ -505,7 +448,7 @@ def forms_assemble(fg: FieldGrid, q, lm, seed: int = 0,
             hsum = np.einsum("...a,...a->...", hj[..., 1:, j], hj[..., 1:, k])
             gaussN[..., j, k] = Rjkjk[..., j, k] - hsum
 
-    ricci = _ricci_residual(nconn, hj, ginv, hs, order=curvature_order)
+    ricci = _ricci_residual(nconn, hj, ginv, hs, order=order)
 
     JO = np.einsum("...rj,...rk->...jk", hj, hj)
     JO = JO - fg.lam[..., :, None] ** 2 * np.eye(n)
@@ -515,11 +458,9 @@ def forms_assemble(fg: FieldGrid, q, lm, seed: int = 0,
         "gauss_base": float(np.max(np.abs(gauss0))),
         "gauss_deform": float(np.max(np.abs(gaussN))),
         "gauss_base_interior": float(np.max(np.abs(gauss0[core]))),
-        "gauss_deform_interior": float(np.max(np.abs(gaussN[core]))),
         "cmp": float(np.max(cmp_res)),
         "ricci": ricci,
         "joined_orthogonality": float(np.max(np.abs(JO))),
-        "mode": mode,
     }
     vf = qd.chart_source(q, lm, fg.V) / H[..., None]
     return FundamentalForms(g, ginv, gamma, hj, nconn, vf, residuals)
@@ -628,7 +569,8 @@ class _SeedFrameModel:
         self.n = q.n
         self.m = 2 * self.n - 1 if deformation else self.n + 1
         self.p = self.n - 1 if deformation else 1
-        self.pool = _candidate_pool(self.n, seed) if deformation else None
+        self.pool = (candidate_pool(self.n + 8, self.n, seed) if deformation
+                     else None)
 
     def geometry(self, V, lam):
         """Metric, inverse metric, Christoffel symbols, second-form rows and

@@ -24,7 +24,6 @@ import functools
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import sqrtm
 
 from . import sjcore
 from .errors import (
@@ -402,7 +401,6 @@ class LMap:
     L: np.ndarray = field(repr=False)
     L_inv: np.ndarray = field(repr=False)
     Aprime: np.ndarray = field(repr=False)
-    seed: int = 0
 
     @property
     def dim(self) -> int:
@@ -431,21 +429,23 @@ def build_lmap(q: QuadricSpec, seed: int = 0) -> LMap:
         L = _inv_sqrt_sj(shifted)
         L_inv = sjcore.sqrt_sj(shifted)
         Aprime = q.A.copy()
-        return LMap(QWC, L, L_inv, Aprime, seed)
+        return LMap(QWC, L, L_inv, Aprime)
     f1 = iso_f(1, m)
     G = q.A + np.outer(f1.conj(), f1.conj())
+    # imported here: scipy.linalg is most of the package's import time
+    from scipy.linalg import sqrtm
     S = sqrtm(G)
     S = 0.5 * (S + S.T)
     if np.max(np.abs(S @ S - G)) > 1e-9:
         raise ValueError("square root of A + conj(f1) conj(f1)^T failed")
     u = S @ f1
-    Q = sjcore.orth_complete([u], m, seed=seed)
+    Q = sjcore.orth_complete(u, m, seed=seed)
     perm = list(range(1, m)) + [0]
     R = Q.T[:, perm]
     L_inv = R.T @ S
     L = np.linalg.solve(S, R)
     Aprime = L.T @ q.A @ q.A @ L
-    return LMap(IQWC, L, L_inv, Aprime, seed)
+    return LMap(IQWC, L, L_inv, Aprime)
 
 
 def canonicalize_lmap(q: QuadricSpec, lm: LMap):
@@ -480,7 +480,7 @@ def canonicalize_lmap(q: QuadricSpec, lm: LMap):
     L = lm.L @ P
     L_inv = P.T @ lm.L_inv
     Aprime = P.T @ lm.Aprime @ P
-    return LMap(IQWC, L, L_inv, Aprime, lm.seed), True
+    return LMap(IQWC, L, L_inv, Aprime), True
 
 
 @functools.lru_cache(maxsize=64)

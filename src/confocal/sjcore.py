@@ -12,9 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
 
 from .errors import IsotropicEncounter, SingularConfocal, ZeroEigenvalue
+from .numerics import scalar_mul, stack_apply, stack_dot
 
 TOL_ORTH = 1e-10
 TOL_SINGULAR = 1e-12
@@ -181,57 +181,72 @@ def check_orthogonal(M: np.ndarray, tol: float = TOL_ORTH, what: str = "matrix")
     return M
 
 
-def gs_complete(rows, cands):
-    """Bilinear Gram-Schmidt: extend `rows` (unit, pairwise orthogonal) by
-    normalized projections of the candidate vectors, skipping candidates whose
-    projection is near-isotropic (|w^T w| < 1e-8).  Returns the list of
-    appended rows.
-    """
-    basis = [np.asarray(r, dtype=complex) for r in rows]
-    m = basis[0].shape[0] if basis else (cands[0].shape[0] if len(cands) else 0)
-    added = []
-    for g in cands:
-        if len(basis) == m:
-            break
-        w = g.astype(complex).copy()
-        for b in basis:
-            w = w - (b @ w) * b
-        n2 = w @ w
-        if abs(n2) < 1e-8:
-            continue
-        w = w / sqrt_branch(n2)
-        basis.append(w)
-        added.append(w)
-    return added
-
-
-def orth_complete(rows, m: int, seed: int = 0) -> np.ndarray:
-    """Complete the given bilinear-orthonormal rows to M in O_m(C).
-
-    The supplied rows become the first rows of M; the rest are drawn from a
-    seeded complex Gaussian pool and bilinear Gram-Schmidt'ed.  Deterministic
-    per seed.  Raises IsotropicEncounter if a supplied row is isotropic /
-    non-orthogonal, or if the EXTRA_DRAWS spare candidates all project to
-    near-isotropic vectors.
-    """
-    rows = [np.asarray(r, dtype=complex).reshape(m) for r in rows]
-    for i, r in enumerate(rows):
-        if abs(r @ r - 1.0) > 1e-6:
-            raise IsotropicEncounter(f"prescribed row {i} has r^T r = {r @ r}, want 1")
-        for k in range(i):
-            if abs(rows[k] @ r) > 1e-6:
-                raise IsotropicEncounter(f"prescribed rows {k},{i} not bilinear-orthogonal")
+def candidate_pool(count: int, m: int, seed: int) -> np.ndarray:
+    """count seeded complex Gaussian candidate rows (count, m) for
+    complete_rows."""
     rng = np.random.default_rng(seed)
-    need = m - len(rows)
-    pool = rng.standard_normal((need + EXTRA_DRAWS, m)) + 1j * rng.standard_normal(
-        (need + EXTRA_DRAWS, m)
-    )
-    added = gs_complete(rows, pool)
-    if len(rows) + len(added) < m:
-        raise IsotropicEncounter(
-            f"could not complete to O_{m}(C) after {EXTRA_DRAWS} extra draws"
-        )
-    return np.array(rows + added)
+    return rng.standard_normal((count, m)) + 1j * rng.standard_normal((count, m))
+
+
+def complete_rows(r, dr, pool):
+    """Bilinear Gram-Schmidt completion of unit rows r (..., n), with
+    directional derivatives dr (..., n_dirs, n), against the fixed candidate
+    pool, batched over leading axes.  Returns (S, dS) with S rows
+    orthonormal, S[..., 0, :] = r, dS of shape (..., n_dirs, row, col).  A
+    candidate whose squared norm is below 1e-8 is near isotropic and skipped;
+    one that is near isotropic at some nodes but not at others splits
+    the stack into the nodes that skip it and the nodes that take it, and
+    each group is completed on its own, so each node skips exactly its own
+    candidates (a stack rounds as its nodes one by one)."""
+    n = r.shape[-1]
+    lead = r.shape[:-1]
+    rows = [np.asarray(r, dtype=complex)]
+    drows = [np.asarray(dr, dtype=complex)]
+    for gvec in pool:
+        if len(rows) == n:
+            break
+        w = np.broadcast_to(gvec.astype(complex), lead + (n,)).copy()
+        dw = np.zeros_like(drows[0])
+        for _pass in range(2):  # re-orthogonalize for machine-level defects
+            for b, db in zip(rows, drows):
+                c = stack_dot(b, w)
+                dc = stack_apply(db, w) + stack_apply(dw, b)
+                dw = dw - dc[..., :, None] * b[..., None, :] - c[..., None, None] * db
+                w = w - c[..., None] * b
+        n2 = stack_dot(w, w)
+        skip = np.abs(n2) < 1e-8
+        if np.all(skip):
+            continue
+        if np.any(skip):
+            S = np.empty(lead + (n, n), dtype=complex)
+            dS = np.empty(dr.shape[:-1] + (n, n), dtype=complex)
+            for group in (skip, ~skip):
+                S[group], dS[group] = complete_rows(r[group], dr[group], pool)
+            return S, dS
+        dn2 = 2.0 * stack_apply(dw, w)
+        s = np.asarray(sqrt_branch(n2))
+        ds = dn2 / (2.0 * s)[..., None]
+        drows.append(dw / s[..., None, None]
+                     - (ds / scalar_mul(s, s)[..., None])[..., :, None]
+                     * w[..., None, :])
+        rows.append(w / s[..., None])
+    if len(rows) < n:
+        raise IsotropicEncounter(f"{len(pool)} candidates do not complete O_{n}(C)")
+    return np.stack(rows, axis=-2), np.stack(drows, axis=-2)
+
+
+def orth_complete(row, m: int, seed: int = 0) -> np.ndarray:
+    """Complete unit rows (..., m) to M (..., m, m) in O_m(C), M[..., 0, :] =
+    row: complete_rows against a seeded pool of m - 1 + EXTRA_DRAWS
+    candidates.  Raises IsotropicEncounter if some row is not unit or cannot
+    be completed."""
+    row = np.asarray(row, dtype=complex)
+    defect = np.max(np.abs(stack_dot(row, row) - 1.0))
+    if defect > 1e-6:
+        raise IsotropicEncounter(f"prescribed rows have |r^T r - 1| = {defect:.3e}")
+    dr = np.zeros(row.shape[:-1] + (0, m), dtype=complex)
+    M, _ = complete_rows(row, dr, candidate_pool(m - 1 + EXTRA_DRAWS, m, seed))
+    return M
 
 
 def seed_rows(seed: int, rows: int, count: int) -> np.ndarray:
@@ -257,4 +272,7 @@ def random_orthogonal(m: int, seed=0) -> np.ndarray:
                 + 1j * rng.uniform(-scale, scale, (m, m)))
     W = W.reshape(seeds.shape + (m, m))
     K = 0.5 * (W - np.swapaxes(W, -1, -2))
+    # imported here: scipy.linalg is most of the package's import time, and
+    # only random_orthogonal and quadric.build_lmap need it
+    from scipy.linalg import expm
     return expm(K)

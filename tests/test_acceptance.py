@@ -256,12 +256,12 @@ def test_criterion_11_gcmpr(qwc2, lmap2, forms32, leaf32, soliton64,
     r3 = ff3.residuals
     worst_n3 = max(r3["gauss_base"], r3["gauss_deform"], r3["cmp"],
                    r3["ricci"])
-    # leaf forms converge at O(h^2)
-    ff_leaf = df.forms_assemble(leaf32, qwc2, lmap2, seed=11, curvature_order=2)
+    # leaf forms are second-order differences and converge at O(h^2)
+    ff_leaf = df.forms_assemble(leaf32, qwc2, lmap2, seed=11)
     V1, lam1 = bk.algebraic_transform_qwc(ctx_a, soliton64.V, soliton64.lam,
                                           soliton64.R, riccati64.R1)
     leaf64 = df.FieldGrid(soliton64.grid, qwc2.kind, V1, lam1, riccati64.R1, {})
-    ff_leaf2 = df.forms_assemble(leaf64, qwc2, lmap2, seed=11, curvature_order=2)
+    ff_leaf2 = df.forms_assemble(leaf64, qwc2, lmap2, seed=11)
     # interior restriction: double one-sided differencing at the boundary
     # layers drops an order there, the leaf claim is the O(h^2) floor
     ratio = (ff_leaf.residuals["gauss_base_interior"]

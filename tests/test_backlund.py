@@ -431,6 +431,26 @@ class TestRulingFacet:
             assert rep["tangency"] < 1e-8
             assert rep["negative_control"] > 1e-2
 
+    def test_stack_is_per_node(self, qwc2, lmap2, ctx_a, soliton32, leaf32,
+                               qc3):
+        # a batched call reports, entry by entry, the bits of one-node calls
+        ctx_qc = bk.make_context(qc3, 0.27 + 0.17j)
+        V, lam, R0, R1 = sc.random_state_batch(qc3, None, 6, seed=51)
+        V1, _ = bk.algebraic_transform_qc(ctx_qc, V, lam, R0, R1)
+        cases = [(functools.partial(bk.ruling_facet_check, qwc2, lmap2, ctx_a),
+                  soliton32.V[:3, 10:12], leaf32.V[:3, 10:12]),
+                 (functools.partial(bk.ruling_facet_check_qc, qc3, ctx_qc),
+                  V.reshape(2, 3, -1), V1.reshape(2, 3, -1))]
+        for check, V0s, V1s in cases:
+            stack = check(V0s, V1s, seed=3)
+            for idx in np.ndindex(*V0s.shape[:-1]):
+                for rep, one in zip(stack, check(V0s[idx], V1s[idx], seed=3),
+                                    strict=True):
+                    assert rep.keys() == one.keys()
+                    for key, val in one.items():
+                        part = np.broadcast_to(rep[key], V0s.shape[:-1])[idx]
+                        assert np.array_equal(part, val)
+
 
 class TestAsymptotic:
     def test_seed_and_leaf_agree(self, forms32, qwc2, lmap2, leaf32):

@@ -2,10 +2,12 @@
 closed-form oscillator oracle, system residuals, fundamental forms against
 metric finite differences, and Gauss-Weingarten frame integration."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
-from confocal import deform as df, quadric as qd, scenarios as sc
+from confocal import deform as df, quadric as qd, scenarios as sc, sjcore
 from confocal.errors import PrimeIntegralViolation, StepFailure
 from confocal.numerics import diff1
 from conftest import standard_quadric
@@ -110,7 +112,7 @@ class TestPetersonAdmissible:
     def test_offdiagonal_false(self, qwc2, lmap2):
         Ap = lmap2.Aprime.copy()
         Ap[0, 1] = Ap[1, 0] = 0.1
-        fake = qd.LMap(lmap2.kind, lmap2.L, lmap2.L_inv, Ap, lmap2.seed)
+        fake = qd.LMap(lmap2.kind, lmap2.L, lmap2.L_inv, Ap)
         ok, res = df.peterson_admissible(qwc2, fake)
         assert not ok and abs(res - 0.1) < 1e-15
 
@@ -148,8 +150,7 @@ class TestSystemResidual:
             df.system_residual(fg, qc3, None)
 
     def test_constraint_violation_flagged(self, qwc2, lmap2, soliton32):
-        bad = soliton32.copy()
-        bad.lam = bad.lam * 1.01
+        bad = dataclasses.replace(soliton32, lam=soliton32.lam * 1.01)
         assert np.max(df.prime_integral_residual(bad, qwc2, lmap2)) > 1e-3
         assert np.max(df.prime_integral_residual(soliton32, qwc2, lmap2)) < 1e-8
 
@@ -247,9 +248,9 @@ class TestFrameCompletion:
         rng = np.random.default_rng(2)
         dr = rng.standard_normal((2, 3, 3)) + 1j * rng.standard_normal((2, 3, 3))
         pool = np.vstack([[5.0, 1.0, 1j], rng.standard_normal((4, 3))])
-        S, dS = df._complete_rows_with_derivs(r, dr, pool)
+        S, dS = sjcore.complete_rows(r, dr, pool)
         for i in range(2):
-            Si, dSi = df._complete_rows_with_derivs(r[i], dr[i], pool)
+            Si, dSi = sjcore.complete_rows(r[i], dr[i], pool)
             assert np.array_equal(S[i], Si) and np.array_equal(dS[i], dSi)
             assert np.max(np.abs(Si @ Si.T - np.eye(3))) < 1e-12
         assert not np.allclose(S[0, 1], S[1, 1])
@@ -261,9 +262,9 @@ class TestFrameCompletion:
         r = forms32.hj[:5, :4, 0, :] / soliton32.lam[:5, :4]
         dr = rng.standard_normal((5, 4, 2, 2)) + 1j * rng.standard_normal((5, 4, 2, 2))
         pool = rng.standard_normal((10, 2)) + 1j * rng.standard_normal((10, 2))
-        S, dS = df._complete_rows_with_derivs(r, dr, pool)
+        S, dS = sjcore.complete_rows(r, dr, pool)
         for idx in np.ndindex(5, 4):
-            Si, dSi = df._complete_rows_with_derivs(r[idx], dr[idx], pool)
+            Si, dSi = sjcore.complete_rows(r[idx], dr[idx], pool)
             assert np.array_equal(S[idx], Si) and np.array_equal(dS[idx], dSi)
 
     def test_split_at_two_successive_candidates(self, monkeypatch):
@@ -276,19 +277,19 @@ class TestFrameCompletion:
         dr = rng.standard_normal((2, 3, 3, 3)) + 1j * rng.standard_normal((2, 3, 3, 3))
         pool = np.vstack([[5.0, 1.0, 1j], [0.0, 1.0, 0.0], rng.standard_normal((4, 3))])
         calls = []
-        complete = df._complete_rows_with_derivs
+        complete = sjcore.complete_rows
 
         def counted(r, *args):
             calls.append(r.shape[:-1])
             return complete(r, *args)
 
-        monkeypatch.setattr(df, "_complete_rows_with_derivs", counted)
-        S, dS = df._complete_rows_with_derivs(r, dr, pool)
+        monkeypatch.setattr(sjcore, "complete_rows", counted)
+        S, dS = sjcore.complete_rows(r, dr, pool)
         # the whole stack, then the skip and take groups of each split
         assert calls == [(2, 3), (2,), (4,), (2,), (2,)]
-        monkeypatch.setattr(df, "_complete_rows_with_derivs", complete)
+        monkeypatch.setattr(sjcore, "complete_rows", complete)
         for idx in np.ndindex(2, 3):
-            Si, dSi = df._complete_rows_with_derivs(r[idx], dr[idx], pool)
+            Si, dSi = sjcore.complete_rows(r[idx], dr[idx], pool)
             assert np.array_equal(S[idx], Si) and np.array_equal(dS[idx], dSi)
             assert np.max(np.abs(Si @ Si.T - np.eye(3))) < 1e-12
 
@@ -428,9 +429,7 @@ class TestExactCurvatureDerivatives:
 
 class TestFormsPrecondition:
     def test_off_shell_field_rejected(self, qwc2, lmap2, soliton32):
-        bad = soliton32.copy()
-        bad.lam = bad.lam * 1.05
-        bad.meta = {}
+        bad = dataclasses.replace(soliton32, lam=soliton32.lam * 1.05, meta={})
         with pytest.raises(PrimeIntegralViolation):
             df.forms_assemble(bad, qwc2, lmap2, seed=1)
 

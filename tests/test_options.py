@@ -10,8 +10,6 @@ ROOT = Path(__file__).resolve().parents[1]
 
 SET_OUTSIDE_SRC = {
     ("cli", "main", "argv"): "console entry point; tests pass argv",
-    ("deform", "forms_assemble", "curvature_order"):
-        "acceptance criterion 11 sets 2 on the leaf forms",
     ("backlund", "ruling_facet_check_qc", "seed"):
         "no src/ caller until backlund-qc runs the QC ruling check",
 }

@@ -31,8 +31,6 @@ REACHED_ELSEWHERE = {
                          "guard; the scenarios apply sqrt(R_z) to stacks",
     "backlund.ruling_facet_check_qc": "the QC ruling/facet check, which "
                                       "backlund-qc does not run yet",
-    "deform.FieldGrid.copy": "public copy of a field, for callers that "
-                             "perturb one",
     "numerics._lstsq_failed": "numpy calls it only when an SVD does not "
                               "converge",
 }

@@ -129,23 +129,42 @@ class TestSqrtResolvent:
 class TestCompletions:
     def test_prescribed_row(self):
         e1 = np.array([1.0, 0.0], dtype=complex)
-        M = orth_complete([e1], 2, seed=9)
+        M = orth_complete(e1, 2, seed=9)
         assert np.max(np.abs(M[0] - e1)) < 1e-15
-        assert sjcore.orth_defect(M) < 1e-12
-
-    def test_empty_rows(self):
-        M = orth_complete([], 3, seed=5)
         assert sjcore.orth_defect(M) < 1e-12
 
     def test_isotropic_row_raises(self):
         f1 = np.array([1.0, 1.0j], dtype=complex) / np.sqrt(2)
         with pytest.raises(IsotropicEncounter):
-            orth_complete([f1], 2, seed=0)
+            orth_complete(f1, 2, seed=0)
+
+    def test_failed_completion_raises(self):
+        # [5, 1, i] - (e_1 . g) e_1 = [0, 1, i] is isotropic: no second row
+        e1 = np.array([1.0, 0.0, 0.0], dtype=complex)
+        with pytest.raises(IsotropicEncounter):
+            sjcore.complete_rows(e1, np.zeros((0, 3)), np.array([[5.0, 1.0, 1j]]))
 
     def test_deterministic(self):
-        a = orth_complete([], 4, seed=13)
-        b = orth_complete([], 4, seed=13)
+        row = np.array([0.8, 0.0, 0.6j, 0.0], dtype=complex) / np.sqrt(0.28)
+        a = orth_complete(row, 4, seed=13)
+        b = orth_complete(row, 4, seed=13)
         assert np.array_equal(a, b)
+
+    @settings(max_examples=40, deadline=None)
+    @given(m=st.integers(2, 4), shape=st.sampled_from([(1,), (5,), (2, 3)]),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_stack_is_per_node(self, m, shape, seed):
+        # a stack of unit rows completes node by node, bit for bit
+        rng = np.random.default_rng(seed)
+        v = rng.standard_normal(shape + (m,)) + 1j * rng.standard_normal(shape + (m,))
+        row = v / np.asarray(sqrt_branch(np.einsum("...i,...i->...", v, v)))[..., None]
+        M = orth_complete(row, m, seed=seed)
+        assert M.shape == shape + (m, m)
+        for idx in np.ndindex(*shape):
+            Mi = orth_complete(row[idx], m, seed=seed)
+            assert np.array_equal(M[idx], Mi)
+            assert np.array_equal(Mi[0], row[idx])
+            assert np.max(np.abs(Mi @ Mi.T - np.eye(m))) < 1e-12
 
     def test_random_orthogonal(self, monkeypatch):
         M = random_orthogonal(4, seed=2)
