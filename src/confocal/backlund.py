@@ -124,7 +124,7 @@ def qc_aux(ctx: BacklundContext) -> QCAux:
     n = ctx.n
     e = qd.basis_vec(n, n + 1)
     srz = ctx.srp
-    return QCAux(srz[:n, :n] / ctx.sqrt_z, (srz @ e)[:n] / ctx.sqrt_z,
+    return QCAux(ctx.D, (srz @ e)[:n] / ctx.sqrt_z,
                  (srz @ e)[:n], complex(e @ (srz @ e)))
 
 
@@ -152,29 +152,33 @@ def riccati_rhs_qwc(ctx: BacklundContext, k: int, R0: np.ndarray | None,
 
 def riccati_rhs_qc(ctx: BacklundContext, k: int, V0, lam0, R0, omega0_k, R1,
                    aux: QCAux) -> np.ndarray:
-    """dR_1/du^k for the QC Riccati equation in the compact M/N/W/U form, with
-    aux = qc_aux(ctx); raises UNearZero where |U| < TOL_U."""
-    n = ctx.n
-    U = complex(aux.U(V0))
-    if abs(U) < TOL_U:
-        raise UNearZero(f"|U| = {abs(U):.3e}")
-    M = aux.M(V0)
+    """dR_1/du^k for the QC Riccati equation in the compact M/N/W/U form,
+    batched over leading axes (V0, lam0 (..., n); R0, omega0_k, R1
+    (..., n, n)), with aux = qc_aux(ctx); raises UNearZero where any
+    |U| < TOL_U.
+
+    R_1 E_k R_0^T is the outer product r1 r0^T of the k-th columns, so with
+    c = (2/U) W^T r0, -dR_1/du^k is R_1 omega_0 plus the rank-one
+    r1 (c (lam0 + R_1^T N) - 2 R_1^T M r0)^T, plus 2 M r0 - c (R_1 lam0 + N)
+    in column k."""
+    U = aux.U(V0)
+    if np.min(np.abs(U)) < TOL_U:
+        raise UNearZero(f"min |U| = {np.min(np.abs(U)):.3e}")
     N = aux.N(V0)
-    W = aux.W(V0)
-    Ek = np.zeros((n, n), dtype=complex)
-    Ek[k, k] = 1.0
-    rhs = (R1 @ omega0_k
-           + 2.0 * M @ R0 @ Ek
-           - 2.0 * R1 @ Ek @ R0.T @ M.T @ R1
-           + (2.0 / U) * R1 @ Ek @ R0.T @ np.outer(W, lam0 + R1.T @ N)
-           - (2.0 / U) * np.outer(R1 @ lam0 + N, W) @ R0 @ Ek)
+    r0, r1 = R0[..., :, k], R1[..., :, k]
+    Mr0 = stack_apply(aux.M(V0), r0)
+    c = 2.0 / U * stack_dot(aux.W(V0), r0)
+    R1t = np.swapaxes(R1, -1, -2)
+    row = c[..., None] * (lam0 + stack_apply(R1t, N)) - 2.0 * stack_apply(R1t, Mr0)
+    rhs = R1 @ omega0_k + r1[..., :, None] * row[..., None, :]
+    rhs[..., :, k] += 2.0 * Mr0 - c[..., None] * (stack_apply(R1, lam0) + N)
     return -rhs
 
 
 def riccati_rhs_qc_expanded(ctx: BacklundContext, k: int, V0, lam0, R0,
                             omega0_k, R1) -> np.ndarray:
-    """Literal transcription of the expanded QC Riccati display; kept as a
-    cross-check oracle for the compact form."""
+    """Literal transcription of the expanded QC Riccati display, batched over
+    leading axes; kept as a cross-check oracle for the compact form."""
     n = ctx.n
     m = n + 1
     srz = ctx.srp
@@ -183,31 +187,32 @@ def riccati_rhs_qc_expanded(ctx: BacklundContext, k: int, V0, lam0, R0,
     I1n = np.eye(m, dtype=complex)
     I1n[m - 1, m - 1] = 0.0
     V = qd.embed(V0, m)
-    v2 = complex(V0 @ V0)
-    Xh = 2.0 * V + (v2 - 1.0) * e
-    U = complex(e @ (srz @ Xh) - v2 - 1.0)
-    if abs(U) < TOL_U:
-        raise UNearZero(f"|U| = {abs(U):.3e}")
+    v2 = stack_dot(V0, V0)
+    Xh = 2.0 * V + (v2 - 1.0)[..., None] * e
+    U = stack_dot(e, stack_apply(srz, Xh)) - v2 - 1.0
+    if np.min(np.abs(U)) < TOL_U:
+        raise UNearZero(f"min |U| = {np.min(np.abs(U)):.3e}")
     lamv = qd.embed(lam0, m)
-    R0e = np.zeros((m, m), dtype=complex)
-    R0e[:n, :n] = R0
-    R1e = np.zeros((m, m), dtype=complex)
-    R1e[:n, :n] = R1
-    om = np.zeros((m, m), dtype=complex)
-    om[:n, :n] = omega0_k
+    # zero-padded into m x m on the last two axes
+    R0e, R1e, om = (np.pad(X, [(0, 0)] * (X.ndim - 2) + [(0, 1)] * 2)
+                    for X in (R0, R1, omega0_k))
+    R0eT = np.swapaxes(R0e, -1, -2)
     Ek = np.zeros((m, m), dtype=complex)
     Ek[k, k] = 1.0
-    left = I1n + np.outer(V, e)
+    left = I1n + V[..., :, None] * e
+    right = I1n + e[:, None] * V[..., None, :]
     t1 = R1e @ om
-    t2 = 2.0 * I1n @ (srz / sz) @ (I1n + np.outer(e, V)) @ R0e @ Ek
-    t3 = -2.0 * R1e @ Ek @ R0e.T @ left @ (srz / sz) @ R1e
-    row = lamv + (Xh @ (srz / sz)) @ R1e
-    colW = left @ (srz @ e) - V
-    t4 = (2.0 / U) * R1e @ Ek @ R0e.T @ np.outer(colW, row)
-    rowW = (e @ srz) @ (I1n + np.outer(e, V)) - V
-    colN = R1e @ lamv + I1n @ (srz / sz) @ Xh
-    t5 = -(2.0 / U) * np.outer(colN, rowW) @ R0e @ Ek
-    return -((t1 + t2 + t3 + t4 + t5)[:n, :n])
+    t2 = 2.0 * I1n @ (srz / sz) @ right @ R0e @ Ek
+    t3 = -2.0 * R1e @ Ek @ R0eT @ left @ (srz / sz) @ R1e
+    row = lamv + (Xh[..., None, :] @ (srz / sz) @ R1e)[..., 0, :]
+    colW = stack_apply(left, srz @ e) - V
+    t4 = ((2.0 / U)[..., None, None] * R1e @ Ek @ R0eT
+          @ (colW[..., :, None] * row[..., None, :]))
+    rowW = (e @ srz) @ right - V
+    colN = stack_apply(R1e, lamv) + stack_apply(I1n @ (srz / sz), Xh)
+    t5 = (-(2.0 / U)[..., None, None] * (colN[..., :, None] * rowW[..., None, :])
+          @ R0e @ Ek)
+    return -((t1 + t2 + t3 + t4 + t5)[..., :n, :n])
 
 
 # Riccati integration over grids -------------------------------------------------------
@@ -343,19 +348,17 @@ def _general_seed_rhs(fg: df.FieldGrid, ctx: BacklundContext, omega):
     return rhs_of_axis
 
 
-def integrate_backlund_qc_line(q, z, V0_base, lam0_base, R1_base,
-                               length: float, steps: int):
-    """Integrate the QC Riccati equation along the u^1 line on the principal
-    sqrt(z) branch, jointly with the seed line data (R_0 = I).  Near the
-    U = 0 locus a step is retried with up to 8 halvings of its substep; if
-    |U| stays below TOL_U the reachable part of the line is returned with
-    ok=False.
+def integrate_backlund_qc_line(ctx: BacklundContext, V0_base, lam0_base,
+                               R1_base, length: float, steps: int):
+    """Integrate the QC Riccati equation of ctx along the u^1 line, jointly
+    with the seed line data (R_0 = I).  Near the U = 0 locus a step is retried
+    with up to 8 halvings of its substep; if |U| stays below TOL_U the
+    reachable part of the line is returned with ok=False.
 
-    Returns (states, ctx, ok) with states[i] = concat(V0, lam0, R1.ravel()).
+    Returns (states, ok) with states[i] = concat(V0, lam0, R1.ravel()).
     """
-    ctx = make_context(q, z)
     aux = qc_aux(ctx)
-    n = q.n
+    q, n = ctx.q, ctx.n
     V0_base = np.asarray(V0_base, dtype=complex).reshape(n)
     lam0_base = np.asarray(lam0_base, dtype=complex).reshape(n)
     sjcore.check_orthogonal(R1_base, 1e-8, "R1 base value")
@@ -390,11 +393,11 @@ def integrate_backlund_qc_line(q, z, V0_base, lam0_base, R1_base,
                 yk = None
                 sub *= 2
         if yk is None:
-            return np.array(out), ctx, False
+            return np.array(out), False
         y = yk
         t += h
         out.append(y)
-    return np.array(out), ctx, True
+    return np.array(out), True
 
 
 # algebraic transforms ----------------------------------------------------------------

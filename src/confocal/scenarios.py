@@ -17,13 +17,8 @@ from .sjcore import sqrt_branch
 
 # The verbatim default tolerance table embedded in every report.
 TOLERANCES = {
-    "sj_sqrt_roundtrip": 1e-12,
-    "sj_commute": 1e-12,
-    "orth_defect": 1e-10,
     "ivory_identities": 1e-10,
     "lame_orthogonality": 1e-10,
-    "lmap_invariants": 1e-9,
-    "translation_on_paraboloid": 1e-9,
     "elliptic_backward": 1e-8,
     "prime_integral_drift": 1e-8,
     "defqwc_soliton": 1e-8,

@@ -210,6 +210,16 @@ class TestRiccatiRHSReference:
             bk.integrate_backlund(soliton32, ctx, np.eye(2, dtype=complex))
 
 
+# QC Riccati stacks: 1x1 blocks and a Jordan block, at n = 2 and n = 3
+QC_STACK_QUADRICS = {
+    "qc2": lambda: qd.qc_quadric([(1.0, 1), (1.3 + 0.1j, 1), (0.8 - 0.2j, 1)]),
+    "qc3": lambda: qd.qc_quadric([(1.0, 1), (1.3 + 0.1j, 1), (0.8 - 0.2j, 1),
+                                  (1.6, 1)]),
+    "qc2_jordan": lambda: qd.qc_quadric([(1.0, 2), (1.3 + 0.1j, 1)]),
+    "qc3_jordan": lambda: qd.qc_quadric([(1.0, 2), (1.3 + 0.1j, 1), (0.8, 1)]),
+}
+
+
 class TestQCRiccati:
     def test_sphere_u_closed_form(self):
         q = qd.qc_quadric([(1.0, 1)] * 3)
@@ -224,17 +234,60 @@ class TestQCRiccati:
         aux = bk.qc_aux(ctx)
         rng = np.random.default_rng(2)
         n = qc3.n
-        for i in range(12):
-            V0 = 0.4 * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
-            lam0 = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-            R0 = random_orthogonal(n, seed=40 + i)
-            R1 = random_orthogonal(n, seed=80 + i)
-            om = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-            om = om - om.T
-            for k in range(n):
-                a = bk.riccati_rhs_qc(ctx, k, V0, lam0, R0, om, R1, aux)
-                b = bk.riccati_rhs_qc_expanded(ctx, k, V0, lam0, R0, om, R1)
-                assert np.max(np.abs(a - b)) < 1e-12
+        V0 = 0.4 * (rng.standard_normal((12, n)) + 1j * rng.standard_normal((12, n)))
+        lam0 = rng.standard_normal((12, n)) + 1j * rng.standard_normal((12, n))
+        R0 = random_orthogonal(n, seed=40 + np.arange(12))
+        R1 = random_orthogonal(n, seed=80 + np.arange(12))
+        om = rng.standard_normal((12, n, n)) + 1j * rng.standard_normal((12, n, n))
+        om = om - np.swapaxes(om, -1, -2)
+        for k in range(n):
+            a = bk.riccati_rhs_qc(ctx, k, V0, lam0, R0, om, R1, aux)
+            b = bk.riccati_rhs_qc_expanded(ctx, k, V0, lam0, R0, om, R1)
+            assert a.shape == (12, n, n)
+            assert np.max(np.abs(a - b)) < 1e-12
+
+    @given(st.sampled_from(sorted(QC_STACK_QUADRICS)),
+           st.sampled_from([(1,), (5,), (2, 3)]), st.integers(0, 2**31 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_stack_is_per_point(self, name, shape, seed):
+        # the oracle has the bits of one-point calls; the compact form's
+        # QCAux einsums round by stack shape, so it agrees to round-off
+        q = QC_STACK_QUADRICS[name]()
+        n = q.n
+        ctx = bk.make_context(q, 0.25 - 0.4j)
+        aux = bk.qc_aux(ctx)
+        rng = np.random.default_rng(seed)
+
+        def cplx(*s):
+            return rng.standard_normal(s) + 1j * rng.standard_normal(s)
+
+        seeds = rng.integers(0, 2**31, (2,) + shape)
+        R0, R1 = random_orthogonal(n, seed=seeds)
+        V0, lam0, om = 0.4 * cplx(*shape, n), cplx(*shape, n), cplx(*shape, n, n)
+        om = om - np.swapaxes(om, -1, -2)
+        for k in range(n):
+            a = bk.riccati_rhs_qc(ctx, k, V0, lam0, R0, om, R1, aux)
+            b = bk.riccati_rhs_qc_expanded(ctx, k, V0, lam0, R0, om, R1)
+            assert np.all(np.abs(a - b) <= 1e-14 * (1 + np.abs(b)))
+            for idx in np.ndindex(*shape):
+                one = (V0[idx], lam0[idx], R0[idx], om[idx], R1[idx])
+                a1 = bk.riccati_rhs_qc(ctx, k, *one, aux)
+                assert np.all(np.abs(a[idx] - a1) <= 1e-14 * (1 + np.abs(a1)))
+                assert np.array_equal(b[idx], bk.riccati_rhs_qc_expanded(ctx, k, *one))
+
+    @given(st.integers(1, 100), st.sampled_from([2, 3]), st.integers(0, 2**31 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_batched_draw_is_the_per_pick_loop(self, picks, n, seed):
+        # backlund-qc draws all its (V0, lam0) picks in one call
+        loop, batch = np.random.default_rng(seed), np.random.default_rng(seed)
+        V0, lam0 = [], []
+        for _ in range(picks):
+            V0.append(0.4 * (loop.standard_normal(n) + 1j * loop.standard_normal(n)))
+            lam0.append(loop.standard_normal(n) + 1j * loop.standard_normal(n))
+        g = batch.standard_normal((picks, 4, n))
+        assert np.array_equal(0.4 * (g[:, 0] + 1j * g[:, 1]), np.array(V0))
+        assert np.array_equal(g[:, 2] + 1j * g[:, 3], np.array(lam0))
+        assert loop.bit_generator.state == batch.bit_generator.state
 
     def test_u_near_zero_raises(self):
         q = qd.qc_quadric([(1.0, 1)] * 3)
@@ -254,8 +307,9 @@ class TestQCRiccati:
 
     def test_line_integration_orthogonal(self, qc3):
         V, lam, _, R1 = sc.random_state_batch(qc3, None, 1, seed=12)
-        states, ctx, ok = bk.integrate_backlund_qc_line(
-            qc3, 0.3 + 0.1j, V[0], lam[0], R1[0], length=0.4, steps=48)
+        ctx = bk.make_context(qc3, 0.3 + 0.1j)
+        states, ok = bk.integrate_backlund_qc_line(
+            ctx, V[0], lam[0], R1[0], length=0.4, steps=48)
         assert ok
         n = qc3.n
         R1s = states[:, 2 * n:].reshape(-1, n, n)
@@ -282,8 +336,9 @@ class TestQCRiccati:
             return step(f, t, y, h)
         monkeypatch.setattr(bk, "rk4_step", rk4_step)
         V, lam, _, R1 = sc.random_state_batch(qc3, None, 1, seed=12)
-        states, _, ok = bk.integrate_backlund_qc_line(
-            qc3, 0.3 + 0.1j, V[0], lam[0], R1[0], length=0.4, steps=48)
+        states, ok = bk.integrate_backlund_qc_line(
+            bk.make_context(qc3, 0.3 + 0.1j), V[0], lam[0], R1[0], length=0.4,
+            steps=48)
         assert ok is False
         assert np.array_equal(states,
                               np.concatenate([V[0], lam[0], R1[0].ravel()])[None])

@@ -1,11 +1,14 @@
-"""Every function and method of src/confocal is run by some scenario, and
-every error class is raised or caught somewhere in src/: code that only
-tests reach is a second copy of something the scenarios compute.
+"""Every function and method of src/confocal is run by some scenario, every
+error class is raised or caught somewhere in src/, and every entry of the
+tolerance table gates some check: code that only tests reach is a second
+copy of something the scenarios compute, and a tolerance no check reads is a
+setting that changes nothing.
 
-The small configs of the ten scenarios (test_gridio_cli._STAGED) and the
-canonicalized IQWC zero-soliton run under sys.setprofile.  A function none of
-them calls fails the test unless REACHED_ELSEWHERE names it with the reason
-it stays."""
+The small configs of the ten scenarios (test_gridio_cli._STAGED) and an
+IQWC zero-soliton run (on the chart cli._setup canonicalizes) run under
+sys.setprofile, with the run's tolerance table recording the keys read from
+it.  A function none of them calls fails the test unless REACHED_ELSEWHERE
+names it with the reason it stays."""
 
 import ast
 import importlib
@@ -17,7 +20,7 @@ from pathlib import Path
 import pytest
 
 import confocal
-from confocal import cli
+from confocal import cli, scenarios as sc
 
 import test_gridio_cli
 
@@ -79,8 +82,8 @@ def _run_at_import():
 
 
 def _reached(tmp_path):
-    """The defined functions, and the names of those the scenario runs call
-    or that run at import."""
+    """The defined functions, the names of those the scenario runs call or
+    that run at import, and the tolerance keys the runs read."""
     defined = _defined()
     # a memoized function called before the trace would not be called in it
     for mod in _modules():
@@ -89,21 +92,28 @@ def _reached(tmp_path):
                 obj.cache_clear()
     configs = [{"scenario": name, **extra}
                for name, (extra, _) in test_gridio_cli._STAGED.items()]
-    configs.append({**test_gridio_cli.TestRunScenario.IQWC_SOLITON,
-                    "canonicalize": True})
-    called = set()
+    configs.append(test_gridio_cli.TestRunScenario.IQWC_SOLITON)
+    called, read = set(), set()
 
     def profile(frame, event, _arg):
         if event == "call":
             called.add(frame.f_code)
-    sys.setprofile(profile)
-    try:
-        for i, cfg in enumerate(configs):
-            cli.run_scenario(cfg, tmp_path / str(i))
-    finally:
-        sys.setprofile(None)
+
+    class Table(dict):
+        def __getitem__(self, key):
+            read.add(key)
+            return super().__getitem__(key)
+    scaled = sc.scaled_tolerances
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sc, "scaled_tolerances", lambda scale: Table(scaled(scale)))
+        sys.setprofile(profile)
+        try:
+            for i, cfg in enumerate(configs):
+                cli.run_scenario(cfg, tmp_path / str(i))
+        finally:
+            sys.setprofile(None)
     return defined, {name for name, fn in defined.items()
-                     if fn.__code__ in called} | _run_at_import()
+                     if fn.__code__ in called} | _run_at_import(), read
 
 
 def _live_statements(path, live):
@@ -123,7 +133,7 @@ def reach(tmp_path_factory):
 
 
 def test_every_function_is_reached_by_a_scenario(reach):
-    defined, reached = reach
+    defined, reached, _ = reach
     assert sorted(set(defined) - reached - set(REACHED_ELSEWHERE)) == []
     # a stale entry: gone, or run by a scenario after all
     assert sorted(n for n in REACHED_ELSEWHERE
@@ -143,3 +153,7 @@ def test_every_error_class_is_raised_or_caught_by_live_code(reach):
                 if expr is not None:
                     used |= {n.id for n in ast.walk(expr) if isinstance(n, ast.Name)}
     assert [c for c in classes if c not in used] == []
+
+
+def test_every_tolerance_is_read_by_a_check(reach):
+    assert sorted(set(sc.TOLERANCES) - reach[2]) == []
