@@ -18,6 +18,8 @@ import numpy as np
 
 from . import deform as df, numerics, quadric as qd, sjcore
 from .errors import DriftExceeded, StepFailure, UNearZero
+# rk4_step is not called here; it stays imported because perfbench's layer
+# trace test reads confocal.backlund.rk4_step
 from .numerics import diff1, rk4_step, scalar_abs, scalar_mul, stack_apply, stack_dot
 from .sjcore import sqrt_branch
 
@@ -43,7 +45,6 @@ class BacklundContext:
     D: np.ndarray = field(repr=False)
     srp: np.ndarray = field(repr=False)   # ambient sqrt(R'_z) ((I)QWC) / sqrt(R_z) (QC)
     ilc: np.ndarray = field(repr=False)   # I_{1,n} L^{-1} C(z), n-vector ((I)QWC)
-    ilb: np.ndarray = field(repr=False)   # I_{1,n} L^{-1} B, n-vector ((I)QWC)
     n: int = field(init=False)            # chart dimension, stored once
     d: np.ndarray | None = field(init=False, repr=False)  # diag of D, if D is diagonal
 
@@ -62,7 +63,7 @@ class BacklundContext:
 
     def mirror(self) -> "BacklundContext":
         return BacklundContext(self.q, self.lm, self.z, -self.sqrt_z, -self.D,
-                               self.srp, self.ilc, self.ilb)
+                               self.srp, self.ilc)
 
 
 def make_context(q, z, lm=None) -> BacklundContext:
@@ -73,10 +74,10 @@ def make_context(q, z, lm=None) -> BacklundContext:
         raise ValueError("the transformation needs z != 0")
     sz = sqrt_branch(z)
     n = q.n
-    zero = np.zeros(n, dtype=complex)
     if q.kind == qd.QC:
         srz = qd.sqrt_rz(q, z)
-        return BacklundContext(q, None, z, sz, srz[:n, :n] / sz, srz, zero, zero)
+        return BacklundContext(q, None, z, sz, srz[:n, :n] / sz, srz,
+                               np.zeros(n, dtype=complex))
     if lm is None:
         raise ValueError("(I)QWC context needs the L map")
     srp = qd.sqrt_rprime(q, lm, z)
@@ -84,8 +85,7 @@ def make_context(q, z, lm=None) -> BacklundContext:
     if df.peterson_admissible(q, lm)[0]:
         # the zero soliton's diagonal A' block, without sqrt's rounding noise
         D = np.diag(np.diagonal(D))
-    return BacklundContext(q, lm, z, sz, D, srp,
-                           qd.translation_chart(q, lm, z), qd.chart_b(q, lm))
+    return BacklundContext(q, lm, z, sz, D, srp, qd.translation_chart(q, lm, z))
 
 
 # QC auxiliary quantities ------------------------------------------------------------
@@ -351,9 +351,9 @@ def _general_seed_rhs(fg: df.FieldGrid, ctx: BacklundContext, omega):
 def integrate_backlund_qc_line(ctx: BacklundContext, V0_base, lam0_base,
                                R1_base, length: float, steps: int):
     """Integrate the QC Riccati equation of ctx along the u^1 line, jointly
-    with the seed line data (R_0 = I).  Near the U = 0 locus a step is retried
-    with up to 8 halvings of its substep; if |U| stays below TOL_U the
-    reachable part of the line is returned with ok=False.
+    with the seed line data (R_0 = I), in steps RK4 steps of one
+    numerics.rk4_sweep.  If some stage meets |U| < TOL_U the line stops and
+    only its base state is returned, with ok=False.
 
     Returns (states, ok) with states[i] = concat(V0, lam0, R1.ravel()).
     """
@@ -376,28 +376,13 @@ def integrate_backlund_qc_line(ctx: BacklundContext, V0_base, lam0_base,
         dy[2 * n:] = dR1.ravel()
         return dy
 
-    h = length / steps
-    y = np.concatenate([V0_base, lam0_base, R1_base.astype(complex).ravel()])
-    out = [y]
-    t = 0.0
-    for _ in range(steps):
-        sub = 1
-        yk = None
-        for _attempt in range(9):
-            try:
-                yk = y
-                for _s in range(sub):
-                    yk = rk4_step(rhs, t, yk, h / sub)
-                break
-            except UNearZero:
-                yk = None
-                sub *= 2
-        if yk is None:
-            return np.array(out), False
-        y = yk
-        t += h
-        out.append(y)
-    return np.array(out), True
+    y0 = np.concatenate([V0_base, lam0_base, R1_base.astype(complex).ravel()])
+    try:
+        states = numerics.rk4_sweep(df.GridSpec(((0.0, length, steps + 1),)),
+                                    y0, lambda _axis, _lines: rhs)
+    except UNearZero:
+        return y0[None], False
+    return states, True
 
 
 # algebraic transforms ----------------------------------------------------------------
@@ -415,7 +400,7 @@ def algebraic_transform_qwc(ctx: BacklundContext, V0, lam0, R0, R1):
     V1 = np.einsum("ij,...j->...i", srp, V0) + ctx.ilc - sz * R1l
     lam1 = np.einsum("...ji,...j->...i", R0,
                      sz * np.einsum("ij,...j->...i", an, V0)
-                     + np.einsum("ij,...j->...i", srp, R1l) + sz * ctx.ilb)
+                     + np.einsum("ij,...j->...i", srp, R1l) + sz * ctx.lm.b)
     return V1, lam1
 
 
@@ -688,6 +673,7 @@ def ruling_facet_check(q, lm, ctx: BacklundContext, V0, V1, seed: int = 0):
     """
     V0 = np.asarray(V0, dtype=complex)
     V1 = np.asarray(V1, dtype=complex)
+    n = q.n
     c01 = stack_apply(ctx.srp_n(), V0) - V1 + ctx.ilc
     denom = scalar_mul(ctx.sqrt_z, sqrt_branch(qd.h_chart(q, lm, V0)))
     srz = qd.sqrt_rz(q, ctx.z)
@@ -695,47 +681,13 @@ def ruling_facet_check(q, lm, ctx: BacklundContext, V0, V1, seed: int = 0):
     frame = srz @ qd.chart_tangents(q, lm, V1)
     xz1 = stack_apply(srz, qd.chart_to_ambient(q, lm, V1)) + qd.translation(q, ctx.z)
     nh = stack_apply(Rzinv, stack_apply(q.A, xz1) + q.B)
-    rows = [srow * 1j * c01 / denom[..., None] for srow in (+1, -1)]
-    out = []
-    for w, rep in _facet_reports(q, Rzinv, frame, rows, seed):
-        rep["tangency"] = scalar_abs(stack_dot(nh, w))
-        out.append(rep)
-    return out
-
-
-def ruling_facet_check_qc(q, ctx: BacklundContext, V0, V1, seed: int = 0):
-    """QC variant of ruling_facet_check in the stereographic chart.
-
-    The facet rotation's first row is +-i (|V_1|^2+1) [X_0^T sqrt(R_z)
-    dX_1/dv^k]_k / (2 sqrt(z H_0)); the mirrored tangency relation makes it a
-    unit row, and the cut direction w = [x_z tangents](M^T e_1 +- i M^T e_2)
-    must satisfy the ruling condition w^T A R_z^{-1} w = 0.
-    """
-    V0 = np.asarray(V0, dtype=complex)
-    V1 = np.asarray(V1, dtype=complex)
-    Rzinv = np.linalg.inv(qd.resolvent(q, ctx.z))
-    frame = ctx.srp @ qd.chart_tangents(q, None, V1)
-    # X_0 = A^{1/2} x_0 and dX_1 = A^{1/2} dx_1 give X_0^T sqrt(R_z) dX_1 =
-    # (A x_0)^T sqrt(R_z) dx_1 = sqrt(H_0) N_0^T frame
-    N0, _ = qd.chart_normal_h(q, None, V0)
-    row = (scalar_mul(1j, stack_dot(V1, V1) + 1.0)[..., None]
-           * (N0[..., None, :] @ frame)[..., 0, :] / (2.0 * ctx.sqrt_z))
-    rows = [srow * row for srow in (+1, -1)]
-    return [rep for _, rep in _facet_reports(q, Rzinv, frame, rows, seed)]
-
-
-def _facet_reports(q, Rzinv, frame, rows, seed):
-    """Shared tail of the facet checks.  Each facet row (signs +1, -1) is made
-    exactly unit and completed to M in O_n(C); for both pair signs the cut
-    direction w = frame (M^T e_1 +- i M^T e_2) is tested against the ruling
-    condition w^T A R_z^{-1} w = 0 next to a non-isotropic negative control.
-    Yields (w, report) so callers can add their own entries."""
-    n = frame.shape[-1]
 
     def ruling(v):
         return scalar_abs(stack_dot(v, stack_apply(q.A, stack_apply(Rzinv, v))))
 
-    for srow, row in zip((+1, -1), rows):
+    out = []
+    for srow in (+1, -1):
+        row = srow * 1j * c01 / denom[..., None]
         r2 = stack_dot(row, row)
         unit = scalar_abs(r2 - 1.0)
         # the tangency identity makes the row unit up to the field drift;
@@ -745,7 +697,7 @@ def _facet_reports(q, Rzinv, frame, rows, seed):
         for s2 in (+1, -1):
             coef = M[..., 0, :] + s2 * 1j * M[..., 1, :]
             w = stack_apply(frame, coef)
-            yield w, {
+            out.append({
                 "row_sign": srow,
                 "pair_sign": s2,
                 "row_unit": unit,
@@ -753,7 +705,9 @@ def _facet_reports(q, Rzinv, frame, rows, seed):
                 "ruling": ruling(w),
                 "negative_control": ruling(
                     stack_apply(frame, M[..., 0, :] + 0.5 * M[..., 1, :])),
-            }
+                "tangency": scalar_abs(stack_dot(nh, w)),
+            })
+    return out
 
 
 def asymptotic_directions(ff: df.FundamentalForms) -> float:

@@ -263,11 +263,12 @@ def run_elliptic(cfg, q, lm, outdir, checks):
     rng = np.random.default_rng(cfg["seed"])
     count = min(cfg["samples"], 100)
     with checks.stage("elliptic_coordinates", count):
-        # per sample: a chart point, then the noise that moves it off Q_0
-        draws = [(qd.random_chart_point(q, rng),
-                  rng.standard_normal(q.dim) + 1j * rng.standard_normal(q.dim))
-                 for _ in range(count)]
-        V, noise = (np.array(d) for d in zip(*draws))
+        # per sample, in one draw: a chart point (as qd.random_chart_point
+        # draws it), then the noise that moves it off Q_0
+        n, m = q.n, q.dim
+        g = rng.standard_normal((count, 2 * n + 2 * m))
+        V = 0.6 * (g[:, :n] + 1j * g[:, n:2 * n])
+        noise = g[:, 2 * n:2 * n + m] + 1j * g[:, 2 * n + m:]
         x0 = qd.chart_to_ambient(q, lm, V)
         x = x0 + 0.05 * noise
         roots = qd.elliptic_coordinates(q, x)

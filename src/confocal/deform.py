@@ -18,8 +18,7 @@ import numpy as np
 
 from . import numerics, quadric as qd
 from .errors import DegenerateLambda, PrimeIntegralViolation, StepFailure
-from .numerics import (diag_stack, diff1, scalar_mul, stack_apply, stack_dot,
-                       stack_lstsq)
+from .numerics import diag_stack, diff1, scalar_mul, stack_apply, stack_lstsq
 from .sjcore import candidate_pool, complete_rows, sqrt_branch
 
 TOL_PI = 1e-8
@@ -109,58 +108,40 @@ def peterson_admissible(q, lm):
     return res < 1e-10, res
 
 
-# the zero-soliton (R = I) model --------------------------------------------------
+# the zero soliton (R = I) ---------------------------------------------------------
+#
+# On an (I)QWC chart with diagonal A' block the component systems
+# v_j'' + a'_j v_j + b_j = 0 are decoupled complex oscillators: Lambda_j moves
+# by minus the j-th entry of the chart source mu = A'V + b, which keeps every
+# derivative the form and frame machinery needs in closed form.
 
-class ZeroSolitonModel:
-    """Pointwise-evaluable zero-soliton data for an (I)QWC with diagonal A' block.
+def _zero_soliton_chart(q, lm) -> None:
+    """Raise StepFailure unless the zero soliton runs on the chart: QWC or
+    IQWC, with a diagonal A' n-block."""
+    if q.kind == qd.QC:
+        raise StepFailure("the zero soliton applies to QWC/IQWC only")
+    ok, res = peterson_admissible(q, lm)
+    if not ok:
+        raise StepFailure(f"A' n-block not diagonal (off-diag {res:.3e})")
 
-    The component systems v_j'' + a'_j v_j + b_j = 0 are decoupled complex
-    oscillators, which keeps every derivative needed by the form and frame
-    machinery in closed form.
-    """
 
-    def __init__(self, q, lm):
-        ok, res = peterson_admissible(q, lm)
-        if not ok:
-            raise StepFailure(f"A' n-block not diagonal (off-diag {res:.3e})")
-        if q.kind == qd.QC:
-            raise StepFailure("zero-soliton model applies to QWC/IQWC only")
-        self.q = q
-        self.lm = lm
-        self.n = q.n
-        self.ap = np.diag(lm.aprime_n()).copy()
-        self.bc = qd.chart_b(q, lm)
-        self.b2 = qd.b_norm2(q)
+def _vlam_rhs(q, lm, k: int):
+    """d(V, Lambda)/du^k of the zero soliton on states (..., 2n)."""
+    n = q.n
 
-    # the methods take stacks (..., n); scalar products go through
-    # scalar_mul so a stack rounds as its nodes one by one
+    def f(_t, y):
+        dy = np.zeros_like(y)
+        dy[..., k] = y[..., n + k]
+        dy[..., n + k] = -qd.chart_source(q, lm, y[..., :n])[..., k]
+        return dy
+    return f
 
-    def mu(self, V):
-        return self.ap * V + self.bc
 
-    def H(self, V):
-        return stack_dot(V, self.ap * V) + 2.0 * stack_dot(V, self.bc) + self.b2
-
-    def rhs_vlam(self, k: int):
-        """d(V, Lambda)/du^k on states (..., 2n)."""
-        def f(_t, y):
-            V, lam = y[..., : self.n], y[..., self.n:]
-            dy = np.zeros_like(y)
-            dy[..., k] = lam[..., k]
-            dy[..., self.n + k] = -(scalar_mul(self.ap[k], V[..., k]) + self.bc[k])
-            return dy
-        return f
-
-    def dlam(self, V):
-        """d lambda_j / d u^k as an (..., n, n) array [j, k] (diagonal)."""
-        return diag_stack(-self.mu(V))
-
-    def dH(self, V, lam):
-        return 2.0 * lam * self.mu(V)
-
-    def metric(self, V, lam):
-        D = diag_stack(lam)
-        return D @ qd.chart_gram(self.q, self.lm, V) @ D
+def _zero_soliton_derivatives(q, lm, V, lam):
+    """H (...), dlam[..., j, k] = d lambda_j / du^k (diagonal) and
+    dH[..., k] = dH / du^k of the zero soliton at states V, lam (..., n)."""
+    mu = qd.chart_source(q, lm, V)
+    return qd.h_chart(q, lm, V), diag_stack(-mu), 2.0 * lam * mu
 
 
 def zero_soliton(q, lm, grid: GridSpec, V_base, lam_base) -> FieldGrid:
@@ -170,20 +151,20 @@ def zero_soliton(q, lm, grid: GridSpec, V_base, lam_base) -> FieldGrid:
     a lambda component below TOL_DEG, at the base or anywhere on the grid, is
     the degenerate branch and raises StepFailure.
     """
-    model = ZeroSolitonModel(q, lm)
+    _zero_soliton_chart(q, lm)
     n = grid.n
-    if n != model.n:
+    if n != q.n:
         raise ValueError("grid dimension does not match the quadric chart")
     V_base = np.asarray(V_base, dtype=complex).reshape(n)
     lam_base = np.asarray(lam_base, dtype=complex).reshape(n)
-    pi0 = abs((lam_base @ lam_base) + model.H(V_base))
+    pi0 = abs((lam_base @ lam_base) + qd.h_chart(q, lm, V_base[None, :])[0])
     if pi0 > TOL_PI:
         raise PrimeIntegralViolation(f"|Lambda|^2 + H = {pi0:.3e} at base")
     if np.min(np.abs(lam_base)) < TOL_DEG:
         raise StepFailure("degenerate branch: some lambda_j ~ 0 at base")
 
     y = numerics.rk4_sweep(grid, np.concatenate([V_base, lam_base]),
-                           lambda axis, _lines: model.rhs_vlam(axis))
+                           lambda axis, _lines: _vlam_rhs(q, lm, axis))
     V, lam = y[..., :n].copy(), y[..., n:].copy()
     if np.min(np.abs(lam)) < TOL_DEG:
         raise StepFailure("lambda collapsed below TOL_DEG during integration")
@@ -398,8 +379,8 @@ def forms_assemble(fg: FieldGrid, q, lm, seed: int = 0) -> FundamentalForms:
     """Assemble joined fundamental forms and G-CMP-R residuals for a field on
     a QWC or IQWC chart (a QC field raises StepFailure).
 
-    A zero_soliton field takes H and the derivatives of lambda and H from its
-    ZeroSolitonModel (R = I, diagonal A' block) and differences the normal
+    A zero_soliton field takes H and the derivatives of lambda and H in
+    closed form (R = I, diagonal A' block) and differences the normal
     connection at 4th order; any other field is differentiated with
     second-order differences throughout.  Both feed the geometry of
     the seed frame (_joined_geometry), whose joined frame S is completed per
@@ -419,9 +400,8 @@ def forms_assemble(fg: FieldGrid, q, lm, seed: int = 0) -> FundamentalForms:
         # quadric; forms of an off-shell field would be silently meaningless
         raise PrimeIntegralViolation(f"|Lambda|^2 + H = {pi:.3e} on the grid")
     if exact:
-        model = ZeroSolitonModel(q, lm)
-        H = model.H(fg.V)
-        dlam, dH = model.dlam(fg.V), model.dH(fg.V, fg.lam)
+        _zero_soliton_chart(q, lm)
+        H, dlam, dH = _zero_soliton_derivatives(q, lm, fg.V, fg.lam)
     else:
         H = qd.h_chart(q, lm, fg.V)
         dlam, dH = (np.stack([diff1(f, axis=k, h=hs[k]) for k in range(len(shape))],
@@ -432,7 +412,7 @@ def forms_assemble(fg: FieldGrid, q, lm, seed: int = 0) -> FundamentalForms:
         fg.lam, H, dlam, dH, candidate_pool(n + 8, n, seed))
 
     if exact:
-        dgam = _exact_dgamma(fg, model, H)
+        dgam = _exact_dgamma(fg, q, lm, H)
     else:
         dgam = np.stack(
             [diff1(gamma, axis=a, h=hs[a], order=order)
@@ -466,15 +446,15 @@ def forms_assemble(fg: FieldGrid, q, lm, seed: int = 0) -> FundamentalForms:
     return FundamentalForms(g, ginv, gamma, hj, nconn, vf, residuals)
 
 
-def _exact_dgamma(fg: FieldGrid, model: ZeroSolitonModel, H) -> np.ndarray:
-    """Exact (G^p_{jk})_l fields for the zero-soliton gauge of model, where
-    lambda_j and v_j depend on u^j alone: only the G^p_{jj} components are
-    nonzero fields."""
+def _exact_dgamma(fg: FieldGrid, q, lm, H) -> np.ndarray:
+    """Exact (G^p_{jk})_l fields of a zero-soliton field, where lambda_j and
+    v_j depend on u^j alone: only the G^p_{jj} components are nonzero
+    fields."""
     n = fg.n
     shape = fg.grid.shape
     lam = fg.lam
-    mu = model.mu(fg.V)
-    ap = model.ap
+    mu = qd.chart_source(q, lm, fg.V)
+    ap = np.diagonal(lm.aprime_n())
     out = np.zeros(shape + (n, n, n, n), dtype=complex)  # (l, p, j, k)
     H2 = H * H
     for j in range(n):
@@ -560,12 +540,13 @@ class AmbientFrame:
 class _SeedFrameModel:
     """Joint (V, Lambda, x, X, N) evolution of a zero-soliton deformation,
     pointwise evaluable so every RK4 stage is exact.  Its geometry is that of
-    forms_assemble (_joined_geometry) on the closed-form derivatives of its
-    ZeroSolitonModel; the base-quadric copy (deformation=False) needs no
-    joined frame."""
+    forms_assemble (_joined_geometry) on the closed-form zero-soliton
+    derivatives; the base-quadric copy (deformation=False) needs no joined
+    frame."""
 
     def __init__(self, q, lm, seed: int, deformation: bool):
-        self.zs = ZeroSolitonModel(q, lm)
+        _zero_soliton_chart(q, lm)
+        self.q, self.lm = q, lm
         self.n = q.n
         self.m = 2 * self.n - 1 if deformation else self.n + 1
         self.p = self.n - 1 if deformation else 1
@@ -575,11 +556,11 @@ class _SeedFrameModel:
     def geometry(self, V, lam):
         """Metric, inverse metric, Christoffel symbols, second-form rows and
         normal connection at states (..., n)."""
-        zs = self.zs
-        g = zs.metric(V, lam)
+        D = diag_stack(lam)
+        g = D @ qd.chart_gram(self.q, self.lm, V) @ D
         ginv = np.linalg.inv(g)
-        gamma, h0, joined = _joined_geometry(lam, zs.H(V), zs.dlam(V),
-                                             zs.dH(V, lam), self.pool)
+        gamma, h0, joined = _joined_geometry(
+            lam, *_zero_soliton_derivatives(self.q, self.lm, V, lam), self.pool)
         if joined is None:
             return (g, ginv, gamma, h0[..., None, :],
                     np.zeros(V.shape + (1, 1), dtype=complex))
@@ -605,9 +586,9 @@ class _SeedFrameModel:
 
     def rhs(self, k: int):
         """d(state)/du^k on states (..., size); (V, Lambda) move as in
-        ZeroSolitonModel.rhs_vlam."""
+        zero_soliton."""
         n = self.n
-        vlam_rhs = self.zs.rhs_vlam(k)
+        vlam_rhs = _vlam_rhs(self.q, self.lm, k)
 
         def f(t, y):
             V, lam, x, X, N = self.unpack(y)

@@ -395,12 +395,14 @@ def _polished_roots(q, P, span, x):
 @dataclass(frozen=True)
 class LMap:
     """Affine chart data: x_0 = L Z carries the equilateral paraboloid onto an
-    (I)QWC; A' = L^T A^2 L (IQWC) or A (QWC) drives the deformation systems."""
+    (I)QWC; A' = L^T A^2 L (IQWC) or A (QWC) and the chart constant
+    b = I_{1,n} L^{-1} B (an n-vector) drive the deformation systems."""
 
     kind: str
     L: np.ndarray = field(repr=False)
     L_inv: np.ndarray = field(repr=False)
     Aprime: np.ndarray = field(repr=False)
+    b: np.ndarray = field(repr=False)
 
     @property
     def dim(self) -> int:
@@ -428,8 +430,7 @@ def build_lmap(q: QuadricSpec, seed: int = 0) -> LMap:
         shifted = SJSpec(tuple(q.sj.blocks[:-1]) + ((1.0, 1),))
         L = _inv_sqrt_sj(shifted)
         L_inv = sjcore.sqrt_sj(shifted)
-        Aprime = q.A.copy()
-        return LMap(QWC, L, L_inv, Aprime)
+        return LMap(QWC, L, L_inv, q.A.copy(), stack_apply(L_inv, q.B)[:q.n])
     f1 = iso_f(1, m)
     G = q.A + np.outer(f1.conj(), f1.conj())
     # imported here: scipy.linalg is most of the package's import time
@@ -445,7 +446,7 @@ def build_lmap(q: QuadricSpec, seed: int = 0) -> LMap:
     L_inv = R.T @ S
     L = np.linalg.solve(S, R)
     Aprime = L.T @ q.A @ q.A @ L
-    return LMap(IQWC, L, L_inv, Aprime)
+    return LMap(IQWC, L, L_inv, Aprime, stack_apply(L_inv, q.B)[:q.n])
 
 
 def canonicalize_lmap(q: QuadricSpec, lm: LMap):
@@ -480,7 +481,7 @@ def canonicalize_lmap(q: QuadricSpec, lm: LMap):
     L = lm.L @ P
     L_inv = P.T @ lm.L_inv
     Aprime = P.T @ lm.Aprime @ P
-    return LMap(IQWC, L, L_inv, Aprime), True
+    return LMap(IQWC, L, L_inv, Aprime, stack_apply(L_inv, q.B)[:q.n]), True
 
 
 @functools.lru_cache(maxsize=64)
@@ -507,11 +508,6 @@ def chart_coords(lm: LMap, x: np.ndarray) -> np.ndarray:
     """Paraboloid coordinates Z = L^{-1} x (..., n+1) of ambient vectors x
     (..., n+1) of an (I)QWC."""
     return stack_apply(lm.L_inv, np.asarray(x, dtype=complex))
-
-
-def chart_b(q: QuadricSpec, lm: LMap) -> np.ndarray:
-    """I_{1,n} L^{-1} B as an n-vector."""
-    return chart_coords(lm, q.B)[: q.n]
 
 
 def b_norm2(q: QuadricSpec) -> complex:
@@ -547,10 +543,8 @@ def h_chart(q: QuadricSpec, lm: LMap | None, V: np.ndarray):
     if q.kind == QC:
         X = _stereographic(V, np.einsum("...k,...k->...", V, V))
         return np.einsum("...i,ij,...j->...", X, q.A, X)
-    An = lm.aprime_n()
-    bc = chart_b(q, lm)
-    return (np.einsum("...j,jk,...k->...", V, An, V)
-            + 2.0 * np.einsum("...j,j->...", V, bc) + b_norm2(q))
+    return (np.einsum("...j,jk,...k->...", V, lm.aprime_n(), V)
+            + 2.0 * np.einsum("...j,j->...", V, lm.b) + b_norm2(q))
 
 
 def stereo_lift(V: np.ndarray, v2) -> np.ndarray:
@@ -646,7 +640,7 @@ def chart_source(q: QuadricSpec, lm: LMap | None, V: np.ndarray) -> np.ndarray:
     if q.kind == QC:
         AX = stack_apply(q.A, stereo_lift(V, stack_dot(V, V)))
         return 2.0 * stereo_project(V, AX)
-    return stack_apply(lm.aprime_n(), V) + chart_b(q, lm)
+    return stack_apply(lm.aprime_n(), V) + lm.b
 
 
 def chart_normal_h(q: QuadricSpec, lm: LMap | None, V: np.ndarray):

@@ -98,7 +98,7 @@ def test_criterion_03_iqwc_parametrization():
         for z in (0.3 + 0.2j, -0.45 + 0.1j, 0.7j):
             S = qd.sqrt_rprime(q, lm, z)
             ilc = qd.embed(qd.translation_chart(q, lm, z), m)
-            ilb = qd.embed(qd.chart_b(q, lm), m)
+            ilb = qd.embed(lm.b, m)
             worst = max(worst, float(np.max(np.abs(
                 (np.eye(m) + S) @ ilc + z * ilb))))
             lc = lm.L_inv @ qd.translation(q, z)

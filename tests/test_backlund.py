@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from confocal import backlund as bk, deform as df, quadric as qd, scenarios as sc
 from confocal.errors import DriftExceeded, StepFailure, UNearZero
+from confocal.numerics import rk4_step
 from confocal.sjcore import random_orthogonal, sqrt_branch
 from conftest import context_defect
 
@@ -74,7 +75,7 @@ class TestRiccatiRHS:
         # with D = I (formal), rhs = -(R1 E_k R1 - E_k): zero at R1 = I
         formal = bk.BacklundContext(qwc2, lmap2, ctx_a.z, ctx_a.sqrt_z,
                                     np.eye(2, dtype=complex), ctx_a.srp,
-                                    ctx_a.ilc, ctx_a.ilb)
+                                    ctx_a.ilc)
         I = np.eye(2, dtype=complex)
         Z = np.zeros((2, 2), dtype=complex)
         for k in range(2):
@@ -325,16 +326,8 @@ class TestQCRiccati:
         assert res["tangency"] < 1e-6
 
     def test_line_gives_up_where_u_stays_small(self, qc3, monkeypatch):
-        # every |U| is below the threshold: the first step is tried with 1,
-        # 2, ..., 2^8 substeps, then the line stops at its base state
+        # every |U| is below the threshold: the line stops at its base state
         monkeypatch.setattr(bk, "TOL_U", np.inf)
-        substeps = []
-        step = bk.rk4_step
-
-        def rk4_step(f, t, y, h):
-            substeps.append(h)
-            return step(f, t, y, h)
-        monkeypatch.setattr(bk, "rk4_step", rk4_step)
         V, lam, _, R1 = sc.random_state_batch(qc3, None, 1, seed=12)
         states, ok = bk.integrate_backlund_qc_line(
             bk.make_context(qc3, 0.3 + 0.1j), V[0], lam[0], R1[0], length=0.4,
@@ -342,7 +335,33 @@ class TestQCRiccati:
         assert ok is False
         assert np.array_equal(states,
                               np.concatenate([V[0], lam[0], R1[0].ravel()])[None])
-        assert substeps == [0.4 / 48 / 2 ** k for k in range(9)]
+
+    def test_line_is_a_plain_rk4_loop(self, qc3):
+        # the line runs on numerics.rk4_sweep: its states are, bit for bit,
+        # those of RK4 steps of the joint (V0, lam0, R1) right-hand side
+        ctx = bk.make_context(qc3, 0.3 + 0.1j)
+        aux = bk.qc_aux(ctx)
+        V, lam, _, R1 = sc.random_state_batch(qc3, None, 1, seed=12)
+        n = qc3.n
+        states, ok = bk.integrate_backlund_qc_line(
+            ctx, V[0], lam[0], R1[0], length=0.4, steps=48)
+
+        def rhs(_t, y):
+            dy = np.zeros_like(y)
+            dy[0] = y[n]
+            dy[n] = -qd.chart_source(qc3, None, y[:n])[0]
+            dy[2 * n:] = bk.riccati_rhs_qc(
+                ctx, 0, y[:n], y[n:2 * n], np.eye(n, dtype=complex),
+                np.zeros((n, n), dtype=complex), y[2 * n:].reshape(n, n),
+                aux).ravel()
+            return dy
+        y, h = np.concatenate([V[0], lam[0], R1[0].ravel()]), 0.4 / 48
+        loop = [y]
+        for i in range(48):
+            y = rk4_step(rhs, i * h, y, h)
+            loop.append(y)
+        assert ok
+        assert np.array_equal(states, np.array(loop))
 
 
 class TestIntegration:
@@ -486,25 +505,17 @@ class TestRulingFacet:
             assert rep["tangency"] < 1e-8
             assert rep["negative_control"] > 1e-2
 
-    def test_stack_is_per_node(self, qwc2, lmap2, ctx_a, soliton32, leaf32,
-                               qc3):
+    def test_stack_is_per_node(self, qwc2, lmap2, ctx_a, soliton32, leaf32):
         # a batched call reports, entry by entry, the bits of one-node calls
-        ctx_qc = bk.make_context(qc3, 0.27 + 0.17j)
-        V, lam, R0, R1 = sc.random_state_batch(qc3, None, 6, seed=51)
-        V1, _ = bk.algebraic_transform_qc(ctx_qc, V, lam, R0, R1)
-        cases = [(functools.partial(bk.ruling_facet_check, qwc2, lmap2, ctx_a),
-                  soliton32.V[:3, 10:12], leaf32.V[:3, 10:12]),
-                 (functools.partial(bk.ruling_facet_check_qc, qc3, ctx_qc),
-                  V.reshape(2, 3, -1), V1.reshape(2, 3, -1))]
-        for check, V0s, V1s in cases:
-            stack = check(V0s, V1s, seed=3)
-            for idx in np.ndindex(*V0s.shape[:-1]):
-                for rep, one in zip(stack, check(V0s[idx], V1s[idx], seed=3),
-                                    strict=True):
-                    assert rep.keys() == one.keys()
-                    for key, val in one.items():
-                        part = np.broadcast_to(rep[key], V0s.shape[:-1])[idx]
-                        assert np.array_equal(part, val)
+        V0s, V1s = soliton32.V[:3, 10:12], leaf32.V[:3, 10:12]
+        stack = bk.ruling_facet_check(qwc2, lmap2, ctx_a, V0s, V1s, seed=3)
+        for idx in np.ndindex(*V0s.shape[:-1]):
+            for rep, one in zip(stack, bk.ruling_facet_check(
+                    qwc2, lmap2, ctx_a, V0s[idx], V1s[idx], seed=3), strict=True):
+                assert rep.keys() == one.keys()
+                for key, val in one.items():
+                    part = np.broadcast_to(rep[key], V0s.shape[:-1])[idx]
+                    assert np.array_equal(part, val)
 
 
 class TestAsymptotic:
@@ -556,7 +567,7 @@ class TestBlockMatrixForm:
             left[:n, :n] = np.eye(n)
             left[n:, n:] = R0[i].T
             state = np.concatenate([V[i], lam[i]])
-            shift = np.concatenate([ctx_a.ilc / sz, ctx_a.ilb])
+            shift = np.concatenate([ctx_a.ilc / sz, lmap2.b])
             lit = sz * left @ (big @ right @ state + shift)
             V1, lam1 = bk.algebraic_transform_qwc(ctx_a, V[i], lam[i],
                                                   R0[i], R1[i])
@@ -585,19 +596,6 @@ class TestBPTStateConsistency:
                         float(np.max(np.abs(V3a - V3b))),
                         float(np.max(np.abs(l3a - l3b))))
         assert worst < 1e-10
-
-
-class TestQCRulingFacet:
-    def test_facet_cuts_rulings(self, qc3):
-        ctx = bk.make_context(qc3, 0.27 + 0.17j)
-        V, lam, R0, R1 = sc.random_state_batch(qc3, None, 12, seed=51)
-        V1, _ = bk.algebraic_transform_qc(ctx, V, lam, R0, R1)
-        for i in range(12):
-            for rep in bk.ruling_facet_check_qc(qc3, ctx, V[i], V1[i], seed=2):
-                assert rep["row_unit"] < 1e-10
-                assert rep["coefficient_isotropy"] < 1e-12
-                assert rep["ruling"] < 1e-10
-                assert rep["negative_control"] > 1e-3
 
 
 class TestIQWCPipeline:

@@ -13,13 +13,14 @@ from confocal.numerics import diff1
 from conftest import standard_quadric
 
 
-def oscillator_oracle(model, grid, v0, lam0):
-    """Closed-form solution of v_j'' + a'_j v_j + b_j = 0 on the grid."""
+def oscillator_oracle(lm, grid, v0, lam0):
+    """Closed-form solution of v_j'' + a'_j v_j + b_j = 0 on the grid, with
+    a'_j the diagonal of the A' block and b = lm.b."""
     n = grid.n
     V = np.zeros(grid.shape + (n,), dtype=complex)
     for j in range(n):
         t = grid.coords(j) - grid.coords(j)[grid.base[j]]
-        a, b = model.ap[j], model.bc[j]
+        a, b = lm.aprime_n()[j, j], lm.b[j]
         w = np.sqrt(complex(a))
         rest = -b / a
         c = v0[j] - rest
@@ -47,10 +48,9 @@ class TestGridSpec:
 
 class TestZeroSoliton:
     def test_matches_oscillator_oracle(self, qwc2, lmap2, grid32, soliton32):
-        model = df.ZeroSolitonModel(qwc2, lmap2)
         v0 = soliton32.V[soliton32.grid.base]
         lam0 = soliton32.lam[soliton32.grid.base]
-        V_exact = oscillator_oracle(model, grid32, v0, lam0)
+        V_exact = oscillator_oracle(lmap2, grid32, v0, lam0)
         assert np.max(np.abs(soliton32.V - V_exact)) < 1e-8
 
     def test_prime_integral_and_order(self, soliton32, soliton64):
@@ -70,11 +70,20 @@ class TestZeroSoliton:
             df.zero_soliton(qwc2, lmap2, grid32, np.zeros(2),
                             np.array([1.0j, 0.0], dtype=complex))
 
-    def test_inadmissible_quadric_raises(self, lmap2):
-        q = qd.qwc_quadric([(0.9 - 0.2j, 2)])   # J_2 block: A' off-diagonal
-        lm = qd.build_lmap(q)
+    @pytest.mark.parametrize("chart", ["jordan-qwc", "qc"])
+    def test_inadmissible_quadric_raises(self, chart, qc3, soliton32):
+        # a J_2 block leaves A' off-diagonal; a QC chart has no L map
+        if chart == "qc":
+            q, lm = qc3, None
+        else:
+            q = qd.qwc_quadric([(0.9 - 0.2j, 2)])
+            lm = qd.build_lmap(q)
+        base = soliton32.grid.base
         with pytest.raises(StepFailure):
-            df.ZeroSolitonModel(q, lm)
+            df.zero_soliton(q, lm, soliton32.grid, soliton32.V[base],
+                            soliton32.lam[base])
+        with pytest.raises(StepFailure):
+            df.seed_frame(q, lm, soliton32)
 
     def test_four_axes_fill_every_node(self):
         # the sweep runs over all four axes: no node is left at its zero start
@@ -84,8 +93,8 @@ class TestZeroSoliton:
         v0, lam0 = sc.default_soliton_data(q, lm)
         fg = df.zero_soliton(q, lm, grid, v0, lam0)
         assert np.min(np.abs(fg.lam)) > 1e-3
-        assert np.max(np.abs(fg.V - oscillator_oracle(
-            df.ZeroSolitonModel(q, lm), grid, v0, lam0))) < 1e-8
+        V_exact = oscillator_oracle(lm, grid, v0, lam0)
+        assert np.max(np.abs(fg.V - V_exact)) < 1e-8
         assert fg.meta["prime_integral_drift"] < df.TOL_PI
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
@@ -112,7 +121,7 @@ class TestPetersonAdmissible:
     def test_offdiagonal_false(self, qwc2, lmap2):
         Ap = lmap2.Aprime.copy()
         Ap[0, 1] = Ap[1, 0] = 0.1
-        fake = qd.LMap(lmap2.kind, lmap2.L, lmap2.L_inv, Ap)
+        fake = dataclasses.replace(lmap2, Aprime=Ap)
         ok, res = df.peterson_admissible(qwc2, fake)
         assert not ok and abs(res - 0.1) < 1e-15
 
@@ -378,7 +387,7 @@ class TestSeedFrame:
                              ids=["2", "3", "canonical-iqwc"])
     def test_geometry_matches_forms(self, n, canonical):
         # the frame's right-hand side and forms_assemble read one geometry
-        # function on one zero-soliton model
+        # function on the same closed-form zero-soliton derivatives
         if canonical:
             q = qd.iqwc_quadric(2, [(1.5 - 0.2j, 1)])
             lm, ok = qd.canonicalize_lmap(q, qd.build_lmap(q, seed=7))
@@ -413,11 +422,10 @@ class TestExactCurvatureDerivatives:
         # order under refinement (a formula error would not converge)
         gaps = []
         for fg in (soliton32, soliton64):
-            model = df.ZeroSolitonModel(qwc2, lmap2)
-            H = model.H(fg.V)
-            gamma, _, _ = df._joined_geometry(fg.lam, H, model.dlam(fg.V),
-                                              model.dH(fg.V, fg.lam), None)
-            exact = df._exact_dgamma(fg, model, H)
+            H, dlam, dH = df._zero_soliton_derivatives(qwc2, lmap2, fg.V,
+                                                       fg.lam)
+            gamma, _, _ = df._joined_geometry(fg.lam, H, dlam, dH, None)
+            exact = df._exact_dgamma(fg, qwc2, lmap2, H)
             hs = fg.grid.h
             fd = np.stack([diff1(gamma, axis=a, h=hs[a], order=4)
                            for a in range(2)], axis=-4)

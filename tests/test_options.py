@@ -10,8 +10,6 @@ ROOT = Path(__file__).resolve().parents[1]
 
 SET_OUTSIDE_SRC = {
     ("cli", "main", "argv"): "console entry point; tests pass argv",
-    ("backlund", "ruling_facet_check_qc", "seed"):
-        "no src/ caller until backlund-qc runs the QC ruling check",
 }
 
 

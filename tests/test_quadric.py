@@ -265,7 +265,7 @@ class TestLMap:
         for z in (0.3 + 0.2j, -0.5 + 0.1j, 0.8j):
             S = qd.sqrt_rprime(iqwc2, iqwc_lmap, z)
             ilc = qd.embed(qd.translation_chart(iqwc2, iqwc_lmap, z), m)
-            ilb = qd.embed(qd.chart_b(iqwc2, iqwc_lmap), m)
+            ilb = qd.embed(iqwc_lmap.b, m)
             assert np.max(np.abs((np.eye(m) + S) @ ilc + z * ilb)) < 1e-10
             lc = iqwc_lmap.L_inv @ qd.translation(iqwc2, z)
             assert abs(ilc @ ilc - 2.0 * lc[m - 1]) < 1e-10
@@ -275,6 +275,21 @@ class TestLMap:
         S = qd.sqrt_rprime(iqwc2, iqwc_lmap, z)
         assert np.max(np.abs(S @ S - (np.eye(3) - z * iqwc_lmap.Aprime))) < 1e-12
         assert np.max(np.abs(S - S.T)) < 1e-12
+
+    @pytest.mark.parametrize("chart", ["qwc", "iqwc", "canonical-iqwc"])
+    def test_chart_constant(self, chart, iqwc2, iqwc_lmap):
+        # b = I_{1,n} L^{-1} B has the bits of the chart coordinates of B
+        if chart == "qwc":
+            q = qd.qwc_quadric([(1.3 + 0.2j, 1), (0.7, 1)])
+            lm = qd.build_lmap(q)
+        elif chart == "iqwc":
+            q, lm = iqwc2, iqwc_lmap
+        else:
+            q = qd.iqwc_quadric(2, [(1.5 - 0.2j, 1)])
+            lm, ok = qd.canonicalize_lmap(q, qd.build_lmap(q, seed=7))
+            assert ok
+        assert lm.b.shape == (q.n,)
+        assert np.array_equal(lm.b, qd.chart_coords(lm, q.B)[:q.n])
 
     def test_seed_determinism(self, iqwc2):
         a = qd.build_lmap(iqwc2, seed=9)
@@ -406,7 +421,7 @@ class TestChartBatch:
         # can sit at |V| ~ 1e2, where H rounds to ~1e-12)
         d = V[idx] / np.max(np.abs(V[idx]))
         a = d @ lm.aprime_n() @ d
-        b = 2.0 * d @ qd.chart_b(q, lm)
+        b = 2.0 * d @ lm.b
         c = qd.b_norm2(q)
         s = sqrt_branch(b * b - 4.0 * a * c)
         t = 2.0 * c / max(-b - s, -b + s, key=abs)

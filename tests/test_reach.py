@@ -32,8 +32,6 @@ REACHED_ELSEWHERE = {
     "gridio.load_fieldgrid": "reads back a saved field; no scenario reloads one",
     "quadric.ivory_map": "the public Ivory affinity x_z with its OffQuadric "
                          "guard; the scenarios apply sqrt(R_z) to stacks",
-    "backlund.ruling_facet_check_qc": "the QC ruling/facet check, which "
-                                      "backlund-qc does not run yet",
     "numerics._lstsq_failed": "numpy calls it only when an SVD does not "
                               "converge",
 }
