@@ -2,7 +2,8 @@
 that every grid integration runs on (RK4 line sweeps over any number of
 axes, with all parallel lines of an axis advancing in lockstep),
 finite-difference stencils on uniform grids, stacked node algebra that
-rounds as single nodes do, and log-log slope fits."""
+rounds as single nodes do, the matrix exponential of a stack, and log-log
+slope fits."""
 
 from __future__ import annotations
 
@@ -83,6 +84,42 @@ def stack_lstsq(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         x = np.linalg._umath_linalg.lstsq(a, b[..., None], rcond,
                                           signature="DDd->Ddid")[0]
     return x[..., 0]
+
+
+# [13/13] Pade coefficients b_0 ... b_13 and the 1-norm up to which they give
+# exp to double precision (Higham, SIAM J. Matrix Anal. Appl. 26 (2005) 1179)
+_PADE13 = (64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
+           1187353796428800.0, 129060195264000.0, 10559470521600.0,
+           670442572800.0, 33522128640.0, 1323241920.0, 40840800.0, 960960.0,
+           16380.0, 182.0, 1.0)
+THETA13 = 5.371920351148152
+
+
+def expm(a: np.ndarray) -> np.ndarray:
+    """Matrix exponential of each matrix of a stack (..., m, m): scaling and
+    squaring with the [13/13] Pade approximant, each matrix scaled by its own
+    2^-s, s the least with ||2^-s a||_1 <= THETA13.  Every step is a stacked
+    matmul, solve or elementwise operation, so a stack rounds as its matrices
+    one by one."""
+    a = np.asarray(a, dtype=complex)
+    norm = np.max(np.sum(np.abs(a), axis=-2), axis=-1)
+    s = np.zeros(norm.shape, dtype=int)
+    big = norm > THETA13
+    s[big] = np.ceil(np.log2(norm[big] / THETA13))
+    a = a * np.ldexp(1.0, -s)[..., None, None]
+    b = _PADE13
+    eye = np.eye(a.shape[-1])
+    a2 = a @ a
+    a4 = a2 @ a2
+    a6 = a4 @ a2
+    u = a @ (a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2)
+             + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * eye)
+    v = (a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2)
+         + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * eye)
+    r = np.linalg.solve(v - u, v + u)
+    for j in range(int(s.max(initial=0))):
+        r = np.where((s > j)[..., None, None], r @ r, r)
+    return r
 
 
 # axis-ordered line sweeps over grids -----------------------------------------

@@ -27,10 +27,26 @@ def _T(M: np.ndarray) -> np.ndarray:
     return np.swapaxes(M, -1, -2)
 
 
+def _ill_conditioned(M: np.ndarray) -> bool:
+    """Whether some matrix of a stack has a 2-norm condition number above
+    COND_LIMIT, as np.linalg.cond decides it.  ||M||_F ||M^-1||_F bounds that
+    number from above, so the SVD of np.linalg.cond runs only where the bound
+    passes half the limit (a computed inverse near the limit is off by up to
+    COND_LIMIT * eps relative), or on the whole stack where some matrix is
+    exactly singular."""
+    try:
+        inv = np.linalg.inv(M)
+    except np.linalg.LinAlgError:
+        return bool(np.any(np.linalg.cond(M) > COND_LIMIT))
+    bound = np.linalg.norm(M, axis=(-2, -1)) * np.linalg.norm(inv, axis=(-2, -1))
+    near = ~(bound <= 0.5 * COND_LIMIT)
+    return bool(np.any(np.linalg.cond(M[near]) > COND_LIMIT))
+
+
 def _solve_right(numer: np.ndarray, denom: np.ndarray, what: str) -> np.ndarray:
     """numer @ denom^{-1} per matrix of a stack, with condition monitoring:
     one node above COND_LIMIT rejects the whole stack."""
-    if np.any(np.linalg.cond(denom) > COND_LIMIT):
+    if _ill_conditioned(denom):
         raise SingularSuperposition(f"{what}: condition number above limit")
     return _T(np.linalg.solve(_T(denom), _T(numer)))
 
@@ -97,7 +113,7 @@ def m3_r7(R0, R1, R2, R4, D1, D2, D3, z1, z2, z3):
     box = ((1.0 / z2 - 1.0 / z3) * D1 @ R1
            + (1.0 / z3 - 1.0 / z1) * D2 @ R2
            + (1.0 / z1 - 1.0 / z2) * D3 @ R4)
-    if np.any(np.linalg.cond(box) > COND_LIMIT):
+    if _ill_conditioned(box):
         raise SingularBox("combination matrix is near singular")
     routes = [
         bpt_compose(R1, R3, R5, D2, D3),   # around x^1: z2-, z3-leaves

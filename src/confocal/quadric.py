@@ -416,12 +416,39 @@ class LMap:
         return self.Aprime[: self.n, : self.n]
 
 
+def _sqrt_g(q: QuadricSpec) -> np.ndarray:
+    """Symmetric square root S of G = A + conj(f1) conj(f1)^T of an IQWC.
+
+    G is block diagonal like A, and S takes the principal root of each
+    block.  The leading block J_p + conj(f1) conj(f1)^T has p distinct
+    eigenvalues on the unit circle, -1 among them for even p, whose root
+    is +i; eig may leave a real eigenvalue a round-off off the axis, so
+    those are snapped onto it.  The blocks a I_p + J_p of A after it have
+    no eigenvector basis for p >= 2 and take the SJ series.  Raises
+    ValueError when S @ S misses G."""
+    m = q.dim
+    f1 = iso_f(1, m)
+    G = q.A + np.outer(f1.conj(), f1.conj())
+    S = np.zeros((m, m), dtype=complex)
+    for i, (sl, a, p) in enumerate(q.sj.slices()):
+        if i == 0:
+            w, V = np.linalg.eig(G[sl, sl])
+            w = np.where(np.abs(w.imag) < 1e-12, w.real + 0j, w)
+            S[sl, sl] = (V * np.sqrt(w)) @ np.linalg.inv(V)
+        else:
+            S[sl, sl] = sjcore.sqrt_block(a, p, np.sqrt(a))
+    S = 0.5 * (S + S.T)
+    if np.max(np.abs(S @ S - G)) > 1e-9:
+        raise ValueError("square root of A + conj(f1) conj(f1)^T failed")
+    return S
+
+
 def build_lmap(q: QuadricSpec, seed: int = 0) -> LMap:
     """Construct L with L e_{n+1} = f_1 (IQWC) / L = (A + e e^T)^{-1/2} (QWC).
 
-    The IQWC route follows the recipe: with G = A + conj(f1) conj(f1)^T and S a
-    symmetric square root of G, pick R in O_{n+1}(C) with R e_{n+1} = S f_1
-    (seeded completion) and set L^{-1} = R^T S.
+    The IQWC route follows the recipe: with G = A + conj(f1) conj(f1)^T and S
+    its symmetric square root (_sqrt_g), pick R in O_{n+1}(C) with R e_{n+1}
+    = S f_1 (seeded completion) and set L^{-1} = R^T S.
     """
     if q.kind not in (QWC, IQWC):
         raise ValueError("L map applies to QWC / IQWC only")
@@ -431,15 +458,8 @@ def build_lmap(q: QuadricSpec, seed: int = 0) -> LMap:
         L = _inv_sqrt_sj(shifted)
         L_inv = sjcore.sqrt_sj(shifted)
         return LMap(QWC, L, L_inv, q.A.copy(), stack_apply(L_inv, q.B)[:q.n])
-    f1 = iso_f(1, m)
-    G = q.A + np.outer(f1.conj(), f1.conj())
-    # imported here: scipy.linalg is most of the package's import time
-    from scipy.linalg import sqrtm
-    S = sqrtm(G)
-    S = 0.5 * (S + S.T)
-    if np.max(np.abs(S @ S - G)) > 1e-9:
-        raise ValueError("square root of A + conj(f1) conj(f1)^T failed")
-    u = S @ f1
+    S = _sqrt_g(q)
+    u = S @ iso_f(1, m)
     Q = sjcore.orth_complete(u, m, seed=seed)
     perm = list(range(1, m)) + [0]
     R = Q.T[:, perm]

@@ -4,7 +4,9 @@ Everything here works with the bilinear pairing <x, y> = x^T y (no complex
 conjugation), so "orthogonal" means M^T M = I and lengths can vanish on
 isotropic vectors.  SJ matrices are direct sums of blocks a I_p + J_p where
 J_p is the symmetric nilpotent block built from the standard isotropic
-vectors f_j = (e_{2j-1} + i e_{2j}) / sqrt(2).
+vectors f_j = (e_{2j-1} + i e_{2j}) / sqrt(2).  Seeded random rotations
+exp(K) take each seed's K from the stream numpy's default_rng(seed) would
+draw, reproduced for a whole seed stack at once.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import IsotropicEncounter, SingularConfocal, ZeroEigenvalue
-from .numerics import scalar_mul, stack_apply, stack_dot
+from .numerics import expm, scalar_mul, stack_apply, stack_dot
 
 TOL_ORTH = 1e-10
 TOL_SINGULAR = 1e-12
@@ -144,9 +146,14 @@ def sqrt_sj(spec: SJSpec) -> np.ndarray:
     m = spec.dim
     S = np.zeros((m, m), dtype=complex)
     for sl, a, p in spec.slices():
-        ra = sqrt_branch(a)
-        S[sl, sl] = ra * _block_series(a, p, lambda k: _binom(0.5, k) * a ** (-k))
+        S[sl, sl] = sqrt_block(a, p, sqrt_branch(a))
     return S
+
+
+def sqrt_block(a: complex, p: int, root: complex) -> np.ndarray:
+    """root sum_k C(1/2,k) a^{-k} J_p^k: the square root of the block
+    a I_p + J_p whose eigenvalue is root, one of the two roots of a != 0."""
+    return root * _block_series(a, p, lambda k: _binom(0.5, k) * a ** (-k))
 
 
 def sqrt_resolvent(spec: SJSpec, z: complex) -> np.ndarray:
@@ -256,23 +263,126 @@ def seed_rows(seed: int, rows: int, count: int) -> np.ndarray:
     return seed + np.arange(rows * count, dtype=object).reshape(count, rows).T
 
 
+# numpy's default_rng(seed), reproduced on a whole seed stack: the
+# SeedSequence pool hash of the seed's 32-bit words, generate_state(4,
+# uint64), PCG64 seeding and its XSL-RR outputs as doubles.  A 128-bit LCG
+# state is a (hi, lo) pair of uint64 arrays; uint32 and uint64 arithmetic
+# wraps as the C code does.
+_MASK32 = 0xFFFFFFFF
+_MASK64 = 0xFFFFFFFFFFFFFFFF
+_PCG_MULT_HI = 0x2360ED051FC65DA4
+_PCG_MULT_LO = 0x4385DF649FCCF645
+
+
+def _seed_words(seeds: np.ndarray) -> np.ndarray:
+    """(max(4, words), count) uint32 little-endian words of non-negative
+    integer seeds, zero-padded to the longest; raises as SeedSequence does
+    on a negative or non-integer seed."""
+    flat = seeds.ravel()
+    kinds = set(map(type, flat)) if flat.dtype == object else {flat.dtype.type}
+    if not all(issubclass(k, (int, np.integer)) for k in kinds):
+        raise TypeError("seeds must be integers")
+    if flat.min(initial=0) < 0:
+        raise ValueError("expected non-negative integer")
+    top = int(flat.max(initial=0))
+    if top <= _MASK64:
+        v = flat.astype(np.uint64)
+        words = np.zeros((4, flat.size), dtype=np.uint32)
+        words[0], words[1] = v & _MASK32, v >> 32
+        return words
+    nwords = max(4, (top.bit_length() + 31) // 32)
+    return np.array([[(int(v) >> (32 * k)) & _MASK32 for v in flat]
+                     for k in range(nwords)], dtype=np.uint32)
+
+
+def _hasher(hc: int, mult: int, count: int):
+    """The SeedSequence hash of count successive calls, starting from hash
+    constant hc: returns (f, next hc), where f hashes a stack of uint32 rows,
+    row j with the constant of call j."""
+    xor, mul = [], []
+    for _ in range(count):
+        xor.append(hc)
+        hc = (hc * mult) & _MASK32
+        mul.append(hc)
+    xor = np.array(xor, dtype=np.uint32)[:, None]
+    mul = np.array(mul, dtype=np.uint32)[:, None]
+
+    def f(value):
+        value = (value ^ xor) * mul
+        return value ^ (value >> 16)
+    return f, hc
+
+
+def _mix(x, y):
+    r = x * 0xca01f9dd - y * 0x4973f715
+    return r ^ (r >> 16)
+
+
+def _seed_state(words: np.ndarray) -> np.ndarray:
+    """SeedSequence(seed).generate_state(4, uint64) of each seed, from its
+    words: the pool hash (mix_entropy), then eight hashed pool words, paired.
+    Words a seed lacks below the 4th hash as the zeros the pool pads with;
+    a word past the 4th mixes in only where the seed has it."""
+    mult = 0x931e8875
+    hashmix, hc = _hasher(0x43b0d7e5, mult, 4)
+    pool = hashmix(words[:4])
+    for src in range(4):
+        dst = [d for d in range(4) if d != src]
+        hashmix, hc = _hasher(hc, mult, 3)
+        pool[dst] = _mix(pool[dst], hashmix(pool[src]))
+    length = np.max(np.where(words != 0, np.arange(1, len(words) + 1)[:, None], 1),
+                    axis=0)
+    for src in range(4, len(words)):
+        hashmix, hc = _hasher(hc, mult, 4)
+        pool = np.where(length > src, _mix(pool, hashmix(words[src])), pool)
+    state = _hasher(0x8b51f9dd, 0x58f38ded, 8)[0](pool[[0, 1, 2, 3] * 2])
+    state = state.astype(np.uint64)
+    return state[0::2] | (state[1::2] << 32)
+
+
+def _pcg_step(hi, lo, inc_hi, inc_lo):
+    """One PCG64 LCG step, state MULT + inc mod 2^128.  The low 64 bits of
+    lo MULT_LO wrap in uint64; its high 64 bits come from 32-bit halves."""
+    c0, c1 = _PCG_MULT_LO & _MASK32, _PCG_MULT_LO >> 32
+    a0, a1 = lo & _MASK32, lo >> 32
+    p01, p10 = a0 * c1, a1 * c0
+    mid = ((a0 * c0) >> 32) + (p01 & _MASK32) + (p10 & _MASK32)
+    hi = (a1 * c1 + (p01 >> 32) + (p10 >> 32) + (mid >> 32)
+          + hi * _PCG_MULT_LO + lo * _PCG_MULT_HI + inc_hi)
+    lo = lo * _PCG_MULT_LO + inc_lo
+    return hi + (lo < inc_lo), lo
+
+
+def _pcg64_doubles(seeds, count: int) -> np.ndarray:
+    """The first count doubles in [0, 1) of default_rng(s), for each seed s of
+    an integer array, shape seeds.shape + (count,), bit for bit.  PCG64
+    seeds its LCG with inc = 2 initseq + 1 and state = (inc + initstate)
+    MULT + inc, and steps the state before each output."""
+    seeds = np.asarray(seeds)
+    s_hi, s_lo, i_hi, i_lo = _seed_state(_seed_words(seeds))
+    inc_hi, inc_lo = (i_hi << 1) | (i_lo >> 63), (i_lo << 1) | 1
+    lo = inc_lo + s_lo
+    hi, lo = _pcg_step(inc_hi + s_hi + (lo < inc_lo), lo, inc_hi, inc_lo)
+    out = np.empty((count, inc_lo.size), dtype=np.uint64)
+    for k in range(count):
+        hi, lo = _pcg_step(hi, lo, inc_hi, inc_lo)
+        x = hi ^ lo
+        rot = hi >> 58  # XSL-RR: hi ^ lo rotated right by the top 6 bits
+        out[k] = ((x >> rot) | (x << ((64 - rot) & 63))) >> 11
+    return (out.T * 2.0 ** -53).reshape(seeds.shape + (count,))
+
+
 def random_orthogonal(m: int, seed=0) -> np.ndarray:
     """exp(K) for a seeded random complex antisymmetric K with entries bounded
     by RANDOM_K_SCALE, batched over an integer seed array: a seed array of
-    shape s gives a stack of shape s + (m, m), each entry drawn from its own
-    generator, so it equals the per-seed draw."""
+    shape s gives a stack of shape s + (m, m).  Each seed's W has the bits of
+    its own generator, rng = default_rng(seed), W = rng.uniform(-c, c, (m, m))
+    + 1j rng.uniform(-c, c, (m, m)), drawn for the whole stack at once, and
+    K = (W - W^T)/2."""
     if m < 1:
         raise ValueError("m must be >= 1")
-    seeds = np.asarray(seed)
-    scale = RANDOM_K_SCALE
-    W = np.empty((seeds.size, m, m), dtype=complex)
-    for i, s in enumerate(seeds.flat):
-        rng = np.random.default_rng(s)
-        W[i] = (rng.uniform(-scale, scale, (m, m))
-                + 1j * rng.uniform(-scale, scale, (m, m)))
-    W = W.reshape(seeds.shape + (m, m))
-    K = 0.5 * (W - np.swapaxes(W, -1, -2))
-    # imported here: scipy.linalg is most of the package's import time, and
-    # only random_orthogonal and quadric.build_lmap need it
-    from scipy.linalg import expm
-    return expm(K)
+    low, high = -RANDOM_K_SCALE, RANDOM_K_SCALE
+    d = low + (high - low) * _pcg64_doubles(seed, 2 * m * m)
+    W = d[..., :m * m] + 1j * d[..., m * m:]
+    W = W.reshape(d.shape[:-1] + (m, m))
+    return expm(0.5 * (W - np.swapaxes(W, -1, -2)))

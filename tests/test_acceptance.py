@@ -183,15 +183,11 @@ def test_criterion_08_acpia(qwc2, lmap2, soliton32, forms32, ctx_a, leaf32,
 def test_criterion_09_bpt(qwc2, lmap2):
     c1 = bk.make_context(qwc2, 0.31 + 0.12j, lmap2)
     c2 = bk.make_context(qwc2, -0.2 + 0.25j, lmap2)
-    worst_o = worst_sc = 0.0
-    for i in range(1000):
-        R0 = random_orthogonal(2, seed=3 * i)
-        R1 = random_orthogonal(2, seed=3 * i + 1)
-        R2 = random_orthogonal(2, seed=3 * i + 2)
-        R3 = pm.bpt_compose(R0, R1, R2, c1.D, c2.D)
-        worst_o = max(worst_o, float(np.max(np.abs(R3 @ R3.T - np.eye(2)))))
-        worst_sc = max(worst_sc, pm.bpt_scalar_identity(
-            R0, R1, R2, R3, c1.D, c2.D, c1.z, c2.z))
+    # sample i draws R0, R1, R2 from seeds 3i, 3i + 1, 3i + 2
+    R0, R1, R2 = random_orthogonal(2, seed=sjcore.seed_rows(0, 3, 1000))
+    R3 = pm.bpt_compose(R0, R1, R2, c1.D, c2.D)
+    worst_o = float(np.max(np.abs(R3 @ np.swapaxes(R3, -1, -2) - np.eye(2))))
+    worst_sc = pm.bpt_scalar_identity(R0, R1, R2, R3, c1.D, c2.D, c1.z, c2.z)
     grid = df.GridSpec(((0.0, 0.3, 16), (0.0, 0.3, 16)))
     v0, lam0 = sc.default_soliton_data(qwc2, lmap2)
     resid = []

@@ -165,8 +165,8 @@ class TestRiccatiRHSReference:
             return rng.standard_normal(s) + 1j * rng.standard_normal(s)
 
         nodes = int(np.prod(shape))
-        R1 = np.array([random_orthogonal(n, seed=int(s))
-                       for s in rng.integers(0, 2**31, nodes)]).reshape(shape + (n, n))
+        R1 = random_orthogonal(n, seed=rng.integers(0, 2**31, nodes)).reshape(
+            shape + (n, n))
         if seed_kind == "identity":
             R0, om = None, None
             R0_ref = np.eye(n, dtype=complex)

@@ -8,8 +8,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from confocal.deform import GridSpec
-from confocal.numerics import (correlation, diff1, fit_scale, loglog_slope,
-                               rk4_step, rk4_sweep, scalar_abs, stack_lstsq)
+from confocal.numerics import (THETA13, correlation, diff1, expm, fit_scale,
+                               loglog_slope, rk4_step, rk4_sweep, scalar_abs,
+                               stack_lstsq)
 
 
 class TestDiff1:
@@ -228,3 +229,53 @@ class TestFits:
         assert correlation(x, y) != 0
         assert abs(fit_scale(x, y) - (-2.0 + 0.5j)) < 1e-12
         assert abs(abs(correlation(x.real, (3 * x).real)) - 1.0) < 1e-12
+
+
+def antisymmetric_stack(rng, count, m, scale):
+    W = rng.uniform(-scale, scale, (count, m, m)) + 1j * rng.uniform(
+        -scale, scale, (count, m, m))
+    return 0.5 * (W - np.swapaxes(W, -1, -2))
+
+
+class TestExpm:
+    @pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("scale", [0.5, 4.0, 40.0])
+    def test_against_scipy(self, m, scale):
+        linalg = pytest.importorskip("scipy.linalg")
+        rng = np.random.default_rng(10 * m)
+        a = antisymmetric_stack(rng, 200, m, scale)
+        a[::2] += 0.3 * scale * rng.standard_normal((100, m, m))  # general too
+        norms = np.max(np.sum(np.abs(a), axis=-2), axis=-1)
+        if scale > 1 and m > 1:
+            assert np.any(norms > THETA13)  # the scaled path runs
+        ref = linalg.expm(a)
+        rel = np.max(np.abs(expm(a) - ref), axis=(-2, -1)) / np.max(
+            np.abs(ref), axis=(-2, -1))
+        assert np.max(rel) < 1e-12
+
+    def test_closed_forms(self):
+        # exp of t [[0, 1], [-1, 0]] is the rotation by t, scaled or not
+        for t in (0.3, 2.0, 9.0, 60.0):
+            got = expm(t * np.array([[0.0, 1.0], [-1.0, 0.0]]))
+            ref = np.array([[np.cos(t), np.sin(t)], [-np.sin(t), np.cos(t)]])
+            assert np.max(np.abs(got - ref)) < 1e-13
+        assert np.max(np.abs(expm(np.zeros((3, 2, 2))) - np.eye(2))) < 1e-15
+        d = np.array([0.5, -3.0 + 1.0j, 7.0])
+        assert np.max(np.abs(np.diagonal(expm(np.diag(d))) - np.exp(d))) < 1e-12 * np.exp(7.0)
+
+    @pytest.mark.parametrize("m", [2, 3, 4, 5])
+    def test_orthogonality_defect(self, m):
+        rng = np.random.default_rng(m)
+        R = expm(antisymmetric_stack(rng, 500, m, 0.5))
+        assert np.max(np.abs(np.swapaxes(R, -1, -2) @ R - np.eye(m))) < 1e-14
+
+    def test_stack_is_per_matrix(self):
+        # each matrix takes its own scaling, so a stack with scaled and
+        # unscaled members rounds as its matrices one by one
+        rng = np.random.default_rng(3)
+        a = antisymmetric_stack(rng, 12, 3, 0.5) * np.array([1.0, 8.0, 30.0])[
+            np.arange(12) % 3][:, None, None]
+        a = a.reshape(4, 3, 3, 3)
+        stack = expm(a)
+        for idx in np.ndindex(4, 3):
+            assert np.array_equal(stack[idx], expm(a[idx]))

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from confocal import backlund as bk, deform as df, permute as pm
 from confocal.errors import (DistinctZRequired, SingularBox,
@@ -230,3 +231,40 @@ class TestLattice:
                                       (2, 2), seed=5)
         assert holes == [(1, 1)]
         assert lat[(1, 1)] is None
+
+
+def conditioned(kappa, angle=0.4):
+    """A complex 2x2 matrix with 2-norm condition number kappa, not diagonal."""
+    c, s = np.cos(angle), np.sin(angle)
+    Q = np.array([[c, s], [-s, c]])
+    return (1 + 0.5j) * Q @ np.diag([1.0, 1.0 / kappa]) @ Q.T
+
+
+class TestConditionMonitoring:
+    @pytest.mark.parametrize("kappa,rejected", [(1e11, False), (8e11, False),
+                                                (1e13, True)])
+    def test_limit(self, kappa, rejected):
+        # 8e11 lies between the norm bound's cut (half the limit) and the
+        # limit, so the exact condition number decides it
+        denom = np.stack([np.eye(2, dtype=complex), conditioned(kappa)])
+        assert (np.linalg.cond(denom[1]) > pm.COND_LIMIT) == rejected
+        if rejected:
+            with pytest.raises(SingularSuperposition):
+                pm._solve_right(np.eye(2), denom, "test")
+        else:
+            got = pm._solve_right(np.eye(2), denom, "test")
+            assert np.allclose(got[1] @ denom[1], np.eye(2), atol=1e-3)
+
+    def test_exactly_singular_node(self):
+        denom = np.stack([np.eye(2), np.array([[1.0, 2.0], [2.0, 4.0]])])
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.inv(denom)
+        with pytest.raises(SingularSuperposition):
+            pm._solve_right(np.eye(2), denom, "test")
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.floats(0.0, 15.0), min_size=1, max_size=5),
+           st.floats(0.0, 3.0))
+    def test_decision_is_cond(self, logs, angle):
+        M = np.stack([conditioned(10.0 ** e, angle) for e in logs])
+        assert pm._ill_conditioned(M) == bool(np.any(np.linalg.cond(M) > pm.COND_LIMIT))

@@ -291,6 +291,61 @@ class TestLMap:
         assert lm.b.shape == (q.n,)
         assert np.array_equal(lm.b, qd.chart_coords(lm, q.B)[:q.n])
 
+    @pytest.mark.parametrize("p", [2, 4, 6])
+    def test_sqrt_g_maps_minus_one_to_plus_i(self, p):
+        # G's leading block has the eigenvalue -1 (at p = 6 eig returns it as
+        # -1 - 2e-16j); its root is +i, where sqrt_branch would give -i
+        q = qd.iqwc_quadric(p, [(0.7, 1)])
+        S = qd._sqrt_g(q)
+        f1 = iso_f(1, q.dim)
+        G = q.A + np.outer(f1.conj(), f1.conj())
+        w, V = np.linalg.eig(G)
+        v = V[:, np.argmin(np.abs(w + 1.0))]
+        assert np.max(np.abs(S @ v - 1j * v)) < 1e-12
+        assert np.max(np.abs(S @ S - G)) < 1e-14
+        assert np.array_equal(S, S.T)
+
+    def test_sqrt_g_diagonal(self):
+        # p = 2 with 1x1 blocks: G = diag(1, -1, a1, a2) up to round-off in
+        # the leading block, and S its principal root; a negative block
+        # takes +i sqrt|a|, where sqrt_branch would give -i
+        a1, a2 = 1.5 - 0.2j, -1.9
+        S = qd._sqrt_g(qd.iqwc_quadric(2, [(a1, 1), (a2, 1)]))
+        ref = np.diag([1.0, 1j, np.sqrt(a1), 1j * np.sqrt(1.9)])
+        assert np.max(np.abs(S - ref)) < 2e-16
+        assert np.array_equal(S[2:, 2:], ref[2:, 2:])
+        assert sqrt_branch(a2).imag < 0
+
+    def test_sqrt_g_jordan_block(self):
+        # a 2x2 Jordan block of A: its eigenvector basis is defective (the
+        # eig route on G is 3.4e-9 off there); the SJ series is exact
+        a = 1.5 - 0.2j
+        q = qd.iqwc_quadric(2, [(a, 2)])
+        S = qd._sqrt_g(q)
+        f1 = iso_f(1, q.dim)
+        G = q.A + np.outer(f1.conj(), f1.conj())
+        assert np.max(np.abs(S @ S - G)) < 1e-14
+        assert np.max(np.abs(S - S.T)) < 1e-15
+        assert np.allclose(np.linalg.eigvals(S[2:, 2:]), np.sqrt(a), atol=1e-7)
+        J = G[2:, 2:] - a * np.eye(2)
+        assert np.max(np.abs(S[2:, 2:] - np.sqrt(a) * (np.eye(2) + J / (2 * a)))) < 1e-15
+
+    @pytest.mark.parametrize("p,extra", [(2, [(1.5 - 0.2j, 1), (1.9 - 0.2j, 1)]),
+                                         (3, [(1.5 - 0.2j, 1)]),
+                                         (2, [(1.5 - 0.2j, 2)])])
+    def test_sqrt_g_against_scipy(self, p, extra):
+        # the p = 2, 1x1-block quadric is the IQWC of the CLI comparisons:
+        # there the root keeps scipy.linalg.sqrtm's bits
+        linalg = pytest.importorskip("scipy.linalg")
+        q = qd.iqwc_quadric(p, extra)
+        f1 = iso_f(1, q.dim)
+        ref = linalg.sqrtm(q.A + np.outer(f1.conj(), f1.conj()))
+        ref = 0.5 * (ref + ref.T)
+        S = qd._sqrt_g(q)
+        assert np.max(np.abs(S - ref)) < 2e-15
+        if p == 2 and all(size == 1 for _, size in extra):
+            assert np.array_equal(S, ref)
+
     def test_seed_determinism(self, iqwc2):
         a = qd.build_lmap(iqwc2, seed=9)
         b = qd.build_lmap(iqwc2, seed=9)

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from confocal import sjcore
 from confocal.errors import IsotropicEncounter, SingularConfocal, ZeroEigenvalue
+from confocal.numerics import expm
 from confocal.sjcore import (SJSpec, build_sj, orth_complete, random_orthogonal,
                              sqrt_branch, sqrt_resolvent, sqrt_sj)
 
@@ -195,3 +196,54 @@ class TestCompletions:
         assert rows[1, 2] == big + 5 and type(rows[1, 2]) is int
         assert np.array_equal(random_orthogonal(2, seed=rows)[1, 2],
                               random_orthogonal(2, seed=big + 5))
+
+
+# the 32-bit word boundaries of SeedSequence's entropy, int64/uint64 limits
+# and seeds of more than four words, whose extra words mix in after the pool
+PINNED_SEEDS = [0, 1, 2 ** 31 - 1, 2 ** 31, 2 ** 32 - 1, 2 ** 32, 2 ** 32 + 1,
+                2 ** 63 - 1, 2 ** 63, 2 ** 64 - 1, 2 ** 64, 2 ** 64 + 3, 2 ** 70,
+                2 ** 96 - 1, 2 ** 100 + 7, 2 ** 128, 2 ** 130 + 9]
+
+
+def rng_rotation(m, seed):
+    """random_orthogonal's recipe on numpy's own per-seed generator."""
+    rng = np.random.default_rng(seed)
+    c = sjcore.RANDOM_K_SCALE
+    W = rng.uniform(-c, c, (m, m)) + 1j * rng.uniform(-c, c, (m, m))
+    return expm(0.5 * (W - W.T))
+
+
+class TestSeededDraws:
+    @settings(max_examples=80, deadline=None)
+    @given(m=st.integers(1, 5),
+           seed=st.one_of(st.integers(0, 2 ** 70), st.sampled_from(PINNED_SEEDS)))
+    def test_draws_are_default_rng(self, m, seed):
+        # every W entry has the bits of default_rng(seed).uniform
+        rng = np.random.default_rng(seed)
+        ref = np.concatenate([rng.uniform(-0.5, 0.5, m * m),
+                              rng.uniform(-0.5, 0.5, m * m)])
+        assert np.array_equal(-0.5 + sjcore._pcg64_doubles(seed, 2 * m * m), ref)
+        assert np.array_equal(random_orthogonal(m, seed), rng_rotation(m, seed))
+
+    def test_mixed_word_counts_in_one_stack(self):
+        seeds = np.array(PINNED_SEEDS, dtype=object).reshape(1, -1)
+        stack = random_orthogonal(3, seed=seeds)
+        assert stack.shape == (1, len(PINNED_SEEDS), 3, 3)
+        for R, s in zip(stack[0], PINNED_SEEDS):
+            assert np.array_equal(R, rng_rotation(3, s))
+            assert np.array_equal(R, random_orthogonal(3, s))
+
+    @pytest.mark.parametrize("seed", [-1, [3, -2], np.array([5, -1])])
+    def test_negative_seed_raises_as_default_rng(self, seed):
+        with pytest.raises(ValueError):
+            np.random.default_rng(-1)
+        with pytest.raises(ValueError):
+            random_orthogonal(2, seed=seed)
+
+    @pytest.mark.parametrize("seed", [1.5, np.array([1.0, 2.0])])
+    def test_non_integer_seed_raises(self, seed):
+        with pytest.raises(TypeError):
+            random_orthogonal(2, seed=seed)
+
+    def test_empty_stack(self):
+        assert random_orthogonal(2, seed=np.zeros((0, 3), dtype=int)).shape == (0, 3, 2, 2)
