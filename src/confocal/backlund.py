@@ -217,26 +217,21 @@ def riccati_rhs_qc_expanded(ctx: BacklundContext, k: int, V0, lam0, R0,
 
 # Riccati integration over grids -------------------------------------------------------
 
-def _lagrange_half_weights(t: float) -> np.ndarray:
-    """Weights of the cubic through nodes 0..3 evaluated at t."""
-    xs = np.arange(4, dtype=float)
-    w = np.ones(4)
-    for a in range(4):
-        for b in range(4):
-            if a != b:
-                w[a] *= (t - xs[b]) / (xs[a] - xs[b])
-    return w
-
-
-# by the midpoint's place in its 4-node panel: first, interior, last interval
-_HALF_WEIGHTS = tuple(_lagrange_half_weights(t) for t in (0.5, 1.5, 2.5))
+# weights of the cubic through nodes 0..3 at t = 0.5, 1.5, 2.5: the midpoint's
+# place in its 4-node panel (first, interior, last interval)
+_HALF_WEIGHTS = ((5 / 16, 15 / 16, -5 / 16, 1 / 16),
+                 (-1 / 16, 9 / 16, 9 / 16, -1 / 16),
+                 (1 / 16, -5 / 16, 15 / 16, 5 / 16))
 
 
 def _line_interp_half(vals: np.ndarray, i: int) -> np.ndarray:
-    """Cubic interpolation of per-node matrices vals (npts, ..., r, c) at the
-    midpoint i + 1/2 along axis 0."""
+    """Cubic interpolation of per-node values vals (npts, ...) at the midpoint
+    i + 1/2 along axis 0, elementwise, so a stack of lines rounds as its lines
+    one by one."""
     s = min(max(i - 1, 0), vals.shape[0] - 4)
-    return numerics.panel_sum(_HALF_WEIGHTS[i - s], vals[s:s + 4], item_ndim=2)
+    w = _HALF_WEIGHTS[i - s]
+    return (w[0] * vals[s] + w[1] * vals[s + 1]
+            + w[2] * vals[s + 2] + w[3] * vals[s + 3])
 
 
 @dataclass

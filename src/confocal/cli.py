@@ -195,9 +195,13 @@ def validate_config(cfg: dict) -> dict:
         raise ConfigError(f"{name} needs at least {needed} z values")
     if name == "lattice" and len(out["extent"]) != len(out["zs"]):
         raise ConfigError("extent length must match the number of z values")
+    if q.n < 1:
+        raise ConfigError(f"the quadric needs n >= 1, got n = {q.n}")
     kinds = _KINDS.get(name, (q.kind,))
     if q.kind not in kinds:
         raise ConfigError(f"{name} needs a {' or '.join(kinds)} quadric")
+    if name == "elliptic" and not qd.is_general(q):
+        raise ConfigError("elliptic needs one SJ block per eigenvalue")
     on_grid = name in _ON_GRID and q.kind != qd.QC
     if q.n < 2 and (on_grid or name == "ivory-check"):
         raise ConfigError(f"{name} needs a quadric with n >= 2, got n = {q.n}")
@@ -467,12 +471,12 @@ def run_bpt(cfg, q, lm, outdir, checks):
     grid, v0, lam0 = _soliton_data(cfg, q, lm)
     grids = [grid.refine(r) for r in (1, 2, 4)]
     with checks.stage("bpt_field", sum(math.prod(g.shape) for g in grids)):
+        R1b, R2b = sjcore.random_orthogonal(n, sjcore.seed_rows(seed, 2, 1)[:, 0])
         resid = []
         for g in grids:
             fg = df.zero_soliton(q, lm, g, v0, lam0)
-            r1 = bk.integrate_backlund(fg, c1, sjcore.random_orthogonal(n, seed))
-            r2 = bk.integrate_backlund(fg, c2,
-                                       sjcore.random_orthogonal(n, seed + 1))
+            r1 = bk.integrate_backlund(fg, c1, R1b)
+            r2 = bk.integrate_backlund(fg, c2, R2b)
             R3f = pm.bpt_compose_field(fg.R, r1.R1, r2.R1, c1.D, c2.D)
             rep = pm.bpt_verify(fg, r1.R1, r2.R1, R3f, c1, c2)
             resid.append(max(rep["riccati_seed_r1"], rep["riccati_seed_r2"]))

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import numerics, quadric as qd
-from .errors import DegenerateLambda, PrimeIntegralViolation, StepFailure
+from .errors import PrimeIntegralViolation, StepFailure
 from .numerics import diag_stack, diff1, scalar_mul, stack_apply, stack_lstsq
 from .sjcore import candidate_pool, complete_rows, sqrt_branch
 
@@ -78,7 +78,6 @@ class FieldGrid:
     """Per-node state (V, lam, R) of the integrable system over a grid."""
 
     grid: GridSpec
-    kind: str
     V: np.ndarray = field(repr=False)
     lam: np.ndarray = field(repr=False)
     R: np.ndarray = field(repr=False)
@@ -169,7 +168,7 @@ def zero_soliton(q, lm, grid: GridSpec, V_base, lam_base) -> FieldGrid:
     if np.min(np.abs(lam)) < TOL_DEG:
         raise StepFailure("lambda collapsed below TOL_DEG during integration")
     R = np.broadcast_to(np.eye(n), grid.shape + (n, n)).astype(complex).copy()
-    fg = FieldGrid(grid, q.kind, V, lam, R, {"soliton": "zero"})
+    fg = FieldGrid(grid, V, lam, R, {"soliton": "zero"})
     fg.meta["prime_integral_drift"] = float(np.max(prime_integral_residual(fg, q, lm)))
     return fg
 
@@ -393,7 +392,7 @@ def forms_assemble(fg: FieldGrid, q, lm, seed: int = 0) -> FundamentalForms:
     exact = fg.meta.get("soliton") == "zero"
     order = 4 if exact else 2
     if np.min(np.abs(fg.lam)) < TOL_DEG:
-        raise DegenerateLambda("lambda_j below tolerance somewhere on the grid")
+        raise StepFailure("lambda_j below tolerance somewhere on the grid")
     pi = float(np.max(prime_integral_residual(fg, q, lm)))
     if pi > 1e-6:
         # the joined frame's first row is unit only on the prime-integral

@@ -45,10 +45,6 @@ class StepFailure(ConfocalError):
     """Integration step failed (degenerate lambda or unresolvable singularity)."""
 
 
-class DegenerateLambda(ConfocalError):
-    """Some lambda_j below tolerance where a nonzero value is required."""
-
-
 class UNearZero(ConfocalError):
     """QC Riccati denominator U is below tolerance (genuine singular locus)."""
 

@@ -78,7 +78,7 @@ def save_fieldgrid(path, fg: df.FieldGrid, q, header_extra: dict | None = None):
     header = {
         "quadric": quadric_header(q),
         "grid": grid_header(fg.grid),
-        "kind": fg.kind,
+        "kind": q.kind,
         "meta": {k: v for k, v in fg.meta.items()
                  if isinstance(v, (int, float, str, bool))},
     }
@@ -113,9 +113,8 @@ def load_fieldgrid(path) -> df.FieldGrid:
             part[nodes] = cols.reshape((-1,) + comps)
         return out
 
-    return df.FieldGrid(grid, header["kind"], field("V", (n,)),
-                        field("lam", (n,)), field("R", (n, n)),
-                        header.get("meta", {}))
+    return df.FieldGrid(grid, field("V", (n,)), field("lam", (n,)),
+                        field("R", (n, n)), header.get("meta", {}))
 
 
 def save_residual_csv(path, names, rows):

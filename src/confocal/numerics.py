@@ -210,17 +210,6 @@ def diff1(field: np.ndarray, axis: int, h: float, order: int = 2) -> np.ndarray:
     return np.moveaxis(out, 0, axis)
 
 
-def panel_sum(w: np.ndarray, panel: np.ndarray, item_ndim: int) -> np.ndarray:
-    """sum_a w[a] panel[a] over axis 0, batched over all but the last
-    item_ndim axes.  Each item is one product of w with its (len(w), size)
-    panel, as np.tensordot(w, item_panel, axes=(0, 0)) forms it, so a stack
-    rounds as its items one by one (a single tensordot over the stack would
-    not: BLAS rounds a column by its position in the row)."""
-    p = np.moveaxis(panel, 0, panel.ndim - 1 - item_ndim)
-    flat = p.reshape(p.shape[:p.ndim - item_ndim] + (-1,))
-    return (w @ flat).reshape(panel.shape[1:])
-
-
 def loglog_slope(hs, errs) -> float:
     """Least-squares slope of log(err) against log(h)."""
     hs = np.asarray(hs, dtype=float)

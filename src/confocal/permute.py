@@ -91,8 +91,8 @@ def bpt_verify(fg_seed: df.FieldGrid, R1f, R2f, R3f,
     """Differential-level permutability: the second-order finite-difference
     residuals of R_3 in the leaf Riccati equations with seeds (R_1, z_2) and
     (R_2, z_1)."""
-    seed1 = df.FieldGrid(fg_seed.grid, fg_seed.kind, fg_seed.V, fg_seed.lam, R1f)
-    seed2 = df.FieldGrid(fg_seed.grid, fg_seed.kind, fg_seed.V, fg_seed.lam, R2f)
+    seed1 = df.FieldGrid(fg_seed.grid, fg_seed.V, fg_seed.lam, R1f)
+    seed2 = df.FieldGrid(fg_seed.grid, fg_seed.V, fg_seed.lam, R2f)
     return {"riccati_seed_r1": riccati_field_residual(R3f, seed1, ctx2),
             "riccati_seed_r2": riccati_field_residual(R3f, seed2, ctx1)}
 
@@ -149,16 +149,19 @@ def lattice_build(fg_seed: df.FieldGrid, contexts: dict, extent: tuple,
     Returns (lattice dict index -> FieldGrid or None, holes list).
     """
     k = len(extent)
+    steps = [(axis, step) for axis in range(k) for step in range(1, extent[axis])]
+    # the base rotations of all chain steps in one seed stack (Python ints,
+    # so a master seed beyond int64 stays exact)
+    base_rots = random_orthogonal(fg_seed.n, np.array(
+        [seed + 977 * axis + step for axis, step in steps], dtype=object))
     rays = {(0,) * k: fg_seed}
-    for axis in range(k):
-        for step in range(1, extent[axis]):
-            prev = rays[tuple(step - 1 if a == axis else 0 for a in range(k))]
-            base_rot = random_orthogonal(fg_seed.n, seed=seed + 977 * axis + step)
-            run = integrate_backlund(prev, contexts[axis], base_rot)
-            V1, lam1 = algebraic_transform_qwc(contexts[axis], prev.V, prev.lam,
-                                               prev.R, run.R1)
-            rays[tuple(step if a == axis else 0 for a in range(k))] = df.FieldGrid(
-                prev.grid, prev.kind, V1, lam1, run.R1)
+    for (axis, step), base_rot in zip(steps, base_rots):
+        prev = rays[tuple(step - 1 if a == axis else 0 for a in range(k))]
+        run = integrate_backlund(prev, contexts[axis], base_rot)
+        V1, lam1 = algebraic_transform_qwc(contexts[axis], prev.V, prev.lam,
+                                           prev.R, run.R1)
+        rays[tuple(step if a == axis else 0 for a in range(k))] = df.FieldGrid(
+            prev.grid, V1, lam1, run.R1)
     cells = [idx for idx in sorted(product(*map(range, extent)),
                                    key=lambda t: (sum(t), t))
              if idx not in rays]
@@ -204,7 +207,7 @@ def _fill(rays: dict, contexts: dict, cells: list, order):
                 continue
             V1, lam1 = algebraic_transform_qwc(contexts[b], leg_a.V,
                                                leg_a.lam, leg_a.R, Rn)
-            lattice[idx] = df.FieldGrid(base.grid, base.kind, V1, lam1, Rn)
+            lattice[idx] = df.FieldGrid(base.grid, V1, lam1, Rn)
             break
         else:
             lattice[idx] = None

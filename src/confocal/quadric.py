@@ -518,8 +518,7 @@ def _inv_sqrt_sj(spec: SJSpec) -> np.ndarray:
     for sl, a, p in spec.slices():
         ra = sqrt_branch(a)
         S[sl, sl] = (1.0 / ra) * sjcore._block_series(
-            a, p, lambda k: sjcore._binom(-0.5, k) * a ** (-k)
-        )
+            p, lambda k: sjcore._binom(-0.5, k) * a ** (-k))
     S.setflags(write=False)
     return S
 
@@ -528,10 +527,6 @@ def chart_coords(lm: LMap, x: np.ndarray) -> np.ndarray:
     """Paraboloid coordinates Z = L^{-1} x (..., n+1) of ambient vectors x
     (..., n+1) of an (I)QWC."""
     return stack_apply(lm.L_inv, np.asarray(x, dtype=complex))
-
-
-def b_norm2(q: QuadricSpec) -> complex:
-    return complex(q.B @ q.B)
 
 
 def translation_chart(q: QuadricSpec, lm: LMap, z: complex) -> np.ndarray:
@@ -564,7 +559,7 @@ def h_chart(q: QuadricSpec, lm: LMap | None, V: np.ndarray):
         X = _stereographic(V, np.einsum("...k,...k->...", V, V))
         return np.einsum("...i,ij,...j->...", X, q.A, X)
     return (np.einsum("...j,jk,...k->...", V, lm.aprime_n(), V)
-            + 2.0 * np.einsum("...j,j->...", V, lm.b) + b_norm2(q))
+            + 2.0 * np.einsum("...j,j->...", V, lm.b) + complex(q.B @ q.B))
 
 
 def stereo_lift(V: np.ndarray, v2) -> np.ndarray:

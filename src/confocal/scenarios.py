@@ -317,7 +317,7 @@ def backlund_pipeline(q, lm, grid, v_base, lam_base, z, seed: int) -> dict:
         if i < 2:   # the mismatch and its halving ratio read two grids
             mismatch.append(bk.path_mismatch(fg, ctx, run))
         V1, lam1 = bk.algebraic_transform_qwc(ctx, fg.V, fg.lam, fg.R, run.R1)
-        fg1 = df.FieldGrid(g, q.kind, V1, lam1, run.R1, {})
+        fg1 = df.FieldGrid(g, V1, lam1, run.R1, {})
         leafres.append(bk.leaf_system_residual(fg1, q, lm))
         defres.append(df.system_residual(fg1, q, lm).interior_max())
         runs.append((g.h[0], run, fg1))
@@ -378,8 +378,7 @@ def sine_gordon_suite(grid, fields: int, seed: int) -> dict:
         R[..., 0, 1] = -np.sin(phi)
         R[..., 1, 0] = np.sin(phi)
         R[..., 1, 1] = np.cos(phi)
-        fg = df.FieldGrid(grid, q.kind,
-                          np.zeros(grid.shape + (2,), dtype=complex),
+        fg = df.FieldGrid(grid, np.zeros(grid.shape + (2,), dtype=complex),
                           np.ones(grid.shape + (2,), dtype=complex), R, {})
         res = df.system_residual(fg, q, lm).two_form[..., 0, 1]
         phi11 = diff1(diff1(phi, 0, hs[0]), 0, hs[0])

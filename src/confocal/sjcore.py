@@ -18,7 +18,6 @@ import numpy as np
 from .errors import IsotropicEncounter, SingularConfocal, ZeroEigenvalue
 from .numerics import expm, scalar_mul, stack_apply, stack_dot
 
-TOL_ORTH = 1e-10
 TOL_SINGULAR = 1e-12
 EXTRA_DRAWS = 32     # candidate draws orth_complete adds beyond the rows it needs
 RANDOM_K_SCALE = 0.5  # entry bound of random_orthogonal's antisymmetric exponent
@@ -115,7 +114,7 @@ def build_sj(spec: SJSpec) -> np.ndarray:
     return A
 
 
-def _block_series(a: complex, p: int, coeff_fn) -> np.ndarray:
+def _block_series(p: int, coeff_fn) -> np.ndarray:
     """Sum_{k<p} coeff_fn(k) J_p^k (the nilpotency-truncated series on one block)."""
     J = sj_nilpotent(p)
     out = coeff_fn(0) * np.eye(p, dtype=complex)
@@ -153,7 +152,7 @@ def sqrt_sj(spec: SJSpec) -> np.ndarray:
 def sqrt_block(a: complex, p: int, root: complex) -> np.ndarray:
     """root sum_k C(1/2,k) a^{-k} J_p^k: the square root of the block
     a I_p + J_p whose eigenvalue is root, one of the two roots of a != 0."""
-    return root * _block_series(a, p, lambda k: _binom(0.5, k) * a ** (-k))
+    return root * _block_series(p, lambda k: _binom(0.5, k) * a ** (-k))
 
 
 def sqrt_resolvent(spec: SJSpec, z: complex) -> np.ndarray:
@@ -171,7 +170,7 @@ def sqrt_resolvent(spec: SJSpec, z: complex) -> np.ndarray:
         if abs(w) < TOL_SINGULAR:
             raise SingularConfocal(f"1 - z*a = {w} for eigenvalue {a}")
         rw = sqrt_branch(w)
-        S[sl, sl] = rw * _block_series(a, p, lambda k: _binom(0.5, k) * (-z / w) ** k)
+        S[sl, sl] = rw * _block_series(p, lambda k: _binom(0.5, k) * (-z / w) ** k)
     return S
 
 
@@ -181,7 +180,7 @@ def orth_defect(M: np.ndarray) -> float:
     return float(np.max(np.abs(M.T @ M - np.eye(m))))
 
 
-def check_orthogonal(M: np.ndarray, tol: float = TOL_ORTH, what: str = "matrix"):
+def check_orthogonal(M: np.ndarray, tol: float, what: str):
     d = orth_defect(M)
     if d > tol:
         raise ValueError(f"{what} is not bilinear-orthogonal: defect {d:.3e} > {tol:.1e}")

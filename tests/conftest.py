@@ -83,7 +83,7 @@ def riccati64(soliton64, ctx_a):
 def leaf32(qwc2, lmap2, soliton32, ctx_a, riccati32):
     V1, lam1 = bk.algebraic_transform_qwc(ctx_a, soliton32.V, soliton32.lam,
                                           soliton32.R, riccati32.R1)
-    return df.FieldGrid(soliton32.grid, qwc2.kind, V1, lam1, riccati32.R1, {})
+    return df.FieldGrid(soliton32.grid, V1, lam1, riccati32.R1, {})
 
 
 @pytest.fixture(scope="session")

@@ -252,7 +252,7 @@ def test_criterion_11_gcmpr(qwc2, lmap2, forms32, leaf32, soliton64,
     ff_leaf = df.forms_assemble(leaf32, qwc2, lmap2, seed=11)
     V1, lam1 = bk.algebraic_transform_qwc(ctx_a, soliton64.V, soliton64.lam,
                                           soliton64.R, riccati64.R1)
-    leaf64 = df.FieldGrid(soliton64.grid, qwc2.kind, V1, lam1, riccati64.R1, {})
+    leaf64 = df.FieldGrid(soliton64.grid, V1, lam1, riccati64.R1, {})
     ff_leaf2 = df.forms_assemble(leaf64, qwc2, lmap2, seed=11)
     # interior restriction: double one-sided differencing at the boundary
     # layers drops an order there, the leaf claim is the O(h^2) floor

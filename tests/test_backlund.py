@@ -407,6 +407,24 @@ class TestIntegration:
         ratio = d_final[1] / d_final[0]
         assert 1.7 < ratio < 2.3
 
+    @pytest.mark.parametrize("i", [0, 1, 2])
+    def test_half_weights_exact_on_cubic(self, i):
+        # the cubic through nodes 0..3 reproduces t^3 at each midpoint, and
+        # with these dyadic weights every product and sum is exact
+        t = 0.5 + i
+        assert np.dot(bk._HALF_WEIGHTS[i], [0.0, 1.0, 8.0, 27.0]) == t ** 3
+
+    def test_line_interp_half_stack_equals_lines(self):
+        # elementwise weights: a stack of lines rounds as each line alone
+        rng = np.random.default_rng(4)
+        shape = (9, 6, 2, 2)
+        vals = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        for i in range(8):
+            stack = bk._line_interp_half(vals, i)
+            for j in range(6):
+                one = bk._line_interp_half(vals[:, j], i)
+                assert stack[j].tobytes() == one.tobytes()
+
     def test_general_seed_interpolated(self, qwc2, lmap2, leaf32, ctx_a):
         # integrating off a non-constant seed field exercises the cubic
         # interpolation path; orthogonality must still be preserved
@@ -457,7 +475,7 @@ class TestLeafResiduals:
         r1 = bk.leaf_system_residual(leaf32, qwc2, lmap2)
         V1, lam1 = bk.algebraic_transform_qwc(ctx_a, soliton64.V, soliton64.lam,
                                               soliton64.R, riccati64.R1)
-        fine = df.FieldGrid(soliton64.grid, qwc2.kind, V1, lam1, riccati64.R1, {})
+        fine = df.FieldGrid(soliton64.grid, V1, lam1, riccati64.R1, {})
         r2 = bk.leaf_system_residual(fine, qwc2, lmap2)
         assert 3.0 < r1 / r2 < 5.0     # slope 2 under halving
 

@@ -103,3 +103,16 @@ def test_config_list():
     labels = [label for label, _ in co.configs()]
     assert len(labels) == len(set(labels)) == 152
     assert sum(label.startswith("bench-") for label in labels) == 129
+
+
+def test_worktree_export_copies_src_without_pycache(tmp_path, monkeypatch):
+    root = tmp_path / "checkout"
+    pkg = root / "src" / "confocal"
+    (pkg / "__pycache__").mkdir(parents=True)
+    (pkg / "__init__.py").write_text("x = 1\n")
+    (pkg / "__pycache__" / "__init__.cpython-311.pyc").write_bytes(b"\0")
+    monkeypatch.setattr(co, "ROOT", root)
+    src = co.unpack(co.WORKTREE, tmp_path / "out")
+    assert src == tmp_path / "out" / "src"
+    assert sorted(p.relative_to(src).as_posix() for p in src.rglob("*")) == [
+        "confocal", "confocal/__init__.py"]

@@ -141,8 +141,7 @@ class TestSystemResidual:
         lm = qd.build_lmap(q)
         grid = df.GridSpec(((0.0, 0.2, 8), (0.0, 0.2, 8)))
         n = 2
-        fg = df.FieldGrid(grid, q.kind,
-                          np.zeros(grid.shape + (n,), dtype=complex),
+        fg = df.FieldGrid(grid, np.zeros(grid.shape + (n,), dtype=complex),
                           np.ones(grid.shape + (n,), dtype=complex),
                           np.broadcast_to(np.eye(n), grid.shape + (n, n)).copy(),
                           {})
@@ -153,8 +152,7 @@ class TestSystemResidual:
 
     def test_qc_field_rejected(self, qc3, soliton32):
         # the deformation system is taken on QWC/IQWC charts only
-        fg = df.FieldGrid(soliton32.grid, qc3.kind, soliton32.V, soliton32.lam,
-                          soliton32.R)
+        fg = df.FieldGrid(soliton32.grid, soliton32.V, soliton32.lam, soliton32.R)
         with pytest.raises(StepFailure):
             df.system_residual(fg, qc3, None)
 
@@ -180,7 +178,7 @@ def manufactured_net(q, lm, grid):
         V[..., j] = vj.reshape(shape)
         lam[..., j] = lj.reshape(shape)
     R = np.broadcast_to(np.eye(n), grid.shape + (n, n)).astype(complex).copy()
-    return df.FieldGrid(grid, q.kind, V, lam, R, {})
+    return df.FieldGrid(grid, V, lam, R, {})
 
 
 class TestGammaOracle:
@@ -441,9 +439,17 @@ class TestFormsPrecondition:
         with pytest.raises(PrimeIntegralViolation):
             df.forms_assemble(bad, qwc2, lmap2, seed=1)
 
+    def test_degenerate_lambda_rejected(self, qwc2, lmap2, soliton32):
+        # one lambda_j below TOL_DEG anywhere: the same failure zero_soliton
+        # raises for it
+        lam = soliton32.lam.copy()
+        lam[5, 7, 1] = 0.1 * df.TOL_DEG
+        bad = dataclasses.replace(soliton32, lam=lam)
+        with pytest.raises(StepFailure, match="lambda_j below tolerance"):
+            df.forms_assemble(bad, qwc2, lmap2, seed=1)
+
     def test_qc_field_rejected(self, qc3, soliton32):
         # the forms are assembled on QWC/IQWC charts only
-        fg = df.FieldGrid(soliton32.grid, qc3.kind, soliton32.V, soliton32.lam,
-                          soliton32.R)
+        fg = df.FieldGrid(soliton32.grid, soliton32.V, soliton32.lam, soliton32.R)
         with pytest.raises(StepFailure):
             df.forms_assemble(fg, qc3, None)

@@ -2,12 +2,17 @@
 and plot-data emission."""
 
 import ast
+import contextlib
+import io
 import json
 import pstats
+import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from confocal import backlund as bk, cli, deform as df, gridio, permute as pm, scenarios as sc
 from confocal.errors import ConfigError, MissingRun, MultipleRoot
@@ -44,7 +49,7 @@ class TestGridIO:
             return (rng.standard_normal(s) * 10.0 ** rng.integers(-300, 300, s)
                     + 1j * rng.standard_normal(s))
 
-        fg3 = df.FieldGrid(grid, "QWC", cplx(13, 9, 11, 3), cplx(13, 9, 11, 3),
+        fg3 = df.FieldGrid(grid, cplx(13, 9, 11, 3), cplx(13, 9, 11, 3),
                            cplx(13, 9, 11, 3, 3))
         fg3.V[0, 0, 0] = complex(-0.0, 0.0)
         for name, fg in (("n2", soliton32), ("n3", fg3)):
@@ -116,6 +121,106 @@ N1_QWC = {"kind": "QWC", "blocks": [{"a": [1.0, 0.0], "p": 1}]}
 N1_QC = {"kind": "QC", "blocks": [{"a": [1.0, 0.0], "p": 1},
                                   {"a": [0.5, 0.1], "p": 1}]}
 INF, NAN = float("inf"), float("nan")   # json writes Infinity and NaN
+
+# Malformed values per top-level config key, each invalid for every scenario:
+# wrong types, wrong shapes and out-of-range values.  Counts and grids stay
+# small, so that nothing large is allocated even before validation rejects
+# them.  Bools and floats are left out where int() would read them as a
+# valid count.
+_NOT_NUMBER = st.sampled_from(["x", "", "1e", None, [], [1.0], {}, {"v": 1}])
+_NON_FINITE = st.sampled_from([INF, -INF, NAN, "inf", "nan"])
+_NOT_OBJECT = st.one_of(st.integers(), st.text(max_size=4), st.none(),
+                        st.lists(st.integers(), max_size=2))
+_AXIS = [0.0, 0.3, 6]
+_BAD_AXIS = st.one_of(
+    st.integers(-3, 4).map(lambda s: [0.0, 0.3, s]),           # < 5 nodes
+    st.floats(-1.0, 1.0).map(lambda a: [a, a - 0.5, 6]),        # decreasing
+    _NON_FINITE.map(lambda v: [0.0, v, 6]),
+    _NOT_NUMBER.map(lambda v: [0.0, 0.3, v]),
+    st.sampled_from([[0.0, 0.3], [0.0, 0.3, 6, 6], [], 6]))
+_BAD_GRID = st.one_of(
+    _NOT_OBJECT, st.just({}), st.just({"axes": 3}),
+    _BAD_AXIS.map(lambda ax: {"axes": [_AXIS, ax]}),
+    st.sampled_from([[0, 6], [0], [0, 0, 0], [-1, 0], "ab", 5]).map(
+        lambda base: {"axes": [_AXIS, _AXIS], "base": base}))
+_BLOCK = {"a": [1.0, 0.0], "p": 1}
+_BAD_BLOCK = st.one_of(
+    st.sampled_from([{"p": 1}, {"a": [1.0, 0.0]}, 3, "ab", None, [1.0, 0.0]]),
+    _NOT_NUMBER.map(lambda a: {"a": a, "p": 1}),
+    _NON_FINITE.map(lambda v: {"a": [v, 0.0], "p": 1}),
+    st.one_of(st.integers(max_value=0), _NOT_NUMBER).map(
+        lambda p: {"a": [1.0, 0.0], "p": p}))
+_BAD_QUADRIC = st.one_of(
+    _NOT_OBJECT, st.just({"blocks": [_BLOCK]}),
+    st.text(max_size=5).filter(lambda k: k not in ("QC", "QWC", "IQWC")).map(
+        lambda k: {"kind": k, "blocks": [_BLOCK]}),
+    st.tuples(st.sampled_from(["QC", "QWC", "IQWC"]), _BAD_BLOCK).map(
+        lambda kb: {"kind": kb[0], "blocks": [_BLOCK, kb[1]]}),
+    st.one_of(st.integers(max_value=1), _NOT_NUMBER).map(
+        lambda p: {"kind": "IQWC", "p": p}),
+    st.sampled_from([
+        {"kind": "QC", "blocks": [{"a": [0.0, 0.0], "p": 1}, _BLOCK]},
+        {"kind": "IQWC", "p": 2, "blocks": [{"a": [0.0, 0.0], "p": 1}]},
+        {"kind": "QWC", "blocks": {"a": [1.0, 0.0], "p": 1}},
+        # n < 1: a QC in C^1 or none at all, a QWC with only its kernel
+        {"kind": "QC", "blocks": []}, {"kind": "QC", "blocks": [_BLOCK]},
+        {"kind": "QWC", "blocks": []}]))
+_BAD_COUNT = st.one_of(st.integers(max_value=0), st.floats(max_value=0.99),
+                       _NOT_NUMBER, _NON_FINITE)
+_BAD_Z = st.one_of(
+    st.integers(), st.floats(), st.just(""), st.just({}),
+    st.sampled_from([[1.0, 2.0, 3.0], [], "x", None, [0.0, 0.0], 0.0,
+                     [NAN, 0.0], [INF, 0.0], [0.31, 0.12], {"re": 1.0}]).map(
+        lambda bad: [[0.31, 0.12], bad]))
+_BAD_TOLERANCES = st.one_of(
+    st.lists(st.floats(), max_size=2), st.text(max_size=3), st.integers(),
+    st.text(max_size=8).filter(lambda k: k not in sc.TOLERANCES).map(
+        lambda k: {k: 1e-3}),
+    st.one_of(st.floats(max_value=0.0), _NOT_NUMBER, _NON_FINITE).map(
+        lambda v: {"ivory_identities": v}))
+_MALFORMED = {
+    "scenario": st.one_of(
+        st.text(max_size=12).filter(lambda s: s not in cli.SCENARIOS),
+        st.integers(), st.none(), st.lists(st.integers(), max_size=2)),
+    "quadric": _BAD_QUADRIC,
+    "grid": _BAD_GRID,
+    "z": _BAD_Z,
+    "samples": _BAD_COUNT,
+    "lame_samples": _BAD_COUNT,
+    "fields": _BAD_COUNT,
+    "seeds": st.one_of(
+        _NOT_OBJECT,
+        st.one_of(st.integers(max_value=-1), _NOT_NUMBER, _NON_FINITE).map(
+            lambda m: {"master": m})),
+    "lam_theta": st.one_of(_NOT_NUMBER, _NON_FINITE),
+    "extent": st.one_of(
+        st.integers(), st.sampled_from(["ab", "x", " "]),
+        st.integers(max_value=1).map(lambda e: [3, e]),
+        _NOT_NUMBER.map(lambda e: [3, e])),
+    "tol_scale": st.one_of(st.floats(max_value=0.0), _NOT_NUMBER, _NON_FINITE),
+    "tolerances": _BAD_TOLERANCES,
+}
+
+
+def _reject_runner(*_args):
+    raise AssertionError("a malformed config reached its scenario runner")
+
+
+def _exit_and_stderr(cfg) -> tuple:
+    """cli.main's exit code and stderr on cfg, written as a JSON file; a
+    config that passes validation fails the caller at its runner."""
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, \
+            mock.patch.dict(cli.RUNNERS,
+                            dict.fromkeys(cli.RUNNERS, _reject_runner)), \
+            contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(err):
+        path = Path(tmp) / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        rc = cli.main(["run", "--config", str(path), "--out",
+                       str(Path(tmp) / "out")])
+        written = (Path(tmp) / "out").exists()
+    return rc, err.getvalue(), written
 
 
 class TestConfigValidation:
@@ -202,6 +307,10 @@ class TestConfigValidation:
         {"scenario": "m3", "z": [[0.31, 0.12], [-0.2, 0.25], [0.0, 0.0]]},
         {"scenario": "lattice", "z": [[0.0, 0.0], [-0.2, 0.25]]},
         {"scenario": "ivory-check", "z": [0.0]},
+        # elliptic coordinates need one SJ block per eigenvalue
+        {"scenario": "elliptic", "quadric": {"kind": "QC", "blocks": [
+            {"a": [1, 0], "p": 1}, {"a": [1, 0], "p": 1}]}},
+        {"scenario": "bpt", "quadric": {"kind": "QC", "blocks": []}},
     ], ids=lambda c: json.dumps(c)[:60])
     def test_malformed_config_exits_2(self, cfg, tmp_path, capsys):
         cfgfile = tmp_path / "bad.json"
@@ -212,6 +321,17 @@ class TestConfigValidation:
         assert capsys.readouterr().err.startswith("config error:")
         assert not (tmp_path / "out").exists()   # nothing is written
 
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from(cli.SCENARIOS), st.data())
+    def test_fuzzed_malformed_config_exits_2(self, scenario, data):
+        # one top-level key of a config replaced by a malformed value
+        key = data.draw(st.sampled_from(sorted(_MALFORMED)), label="key")
+        cfg = {"scenario": scenario, key: data.draw(_MALFORMED[key], label=key)}
+        rc, err, written = _exit_and_stderr(cfg)
+        assert rc == 2
+        assert err.startswith("config error:")
+        assert not written
 
     def test_infinite_tol_scale_flag_exits_2(self, tmp_path, capsys):
         rc = cli.main(["run", "--scenario", "elliptic", "--tol-scale", "inf",

@@ -27,7 +27,7 @@ def resolvent_inv_sqrt(spec, z: complex) -> np.ndarray:
     for sl, a, p in spec.slices():
         w = 1.0 - z * a
         S[sl, sl] = (1.0 / sqrt_branch(w)) * _block_series(
-            a, p, lambda k: _binom(-0.5, k) * (-z / w) ** k)
+            p, lambda k: _binom(-0.5, k) * (-z / w) ** k)
     return S
 
 
@@ -477,7 +477,7 @@ class TestChartBatch:
         d = V[idx] / np.max(np.abs(V[idx]))
         a = d @ lm.aprime_n() @ d
         b = 2.0 * d @ lm.b
-        c = qd.b_norm2(q)
+        c = complex(q.B @ q.B)
         s = sqrt_branch(b * b - 4.0 * a * c)
         t = 2.0 * c / max(-b - s, -b + s, key=abs)
         V[idx] = t * d

@@ -4,11 +4,11 @@
 
 Each argument is a git revision, or `worktree` for the checkout's src/ as it
 stands, optionally followed by `:<label>` (the label defaults to the short
-SHA).  Each revision's src/ is exported with `git archive` (as
-tools/compare_outputs.py does), so the checkout is not touched.  A scenario
-run is one fresh `python -m confocal.cli run --scenario <name>` process with
-that src/ on the import path and BLAS pinned to one thread, timed from spawn
-to exit: what a CLI user waits for.  Rounds alternate the revisions run by
+SHA).  Each revision's src/ is exported as tools/compare_outputs.py exports
+it, so the checkout is not touched.  A scenario run is one fresh
+`python -m confocal.cli run --scenario <name>` process with that src/ on the
+import path and BLAS pinned to one thread, timed from spawn to exit: what a
+CLI user waits for.  Rounds alternate the revisions run by
 run, so drift of the host spreads over all of them; each scenario's time is
 the median of --runs rounds.
 
@@ -25,7 +25,6 @@ import argparse
 import json
 import os
 import platform
-import shutil
 import statistics
 import subprocess
 import sys
@@ -33,29 +32,10 @@ import tempfile
 import time
 from pathlib import Path
 
-from compare_outputs import ROOT, SCENARIOS, export_src
+from compare_outputs import ROOT, SCENARIOS, resolve, unpack
 
 BLAS_PINNED = {k: "1" for k in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
                                   "MKL_NUM_THREADS")}
-WORKTREE = "worktree"
-
-
-def resolve(rev: str) -> str:
-    """Full SHA of a revision; for the worktree, HEAD's SHA marked as such."""
-    name = "HEAD" if rev == WORKTREE else rev
-    sha = subprocess.run(["git", "-C", str(ROOT), "rev-parse", name],
-                         check=True, capture_output=True, text=True).stdout.strip()
-    return sha + "+worktree" if rev == WORKTREE else sha
-
-
-def unpack(rev: str, dest: Path) -> Path:
-    """src/ of rev under dest; returns the src directory."""
-    if rev == WORKTREE:
-        shutil.copytree(ROOT / "src", dest / "src",
-                        ignore=shutil.ignore_patterns("__pycache__", "*.egg-info"))
-    else:
-        export_src(rev, dest)
-    return dest / "src"
 
 
 def environment() -> dict:

@@ -3,7 +3,9 @@
     python3 tools/compare_outputs.py <rev-a> <rev-b> [--allow FILE]
 
 Each revision's src/ is exported with `git archive` into a temporary
-directory, so the checkout is not touched and no worktree is made.  Every
+directory, so the checkout is not touched and no worktree is made; the
+revision `worktree` is the checkout's src/ as it stands, copied without
+__pycache__, so a change can be compared before it is committed.  Every
 config of `configs()` then runs through `confocal run` in one interpreter per
 revision, with that src/ on the import path and BLAS pinned to one thread.
 
@@ -28,6 +30,7 @@ import fnmatch
 import io
 import json
 import os
+import shutil
 import subprocess
 import sys
 import tarfile
@@ -35,23 +38,14 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+WORKTREE = "worktree"
 TIMING = {("runtime_s",), ("checks", "runtime_s"), ("stages", "wall_s"),
           ("stages", "nodes_per_s")}
 
-_QC = {"kind": "QC", "blocks": [{"a": [1.0, 0.0], "p": 1},
-                                {"a": [1.3, 0.1], "p": 1},
-                                {"a": [0.8, -0.2], "p": 1}]}
-_IQWC = {"kind": "IQWC", "p": 2, "blocks": [{"a": [1.5, -0.2], "p": 1},
-                                            {"a": [1.9, -0.2], "p": 1}]}
 # an IQWC whose A' block is diagonal only once canonicalized, on a 9x9 grid
 _CANON = {"quadric": {"kind": "IQWC", "p": 2,
                       "blocks": [{"a": [1.5, -0.2], "p": 1}]},
-          "grid": {"axes": [[0.0, 0.3, 9]] * 2}, "canonicalize": True}
-_DEFORM_N3 = {"quadric": {"kind": "QWC",
-                          "blocks": [{"a": [1.0, 0.0], "p": 1},
-                                     {"a": [0.7, 0.0], "p": 1},
-                                     {"a": [1.3, 0.0], "p": 1}]},
-              "grid": {"axes": [[0.0, 0.22, 12]] * 3}, "lam_theta": 0.3}
+          "grid": {"axes": [[0.0, 0.3, 9]] * 2}}
 SCENARIOS = ("ivory-check", "elliptic", "deform-0soliton", "backlund-qwc",
              "backlund-qc", "leaf-embed", "bpt", "m3", "lattice", "sine-gordon")
 GRID_SCENARIOS = ("deform-0soliton", "backlund-qwc", "leaf-embed", "bpt", "m3",
@@ -64,11 +58,16 @@ def configs() -> list:
     n = 3 deform-0soliton, QC bpt, ivory-check and elliptic on QC and IQWC,
     the grid scenarios on a canonicalized IQWC, a 3-axis lattice and every
     benchmark run of BENCH_SEEDS (from perfbench/workloads.py)."""
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    try:
+        from workloads import DEFORM_N3, IQWC, QC, WORKLOADS, run_list
+    finally:
+        sys.path.pop(0)
     out = [(f"default/{s}", {"scenario": s}) for s in SCENARIOS]
     out.append(("n3/deform-0soliton", {"scenario": "deform-0soliton",
-                                       **_DEFORM_N3}))
-    out.append(("qc/bpt", {"scenario": "bpt", "quadric": _QC}))
-    for kind, quadric in (("qc", _QC), ("iqwc", _IQWC)):
+                                       **DEFORM_N3}))
+    out.append(("qc/bpt", {"scenario": "bpt", "quadric": QC}))
+    for kind, quadric in (("qc", QC), ("iqwc", IQWC)):
         for s in ("ivory-check", "elliptic"):
             out.append((f"{kind}/{s}", {"scenario": s, "quadric": quadric}))
     out += [(f"canonical-iqwc/{s}", {"scenario": s, **_CANON})
@@ -76,11 +75,6 @@ def configs() -> list:
     out.append(("lattice-3axis", {
         "scenario": "lattice", "extent": [2, 2, 2],
         "z": [[0.31, 0.12], [-0.2, 0.25], [0.12, -0.3]]}))
-    sys.path.insert(0, str(ROOT / "perfbench"))
-    try:
-        from workloads import WORKLOADS, run_list
-    finally:
-        sys.path.pop(0)
     for seed in BENCH_SEEDS:
         for workload in WORKLOADS:
             out += [(f"bench-{seed}/{workload}/{run.label}", run.config)
@@ -116,10 +110,28 @@ def export_src(rev: str, dest: Path) -> None:
         tar.extractall(dest, filter="data")
 
 
+def resolve(rev: str) -> str:
+    """Full SHA of a revision; for the worktree, HEAD's SHA marked as such."""
+    name = "HEAD" if rev == WORKTREE else rev
+    sha = subprocess.run(["git", "-C", str(ROOT), "rev-parse", name],
+                         check=True, capture_output=True, text=True).stdout.strip()
+    return sha + "+worktree" if rev == WORKTREE else sha
+
+
+def unpack(rev: str, dest: Path) -> Path:
+    """src/ of rev under dest; returns the src directory."""
+    if rev == WORKTREE:
+        shutil.copytree(ROOT / "src", dest / "src",
+                        ignore=shutil.ignore_patterns("__pycache__", "*.egg-info"))
+    else:
+        export_src(rev, dest)
+    return dest / "src"
+
+
 def run_revision(rev: str, work: Path, cfgs: list) -> Path:
     """Run cfgs on src/ of rev; returns the directory of the run outputs."""
     work.mkdir(parents=True)
-    export_src(rev, work)
+    unpack(rev, work)
     listing = work / "configs.json"
     listing.write_text(json.dumps(cfgs))
     env = {**os.environ, "PYTHONPATH": str(work / "src"),
