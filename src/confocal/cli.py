@@ -90,19 +90,27 @@ def _parse_complex(v) -> complex:
     return c
 
 
+def _integer(v, what: str) -> int:
+    """An integer config value: a bool, or a float with a fractional part,
+    is a ConfigError rather than a truncated int."""
+    if isinstance(v, bool) or (isinstance(v, float) and not v.is_integer()):
+        raise ConfigError(f"{what} must be an integer, got {v!r}")
+    return int(v)
+
+
 def _parse_quadric(spec) -> qd.QuadricSpec:
     if not isinstance(spec, dict) or "kind" not in spec:
         raise ConfigError("quadric must be an object with 'kind'")
     kind = spec["kind"]
     try:
-        blocks = [(_parse_complex(b["a"]), int(b["p"]))
+        blocks = [(_parse_complex(b["a"]), _integer(b["p"], "block size p"))
                   for b in spec.get("blocks", [])]
         if kind == "QC":
             return qd.qc_quadric(blocks)
         if kind == "QWC":
             return qd.qwc_quadric(blocks)
         if kind == "IQWC":
-            return qd.iqwc_quadric(int(spec.get("p", 2)), blocks)
+            return qd.iqwc_quadric(_integer(spec.get("p", 2), "IQWC p"), blocks)
     except (KeyError, TypeError, ValueError, OverflowError, ConfocalError) as exc:
         raise ConfigError(f"bad quadric spec: {exc}") from exc
     raise ConfigError(f"unknown quadric kind {kind!r}")
@@ -110,8 +118,10 @@ def _parse_quadric(spec) -> qd.QuadricSpec:
 
 def _parse_grid(spec) -> df.GridSpec:
     try:
-        axes = tuple(tuple(ax) for ax in spec["axes"])
-        base = tuple(spec["base"]) if "base" in spec else None
+        axes = tuple((a, b, _integer(s, "grid node count"))
+                     for a, b, s in spec["axes"])
+        base = (tuple(_integer(i, "grid base") for i in spec["base"])
+                if "base" in spec else None)
         return df.GridSpec(axes, base)
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"bad grid spec: {exc}") from exc
@@ -142,10 +152,14 @@ _SCENARIO_DEFAULTS = {
     "m3": {"z": [[0.31, 0.12], [-0.2, 0.25], [0.12, -0.3]], "extent": [2, 2, 2]},
 }
 _COUNTS = ("samples", "lame_samples", "fields")
+# every top-level key a config may have
+_KEYS = {*_DEFAULTS, "scenario", "tol_scale", "tolerances"}
 
 
 def validate_config(cfg: dict) -> dict:
-    """Schema check plus defaults; raises ConfigError on violations.  Adds
+    """Schema check plus defaults; raises ConfigError on violations,
+    among them an unknown top-level key and a bool or fractional float where
+    an integer belongs.  Adds
     the tolerance table "tol", the complex "zs", the master "seed", the
     parsed quadric "q" and the parsed grid "gridspec"."""
     if not isinstance(cfg, dict):
@@ -153,6 +167,9 @@ def validate_config(cfg: dict) -> dict:
     name = cfg.get("scenario")
     if name not in SCENARIOS:
         raise ConfigError(f"scenario must be one of {SCENARIOS}, got {name!r}")
+    unknown = sorted(repr(k) for k in cfg if k not in _KEYS)
+    if unknown:
+        raise ConfigError(f"unknown config key {', '.join(unknown)}")
     out = {**_DEFAULTS, **_SCENARIO_DEFAULTS.get(name, {}), **cfg}
     try:
         scale = float(out.get("tol_scale", 1.0))
@@ -163,10 +180,10 @@ def validate_config(cfg: dict) -> dict:
             tol[k] = float(v)
         out["zs"] = [_parse_complex(z) for z in out["z"]]
         for k in _COUNTS:
-            out[k] = int(out[k])
+            out[k] = _integer(out[k], k)
         out["lam_theta"] = float(out["lam_theta"])
-        out["extent"] = [int(e) for e in out["extent"]]
-        out["seed"] = int(out["seeds"].get("master", 7))
+        out["extent"] = [_integer(e, "extent") for e in out["extent"]]
+        out["seed"] = _integer(out["seeds"].get("master", 7), "seeds.master")
     except (AttributeError, TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"malformed config: {exc}") from exc
     # json reads Infinity and NaN, and float() reads "inf"

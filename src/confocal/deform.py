@@ -537,11 +537,11 @@ class AmbientFrame:
 
 
 class _SeedFrameModel:
-    """Joint (V, Lambda, x, X, N) evolution of a zero-soliton deformation,
-    pointwise evaluable so every RK4 stage is exact.  Its geometry is that of
-    forms_assemble (_joined_geometry) on the closed-form zero-soliton
-    derivatives; the base-quadric copy (deformation=False) needs no joined
-    frame."""
+    """Linear (x, X, N) evolution of the Gauss-Weingarten frame of a
+    zero-soliton deformation.  Its geometry is that of forms_assemble
+    (_joined_geometry) on the closed-form zero-soliton derivatives, taken at
+    the (V, Lambda) of every RK4 stage, so every stage is exact; the
+    base-quadric copy (deformation=False) needs no joined frame."""
 
     def __init__(self, q, lm, seed: int, deformation: bool):
         _zero_soliton_chart(q, lm)
@@ -566,40 +566,76 @@ class _SeedFrameModel:
         _, hj, nconn, _ = joined
         return g, ginv, gamma, hj[..., 1:, :], nconn[..., :, 1:, 1:]
 
-    def pack(self, V, lam, x, X, N):
-        lead = V.shape[:-1]
-        return np.concatenate([V, lam, x, X.reshape(lead + (-1,)),
+    def pack(self, x, X, N):
+        lead = x.shape[:-1]
+        return np.concatenate([x, X.reshape(lead + (-1,)),
                                N.reshape(lead + (-1,))], axis=-1)
 
     def unpack(self, y):
-        """(V, Lambda, x, X, N) views of states (..., size)."""
+        """(x, X, N) views of states (..., size)."""
         n, m, p = self.n, self.m, self.p
         lead = y.shape[:-1]
-        o = 0
-        V = y[..., o:o + n]; o += n
-        lam = y[..., o:o + n]; o += n
-        x = y[..., o:o + m]; o += m
-        X = y[..., o:o + m * n].reshape(lead + (m, n)); o += m * n
-        N = y[..., o:o + m * p].reshape(lead + (m, p))
-        return V, lam, x, X, N
+        return (y[..., :m], y[..., m:m + m * n].reshape(lead + (m, n)),
+                y[..., m + m * n:].reshape(lead + (m, p)))
 
-    def rhs(self, k: int):
-        """d(state)/du^k on states (..., size); (V, Lambda) move as in
-        zero_soliton."""
+    def stage_geometry(self, fg: FieldGrid, k: int, lines):
+        """Yield, stage by stage in rk4_sweep's call order along axis k, the
+        slices (gamma[:, :, k], ginv[k, :], hrows[:, k], nconn[k]) of the
+        geometry that the frame equations read, per line (lines..., ...).
+        The geometry is evaluated once per block of whole steps."""
         n = self.n
-        vlam_rhs = _vlam_rhs(self.q, self.lm, k)
+        for stages in _vlam_stages(self.q, self.lm, fg, k, lines):
+            _, ginv, gamma, hrows, nck = self.geometry(stages[..., :n],
+                                                       stages[..., n:])
+            table = (gamma[..., :, :, k].copy(), ginv[..., k, :].copy(),
+                     hrows[..., :, k].copy(), nck[..., k, :, :].copy())
+            for step in zip(*table):
+                yield from zip(*step)
 
-        def f(t, y):
-            V, lam, x, X, N = self.unpack(y)
-            g, ginv, gamma, hrows, nck = self.geometry(V, lam)
-            dvlam = vlam_rhs(t, y[..., :2 * n])
+    def rhs(self, fg: FieldGrid, k: int, lines):
+        """d(x, X, N)/du^k on states (lines..., size).  Each call reads the
+        next stage of stage_geometry, so f must be called in rk4_sweep's
+        order."""
+        table = self.stage_geometry(fg, k, lines)
+
+        def f(_t, y):
+            x, X, N = self.unpack(y)
+            gamma_k, ginv_k, hrows_k, nconn_k = next(table)
             dx = X[..., :, k]
-            dX = np.einsum("...ml,...lj->...mj", X, gamma[..., :, :, k])
-            dX[..., :, k] = dX[..., :, k] + stack_apply(N, hrows[..., :, k])
-            dN = (-np.einsum("...ml,...l,...a->...ma", X, ginv[..., k, :],
-                             hrows[..., :, k]) + N @ nck[..., k, :, :])
-            return self.pack(dvlam[..., :n], dvlam[..., n:], dx, dX, dN)
+            dX = np.einsum("...ml,...lj->...mj", X, gamma_k)
+            dX[..., :, k] = dX[..., :, k] + stack_apply(N, hrows_k)
+            dN = (-np.einsum("...ml,...l,...a->...ma", X, ginv_k, hrows_k)
+                  + N @ nconn_k)
+            return self.pack(dx, dX, dN)
         return f
+
+
+def _vlam_stages(q, lm, fg: FieldGrid, k: int, lines):
+    """Yield the (V, Lambda) of every RK4 stage of the zero-soliton sweep
+    along axis k, in blocks (steps, 4, lines..., 2n) of whole steps:
+    forward from the base node, then backward, as rk4_sweep steps.  The
+    steps start from fg's nodes, which are the sweep's own states, and the
+    stages use rk4_step's arithmetic, so they carry its bits.
+
+    A block holds at least one step and at most prod(shape) / n stage
+    points: a 1/n share of the nodes on which forms_assemble evaluates the
+    same geometry in one call, so the frame stays below the memory peak
+    that the forms of its field set."""
+    grid = fg.grid
+    f = _vlam_rhs(q, lm, k)
+    slab = lines(np.concatenate([fg.V, fg.lam], axis=-1))
+    i0, h = grid.base[k], grid.h[k]
+    points = 4 * math.prod(slab.shape[1:-1])     # per step: 4 stages per line
+    per = max(1, math.prod(grid.shape) // (grid.n * points))
+    for ys, step in ((slab[i0:-1], h), (slab[i0:0:-1], -h)):
+        for b in range(0, len(ys), per):
+            y = ys[b:b + per]
+            k1 = f(None, y)
+            y2 = y + 0.5 * step * k1
+            k2 = f(None, y2)
+            y3 = y + 0.5 * step * k2
+            k3 = f(None, y3)
+            yield np.stack([y, y2, y3, y + step * k3], axis=1)
 
 
 def seed_frame(q, lm, fg: FieldGrid, seed: int = 0,
@@ -633,9 +669,9 @@ def seed_frame(q, lm, fg: FieldGrid, seed: int = 0,
     for a in range(1, p):
         N[n + a, a] = 1.0
 
-    y = numerics.rk4_sweep(fg.grid, model.pack(V0, lam0, x, X, N),
-                           lambda axis, _lines: model.rhs(axis))
-    _, _, x, X, N = model.unpack(y)
+    y = numerics.rk4_sweep(fg.grid, model.pack(x, X, N),
+                           lambda axis, lines: model.rhs(fg, axis, lines))
+    x, X, N = model.unpack(y)
     return AmbientFrame(x.copy(), X.copy(), N.copy())
 
 

@@ -7,9 +7,9 @@ import dataclasses
 import numpy as np
 import pytest
 
-from confocal import deform as df, quadric as qd, scenarios as sc, sjcore
+from confocal import deform as df, numerics, quadric as qd, scenarios as sc, sjcore
 from confocal.errors import PrimeIntegralViolation, StepFailure
-from confocal.numerics import diff1
+from confocal.numerics import diff1, stack_apply
 from conftest import standard_quadric
 
 
@@ -346,6 +346,62 @@ class TestCMPSolve:
             assert res[idx] == ref_res
 
 
+# seed-frame cases: SJ eigenvalues, grid axes, base node and lam_theta
+FRAME_CASES = {
+    "qwc32": ((1.0, 0.7), ((0.0, 0.62, 32),) * 2, None, 0.4),
+    "qwc32-base": ((1.0, 0.7), ((0.0, 0.62, 32),) * 2, (9, 20), 0.4),
+    "qwc12": ((1.0, 0.7, 1.3), ((0.0, 0.22, 12),) * 3, None, 0.3),
+    "qwc6x4": ((1.0, 0.7, 1.3, 1.6), ((0.0, 0.2, 6),) * 4, None, 0.3),
+    "iqwc12": ((1.5 - 0.2j, 1.9 - 0.2j), ((0.0, 0.22, 12),) * 3, None, 0.3),
+}
+
+
+def frame_case(name):
+    """(q, lm, zero-soliton field) of a FRAME_CASES entry; the IQWC runs on
+    its canonicalized chart, as the CLI's grid scenarios do."""
+    eigenvalues, axes, base, theta = FRAME_CASES[name]
+    blocks = [(a, 1) for a in eigenvalues]
+    if name.startswith("iqwc"):
+        q = qd.iqwc_quadric(2, blocks)
+        lm = qd.canonicalize_lmap(q, sc.lmap_for(q, seed=1))[0]
+    else:
+        q = qd.qwc_quadric(blocks)
+        lm = qd.build_lmap(q)
+    v0, lam0 = sc.default_soliton_data(q, lm, theta=theta)
+    return q, lm, df.zero_soliton(q, lm, df.GridSpec(axes, base), v0, lam0)
+
+
+def same_bits(a, b) -> bool:
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def per_stage_frame(q, lm, fg, model, state0):
+    """The seed frame with (V, Lambda) stepped inside the RK4 state and
+    model.geometry called at every stage: the oracle of the tabulated
+    geometry.  state0 is the packed (x, X, N) at the base node."""
+    n = model.n
+
+    def rhs_of_axis(k, _lines):
+        vlam_rhs = df._vlam_rhs(q, lm, k)
+
+        def f(t, y):
+            V, lam = y[..., :n], y[..., n:2 * n]
+            x, X, N = model.unpack(y[..., 2 * n:])
+            _, ginv, gamma, hrows, nck = model.geometry(V, lam)
+            dX = np.einsum("...ml,...lj->...mj", X, gamma[..., :, :, k])
+            dX[..., :, k] = dX[..., :, k] + stack_apply(N, hrows[..., :, k])
+            dN = (-np.einsum("...ml,...l,...a->...ma", X, ginv[..., k, :],
+                             hrows[..., :, k]) + N @ nck[..., k, :, :])
+            return np.concatenate([vlam_rhs(t, y[..., :2 * n]),
+                                   model.pack(X[..., :, k], dX, dN)], axis=-1)
+        return f
+
+    base = fg.grid.base
+    y = numerics.rk4_sweep(fg.grid, np.concatenate(
+        [fg.V[base], fg.lam[base], state0]), rhs_of_axis)
+    return model.unpack(y[..., 2 * n:])
+
+
 class TestSeedFrame:
     def test_chart_reproduction(self, qwc2, lmap2, soliton32):
         frame = df.seed_frame(qwc2, lmap2, soliton32, seed=11,
@@ -401,6 +457,52 @@ class TestSeedFrame:
         for got, want in ((gamma, ff.gamma), (hrows, ff.hj[..., 1:, :]),
                           (nck, ff.nconn[..., :, 1:, 1:]), (g, ff.g)):
             assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("name, deformation", [
+        ("qwc32", True), ("qwc32", False), ("qwc32-base", True),
+        ("qwc12", True), ("qwc6x4", True), ("iqwc12", True)])
+    def test_tabulated_geometry_matches_per_stage(self, name, deformation):
+        # the frame steps (x, X, N) on geometry tabulated per block of RK4
+        # steps; the oracle evaluates it stage by stage with (V, Lambda) in
+        # the state.  QWC frames keep every bit; on IQWC the batched chart
+        # scalars may round a stack differently in the last bit.
+        q, lm, fg = frame_case(name)
+        frame = df.seed_frame(q, lm, fg, seed=1, deformation=deformation)
+        model = df._SeedFrameModel(q, lm, seed=1, deformation=deformation)
+        base = fg.grid.base
+        state0 = model.pack(frame.x[base], frame.X[base], frame.N[base])
+        want = per_stage_frame(q, lm, fg, model, state0)
+        for got, ref in zip((frame.x, frame.X, frame.N), want):
+            if q.kind == qd.QWC:
+                assert same_bits(got, ref)
+            else:
+                assert np.max(np.abs(got - ref)) < 1e-15
+
+    @pytest.mark.parametrize("name", ["qwc32-base", "qwc12", "iqwc12"])
+    def test_stage_inputs_follow_rk4_sweep(self, name):
+        # the tabulated (V, Lambda) are, bit for bit and in order, the states
+        # that rk4_sweep hands to the zero-soliton right-hand side, so a
+        # change to rk4_step's stages cannot go unnoticed
+        q, lm, fg = frame_case(name)
+        seen = {}
+
+        def rhs_of_axis(k, _lines):
+            f = df._vlam_rhs(q, lm, k)
+            seen[k] = []
+
+            def record(t, y):
+                seen[k].append(y.copy())
+                return f(t, y)
+            return record
+
+        base = fg.grid.base
+        numerics.rk4_sweep(fg.grid, np.concatenate([fg.V[base], fg.lam[base]]),
+                           rhs_of_axis)
+        for k, lines in numerics.sweep_slabs(fg.grid.shape, base):
+            table = [stage for block in df._vlam_stages(q, lm, fg, k, lines)
+                     for step in block for stage in step]
+            assert len(table) == len(seen[k]) > 0
+            assert all(same_bits(a, b) for a, b in zip(table, seen[k]))
 
 
 class TestSineGordon:

@@ -125,10 +125,13 @@ INF, NAN = float("inf"), float("nan")   # json writes Infinity and NaN
 # Malformed values per top-level config key, each invalid for every scenario:
 # wrong types, wrong shapes and out-of-range values.  Counts and grids stay
 # small, so that nothing large is allocated even before validation rejects
-# them.  Bools and floats are left out where int() would read them as a
-# valid count.
+# them.  An integer field also rejects a bool and a fractional float, which
+# int() would truncate to a valid count.
 _NOT_NUMBER = st.sampled_from(["x", "", "1e", None, [], [1.0], {}, {"v": 1}])
 _NON_FINITE = st.sampled_from([INF, -INF, NAN, "inf", "nan"])
+_NOT_INTEGER = st.one_of(
+    st.booleans(),
+    st.floats(-1e6, 1e6).filter(lambda v: not v.is_integer()))
 _NOT_OBJECT = st.one_of(st.integers(), st.text(max_size=4), st.none(),
                         st.lists(st.integers(), max_size=2))
 _AXIS = [0.0, 0.3, 6]
@@ -136,19 +139,20 @@ _BAD_AXIS = st.one_of(
     st.integers(-3, 4).map(lambda s: [0.0, 0.3, s]),           # < 5 nodes
     st.floats(-1.0, 1.0).map(lambda a: [a, a - 0.5, 6]),        # decreasing
     _NON_FINITE.map(lambda v: [0.0, v, 6]),
-    _NOT_NUMBER.map(lambda v: [0.0, 0.3, v]),
+    st.one_of(_NOT_NUMBER, _NOT_INTEGER).map(lambda v: [0.0, 0.3, v]),
     st.sampled_from([[0.0, 0.3], [0.0, 0.3, 6, 6], [], 6]))
 _BAD_GRID = st.one_of(
     _NOT_OBJECT, st.just({}), st.just({"axes": 3}),
     _BAD_AXIS.map(lambda ax: {"axes": [_AXIS, ax]}),
-    st.sampled_from([[0, 6], [0], [0, 0, 0], [-1, 0], "ab", 5]).map(
+    st.sampled_from([[0, 6], [0], [0, 0, 0], [-1, 0], "ab", 5, [0, 1.5],
+                     [True, 0]]).map(
         lambda base: {"axes": [_AXIS, _AXIS], "base": base}))
 _BLOCK = {"a": [1.0, 0.0], "p": 1}
 _BAD_BLOCK = st.one_of(
     st.sampled_from([{"p": 1}, {"a": [1.0, 0.0]}, 3, "ab", None, [1.0, 0.0]]),
     _NOT_NUMBER.map(lambda a: {"a": a, "p": 1}),
     _NON_FINITE.map(lambda v: {"a": [v, 0.0], "p": 1}),
-    st.one_of(st.integers(max_value=0), _NOT_NUMBER).map(
+    st.one_of(st.integers(max_value=0), _NOT_NUMBER, _NOT_INTEGER).map(
         lambda p: {"a": [1.0, 0.0], "p": p}))
 _BAD_QUADRIC = st.one_of(
     _NOT_OBJECT, st.just({"blocks": [_BLOCK]}),
@@ -156,7 +160,7 @@ _BAD_QUADRIC = st.one_of(
         lambda k: {"kind": k, "blocks": [_BLOCK]}),
     st.tuples(st.sampled_from(["QC", "QWC", "IQWC"]), _BAD_BLOCK).map(
         lambda kb: {"kind": kb[0], "blocks": [_BLOCK, kb[1]]}),
-    st.one_of(st.integers(max_value=1), _NOT_NUMBER).map(
+    st.one_of(st.integers(max_value=1), _NOT_NUMBER, _NOT_INTEGER).map(
         lambda p: {"kind": "IQWC", "p": p}),
     st.sampled_from([
         {"kind": "QC", "blocks": [{"a": [0.0, 0.0], "p": 1}, _BLOCK]},
@@ -166,7 +170,7 @@ _BAD_QUADRIC = st.one_of(
         {"kind": "QC", "blocks": []}, {"kind": "QC", "blocks": [_BLOCK]},
         {"kind": "QWC", "blocks": []}]))
 _BAD_COUNT = st.one_of(st.integers(max_value=0), st.floats(max_value=0.99),
-                       _NOT_NUMBER, _NON_FINITE)
+                       _NOT_NUMBER, _NON_FINITE, _NOT_INTEGER)
 _BAD_Z = st.one_of(
     st.integers(), st.floats(), st.just(""), st.just({}),
     st.sampled_from([[1.0, 2.0, 3.0], [], "x", None, [0.0, 0.0], 0.0,
@@ -190,16 +194,18 @@ _MALFORMED = {
     "fields": _BAD_COUNT,
     "seeds": st.one_of(
         _NOT_OBJECT,
-        st.one_of(st.integers(max_value=-1), _NOT_NUMBER, _NON_FINITE).map(
-            lambda m: {"master": m})),
+        st.one_of(st.integers(max_value=-1), _NOT_NUMBER, _NON_FINITE,
+                  _NOT_INTEGER).map(lambda m: {"master": m})),
     "lam_theta": st.one_of(_NOT_NUMBER, _NON_FINITE),
     "extent": st.one_of(
         st.integers(), st.sampled_from(["ab", "x", " "]),
         st.integers(max_value=1).map(lambda e: [3, e]),
-        _NOT_NUMBER.map(lambda e: [3, e])),
+        st.one_of(_NOT_NUMBER, _NOT_INTEGER).map(lambda e: [3, e])),
     "tol_scale": st.one_of(st.floats(max_value=0.0), _NOT_NUMBER, _NON_FINITE),
     "tolerances": _BAD_TOLERANCES,
 }
+# every key a config may have is a key of _MALFORMED
+_UNKNOWN_KEY = st.text(max_size=10).filter(lambda k: k not in _MALFORMED)
 
 
 def _reject_runner(*_args):
@@ -311,6 +317,14 @@ class TestConfigValidation:
         {"scenario": "elliptic", "quadric": {"kind": "QC", "blocks": [
             {"a": [1, 0], "p": 1}, {"a": [1, 0], "p": 1}]}},
         {"scenario": "bpt", "quadric": {"kind": "QC", "blocks": []}},
+        # integer fields are not truncated, and no key is ignored
+        {"scenario": "ivory-check", "samples": 2.9},
+        {"scenario": "m3", "extent": [2, 2.5, 2]},
+        {"scenario": "ivory-check", "quadric": {"kind": "QWC", "blocks": [
+            {"a": [1.0, 0.0], "p": True}, {"a": [0.7, 0.0], "p": 1}]}},
+        {"scenario": "ivory-check", "quadric": {"kind": "IQWC", "p": 2.5,
+                                                "blocks": [_BLOCK]}},
+        {"scenario": "ivory-check", "sampels": 5},
     ], ids=lambda c: json.dumps(c)[:60])
     def test_malformed_config_exits_2(self, cfg, tmp_path, capsys):
         cfgfile = tmp_path / "bad.json"
@@ -325,13 +339,27 @@ class TestConfigValidation:
     @settings(max_examples=300, deadline=None)
     @given(st.sampled_from(cli.SCENARIOS), st.data())
     def test_fuzzed_malformed_config_exits_2(self, scenario, data):
-        # one top-level key of a config replaced by a malformed value
-        key = data.draw(st.sampled_from(sorted(_MALFORMED)), label="key")
-        cfg = {"scenario": scenario, key: data.draw(_MALFORMED[key], label=key)}
+        # one top-level key of a config replaced by a malformed value, or an
+        # unknown key added (None draws one) with a value a known key takes
+        key = data.draw(st.sampled_from(sorted(_MALFORMED) + [None]), label="key")
+        if key is None:
+            cfg = {"scenario": scenario, data.draw(_UNKNOWN_KEY, label="unknown"):
+                   data.draw(st.sampled_from([5, 0.4, {"master": 3}, None]))}
+        else:
+            cfg = {"scenario": scenario, key: data.draw(_MALFORMED[key], label=key)}
         rc, err, written = _exit_and_stderr(cfg)
         assert rc == 2
         assert err.startswith("config error:")
         assert not written
+
+    def test_unknown_key_is_named(self):
+        with pytest.raises(ConfigError, match="'sampels'"):
+            cli.validate_config({"scenario": "ivory-check", "sampels": 5})
+
+    def test_integral_float_counts_accepted(self):
+        cfg = cli.validate_config({"scenario": "m3", "samples": 20.0,
+                                   "extent": [2.0, 2, 2]})
+        assert cfg["samples"] == 20 and cfg["extent"] == [2, 2, 2]
 
     def test_infinite_tol_scale_flag_exits_2(self, tmp_path, capsys):
         rc = cli.main(["run", "--scenario", "elliptic", "--tol-scale", "inf",
