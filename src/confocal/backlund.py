@@ -130,22 +130,24 @@ def qc_aux(ctx: BacklundContext) -> QCAux:
 
 # Riccati right-hand sides -----------------------------------------------------------
 
-def riccati_rhs_qwc(ctx: BacklundContext, k: int, R0: np.ndarray | None,
+def riccati_rhs_qwc(d: np.ndarray, k: int, R0: np.ndarray | None,
                     omega0_k: np.ndarray | None, R1: np.ndarray) -> np.ndarray:
     """dR_1/du^k for -dR_1 = R_1 omega_0 + R_1 E_k R_0^T D R_1 - D R_0 E_k,
-    batched over leading axes, for a diagonal D (ctx.d); R0 = omega0_k = None
-    is the zero-soliton seed (R_0 = I, omega_0 = 0).
+    batched over leading axes, for a diagonal D = diag(d); d (..., n)
+    broadcasts against the leading axes of R1, so a leaf axis of R1 takes one
+    diagonal per leaf.  R0 = omega0_k = None is the zero-soliton seed
+    (R_0 = I, omega_0 = 0).
 
     R_1 E_k R_0^T is the outer product of the k-th columns and D R_0 E_k
     touches column k only.  For n <= 3 the array multiply rounds as a
     single-term stacked matmul, and X @ D is X * d, so this has the bits of
     the matmul form (tests/test_numerics.py pins both rules)."""
-    d = ctx.d
     if R0 is None:
-        out = (R1[..., :, k] * d[k])[..., :, None] * R1[..., None, k, :]
-        out[..., k, k] -= d[k]
+        out = (R1[..., :, k] * d[..., k, None])[..., :, None] * R1[..., None, k, :]
+        out[..., k, k] -= d[..., k]
         return -out
-    out = (R1[..., :, k, None] * R0[..., None, :, k] * d) @ R1 + R1 @ omega0_k
+    out = ((R1[..., :, k, None] * R0[..., None, :, k] * d[..., None, :]) @ R1
+           + R1 @ omega0_k)
     out[..., :, k] -= d * R0[..., :, k]
     return -out
 
@@ -242,30 +244,37 @@ class RiccatiRun:
     drift: np.ndarray          # per-node orthogonality defect
 
 
-def integrate_backlund(fg: df.FieldGrid, ctx: BacklundContext,
-                       R1_base: np.ndarray) -> RiccatiRun:
-    """RK4-integrate the (I)QWC Riccati equation over the seed grid.
+def integrate_backlund(fg: df.FieldGrid, contexts, R1_bases) -> list[RiccatiRun]:
+    """RK4-integrate the (I)QWC Riccati equation over the seed grid, one leaf
+    per context and base value; returns one RiccatiRun per leaf.
 
     The seed supplies R_0 and omega_0; for a zero-soliton seed both are
     constant (I and 0) and the RK4 stages are exact, otherwise the seed field
-    is interpolated cubically along lines at the half-step stages.  The leaf
-    field comes from one sweep in axis order (path_mismatch runs the reversed
-    order).  Raises DriftExceeded if the orthogonality defect passes
-    DRIFT_HARD anywhere.
+    is interpolated cubically along lines at the half-step stages.  All
+    leaves advance in one sweep in axis order (path_mismatch runs the
+    reversed order), with a leaf axis in the state; each leaf has the bits
+    of its sweep alone.  Raises DriftExceeded if the orthogonality defect of
+    some leaf passes DRIFT_HARD anywhere.
     """
-    if ctx.kind == qd.QC:
-        raise ValueError("grid integration applies to the (I)QWC equation")
     n = fg.n
-    # BASE_TOL can be loosened to study how an initial orthogonality defect
-    # propagates (it obeys a homogeneous linear equation along the flow)
-    sjcore.check_orthogonal(R1_base, BASE_TOL, "R1 base value")
-    R1 = _riccati_sweep(fg, ctx, R1_base, None)
-    drift = np.max(np.abs(np.einsum("...ij,...kj->...ik", R1, R1)
-                          - np.eye(n)), axis=(-2, -1))
-    worst = float(np.max(drift))
-    if worst > DRIFT_HARD:
-        raise DriftExceeded(f"orthogonality drift {worst:.3e} > {DRIFT_HARD:.1e}")
-    return RiccatiRun(R1, drift)
+    for ctx, R1_base in zip(contexts, R1_bases, strict=True):
+        if ctx.kind == qd.QC:
+            raise ValueError("grid integration applies to the (I)QWC equation")
+        # BASE_TOL can be loosened to study how an initial orthogonality
+        # defect propagates (it obeys a homogeneous linear equation along
+        # the flow)
+        sjcore.check_orthogonal(R1_base, BASE_TOL, "R1 base value")
+    fields = _riccati_sweep(fg, contexts, R1_bases, None)
+    runs = []
+    for i in range(len(contexts)):
+        R1 = np.ascontiguousarray(fields[..., i, :, :])
+        drift = np.max(np.abs(np.einsum("...ij,...kj->...ik", R1, R1)
+                              - np.eye(n)), axis=(-2, -1))
+        worst = float(np.max(drift))
+        if worst > DRIFT_HARD:
+            raise DriftExceeded(f"orthogonality drift {worst:.3e} > {DRIFT_HARD:.1e}")
+        runs.append(RiccatiRun(R1, drift))
+    return runs
 
 
 def path_mismatch(fg: df.FieldGrid, ctx: BacklundContext,
@@ -273,20 +282,24 @@ def path_mismatch(fg: df.FieldGrid, ctx: BacklundContext,
     """Max gap between the leaf field of run and the field the sweep in
     reversed axis order integrates from the same base value."""
     order = tuple(reversed(range(fg.grid.n)))
-    R1 = _riccati_sweep(fg, ctx, run.R1[fg.grid.base], order)
-    return float(np.max(np.abs(run.R1 - R1)))
+    R1 = _riccati_sweep(fg, [ctx], [run.R1[fg.grid.base]], order)
+    return float(np.max(np.abs(run.R1 - R1[..., 0, :, :])))
 
 
-def _riccati_sweep(fg: df.FieldGrid, ctx: BacklundContext, R1_base, order):
-    """The leaf R field of one RK4 sweep in the given axis order."""
-    _require_diagonal(ctx)
+def _riccati_sweep(fg: df.FieldGrid, contexts, R1_bases, order):
+    """The leaf R fields (*shape, leaves, n, n) of one RK4 sweep in the given
+    axis order, every leaf in lockstep."""
+    for ctx in contexts:
+        _require_diagonal(ctx)
+    d = np.stack([ctx.d for ctx in contexts])
     if fg.meta.get("soliton") == "zero":
-        rhs_of_axis = _trivial_seed_rhs(ctx)
+        rhs_of_axis = _trivial_seed_rhs(d)
     else:
-        rhs_of_axis = _general_seed_rhs(fg, ctx, _omega_for_integration(fg))
-    R1 = numerics.rk4_sweep(fg.grid, R1_base.astype(complex).ravel(),
+        rhs_of_axis = _general_seed_rhs(fg, d, _omega_for_integration(fg))
+    base = np.stack(R1_bases).astype(complex)
+    R1 = numerics.rk4_sweep(fg.grid, base.reshape(len(contexts), -1),
                             rhs_of_axis, order=order)
-    return R1.reshape(fg.grid.shape + (fg.n, fg.n))
+    return R1.reshape(fg.grid.shape + base.shape)
 
 
 def _require_diagonal(ctx: BacklundContext) -> None:
@@ -305,23 +318,24 @@ def _omega_for_integration(fg: df.FieldGrid) -> np.ndarray:
     return df.omega_slots(0.5 * (phi - np.swapaxes(phi, -1, -2)))
 
 
-def _trivial_seed_rhs(ctx: BacklundContext):
+def _trivial_seed_rhs(d: np.ndarray):
     """Line right-hand sides for a zero-soliton seed (R_0 = I, omega_0 = 0),
     passed to riccati_rhs_qwc as None: each evaluation is one outer product
-    and no matmul."""
-    n = ctx.n
+    and no matmul.  d holds one diagonal per leaf (leaves, n)."""
+    n = d.shape[-1]
 
     def rhs_of_axis(axis, _lines):
         def f(_t, y):
             R1 = y.reshape(y.shape[:-1] + (n, n))
-            return riccati_rhs_qwc(ctx, axis, None, None, R1).reshape(y.shape)
+            return riccati_rhs_qwc(d, axis, None, None, R1).reshape(y.shape)
         return f
     return rhs_of_axis
 
 
-def _general_seed_rhs(fg: df.FieldGrid, ctx: BacklundContext, omega):
+def _general_seed_rhs(fg: df.FieldGrid, d: np.ndarray, omega):
     """Line right-hand sides that read the seed's R_0 and omega_0 at the node
-    of the RK4 stage and interpolate them cubically at half-steps."""
+    of the RK4 stage and interpolate them cubically at half-steps; the one
+    seed field broadcasts over the leaf axis of the state."""
     n = fg.n
     hs = fg.grid.h
 
@@ -338,7 +352,8 @@ def _general_seed_rhs(fg: df.FieldGrid, ctx: BacklundContext, omega):
                 R0 = _line_interp_half(R0_lines, half // 2)
                 om = _line_interp_half(om_lines, half // 2)
             R1 = y.reshape(y.shape[:-1] + (n, n))
-            return riccati_rhs_qwc(ctx, axis, R0, om, R1).reshape(y.shape)
+            return riccati_rhs_qwc(d, axis, R0[..., None, :, :],
+                                   om[..., None, :, :], R1).reshape(y.shape)
         return f
     return rhs_of_axis
 
@@ -373,8 +388,8 @@ def integrate_backlund_qc_line(ctx: BacklundContext, V0_base, lam0_base,
 
     y0 = np.concatenate([V0_base, lam0_base, R1_base.astype(complex).ravel()])
     try:
-        states = numerics.rk4_sweep(df.GridSpec(((0.0, length, steps + 1),)),
-                                    y0, lambda _axis, _lines: rhs)
+        line = numerics.GridSpec(((0.0, length, steps + 1),))
+        states = numerics.rk4_sweep(line, y0, lambda _axis, _lines: rhs)
     except UNearZero:
         return y0[None], False
     return states, True
@@ -516,7 +531,7 @@ def riccati_field_residual(R_new: np.ndarray, fg_seed: df.FieldGrid,
     worst = 0.0
     for k in range(fg_seed.grid.n):
         dRk = diff1(R_new, axis=k, h=hs[k])
-        pred = riccati_rhs_qwc(ctx, k, fg_seed.R, om[..., k, :, :], R_new)
+        pred = riccati_rhs_qwc(ctx.d, k, fg_seed.R, om[..., k, :, :], R_new)
         worst = max(worst, float(np.max(np.abs(dRk - pred))))
     return worst
 

@@ -29,10 +29,59 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, backlund as bk, deform as df, gridio
-from . import permute as pm, quadric as qd, scenarios as sc, sjcore
+from . import __version__, quadric as qd, sjcore
 from .errors import ConfigError, ConfocalError, MissingRun
-from .numerics import loglog_slope, scalar_abs
+from .numerics import GridSpec, loglog_slope, scalar_abs
+
+# Validating a config needs only the layers imported above; a runner imports
+# the grid, transform and output layers it runs on when it runs.
+
+# The verbatim default tolerance table embedded in every report; it lives
+# here, with the checks it gates, so that validating a config imports no
+# pipeline.
+TOLERANCES = {
+    "ivory_identities": 1e-10,
+    "lame_orthogonality": 1e-10,
+    "elliptic_backward": 1e-8,
+    "prime_integral_drift": 1e-8,
+    "defqwc_soliton": 1e-8,
+    "gcmpr_soliton": 1e-6,
+    "riccati_drift": 1e-6,
+    "path_mismatch": 1e-6,
+    "transform_identities": 1e-10,
+    "involution": 1e-10,
+    "qc_compact_vs_expanded": 1e-12,
+    "leaf_on_confocal": 1e-8,
+    "ruling": 1e-8,
+    "coefficient_isotropy": 1e-12,
+    "acpia": 1e-6,
+    "joined_forms": 1e-6,
+    "bpt_orthogonality": 1e-10,
+    "bpt_matrix_identity": 1e-12,
+    "bpt_scalar_identity": 1e-10,
+    "lattice_order_agreement": 1e-9,
+    "m3_integrated": 1e-8,
+    "m3_degenerate": 1e-12,
+    "chart_reproduction": 1e-6,
+    "frame_metric": 1e-6,
+    "degenerate_metric_scaling": 1e-10,
+    "asymptotic_correspondence": 1e-10,
+    "qc_aux_differentials": 1e-12,
+    "order_ratio_min": 12.0,       # not rescaled by --tol-scale
+    "slope_window": 0.3,            # not rescaled
+    "sg_correlation_min": 0.999,    # not rescaled
+}
+
+_UNSCALED = {"order_ratio_min", "slope_window", "sg_correlation_min"}
+
+
+def scaled_tolerances(scale: float = 1.0) -> dict:
+    out = dict(TOLERANCES)
+    for k in out:
+        if k not in _UNSCALED:
+            out[k] = out[k] * scale
+    return out
+
 
 # checks that pass when the value is at least the tolerance (ratios and
 # correlations); every other check passes when it is at most the tolerance
@@ -116,13 +165,13 @@ def _parse_quadric(spec) -> qd.QuadricSpec:
     raise ConfigError(f"unknown quadric kind {kind!r}")
 
 
-def _parse_grid(spec) -> df.GridSpec:
+def _parse_grid(spec) -> GridSpec:
     try:
         axes = tuple((a, b, _integer(s, "grid node count"))
                      for a, b, s in spec["axes"])
         base = (tuple(_integer(i, "grid base") for i in spec["base"])
                 if "base" in spec else None)
-        return df.GridSpec(axes, base)
+        return GridSpec(axes, base)
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"bad grid spec: {exc}") from exc
 
@@ -173,7 +222,7 @@ def validate_config(cfg: dict) -> dict:
     out = {**_DEFAULTS, **_SCENARIO_DEFAULTS.get(name, {}), **cfg}
     try:
         scale = float(out.get("tol_scale", 1.0))
-        tol = sc.scaled_tolerances(scale)
+        tol = scaled_tolerances(scale)
         for k, v in out.get("tolerances", {}).items():
             if k not in tol:
                 raise ConfigError(f"unknown tolerance {k!r}")
@@ -250,6 +299,7 @@ def _setup(cfg):
     chart is not Peterson-admissible gets the canonicalized chart, where
     canonicalize_lmap can diagonalize the A' block; otherwise the seeded
     chart stays and the run fails its checks."""
+    from . import deform as df, scenarios as sc
     q = cfg["q"]
     if cfg["scenario"] == "sine-gordon":
         return q, None
@@ -262,11 +312,13 @@ def _setup(cfg):
 
 def _soliton_data(cfg, q, lm):
     """The run's grid and the base-node (V, lambda) of its zero-soliton."""
+    from . import scenarios as sc
     return (cfg["gridspec"],
             *sc.default_soliton_data(q, lm, theta=cfg["lam_theta"]))
 
 
 def run_ivory_check(cfg, q, lm, outdir, checks):
+    from . import gridio, scenarios as sc
     with checks.stage("ivory_suite", cfg["samples"]):
         res = sc.ivory_suite(q, lm, cfg["samples"], cfg["seed"])
         for key in sc.IVORY_KEYS:
@@ -281,6 +333,7 @@ def run_ivory_check(cfg, q, lm, outdir, checks):
 
 
 def run_elliptic(cfg, q, lm, outdir, checks):
+    from . import gridio
     rng = np.random.default_rng(cfg["seed"])
     count = min(cfg["samples"], 100)
     with checks.stage("elliptic_coordinates", count):
@@ -305,6 +358,7 @@ def run_elliptic(cfg, q, lm, outdir, checks):
 
 
 def run_deform(cfg, q, lm, outdir, checks):
+    from . import deform as df, gridio, scenarios as sc
     with checks.stage("peterson_admissible"):
         ok, off = df.peterson_admissible(q, lm)
         # the bound zero_soliton itself enforces, so it does not scale
@@ -335,6 +389,7 @@ def run_deform(cfg, q, lm, outdir, checks):
 
 
 def run_backlund_qwc(cfg, q, lm, outdir, checks):
+    from . import backlund as bk, gridio, scenarios as sc
     grid, v0, lam0 = _soliton_data(cfg, q, lm)
     z = cfg["zs"][0]
     with checks.stage("backlund_pipeline", math.prod(grid.shape)):
@@ -378,6 +433,7 @@ def run_backlund_qwc(cfg, q, lm, outdir, checks):
 
 
 def run_backlund_qc(cfg, q, _lm, outdir, checks):
+    from . import backlund as bk, gridio, scenarios as sc
     z, count, n, seed = cfg["zs"][0], cfg["samples"], q.n, cfg["seed"]
     rng = np.random.default_rng(seed)
     picks = min(count, 100)
@@ -429,13 +485,15 @@ def run_backlund_qc(cfg, q, _lm, outdir, checks):
 
 
 def run_leaf_embed(cfg, q, lm, outdir, checks):
+    from . import backlund as bk, deform as df, gridio
     grid, v0, lam0 = _soliton_data(cfg, q, lm)
     seed, nodes = cfg["seed"], math.prod(grid.shape)
     with checks.stage("degenerate_leaf", nodes):
         fg = df.zero_soliton(q, lm, grid, v0, lam0)
         ff = df.forms_assemble(fg, q, lm, seed=seed)
         ctx = bk.make_context(q, cfg["zs"][0], lm)
-        run = bk.integrate_backlund(fg, ctx, sjcore.random_orthogonal(q.n, seed))
+        run, = bk.integrate_backlund(fg, [ctx],
+                                     [sjcore.random_orthogonal(q.n, seed)])
         V1, lam1 = bk.algebraic_transform_qwc(ctx, fg.V, fg.lam, fg.R, run.R1)
         emb_d = bk.leaf_embed(q, lm, ctx, fg, ff, V1, lam1, run.R1, frame=None)
         checks.add("leaf_on_confocal", emb_d["leaf_on_confocal"])
@@ -465,6 +523,7 @@ def run_leaf_embed(cfg, q, lm, outdir, checks):
 
 
 def run_bpt(cfg, q, lm, outdir, checks):
+    from . import backlund as bk, deform as df, gridio, permute as pm
     z1, z2 = cfg["zs"][:2]
     c1, c2 = bk.make_context(q, z1, lm), bk.make_context(q, z2, lm)
     n, count, seed = q.n, cfg["samples"], cfg["seed"]
@@ -492,8 +551,7 @@ def run_bpt(cfg, q, lm, outdir, checks):
         resid = []
         for g in grids:
             fg = df.zero_soliton(q, lm, g, v0, lam0)
-            r1 = bk.integrate_backlund(fg, c1, R1b)
-            r2 = bk.integrate_backlund(fg, c2, R2b)
+            r1, r2 = bk.integrate_backlund(fg, [c1, c2], [R1b, R2b])
             R3f = pm.bpt_compose_field(fg.R, r1.R1, r2.R1, c1.D, c2.D)
             rep = pm.bpt_verify(fg, r1.R1, r2.R1, R3f, c1, c2)
             resid.append(max(rep["riccati_seed_r1"], rep["riccati_seed_r2"]))
@@ -516,6 +574,7 @@ def run_bpt(cfg, q, lm, outdir, checks):
 
 
 def run_m3(cfg, q, lm, outdir, checks):
+    from . import backlund as bk, deform as df, permute as pm
     zs = cfg["zs"][:3]
     contexts = [bk.make_context(q, z, lm) for z in zs]
     with checks.stage("m3_degenerate"):
@@ -538,6 +597,7 @@ def run_m3(cfg, q, lm, outdir, checks):
 
 
 def run_lattice(cfg, q, lm, outdir, checks):
+    from . import backlund as bk, deform as df, gridio, permute as pm
     contexts = {i: bk.make_context(q, z, lm) for i, z in enumerate(cfg["zs"])}
     extent = tuple(cfg["extent"])
     grid, v0, lam0 = _soliton_data(cfg, q, lm)
@@ -565,6 +625,7 @@ def run_lattice(cfg, q, lm, outdir, checks):
 
 
 def run_sine_gordon(cfg, _q, _lm, outdir, checks):
+    from . import gridio, scenarios as sc
     with checks.stage("sine_gordon_suite", cfg["fields"]):
         res = sc.sine_gordon_suite(cfg["gridspec"], cfg["fields"], cfg["seed"])
         checks.add("sine_gordon_correlation", res["correlation_min"],
@@ -634,6 +695,7 @@ def emit_plotdata(run_dir) -> list:
     tables, and lattice residual heatmaps, depending on what the run produced.
     Returns the written paths; raises MissingRun without a report.json.
     """
+    from . import gridio
     run_dir = Path(run_dir)
     if not (run_dir / "report.json").exists():
         raise MissingRun(f"no report.json under {run_dir}")

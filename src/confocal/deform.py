@@ -18,59 +18,12 @@ import numpy as np
 
 from . import numerics, quadric as qd
 from .errors import PrimeIntegralViolation, StepFailure
-from .numerics import diag_stack, diff1, scalar_mul, stack_apply, stack_lstsq
+from .numerics import (GridSpec, diag_stack, diff1, scalar_mul, stack_apply,
+                       stack_lstsq)
 from .sjcore import candidate_pool, complete_rows, sqrt_branch
 
 TOL_PI = 1e-8
 TOL_DEG = 1e-10
-
-
-@dataclass(frozen=True)
-class GridSpec:
-    """Uniform grid in the conjugate coordinates u^1..u^n."""
-
-    axes: tuple[tuple[float, float, int], ...]
-    base: tuple[int, ...] = None
-
-    def __post_init__(self):
-        axes = tuple((float(a), float(b), int(s)) for a, b, s in self.axes)
-        if any(s < 2 for _, _, s in axes):
-            raise ValueError("each axis needs >= 2 nodes")
-        if not all(math.isfinite(a) and math.isfinite(b) for a, b, _ in axes):
-            raise ValueError("axis bounds must be finite")
-        if any(b <= a for a, b, _ in axes):
-            raise ValueError("axis ranges must be increasing")
-        base = self.base if self.base is not None else tuple(0 for _ in axes)
-        base = tuple(int(i) for i in base)
-        # negative indices would alias another node once refine() scales them
-        if len(base) != len(axes) or any(
-                not 0 <= i < s for i, (_, _, s) in zip(base, axes)):
-            raise ValueError(f"base {base} is not a node of the "
-                             f"{tuple(s for _, _, s in axes)} grid")
-        object.__setattr__(self, "axes", axes)
-        object.__setattr__(self, "base", base)
-
-    @property
-    def n(self) -> int:
-        return len(self.axes)
-
-    @property
-    def shape(self) -> tuple[int, ...]:
-        return tuple(s for _, _, s in self.axes)
-
-    @property
-    def h(self) -> tuple[float, ...]:
-        return tuple((b - a) / (s - 1) for a, b, s in self.axes)
-
-    def coords(self, axis: int) -> np.ndarray:
-        a, b, s = self.axes[axis]
-        return np.linspace(a, b, s)
-
-    def refine(self, factor: int = 2) -> "GridSpec":
-        """Same ranges with the spacing divided by factor."""
-        axes = tuple((a, b, (s - 1) * factor + 1) for a, b, s in self.axes)
-        base = tuple(i * factor for i in self.base)
-        return GridSpec(axes, base)
 
 
 @dataclass

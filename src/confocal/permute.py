@@ -51,6 +51,18 @@ def _solve_right(numer: np.ndarray, denom: np.ndarray, what: str) -> np.ndarray:
     return _T(np.linalg.solve(_T(denom), _T(numer)))
 
 
+def _dmul(D, X, right=False):
+    """D @ X, or X @ D with right=True, for a constant n x n matrix D and a
+    stack X.  A diagonal D = diag(d) on n = 2 or 3 multiplies as the
+    broadcast d[:, None] * X or X * d, which has the matmul's bits there
+    (tests/test_numerics.py pins it) at a fraction of one BLAS call per
+    matrix; any other D multiplies as the matmul."""
+    d = np.diagonal(D)
+    if D.shape[-1] not in (2, 3) or not np.array_equal(D, np.diag(d)):
+        return X @ D if right else D @ X
+    return X * d if right else d[:, None] * X
+
+
 def bpt_compose(R0, R1, R2, D1, D2):
     """Fourth vertex R_3 of the Bianchi quadrilateral, batched over leading
     axes:
@@ -59,8 +71,8 @@ def bpt_compose(R0, R1, R2, D1, D2):
     evaluated in the equivalent factor-free form
     (D_2 R_1 - D_1 R_2)(D_2 R_2 - D_1 R_1)^{-1} R_0.
     """
-    return _solve_right(D2 @ R1 - D1 @ R2, D2 @ R2 - D1 @ R1,
-                        "D2 R2 - D1 R1") @ R0
+    return _solve_right(_dmul(D2, R1) - _dmul(D1, R2),
+                        _dmul(D2, R2) - _dmul(D1, R1), "D2 R2 - D1 R1") @ R0
 
 
 def bpt_compose_field(R0, R1, R2, D1, D2):
@@ -73,8 +85,8 @@ def bpt_orthogonality_identity(R1, R2, D1, D2) -> float:
     maximized over leading axes; this matrix identity is what makes R_3
     orthogonal."""
     K = R2 @ _T(R1)
-    lhs = (D2 - K @ D1) @ (D2 @ K - D1)
-    rhs = (K @ D2 - D1) @ (D2 - D1 @ K)
+    lhs = (D2 - _dmul(D1, K, right=True)) @ (_dmul(D2, K) - D1)
+    rhs = (_dmul(D2, K, right=True) - D1) @ (D2 - _dmul(D1, K))
     return float(np.max(np.abs(lhs - rhs)))
 
 
@@ -82,7 +94,7 @@ def bpt_scalar_identity(R0, R1, R2, R3, D1, D2, z1, z2) -> float:
     """|(D2 R3 R0^T + D1)(D2 R2 R1^T - D1) - (1/z2 - 1/z1) I|, maximized over
     leading axes."""
     n = R0.shape[-1]
-    lhs = (D2 @ R3 @ _T(R0) + D1) @ (D2 @ R2 @ _T(R1) - D1)
+    lhs = (_dmul(D2, R3) @ _T(R0) + D1) @ (_dmul(D2, R2) @ _T(R1) - D1)
     return float(np.max(np.abs(lhs - (1.0 / z2 - 1.0 / z1) * np.eye(n))))
 
 
@@ -110,9 +122,10 @@ def m3_r7(R0, R1, R2, R4, D1, D2, D3, z1, z2, z3):
     R3 = bpt_compose(R0, R1, R2, D1, D2)
     R5 = bpt_compose(R0, R4, R1, D3, D1)   # B_{z1}(x^4) = x^5 = B_{z3}(x^1)
     R6 = bpt_compose(R0, R2, R4, D2, D3)   # B_{z3}(x^2) = x^6 = B_{z2}(x^4)
-    box = ((1.0 / z2 - 1.0 / z3) * D1 @ R1
-           + (1.0 / z3 - 1.0 / z1) * D2 @ R2
-           + (1.0 / z1 - 1.0 / z2) * D3 @ R4)
+    # each D is scaled before its product, as (c * D) @ R groups
+    box = (_dmul((1.0 / z2 - 1.0 / z3) * D1, R1)
+           + _dmul((1.0 / z3 - 1.0 / z1) * D2, R2)
+           + _dmul((1.0 / z1 - 1.0 / z2) * D3, R4))
     if _ill_conditioned(box):
         raise SingularBox("combination matrix is near singular")
     routes = [
@@ -140,9 +153,10 @@ def lattice_build(fg_seed: df.FieldGrid, contexts: dict, extent: tuple,
     contexts[i] is the BacklundContext of lattice axis i (one z per axis).
     Axis chains on the coordinate rays (indices with a single nonzero entry)
     each require their own Riccati integration - a repeated transform at the
-    same z is new initial data, not algebra - while every remaining cell
-    closes algebraically through the permutability formula, which is the
-    point of the lattice.  Cell (V, Lambda) states follow from the algebraic
+    same z is new initial data, not algebra; the first steps of all chains
+    start from the seed, so they share one lockstep sweep - while every
+    remaining cell closes algebraically through the permutability formula,
+    which is the point of the lattice.  Cell (V, Lambda) states follow from the algebraic
     transform so that chains can restart anywhere.  Singular superpositions
     leave holes (None) that are reported, not fatal.
 
@@ -154,10 +168,15 @@ def lattice_build(fg_seed: df.FieldGrid, contexts: dict, extent: tuple,
     # so a master seed beyond int64 stays exact)
     base_rots = random_orthogonal(fg_seed.n, np.array(
         [seed + 977 * axis + step for axis, step in steps], dtype=object))
+    # the first step of every chain starts from the seed: one sweep for all
+    first_runs = iter(integrate_backlund(
+        fg_seed, [contexts[axis] for axis, step in steps if step == 1],
+        [rot for (_, step), rot in zip(steps, base_rots) if step == 1]))
     rays = {(0,) * k: fg_seed}
     for (axis, step), base_rot in zip(steps, base_rots):
         prev = rays[tuple(step - 1 if a == axis else 0 for a in range(k))]
-        run = integrate_backlund(prev, contexts[axis], base_rot)
+        run = (next(first_runs) if step == 1 else
+               integrate_backlund(prev, [contexts[axis]], [base_rot])[0])
         V1, lam1 = algebraic_transform_qwc(contexts[axis], prev.V, prev.lam,
                                            prev.R, run.R1)
         rays[tuple(step if a == axis else 0 for a in range(k))] = df.FieldGrid(

@@ -15,51 +15,6 @@ from .numerics import (correlation, diff1, fit_scale, loglog_slope,
                        scalar_abs, stack_dot)
 from .sjcore import sqrt_branch
 
-# The verbatim default tolerance table embedded in every report.
-TOLERANCES = {
-    "ivory_identities": 1e-10,
-    "lame_orthogonality": 1e-10,
-    "elliptic_backward": 1e-8,
-    "prime_integral_drift": 1e-8,
-    "defqwc_soliton": 1e-8,
-    "gcmpr_soliton": 1e-6,
-    "riccati_drift": 1e-6,
-    "path_mismatch": 1e-6,
-    "transform_identities": 1e-10,
-    "involution": 1e-10,
-    "qc_compact_vs_expanded": 1e-12,
-    "leaf_on_confocal": 1e-8,
-    "ruling": 1e-8,
-    "coefficient_isotropy": 1e-12,
-    "acpia": 1e-6,
-    "joined_forms": 1e-6,
-    "bpt_orthogonality": 1e-10,
-    "bpt_matrix_identity": 1e-12,
-    "bpt_scalar_identity": 1e-10,
-    "lattice_order_agreement": 1e-9,
-    "m3_integrated": 1e-8,
-    "m3_degenerate": 1e-12,
-    "chart_reproduction": 1e-6,
-    "frame_metric": 1e-6,
-    "degenerate_metric_scaling": 1e-10,
-    "asymptotic_correspondence": 1e-10,
-    "qc_aux_differentials": 1e-12,
-    "order_ratio_min": 12.0,       # not rescaled by --tol-scale
-    "slope_window": 0.3,            # not rescaled
-    "sg_correlation_min": 0.999,    # not rescaled
-}
-
-_UNSCALED = {"order_ratio_min", "slope_window", "sg_correlation_min"}
-
-
-def scaled_tolerances(scale: float = 1.0) -> dict:
-    out = dict(TOLERANCES)
-    for k in out:
-        if k not in _UNSCALED:
-            out[k] = out[k] * scale
-    return out
-
-
 def lmap_for(q, seed: int = 0):
     return qd.build_lmap(q, seed=seed) if q.kind != qd.QC else None
 
@@ -313,7 +268,7 @@ def backlund_pipeline(q, lm, grid, v_base, lam_base, z, seed: int) -> dict:
     for i, r in enumerate((1, 2, 4)):
         g = grid if r == 1 else grid.refine(r)
         fg = df.zero_soliton(q, lm, g, v_base, lam_base)
-        run = bk.integrate_backlund(fg, ctx, R1b)
+        run, = bk.integrate_backlund(fg, [ctx], [R1b])
         if i < 2:   # the mismatch and its halving ratio read two grids
             mismatch.append(bk.path_mismatch(fg, ctx, run))
         V1, lam1 = bk.algebraic_transform_qwc(ctx, fg.V, fg.lam, fg.R, run.R1)

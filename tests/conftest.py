@@ -70,13 +70,15 @@ def ctx_a(qwc2, lmap2):
 @pytest.fixture(scope="session")
 def riccati32(soliton32, ctx_a):
     from confocal.sjcore import random_orthogonal
-    return bk.integrate_backlund(soliton32, ctx_a, random_orthogonal(2, seed=3))
+    return bk.integrate_backlund(soliton32, [ctx_a],
+                                 [random_orthogonal(2, seed=3)])[0]
 
 
 @pytest.fixture(scope="session")
 def riccati64(soliton64, ctx_a):
     from confocal.sjcore import random_orthogonal
-    return bk.integrate_backlund(soliton64, ctx_a, random_orthogonal(2, seed=3))
+    return bk.integrate_backlund(soliton64, [ctx_a],
+                                 [random_orthogonal(2, seed=3)])[0]
 
 
 @pytest.fixture(scope="session")

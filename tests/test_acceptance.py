@@ -196,8 +196,8 @@ def test_criterion_09_bpt(qwc2, lmap2):
     for r in (1, 2, 4):
         g = grid if r == 1 else grid.refine(r)
         fg = df.zero_soliton(qwc2, lmap2, g, v0, lam0)
-        r1 = bk.integrate_backlund(fg, c1, random_orthogonal(2, 3))
-        r2 = bk.integrate_backlund(fg, c2, random_orthogonal(2, 4))
+        r1, r2 = bk.integrate_backlund(
+            fg, [c1, c2], [random_orthogonal(2, 3), random_orthogonal(2, 4)])
         R3f = pm.bpt_compose_field(fg.R, r1.R1, r2.R1, c1.D, c2.D)
         rep = pm.bpt_verify(fg, r1.R1, r2.R1, R3f, c1, c2)
         resid.append(max(rep["riccati_seed_r1"], rep["riccati_seed_r2"]))

@@ -68,7 +68,7 @@ class TestRiccatiRHS:
         for k in range(n):
             Ek = np.zeros((n, n), dtype=complex)
             Ek[k, k] = 1.0
-            got = bk.riccati_rhs_qwc(ctx_a, k, I, Z, I)
+            got = bk.riccati_rhs_qwc(ctx_a.d, k, I, Z, I)
             assert np.max(np.abs(-got - (Ek @ ctx_a.D - ctx_a.D @ Ek))) < 1e-14
 
     def test_formal_fixed_point(self, qwc2, lmap2, ctx_a):
@@ -79,7 +79,7 @@ class TestRiccatiRHS:
         I = np.eye(2, dtype=complex)
         Z = np.zeros((2, 2), dtype=complex)
         for k in range(2):
-            assert np.max(np.abs(bk.riccati_rhs_qwc(formal, k, I, Z, I))) < 1e-15
+            assert np.max(np.abs(bk.riccati_rhs_qwc(formal.d, k, I, Z, I))) < 1e-15
 
     def test_indexed_oracle(self, ctx_a):
         rng = np.random.default_rng(5)
@@ -89,7 +89,7 @@ class TestRiccatiRHS:
             om = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
             om = om - om.T
             for k in range(2):
-                a = bk.riccati_rhs_qwc(ctx_a, k, R0, om, R1)
+                a = bk.riccati_rhs_qwc(ctx_a.d, k, R0, om, R1)
                 b = rhs_qwc_indexed_oracle(ctx_a, k, R0, om, R1)
                 assert np.max(np.abs(a - b)) < 1e-13
 
@@ -107,10 +107,10 @@ class TestRiccatiRHS:
                   for s in (10, 90))
         om = rng.standard_normal(shape + (n, n)) + 1j * rng.standard_normal(shape + (n, n))
         for k in range(n):
-            got = bk.riccati_rhs_qwc(ctx, k, R0, om, R1)
+            got = bk.riccati_rhs_qwc(ctx.d, k, R0, om, R1)
             for idx in np.ndindex(*shape):
                 assert np.array_equal(
-                    got[idx], bk.riccati_rhs_qwc(ctx, k, R0[idx], om[idx], R1[idx]))
+                    got[idx], bk.riccati_rhs_qwc(ctx.d, k, R0[idx], om[idx], R1[idx]))
 
 
 def rhs_qwc_matmul_reference(ctx, k, R0, om_k, R1):
@@ -176,7 +176,7 @@ class TestRiccatiRHSReference:
             om = cplx(*shape, n, n) if random_om else np.zeros(shape + (n, n), complex)
             R0_ref, om_ref = R0, om
         for k in range(n):
-            got = bk.riccati_rhs_qwc(ctx, k, R0, om, R1)
+            got = bk.riccati_rhs_qwc(ctx.d, k, R0, om, R1)
             ref = rhs_qwc_matmul_reference(ctx, k, R0_ref, om_ref, R1)
             assert got.shape == ref.shape
             if n <= 3:
@@ -208,7 +208,7 @@ class TestRiccatiRHSReference:
         ctx = bk.make_context(q, 0.31 + 0.12j, qd.build_lmap(q))
         assert ctx.d is None
         with pytest.raises(StepFailure):
-            bk.integrate_backlund(soliton32, ctx, np.eye(2, dtype=complex))
+            bk.integrate_backlund(soliton32, [ctx], [np.eye(2, dtype=complex)])
 
 
 # QC Riccati stacks: 1x1 blocks and a Jordan block, at n = 2 and n = 3
@@ -379,7 +379,8 @@ class TestIntegration:
         rhs = bk.riccati_rhs_qwc
         monkeypatch.setattr(bk, "riccati_rhs_qwc",
                             lambda *a: calls.append(a[1]) or rhs(*a))
-        run = bk.integrate_backlund(soliton32, ctx_a, random_orthogonal(2, seed=3))
+        run, = bk.integrate_backlund(soliton32, [ctx_a],
+                                     [random_orthogonal(2, seed=3)])
         shape = soliton32.grid.shape
         assert len(calls) == 4 * sum(s - 1 for s in shape)
         assert calls == [k for k, s in enumerate(shape) for _ in range(4 * (s - 1))]
@@ -388,7 +389,7 @@ class TestIntegration:
     def test_drift_exceeded(self, soliton32, ctx_a, monkeypatch):
         monkeypatch.setattr(bk, "DRIFT_HARD", 1e-30)
         with pytest.raises(DriftExceeded):
-            bk.integrate_backlund(soliton32, ctx_a, random_orthogonal(2, 1))
+            bk.integrate_backlund(soliton32, [ctx_a], [random_orthogonal(2, 1)])
 
     def test_nonorthogonal_base_linear_growth(self, soliton32, ctx_a,
                                               monkeypatch):
@@ -401,7 +402,7 @@ class TestIntegration:
         d_final = []
         for fac in (1.0, 2.0):
             R1b = base + fac * eps @ base
-            run = bk.integrate_backlund(soliton32, ctx_a, R1b + 0j)
+            run, = bk.integrate_backlund(soliton32, [ctx_a], [R1b + 0j])
             d_final.append(np.max(np.abs(
                 np.einsum("...ij,...kj->...ik", run.R1, run.R1) - np.eye(2))))
         ratio = d_final[1] / d_final[0]
@@ -425,11 +426,41 @@ class TestIntegration:
                 one = bk._line_interp_half(vals[:, j], i)
                 assert stack[j].tobytes() == one.tobytes()
 
+    @pytest.mark.parametrize("n, nodes", [(2, 32), (3, 12), (4, 6)])
+    def test_stacked_leaves_equal_their_own_sweeps(self, n, nodes):
+        # the leaves of one trivial seed advance in one lockstep sweep with
+        # a leaf axis in the state; each keeps the bits of its sweep alone
+        q = qd.qwc_quadric([(1.0, 1), (0.7, 1), (1.3, 1), (0.4, 1)][:n])
+        lm = qd.build_lmap(q)
+        v0, lam0 = sc.default_soliton_data(q, lm, theta=0.3)
+        grid = df.GridSpec(((0.0, 0.03 * (nodes - 1), nodes),) * n)
+        fg = df.zero_soliton(q, lm, grid, v0, lam0)
+        ctxs = [bk.make_context(q, z, lm)
+                for z in (0.31 + 0.12j, -0.2 + 0.25j, 0.12 - 0.3j)]
+        bases = list(random_orthogonal(n, np.arange(3)))
+        runs = bk.integrate_backlund(fg, ctxs, bases)
+        assert len(runs) == 3
+        for ctx, base, run in zip(ctxs, bases, runs):
+            one, = bk.integrate_backlund(fg, [ctx], [base])
+            assert run.R1.tobytes() == one.R1.tobytes()
+            assert run.drift.tobytes() == one.drift.tobytes()
+            assert run.R1.shape == grid.shape + (n, n)
+
+    def test_stacked_leaves_on_a_general_seed(self, leaf32, ctx_a, qwc2, lmap2):
+        # one general seed field broadcast over two leaves
+        ctxs = [ctx_a, bk.make_context(qwc2, -0.2 + 0.25j, lmap2)]
+        bases = [random_orthogonal(2, 8), random_orthogonal(2, 9)]
+        runs = bk.integrate_backlund(leaf32, ctxs, bases)
+        for ctx, base, run in zip(ctxs, bases, runs):
+            one, = bk.integrate_backlund(leaf32, [ctx], [base])
+            assert run.R1.tobytes() == one.R1.tobytes()
+            assert run.drift.tobytes() == one.drift.tobytes()
+
     def test_general_seed_interpolated(self, qwc2, lmap2, leaf32, ctx_a):
         # integrating off a non-constant seed field exercises the cubic
         # interpolation path; orthogonality must still be preserved
         ctx_b = bk.make_context(qwc2, -0.2 + 0.25j, lmap2)
-        run = bk.integrate_backlund(leaf32, ctx_b, random_orthogonal(2, 8))
+        run, = bk.integrate_backlund(leaf32, [ctx_b], [random_orthogonal(2, 8)])
         assert run.drift.max() < 1e-6
 
 
@@ -630,7 +661,7 @@ class TestIQWCPipeline:
         fg = df.zero_soliton(iqwc2, lm, grid, vb, pat * sqrt_branch(H0))
         assert fg.meta["prime_integral_drift"] < 1e-8
         ctx = bk.make_context(iqwc2, 0.24 + 0.18j, lm)
-        run = bk.integrate_backlund(fg, ctx, random_orthogonal(2, seed=5))
+        run, = bk.integrate_backlund(fg, [ctx], [random_orthogonal(2, seed=5)])
         assert run.drift.max() < 1e-6
         assert bk.path_mismatch(fg, ctx, run) < 1e-6
         V1, lam1 = bk.algebraic_transform_qwc(ctx, fg.V, fg.lam, fg.R, run.R1)

@@ -178,7 +178,7 @@ _BAD_Z = st.one_of(
         lambda bad: [[0.31, 0.12], bad]))
 _BAD_TOLERANCES = st.one_of(
     st.lists(st.floats(), max_size=2), st.text(max_size=3), st.integers(),
-    st.text(max_size=8).filter(lambda k: k not in sc.TOLERANCES).map(
+    st.text(max_size=8).filter(lambda k: k not in cli.TOLERANCES).map(
         lambda k: {k: 1e-3}),
     st.one_of(st.floats(max_value=0.0), _NOT_NUMBER, _NON_FINITE).map(
         lambda v: {"ivory_identities": v}))
@@ -529,7 +529,7 @@ class TestRunScenario:
                              str(out)] + extra) == 0
             report = json.loads((out / "report.json").read_text())
             assert (report["tolerances"]["riccati_drift"]
-                    == sc.TOLERANCES["riccati_drift"] * scale)
+                    == cli.TOLERANCES["riccati_drift"] * scale)
 
     def test_module_error_becomes_single_error_check(self, tmp_path,
                                                      monkeypatch):
@@ -597,7 +597,7 @@ _STAGED = {
 
 
 # checks whose bound is not a residual tolerance: the ratio, slope and
-# correlation windows of scenarios._UNSCALED, the zero_soliton admissibility
+# correlation windows of cli._UNSCALED, the zero_soliton admissibility
 # threshold, the at-least negative control and the 0/1 flags and hole counts
 _FIXED_BOUNDS = {"prime_integral_order", "path_mismatch_order",
                  "leaf_system_slope", "leaf_defqwc_slope", "bpt_riccati_slope",
@@ -617,7 +617,7 @@ def test_tol_scale_scales_every_residual_gate(scenario, tmp_path):
     for b, c in zip(base["checks"], scaled["checks"]):
         factor = 1 if c["name"] in _FIXED_BOUNDS else 10
         assert c["tolerance"] == b["tolerance"] * factor, c["name"]
-    assert scaled["tolerances"] == sc.scaled_tolerances(10)
+    assert scaled["tolerances"] == cli.scaled_tolerances(10)
 
 
 @pytest.mark.parametrize("scenario", list(_STAGED))

@@ -198,7 +198,7 @@ class TestStackAlgebra:
     def test_rounding_rules_of_the_column_k_riccati_rhs(self, n):
         # backlund.riccati_rhs_qwc forms R_1 E_k R_0^T with the array
         # multiply and scales by a diagonal D column-wise; its bits equal the
-        # matmul form's only while these two rules hold on the numpy/BLAS build
+        # matmul form's only while these rules hold on the numpy/BLAS build
         rng = np.random.default_rng(n)
 
         def cplx(*s):
@@ -214,6 +214,9 @@ class TestStackAlgebra:
         d = cplx(n)
         assert np.array_equal(X @ np.diag(d), X * d), (
             f"rule broken: X @ diag(d) differs from X * d (n = {n})")
+        # permute's products with a diagonal D lean on the left-hand rule too
+        assert np.array_equal(np.diag(d) @ X, d[:, None] * X), (
+            f"rule broken: diag(d) @ X differs from d[:, None] * X (n = {n})")
 
 
 class TestFits:

@@ -1,5 +1,6 @@
 """The library runs on numpy alone: scipy is no dependency, and neither
-importing confocal nor running any scenario imports it."""
+importing confocal nor running any scenario imports it.  Importing the CLI
+and validating configs loads no grid, transform or output layer."""
 
 import json
 import os
@@ -44,6 +45,32 @@ def test_no_scenario_imports_scipy(tmp_path):
     seen = json.loads(proc.stdout)
     assert len(seen) == 1 + len(confocal.cli.SCENARIOS) + 2
     assert [name for name, loaded in seen.items() if loaded] == []
+
+
+_VALIDATE = """
+import json, sys
+import confocal
+loaded = {"package": sorted(m for m in sys.modules if m.startswith("confocal."))}
+import confocal.cli as cli
+for s in cli.SCENARIOS:
+    cli.validate_config({"scenario": s})
+loaded["validated"] = sorted(m for m in sys.modules if m.startswith("confocal."))
+print(json.dumps(loaded))
+"""
+
+
+def test_validating_configs_loads_no_grid_layer():
+    src = str(Path(confocal.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"}
+    proc = subprocess.run([sys.executable, "-c", _VALIDATE], env=env,
+                          capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 0, proc.stderr
+    loaded = json.loads(proc.stdout)
+    assert loaded["package"] == []
+    layers = {f"confocal.{m}" for m in ("deform", "backlund", "permute",
+                                        "scenarios", "gridio")}
+    assert "confocal.cli" in loaded["validated"]
+    assert sorted(layers & set(loaded["validated"])) == []
 
 
 def test_scipy_is_no_dependency():

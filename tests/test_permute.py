@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from confocal import backlund as bk, deform as df, permute as pm
-from confocal.errors import (DistinctZRequired, SingularBox,
+from confocal import backlund as bk, deform as df, permute as pm, quadric as qd
+from confocal.errors import (ConfocalError, DistinctZRequired, SingularBox,
                              SingularSuperposition)
 from confocal.sjcore import random_orthogonal
 
@@ -110,8 +110,8 @@ class TestCompose:
 class TestVerify:
     def test_soliton_square(self, qwc2, lmap2, soliton32, ctx_a, ctx_b,
                             riccati32):
-        r2 = bk.integrate_backlund(soliton32, ctx_b,
-                                   random_orthogonal(2, seed=4))
+        r2, = bk.integrate_backlund(soliton32, [ctx_b],
+                                    [random_orthogonal(2, seed=4)])
         R3f = pm.bpt_compose_field(soliton32.R, riccati32.R1, r2.R1,
                                    ctx_a.D, ctx_b.D)
         assert np.max(np.abs(R3f @ np.swapaxes(R3f, -1, -2) - np.eye(2))) < 1e-7
@@ -151,10 +151,9 @@ class TestMoebius:
 
     def test_integrated_routes_agree(self, qwc2, lmap2, soliton32, ctx_a,
                                      ctx_b, ctx_c, riccati32):
-        r2 = bk.integrate_backlund(soliton32, ctx_b,
-                                   random_orthogonal(2, seed=4))
-        r4 = bk.integrate_backlund(soliton32, ctx_c,
-                                   random_orthogonal(2, seed=5))
+        r2, r4 = bk.integrate_backlund(
+            soliton32, [ctx_b, ctx_c],
+            [random_orthogonal(2, seed=4), random_orthogonal(2, seed=5)])
         _, gap = pm.m3_r7_field(soliton32.R, riccati32.R1, r2.R1, r4.R1,
                                 ctx_a, ctx_b, ctx_c)
         assert gap < 1e-8
@@ -205,11 +204,12 @@ class TestLattice:
         assert gap < 1e-8
         assert np.max(np.abs(lat[(1, 1, 1)].R - R7)) < 1e-8
 
-    @pytest.mark.parametrize("extent, runs", [((3, 3), 4), ((2, 2, 2), 3)])
+    @pytest.mark.parametrize("extent, runs", [((3, 3), 3), ((2, 2, 2), 1)])
     def test_chains_integrated_once(self, small_soliton, ctx_a, ctx_b, ctx_c,
                                     extent, runs, monkeypatch):
-        # one Riccati run per ray cell; the reversed-order fill of the gap
-        # reuses the chains
+        # the first steps of all chains share one Riccati run, every later
+        # ray cell has its own; the reversed-order fill of the gap reuses the
+        # chains
         calls = []
         integrate = pm.integrate_backlund
 
@@ -268,3 +268,64 @@ class TestConditionMonitoring:
     def test_decision_is_cond(self, logs, angle):
         M = np.stack([conditioned(10.0 ** e, angle) for e in logs])
         assert pm._ill_conditioned(M) == bool(np.any(np.linalg.cond(M) > pm.COND_LIMIT))
+
+
+# (I)QWC quadrics per n: simple blocks give a diagonal D, a Jordan block a
+# non-diagonal one
+D_QUADRICS = {
+    (n, "diagonal"): [(1.0, 1), (0.7, 1), (1.3, 1), (0.4, 1)][:n] for n in (2, 3, 4)}
+D_QUADRICS.update({(2, "jordan"): [(1.0, 2)], (3, "jordan"): [(1.0, 2), (0.7, 1)],
+                   (4, "jordan"): [(1.0, 3), (0.7, 1)]})
+
+
+def _matmul_dmul(D, X, right=False):
+    return X @ D if right else D @ X
+
+
+def _outcome(fn, *args):
+    """fn(*args), or the ConfocalError subclass it raises."""
+    try:
+        return fn(*args)
+    except ConfocalError as exc:
+        return type(exc)
+
+
+def _same_bits(a, b):
+    if isinstance(a, tuple):
+        return len(a) == len(b) and all(map(_same_bits, a, b))
+    if isinstance(a, type) or isinstance(b, type):
+        return a is b
+    return np.asarray(a).tobytes() == np.asarray(b).tobytes()
+
+
+class TestDiagonalProducts:
+    @settings(max_examples=30, deadline=None)
+    @given(st.sampled_from(sorted(D_QUADRICS)), st.integers(0, 2**31 - 1))
+    def test_superposition_has_the_matmul_bits(self, key, seed):
+        # with a diagonal D the products are broadcasts on n = 2, 3; every
+        # superposition function keeps the bits of the matmul form, on every
+        # n and for a Jordan-block D too
+        n, kind = key
+        q = qd.qwc_quadric(D_QUADRICS[key])
+        lm = qd.build_lmap(q)
+        rng = np.random.default_rng(seed)
+        zs = []
+        while len(zs) < 3:
+            z = qd.admissible_z(q, rng)
+            if z not in zs:
+                zs.append(z)
+        ctxs = [bk.make_context(q, z, lm) for z in zs]
+        assert (ctxs[0].d is None) == (kind == "jordan")
+        R0, R1, R2, R3, R4 = random_orthogonal(
+            n, np.arange(5 * seed, 5 * seed + 5, dtype=object)[:, None]
+            + np.arange(0, 3000, 1000))
+        D1, D2, D3 = (c.D for c in ctxs)
+        calls = [(pm.bpt_compose, R0, R1, R2, D1, D2),
+                 (pm.bpt_orthogonality_identity, R1, R2, D1, D2),
+                 (pm.bpt_scalar_identity, R0, R1, R2, R3, D1, D2, *zs[:2]),
+                 (pm.m3_r7, R0, R1, R2, R4, D1, D2, D3, *zs)]
+        got = [_outcome(*call) for call in calls]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(pm, "_dmul", _matmul_dmul)
+            want = [_outcome(*call) for call in calls]
+        assert [_same_bits(a, b) for a, b in zip(got, want)] == [True] * 4

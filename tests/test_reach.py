@@ -20,7 +20,7 @@ from pathlib import Path
 import pytest
 
 import confocal
-from confocal import cli, scenarios as sc
+from confocal import cli
 
 import test_gridio_cli
 
@@ -101,9 +101,9 @@ def _reached(tmp_path):
         def __getitem__(self, key):
             read.add(key)
             return super().__getitem__(key)
-    scaled = sc.scaled_tolerances
+    scaled = cli.scaled_tolerances
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(sc, "scaled_tolerances", lambda scale: Table(scaled(scale)))
+        mp.setattr(cli, "scaled_tolerances", lambda scale: Table(scaled(scale)))
         sys.setprofile(profile)
         try:
             for i, cfg in enumerate(configs):
@@ -154,4 +154,4 @@ def test_every_error_class_is_raised_or_caught_by_live_code(reach):
 
 
 def test_every_tolerance_is_read_by_a_check(reach):
-    assert sorted(set(sc.TOLERANCES) - reach[2]) == []
+    assert sorted(set(cli.TOLERANCES) - reach[2]) == []
