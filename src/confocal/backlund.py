@@ -82,7 +82,7 @@ def make_context(q, z, lm=None) -> BacklundContext:
         raise ValueError("(I)QWC context needs the L map")
     srp = qd.sqrt_rprime(q, lm, z)
     D = srp[:n, :n] / sz
-    if df.peterson_admissible(q, lm)[0]:
+    if df.peterson_admissible(lm)[0]:
         # the zero soliton's diagonal A' block, without sqrt's rounding noise
         D = np.diag(np.diagonal(D))
     return BacklundContext(q, lm, z, sz, D, srp, qd.translation_chart(q, lm, z))
@@ -152,12 +152,11 @@ def riccati_rhs_qwc(d: np.ndarray, k: int, R0: np.ndarray | None,
     return -out
 
 
-def riccati_rhs_qc(ctx: BacklundContext, k: int, V0, lam0, R0, omega0_k, R1,
-                   aux: QCAux) -> np.ndarray:
+def riccati_rhs_qc(k: int, V0, lam0, R0, omega0_k, R1, aux: QCAux) -> np.ndarray:
     """dR_1/du^k for the QC Riccati equation in the compact M/N/W/U form,
     batched over leading axes (V0, lam0 (..., n); R0, omega0_k, R1
-    (..., n, n)), with aux = qc_aux(ctx); raises UNearZero where any
-    |U| < TOL_U.
+    (..., n, n)), with aux = qc_aux(ctx) of the transform's context ctx;
+    raises UNearZero where any |U| < TOL_U.
 
     R_1 E_k R_0^T is the outer product r1 r0^T of the k-th columns, so with
     c = (2/U) W^T r0, -dR_1/du^k is R_1 omega_0 plus the rank-one
@@ -368,23 +367,19 @@ def integrate_backlund_qc_line(ctx: BacklundContext, V0_base, lam0_base,
     Returns (states, ok) with states[i] = concat(V0, lam0, R1.ravel()).
     """
     aux = qc_aux(ctx)
-    q, n = ctx.q, ctx.n
+    n = ctx.n
     V0_base = np.asarray(V0_base, dtype=complex).reshape(n)
     lam0_base = np.asarray(lam0_base, dtype=complex).reshape(n)
     sjcore.check_orthogonal(R1_base, 1e-8, "R1 base value")
     omega0 = np.zeros((n, n), dtype=complex)
     R0 = np.eye(n, dtype=complex)
 
-    def rhs(_t, y):
-        V = y[:n]
-        lam = y[n:2 * n]
-        R1 = y[2 * n:].reshape(n, n)
-        dy = np.zeros_like(y)
-        dy[0] = lam[0]
-        dy[n] = -qd.chart_source(q, None, V)[0]
-        dR1 = riccati_rhs_qc(ctx, 0, V, lam, R0, omega0, R1, aux)
-        dy[2 * n:] = dR1.ravel()
-        return dy
+    vlam = df._vlam_rhs(ctx.q, None, 0)
+
+    def rhs(t, y):
+        dR1 = riccati_rhs_qc(0, y[:n], y[n:2 * n], R0, omega0,
+                             y[2 * n:].reshape(n, n), aux)
+        return np.concatenate([vlam(t, y[:2 * n]), dR1.ravel()])
 
     y0 = np.concatenate([V0_base, lam0_base, R1_base.astype(complex).ravel()])
     try:

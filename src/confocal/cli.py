@@ -305,7 +305,7 @@ def _setup(cfg):
         return q, None
     lm = sc.lmap_for(q, seed=cfg["seed"])
     if (cfg["scenario"] in _ON_GRID and q.kind == qd.IQWC
-            and not df.peterson_admissible(q, lm)[0]):
+            and not df.peterson_admissible(lm)[0]):
         lm = qd.canonicalize_lmap(q, lm)[0]
     return q, lm
 
@@ -360,7 +360,7 @@ def run_elliptic(cfg, q, lm, outdir, checks):
 def run_deform(cfg, q, lm, outdir, checks):
     from . import deform as df, gridio, scenarios as sc
     with checks.stage("peterson_admissible"):
-        ok, off = df.peterson_admissible(q, lm)
+        ok, off = df.peterson_admissible(lm)
         # the bound zero_soliton itself enforces, so it does not scale
         checks.add("peterson_admissible", off, 1e-10)
     if not ok:
@@ -447,7 +447,7 @@ def run_backlund_qc(cfg, q, _lm, outdir, checks):
         V0 = 0.4 * (g[:, 0] + 1j * g[:, 1])
         lam0 = g[:, 2] + 1j * g[:, 3]
         gap = max(float(np.max(np.abs(
-            bk.riccati_rhs_qc(ctx, k, V0, lam0, R0, om, R1, aux)
+            bk.riccati_rhs_qc(k, V0, lam0, R0, om, R1, aux)
             - bk.riccati_rhs_qc_expanded(ctx, k, V0, lam0, R0, om, R1))))
             for k in range(n))
         checks.add("qc_compact_vs_expanded", gap)
@@ -573,7 +573,7 @@ def run_bpt(cfg, q, lm, outdir, checks):
                               for h, v in zip(hs, resid)])
 
 
-def run_m3(cfg, q, lm, outdir, checks):
+def run_m3(cfg, q, lm, _outdir, checks):
     from . import backlund as bk, deform as df, permute as pm
     zs = cfg["zs"][:3]
     contexts = [bk.make_context(q, z, lm) for z in zs]
@@ -586,9 +586,9 @@ def run_m3(cfg, q, lm, outdir, checks):
         fg = df.zero_soliton(q, lm, grid, v0, lam0)
         lat, holes = pm.lattice_build(fg, dict(enumerate(contexts)), (2, 2, 2),
                                       seed=cfg["seed"])
-        legs = (lat[(1, 0, 0)].R, lat[(0, 1, 0)].R, lat[(0, 0, 1)].R)
+        legs = (lat[(1, 0, 0)], lat[(0, 1, 0)], lat[(0, 0, 1)])
         R7f, gap_int = pm.m3_r7_field(fg.R, *legs, *contexts)
-        cube_gap = (float(np.max(np.abs(lat[(1, 1, 1)].R - R7f)))
+        cube_gap = (float(np.max(np.abs(lat[(1, 1, 1)] - R7f)))
                     if lat[(1, 1, 1)] is not None else np.inf)
         checks.add("m3_integrated", gap_int)
         checks.add("m3_cube_closure", cube_gap, "m3_integrated")
@@ -614,14 +614,12 @@ def run_lattice(cfg, q, lm, outdir, checks):
                 if any(c is None for c in cells):
                     continue
                 rows.append((f"{i}:{j}", pm.bpt_scalar_identity(
-                    *(c.R for c in cells), c0.D, c1.D, c0.z, c1.z)))
+                    *cells, c0.D, c1.D, c0.z, c1.z)))
         checks.add("lattice_order_agreement", pm.lattice_order_gap(lat, contexts))
         checks.add("lattice_square_scalar", max([0.0] + [v for _, v in rows]),
                    10 * checks.tol["riccati_drift"], max(len(rows), 1))
         checks.add("lattice_holes", float(len(holes)), 0.5, 1)   # as in m3
-    gridio.save_lattice(outdir / "lattice",
-                        {k: (v.R if v is not None else None)
-                         for k, v in lat.items()}, rows)
+    gridio.save_lattice(outdir / "lattice", lat, rows)
 
 
 def run_sine_gordon(cfg, _q, _lm, outdir, checks):

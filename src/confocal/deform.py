@@ -51,7 +51,7 @@ def prime_integral_residual(fg: FieldGrid, q, lm) -> np.ndarray:
     return np.abs(lam2 + qd.h_chart(q, lm, fg.V))
 
 
-def peterson_admissible(q, lm):
+def peterson_admissible(lm):
     """True iff the n-block of A' is diagonal to 1e-10 (chart-level
     integrability)."""
     An = lm.aprime_n()
@@ -72,7 +72,7 @@ def _zero_soliton_chart(q, lm) -> None:
     IQWC, with a diagonal A' n-block."""
     if q.kind == qd.QC:
         raise StepFailure("the zero soliton applies to QWC/IQWC only")
-    ok, res = peterson_admissible(q, lm)
+    ok, res = peterson_admissible(lm)
     if not ok:
         raise StepFailure(f"A' n-block not diagonal (off-diag {res:.3e})")
 

@@ -225,13 +225,6 @@ def rk4_sweep(grid, state0, rhs_of_axis, order=None) -> np.ndarray:
 
 # finite differences along one axis of a grid field ---------------------------
 
-_D1_COEFS_2 = {  # offset: weight, times 1/h
-    "interior": ([-1, 1], [-0.5, 0.5]),
-    "left": ([0, 1, 2], [-1.5, 2.0, -0.5]),
-    "right": ([-2, -1, 0], [0.5, -2.0, 1.5]),
-}
-
-
 def diff1(field: np.ndarray, axis: int, h: float, order: int = 2) -> np.ndarray:
     """First derivative of a sampled field along `axis` (uniform spacing h).
 

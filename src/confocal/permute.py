@@ -148,19 +148,20 @@ def m3_r7_field(R0f, R1f, R2f, R4f, ctx1, ctx2, ctx3):
 
 def lattice_build(fg_seed: df.FieldGrid, contexts: dict, extent: tuple,
                   seed: int = 0):
-    """Fill a Z^k lattice of transform states from the seed solution.
+    """Fill a Z^k lattice of R fields from the seed solution.
 
     contexts[i] is the BacklundContext of lattice axis i (one z per axis).
     Axis chains on the coordinate rays (indices with a single nonzero entry)
     each require their own Riccati integration - a repeated transform at the
     same z is new initial data, not algebra; the first steps of all chains
     start from the seed, so they share one lockstep sweep - while every
-    remaining cell closes algebraically through the permutability formula,
-    which is the point of the lattice.  Cell (V, Lambda) states follow from the algebraic
-    transform so that chains can restart anywhere.  Singular superpositions
-    leave holes (None) that are reported, not fatal.
+    remaining cell closes algebraically on R alone through the permutability
+    formula, which is the point of the lattice.  Only a chain step that the
+    next step of its chain starts from gets its (V, Lambda) from the algebraic
+    transform, as that step's seed.  Singular superpositions leave holes
+    (None) that are reported, not fatal.
 
-    Returns (lattice dict index -> FieldGrid or None, holes list).
+    Returns (lattice dict index -> R field (*shape, n, n) or None, holes list).
     """
     k = len(extent)
     steps = [(axis, step) for axis in range(k) for step in range(1, extent[axis])]
@@ -172,15 +173,18 @@ def lattice_build(fg_seed: df.FieldGrid, contexts: dict, extent: tuple,
     first_runs = iter(integrate_backlund(
         fg_seed, [contexts[axis] for axis, step in steps if step == 1],
         [rot for (_, step), rot in zip(steps, base_rots) if step == 1]))
-    rays = {(0,) * k: fg_seed}
+    rays = {(0,) * k: fg_seed.R}
     for (axis, step), base_rot in zip(steps, base_rots):
-        prev = rays[tuple(step - 1 if a == axis else 0 for a in range(k))]
-        run = (next(first_runs) if step == 1 else
-               integrate_backlund(prev, [contexts[axis]], [base_rot])[0])
-        V1, lam1 = algebraic_transform_qwc(contexts[axis], prev.V, prev.lam,
-                                           prev.R, run.R1)
-        rays[tuple(step if a == axis else 0 for a in range(k))] = df.FieldGrid(
-            prev.grid, V1, lam1, run.R1)
+        if step == 1:
+            prev = fg_seed
+            run = next(first_runs)
+        else:
+            run = integrate_backlund(prev, [contexts[axis]], [base_rot])[0]
+        rays[tuple(step if a == axis else 0 for a in range(k))] = run.R1
+        if step + 1 < extent[axis]:
+            V1, lam1 = algebraic_transform_qwc(contexts[axis], prev.V, prev.lam,
+                                               prev.R, run.R1)
+            prev = df.FieldGrid(prev.grid, V1, lam1, run.R1)
     cells = [idx for idx in sorted(product(*map(range, extent)),
                                    key=lambda t: (sum(t), t))
              if idx not in rays]
@@ -188,22 +192,21 @@ def lattice_build(fg_seed: df.FieldGrid, contexts: dict, extent: tuple,
 
 
 def lattice_order_gap(lattice: dict, contexts: dict) -> float:
-    """Largest R gap between a lattice_build lattice and the lattice that its
+    """Largest gap between a lattice_build lattice and the lattice that its
     own ray cells fill in reversed axis order, over the cells both fills
     have; the chains are not integrated again."""
-    rays = {idx: cell for idx, cell in lattice.items()
-            if np.count_nonzero(idx) <= 1}
+    rays = {idx: R for idx, R in lattice.items() if np.count_nonzero(idx) <= 1}
     k = len(next(iter(lattice)))
     alt, _ = _fill(rays, contexts, [idx for idx in lattice if idx not in rays],
                    range(k - 1, -1, -1))
-    return max((float(np.max(np.abs(lattice[idx].R - alt[idx].R)))
+    return max((float(np.max(np.abs(lattice[idx] - alt[idx])))
                 for idx in lattice
                 if lattice[idx] is not None and alt[idx] is not None),
                default=0.0)
 
 
 def _fill(rays: dict, contexts: dict, cells: list, order):
-    """The lattice of the ray cells with each of cells, in turn, composed
+    """The lattice of the ray R fields with each of cells, in turn, composed
     from the first axis pair (a, b), a and b read in the given axis order,
     whose three cells behind it are filled and whose superposition is
     regular.  A cell no pair closes is a hole (None).  Returns (lattice,
@@ -220,13 +223,10 @@ def _fill(rays: dict, contexts: dict, cells: list, order):
             if base is None or leg_a is None or leg_b is None:
                 continue
             try:
-                Rn = bpt_compose_field(base.R, leg_a.R, leg_b.R,
-                                       contexts[a].D, contexts[b].D)
+                lattice[idx] = bpt_compose_field(base, leg_a, leg_b,
+                                                 contexts[a].D, contexts[b].D)
             except SingularSuperposition:
                 continue
-            V1, lam1 = algebraic_transform_qwc(contexts[b], leg_a.V,
-                                               leg_a.lam, leg_a.R, Rn)
-            lattice[idx] = df.FieldGrid(base.grid, V1, lam1, Rn)
             break
         else:
             lattice[idx] = None

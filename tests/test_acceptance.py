@@ -225,9 +225,9 @@ def test_criterion_10_moebius(qwc2, lmap2):
     fg = df.zero_soliton(qwc2, lmap2, grid, v0, lam0)
     lat, holes = pm.lattice_build(fg, {0: c1, 1: c2, 2: c3}, (2, 2, 2),
                                   seed=5)
-    R7, gap_int = pm.m3_r7_field(fg.R, lat[(1, 0, 0)].R, lat[(0, 1, 0)].R,
-                                 lat[(0, 0, 1)].R, c1, c2, c3)
-    cube = float(np.max(np.abs(lat[(1, 1, 1)].R - R7)))
+    R7, gap_int = pm.m3_r7_field(fg.R, lat[(1, 0, 0)], lat[(0, 1, 0)],
+                                 lat[(0, 0, 1)], c1, c2, c3)
+    cube = float(np.max(np.abs(lat[(1, 1, 1)] - R7)))
     ok = (gap_deg < 1e-12 and gap_int < 1e-8 and cube < 1e-8 and not holes)
     _line(10, "moebius_configuration", ok,
           f"route gap degenerate {gap_deg:.3e} (tol 1e-12), integrated "

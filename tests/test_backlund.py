@@ -242,7 +242,7 @@ class TestQCRiccati:
         om = rng.standard_normal((12, n, n)) + 1j * rng.standard_normal((12, n, n))
         om = om - np.swapaxes(om, -1, -2)
         for k in range(n):
-            a = bk.riccati_rhs_qc(ctx, k, V0, lam0, R0, om, R1, aux)
+            a = bk.riccati_rhs_qc(k, V0, lam0, R0, om, R1, aux)
             b = bk.riccati_rhs_qc_expanded(ctx, k, V0, lam0, R0, om, R1)
             assert a.shape == (12, n, n)
             assert np.max(np.abs(a - b)) < 1e-12
@@ -267,12 +267,12 @@ class TestQCRiccati:
         V0, lam0, om = 0.4 * cplx(*shape, n), cplx(*shape, n), cplx(*shape, n, n)
         om = om - np.swapaxes(om, -1, -2)
         for k in range(n):
-            a = bk.riccati_rhs_qc(ctx, k, V0, lam0, R0, om, R1, aux)
+            a = bk.riccati_rhs_qc(k, V0, lam0, R0, om, R1, aux)
             b = bk.riccati_rhs_qc_expanded(ctx, k, V0, lam0, R0, om, R1)
             assert np.all(np.abs(a - b) <= 1e-14 * (1 + np.abs(b)))
             for idx in np.ndindex(*shape):
                 one = (V0[idx], lam0[idx], R0[idx], om[idx], R1[idx])
-                a1 = bk.riccati_rhs_qc(ctx, k, *one, aux)
+                a1 = bk.riccati_rhs_qc(k, *one, aux)
                 assert np.all(np.abs(a[idx] - a1) <= 1e-14 * (1 + np.abs(a1)))
                 assert np.array_equal(b[idx], bk.riccati_rhs_qc_expanded(ctx, k, *one))
 
@@ -301,7 +301,7 @@ class TestQCRiccati:
         V0 = np.array([np.sqrt(complex(v2)), 0.0], dtype=complex)
         assert abs(aux.U(V0)) < 1e-12
         with pytest.raises(UNearZero):
-            bk.riccati_rhs_qc(ctx, 0, V0, np.ones(2, dtype=complex),
+            bk.riccati_rhs_qc(0, V0, np.ones(2, dtype=complex),
                               np.eye(2, dtype=complex),
                               np.zeros((2, 2), dtype=complex),
                               np.eye(2, dtype=complex), aux)
@@ -351,7 +351,7 @@ class TestQCRiccati:
             dy[0] = y[n]
             dy[n] = -qd.chart_source(qc3, None, y[:n])[0]
             dy[2 * n:] = bk.riccati_rhs_qc(
-                ctx, 0, y[:n], y[n:2 * n], np.eye(n, dtype=complex),
+                0, y[:n], y[n:2 * n], np.eye(n, dtype=complex),
                 np.zeros((n, n), dtype=complex), y[2 * n:].reshape(n, n),
                 aux).ravel()
             return dy

@@ -115,18 +115,18 @@ class TestZeroSoliton:
 
 class TestPetersonAdmissible:
     def test_diagonal_true(self, qwc2, lmap2):
-        ok, res = df.peterson_admissible(qwc2, lmap2)
+        ok, res = df.peterson_admissible(lmap2)
         assert ok and res == 0.0
 
     def test_offdiagonal_false(self, qwc2, lmap2):
         Ap = lmap2.Aprime.copy()
         Ap[0, 1] = Ap[1, 0] = 0.1
         fake = dataclasses.replace(lmap2, Aprime=Ap)
-        ok, res = df.peterson_admissible(qwc2, fake)
+        ok, res = df.peterson_admissible(fake)
         assert not ok and abs(res - 0.1) < 1e-15
 
     def test_iqwc_reported(self, iqwc2, iqwc_lmap):
-        ok, res = df.peterson_admissible(iqwc2, iqwc_lmap)
+        ok, res = df.peterson_admissible(iqwc_lmap)
         assert res >= 0.0   # evaluated and reported; no requirement to pass
 
 

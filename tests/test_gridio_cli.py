@@ -464,6 +464,21 @@ class TestRunScenario:
         assert len(report["checks"]) == 9
         assert all(c["passed"] for c in report["checks"])
 
+    @pytest.mark.parametrize("scenario", ["deform-0soliton", "m3"])
+    def test_four_axis_grid_passes(self, tmp_path, scenario):
+        # n = 4: a QWC with four simple blocks on a 6^4 grid
+        cfg = {"scenario": scenario, "lam_theta": 0.3,
+               "quadric": {"kind": "QWC",
+                           "blocks": [{"a": [a, 0.0], "p": 1}
+                                      for a in (1.0, 0.7, 1.3, 1.6)]},
+               "grid": {"axes": [[0.0, 0.22, 6]] * 4}}
+        cfgfile = tmp_path / "n4.json"
+        cfgfile.write_text(json.dumps(cfg))
+        out = tmp_path / "n4"
+        assert cli.main(["run", "--config", str(cfgfile), "--out", str(out)]) == 0
+        report = json.loads((out / "report.json").read_text())
+        assert report["checks"] and all(c["passed"] for c in report["checks"])
+
     def test_iqwc_that_cannot_be_diagonalized_fails_admissibility(self, tmp_path):
         # the nilpotent J_3 leaves a defective A' block: the seeded chart
         # stays, and the run fails peterson_admissible as a check

@@ -187,7 +187,7 @@ class TestLattice:
         # vertex is orthogonal
         for i in range(2):
             for j in range(2):
-                R0, R1, R2, R3 = (lat[(i + a, j + b)].R
+                R0, R1, R2, R3 = (lat[(i + a, j + b)]
                                   for a, b in ((0, 0), (1, 0), (0, 1), (1, 1)))
                 assert pm.bpt_scalar_identity(R0, R1, R2, R3, ctx_a.D, ctx_b.D,
                                               ctx_a.z, ctx_b.z) < 1e-5
@@ -198,11 +198,11 @@ class TestLattice:
         ctxs = {0: ctx_a, 1: ctx_b, 2: ctx_c}
         lat, holes = pm.lattice_build(small_soliton, ctxs, (2, 2, 2), seed=5)
         assert not holes
-        R7, gap = pm.m3_r7_field(small_soliton.R, lat[(1, 0, 0)].R,
-                                 lat[(0, 1, 0)].R, lat[(0, 0, 1)].R,
+        R7, gap = pm.m3_r7_field(small_soliton.R, lat[(1, 0, 0)],
+                                 lat[(0, 1, 0)], lat[(0, 0, 1)],
                                  ctx_a, ctx_b, ctx_c)
         assert gap < 1e-8
-        assert np.max(np.abs(lat[(1, 1, 1)].R - R7)) < 1e-8
+        assert np.max(np.abs(lat[(1, 1, 1)] - R7)) < 1e-8
 
     @pytest.mark.parametrize("extent, runs", [((3, 3), 3), ((2, 2, 2), 1)])
     def test_chains_integrated_once(self, small_soliton, ctx_a, ctx_b, ctx_c,
@@ -221,6 +221,25 @@ class TestLattice:
         lat, holes = pm.lattice_build(small_soliton, ctxs, extent, seed=5)
         assert not holes and pm.lattice_order_gap(lat, ctxs) < 1e-8
         assert len(calls) == runs
+
+    @pytest.mark.parametrize("extent, transforms", [((3, 3), 2), ((2, 2, 2), 0)])
+    def test_only_stepped_on_chain_states_are_transformed(
+            self, small_soliton, ctx_a, ctx_b, ctx_c, extent, transforms,
+            monkeypatch):
+        # the cells hold R fields; (V, Lambda) is needed only where a chain
+        # steps on, as the next step's seed
+        calls = []
+        transform = pm.algebraic_transform_qwc
+
+        def counted(*args):
+            calls.append(args)
+            return transform(*args)
+        monkeypatch.setattr(pm, "algebraic_transform_qwc", counted)
+        ctxs = dict(enumerate((ctx_a, ctx_b, ctx_c)[:len(extent)]))
+        lat, holes = pm.lattice_build(small_soliton, ctxs, extent, seed=5)
+        assert not holes and len(calls) == transforms
+        assert all(type(cell) is np.ndarray for cell in lat.values())
+        assert {cell.shape for cell in lat.values()} == {small_soliton.R.shape}
 
     def test_holes_reported_not_fatal(self, small_soliton, ctx_a, ctx_b,
                                       monkeypatch):

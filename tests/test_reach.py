@@ -1,8 +1,9 @@
 """Every function and method of src/confocal is run by some scenario, every
-error class is raised or caught somewhere in src/, and every entry of the
-tolerance table gates some check: code that only tests reach is a second
-copy of something the scenarios compute, and a tolerance no check reads is a
-setting that changes nothing.
+error class is raised or caught somewhere in src/, every entry of the
+tolerance table gates some check, and every module-level name and every
+parameter is read: code that only tests reach is a second copy of something
+the scenarios compute, and a tolerance, a constant or a parameter no code
+reads is a setting that changes nothing.
 
 The small configs of the ten scenarios (test_gridio_cli._STAGED) and an
 IQWC zero-soliton run (on the chart cli._setup canonicalizes) run under
@@ -155,3 +156,53 @@ def test_every_error_class_is_raised_or_caught_by_live_code(reach):
 
 def test_every_tolerance_is_read_by_a_check(reach):
     assert sorted(set(cli.TOLERANCES) - reach[2]) == []
+
+
+def _trees():
+    return {path.stem: ast.parse(path.read_text()) for path in SRC.glob("*.py")}
+
+
+def test_every_module_level_name_is_read_in_src():
+    # a name assigned at module level is read in its own module, as an
+    # attribute (module.NAME) or through a from-import anywhere in src/
+    trees = _trees()
+    attrs, imported = set(), set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute):
+                attrs.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                imported |= {(node.module, a.name) for a in node.names}
+    unread = []
+    for mod, tree in trees.items():
+        loaded = {node.id for node in ast.walk(tree)
+                  if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        for stmt in tree.body:
+            targets = (stmt.targets if isinstance(stmt, ast.Assign) else
+                       [stmt.target] if isinstance(stmt, ast.AnnAssign) else [])
+            for name in (n.id for t in targets for n in ast.walk(t)
+                         if isinstance(n, ast.Name)):
+                if (name not in loaded | attrs and (mod, name) not in imported
+                        and name not in ("__version__", "__all__")):
+                    unread.append(f"{mod}.{name}")
+    assert unread == []
+
+
+def test_every_parameter_is_read():
+    # a parameter kept only for a calling convention starts with "_"; the
+    # instance or class parameter of a method is exempt
+    unread = []
+    for mod, tree in _trees().items():
+        for fn in ast.walk(tree):
+            if not isinstance(fn, (ast.FunctionDef, ast.Lambda)):
+                continue
+            a = fn.args
+            params = [p.arg for p in (a.posonlyargs + a.args + a.kwonlyargs
+                                      + [a.vararg, a.kwarg]) if p is not None]
+            body = fn.body if isinstance(fn.body, list) else [fn.body]
+            read = {n.id for stmt in body for n in ast.walk(stmt)
+                    if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+            unread += [f"{mod}.{getattr(fn, 'name', '<lambda>')}:{p}"
+                       for p in params if p not in read
+                       and not p.startswith("_") and p not in ("self", "cls")]
+    assert unread == []
