@@ -313,7 +313,7 @@ def _omega_for_integration(fg: df.FieldGrid) -> np.ndarray:
     high-order differences with the Phi_l = R^T dR/du^l factors projected onto
     their antisymmetric part (the exact Phi is antisymmetric; the symmetric
     finite-difference noise would otherwise source orthogonality drift)."""
-    phi = df.phi_fields(fg, 4 if min(fg.grid.shape) >= 5 else 2)
+    phi = df.phi_fields(fg.R, fg.grid.h, 4 if min(fg.grid.shape) >= 5 else 2)
     return df.omega_slots(0.5 * (phi - np.swapaxes(phi, -1, -2)))
 
 
@@ -501,7 +501,7 @@ def leaf_system_residual(fg1: df.FieldGrid, q, lm) -> float:
     """Max second-order finite-difference residual of the linear system on a
     leaf field: dV = R del Lambda, dLambda = omega Lambda - del R^T (source)."""
     hs = fg1.grid.h
-    om = df.omega_fields(fg1)
+    om = df.omega_fields(fg1.R, hs)
     source = qd.chart_source(q, lm, fg1.V)
     worst = 0.0
     for k in range(fg1.grid.n):
@@ -516,17 +516,17 @@ def leaf_system_residual(fg1: df.FieldGrid, q, lm) -> float:
     return worst
 
 
-def riccati_field_residual(R_new: np.ndarray, fg_seed: df.FieldGrid,
+def riccati_field_residual(R_new: np.ndarray, R_seed: np.ndarray, hs,
                            ctx: BacklundContext) -> float:
     """Second-order finite-difference residual of the Riccati equation for
-    R_new against the seed role played by fg_seed's R field."""
+    the R field R_new against the seed R field R_seed, both on grid spacings
+    hs."""
     _require_diagonal(ctx)
-    hs = fg_seed.grid.h
-    om = df.omega_fields(fg_seed)
+    om = df.omega_fields(R_seed, hs)
     worst = 0.0
-    for k in range(fg_seed.grid.n):
-        dRk = diff1(R_new, axis=k, h=hs[k])
-        pred = riccati_rhs_qwc(ctx.d, k, fg_seed.R, om[..., k, :, :], R_new)
+    for k, h in enumerate(hs):
+        dRk = diff1(R_new, axis=k, h=h)
+        pred = riccati_rhs_qwc(ctx.d, k, R_seed, om[..., k, :, :], R_new)
         worst = max(worst, float(np.max(np.abs(dRk - pred))))
     return worst
 

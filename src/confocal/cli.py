@@ -75,7 +75,7 @@ TOLERANCES = {
 _UNSCALED = {"order_ratio_min", "slope_window", "sg_correlation_min"}
 
 
-def scaled_tolerances(scale: float = 1.0) -> dict:
+def scaled_tolerances(scale: float) -> dict:
     out = dict(TOLERANCES)
     for k in out:
         if k not in _UNSCALED:
@@ -261,6 +261,9 @@ def validate_config(cfg: dict) -> dict:
         raise ConfigError(f"{name} needs at least {needed} z values")
     if name == "lattice" and len(out["extent"]) != len(out["zs"]):
         raise ConfigError("extent length must match the number of z values")
+    # the Moebius cube is the unit cell of Z^3
+    if name == "m3" and out["extent"] != [2, 2, 2]:
+        raise ConfigError("m3 needs extent [2, 2, 2]")
     if q.n < 1:
         raise ConfigError(f"the quadric needs n >= 1, got n = {q.n}")
     kinds = _KINDS.get(name, (q.kind,))
@@ -584,8 +587,8 @@ def run_m3(cfg, q, lm, _outdir, checks):
     grid, v0, lam0 = _soliton_data(cfg, q, lm)
     with checks.stage("m3_lattice", math.prod(grid.shape)):
         fg = df.zero_soliton(q, lm, grid, v0, lam0)
-        lat, holes = pm.lattice_build(fg, dict(enumerate(contexts)), (2, 2, 2),
-                                      seed=cfg["seed"])
+        lat, holes = pm.lattice_build(fg, dict(enumerate(contexts)),
+                                      tuple(cfg["extent"]), seed=cfg["seed"])
         legs = (lat[(1, 0, 0)], lat[(0, 1, 0)], lat[(0, 0, 1)])
         R7f, gap_int = pm.m3_r7_field(fg.R, *legs, *contexts)
         cube_gap = (float(np.max(np.abs(lat[(1, 1, 1)] - R7f)))

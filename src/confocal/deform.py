@@ -28,17 +28,19 @@ TOL_DEG = 1e-10
 
 @dataclass
 class FieldGrid:
-    """Per-node state (V, lam, R) of the integrable system over a grid."""
+    """Per-node state (V, lam, R) of the integrable system over a grid.  A
+    seed read for its R alone (the seed of a Riccati integration) has
+    V = lam = None."""
 
     grid: GridSpec
-    V: np.ndarray = field(repr=False)
-    lam: np.ndarray = field(repr=False)
+    V: np.ndarray | None = field(repr=False)
+    lam: np.ndarray | None = field(repr=False)
     R: np.ndarray = field(repr=False)
     meta: dict = field(default_factory=dict, repr=False)
 
     @property
     def n(self) -> int:
-        return self.V.shape[-1]
+        return self.R.shape[-1]
 
 
 # chart-level scalars ------------------------------------------------------------
@@ -150,28 +152,28 @@ class SystemResidual:
                          np.max(self.orth[sl])))
 
 
-def phi_fields(fg: FieldGrid, order: int) -> np.ndarray:
-    """Phi_l = R^T dR/du^l per node, as (*shape, n_axes, n, n), from
-    differences of the given order."""
-    hs = fg.grid.h
-    return np.stack([np.einsum("...ji,...jk->...ik", fg.R,
-                               diff1(fg.R, axis=l, h=hs[l], order=order))
-                     for l in range(fg.grid.n)], axis=-3)
+def phi_fields(R: np.ndarray, hs, order: int) -> np.ndarray:
+    """Phi_l = R^T dR/du^l per node of the R field (*shape, n, n) on grid
+    spacings hs, as (*shape, n_axes, n, n), from differences of the given
+    order."""
+    return np.stack([np.einsum("...ji,...jk->...ik", R,
+                               diff1(R, axis=l, h=h, order=order))
+                     for l, h in enumerate(hs)], axis=-3)
 
 
-def system_residual(fg: FieldGrid, q, lm) -> SystemResidual:
+def system_residual(R: np.ndarray, hs, q, lm) -> SystemResidual:
     """Residuals of the curvature equation e_j^T[(Phi_j)_j - (Phi_k)_k
     - sum_l Phi_l e_l e_l^T Phi_l + R^T A'_n R]e_k, the distinct-index
-    constraint, and the orthogonality of R, from second-order differences, on
-    a QWC or IQWC chart (a QC field raises StepFailure)."""
+    constraint, and the orthogonality of R, for the R field (*shape, n, n) on
+    grid spacings hs, from second-order differences, on a QWC or IQWC chart
+    (a QC chart raises StepFailure)."""
     if q.kind == qd.QC:
         raise StepFailure("the deformation system is taken on QWC/IQWC charts only")
-    n = fg.n
-    shape = fg.grid.shape
-    hs = fg.grid.h
-    phi = phi_fields(fg, 2)
+    n = R.shape[-1]
+    shape = R.shape[:-2]
+    phi = phi_fields(R, hs, 2)
     src = np.broadcast_to(lm.aprime_n(), shape + (n, n))
-    RtSR = np.einsum("...ji,...jk,...kl->...il", fg.R, src, fg.R)
+    RtSR = np.einsum("...ji,...jk,...kl->...il", R, src, R)
     quad = np.zeros(shape + (n, n), dtype=complex)
     for l in range(n):
         pl = phi[..., l, :, :]
@@ -191,7 +193,7 @@ def system_residual(fg: FieldGrid, q, lm) -> SystemResidual:
                 for k in range(n):
                     if len({j, k, l}) == 3:
                         conj = max(conj, float(np.max(np.abs(phi[..., l, j, k]))))
-    orth = np.max(np.abs(np.einsum("...ji,...jk->...ik", fg.R, fg.R)
+    orth = np.max(np.abs(np.einsum("...ji,...jk->...ik", R, R)
                          - np.eye(n)), axis=(-2, -1))
     return SystemResidual(two, conj, orth)
 
@@ -209,9 +211,9 @@ def omega_slots(phi: np.ndarray) -> np.ndarray:
     return out
 
 
-def omega_fields(fg: FieldGrid) -> np.ndarray:
-    """omega_slots of the second-order phi_fields of fg."""
-    return omega_slots(phi_fields(fg, 2))
+def omega_fields(R: np.ndarray, hs) -> np.ndarray:
+    """omega_slots of the second-order phi_fields of the R field."""
+    return omega_slots(phi_fields(R, hs, 2))
 
 
 # fundamental forms ----------------------------------------------------------------

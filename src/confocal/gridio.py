@@ -21,10 +21,6 @@ from . import deform as df
 _ROWS_PER_WRITE = 256
 
 
-def _fmt(x: float) -> str:
-    return repr(float(x))
-
-
 def quadric_header(q) -> dict:
     return {
         "kind": q.kind,
@@ -50,15 +46,15 @@ def _complex_columns(name: str, values: np.ndarray):
 
 
 def _write_columns(path, names, columns):
-    """CSV from whole columns, one row per node: ints as digits, floats with
-    repr precision (repr over .tolist() is _fmt entry by entry).  Rows are
-    formatted and written a block at a time, so the whole text is never
-    held in memory."""
+    """CSV from whole columns, one row per entry: ints as digits, floats with
+    repr precision (str of a Python float), strings bare.  Rows are formatted
+    and written a block at a time, so the whole text is never held in
+    memory."""
     columns = [np.asarray(col) for col in columns]
     with open(path, "w") as f:
         f.write(",".join(names) + "\n")
         for i in range(0, len(columns[0]), _ROWS_PER_WRITE):
-            cells = [map(repr, col[i:i + _ROWS_PER_WRITE].tolist()) for col in columns]
+            cells = [map(str, col[i:i + _ROWS_PER_WRITE].tolist()) for col in columns]
             f.write("".join(",".join(row) + "\n" for row in zip(*cells)))
 
 
@@ -118,13 +114,9 @@ def load_fieldgrid(path) -> df.FieldGrid:
 
 
 def save_residual_csv(path, names, rows):
-    """Small generic residual table: names is the column list, rows a list of
-    tuples (written with repr precision)."""
-    out = [",".join(names)]
-    for row in rows:
-        out.append(",".join(_fmt(v) if isinstance(v, float) else str(v)
-                            for v in row))
-    Path(path).write_text("\n".join(out) + "\n")
+    """Small generic residual table: names is the column list, rows an
+    iterable of tuples, written as _write_columns writes columns."""
+    _write_columns(path, names, list(zip(*rows)) or [()] * len(names))
 
 
 def save_lattice(dirpath, lattice, residual_rows=None):

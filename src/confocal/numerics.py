@@ -168,7 +168,7 @@ class GridSpec:
         a, b, s = self.axes[axis]
         return np.linspace(a, b, s)
 
-    def refine(self, factor: int = 2) -> "GridSpec":
+    def refine(self, factor: int) -> "GridSpec":
         """Same ranges with the spacing divided by factor."""
         axes = tuple((a, b, (s - 1) * factor + 1) for a, b, s in self.axes)
         base = tuple(i * factor for i in self.base)

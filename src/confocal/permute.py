@@ -14,8 +14,8 @@ from itertools import product
 import numpy as np
 
 from . import deform as df
-from .backlund import (BacklundContext, algebraic_transform_qwc,
-                       integrate_backlund, riccati_field_residual)
+from .backlund import (BacklundContext, integrate_backlund,
+                       riccati_field_residual)
 from .errors import DistinctZRequired, SingularBox, SingularSuperposition
 from .sjcore import random_orthogonal
 
@@ -102,11 +102,10 @@ def bpt_verify(fg_seed: df.FieldGrid, R1f, R2f, R3f,
                ctx1: BacklundContext, ctx2: BacklundContext) -> dict:
     """Differential-level permutability: the second-order finite-difference
     residuals of R_3 in the leaf Riccati equations with seeds (R_1, z_2) and
-    (R_2, z_1)."""
-    seed1 = df.FieldGrid(fg_seed.grid, fg_seed.V, fg_seed.lam, R1f)
-    seed2 = df.FieldGrid(fg_seed.grid, fg_seed.V, fg_seed.lam, R2f)
-    return {"riccati_seed_r1": riccati_field_residual(R3f, seed1, ctx2),
-            "riccati_seed_r2": riccati_field_residual(R3f, seed2, ctx1)}
+    (R_2, z_1), on the grid of the seed fg_seed."""
+    hs = fg_seed.grid.h
+    return {"riccati_seed_r1": riccati_field_residual(R3f, R1f, hs, ctx2),
+            "riccati_seed_r2": riccati_field_residual(R3f, R2f, hs, ctx1)}
 
 
 def m3_r7(R0, R1, R2, R4, D1, D2, D3, z1, z2, z3):
@@ -147,7 +146,7 @@ def m3_r7_field(R0f, R1f, R2f, R4f, ctx1, ctx2, ctx3):
 
 
 def lattice_build(fg_seed: df.FieldGrid, contexts: dict, extent: tuple,
-                  seed: int = 0):
+                  seed: int):
     """Fill a Z^k lattice of R fields from the seed solution.
 
     contexts[i] is the BacklundContext of lattice axis i (one z per axis).
@@ -156,10 +155,11 @@ def lattice_build(fg_seed: df.FieldGrid, contexts: dict, extent: tuple,
     same z is new initial data, not algebra; the first steps of all chains
     start from the seed, so they share one lockstep sweep - while every
     remaining cell closes algebraically on R alone through the permutability
-    formula, which is the point of the lattice.  Only a chain step that the
-    next step of its chain starts from gets its (V, Lambda) from the algebraic
-    transform, as that step's seed.  Singular superpositions leave holes
-    (None) that are reported, not fatal.
+    formula, which is the point of the lattice.  The Riccati equation reads
+    its seed's R alone, so a later chain step is integrated on the R field of
+    the step before it and no cell or chain seed carries (V, Lambda).
+    Singular superpositions leave holes (None) that are reported, not
+    fatal.
 
     Returns (lattice dict index -> R field (*shape, n, n) or None, holes list).
     """
@@ -176,15 +176,11 @@ def lattice_build(fg_seed: df.FieldGrid, contexts: dict, extent: tuple,
     rays = {(0,) * k: fg_seed.R}
     for (axis, step), base_rot in zip(steps, base_rots):
         if step == 1:
-            prev = fg_seed
             run = next(first_runs)
         else:
             run = integrate_backlund(prev, [contexts[axis]], [base_rot])[0]
         rays[tuple(step if a == axis else 0 for a in range(k))] = run.R1
-        if step + 1 < extent[axis]:
-            V1, lam1 = algebraic_transform_qwc(contexts[axis], prev.V, prev.lam,
-                                               prev.R, run.R1)
-            prev = df.FieldGrid(prev.grid, V1, lam1, run.R1)
+        prev = df.FieldGrid(fg_seed.grid, None, None, run.R1)
     cells = [idx for idx in sorted(product(*map(range, extent)),
                                    key=lambda t: (sum(t), t))
              if idx not in rays]

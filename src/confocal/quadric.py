@@ -144,13 +144,6 @@ def iqwc_quadric(p: int, blocks=()) -> QuadricSpec:
 # and matrix-vector products stacked matmuls, and the scalar product z (B^T
 # R_z^{-1} B) goes through scalar_mul, as the one-point arithmetic rounds it.
 
-@functools.lru_cache(maxsize=16)
-def _identity(m: int) -> np.ndarray:
-    out = np.eye(m)
-    out.setflags(write=False)
-    return out
-
-
 def _solve(M: np.ndarray, v: np.ndarray) -> np.ndarray:
     """M^{-1} v over the last axis of v, batched; rounds as the 1-D solve."""
     return np.linalg.solve(M, v[..., None])[..., 0]
@@ -164,7 +157,7 @@ def resolvent(q: QuadricSpec, z) -> np.ndarray:
     if np.any(near):
         raise SingularConfocal(f"z = {z[np.any(near, axis=-1)].flat[0]} "
                                "is in spec(A)^-1")
-    return _identity(q.dim) - z[..., None, None] * q.A
+    return np.eye(q.dim) - z[..., None, None] * q.A
 
 
 def sqrt_rz(q: QuadricSpec, z: complex) -> np.ndarray:
@@ -611,22 +604,15 @@ def chart_to_ambient(q: QuadricSpec, lm: LMap | None, V: np.ndarray) -> np.ndarr
     return stack_apply(lm.L, Z)
 
 
-@functools.lru_cache(maxsize=16)
-def _chart_axes(m: int):
-    """Read-only I_{n,m} (the chart axes in C^m, n = m - 1) and e_{m-1}."""
-    rows, e = np.eye(m - 1, m, dtype=complex), basis_vec(m - 1, m)
-    rows.setflags(write=False)
-    e.setflags(write=False)
-    return rows, e
-
-
 def chart_tangents(q: QuadricSpec, lm: LMap | None, V: np.ndarray) -> np.ndarray:
     """Columns d x / d v^k at chart points V (..., n), shape (..., n+1, n).
 
     Each column is its own matrix-vector product: one matrix product over all
     columns rounds differently."""
     V = np.asarray(V, dtype=complex)
-    rows, e = _chart_axes(q.dim)
+    # the chart axes I_{n,m} in C^m and e_{m-1}
+    m = q.dim
+    rows, e = np.eye(m - 1, m, dtype=complex), basis_vec(m - 1, m)
     if q.kind == QC:
         v2 = stack_dot(V, V)
         X = _stereographic(V, v2)

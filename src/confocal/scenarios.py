@@ -236,7 +236,7 @@ def soliton_pipeline(q, lm, grid, v_base, lam_base, seed: int) -> dict:
     fine = df.zero_soliton(q, lm, grid.refine(2), v_base, lam_base)
     drift = fg.meta["prime_integral_drift"]
     drift_fine = fine.meta["prime_integral_drift"]
-    sysres = df.system_residual(fg, q, lm)
+    sysres = df.system_residual(fg.R, grid.h, q, lm)
     ff = df.forms_assemble(fg, q, lm, seed=seed)
     frame0 = df.seed_frame(q, lm, fg, seed=seed, deformation=False)
     chart = qd.chart_to_ambient(q, lm, fg.V)
@@ -274,7 +274,7 @@ def backlund_pipeline(q, lm, grid, v_base, lam_base, z, seed: int) -> dict:
         V1, lam1 = bk.algebraic_transform_qwc(ctx, fg.V, fg.lam, fg.R, run.R1)
         fg1 = df.FieldGrid(g, V1, lam1, run.R1, {})
         leafres.append(bk.leaf_system_residual(fg1, q, lm))
-        defres.append(df.system_residual(fg1, q, lm).interior_max())
+        defres.append(df.system_residual(run.R1, g.h, q, lm).interior_max())
         runs.append((g.h[0], run, fg1))
     hs = [r[0] for r in runs]
     _, run0, fg1 = runs[0]
@@ -333,9 +333,7 @@ def sine_gordon_suite(grid, fields: int, seed: int) -> dict:
         R[..., 0, 1] = -np.sin(phi)
         R[..., 1, 0] = np.sin(phi)
         R[..., 1, 1] = np.cos(phi)
-        fg = df.FieldGrid(grid, np.zeros(grid.shape + (2,), dtype=complex),
-                          np.ones(grid.shape + (2,), dtype=complex), R, {})
-        res = df.system_residual(fg, q, lm).two_form[..., 0, 1]
+        res = df.system_residual(R, hs, q, lm).two_form[..., 0, 1]
         phi11 = diff1(diff1(phi, 0, hs[0]), 0, hs[0])
         phi22 = diff1(diff1(phi, 1, hs[1]), 1, hs[1])
         sg = phi11 - phi22 + 0.5 * np.sin(2.0 * phi)

@@ -111,7 +111,7 @@ def test_criterion_03_iqwc_parametrization():
 def test_criterion_04_soliton_integrability(qwc2, lmap2, soliton32, soliton64):
     d1 = soliton32.meta["prime_integral_drift"]
     d2 = soliton64.meta["prime_integral_drift"]
-    sysres = df.system_residual(soliton32, qwc2, lmap2).max
+    sysres = df.system_residual(soliton32.R, soliton32.grid.h, qwc2, lmap2).max
     ok = d1 < 1e-8 and d1 / d2 >= 12.0 and sysres < 1e-8
     _line(4, "soliton_integrability", ok,
           f"drift {d1:.3e} (tol 1e-8), halving ratio {d1 / d2:.1f} (>= 12), "

@@ -463,6 +463,17 @@ class TestIntegration:
         run, = bk.integrate_backlund(leaf32, [ctx_b], [random_orthogonal(2, 8)])
         assert run.drift.max() < 1e-6
 
+    def test_seed_read_for_its_r_alone(self, qwc2, lmap2, leaf32):
+        # the Riccati flow reads its seed's R only: a seed with V = lam = None
+        # gives the bits of the full leaf state
+        ctx_b = bk.make_context(qwc2, -0.2 + 0.25j, lmap2)
+        base = random_orthogonal(2, 8)
+        full, = bk.integrate_backlund(leaf32, [ctx_b], [base])
+        bare, = bk.integrate_backlund(
+            df.FieldGrid(leaf32.grid, None, None, leaf32.R), [ctx_b], [base])
+        assert bare.R1.tobytes() == full.R1.tobytes()
+        assert bare.drift.tobytes() == full.drift.tobytes()
+
 
 class TestTransforms:
     def test_qwc_identities_batch(self, qwc2, lmap2, ctx_a):
@@ -511,11 +522,12 @@ class TestLeafResiduals:
         assert 3.0 < r1 / r2 < 5.0     # slope 2 under halving
 
     def test_leaf_solves_defqwc(self, qwc2, lmap2, leaf32):
-        res = df.system_residual(leaf32, qwc2, lmap2)
+        res = df.system_residual(leaf32.R, leaf32.grid.h, qwc2, lmap2)
         assert res.interior_max() < 0.05   # O(h^2) scale at h = 0.02
 
     def test_riccati_field_residual(self, soliton32, riccati32, ctx_a):
-        res = bk.riccati_field_residual(riccati32.R1, soliton32, ctx_a)
+        res = bk.riccati_field_residual(riccati32.R1, soliton32.R,
+                                        soliton32.grid.h, ctx_a)
         assert res < 0.01
 
 

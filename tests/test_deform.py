@@ -132,7 +132,7 @@ class TestPetersonAdmissible:
 
 class TestSystemResidual:
     def test_zero_soliton(self, soliton32, qwc2, lmap2):
-        res = df.system_residual(soliton32, qwc2, lmap2)
+        res = df.system_residual(soliton32.R, soliton32.grid.h, qwc2, lmap2)
         assert res.max < 1e-8
 
     def test_nondiagonal_source_forced(self):
@@ -141,20 +141,16 @@ class TestSystemResidual:
         lm = qd.build_lmap(q)
         grid = df.GridSpec(((0.0, 0.2, 8), (0.0, 0.2, 8)))
         n = 2
-        fg = df.FieldGrid(grid, np.zeros(grid.shape + (n,), dtype=complex),
-                          np.ones(grid.shape + (n,), dtype=complex),
-                          np.broadcast_to(np.eye(n), grid.shape + (n, n)).copy(),
-                          {})
-        res = df.system_residual(fg, q, lm)
+        R = np.broadcast_to(np.eye(n), grid.shape + (n, n)).copy()
+        res = df.system_residual(R, grid.h, q, lm)
         off = abs(lm.aprime_n()[0, 1])
         assert off > 0.1
         assert abs(np.max(np.abs(res.two_form)) - off) < 1e-12
 
     def test_qc_field_rejected(self, qc3, soliton32):
         # the deformation system is taken on QWC/IQWC charts only
-        fg = df.FieldGrid(soliton32.grid, soliton32.V, soliton32.lam, soliton32.R)
         with pytest.raises(StepFailure):
-            df.system_residual(fg, qc3, None)
+            df.system_residual(soliton32.R, soliton32.grid.h, qc3, None)
 
     def test_constraint_violation_flagged(self, qwc2, lmap2, soliton32):
         bad = dataclasses.replace(soliton32, lam=soliton32.lam * 1.01)

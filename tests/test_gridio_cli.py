@@ -320,6 +320,8 @@ class TestConfigValidation:
         # integer fields are not truncated, and no key is ignored
         {"scenario": "ivory-check", "samples": 2.9},
         {"scenario": "m3", "extent": [2, 2.5, 2]},
+        # m3 closes the one cube of Z^3, so no other extent is run
+        {"scenario": "m3", "extent": [3, 3, 3]},
         {"scenario": "ivory-check", "quadric": {"kind": "QWC", "blocks": [
             {"a": [1.0, 0.0], "p": True}, {"a": [0.7, 0.0], "p": 1}]}},
         {"scenario": "ivory-check", "quadric": {"kind": "IQWC", "p": 2.5,
