@@ -29,68 +29,6 @@ BASE_TOL = 1e-8     # largest orthogonality defect of its base value R1_base
 
 
 @dataclass(frozen=True)
-class BacklundContext:
-    """Spectral parameter with branch data and derived matrices.
-
-    D is the n-block of sqrt(R'_z)/sqrt(z) for (I)QWC, exactly diagonal on a
-    Peterson-admissible map, and of sqrt(R_z)/sqrt(z) at QC usage sites.
-    mirror() flips the sqrt(z) branch (and hence D); the involution symmetry
-    swaps the two R factors under that flip.
-    """
-
-    q: object
-    lm: object
-    z: complex
-    sqrt_z: complex
-    D: np.ndarray = field(repr=False)
-    srp: np.ndarray = field(repr=False)   # ambient sqrt(R'_z) ((I)QWC) / sqrt(R_z) (QC)
-    ilc: np.ndarray = field(repr=False)   # I_{1,n} L^{-1} C(z), n-vector ((I)QWC)
-    n: int = field(init=False)            # chart dimension, stored once
-    d: np.ndarray | None = field(init=False, repr=False)  # diag of D, if D is diagonal
-
-    def __post_init__(self):
-        object.__setattr__(self, "n", self.q.n)
-        d = np.diagonal(self.D).copy()
-        object.__setattr__(self, "d", d if np.array_equal(self.D, np.diag(d))
-                           else None)
-
-    @property
-    def kind(self) -> str:
-        return self.q.kind
-
-    def srp_n(self) -> np.ndarray:
-        return self.srp[: self.n, : self.n]
-
-    def mirror(self) -> "BacklundContext":
-        return BacklundContext(self.q, self.lm, self.z, -self.sqrt_z, -self.D,
-                               self.srp, self.ilc)
-
-
-def make_context(q, z, lm=None) -> BacklundContext:
-    """Build the transformation context at z on the principal sqrt(z) branch
-    (`BacklundContext.mirror` gives the other one)."""
-    z = complex(z)
-    if z == 0:
-        raise ValueError("the transformation needs z != 0")
-    sz = sqrt_branch(z)
-    n = q.n
-    if q.kind == qd.QC:
-        srz = qd.sqrt_rz(q, z)
-        return BacklundContext(q, None, z, sz, srz[:n, :n] / sz, srz,
-                               np.zeros(n, dtype=complex))
-    if lm is None:
-        raise ValueError("(I)QWC context needs the L map")
-    srp = qd.sqrt_rprime(q, lm, z)
-    D = srp[:n, :n] / sz
-    if df.peterson_admissible(lm)[0]:
-        # the zero soliton's diagonal A' block, without sqrt's rounding noise
-        D = np.diag(np.diagonal(D))
-    return BacklundContext(q, lm, z, sz, D, srp, qd.translation_chart(q, lm, z))
-
-
-# QC auxiliary quantities ------------------------------------------------------------
-
-@dataclass(frozen=True)
 class QCAux:
     """Constant pieces of the pointwise QC maps:
     M = M0 + m1 V^T,  N = 2 M0 V + (|V|^2-1) m1,  W = w0 + (s_ee-1) V,
@@ -118,14 +56,74 @@ class QCAux:
                 + (v2 - 1.0) * self.s_ee - v2 - 1.0)
 
 
-def qc_aux(ctx: BacklundContext) -> QCAux:
-    if ctx.kind != qd.QC:
-        raise ValueError("QC auxiliary data is for quadrics with center")
-    n = ctx.n
-    e = qd.basis_vec(n, n + 1)
-    srz = ctx.srp
-    return QCAux(ctx.D, (srz @ e)[:n] / ctx.sqrt_z,
-                 (srz @ e)[:n], complex(e @ (srz @ e)))
+@dataclass(frozen=True)
+class BacklundContext:
+    """Spectral parameter z with its sqrt(z) branch and the constants of z:
+    the ambient sqrt(R_z) srz and C(z) C, the n-block srp of sqrt(R'_z)
+    ((I)QWC) or sqrt(R_z) (QC), D = srp/sqrt(z) (exactly diagonal on a
+    Peterson-admissible map, d its diagonal, else None), ilc = I_{1,n}
+    L^{-1} C(z) (0 for QC) and the QCAux aux of a QC context (else None).
+    mirror() flips the sqrt(z) branch (and hence D and aux); the involution
+    symmetry swaps the two R factors under that flip.
+    """
+
+    q: object
+    lm: object
+    z: complex
+    sqrt_z: complex
+    D: np.ndarray = field(repr=False)
+    srz: np.ndarray = field(repr=False)
+    C: np.ndarray = field(repr=False)
+    srp: np.ndarray = field(repr=False)
+    ilc: np.ndarray = field(repr=False)
+    n: int = field(init=False)            # chart dimension, stored once
+    d: np.ndarray | None = field(init=False, repr=False)
+    aux: QCAux | None = field(init=False, repr=False)
+
+    def __post_init__(self):
+        n = self.q.n
+        object.__setattr__(self, "n", n)
+        d = np.diagonal(self.D).copy()
+        object.__setattr__(self, "d", d if np.array_equal(self.D, np.diag(d))
+                           else None)
+        aux = None
+        if self.kind == qd.QC:
+            e = qd.basis_vec(n, n + 1)
+            se = self.srz @ e
+            aux = QCAux(self.D, se[:n] / self.sqrt_z, se[:n], complex(e @ se))
+        object.__setattr__(self, "aux", aux)
+
+    @property
+    def kind(self) -> str:
+        return self.q.kind
+
+    def mirror(self) -> "BacklundContext":
+        return BacklundContext(self.q, self.lm, self.z, -self.sqrt_z, -self.D,
+                               self.srz, self.C, self.srp, self.ilc)
+
+
+def make_context(q, z, lm=None) -> BacklundContext:
+    """Build the transformation context at z on the principal sqrt(z) branch
+    (`BacklundContext.mirror` gives the other one)."""
+    z = complex(z)
+    if z == 0:
+        raise ValueError("the transformation needs z != 0")
+    sz = sqrt_branch(z)
+    n = q.n
+    srz, C = qd.sqrt_rz(q, z), qd.translation(q, z)
+    if q.kind == qd.QC:
+        srp = srz[:n, :n]
+        return BacklundContext(q, None, z, sz, srp / sz, srz, C, srp,
+                               np.zeros(n, dtype=complex))
+    if lm is None:
+        raise ValueError("(I)QWC context needs the L map")
+    srp = qd.sqrt_rprime(q, lm, z)[:n, :n]
+    D = srp / sz
+    if df.peterson_admissible(lm)[0]:
+        # the zero soliton's diagonal A' block, without sqrt's rounding noise
+        D = np.diag(np.diagonal(D))
+    return BacklundContext(q, lm, z, sz, D, srz, C, srp,
+                           qd.translation_chart(q, lm, z))
 
 
 # Riccati right-hand sides -----------------------------------------------------------
@@ -152,16 +150,19 @@ def riccati_rhs_qwc(d: np.ndarray, k: int, R0: np.ndarray | None,
     return -out
 
 
-def riccati_rhs_qc(k: int, V0, lam0, R0, omega0_k, R1, aux: QCAux) -> np.ndarray:
-    """dR_1/du^k for the QC Riccati equation in the compact M/N/W/U form,
-    batched over leading axes (V0, lam0 (..., n); R0, omega0_k, R1
-    (..., n, n)), with aux = qc_aux(ctx) of the transform's context ctx;
-    raises UNearZero where any |U| < TOL_U.
+def riccati_rhs_qc(ctx: BacklundContext, k: int, V0, lam0, R0, omega0_k,
+                   R1) -> np.ndarray:
+    """dR_1/du^k for the QC Riccati equation of ctx in the compact M/N/W/U
+    form on ctx.aux, batched over leading axes (V0, lam0 (..., n); R0,
+    omega0_k, R1 (..., n, n)); raises UNearZero where any |U| < TOL_U.
 
     R_1 E_k R_0^T is the outer product r1 r0^T of the k-th columns, so with
     c = (2/U) W^T r0, -dR_1/du^k is R_1 omega_0 plus the rank-one
     r1 (c (lam0 + R_1^T N) - 2 R_1^T M r0)^T, plus 2 M r0 - c (R_1 lam0 + N)
     in column k."""
+    aux = ctx.aux
+    if aux is None:
+        raise ValueError("QC auxiliary data is for quadrics with center")
     U = aux.U(V0)
     if np.min(np.abs(U)) < TOL_U:
         raise UNearZero(f"min |U| = {np.min(np.abs(U)):.3e}")
@@ -182,7 +183,7 @@ def riccati_rhs_qc_expanded(ctx: BacklundContext, k: int, V0, lam0, R0,
     leading axes; kept as a cross-check oracle for the compact form."""
     n = ctx.n
     m = n + 1
-    srz = ctx.srp
+    srz = ctx.srz
     sz = ctx.sqrt_z
     e = qd.basis_vec(m - 1, m)
     I1n = np.eye(m, dtype=complex)
@@ -366,7 +367,6 @@ def integrate_backlund_qc_line(ctx: BacklundContext, V0_base, lam0_base,
 
     Returns (states, ok) with states[i] = concat(V0, lam0, R1.ravel()).
     """
-    aux = qc_aux(ctx)
     n = ctx.n
     V0_base = np.asarray(V0_base, dtype=complex).reshape(n)
     lam0_base = np.asarray(lam0_base, dtype=complex).reshape(n)
@@ -377,8 +377,8 @@ def integrate_backlund_qc_line(ctx: BacklundContext, V0_base, lam0_base,
     vlam = df._vlam_rhs(ctx.q, None, 0)
 
     def rhs(t, y):
-        dR1 = riccati_rhs_qc(0, y[:n], y[n:2 * n], R0, omega0,
-                             y[2 * n:].reshape(n, n), aux)
+        dR1 = riccati_rhs_qc(ctx, 0, y[:n], y[n:2 * n], R0, omega0,
+                             y[2 * n:].reshape(n, n))
         return np.concatenate([vlam(t, y[:2 * n]), dR1.ravel()])
 
     y0 = np.concatenate([V0_base, lam0_base, R1_base.astype(complex).ravel()])
@@ -398,7 +398,7 @@ def algebraic_transform_qwc(ctx: BacklundContext, V0, lam0, R0, R1):
     V_1 = sqrt(R'_z) V_0 + I L^{-1}C(z) - sqrt(z) R_1 Lambda_0,
     Lambda_1 = R_0^T (sqrt(z) A'V_0 + sqrt(R'_z) R_1 Lambda_0 + sqrt(z) I L^{-1}B).
     """
-    srp = ctx.srp_n()
+    srp = ctx.srp
     sz = ctx.sqrt_z
     an = ctx.lm.aprime_n()
     R1l = np.einsum("...ij,...j->...i", R1, lam0)
@@ -413,7 +413,7 @@ def qwc_transform_residuals(ctx: BacklundContext, V0, lam0, R0, R1, V1, lam1):
     """Pointwise identities the (I)QWC transform must satisfy: both relations
     linking (V, Lambda) across the leaf, the leaf prime integral, and the
     tangency configuration in its squared and bilinear forms."""
-    srp = ctx.srp_n()
+    srp = ctx.srp
     sz = ctx.sqrt_z
     q, lm = ctx.q, ctx.lm
     R1l = np.einsum("...ij,...j->...i", R1, lam0)
@@ -421,7 +421,7 @@ def qwc_transform_residuals(ctx: BacklundContext, V0, lam0, R0, R1, V1, lam1):
     c01 = np.einsum("ij,...j->...i", srp, V0) - V1 + ctx.ilc
     c10 = np.einsum("ij,...j->...i", srp, V1) - V0 + ctx.ilc
     H1 = qd.h_chart(q, lm, V1)
-    endpoint = qd.chart_coords(lm, qd.translation(q, ctx.z))[-1]
+    endpoint = qd.chart_coords(lm, ctx.C)[-1]
     quad = (np.einsum("...i,ij,...j->...", V1, srp, V0)
             - 0.5 * (np.einsum("...j,...j->...", V1, V1)
                      + np.einsum("...j,...j->...", V0, V0))
@@ -439,9 +439,11 @@ def qwc_transform_residuals(ctx: BacklundContext, V0, lam0, R0, R1, V1, lam1):
 
 def algebraic_transform_qc(ctx: BacklundContext, V0, lam0, R0, R1):
     """(V_0, Lambda_0) -> (V_1, Lambda_1) for QC, batched over leading axes."""
-    aux = qc_aux(ctx)
+    aux = ctx.aux
+    if aux is None:
+        raise ValueError("QC auxiliary data is for quadrics with center")
     sz = ctx.sqrt_z
-    srz = ctx.srp
+    srz = ctx.srz
     U = aux.U(V0)
     if np.min(np.abs(U)) < TOL_U:
         raise UNearZero(f"min |U| = {np.min(np.abs(U)):.3e}")
@@ -459,7 +461,7 @@ def algebraic_transform_qc(ctx: BacklundContext, V0, lam0, R0, R1):
 
 def qc_transform_residuals(ctx: BacklundContext, V0, lam0, R0, R1, V1, lam1):
     """Pointwise identities for the QC transform."""
-    srz = ctx.srp
+    srz = ctx.srz
     sz = ctx.sqrt_z
     v02 = np.einsum("...j,...j->...", V0, V0)
     v12 = np.einsum("...j,...j->...", V1, V1)
@@ -502,13 +504,12 @@ def leaf_system_residual(fg1: df.FieldGrid, q, lm) -> float:
     leaf field: dV = R del Lambda, dLambda = omega Lambda - del R^T (source)."""
     hs = fg1.grid.h
     om = df.omega_fields(fg1.R, hs)
-    source = qd.chart_source(q, lm, fg1.V)
+    Rt_src = np.einsum("...jk,...j->...k", fg1.R, qd.chart_source(q, lm, fg1.V))
     worst = 0.0
     for k in range(fg1.grid.n):
         dVk = diff1(fg1.V, axis=k, h=hs[k])
         dLk = diff1(fg1.lam, axis=k, h=hs[k])
         pred_v = fg1.R[..., :, k] * fg1.lam[..., k:k + 1]
-        Rt_src = np.einsum("...jk,...j->...k", fg1.R, source)
         pred_l = np.einsum("...ij,...j->...i", om[..., k, :, :], fg1.lam)
         pred_l[..., k] = pred_l[..., k] - Rt_src[..., k]
         worst = max(worst, float(np.max(np.abs(dVk - pred_v))),
@@ -533,11 +534,12 @@ def riccati_field_residual(R_new: np.ndarray, R_seed: np.ndarray, hs,
 
 # leaf embedding -----------------------------------------------------------------------
 
-def leaf_embed(q, lm, ctx: BacklundContext, fg0: df.FieldGrid,
+def leaf_embed(ctx: BacklundContext, fg0: df.FieldGrid,
                ff0: df.FundamentalForms, V1, lam1, R1,
-               frame: df.AmbientFrame | None = None) -> dict:
+               frame: df.AmbientFrame | None) -> dict:
     """Embed the leaf x^1 = x^0 + [x^0_v](sqrt(R'_z) V_1 - V_0 + I L^{-1}C(z))
-    and return its ACPIA and joined-form residuals.
+    of the seed fg0 under the transform of ctx (whose quadric, L map and
+    constants of z it reads), and return its ACPIA and joined-form residuals.
 
     frame=None is the degenerate seed x^0 = x_0 (chart embedding, normal frame
     [N_0, e_{n+2}, ...]); the leaf then lands on the confocal quadric x_z and
@@ -545,12 +547,13 @@ def leaf_embed(q, lm, ctx: BacklundContext, fg0: df.FieldGrid,
     deformation frame in C^{2n-1}.  Differentials are evaluated from the
     closed formulas; a 4th-order finite-difference version cross-checks them.
     """
+    q, lm = ctx.q, ctx.lm
     if q.kind == qd.QC:
         raise ValueError("leaf embedding is implemented for the (I)QWC charts")
     n = q.n
     shape = fg0.grid.shape
     hs = fg0.grid.h
-    srp = ctx.srp_n()
+    srp = ctx.srp
     c10 = np.einsum("ij,...j->...i", srp, V1) - fg0.V + ctx.ilc
     c01 = np.einsum("ij,...j->...i", srp, fg0.V) - V1 + ctx.ilc
 
@@ -560,8 +563,8 @@ def leaf_embed(q, lm, ctx: BacklundContext, fg0: df.FieldGrid,
     x01 = qd.chart_to_ambient(q, lm, V1)
     N0c, H0 = qd.chart_normal_h(q, lm, fg0.V)
     dN0 = _chart_normal_derivative(q, lm, fg0, N0c, H0, T0)
-    srz = qd.sqrt_rz(q, ctx.z)
-    xz1 = np.einsum("ij,...j->...i", srz, x01) + qd.translation(q, ctx.z)
+    srz = ctx.srz
+    xz1 = np.einsum("ij,...j->...i", srz, x01) + ctx.C
     dV1 = np.zeros(shape + (n, n), dtype=complex)       # [..., dir, comp]
     for k in range(n):
         dV1[..., k, :] = lam1[..., k:k + 1] * R1[..., :, k]
@@ -666,10 +669,10 @@ def _frame_normal_derivative_dot(fg0, ff0, frame, vec):
 
 # ruling / facet and asymptotic-direction checks ---------------------------------------
 
-def ruling_facet_check(q, lm, ctx: BacklundContext, V0, V1, seed: int = 0):
+def ruling_facet_check(ctx: BacklundContext, V0, V1, seed: int):
     """Facet rotation M with first row +-i (sqrt(R'_z)V_0 - V_1 + ILC)/sqrt(zH_0),
-    completed to O_n(C); the facet cuts the tangent space of x_z along
-    w = [x_z tangent frame] (M^T e_1 +- i M^T e_2).
+    completed to O_n(C) from the pool of seed; the facet cuts the tangent
+    space of x_z along w = [x_z tangent frame] (M^T e_1 +- i M^T e_2).
 
     Per branch combination returns, per chart point of V0, V1 (..., n): the
     first-row unit defect, the coefficient isotropy |M^T e_1 +- i M^T e_2|^2,
@@ -678,13 +681,12 @@ def ruling_facet_check(q, lm, ctx: BacklundContext, V0, V1, seed: int = 0):
     """
     V0 = np.asarray(V0, dtype=complex)
     V1 = np.asarray(V1, dtype=complex)
-    n = q.n
-    c01 = stack_apply(ctx.srp_n(), V0) - V1 + ctx.ilc
+    q, lm, n = ctx.q, ctx.lm, ctx.n
+    c01 = stack_apply(ctx.srp, V0) - V1 + ctx.ilc
     denom = scalar_mul(ctx.sqrt_z, sqrt_branch(qd.h_chart(q, lm, V0)))
-    srz = qd.sqrt_rz(q, ctx.z)
     Rzinv = np.linalg.inv(qd.resolvent(q, ctx.z))
-    frame = srz @ qd.chart_tangents(q, lm, V1)
-    xz1 = stack_apply(srz, qd.chart_to_ambient(q, lm, V1)) + qd.translation(q, ctx.z)
+    frame = ctx.srz @ qd.chart_tangents(q, lm, V1)
+    xz1 = stack_apply(ctx.srz, qd.chart_to_ambient(q, lm, V1)) + ctx.C
     nh = stack_apply(Rzinv, stack_apply(q.A, xz1) + q.B)
 
     def ruling(v):

@@ -442,7 +442,6 @@ def run_backlund_qc(cfg, q, _lm, outdir, checks):
     picks = min(count, 100)
     with checks.stage("qc_compact_vs_expanded", picks):
         ctx = bk.make_context(q, z)
-        aux = bk.qc_aux(ctx)
         om = np.zeros((n, n), dtype=complex)
         R0, R1 = sjcore.random_orthogonal(n, seed=sjcore.seed_rows(seed, 2, picks))
         # per pick: Re V0, Im V0, Re lam0, Im lam0
@@ -450,7 +449,7 @@ def run_backlund_qc(cfg, q, _lm, outdir, checks):
         V0 = 0.4 * (g[:, 0] + 1j * g[:, 1])
         lam0 = g[:, 2] + 1j * g[:, 3]
         gap = max(float(np.max(np.abs(
-            bk.riccati_rhs_qc(k, V0, lam0, R0, om, R1, aux)
+            bk.riccati_rhs_qc(ctx, k, V0, lam0, R0, om, R1)
             - bk.riccati_rhs_qc_expanded(ctx, k, V0, lam0, R0, om, R1))))
             for k in range(n))
         checks.add("qc_compact_vs_expanded", gap)
@@ -459,6 +458,7 @@ def run_backlund_qc(cfg, q, _lm, outdir, checks):
         Va = 0.4 * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
         Vb = Va + 0.1 * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
         mid = 0.5 * (Va + Vb)
+        aux = ctx.aux
         dN = aux.N(Vb) - aux.N(Va) - 2.0 * aux.M(mid) @ (Vb - Va)
         dU = aux.U(Vb) - aux.U(Va) - 2.0 * aux.W(mid) @ (Vb - Va)
         checks.add("qc_aux_differentials",
@@ -498,7 +498,7 @@ def run_leaf_embed(cfg, q, lm, outdir, checks):
         run, = bk.integrate_backlund(fg, [ctx],
                                      [sjcore.random_orthogonal(q.n, seed)])
         V1, lam1 = bk.algebraic_transform_qwc(ctx, fg.V, fg.lam, fg.R, run.R1)
-        emb_d = bk.leaf_embed(q, lm, ctx, fg, ff, V1, lam1, run.R1, frame=None)
+        emb_d = bk.leaf_embed(ctx, fg, ff, V1, lam1, run.R1, frame=None)
         checks.add("leaf_on_confocal", emb_d["leaf_on_confocal"])
         checks.add("degenerate_metric_scaling", emb_d["metric_scaling"])
     picks = min(nodes, 64)
@@ -506,7 +506,7 @@ def run_leaf_embed(cfg, q, lm, outdir, checks):
         rng = np.random.default_rng(seed)
         idx = np.indices(grid.shape).reshape(grid.n, -1).T
         sel = tuple(rng.choice(idx, picks, replace=False).T)
-        reps = bk.ruling_facet_check(q, lm, ctx, fg.V[sel], V1[sel], seed=seed)
+        reps = bk.ruling_facet_check(ctx, fg.V[sel], V1[sel], seed=seed)
         for key in ("ruling", "coefficient_isotropy"):
             checks.add(key, float(np.max([r[key] for r in reps])))
         # an at-least bound away from isotropy, which a larger tol_scale
@@ -515,7 +515,7 @@ def run_leaf_embed(cfg, q, lm, outdir, checks):
                    float(np.min([r["negative_control"] for r in reps])), 1e-3)
     with checks.stage("general_leaf", nodes):
         frame = df.seed_frame(q, lm, fg, seed=seed, deformation=True)
-        emb_g = bk.leaf_embed(q, lm, ctx, fg, ff, V1, lam1, run.R1, frame=frame)
+        emb_g = bk.leaf_embed(ctx, fg, ff, V1, lam1, run.R1, frame=frame)
         checks.add("acpia_exact", emb_g["acpia_exact"], "acpia")
         checks.add("acpia_fd", emb_g["acpia_fd"], "acpia")
         checks.add("joined_forms", emb_g["fund"])
@@ -527,8 +527,7 @@ def run_leaf_embed(cfg, q, lm, outdir, checks):
 
 def run_bpt(cfg, q, lm, outdir, checks):
     from . import backlund as bk, deform as df, gridio, permute as pm
-    z1, z2 = cfg["zs"][:2]
-    c1, c2 = bk.make_context(q, z1, lm), bk.make_context(q, z2, lm)
+    c1, c2 = (bk.make_context(q, z, lm) for z in cfg["zs"][:2])
     n, count, seed = q.n, cfg["samples"], cfg["seed"]
     # the superposition formula is derived for the (I)QWC system only; on a
     # QC quadric the run degrades to this algebraic experiment and the check
@@ -536,14 +535,14 @@ def run_bpt(cfg, q, lm, outdir, checks):
     prefix = "extrapolated_qc_" if q.kind == qd.QC else ""
     with checks.stage("bpt_samples", count):
         R0, R1, R2 = sjcore.random_orthogonal(n, seed=sjcore.seed_rows(seed, 3, count))
-        R3 = pm.bpt_compose(R0, R1, R2, c1.D, c2.D)
+        R3 = pm.bpt_compose(R0, R1, R2, c1, c2)
         orth = float(np.max(np.abs(R3 @ np.swapaxes(R3, -1, -2) - np.eye(n))))
         checks.add(prefix + "bpt_orthogonality", orth, "bpt_orthogonality")
         checks.add(prefix + "bpt_matrix_identity",
-                   pm.bpt_orthogonality_identity(R1, R2, c1.D, c2.D),
+                   pm.bpt_orthogonality_identity(R1, R2, c1, c2),
                    "bpt_matrix_identity")
         checks.add(prefix + "bpt_scalar_identity",
-                   pm.bpt_scalar_identity(R0, R1, R2, R3, c1.D, c2.D, z1, z2),
+                   pm.bpt_scalar_identity(R0, R1, R2, R3, c1, c2),
                    "bpt_scalar_identity")
     if q.kind == qd.QC:
         return
@@ -555,13 +554,12 @@ def run_bpt(cfg, q, lm, outdir, checks):
         for g in grids:
             fg = df.zero_soliton(q, lm, g, v0, lam0)
             r1, r2 = bk.integrate_backlund(fg, [c1, c2], [R1b, R2b])
-            R3f = pm.bpt_compose_field(fg.R, r1.R1, r2.R1, c1.D, c2.D)
+            R3f = pm.bpt_compose_field(fg.R, r1.R1, r2.R1, c1, c2)
             rep = pm.bpt_verify(fg, r1.R1, r2.R1, R3f, c1, c2)
             resid.append(max(rep["riccati_seed_r1"], rep["riccati_seed_r2"]))
             if g is grids[0]:
                 fg0 = fg
-                scalar = pm.bpt_scalar_identity(fg.R, r1.R1, r2.R1, R3f,
-                                                c1.D, c2.D, c1.z, c2.z)
+                scalar = pm.bpt_scalar_identity(fg.R, r1.R1, r2.R1, R3f, c1, c2)
         hs = [g.h[0] for g in grids]
         checks.add("bpt_field_scalar_identity", scalar, "riccati_drift", 1)
         checks.add("bpt_riccati_slope", abs(loglog_slope(hs, resid) - 2.0),
@@ -578,11 +576,10 @@ def run_bpt(cfg, q, lm, outdir, checks):
 
 def run_m3(cfg, q, lm, _outdir, checks):
     from . import backlund as bk, deform as df, permute as pm
-    zs = cfg["zs"][:3]
-    contexts = [bk.make_context(q, z, lm) for z in zs]
+    contexts = [bk.make_context(q, z, lm) for z in cfg["zs"][:3]]
     with checks.stage("m3_degenerate"):
         Rx = sjcore.random_orthogonal(q.n, seed=cfg["seed"])
-        _, gap_deg = pm.m3_r7(Rx, Rx, Rx, Rx, *(c.D for c in contexts), *zs)
+        _, gap_deg = pm.m3_r7(Rx, Rx, Rx, Rx, *contexts)
         checks.add("m3_degenerate", gap_deg)
     grid, v0, lam0 = _soliton_data(cfg, q, lm)
     with checks.stage("m3_lattice", math.prod(grid.shape)):
@@ -617,7 +614,7 @@ def run_lattice(cfg, q, lm, outdir, checks):
                 if any(c is None for c in cells):
                     continue
                 rows.append((f"{i}:{j}", pm.bpt_scalar_identity(
-                    *cells, c0.D, c1.D, c0.z, c1.z)))
+                    *cells, c0, c1)))
         checks.add("lattice_order_agreement", pm.lattice_order_gap(lat, contexts))
         checks.add("lattice_square_scalar", max([0.0] + [v for _, v in rows]),
                    10 * checks.tol["riccati_drift"], max(len(rows), 1))

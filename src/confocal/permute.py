@@ -9,7 +9,7 @@ transforms then fills in algebraically from k Riccati integrations.
 
 from __future__ import annotations
 
-from itertools import product
+from itertools import combinations, product
 
 import numpy as np
 
@@ -51,51 +51,51 @@ def _solve_right(numer: np.ndarray, denom: np.ndarray, what: str) -> np.ndarray:
     return _T(np.linalg.solve(_T(denom), _T(numer)))
 
 
-def _dmul(D, X, right=False):
-    """D @ X, or X @ D with right=True, for a constant n x n matrix D and a
-    stack X.  A diagonal D = diag(d) on n = 2 or 3 multiplies as the
-    broadcast d[:, None] * X or X * d, which has the matmul's bits there
+def _dmul(ctx: BacklundContext, X, right=False):
+    """D @ X, or X @ D with right=True, for the D of ctx and a stack X.  A
+    diagonal D (ctx.d set) on n = 2 or 3 multiplies as the broadcast
+    d[:, None] * X or X * d, which has the matmul's bits there
     (tests/test_numerics.py pins it) at a fraction of one BLAS call per
     matrix; any other D multiplies as the matmul."""
-    d = np.diagonal(D)
-    if D.shape[-1] not in (2, 3) or not np.array_equal(D, np.diag(d)):
-        return X @ D if right else D @ X
+    d = ctx.d
+    if d is None or ctx.n not in (2, 3):
+        return X @ ctx.D if right else ctx.D @ X
     return X * d if right else d[:, None] * X
 
 
-def bpt_compose(R0, R1, R2, D1, D2):
-    """Fourth vertex R_3 of the Bianchi quadrilateral, batched over leading
-    axes:
+def bpt_compose(R0, R1, R2, c1, c2):
+    """Fourth vertex R_3 of the Bianchi quadrilateral of the leaves R_1, R_2
+    of R_0 at the z's of c1, c2 (D_i = c_i.D), batched over leading axes:
 
     R_3 R_0^T = (D_2 - D_1 R_2 R_1^T)(D_2 R_2 R_1^T - D_1)^{-1},
     evaluated in the equivalent factor-free form
     (D_2 R_1 - D_1 R_2)(D_2 R_2 - D_1 R_1)^{-1} R_0.
     """
-    return _solve_right(_dmul(D2, R1) - _dmul(D1, R2),
-                        _dmul(D2, R2) - _dmul(D1, R1), "D2 R2 - D1 R1") @ R0
+    return _solve_right(_dmul(c2, R1) - _dmul(c1, R2),
+                        _dmul(c2, R2) - _dmul(c1, R1), "D2 R2 - D1 R1") @ R0
 
 
-def bpt_compose_field(R0, R1, R2, D1, D2):
+def bpt_compose_field(R0, R1, R2, c1, c2):
     """bpt_compose over the leading grid axes of the R fields."""
-    return bpt_compose(R0, R1, R2, D1, D2)
+    return bpt_compose(R0, R1, R2, c1, c2)
 
 
-def bpt_orthogonality_identity(R1, R2, D1, D2) -> float:
+def bpt_orthogonality_identity(R1, R2, c1, c2) -> float:
     """|(D2 - K D1)(D2 K - D1) - (K D2 - D1)(D2 - D1 K)| with K = R2 R1^T,
-    maximized over leading axes; this matrix identity is what makes R_3
-    orthogonal."""
+    D_i = c_i.D, maximized over leading axes; this matrix identity is what
+    makes R_3 orthogonal."""
     K = R2 @ _T(R1)
-    lhs = (D2 - _dmul(D1, K, right=True)) @ (_dmul(D2, K) - D1)
-    rhs = (_dmul(D2, K, right=True) - D1) @ (D2 - _dmul(D1, K))
+    lhs = (c2.D - _dmul(c1, K, right=True)) @ (_dmul(c2, K) - c1.D)
+    rhs = (_dmul(c2, K, right=True) - c1.D) @ (c2.D - _dmul(c1, K))
     return float(np.max(np.abs(lhs - rhs)))
 
 
-def bpt_scalar_identity(R0, R1, R2, R3, D1, D2, z1, z2) -> float:
-    """|(D2 R3 R0^T + D1)(D2 R2 R1^T - D1) - (1/z2 - 1/z1) I|, maximized over
-    leading axes."""
+def bpt_scalar_identity(R0, R1, R2, R3, c1, c2) -> float:
+    """|(D2 R3 R0^T + D1)(D2 R2 R1^T - D1) - (1/z2 - 1/z1) I| with D_i, z_i
+    those of c_i, maximized over leading axes."""
     n = R0.shape[-1]
-    lhs = (_dmul(D2, R3) @ _T(R0) + D1) @ (_dmul(D2, R2) @ _T(R1) - D1)
-    return float(np.max(np.abs(lhs - (1.0 / z2 - 1.0 / z1) * np.eye(n))))
+    lhs = (_dmul(c2, R3) @ _T(R0) + c1.D) @ (_dmul(c2, R2) @ _T(R1) - c1.D)
+    return float(np.max(np.abs(lhs - (1.0 / c2.z - 1.0 / c1.z) * np.eye(n))))
 
 
 def bpt_verify(fg_seed: df.FieldGrid, R1f, R2f, R3f,
@@ -108,29 +108,30 @@ def bpt_verify(fg_seed: df.FieldGrid, R1f, R2f, R3f,
             "riccati_seed_r2": riccati_field_residual(R3f, R2f, hs, ctx1)}
 
 
-def m3_r7(R0, R1, R2, R4, D1, D2, D3, z1, z2, z3):
-    """Eighth Moebius-cube vertex by the three superposition routes, batched
-    over leading axes.
+def m3_r7(R0, R1, R2, R4, c1, c2, c3):
+    """Eighth Moebius-cube vertex of the leaves R_1, R_2, R_4 of R_0 at the
+    z's of c1, c2, c3 by the three superposition routes, batched over
+    leading axes.
 
     Needs pairwise distinct z's; R_3, R_5, R_6 are first composed from the
     faces, then R_7 is evaluated from each of the three remaining faces and
     all routes must agree.  Returns (R_7, max pairwise route discrepancy).
     """
-    if len({complex(z1), complex(z2), complex(z3)}) < 3:
+    z1, z2, z3 = c1.z, c2.z, c3.z
+    if len({z1, z2, z3}) < 3:
         raise DistinctZRequired("Moebius cube needs pairwise distinct z")
-    R3 = bpt_compose(R0, R1, R2, D1, D2)
-    R5 = bpt_compose(R0, R4, R1, D3, D1)   # B_{z1}(x^4) = x^5 = B_{z3}(x^1)
-    R6 = bpt_compose(R0, R2, R4, D2, D3)   # B_{z3}(x^2) = x^6 = B_{z2}(x^4)
-    # each D is scaled before its product, as (c * D) @ R groups
-    box = (_dmul((1.0 / z2 - 1.0 / z3) * D1, R1)
-           + _dmul((1.0 / z3 - 1.0 / z1) * D2, R2)
-           + _dmul((1.0 / z1 - 1.0 / z2) * D3, R4))
+    R3 = bpt_compose(R0, R1, R2, c1, c2)
+    R5 = bpt_compose(R0, R4, R1, c3, c1)   # B_{z1}(x^4) = x^5 = B_{z3}(x^1)
+    R6 = bpt_compose(R0, R2, R4, c2, c3)   # B_{z3}(x^2) = x^6 = B_{z2}(x^4)
+    box = ((1.0 / z2 - 1.0 / z3) * _dmul(c1, R1)
+           + (1.0 / z3 - 1.0 / z1) * _dmul(c2, R2)
+           + (1.0 / z1 - 1.0 / z2) * _dmul(c3, R4))
     if _ill_conditioned(box):
         raise SingularBox("combination matrix is near singular")
     routes = [
-        bpt_compose(R1, R3, R5, D2, D3),   # around x^1: z2-, z3-leaves
-        bpt_compose(R2, R3, R6, D1, D3),   # around x^2: z1-, z3-leaves
-        bpt_compose(R4, R5, R6, D1, D2),   # around x^4: z1-, z2-leaves
+        bpt_compose(R1, R3, R5, c2, c3),   # around x^1: z2-, z3-leaves
+        bpt_compose(R2, R3, R6, c1, c3),   # around x^2: z1-, z3-leaves
+        bpt_compose(R4, R5, R6, c1, c2),   # around x^4: z1-, z2-leaves
     ]
     gap = 0.0
     for a in range(3):
@@ -141,8 +142,7 @@ def m3_r7(R0, R1, R2, R4, D1, D2, D3, z1, z2, z3):
 
 def m3_r7_field(R0f, R1f, R2f, R4f, ctx1, ctx2, ctx3):
     """m3_r7 over the leading grid axes; returns (R7 field, max discrepancy)."""
-    return m3_r7(R0f, R1f, R2f, R4f, ctx1.D, ctx2.D, ctx3.D,
-                 ctx1.z, ctx2.z, ctx3.z)
+    return m3_r7(R0f, R1f, R2f, R4f, ctx1, ctx2, ctx3)
 
 
 def lattice_build(fg_seed: df.FieldGrid, contexts: dict, extent: tuple,
@@ -203,15 +203,15 @@ def lattice_order_gap(lattice: dict, contexts: dict) -> float:
 
 def _fill(rays: dict, contexts: dict, cells: list, order):
     """The lattice of the ray R fields with each of cells, in turn, composed
-    from the first axis pair (a, b), a and b read in the given axis order,
+    from the first axis pair (a, b), a before b in the given axis order,
     whose three cells behind it are filled and whose superposition is
-    regular.  A cell no pair closes is a hole (None).  Returns (lattice,
-    holes)."""
+    regular; (b, a) negates both factors, which LU with partial pivoting
+    solves to the same bits, so it is not tried.  A cell no pair closes is a
+    hole (None).  Returns (lattice, holes)."""
     lattice = dict(rays)
     holes = []
     for idx in cells:
-        for a, b in ((a, b) for a in order for b in order
-                     if a != b and idx[a] >= 1 and idx[b] >= 1):
+        for a, b in combinations([a for a in order if idx[a] >= 1], 2):
             ta = tuple(i - (c == b) for c, i in enumerate(idx))
             tb = tuple(i - (c == a) for c, i in enumerate(idx))
             t0 = tuple(i - (c == b) for c, i in enumerate(tb))
@@ -220,7 +220,7 @@ def _fill(rays: dict, contexts: dict, cells: list, order):
                 continue
             try:
                 lattice[idx] = bpt_compose_field(base, leg_a, leg_b,
-                                                 contexts[a].D, contexts[b].D)
+                                                 contexts[a], contexts[b])
             except SingularSuperposition:
                 continue
             break

@@ -241,7 +241,7 @@ def complete_rows(r, dr, pool):
     return np.stack(rows, axis=-2), np.stack(drows, axis=-2)
 
 
-def orth_complete(row, m: int, seed: int = 0) -> np.ndarray:
+def orth_complete(row, m: int, seed: int) -> np.ndarray:
     """Complete unit rows (..., m) to M (..., m, m) in O_m(C), M[..., 0, :] =
     row: complete_rows against a seeded pool of m - 1 + EXTRA_DRAWS
     candidates.  Raises IsotropicEncounter if some row is not unit or cannot
@@ -371,7 +371,7 @@ def _pcg64_doubles(seeds, count: int) -> np.ndarray:
     return (out.T * 2.0 ** -53).reshape(seeds.shape + (count,))
 
 
-def random_orthogonal(m: int, seed=0) -> np.ndarray:
+def random_orthogonal(m: int, seed) -> np.ndarray:
     """exp(K) for a seeded random complex antisymmetric K with entries bounded
     by RANDOM_K_SCALE, batched over an integer seed array: a seed array of
     shape s gives a stack of shape s + (m, m).  Each seed's W has the bits of

@@ -152,13 +152,13 @@ def test_criterion_06_involution(qwc2, lmap2, iqwc2, iqwc_lmap, qc3):
 
 def test_criterion_07_degenerate_seed(qwc2, lmap2, soliton32, forms32, ctx_a,
                                       leaf32):
-    emb = bk.leaf_embed(qwc2, lmap2, ctx_a, soliton32, forms32,
+    emb = bk.leaf_embed(ctx_a, soliton32, forms32,
                         leaf32.V, leaf32.lam, leaf32.R, frame=None)
     qz = emb["leaf_on_confocal"]
     rng = np.random.default_rng(31)
     all_idx = np.indices(soliton32.grid.shape).reshape(2, -1).T
     sel = tuple(rng.choice(all_idx, 48, replace=False).T)
-    reps = bk.ruling_facet_check(qwc2, lmap2, ctx_a, soliton32.V[sel],
+    reps = bk.ruling_facet_check(ctx_a, soliton32.V[sel],
                                  leaf32.V[sel], seed=7)
     worst_rule = float(max(np.max(rep["ruling"]) for rep in reps))
     worst_iso = float(max(np.max(rep["coefficient_isotropy"]) for rep in reps))
@@ -170,7 +170,7 @@ def test_criterion_07_degenerate_seed(qwc2, lmap2, soliton32, forms32, ctx_a,
 
 def test_criterion_08_acpia(qwc2, lmap2, soliton32, forms32, ctx_a, leaf32,
                             frame32):
-    emb = bk.leaf_embed(qwc2, lmap2, ctx_a, soliton32, forms32,
+    emb = bk.leaf_embed(ctx_a, soliton32, forms32,
                         leaf32.V, leaf32.lam, leaf32.R, frame=frame32)
     acpia = max(emb["acpia_fd"], emb["acpia_exact"])
     fund = emb["fund"]
@@ -185,9 +185,9 @@ def test_criterion_09_bpt(qwc2, lmap2):
     c2 = bk.make_context(qwc2, -0.2 + 0.25j, lmap2)
     # sample i draws R0, R1, R2 from seeds 3i, 3i + 1, 3i + 2
     R0, R1, R2 = random_orthogonal(2, seed=sjcore.seed_rows(0, 3, 1000))
-    R3 = pm.bpt_compose(R0, R1, R2, c1.D, c2.D)
+    R3 = pm.bpt_compose(R0, R1, R2, c1, c2)
     worst_o = float(np.max(np.abs(R3 @ np.swapaxes(R3, -1, -2) - np.eye(2))))
-    worst_sc = pm.bpt_scalar_identity(R0, R1, R2, R3, c1.D, c2.D, c1.z, c2.z)
+    worst_sc = pm.bpt_scalar_identity(R0, R1, R2, R3, c1, c2)
     grid = df.GridSpec(((0.0, 0.3, 16), (0.0, 0.3, 16)))
     v0, lam0 = sc.default_soliton_data(qwc2, lmap2)
     resid = []
@@ -198,7 +198,7 @@ def test_criterion_09_bpt(qwc2, lmap2):
         fg = df.zero_soliton(qwc2, lmap2, g, v0, lam0)
         r1, r2 = bk.integrate_backlund(
             fg, [c1, c2], [random_orthogonal(2, 3), random_orthogonal(2, 4)])
-        R3f = pm.bpt_compose_field(fg.R, r1.R1, r2.R1, c1.D, c2.D)
+        R3f = pm.bpt_compose_field(fg.R, r1.R1, r2.R1, c1, c2)
         rep = pm.bpt_verify(fg, r1.R1, r2.R1, R3f, c1, c2)
         resid.append(max(rep["riccati_seed_r1"], rep["riccati_seed_r2"]))
         hs.append(g.h[0])
@@ -219,7 +219,7 @@ def test_criterion_10_moebius(qwc2, lmap2):
     zs = (0.31 + 0.12j, -0.2 + 0.25j, 0.12 - 0.3j)
     c1, c2, c3 = (bk.make_context(qwc2, z, lmap2) for z in zs)
     Rx = random_orthogonal(2, seed=77)
-    _, gap_deg = pm.m3_r7(Rx, Rx, Rx, Rx, c1.D, c2.D, c3.D, *zs)
+    _, gap_deg = pm.m3_r7(Rx, Rx, Rx, Rx, c1, c2, c3)
     grid = df.GridSpec(((0.0, 0.3, 16), (0.0, 0.3, 16)))
     v0, lam0 = sc.default_soliton_data(qwc2, lmap2)
     fg = df.zero_soliton(qwc2, lmap2, grid, v0, lam0)

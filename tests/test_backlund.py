@@ -32,6 +32,50 @@ class TestContext:
         ctx = bk.make_context(qc3, 0.2 - 0.3j)
         assert context_defect(ctx) < 1e-12
 
+    def test_constants_of_z(self, qwc2, lmap2, iqwc2, iqwc_lmap, qc3):
+        # the record holds sqrt(R_z), C(z) and the n-block of sqrt(R'_z)
+        # (QC: of sqrt(R_z)) with the bits of the quadric functions
+        for q, lm, z in ((qwc2, lmap2, 0.31 + 0.12j),
+                         (iqwc2, iqwc_lmap, 0.2 - 0.4j),
+                         (qc3, None, 0.25 + 0.3j)):
+            ctx = bk.make_context(q, z, lm)
+            srz, n = qd.sqrt_rz(q, z), q.n
+            srp = srz if lm is None else qd.sqrt_rprime(q, lm, z)
+            for got, want in ((ctx.srz, srz), (ctx.C, qd.translation(q, z)),
+                              (ctx.srp, srp[:n, :n])):
+                assert got.shape == want.shape
+                assert got.tobytes() == want.tobytes()
+
+    def test_d_is_srp_over_sqrt_z(self):
+        # a Jordan block, not Peterson-admissible: D is not made diagonal
+        q = qd.qwc_quadric([(1.0, 2)])
+        ctx = bk.make_context(q, 0.31 + 0.12j, qd.build_lmap(q))
+        assert ctx.d is None
+        for c in (ctx, ctx.mirror()):
+            assert c.D.tobytes() == (c.srp / c.sqrt_z).tobytes()
+
+    def test_mirror_has_its_own_aux(self, qc3):
+        # the flipped branch's QCAux: M0 = D and m1 = sqrt(R_z) e / sqrt(z)
+        # change sign with sqrt(z), w0 and s_ee do not
+        ctx = bk.make_context(qc3, 0.25 - 0.4j)
+        m, n = ctx.mirror(), qc3.n
+        col = qd.sqrt_rz(qc3, ctx.z)[:, n]
+        assert ctx.aux is not None and m.aux is not ctx.aux
+        assert np.array_equal(m.aux.M0, m.D)
+        assert np.array_equal(m.aux.m1, col[:n] / m.sqrt_z)
+        assert np.array_equal(m.aux.w0, col[:n]) and m.aux.s_ee == col[n]
+        rng = np.random.default_rng(6)
+        V0 = 0.4 * (rng.standard_normal((8, n)) + 1j * rng.standard_normal((8, n)))
+        lam0 = rng.standard_normal((8, n)) + 1j * rng.standard_normal((8, n))
+        R0 = random_orthogonal(n, seed=20 + np.arange(8))
+        R1 = random_orthogonal(n, seed=60 + np.arange(8))
+        om = rng.standard_normal((8, n, n)) + 1j * rng.standard_normal((8, n, n))
+        om = om - np.swapaxes(om, -1, -2)
+        for k in range(n):
+            a = bk.riccati_rhs_qc(m, k, V0, lam0, R0, om, R1)
+            b = bk.riccati_rhs_qc_expanded(m, k, V0, lam0, R0, om, R1)
+            assert np.max(np.abs(a - b)) < 1e-12
+
 
 def rhs_qwc_indexed_oracle(ctx, k, R0, om_k, R1):
     """Term-by-term scalar-loop evaluation of the (I)QWC Riccati RHS."""
@@ -74,8 +118,8 @@ class TestRiccatiRHS:
     def test_formal_fixed_point(self, qwc2, lmap2, ctx_a):
         # with D = I (formal), rhs = -(R1 E_k R1 - E_k): zero at R1 = I
         formal = bk.BacklundContext(qwc2, lmap2, ctx_a.z, ctx_a.sqrt_z,
-                                    np.eye(2, dtype=complex), ctx_a.srp,
-                                    ctx_a.ilc)
+                                    np.eye(2, dtype=complex), ctx_a.srz,
+                                    ctx_a.C, ctx_a.srp, ctx_a.ilc)
         I = np.eye(2, dtype=complex)
         Z = np.zeros((2, 2), dtype=complex)
         for k in range(2):
@@ -226,13 +270,11 @@ class TestQCRiccati:
         q = qd.qc_quadric([(1.0, 1)] * 3)
         z = 0.3 + 0.1j
         ctx = bk.make_context(q, z)
-        aux = bk.qc_aux(ctx)
         expected = -sqrt_branch(1 - z) - 1.0
-        assert abs(aux.U(np.zeros(2, dtype=complex)) - expected) < 1e-14
+        assert abs(ctx.aux.U(np.zeros(2, dtype=complex)) - expected) < 1e-14
 
     def test_compact_vs_expanded(self, qc3):
         ctx = bk.make_context(qc3, 0.25 - 0.4j)
-        aux = bk.qc_aux(ctx)
         rng = np.random.default_rng(2)
         n = qc3.n
         V0 = 0.4 * (rng.standard_normal((12, n)) + 1j * rng.standard_normal((12, n)))
@@ -242,7 +284,7 @@ class TestQCRiccati:
         om = rng.standard_normal((12, n, n)) + 1j * rng.standard_normal((12, n, n))
         om = om - np.swapaxes(om, -1, -2)
         for k in range(n):
-            a = bk.riccati_rhs_qc(k, V0, lam0, R0, om, R1, aux)
+            a = bk.riccati_rhs_qc(ctx, k, V0, lam0, R0, om, R1)
             b = bk.riccati_rhs_qc_expanded(ctx, k, V0, lam0, R0, om, R1)
             assert a.shape == (12, n, n)
             assert np.max(np.abs(a - b)) < 1e-12
@@ -256,7 +298,6 @@ class TestQCRiccati:
         q = QC_STACK_QUADRICS[name]()
         n = q.n
         ctx = bk.make_context(q, 0.25 - 0.4j)
-        aux = bk.qc_aux(ctx)
         rng = np.random.default_rng(seed)
 
         def cplx(*s):
@@ -267,12 +308,12 @@ class TestQCRiccati:
         V0, lam0, om = 0.4 * cplx(*shape, n), cplx(*shape, n), cplx(*shape, n, n)
         om = om - np.swapaxes(om, -1, -2)
         for k in range(n):
-            a = bk.riccati_rhs_qc(k, V0, lam0, R0, om, R1, aux)
+            a = bk.riccati_rhs_qc(ctx, k, V0, lam0, R0, om, R1)
             b = bk.riccati_rhs_qc_expanded(ctx, k, V0, lam0, R0, om, R1)
             assert np.all(np.abs(a - b) <= 1e-14 * (1 + np.abs(b)))
             for idx in np.ndindex(*shape):
                 one = (V0[idx], lam0[idx], R0[idx], om[idx], R1[idx])
-                a1 = bk.riccati_rhs_qc(k, *one, aux)
+                a1 = bk.riccati_rhs_qc(ctx, k, *one)
                 assert np.all(np.abs(a[idx] - a1) <= 1e-14 * (1 + np.abs(a1)))
                 assert np.array_equal(b[idx], bk.riccati_rhs_qc_expanded(ctx, k, *one))
 
@@ -294,17 +335,16 @@ class TestQCRiccati:
         q = qd.qc_quadric([(1.0, 1)] * 3)
         z = 0.4
         ctx = bk.make_context(q, z)
-        aux = bk.qc_aux(ctx)
         # solve sqrt(1-z)(v^2-1) = v^2+1 for |V|^2, put V on that locus
         s = sqrt_branch(1 - z)
         v2 = (s + 1.0) / (s - 1.0)
         V0 = np.array([np.sqrt(complex(v2)), 0.0], dtype=complex)
-        assert abs(aux.U(V0)) < 1e-12
+        assert abs(ctx.aux.U(V0)) < 1e-12
         with pytest.raises(UNearZero):
-            bk.riccati_rhs_qc(0, V0, np.ones(2, dtype=complex),
+            bk.riccati_rhs_qc(ctx, 0, V0, np.ones(2, dtype=complex),
                               np.eye(2, dtype=complex),
                               np.zeros((2, 2), dtype=complex),
-                              np.eye(2, dtype=complex), aux)
+                              np.eye(2, dtype=complex))
 
     def test_line_integration_orthogonal(self, qc3):
         V, lam, _, R1 = sc.random_state_batch(qc3, None, 1, seed=12)
@@ -340,7 +380,6 @@ class TestQCRiccati:
         # the line runs on numerics.rk4_sweep: its states are, bit for bit,
         # those of RK4 steps of the joint (V0, lam0, R1) right-hand side
         ctx = bk.make_context(qc3, 0.3 + 0.1j)
-        aux = bk.qc_aux(ctx)
         V, lam, _, R1 = sc.random_state_batch(qc3, None, 1, seed=12)
         n = qc3.n
         states, ok = bk.integrate_backlund_qc_line(
@@ -351,9 +390,9 @@ class TestQCRiccati:
             dy[0] = y[n]
             dy[n] = -qd.chart_source(qc3, None, y[:n])[0]
             dy[2 * n:] = bk.riccati_rhs_qc(
-                0, y[:n], y[n:2 * n], np.eye(n, dtype=complex),
-                np.zeros((n, n), dtype=complex), y[2 * n:].reshape(n, n),
-                aux).ravel()
+                ctx, 0, y[:n], y[n:2 * n], np.eye(n, dtype=complex),
+                np.zeros((n, n), dtype=complex),
+                y[2 * n:].reshape(n, n)).ravel()
             return dy
         y, h = np.concatenate([V[0], lam[0], R1[0].ravel()]), 0.4 / 48
         loop = [y]
@@ -534,7 +573,7 @@ class TestLeafResiduals:
 class TestLeafEmbedding:
     def test_degenerate_seed(self, qwc2, lmap2, soliton32, forms32, ctx_a,
                              riccati32, leaf32):
-        r = bk.leaf_embed(qwc2, lmap2, ctx_a, soliton32, forms32,
+        r = bk.leaf_embed(ctx_a, soliton32, forms32,
                           leaf32.V, leaf32.lam, leaf32.R, frame=None)
         assert r["leaf_on_confocal"] < 1e-8
         assert r["leaf_vs_ivory_image"] < 1e-8
@@ -543,7 +582,7 @@ class TestLeafEmbedding:
 
     def test_generic_seed_acpia(self, qwc2, lmap2, soliton32, forms32, ctx_a,
                                 leaf32, frame32):
-        r = bk.leaf_embed(qwc2, lmap2, ctx_a, soliton32, forms32,
+        r = bk.leaf_embed(ctx_a, soliton32, forms32,
                           leaf32.V, leaf32.lam, leaf32.R, frame=frame32)
         assert r["acpia_exact"] < 1e-6
         assert r["acpia_fd"] < 1e-6
@@ -555,8 +594,7 @@ class TestRulingFacet:
     def test_gates_and_negative_control(self, qwc2, lmap2, ctx_a, soliton32,
                                         leaf32):
         idx = (7, 12)
-        reports = bk.ruling_facet_check(qwc2, lmap2, ctx_a,
-                                        soliton32.V[idx], leaf32.V[idx],
+        reports = bk.ruling_facet_check(ctx_a, soliton32.V[idx], leaf32.V[idx],
                                         seed=3)
         assert len(reports) == 4      # both row signs x both pair signs
         for rep in reports:
@@ -569,10 +607,10 @@ class TestRulingFacet:
     def test_stack_is_per_node(self, qwc2, lmap2, ctx_a, soliton32, leaf32):
         # a batched call reports, entry by entry, the bits of one-node calls
         V0s, V1s = soliton32.V[:3, 10:12], leaf32.V[:3, 10:12]
-        stack = bk.ruling_facet_check(qwc2, lmap2, ctx_a, V0s, V1s, seed=3)
+        stack = bk.ruling_facet_check(ctx_a, V0s, V1s, seed=3)
         for idx in np.ndindex(*V0s.shape[:-1]):
             for rep, one in zip(stack, bk.ruling_facet_check(
-                    qwc2, lmap2, ctx_a, V0s[idx], V1s[idx], seed=3), strict=True):
+                    ctx_a, V0s[idx], V1s[idx], seed=3), strict=True):
                 assert rep.keys() == one.keys()
                 for key, val in one.items():
                     part = np.broadcast_to(rep[key], V0s.shape[:-1])[idx]
@@ -646,7 +684,7 @@ class TestBPTStateConsistency:
         _, _, _, R2 = sc.random_state_batch(qwc2, lmap2, 50, seed=87)
         worst = 0.0
         for i in range(50):
-            R3 = pm.bpt_compose(R0[i], R1[i], R2[i], ctx_a.D, ctx_b.D)
+            R3 = pm.bpt_compose(R0[i], R1[i], R2[i], ctx_a, ctx_b)
             Va, la = bk.algebraic_transform_qwc(ctx_a, V[i], lam[i],
                                                 R0[i], R1[i])
             Vb, lb = bk.algebraic_transform_qwc(ctx_b, V[i], lam[i],
@@ -682,6 +720,5 @@ class TestIQWCPipeline:
         assert max(res.values()) < 1e-8
         ff = df.forms_assemble(fg, iqwc2, lm, seed=11)
         assert ff.residuals["gauss_base"] < 1e-8
-        emb = bk.leaf_embed(iqwc2, lm, ctx, fg, ff, V1, lam1, run.R1,
-                            frame=None)
+        emb = bk.leaf_embed(ctx, fg, ff, V1, lam1, run.R1, frame=None)
         assert emb["leaf_on_confocal"] < 1e-8

@@ -101,7 +101,7 @@ def test_read_allow_skips_comments(tmp_path):
 
 def test_config_list():
     labels = [label for label, _ in co.configs()]
-    assert len(labels) == len(set(labels)) == 152
+    assert len(labels) == len(set(labels)) == 156
     assert sum(label.startswith("bench-") for label in labels) == 129
 
 

@@ -500,16 +500,15 @@ class TestRunScenario:
         report = cli.run_scenario(cfg, tmp_path / "bpt")
         full = cli.validate_config(cfg)
         q, lm = cli._setup(full)
-        z1, z2 = full["zs"][:2]
-        D1, D2 = bk.make_context(q, z1, lm).D, bk.make_context(q, z2, lm).D
+        c1, c2 = (bk.make_context(q, z, lm) for z in full["zs"][:2])
         wo = wid = wsc = 0.0
         for i in range(30):
             R0, R1, R2 = (random_orthogonal(q.n, seed=5 + 3 * i + j)
                           for j in range(3))
-            R3 = pm.bpt_compose(R0, R1, R2, D1, D2)
+            R3 = pm.bpt_compose(R0, R1, R2, c1, c2)
             wo = max(wo, float(np.max(np.abs(R3 @ R3.T - np.eye(q.n)))))
-            wid = max(wid, pm.bpt_orthogonality_identity(R1, R2, D1, D2))
-            wsc = max(wsc, pm.bpt_scalar_identity(R0, R1, R2, R3, D1, D2, z1, z2))
+            wid = max(wid, pm.bpt_orthogonality_identity(R1, R2, c1, c2))
+            wsc = max(wsc, pm.bpt_scalar_identity(R0, R1, R2, R3, c1, c2))
         got = [c["max_residual"] for c in report["checks"][:3]]
         assert got == [wo, wid, wsc]
 

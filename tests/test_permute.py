@@ -1,5 +1,7 @@
 """Bianchi permutability and Moebius-cube superposition."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -30,20 +32,20 @@ class TestCompose:
             K = R2 @ R1.T
             lit = (ctx_b.D - ctx_a.D @ K) @ np.linalg.inv(
                 ctx_b.D @ K - ctx_a.D) @ R0
-            got = pm.bpt_compose(R0, R1, R2, ctx_a.D, ctx_b.D)
+            got = pm.bpt_compose(R0, R1, R2, ctx_a, ctx_b)
             assert np.max(np.abs(lit - got)) < 1e-12
 
     def test_coincident_leaves(self, ctx_a, ctx_b):
         R0 = random_orthogonal(2, seed=3)
         R1 = random_orthogonal(2, seed=4)
-        R3 = pm.bpt_compose(R0, R1, R1, ctx_a.D, ctx_b.D)
+        R3 = pm.bpt_compose(R0, R1, R1, ctx_a, ctx_b)
         assert np.max(np.abs(R3 - R0)) < 1e-12
 
     def test_equal_z_equal_leaves_singular(self, ctx_a):
         R0 = random_orthogonal(2, seed=3)
         R1 = random_orthogonal(2, seed=4)
         with pytest.raises(SingularSuperposition):
-            pm.bpt_compose(R0, R1, R1, ctx_a.D, ctx_a.D)
+            pm.bpt_compose(R0, R1, R1, ctx_a, ctx_a)
 
     def test_random_orthogonality_and_identities(self, ctx_a, ctx_b):
         worst_o = worst_i = worst_s = 0.0
@@ -51,13 +53,13 @@ class TestCompose:
             R0 = random_orthogonal(2, seed=3 * i)
             R1 = random_orthogonal(2, seed=3 * i + 1)
             R2 = random_orthogonal(2, seed=3 * i + 2)
-            R3 = pm.bpt_compose(R0, R1, R2, ctx_a.D, ctx_b.D)
+            R3 = pm.bpt_compose(R0, R1, R2, ctx_a, ctx_b)
             worst_o = max(worst_o,
                           float(np.max(np.abs(R3 @ R3.T - np.eye(2)))))
             worst_i = max(worst_i, pm.bpt_orthogonality_identity(
-                R1, R2, ctx_a.D, ctx_b.D))
+                R1, R2, ctx_a, ctx_b))
             worst_s = max(worst_s, pm.bpt_scalar_identity(
-                R0, R1, R2, R3, ctx_a.D, ctx_b.D, ctx_a.z, ctx_b.z))
+                R0, R1, R2, R3, ctx_a, ctx_b))
         assert worst_o < 1e-10
         assert worst_i < 1e-12
         assert worst_s < 1e-10
@@ -66,9 +68,9 @@ class TestCompose:
         R0 = random_orthogonal(2, seed=11)
         R1 = random_orthogonal(2, seed=12)
         R2 = random_orthogonal(2, seed=13)
-        a = pm.bpt_compose(R0, R1, R2, ctx_a.D, ctx_b.D)
-        b = pm.bpt_compose(R0, R2, R1, ctx_b.D, ctx_a.D)
-        assert np.max(np.abs(a - b)) < 1e-13
+        a = pm.bpt_compose(R0, R1, R2, ctx_a, ctx_b)
+        b = pm.bpt_compose(R0, R2, R1, ctx_b, ctx_a)
+        assert np.array_equal(a, b)
 
 
     def test_stack_matches_per_node_bitwise(self, ctx_a, ctx_b):
@@ -76,10 +78,10 @@ class TestCompose:
         R0, R1, R2 = (np.array([random_orthogonal(2, seed=s + i)
                                 for i in range(12)]).reshape(shape + (2, 2))
                       for s in (0, 40, 80))
-        got = pm.bpt_compose_field(R0, R1, R2, ctx_a.D, ctx_b.D)
+        got = pm.bpt_compose_field(R0, R1, R2, ctx_a, ctx_b)
         for idx in np.ndindex(*shape):
             assert np.array_equal(got[idx], pm.bpt_compose(
-                R0[idx], R1[idx], R2[idx], ctx_a.D, ctx_b.D))
+                R0[idx], R1[idx], R2[idx], ctx_a, ctx_b))
 
     def test_moebius_stack_matches_per_node_bitwise(self, ctx_a, ctx_b, ctx_c):
         shape = (3, 4)
@@ -89,8 +91,8 @@ class TestCompose:
         R7, gap = pm.m3_r7_field(R0, R1, R2, R4, ctx_a, ctx_b, ctx_c)
         gaps = []
         for idx in np.ndindex(*shape):
-            r7, g = pm.m3_r7(R0[idx], R1[idx], R2[idx], R4[idx], ctx_a.D,
-                             ctx_b.D, ctx_c.D, ctx_a.z, ctx_b.z, ctx_c.z)
+            r7, g = pm.m3_r7(R0[idx], R1[idx], R2[idx], R4[idx], ctx_a,
+                             ctx_b, ctx_c)
             assert np.array_equal(R7[idx], r7)
             gaps.append(g)
         assert gap == max(gaps)
@@ -101,10 +103,10 @@ class TestCompose:
         R0, R1, R2 = (np.array([random_orthogonal(2, seed=s + i)
                                 for i in range(12)]).reshape(shape + (2, 2))
                       for s in (0, 40, 80))
-        pm.bpt_compose_field(R0, R1, R2, ctx_a.D, ctx_a.D)
+        pm.bpt_compose_field(R0, R1, R2, ctx_a, ctx_a)
         R2[2, 1] = R1[2, 1]
         with pytest.raises(SingularSuperposition):
-            pm.bpt_compose_field(R0, R1, R2, ctx_a.D, ctx_a.D)
+            pm.bpt_compose_field(R0, R1, R2, ctx_a, ctx_a)
 
 
 class TestVerify:
@@ -113,10 +115,10 @@ class TestVerify:
         r2, = bk.integrate_backlund(soliton32, [ctx_b],
                                     [random_orthogonal(2, seed=4)])
         R3f = pm.bpt_compose_field(soliton32.R, riccati32.R1, r2.R1,
-                                   ctx_a.D, ctx_b.D)
+                                   ctx_a, ctx_b)
         assert np.max(np.abs(R3f @ np.swapaxes(R3f, -1, -2) - np.eye(2))) < 1e-7
         assert pm.bpt_scalar_identity(soliton32.R, riccati32.R1, r2.R1, R3f,
-                                      ctx_a.D, ctx_b.D, ctx_a.z, ctx_b.z) < 1e-7
+                                      ctx_a, ctx_b) < 1e-7
         # R_3 is the z_2-transform of R_1 and the z_1-transform of R_2, to O(h^2)
         rep = pm.bpt_verify(soliton32, riccati32.R1, r2.R1, R3f, ctx_a, ctx_b)
         assert set(rep) == {"riccati_seed_r1", "riccati_seed_r2"}
@@ -127,17 +129,15 @@ class TestVerify:
 class TestMoebius:
     def test_degenerate_symmetric_input(self, ctx_a, ctx_b, ctx_c):
         R = random_orthogonal(2, seed=77)
-        _, gap = pm.m3_r7(R, R, R, R, ctx_a.D, ctx_b.D, ctx_c.D,
-                          ctx_a.z, ctx_b.z, ctx_c.z)
+        _, gap = pm.m3_r7(R, R, R, R, ctx_a, ctx_b, ctx_c)
         assert gap < 1e-12
 
     def test_distinct_z_required(self, ctx_a, ctx_b):
         R = random_orthogonal(2, seed=1)
         with pytest.raises(DistinctZRequired):
-            pm.m3_r7(R, R, R, R, ctx_a.D, ctx_b.D, ctx_a.D,
-                     ctx_a.z, ctx_b.z, ctx_a.z)
+            pm.m3_r7(R, R, R, R, ctx_a, ctx_b, ctx_a)
 
-    def test_singular_box(self):
+    def test_singular_box(self, ctx_a):
         # scalar D's tuned so the combination matrix vanishes identically
         z1, z2, z3 = 0.2, 0.3, 0.5
         c23 = 1 / z2 - 1 / z3
@@ -147,7 +147,8 @@ class TestMoebius:
         d3 = -(c23 * d1 + c31 * d2) / c12
         I = np.eye(2, dtype=complex)
         with pytest.raises(SingularBox):
-            pm.m3_r7(I, I, I, I, d1 * I, d2 * I, d3 * I, z1, z2, z3)
+            pm.m3_r7(I, I, I, I, *(replace(ctx_a, z=z, D=d * I)
+                                   for z, d in ((z1, d1), (z2, d2), (z3, d3))))
 
     def test_integrated_routes_agree(self, qwc2, lmap2, soliton32, ctx_a,
                                      ctx_b, ctx_c, riccati32):
@@ -189,8 +190,8 @@ class TestLattice:
             for j in range(2):
                 R0, R1, R2, R3 = (lat[(i + a, j + b)]
                                   for a, b in ((0, 0), (1, 0), (0, 1), (1, 1)))
-                assert pm.bpt_scalar_identity(R0, R1, R2, R3, ctx_a.D, ctx_b.D,
-                                              ctx_a.z, ctx_b.z) < 1e-5
+                assert pm.bpt_scalar_identity(R0, R1, R2, R3, ctx_a,
+                                              ctx_b) < 1e-5
                 assert np.max(np.abs(R3 @ np.swapaxes(R3, -1, -2)
                                      - np.eye(2))) < 1e-5
 
@@ -296,8 +297,8 @@ D_QUADRICS.update({(2, "jordan"): [(1.0, 2)], (3, "jordan"): [(1.0, 2), (0.7, 1)
                    (4, "jordan"): [(1.0, 3), (0.7, 1)]})
 
 
-def _matmul_dmul(D, X, right=False):
-    return X @ D if right else D @ X
+def _matmul_dmul(ctx, X, right=False):
+    return X @ ctx.D if right else ctx.D @ X
 
 
 def _outcome(fn, *args):
@@ -337,11 +338,11 @@ class TestDiagonalProducts:
         R0, R1, R2, R3, R4 = random_orthogonal(
             n, np.arange(5 * seed, 5 * seed + 5, dtype=object)[:, None]
             + np.arange(0, 3000, 1000))
-        D1, D2, D3 = (c.D for c in ctxs)
-        calls = [(pm.bpt_compose, R0, R1, R2, D1, D2),
-                 (pm.bpt_orthogonality_identity, R1, R2, D1, D2),
-                 (pm.bpt_scalar_identity, R0, R1, R2, R3, D1, D2, *zs[:2]),
-                 (pm.m3_r7, R0, R1, R2, R4, D1, D2, D3, *zs)]
+        c1, c2, c3 = ctxs
+        calls = [(pm.bpt_compose, R0, R1, R2, c1, c2),
+                 (pm.bpt_orthogonality_identity, R1, R2, c1, c2),
+                 (pm.bpt_scalar_identity, R0, R1, R2, R3, c1, c2),
+                 (pm.m3_r7, R0, R1, R2, R4, c1, c2, c3)]
         got = [_outcome(*call) for call in calls]
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(pm, "_dmul", _matmul_dmul)

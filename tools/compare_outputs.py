@@ -46,6 +46,14 @@ TIMING = {("runtime_s",), ("checks", "runtime_s"), ("stages", "wall_s"),
 _CANON = {"quadric": {"kind": "IQWC", "p": 2,
                       "blocks": [{"a": [1.5, -0.2], "p": 1}]},
           "grid": {"axes": [[0.0, 0.3, 9]] * 2}}
+# n = 4, where a diagonal D multiplies as a matmul, on a 6^4 grid
+_N4 = {"quadric": {"kind": "QWC", "blocks": [{"a": [a, 0.0], "p": 1}
+                                             for a in (1.0, 0.7, 1.3, 1.6)]},
+       "grid": {"axes": [[0.0, 0.22, 6]] * 4}, "lam_theta": 0.3}
+# a QC with a Jordan block, whose D is not diagonal
+_QC_JORDAN = {"kind": "QC", "blocks": [{"a": [1.0, 0.0], "p": 2},
+                                       {"a": [1.3, 0.1], "p": 1},
+                                       {"a": [0.8, -0.2], "p": 1}]}
 SCENARIOS = ("ivory-check", "elliptic", "deform-0soliton", "backlund-qwc",
              "backlund-qc", "leaf-embed", "bpt", "m3", "lattice", "sine-gordon")
 GRID_SCENARIOS = ("deform-0soliton", "backlund-qwc", "leaf-embed", "bpt", "m3",
@@ -56,8 +64,10 @@ BENCH_SEEDS = (1, 2, 3)
 def configs() -> list:
     """(label, config) of every compared run: the ten scenarios at defaults,
     n = 3 deform-0soliton, QC bpt, ivory-check and elliptic on QC and IQWC,
-    the grid scenarios on a canonicalized IQWC, a 3-axis lattice and every
-    benchmark run of BENCH_SEEDS (from perfbench/workloads.py)."""
+    the grid scenarios on a canonicalized IQWC, a 3-axis lattice,
+    deform-0soliton and m3 at n = 4, backlund-qc and bpt on a QC with a
+    Jordan block and every benchmark run of BENCH_SEEDS (from
+    perfbench/workloads.py)."""
     sys.path.insert(0, str(ROOT / "perfbench"))
     try:
         from workloads import DEFORM_N3, IQWC, QC, WORKLOADS, run_list
@@ -75,6 +85,9 @@ def configs() -> list:
     out.append(("lattice-3axis", {
         "scenario": "lattice", "extent": [2, 2, 2],
         "z": [[0.31, 0.12], [-0.2, 0.25], [0.12, -0.3]]}))
+    out += [(f"n4/{s}", {"scenario": s, **_N4}) for s in ("deform-0soliton", "m3")]
+    out += [(f"qc-jordan/{s}", {"scenario": s, "quadric": _QC_JORDAN})
+            for s in ("backlund-qc", "bpt")]
     for seed in BENCH_SEEDS:
         for workload in WORKLOADS:
             out += [(f"bench-{seed}/{workload}/{run.label}", run.config)
