@@ -117,13 +117,13 @@ def make_context(q, z, lm=None) -> BacklundContext:
                                np.zeros(n, dtype=complex))
     if lm is None:
         raise ValueError("(I)QWC context needs the L map")
-    srp = qd.sqrt_rprime(q, lm, z)[:n, :n]
+    srp = qd.sqrt_rprime(q, lm, srz)[:n, :n]
     D = srp / sz
     if df.peterson_admissible(lm)[0]:
         # the zero soliton's diagonal A' block, without sqrt's rounding noise
         D = np.diag(np.diagonal(D))
     return BacklundContext(q, lm, z, sz, D, srz, C, srp,
-                           qd.translation_chart(q, lm, z))
+                           qd.chart_coords(lm, C)[:n])
 
 
 # Riccati right-hand sides -----------------------------------------------------------
@@ -565,9 +565,7 @@ def leaf_embed(ctx: BacklundContext, fg0: df.FieldGrid,
     dN0 = _chart_normal_derivative(q, lm, fg0, N0c, H0, T0)
     srz = ctx.srz
     xz1 = np.einsum("ij,...j->...i", srz, x01) + ctx.C
-    dV1 = np.zeros(shape + (n, n), dtype=complex)       # [..., dir, comp]
-    for k in range(n):
-        dV1[..., k, :] = lam1[..., k:k + 1] * R1[..., :, k]
+    dV1 = lam1[..., :, None] * np.swapaxes(R1, -1, -2)   # [..., dir, comp]
     dx01 = np.einsum("...mc,...kc->...km", T1, dV1)
     dxz1 = np.einsum("im,...km->...ki", srz, dx01)
 
@@ -589,7 +587,7 @@ def leaf_embed(ctx: BacklundContext, fg0: df.FieldGrid,
     if frame is None:
         dN_dot = np.einsum("...ij,...i->...j", dN0, diffvec)[..., None]
     else:
-        dN_dot = _frame_normal_derivative_dot(fg0, ff0, frame, diffvec)
+        dN_dot = _frame_normal_derivative_dot(ff0, frame, diffvec)
     dx1 = (-np.einsum("...m,...c,...kc->...km", vscript, c01, dV1)
            + np.einsum("...mc,cd,...kd->...km", Tv, srp, dV1)
            - np.einsum("...ma,...ka->...km", Nmat, dN_dot))
@@ -650,21 +648,14 @@ def _chart_normal_derivative(q, lm, fg0, N0, H, T0):
             - N0[..., :, None] * (mudV / H[..., None])[..., None, :])
 
 
-def _frame_normal_derivative_dot(fg0, ff0, frame, vec):
+def _frame_normal_derivative_dot(ff0, frame, vec):
     """(d_j N_a)^T vec from the Gauss-Weingarten equations of the seed frame."""
-    n = fg0.n
-    shape = fg0.grid.shape
-    p = frame.N.shape[-1]
-    out = np.zeros(shape + (n, p), dtype=complex)
-    halpha = ff0.hj[..., 1:, :]
     Xdotv = np.einsum("...ml,...m->...l", frame.X, vec)
     Ndotv = np.einsum("...mb,...m->...b", frame.N, vec)
-    for j in range(n):
-        tang = -np.einsum("...a,...l,...l->...a", halpha[..., :, j],
-                          ff0.ginv[..., j, :], Xdotv)
-        conn = np.einsum("...ba,...b->...a", ff0.nconn[..., j, 1:, 1:], Ndotv)
-        out[..., j, :] = tang + conn
-    return out
+    tang = -np.einsum("...aj,...jl,...l->...ja", ff0.hj[..., 1:, :], ff0.ginv,
+                      Xdotv)
+    conn = np.einsum("...jba,...b->...ja", ff0.nconn[..., 1:, 1:], Ndotv)
+    return tang + conn
 
 
 # ruling / facet and asymptotic-direction checks ---------------------------------------

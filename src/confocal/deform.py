@@ -171,28 +171,21 @@ def system_residual(R: np.ndarray, hs, q, lm) -> SystemResidual:
         raise StepFailure("the deformation system is taken on QWC/IQWC charts only")
     n = R.shape[-1]
     shape = R.shape[:-2]
+    j, k = np.nonzero(~np.eye(n, dtype=bool))
+    l = np.arange(n)[:, None]
     phi = phi_fields(R, hs, 2)
     src = np.broadcast_to(lm.aprime_n(), shape + (n, n))
     RtSR = np.einsum("...ji,...jk,...kl->...il", R, src, R)
-    quad = np.zeros(shape + (n, n), dtype=complex)
-    for l in range(n):
-        pl = phi[..., l, :, :]
-        quad = quad + np.einsum("...i,...k->...ik", pl[..., :, l], pl[..., l, :])
-    dphi = [diff1(phi[..., j, :, :], axis=j, h=hs[j]) for j in range(n)]
+    # sum over l of (Phi_l)_{jl} (Phi_l)_{lk}, added in the order of l
+    quad = np.einsum("...lp,...lp->...lp", phi[..., l, j, l],
+                     phi[..., l, l, k]).sum(axis=-2)
+    dphi = np.stack([diff1(phi[..., a, :, :], axis=a, h=hs[a]) for a in range(n)],
+                    axis=-3)
     two = np.zeros(shape + (n, n), dtype=complex)
-    for j in range(n):
-        for k in range(n):
-            if j == k:
-                continue
-            M = dphi[j] - dphi[k] - quad + RtSR
-            two[..., j, k] = M[..., j, k]
-    conj = 0.0
-    if n >= 3:
-        for l in range(n):
-            for j in range(n):
-                for k in range(n):
-                    if len({j, k, l}) == 3:
-                        conj = max(conj, float(np.max(np.abs(phi[..., l, j, k]))))
+    two[..., j, k] = dphi[..., j, j, k] - dphi[..., k, j, k] - quad + RtSR[..., j, k]
+    eye = np.eye(n, dtype=bool)
+    distinct = ~(eye[:, :, None] | eye[:, None, :] | eye[None, :, :])
+    conj = float(np.max(np.abs(phi[..., distinct]), initial=0.0))
     orth = np.max(np.abs(np.einsum("...ji,...jk->...ik", R, R)
                          - np.eye(n)), axis=(-2, -1))
     return SystemResidual(two, conj, orth)
@@ -203,11 +196,10 @@ def omega_slots(phi: np.ndarray) -> np.ndarray:
     + (Phi_j)_{kj} e_k e_j^T per node, (..., n_axes, n, n), from the
     Phi_l = R^T dR/du^l stack phi of the same shape."""
     naxes = phi.shape[-3]
+    k, j = np.indices((naxes, naxes)).reshape(2, -1)
     out = np.zeros(phi.shape, dtype=complex)
-    for k in range(naxes):
-        for j in range(naxes):
-            out[..., k, j, k] += phi[..., j, j, k]
-            out[..., k, k, j] += phi[..., j, k, j]
+    out[..., k, j, k] += phi[..., j, j, k]
+    out[..., k, k, j] += phi[..., j, k, j]
     return out
 
 
@@ -264,39 +256,28 @@ def gamma_field(lam, dloglam, dlogsH) -> np.ndarray:
 
 def _cmp_solve(hj, dhj, gamma):
     """Least-squares normal connection, batched over leading axes; returns
-    (nconn, residual per node).  Each k-system is one stacked least-squares
-    solve (numerics.stack_lstsq), with the bits of np.linalg.lstsq node by
-    node."""
+    (nconn, residual per node).  The n k-systems are one stacked
+    least-squares solve (numerics.stack_lstsq), with the bits of
+    np.linalg.lstsq system by system."""
     lead = hj.shape[:-2]
     n = hj.shape[-1]
-    pairs = [(a, b) for a in range(1, n) for b in range(a + 1, n)]
+    # (k, j) pairs k-major: system k stacks its n - 1 blocks j != k in order
+    k, j = np.nonzero(~np.eye(n, dtype=bool))
+    a, b = np.add(np.triu_indices(n - 1, 1), 1)   # normal pairs 1 <= a < b
+    col = np.arange(len(a))
+    hjT, dhjT = np.swapaxes(hj, -1, -2), np.swapaxes(dhj, -1, -2)
+    c = (dhjT[..., k, j, :] - gamma[..., j, j, k, None] * hjT[..., j, :]
+         + gamma[..., k, j, j, None] * hjT[..., k, :])
+    M = np.zeros(lead + (len(k), n, len(a)), dtype=complex)
+    M[..., a, col] = hjT[..., j, :][..., b]
+    M[..., b, col] = -hjT[..., j, :][..., a]
+    c = c.reshape(lead + (n, (n - 1) * n))
+    M = M.reshape(lead + (n, (n - 1) * n, len(a)))
+    sol = stack_lstsq(M, -c)
+    res = np.max(np.abs(stack_apply(M, sol) + c), axis=(-2, -1))
     out = np.zeros(lead + (n, n, n), dtype=complex)
-    res = np.zeros(lead)
-    for k in range(n):
-        rows, rhs = [], []
-        for j in range(n):
-            if j == k:
-                continue
-            c = (dhj[..., k, :, j] - gamma[..., j, j, k, None] * hj[..., :, j]
-                 + gamma[..., k, j, j, None] * hj[..., :, k])
-            if pairs:
-                M = np.zeros(lead + (n, len(pairs)), dtype=complex)
-                for col, (a, b) in enumerate(pairs):
-                    M[..., a, col] = hj[..., b, j]
-                    M[..., b, col] = -hj[..., a, j]
-                rows.append(M)
-            rhs.append(c)
-        cfull = np.concatenate(rhs, axis=-1)
-        if pairs:
-            Mfull = np.concatenate(rows, axis=-2)
-            sol = stack_lstsq(Mfull, -cfull)
-            res = np.maximum(res, np.max(np.abs(stack_apply(Mfull, sol) + cfull),
-                                         axis=-1))
-            for col, (a, b) in enumerate(pairs):
-                out[..., k, a, b] = sol[..., col]
-                out[..., k, b, a] = -sol[..., col]
-        else:
-            res = np.maximum(res, np.max(np.abs(cfull), axis=-1))
+    out[..., a, b] = sol
+    out[..., b, a] = -sol
     return out, res
 
 
@@ -308,7 +289,6 @@ def _joined_geometry(lam, H, dlam, dH, pool):
     residual per node) for the frame whose unit first row is
     r = -i lambda / sqrt(H), completed against pool, with hj = S lambda (the
     joined columns gauged by lambda); joined is None when pool is None."""
-    n = lam.shape[-1]
     sqH = np.asarray(sqrt_branch(H))
     dloglam = dlam / lam[..., :, None]
     dlogsH = dH / (2.0 * H)[..., None]
@@ -320,11 +300,9 @@ def _joined_geometry(lam, H, dlam, dH, pool):
     dr = np.swapaxes((dloglam - dlogsH[..., None, :]) * r[..., :, None], -1, -2)
     S, dS = complete_rows(r, dr, pool)
     hj = S * lam[..., None, :]
-    dhj = np.zeros(S.shape[:-2] + (n, n, n), dtype=complex)   # (..., k, comp, j)
-    for k in range(n):
-        for j in range(n):
-            dhj[..., k, :, j] = (dlam[..., j, k, None] * S[..., :, j]
-                                 + lam[..., j, None] * dS[..., k, :, j])
+    # dhj[..., k, comp, j] = d(hj[..., comp, j]) / du^k
+    dhj = (np.swapaxes(dlam, -1, -2)[..., :, None, :] * S[..., None, :, :]
+           + lam[..., None, None, :] * dS)
     nconn, res = _cmp_solve(hj, dhj, gamma)
     return gamma, h0, (S, hj, nconn, res)
 
@@ -372,15 +350,10 @@ def forms_assemble(fg: FieldGrid, q, lm, seed: int = 0) -> FundamentalForms:
             [diff1(gamma, axis=a, h=hs[a], order=order)
              for a in range(len(shape))], axis=-4)
     Rjkjk = _curvature_component(gamma, g, dgam)
-    gauss0 = np.zeros(shape + (n, n), dtype=complex)
-    gaussN = np.zeros(shape + (n, n), dtype=complex)
-    for j in range(n):
-        for k in range(n):
-            if j == k:
-                continue
-            gauss0[..., j, k] = Rjkjk[..., j, k] - h0[..., j] * h0[..., k]
-            hsum = np.einsum("...a,...a->...", hj[..., 1:, j], hj[..., 1:, k])
-            gaussN[..., j, k] = Rjkjk[..., j, k] - hsum
+    j, k = np.nonzero(~np.eye(n, dtype=bool))
+    gauss0 = Rjkjk[..., j, k] - h0[..., j] * h0[..., k]
+    gaussN = Rjkjk[..., j, k] - np.einsum("...ap,...ap->...p", hj[..., 1:, j],
+                                          hj[..., 1:, k])
 
     ricci = _ricci_residual(nconn, hj, ginv, hs, order=order)
 
@@ -406,30 +379,28 @@ def _exact_dgamma(fg: FieldGrid, q, lm, H) -> np.ndarray:
     fields."""
     n = fg.n
     shape = fg.grid.shape
-    lam = fg.lam
+    j, k = np.nonzero(~np.eye(n, dtype=bool))
+    d = np.arange(n)
+    l = d[:, None]                      # the derivative axis, against j, k or d
+    e = np.eye(n, dtype=int)            # e[l, j] = (l == j)
     mu = qd.chart_source(q, lm, fg.V)
+    lam_l, mu_l = fg.lam[..., l], mu[..., l]
+    lam, mu = fg.lam[..., None, :], mu[..., None, :]
+    H = H[..., None, None]
     ap = np.diagonal(lm.aprime_n())
     out = np.zeros(shape + (n, n, n, n), dtype=complex)  # (l, p, j, k)
-    H2 = H * H
-    for j in range(n):
-        for k in range(n):
-            if k != j:
-                # G^k_{jj} = lam_j^2 mu_k / (lam_k H)
-                Nm = lam[..., j] ** 2 * mu[..., k]
-                D = lam[..., k] * H
-                for l in range(n):
-                    dN = (2.0 * lam[..., j] * (-(l == j) * mu[..., j]) * mu[..., k]
-                          + lam[..., j] ** 2 * ((l == k) * ap[k] * lam[..., k]))
-                    dD = (-(l == k) * mu[..., k] * H
-                          + lam[..., k] * 2.0 * lam[..., l] * mu[..., l])
-                    out[..., l, k, j, j] = (dN * D - Nm * dD) / (D * D)
-        # G^j_{jj} = -mu_j/lam_j + lam_j mu_j / H
-        for l in range(n):
-            t1 = (-(l == j) * (ap[j] * lam[..., j] ** 2 + mu[..., j] ** 2)
-                  / lam[..., j] ** 2)
-            t2 = (((l == j) * (ap[j] * lam[..., j] ** 2 - mu[..., j] ** 2)) * H
-                  - 2.0 * lam[..., j] * mu[..., j] * lam[..., l] * mu[..., l]) / H2
-            out[..., l, j, j, j] = t1 + t2
+    # G^k_{jj} = lam_j^2 mu_k / (lam_k H), j != k
+    Nm = lam[..., j] ** 2 * mu[..., k]
+    D = lam[..., k] * H
+    dN = (2.0 * lam[..., j] * (-e[l, j] * mu[..., j]) * mu[..., k]
+          + lam[..., j] ** 2 * (e[l, k] * ap[k] * lam[..., k]))
+    dD = -e[l, k] * mu[..., k] * H + lam[..., k] * 2.0 * lam_l * mu_l
+    out[..., l, k, j, j] = (dN * D - Nm * dD) / (D * D)
+    # G^j_{jj} = -mu_j/lam_j + lam_j mu_j / H
+    t1 = -e * (ap * lam ** 2 + mu ** 2) / lam ** 2
+    t2 = ((e * (ap * lam ** 2 - mu ** 2)) * H
+          - 2.0 * lam * mu * lam_l * mu_l) / (H * H)
+    out[..., l, d, d, d] = t1 + t2
     return out
 
 
@@ -439,44 +410,38 @@ def _curvature_component(gamma, g, dgam) -> np.ndarray:
     dgam[..., l, p, j, k] = (G^p_{jk})_l."""
     shape = gamma.shape[:-3]
     n = gamma.shape[-1]
+    j, k = np.nonzero(~np.eye(n, dtype=bool))
+    dg = np.moveaxis(dgam, -4, -1)          # [..., p, j, k, l]
+    term = (dg[..., :, j, j, k] - dg[..., :, j, k, j]
+            + np.einsum("...qt,...pqt->...pt", gamma[..., :, j, j],
+                        gamma[..., :, :, k])
+            - np.einsum("...qt,...pqt->...pt", gamma[..., :, j, k],
+                        gamma[..., :, :, j]))
     out = np.zeros(shape + (n, n), dtype=complex)
-    for j in range(n):
-        for k in range(n):
-            if j == k:
-                continue
-            term = (dgam[..., k, :, j, j] - dgam[..., j, :, j, k]
-                    + np.einsum("...q,...pq->...p", gamma[..., :, j, j],
-                                gamma[..., :, :, k])
-                    - np.einsum("...q,...pq->...p", gamma[..., :, j, k],
-                                gamma[..., :, :, j]))
-            out[..., j, k] = np.einsum("...p,...p->...", g[..., k, :], term)
+    out[..., j, k] = np.einsum("...tp,...pt->...t", g[..., k, :], term)
     return out
 
 
 def _ricci_residual(nconn, hj, ginv, hs, order: int) -> float:
     """max |r^b_{a jk} - (h^a_j h^b_k - h^b_j h^a_k) g^{jk}| over true normals."""
     n = hj.shape[-1]
-    if n < 3:
-        return 0.0
     shape = nconn.shape[:-3]
     dn = np.stack(
         [diff1(nconn, axis=a, h=hs[a], order=order) for a in range(len(shape))],
         axis=-4)
     worst = 0.0
-    for j in range(n):
-        for k in range(n):
-            if j == k:
-                continue
-            lhs = (dn[..., k, j, :, :] - dn[..., j, k, :, :]
-                   + np.einsum("...ab,...bc->...ac", nconn[..., k, :, :],
-                               nconn[..., j, :, :])
-                   - np.einsum("...ab,...bc->...ac", nconn[..., j, :, :],
-                               nconn[..., k, :, :]))
-            rhs = (np.einsum("...b,...a->...ba", hj[..., :, k], hj[..., :, j])
-                   - np.einsum("...b,...a->...ba", hj[..., :, j], hj[..., :, k]))
-            rhs = rhs * ginv[..., j, k][..., None, None]
-            worst = max(worst, float(np.max(np.abs(lhs[..., 1:, 1:]
-                                                   - rhs[..., 1:, 1:]))))
+    # one (j, k) pair at a time: a stack of all pairs raises the memory peak
+    for j, k in zip(*np.nonzero(~np.eye(n, dtype=bool))):
+        lhs = (dn[..., k, j, :, :] - dn[..., j, k, :, :]
+               + np.einsum("...ab,...bc->...ac", nconn[..., k, :, :],
+                           nconn[..., j, :, :])
+               - np.einsum("...ab,...bc->...ac", nconn[..., j, :, :],
+                           nconn[..., k, :, :]))
+        rhs = (np.einsum("...b,...a->...ba", hj[..., :, k], hj[..., :, j])
+               - np.einsum("...b,...a->...ba", hj[..., :, j], hj[..., :, k]))
+        rhs = rhs * ginv[..., j, k][..., None, None]
+        worst = max(worst, float(np.max(np.abs(lhs[..., 1:, 1:]
+                                               - rhs[..., 1:, 1:]))))
     return worst
 
 
@@ -621,8 +586,8 @@ def seed_frame(q, lm, fg: FieldGrid, seed: int = 0,
     x[: n + 1] = x0
     X[: n + 1, :] = Xb
     N[: n + 1, 0] = N0
-    for a in range(1, p):
-        N[n + a, a] = 1.0
+    a = np.arange(1, p)
+    N[n + a, a] = 1.0
 
     y = numerics.rk4_sweep(fg.grid, model.pack(x, X, N),
                            lambda axis, lines: model.rhs(fg, axis, lines))

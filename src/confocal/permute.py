@@ -128,16 +128,13 @@ def m3_r7(R0, R1, R2, R4, c1, c2, c3):
            + (1.0 / z1 - 1.0 / z2) * _dmul(c3, R4))
     if _ill_conditioned(box):
         raise SingularBox("combination matrix is near singular")
-    routes = [
+    routes = np.stack([
         bpt_compose(R1, R3, R5, c2, c3),   # around x^1: z2-, z3-leaves
         bpt_compose(R2, R3, R6, c1, c3),   # around x^2: z1-, z3-leaves
         bpt_compose(R4, R5, R6, c1, c2),   # around x^4: z1-, z2-leaves
-    ]
-    gap = 0.0
-    for a in range(3):
-        for b in range(a + 1, 3):
-            gap = max(gap, float(np.max(np.abs(routes[a] - routes[b]))))
-    return routes[0], gap
+    ])
+    a, b = np.triu_indices(3, 1)
+    return routes[0], float(np.max(np.abs(routes[a] - routes[b])))
 
 
 def m3_r7_field(R0f, R1f, R2f, R4f, ctx1, ctx2, ctx3):

@@ -522,13 +522,9 @@ def chart_coords(lm: LMap, x: np.ndarray) -> np.ndarray:
     return stack_apply(lm.L_inv, np.asarray(x, dtype=complex))
 
 
-def translation_chart(q: QuadricSpec, lm: LMap, z: complex) -> np.ndarray:
-    """I_{1,n} L^{-1} C(z) as an n-vector."""
-    return chart_coords(lm, translation(q, z))[: q.n]
-
-
-def sqrt_rprime(q: QuadricSpec, lm: LMap, z: complex) -> np.ndarray:
-    """sqrt(R'_z) = L^T A sqrt(R_z) L + e e^T, ambient (n+1)x(n+1).
+def sqrt_rprime(q: QuadricSpec, lm: LMap, srz: np.ndarray) -> np.ndarray:
+    """sqrt(R'_z) = L^T A sqrt(R_z) L + e e^T, ambient (n+1)x(n+1), from the
+    root srz = sqrt_rz(q, z).
 
     Fixes e_{n+1} and carries the n-block square root of I - z A'; valid for
     both QWC and IQWC because L^T A sqrt(R_z) L has zero last row and column.
@@ -536,7 +532,7 @@ def sqrt_rprime(q: QuadricSpec, lm: LMap, z: complex) -> np.ndarray:
     m = q.dim
     E = np.zeros((m, m), dtype=complex)
     E[m - 1, m - 1] = 1.0
-    return lm.L.T @ (q.A @ sqrt_rz(q, z)) @ lm.L + E
+    return lm.L.T @ (q.A @ srz) @ lm.L + E
 
 
 def h_chart(q: QuadricSpec, lm: LMap | None, V: np.ndarray):

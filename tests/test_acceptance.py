@@ -96,8 +96,8 @@ def test_criterion_03_iqwc_parametrization():
                     float(np.max(np.abs(lm.Aprime @ e))),
                     float(np.max(np.abs(lm.Aprime @ (lm.L.T @ f1)))))
         for z in (0.3 + 0.2j, -0.45 + 0.1j, 0.7j):
-            S = qd.sqrt_rprime(q, lm, z)
-            ilc = qd.embed(qd.translation_chart(q, lm, z), m)
+            S = qd.sqrt_rprime(q, lm, qd.sqrt_rz(q, z))
+            ilc = qd.embed(qd.chart_coords(lm, qd.translation(q, z))[:q.n], m)
             ilb = qd.embed(lm.b, m)
             worst = max(worst, float(np.max(np.abs(
                 (np.eye(m) + S) @ ilc + z * ilb))))

@@ -40,7 +40,7 @@ class TestContext:
                          (qc3, None, 0.25 + 0.3j)):
             ctx = bk.make_context(q, z, lm)
             srz, n = qd.sqrt_rz(q, z), q.n
-            srp = srz if lm is None else qd.sqrt_rprime(q, lm, z)
+            srp = srz if lm is None else qd.sqrt_rprime(q, lm, srz)
             for got, want in ((ctx.srz, srz), (ctx.C, qd.translation(q, z)),
                               (ctx.srp, srp[:n, :n])):
                 assert got.shape == want.shape
@@ -242,7 +242,7 @@ class TestRiccatiRHSReference:
         lm = sc.lmap_for(q, seed=7)
         for z in (0.31 + 0.12j, -0.2 + 0.25j, 0.12 - 0.3j):
             ctx = bk.make_context(q, z, lm)
-            want = qd.sqrt_rprime(q, lm, z)[:n, :n] / ctx.sqrt_z
+            want = qd.sqrt_rprime(q, lm, qd.sqrt_rz(q, z))[:n, :n] / ctx.sqrt_z
             assert ctx.D.tobytes() == want.tobytes()
 
     def test_non_admissible_flow_raises(self, soliton32):

@@ -466,17 +466,22 @@ class TestRunScenario:
         assert len(report["checks"]) == 9
         assert all(c["passed"] for c in report["checks"])
 
-    @pytest.mark.parametrize("scenario", ["deform-0soliton", "m3"])
-    def test_four_axis_grid_passes(self, tmp_path, scenario):
-        # n = 4: a QWC with four simple blocks on a 6^4 grid
+    @pytest.mark.parametrize("scenario, blocks, nodes", [
+        ("deform-0soliton", (1.0, 0.7, 1.3, 1.6), 6),
+        ("m3", (1.0, 0.7, 1.3, 1.6), 6),
+        ("leaf-embed", (1.0, 0.7, 1.3), 12)],
+        ids=["n4-deform-0soliton", "n4-m3", "n3-leaf-embed"])
+    def test_three_and_four_axis_grids_pass(self, tmp_path, scenario, blocks,
+                                            nodes):
+        # a QWC with n simple blocks on an n-axis grid: n = 4 on 6^4, and
+        # leaf-embed at n = 3, whose leaf frame has two normals, on 12^3
         cfg = {"scenario": scenario, "lam_theta": 0.3,
                "quadric": {"kind": "QWC",
-                           "blocks": [{"a": [a, 0.0], "p": 1}
-                                      for a in (1.0, 0.7, 1.3, 1.6)]},
-               "grid": {"axes": [[0.0, 0.22, 6]] * 4}}
-        cfgfile = tmp_path / "n4.json"
+                           "blocks": [{"a": [a, 0.0], "p": 1} for a in blocks]},
+               "grid": {"axes": [[0.0, 0.22, nodes]] * len(blocks)}}
+        cfgfile = tmp_path / "cfg.json"
         cfgfile.write_text(json.dumps(cfg))
-        out = tmp_path / "n4"
+        out = tmp_path / "out"
         assert cli.main(["run", "--config", str(cfgfile), "--out", str(out)]) == 0
         report = json.loads((out / "report.json").read_text())
         assert report["checks"] and all(c["passed"] for c in report["checks"])

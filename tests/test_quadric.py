@@ -263,8 +263,9 @@ class TestLMap:
         # (I + sqrt R'_z) I L^{-1}C(z) = -z I L^{-1} B; L^{-1}C(z) on Z
         m = 3
         for z in (0.3 + 0.2j, -0.5 + 0.1j, 0.8j):
-            S = qd.sqrt_rprime(iqwc2, iqwc_lmap, z)
-            ilc = qd.embed(qd.translation_chart(iqwc2, iqwc_lmap, z), m)
+            S = qd.sqrt_rprime(iqwc2, iqwc_lmap, qd.sqrt_rz(iqwc2, z))
+            ilc = qd.embed(
+                qd.chart_coords(iqwc_lmap, qd.translation(iqwc2, z))[:2], m)
             ilb = qd.embed(iqwc_lmap.b, m)
             assert np.max(np.abs((np.eye(m) + S) @ ilc + z * ilb)) < 1e-10
             lc = iqwc_lmap.L_inv @ qd.translation(iqwc2, z)
@@ -272,7 +273,7 @@ class TestLMap:
 
     def test_sqrt_rprime_squares(self, iqwc2, iqwc_lmap):
         z = 0.22 - 0.35j
-        S = qd.sqrt_rprime(iqwc2, iqwc_lmap, z)
+        S = qd.sqrt_rprime(iqwc2, iqwc_lmap, qd.sqrt_rz(iqwc2, z))
         assert np.max(np.abs(S @ S - (np.eye(3) - z * iqwc_lmap.Aprime))) < 1e-12
         assert np.max(np.abs(S - S.T)) < 1e-12
 

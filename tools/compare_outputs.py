@@ -63,19 +63,19 @@ BENCH_SEEDS = (1, 2, 3)
 
 def configs() -> list:
     """(label, config) of every compared run: the ten scenarios at defaults,
-    n = 3 deform-0soliton, QC bpt, ivory-check and elliptic on QC and IQWC,
-    the grid scenarios on a canonicalized IQWC, a 3-axis lattice,
-    deform-0soliton and m3 at n = 4, backlund-qc and bpt on a QC with a
-    Jordan block and every benchmark run of BENCH_SEEDS (from
-    perfbench/workloads.py)."""
+    n = 3 deform-0soliton and leaf-embed, QC bpt, ivory-check and elliptic
+    on QC and IQWC, the grid scenarios on a canonicalized IQWC, a 3-axis
+    lattice, deform-0soliton, m3 and leaf-embed at n = 4 (leaf-embed with p
+    = 2 and 3 normals), backlund-qc and bpt on a QC with a Jordan block and
+    every benchmark run of BENCH_SEEDS (from perfbench/workloads.py)."""
     sys.path.insert(0, str(ROOT / "perfbench"))
     try:
         from workloads import DEFORM_N3, IQWC, QC, WORKLOADS, run_list
     finally:
         sys.path.pop(0)
     out = [(f"default/{s}", {"scenario": s}) for s in SCENARIOS]
-    out.append(("n3/deform-0soliton", {"scenario": "deform-0soliton",
-                                       **DEFORM_N3}))
+    out += [(f"n3/{s}", {"scenario": s, **DEFORM_N3})
+            for s in ("deform-0soliton", "leaf-embed")]
     out.append(("qc/bpt", {"scenario": "bpt", "quadric": QC}))
     for kind, quadric in (("qc", QC), ("iqwc", IQWC)):
         for s in ("ivory-check", "elliptic"):
@@ -85,7 +85,8 @@ def configs() -> list:
     out.append(("lattice-3axis", {
         "scenario": "lattice", "extent": [2, 2, 2],
         "z": [[0.31, 0.12], [-0.2, 0.25], [0.12, -0.3]]}))
-    out += [(f"n4/{s}", {"scenario": s, **_N4}) for s in ("deform-0soliton", "m3")]
+    out += [(f"n4/{s}", {"scenario": s, **_N4})
+            for s in ("deform-0soliton", "m3", "leaf-embed")]
     out += [(f"qc-jordan/{s}", {"scenario": s, "quadric": _QC_JORDAN})
             for s in ("backlund-qc", "bpt")]
     for seed in BENCH_SEEDS:
