@@ -539,70 +539,63 @@ def leaf_embed(ctx: BacklundContext, fg0: df.FieldGrid,
                frame: df.AmbientFrame | None) -> dict:
     """Embed the leaf x^1 = x^0 + [x^0_v](sqrt(R'_z) V_1 - V_0 + I L^{-1}C(z))
     of the seed fg0 under the transform of ctx (whose quadric, L map and
-    constants of z it reads), and return its ACPIA and joined-form residuals.
+    constants of z it reads), and return its residuals.  Both seed kinds
+    report metric_scaling, the gap of g01 - gz1 from z dV_1^T dV_1.
 
-    frame=None is the degenerate seed x^0 = x_0 (chart embedding, normal frame
-    [N_0, e_{n+2}, ...]); the leaf then lands on the confocal quadric x_z and
-    the residuals include max |Q_z(x^1)|.  Otherwise frame is an integrated
-    deformation frame in C^{2n-1}.  Differentials are evaluated from the
-    closed formulas; a 4th-order finite-difference version cross-checks them.
+    frame=None is the degenerate seed x^0 = x_0 (chart embedding): the leaf
+    lands on the confocal quadric at the Ivory image x_z of the chart leaf,
+    and the residuals are max |Q_z(x^1)| and max |x^1 - x_z|.  Otherwise
+    frame is an integrated deformation frame in C^{2n-1}, and the residuals
+    are ACPIA from the closed-form differentials and from a 4th-order
+    finite-difference version, which also cross-checks dx^1, and the
+    joined second forms.
     """
     q, lm = ctx.q, ctx.lm
     if q.kind == qd.QC:
         raise ValueError("leaf embedding is implemented for the (I)QWC charts")
-    n = q.n
-    shape = fg0.grid.shape
-    hs = fg0.grid.h
-    srp = ctx.srp
+    srp, srz = ctx.srp, ctx.srz
     c10 = np.einsum("ij,...j->...i", srp, V1) - fg0.V + ctx.ilc
-    c01 = np.einsum("ij,...j->...i", srp, fg0.V) - V1 + ctx.ilc
-
     x0_chart = qd.chart_to_ambient(q, lm, fg0.V)
     T0 = qd.chart_tangents(q, lm, fg0.V)
     T1 = qd.chart_tangents(q, lm, V1)
     x01 = qd.chart_to_ambient(q, lm, V1)
-    N0c, H0 = qd.chart_normal_h(q, lm, fg0.V)
-    dN0 = _chart_normal_derivative(q, lm, fg0, N0c, H0, T0)
-    srz = ctx.srz
     xz1 = np.einsum("ij,...j->...i", srz, x01) + ctx.C
     dV1 = lam1[..., :, None] * np.swapaxes(R1, -1, -2)   # [..., dir, comp]
     dx01 = np.einsum("...mc,...kc->...km", T1, dV1)
     dxz1 = np.einsum("im,...km->...ki", srz, dx01)
-
-    if frame is None:
-        xs = x0_chart
-        Tv = T0
-        Nmat = N0c[..., :, None]
-    else:
-        xs = frame.x
-        jac_inv = np.linalg.inv(np.einsum("...ij,...jk->...ik", fg0.R,
-                                          numerics.diag_stack(fg0.lam)))
-        Tv = np.einsum("...mj,...jk->...mk", frame.X, jac_inv)
-        Nmat = frame.N
-
-    x1 = xs + np.einsum("...mc,...c->...m", Tv, c10)
-    diffvec = x1 - xs
-
-    vscript = np.einsum("...mc,...c->...m", Tv, ff0.vfield)
-    if frame is None:
-        dN_dot = np.einsum("...ij,...i->...j", dN0, diffvec)[..., None]
-    else:
-        dN_dot = _frame_normal_derivative_dot(ff0, frame, diffvec)
-    dx1 = (-np.einsum("...m,...c,...kc->...km", vscript, c01, dV1)
-           + np.einsum("...mc,cd,...kd->...km", Tv, srp, dV1)
-           - np.einsum("...ma,...ka->...km", Nmat, dN_dot))
-
-    dN0_dot = np.einsum("...ij,...i->...j", dN0, xz1 - x0_chart)
-    joined = np.zeros(shape + (n, n), dtype=complex)
-    joined[..., :, 0] = -1j * dN0_dot
-    if frame is None:
-        joined[..., :, 1] = -dN0_dot   # dN = [dN_0, 0, ...] for x^0 = x_0
-    else:
-        joined[..., :, 1:] = -dN_dot
-
-    g1_exact = np.einsum("...km,...lm->...kl", dx1, dx1)
     g01 = np.einsum("...km,...lm->...kl", dx01, dx01)
     gz1 = np.einsum("...km,...lm->...kl", dxz1, dxz1)
+    dv1_gram = ctx.z * np.einsum("...km,...lm->...kl", dV1, dV1)
+    metric_scaling = float(np.max(np.abs((g01 - gz1) - dv1_gram)))
+
+    if frame is None:
+        x1 = x0_chart + np.einsum("...mc,...c->...m", T0, c10)
+        return {
+            "leaf_on_confocal": float(np.max(scalar_abs(
+                qd.eval_confocal(q, ctx.z, x1)))),
+            "leaf_vs_ivory_image": float(np.max(np.abs(x1 - xz1))),
+            "metric_scaling": metric_scaling,
+        }
+
+    hs = fg0.grid.h
+    c01 = np.einsum("ij,...j->...i", srp, fg0.V) - V1 + ctx.ilc
+    jac_inv = np.linalg.inv(np.einsum("...ij,...jk->...ik", fg0.R,
+                                      numerics.diag_stack(fg0.lam)))
+    Tv = np.einsum("...mj,...jk->...mk", frame.X, jac_inv)
+    x1 = frame.x + np.einsum("...mc,...c->...m", Tv, c10)
+    vscript = np.einsum("...mc,...c->...m", Tv, ff0.vfield)
+    dN_dot = _frame_normal_derivative_dot(ff0, frame, x1 - frame.x)
+    dx1 = (-np.einsum("...m,...c,...kc->...km", vscript, c01, dV1)
+           + np.einsum("...mc,cd,...kd->...km", Tv, srp, dV1)
+           - np.einsum("...ma,...ka->...km", frame.N, dN_dot))
+
+    N0c, H0 = qd.chart_normal_h(q, lm, fg0.V)
+    dN0 = _chart_normal_derivative(q, lm, fg0, N0c, H0, T0)
+    joined = np.zeros(fg0.grid.shape + (q.n, q.n), dtype=complex)
+    joined[..., :, 0] = -1j * np.einsum("...ij,...i->...j", dN0, xz1 - x0_chart)
+    joined[..., :, 1:] = -dN_dot
+
+    g1_exact = np.einsum("...km,...lm->...kl", dx1, dx1)
     acpia_exact = float(np.max(np.abs(g1_exact - g01)))
 
     dx1_fd = np.stack([diff1(x1, axis=k, h=hs[k], order=4)
@@ -616,22 +609,11 @@ def leaf_embed(ctx: BacklundContext, fg0: df.FieldGrid,
     # joined forms: g01 - gz1 is the Gram matrix of the joined column
     fund_res = float(np.max(np.abs(
         (g01 - gz1) - np.einsum("...ja,...ka->...jk", joined, joined))))
-    dv1_gram = ctx.z * np.einsum("...km,...lm->...kl", dV1, dV1)
-    metric_scaling = float(np.max(np.abs((g01 - gz1) - dv1_gram)))
-
-    if frame is None:
-        on_confocal = float(np.max(scalar_abs(qd.eval_confocal(q, ctx.z, x1))))
-        x1_vs_ivory = float(np.max(np.abs(x1 - xz1)))
-    else:
-        on_confocal = None
-        x1_vs_ivory = None
     return {
         "acpia_exact": acpia_exact,
         "acpia_fd": acpia_fd,
         "fund": fund_res,
         "metric_scaling": metric_scaling,
-        "leaf_on_confocal": on_confocal,
-        "leaf_vs_ivory_image": x1_vs_ivory,
         "fd_vs_exact_dx1": float(np.max(np.abs(dx1_fd - dx1))),
     }
 

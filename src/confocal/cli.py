@@ -147,11 +147,23 @@ def _integer(v, what: str) -> int:
     return int(v)
 
 
+def _known_keys(spec, keys, where: str):
+    """Raise ConfigError on a key of the object spec outside keys."""
+    unknown = sorted(repr(k) for k in spec if k not in keys) \
+        if isinstance(spec, dict) else []
+    if unknown:
+        raise ConfigError(f"unknown {where} key {', '.join(unknown)}")
+
+
 def _parse_quadric(spec) -> qd.QuadricSpec:
     if not isinstance(spec, dict) or "kind" not in spec:
         raise ConfigError("quadric must be an object with 'kind'")
     kind = spec["kind"]
+    _known_keys(spec, {"kind", "blocks", "p"} if kind == "IQWC"
+                else {"kind", "blocks"}, "quadric")
     try:
+        for b in spec.get("blocks", []):
+            _known_keys(b, {"a", "p"}, "quadric block")
         blocks = [(_parse_complex(b["a"]), _integer(b["p"], "block size p"))
                   for b in spec.get("blocks", [])]
         if kind == "QC":
@@ -166,6 +178,7 @@ def _parse_quadric(spec) -> qd.QuadricSpec:
 
 
 def _parse_grid(spec) -> GridSpec:
+    _known_keys(spec, {"axes", "base"}, "grid")
     try:
         axes = tuple((a, b, _integer(s, "grid node count"))
                      for a, b, s in spec["axes"])
@@ -207,19 +220,19 @@ _KEYS = {*_DEFAULTS, "scenario", "tol_scale", "tolerances"}
 
 def validate_config(cfg: dict) -> dict:
     """Schema check plus defaults; raises ConfigError on violations,
-    among them an unknown top-level key and a bool or fractional float where
-    an integer belongs.  Adds
-    the tolerance table "tol", the complex "zs", the master "seed", the
-    parsed quadric "q" and the parsed grid "gridspec"."""
+    among them an unknown key (at the top level, under seeds and grid, in
+    the quadric or in one of its blocks) and a bool or fractional float
+    where an integer belongs.  Adds the tolerance table "tol", the complex
+    "zs", the master "seed", the parsed quadric "q" and the parsed grid
+    "gridspec"."""
     if not isinstance(cfg, dict):
         raise ConfigError("config must be a JSON object")
     name = cfg.get("scenario")
     if name not in SCENARIOS:
         raise ConfigError(f"scenario must be one of {SCENARIOS}, got {name!r}")
-    unknown = sorted(repr(k) for k in cfg if k not in _KEYS)
-    if unknown:
-        raise ConfigError(f"unknown config key {', '.join(unknown)}")
+    _known_keys(cfg, _KEYS, "config")
     out = {**_DEFAULTS, **_SCENARIO_DEFAULTS.get(name, {}), **cfg}
+    _known_keys(out["seeds"], {"master"}, "seeds")
     try:
         scale = float(out.get("tol_scale", 1.0))
         tol = scaled_tolerances(scale)
@@ -522,7 +535,7 @@ def run_leaf_embed(cfg, q, lm, outdir, checks):
         checks.add("asymptotic_correspondence", bk.asymptotic_directions(ff))
     gridio.save_residual_csv(
         outdir / "leaf_embed_residuals.csv", ["check", "value"],
-        [(k, v) for k, v in emb_g.items() if isinstance(v, float)])
+        emb_g.items())
 
 
 def run_bpt(cfg, q, lm, outdir, checks):

@@ -535,7 +535,8 @@ def _vlam_stages(q, lm, fg: FieldGrid, k: int, lines):
     along axis k, in blocks (steps, 4, lines..., 2n) of whole steps:
     forward from the base node, then backward, as rk4_sweep steps.  The
     steps start from fg's nodes, which are the sweep's own states, and the
-    stages use rk4_step's arithmetic, so they carry its bits.
+    stages are the states that rk4_step hands its right-hand side, so they
+    carry its bits; its fourth right-hand-side call is spare.
 
     A block holds at least one step and at most prod(shape) / n stage
     points: a 1/n share of the nodes on which forms_assemble evaluates the
@@ -547,15 +548,16 @@ def _vlam_stages(q, lm, fg: FieldGrid, k: int, lines):
     i0, h = grid.base[k], grid.h[k]
     points = 4 * math.prod(slab.shape[1:-1])     # per step: 4 stages per line
     per = max(1, math.prod(grid.shape) // (grid.n * points))
+    stages = []
+
+    def record(t, y):
+        stages.append(y)
+        return f(t, y)
     for ys, step in ((slab[i0:-1], h), (slab[i0:0:-1], -h)):
         for b in range(0, len(ys), per):
-            y = ys[b:b + per]
-            k1 = f(None, y)
-            y2 = y + 0.5 * step * k1
-            k2 = f(None, y2)
-            y3 = y + 0.5 * step * k2
-            k3 = f(None, y3)
-            yield np.stack([y, y2, y3, y + step * k3], axis=1)
+            stages.clear()
+            numerics.rk4_step(record, 0.0, ys[b:b + per], step)
+            yield np.stack(stages, axis=1)
 
 
 def seed_frame(q, lm, fg: FieldGrid, seed: int = 0,

@@ -20,7 +20,6 @@ has the bits of a call on its point alone.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -33,7 +32,6 @@ from .errors import (
     MultipleRoot,
     OffQuadric,
     SingularConfocal,
-    ZeroEigenvalue,
 )
 from .numerics import (scalar_abs, scalar_mul, stack_apply, stack_dot,
                        stack_lstsq)
@@ -207,7 +205,7 @@ def translation(q: QuadricSpec, z: complex) -> np.ndarray:
     acc = np.zeros(p, dtype=complex)
     Jk = np.eye(p, dtype=complex)
     for k in range(p):
-        c = -sjcore._binom(0.5, k + 1) * (-1.0) ** (k + 1)
+        c = -sjcore.binom(0.5, k + 1) * (-1.0) ** (k + 1)
         acc = acc + c * z ** (k + 1) * (Jk @ vec)
         Jk = Jk @ J
     out[sl0] = acc
@@ -429,7 +427,7 @@ def _sqrt_g(q: QuadricSpec) -> np.ndarray:
             w = np.where(np.abs(w.imag) < 1e-12, w.real + 0j, w)
             S[sl, sl] = (V * np.sqrt(w)) @ np.linalg.inv(V)
         else:
-            S[sl, sl] = sjcore.sqrt_block(a, p, np.sqrt(a))
+            S[sl, sl] = sjcore.power_block(a, p, np.sqrt(a), 0.5)
     S = 0.5 * (S + S.T)
     if np.max(np.abs(S @ S - G)) > 1e-9:
         raise ValueError("square root of A + conj(f1) conj(f1)^T failed")
@@ -448,8 +446,8 @@ def build_lmap(q: QuadricSpec, seed: int = 0) -> LMap:
     m = q.dim
     if q.kind == QWC:
         shifted = SJSpec(tuple(q.sj.blocks[:-1]) + ((1.0, 1),))
-        L = _inv_sqrt_sj(shifted)
-        L_inv = sjcore.sqrt_sj(shifted)
+        L = sjcore.sj_power(shifted, -0.5)
+        L_inv = sjcore.sj_power(shifted, 0.5)
         return LMap(QWC, L, L_inv, q.A.copy(), stack_apply(L_inv, q.B)[:q.n])
     S = _sqrt_g(q)
     u = S @ iso_f(1, m)
@@ -495,25 +493,6 @@ def canonicalize_lmap(q: QuadricSpec, lm: LMap):
     L_inv = P.T @ lm.L_inv
     Aprime = P.T @ lm.Aprime @ P
     return LMap(IQWC, L, L_inv, Aprime, stack_apply(L_inv, q.B)[:q.n]), True
-
-
-@functools.lru_cache(maxsize=64)
-def _inv_sqrt_sj(spec: SJSpec) -> np.ndarray:
-    """A^{-1/2} blockwise: a^{-1/2} sum_k C(-1/2,k) a^{-k} J_p^k.
-
-    Built once per SJSpec and returned read-only: the QC chart maps and
-    tangents and the QWC L map share it."""
-    for a, _ in spec.blocks:
-        if a == 0:
-            raise ZeroEigenvalue("inverse sqrt of singular SJ matrix")
-    m = spec.dim
-    S = np.zeros((m, m), dtype=complex)
-    for sl, a, p in spec.slices():
-        ra = sqrt_branch(a)
-        S[sl, sl] = (1.0 / ra) * sjcore._block_series(
-            p, lambda k: sjcore._binom(-0.5, k) * a ** (-k))
-    S.setflags(write=False)
-    return S
 
 
 def chart_coords(lm: LMap, x: np.ndarray) -> np.ndarray:
@@ -595,7 +574,7 @@ def chart_to_ambient(q: QuadricSpec, lm: LMap | None, V: np.ndarray) -> np.ndarr
     m = q.dim
     v2 = stack_dot(V, V)
     if q.kind == QC:
-        return stack_apply(_inv_sqrt_sj(q.sj), _stereographic(V, v2))
+        return stack_apply(sjcore.sj_power(q.sj, -0.5), _stereographic(V, v2))
     Z = embed(V, m) + (0.5 * v2)[..., None] * basis_vec(m - 1, m)
     return stack_apply(lm.L, Z)
 
@@ -612,7 +591,7 @@ def chart_tangents(q: QuadricSpec, lm: LMap | None, V: np.ndarray) -> np.ndarray
     if q.kind == QC:
         v2 = stack_dot(V, V)
         X = _stereographic(V, v2)
-        M = _inv_sqrt_sj(q.sj)
+        M = sjcore.sj_power(q.sj, -0.5)
         dX = 2.0 * (rows + V[..., :, None] * (e - X)[..., None, :])
         cols = dX / (v2 + 1.0)[..., None, None]
     else:

@@ -11,6 +11,7 @@ draw, reproduced for a whole seed stack at once.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -105,13 +106,19 @@ class SJSpec:
             off += p
 
 
+def _blockwise(spec: SJSpec, block) -> np.ndarray:
+    """The block-diagonal matrix with block(a, p) on each block (a, p) of
+    spec, in order."""
+    m = spec.dim
+    out = np.zeros((m, m), dtype=complex)
+    for sl, a, p in spec.slices():
+        out[sl, sl] = block(a, p)
+    return out
+
+
 def build_sj(spec: SJSpec) -> np.ndarray:
     """Realize spec as the dense matrix ⨁ (a_j I_{p_j} + J_{p_j}) (exactly symmetric)."""
-    m = spec.dim
-    A = np.zeros((m, m), dtype=complex)
-    for sl, a, p in spec.slices():
-        A[sl, sl] = a * np.eye(p) + sj_nilpotent(p)
-    return A
+    return _blockwise(spec, lambda a, p: a * np.eye(p) + sj_nilpotent(p))
 
 
 def _block_series(p: int, coeff_fn) -> np.ndarray:
@@ -125,7 +132,7 @@ def _block_series(p: int, coeff_fn) -> np.ndarray:
     return out
 
 
-def _binom(x: float, k: int) -> float:
+def binom(x: float, k: int) -> float:
     """Binomial coefficient C(x, k) for real x."""
     c = 1.0
     for i in range(k):
@@ -133,26 +140,27 @@ def _binom(x: float, k: int) -> float:
     return c
 
 
-def sqrt_sj(spec: SJSpec) -> np.ndarray:
-    """Blockwise square root sqrt(a) sum_k C(1/2,k) a^{-k} J_p^k of build_sj(spec).
+def power_block(a: complex, p: int, root: complex, e: float) -> np.ndarray:
+    """root sum_k C(e,k) a^{-k} J_p^k: the power e = +-1/2 of the block
+    a I_p + J_p whose eigenvalue is root, one of the two values of a^e for
+    a != 0."""
+    return root * _block_series(p, lambda k: binom(e, k) * a ** (-k))
 
-    Raises ZeroEigenvalue if any block eigenvalue vanishes (isotropic kernel,
-    no SJ square root).  The scalar branch is sqrt_branch.
-    """
-    for a, _ in spec.blocks:
-        if a == 0:
-            raise ZeroEigenvalue("sqrt_sj requires nonzero block eigenvalues")
-    m = spec.dim
-    S = np.zeros((m, m), dtype=complex)
-    for sl, a, p in spec.slices():
-        S[sl, sl] = sqrt_block(a, p, sqrt_branch(a))
+
+@functools.lru_cache(maxsize=64)
+def sj_power(spec: SJSpec, e: float) -> np.ndarray:
+    """A^e for A = build_sj(spec) and e = 1/2 or -1/2, blockwise through
+    power_block with the scalar branch sqrt_branch.
+
+    Built once per (spec, e) and returned read-only: the QC chart maps and
+    the QWC L map share it.  Raises ZeroEigenvalue if any block eigenvalue
+    vanishes (isotropic kernel, no SJ square root)."""
+    if 0 in spec.eigenvalues:
+        raise ZeroEigenvalue("SJ powers need nonzero block eigenvalues")
+    S = _blockwise(spec, lambda a, p: power_block(
+        a, p, sqrt_branch(a) if e > 0 else 1.0 / sqrt_branch(a), e))
+    S.setflags(write=False)
     return S
-
-
-def sqrt_block(a: complex, p: int, root: complex) -> np.ndarray:
-    """root sum_k C(1/2,k) a^{-k} J_p^k: the square root of the block
-    a I_p + J_p whose eigenvalue is root, one of the two roots of a != 0."""
-    return root * _block_series(p, lambda k: _binom(0.5, k) * a ** (-k))
 
 
 def sqrt_resolvent(spec: SJSpec, z: complex) -> np.ndarray:
@@ -163,15 +171,14 @@ def sqrt_resolvent(spec: SJSpec, z: complex) -> np.ndarray:
     when 1 - z a_j vanishes for some block.
     """
     z = complex(z)
-    m = spec.dim
-    S = np.zeros((m, m), dtype=complex)
-    for sl, a, p in spec.slices():
+
+    def block(a, p):
         w = 1.0 - z * a
         if abs(w) < TOL_SINGULAR:
             raise SingularConfocal(f"1 - z*a = {w} for eigenvalue {a}")
-        rw = sqrt_branch(w)
-        S[sl, sl] = rw * _block_series(p, lambda k: _binom(0.5, k) * (-z / w) ** k)
-    return S
+        return sqrt_branch(w) * _block_series(
+            p, lambda k: binom(0.5, k) * (-z / w) ** k)
+    return _blockwise(spec, block)
 
 
 def orth_defect(M: np.ndarray) -> float:

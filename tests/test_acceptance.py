@@ -14,7 +14,7 @@ import numpy as np
 from confocal import backlund as bk, deform as df, permute as pm
 from confocal import quadric as qd, scenarios as sc, sjcore
 from confocal.numerics import loglog_slope
-from confocal.sjcore import SJSpec, build_sj, random_orthogonal, sqrt_sj
+from confocal.sjcore import SJSpec, build_sj, random_orthogonal, sj_power
 from conftest import standard_quadric
 
 
@@ -43,7 +43,7 @@ def test_criterion_01_sj_sqrt_roundtrip():
             if rng.uniform() < 0.4:
                 break
         spec = SJSpec(tuple(blocks))
-        S = sqrt_sj(spec)
+        S = sj_power(spec, 0.5)
         worst = max(worst, float(np.max(np.abs(S @ S - build_sj(spec)))))
     dt = time.time() - t0
     ok = worst < 1e-12 and dt < 1.0

@@ -327,6 +327,14 @@ class TestConfigValidation:
         {"scenario": "ivory-check", "quadric": {"kind": "IQWC", "p": 2.5,
                                                 "blocks": [_BLOCK]}},
         {"scenario": "ivory-check", "sampels": 5},
+        # nor is a nested one
+        {"scenario": "ivory-check", "seeds": {"mastr": 3}},
+        {"scenario": "ivory-check", "quadric": {"kind": "IQWC", "P": 3,
+                                                "blocks": [_BLOCK]}},
+        {"scenario": "deform-0soliton",
+         "grid": {"axes": [[0.0, 0.3, 6]] * 2, "bsae": [3, 3]}},
+        {"scenario": "ivory-check", "quadric": {"kind": "QWC", "blocks": [
+            {"a": [1.0, 0.0], "p": 1, "b": 2}, {"a": [0.7, 0.0], "p": 1}]}},
     ], ids=lambda c: json.dumps(c)[:60])
     def test_malformed_config_exits_2(self, cfg, tmp_path, capsys):
         cfgfile = tmp_path / "bad.json"
@@ -357,6 +365,11 @@ class TestConfigValidation:
     def test_unknown_key_is_named(self):
         with pytest.raises(ConfigError, match="'sampels'"):
             cli.validate_config({"scenario": "ivory-check", "sampels": 5})
+
+    def test_unknown_nested_key_is_named(self):
+        with pytest.raises(ConfigError, match="seeds key 'mastr'"):
+            cli.validate_config({"scenario": "ivory-check",
+                                 "seeds": {"mastr": 3}})
 
     def test_integral_float_counts_accepted(self):
         cfg = cli.validate_config({"scenario": "m3", "samples": 20.0,

@@ -8,7 +8,7 @@ from confocal import sjcore
 from confocal.errors import IsotropicEncounter, SingularConfocal, ZeroEigenvalue
 from confocal.numerics import expm
 from confocal.sjcore import (SJSpec, build_sj, orth_complete, random_orthogonal,
-                             sqrt_branch, sqrt_resolvent, sqrt_sj)
+                             sj_power, sqrt_branch, sqrt_resolvent)
 
 
 def spec_strategy(max_dim=8, max_block=4, allow_zero=False):
@@ -76,23 +76,31 @@ class TestSqrtBranch:
 class TestSqrtSJ:
     def test_nilpotent_binomial(self):
         spec = SJSpec(((1.0, 2),))
-        S = sqrt_sj(spec)
+        S = sj_power(spec, 0.5)
         expected = np.eye(2) + 0.5 * sjcore.sj_nilpotent(2)
         assert np.max(np.abs(S - expected)) < 1e-14
         assert np.max(np.abs(S @ S - build_sj(spec))) < 1e-14
 
     def test_scalar(self):
-        assert np.allclose(sqrt_sj(SJSpec(((4.0, 1),))), [[2.0]])
+        assert np.allclose(sj_power(SJSpec(((4.0, 1),)), 0.5), [[2.0]])
 
     def test_zero_eigenvalue_raises(self):
         with pytest.raises(ZeroEigenvalue):
-            sqrt_sj(SJSpec(((0.0, 2),)))
+            sj_power(SJSpec(((0.0, 2),)), 0.5)
 
     @given(spec_strategy())
     @settings(max_examples=50, deadline=None)
     def test_squaring_oracle(self, spec):
-        S = sqrt_sj(spec)
+        S = sj_power(spec, 0.5)
         assert np.max(np.abs(S @ S - build_sj(spec))) < 1e-12
+
+    def test_built_once_per_spec_and_read_only(self, qc3):
+        M = sj_power(qc3.sj, -0.5)
+        assert M is sj_power(SJSpec(qc3.sj.blocks), -0.5)
+        assert not M.flags.writeable
+        assert np.array_equal(M, sj_power.__wrapped__(qc3.sj, -0.5))
+        with pytest.raises(ValueError):
+            M[0, 0] = 0.0
 
 
 class TestSqrtResolvent:

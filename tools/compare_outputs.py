@@ -54,6 +54,12 @@ _N4 = {"quadric": {"kind": "QWC", "blocks": [{"a": [a, 0.0], "p": 1}
 _QC_JORDAN = {"kind": "QC", "blocks": [{"a": [1.0, 0.0], "p": 2},
                                        {"a": [1.3, 0.1], "p": 1},
                                        {"a": [0.8, -0.2], "p": 1}]}
+# a QWC and an IQWC with p = 2 Jordan blocks, so that the SJ powers of the
+# QWC L map and the trailing block of the IQWC's sqrt(G) see one
+_QWC_JORDAN = {"kind": "QWC", "blocks": [{"a": [1.0, 0.0], "p": 2},
+                                         {"a": [0.7, 0.0], "p": 1}]}
+_IQWC_JORDAN = {"kind": "IQWC", "p": 2,
+                "blocks": [{"a": [1.5, -0.2], "p": 2}]}
 SCENARIOS = ("ivory-check", "elliptic", "deform-0soliton", "backlund-qwc",
              "backlund-qc", "leaf-embed", "bpt", "m3", "lattice", "sine-gordon")
 GRID_SCENARIOS = ("deform-0soliton", "backlund-qwc", "leaf-embed", "bpt", "m3",
@@ -66,7 +72,8 @@ def configs() -> list:
     n = 3 deform-0soliton and leaf-embed, QC bpt, ivory-check and elliptic
     on QC and IQWC, the grid scenarios on a canonicalized IQWC, a 3-axis
     lattice, deform-0soliton, m3 and leaf-embed at n = 4 (leaf-embed with p
-    = 2 and 3 normals), backlund-qc and bpt on a QC with a Jordan block and
+    = 2 and 3 normals), backlund-qc and bpt on a QC with a Jordan block,
+    ivory-check and elliptic on a QWC and an IQWC with Jordan blocks and
     every benchmark run of BENCH_SEEDS (from perfbench/workloads.py)."""
     sys.path.insert(0, str(ROOT / "perfbench"))
     try:
@@ -89,6 +96,10 @@ def configs() -> list:
             for s in ("deform-0soliton", "m3", "leaf-embed")]
     out += [(f"qc-jordan/{s}", {"scenario": s, "quadric": _QC_JORDAN})
             for s in ("backlund-qc", "bpt")]
+    for kind, quadric in (("qwc-jordan", _QWC_JORDAN),
+                          ("iqwc-jordan", _IQWC_JORDAN)):
+        out += [(f"{kind}/{s}", {"scenario": s, "quadric": quadric})
+                for s in ("ivory-check", "elliptic")]
     for seed in BENCH_SEEDS:
         for workload in WORKLOADS:
             out += [(f"bench-{seed}/{workload}/{run.label}", run.config)
